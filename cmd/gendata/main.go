@@ -12,9 +12,10 @@
 // fully deterministic — dataset than it did before. Regenerate any
 // externally recorded expectations keyed to a seed.
 //
-// Both output formats are specified byte by byte in docs/FORMATS.md. The
-// binary format is identical to the snapshot format of tkplqd's durable
-// data directory, so a generated file can seed one directly:
+// Both output formats are specified byte by byte in docs/FORMATS.md. A
+// binary file dropped into an empty data directory as a snapshot is
+// converted into the first sealed partition when tkplqd opens it, so a
+// generated file can seed one directly:
 //
 //	gendata -format bin -out data/snapshot-00000001.bin
 //	tkplqd -data-dir ./data ...

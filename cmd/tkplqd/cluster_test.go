@@ -131,10 +131,17 @@ func TestDaemonClusterFlagValidation(t *testing.T) {
 		{"unknown role", []string{"-role", "proxy"}, "unknown -role"},
 		{"router with data-dir", []string{"-role", "router", "-topology", topoFile, "-data-dir", t.TempDir()}, "router holds no records"},
 		{"missing topology file", []string{"-role", "router", "-topology", filepath.Join(t.TempDir(), "nope.json")}, "no such file"},
-		{"replica-of without data-dir", []string{"-replica-of", "127.0.0.1:9"}, "requires -data-dir and -storage parts"},
-		{"replica-of flat storage", []string{"-replica-of", "127.0.0.1:9", "-data-dir", t.TempDir()}, "requires -data-dir and -storage parts"},
+		{"replica-of without data-dir", []string{"-replica-of", "127.0.0.1:9"}, "-replica-of requires -data-dir"},
 		{"router with replica-of", []string{"-role", "router", "-topology", topoFile,
-			"-replica-of", "127.0.0.1:9", "-data-dir", t.TempDir(), "-storage", "parts"}, "router holds no records to replicate"},
+			"-replica-of", "127.0.0.1:9", "-data-dir", t.TempDir()}, "router holds no records to replicate"},
+		{"compact-interval without data-dir", []string{"-compact-interval", "10m"}, "-compact-interval requires -data-dir"},
+		{"compact-min-inputs without data-dir", []string{"-compact-min-inputs", "2"}, "-compact-min-inputs requires -data-dir"},
+		{"compact-target-bytes without data-dir", []string{"-compact-target-bytes", "1024"}, "-compact-target-bytes requires -data-dir"},
+		{"keep-segments without data-dir", []string{"-keep-segments", "2"}, "-keep-segments requires -data-dir"},
+		{"snapshot-interval without data-dir", []string{"-snapshot-interval", "1m"}, "-snapshot-interval requires -data-dir"},
+		{"several store flags without data-dir", []string{"-snapshot-interval", "1m", "-compact-interval", "10m"},
+			"-compact-interval, -snapshot-interval requires -data-dir"},
+		{"removed -storage flag", []string{"-data-dir", t.TempDir(), "-storage", "parts"}, "flag provided but not defined: -storage"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

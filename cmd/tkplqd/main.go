@@ -6,7 +6,7 @@
 //	                  no_coalesce, oid for kind "presence"); send a JSON array
 //	                  to evaluate a shared-work batch in one request
 //	POST /v1/ingest   {"records":[{"oid":1,"t":120,"samples":[{"ploc":4,"prob":0.6},...]}]}
-//	POST /v1/snapshot compact the WAL into a binary snapshot (needs -data-dir)
+//	POST /v1/snapshot seal the live head into a partition (needs -data-dir)
 //	GET  /v2/subscribe?window=900&k=5[&slocs=1,2][&algorithm=bf]
 //	                  Server-Sent Events stream of live ranking changes over
 //	                  the trailing window; identical subscriptions share one
@@ -23,30 +23,27 @@
 // SIGINT/SIGTERM, draining in-flight requests.
 //
 // With -data-dir the live table is durable: every accepted ingest batch is
-// written ahead to a CRC-framed log before it is applied, periodic binary
-// snapshots bound the log's length, and on restart the daemon recovers
-// snapshot + log replay into a table that answers bit-identically to the
-// never-restarted one — kill -9 mid-ingest loses at most an unacknowledged
-// batch. On the first start the data directory is seeded with a bootstrap
-// snapshot of the initial dataset (-iupt file or generated); on later
-// starts the recovered state wins and -iupt/-objects/-duration only shape
-// the indoor space, which must stay the same (-dataset, and the same
-// gendata space for ingested P-location ids). See docs/OPERATIONS.md for
+// written ahead to a CRC-framed log before it is applied, and the data
+// directory holds immutable, memory-mapped sealed partitions plus that short
+// log head. POST /v1/snapshot (and -snapshot-every) seals the head into a
+// new partition in O(head), restart maps the partitions and replays only the
+// log tail no matter how large the table is, and sealed records never occupy
+// heap — larger-than-RAM datasets, millisecond restarts. The recovered table
+// answers bit-identically to the never-restarted one — kill -9 mid-ingest
+// loses at most an unacknowledged batch. On the first start the initial
+// dataset (-iupt file or generated) is ingested and sealed as the bootstrap
+// partition; on later starts the recovered state wins and
+// -iupt/-objects/-duration only shape the indoor space, which must stay the
+// same (-dataset, and the same gendata space for ingested P-location ids).
+// A directory written by an older build's flat snapshot + log layout is
+// migrated in place, one way, on the first start. See docs/OPERATIONS.md for
 // the full operations guide and docs/FORMATS.md for the on-disk formats.
-//
-// With -storage parts the data directory instead holds immutable,
-// memory-mapped sealed partitions plus a short WAL head: POST /v1/snapshot
-// (and -snapshot-every) seals the head into a new partition in O(head),
-// restart replays only the WAL tail no matter how large the table is, and
-// sealed records never occupy heap — larger-than-RAM datasets, millisecond
-// restarts. A flat directory is migrated in place on the first -storage
-// parts start. Query answers are bit-identical in either layout.
 //
 // With -role the daemon becomes one member of a distributed cluster
 // (default: standalone). A `shard` owns the static partition of the objects
 // that a shared topology file (-topology, see internal/cluster) assigns to
 // its -shard-index — it carves its partition out of the initial dataset at
-// boot, keeps its own WAL/snapshot data-dir, and refuses ingest of foreign
+// boot, keeps its own data-dir, and refuses ingest of foreign
 // objects. A `router` holds no records: it fans queries out to every shard's
 // /v2/partial, merges the per-object contributions in canonical ascending-
 // object order and ranks — answers are bit-identical to a standalone daemon
@@ -70,9 +67,10 @@
 //	tkplqd [-addr HOST:PORT] [-dataset syn|rd] [-iupt FILE] [-format csv|bin]
 //	       [-objects N] [-duration SECONDS] [-seed N] [-workers N]
 //	       [-request-timeout DUR] [-shutdown-timeout DUR]
-//	       [-data-dir DIR] [-storage flat|parts]
-//	       [-fsync always|interval] [-fsync-interval DUR]
-//	       [-snapshot-every N] [-snapshot-interval DUR] [-pprof HOST:PORT]
+//	       [-data-dir DIR] [-fsync always|interval] [-fsync-interval DUR]
+//	       [-snapshot-every N] [-snapshot-interval DUR]
+//	       [-compact-interval DUR] [-compact-min-inputs N]
+//	       [-compact-target-bytes N] [-pprof HOST:PORT]
 //	       [-role standalone|shard|router] [-topology FILE]
 //	       [-shard-index N] [-shard-timeout DUR] [-health-interval DUR]
 //	       [-replica-of HOST:PORT[,HOST:PORT...]] [-advertise HOST:PORT]
@@ -132,42 +130,44 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		workers         = fs.Int("workers", 0, "engine worker pool (0 = GOMAXPROCS, 1 = single-threaded)")
 		requestTimeout  = fs.Duration("request-timeout", server.DefaultRequestTimeout, "per-request handling budget")
 		shutdownTimeout = fs.Duration("shutdown-timeout", 15*time.Second, "graceful shutdown drain budget")
-		dataDir         = fs.String("data-dir", "", "durable data directory (WAL + snapshots); empty = in-memory only")
-		storage         = fs.String("storage", "flat", "durable layout with -data-dir: flat (single snapshot + WAL) or parts (memory-mapped sealed partitions + WAL head; larger-than-RAM tables, O(tail) restarts)")
+		dataDir         = fs.String("data-dir", "", "durable data directory (memory-mapped sealed partitions + WAL head); empty = in-memory only")
 		fsyncPolicy     = fs.String("fsync", "always", "WAL fsync policy: always (durable per batch) or interval (batched)")
 		fsyncInterval   = fs.Duration("fsync-interval", wal.DefaultSyncEvery, "fsync cadence for -fsync interval")
-		snapshotEvery   = fs.Int("snapshot-every", 100000, "auto-snapshot after N records ingested since the last snapshot (0 = off); bounds log growth and restart replay")
-		snapshotIvl     = fs.Duration("snapshot-interval", 0, "periodic snapshot cadence (0 = off)")
-		compactIvl      = fs.Duration("compact-interval", 0, "with -storage parts: background compaction cadence (0 = manual POST /v1/compact only)")
-		compactMin      = fs.Int("compact-min-inputs", 0, "with -storage parts: minimum adjacent small partitions before a compaction fires (0 = default)")
-		compactTarget   = fs.Int64("compact-target-bytes", 0, "with -storage parts: target merged partition size; partitions at or past it are never re-compacted (0 = default)")
+		snapshotEvery   = fs.Int("snapshot-every", 100000, "auto-seal after N records ingested since the last seal (0 = off); bounds log growth and restart replay")
+		snapshotIvl     = fs.Duration("snapshot-interval", 0, "periodic seal cadence (0 = off)")
+		compactIvl      = fs.Duration("compact-interval", 0, "background compaction cadence (0 = manual POST /v1/compact only)")
+		compactMin      = fs.Int("compact-min-inputs", 0, "minimum adjacent small partitions before a compaction fires (0 = default)")
+		compactTarget   = fs.Int64("compact-target-bytes", 0, "target merged partition size; partitions at or past it are never re-compacted (0 = default)")
 		pprofAddr       = fs.String("pprof", "", "serve net/http/pprof on this separate listener (e.g. localhost:6060); empty = off")
 		role            = fs.String("role", server.RoleStandalone, "serving role: standalone, shard or router")
 		topologyFile    = fs.String("topology", "", "cluster topology file (required for -role shard|router; every member must load the same file)")
 		shardIndex      = fs.Int("shard-index", -1, "this shard's index in the topology (required for -role shard)")
 		shardTimeout    = fs.Duration("shard-timeout", server.DefaultShardTimeout, "router: per-shard attempt budget (reads retry across replicas under backoff within the request budget)")
 		healthInterval  = fs.Duration("health-interval", server.DefaultHealthInterval, "router: /readyz probe cadence driving read load-balancing and failover (negative = off)")
-		replicaOf       = fs.String("replica-of", "", "boot as a live follower replicating from these candidate primaries (host:port, comma-separated); requires -data-dir and -storage parts")
+		replicaOf       = fs.String("replica-of", "", "boot as a live follower replicating from these candidate primaries (host:port, comma-separated); requires -data-dir")
 		advertise       = fs.String("advertise", "", "this member's advertised address — its replication identity (default: -addr)")
 		replHeartbeat   = fs.Duration("repl-heartbeat", time.Second, "primary: replication heartbeat cadence on idle streams")
 		replWindow      = fs.Int64("repl-window", 4<<20, "primary: max unacknowledged replication bytes per follower before the stream waits for acks")
-		keepSegments    = fs.Int("keep-segments", -1, "with -storage parts: rotated WAL segments retained for follower catch-up (-1 = 4 on replicated members, 0 elsewhere)")
+		keepSegments    = fs.Int("keep-segments", -1, "rotated WAL segments retained for follower catch-up (-1 = 4 on replicated members, 0 elsewhere)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	switch *storage {
-	case "flat", "parts":
-	default:
-		return fmt.Errorf("unknown -storage %q (want flat or parts)", *storage)
-	}
-	if *storage == "parts" && *dataDir == "" {
-		return fmt.Errorf("-storage parts requires -data-dir")
+	if *dataDir == "" {
+		// These flags configure the durable store; without one they would
+		// silently do nothing.
+		var stray []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "replica-of", "snapshot-interval", "compact-interval", "compact-min-inputs", "compact-target-bytes", "keep-segments":
+				stray = append(stray, "-"+f.Name)
+			}
+		})
+		if len(stray) > 0 {
+			return fmt.Errorf("%s requires -data-dir (it configures the durable store)", strings.Join(stray, ", "))
+		}
 	}
 	if *replicaOf != "" {
-		if *dataDir == "" || *storage != "parts" {
-			return fmt.Errorf("-replica-of requires -data-dir and -storage parts (replication ships sealed partitions + WAL)")
-		}
 		if *role == server.RoleRouter {
 			return fmt.Errorf("-replica-of is for shard/standalone members: the router holds no records to replicate")
 		}
@@ -222,7 +222,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 	}
 
-	var store daemonStore
+	var store *tkplq.PartitionedStore
 	var sys *tkplq.System
 	var fol *repl.Follower
 	var folErrCh chan error
@@ -304,45 +304,26 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			return err
 		}
 		var recovered *tkplq.Table
-		switch *storage {
-		case "flat":
-			w, rec, err := tkplq.OpenWAL(tkplq.WALOptions{
-				Dir: *dataDir, Policy: policy, SyncEvery: *fsyncInterval,
-			})
-			if err != nil {
-				return err
-			}
-			store, recovered = w, rec
-		case "parts":
-			p, rec, err := tkplq.OpenPartitioned(tkplq.PartitionedOptions{
-				Dir: *dataDir, Policy: policy, SyncEvery: *fsyncInterval,
-				KeepSegments: keep,
-				Compact: tkplq.CompactionPolicy{
-					MinInputs:   *compactMin,
-					TargetBytes: *compactTarget,
-					Interval:    *compactIvl,
-				},
-			})
-			if err != nil {
-				return err
-			}
-			store, recovered = p, rec
-		default:
-			return fmt.Errorf("unknown -storage %q (want flat or parts)", *storage)
+		store, recovered, err = tkplq.OpenPartitioned(tkplq.PartitionedOptions{
+			Dir: *dataDir, Policy: policy, SyncEvery: *fsyncInterval,
+			KeepSegments: keep,
+			Compact: tkplq.CompactionPolicy{
+				MinInputs:   *compactMin,
+				TargetBytes: *compactTarget,
+				Interval:    *compactIvl,
+			},
+		})
+		if err != nil {
+			return err
 		}
 		defer store.Close()
 		if recovered.Len() > 0 {
 			// The durable state is the source of truth; the flags only
-			// rebuild the (deterministic) indoor space around it.
-			if *storage == "flat" {
-				if err := recovered.Validate(); err != nil {
-					return fmt.Errorf("%s: recovered table: %w", *dataDir, err)
-				}
-			}
-			// parts: no full-table Validate — the head was validated frame
-			// by frame at replay and every sealed partition passed its CRC
-			// and column invariants at open; decoding every sealed record
-			// here would defeat the O(WAL tail) restart.
+			// rebuild the (deterministic) indoor space around it. No
+			// full-table Validate — the head was validated frame by frame
+			// at replay and every sealed partition passed its CRC and
+			// column invariants at open; decoding every sealed record here
+			// would defeat the O(WAL tail) restart.
 			if own != nil {
 				// A shard's data-dir can only ever hold owned objects; a
 				// foreign object means the topology changed under it.
@@ -365,8 +346,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			}
 			sys.SetPersister(store)
 			logRecovery(out, store, recovered, *dataDir)
-		} else if *storage == "parts" {
-			// Bootstrap a partitioned directory through the live write path:
+		} else {
+			// Bootstrap the directory through the live write path:
 			// chunked Ingest into the (empty) recovered head, then one seal —
 			// the initial dataset becomes partition 1 and later restarts map
 			// it without replaying a single record.
@@ -387,19 +368,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			}
 			fmt.Fprintf(out, "tkplqd: initialized %s with a bootstrap partition (%d records)\n",
 				*dataDir, sys.Table().Len())
-		} else {
-			sys, err = buildSystem(*dataset, *iuptFile, *format, *objects, *duration, *seed, *workers, own)
-			if err != nil {
-				return err
-			}
-			sys.SetPersister(store)
-			// Bootstrap snapshot: persist the initial dataset so later
-			// restarts recover it without regenerating or re-reading -iupt.
-			if err := sys.Snapshot(); err != nil {
-				return fmt.Errorf("bootstrap snapshot: %w", err)
-			}
-			fmt.Fprintf(out, "tkplqd: initialized %s with a bootstrap snapshot (%d records)\n",
-				*dataDir, sys.Table().Len())
 		}
 	} else {
 		var err error
@@ -417,20 +385,20 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		defer stopProf()
 	}
 
-	// Every parts-store member serves the replication stream: primaries
-	// feed their followers, and a promoted follower must be able to feed a
+	// Every durable member serves the replication stream: primaries feed
+	// their followers, and a promoted follower must be able to feed a
 	// rejoining sibling.
 	var replCfg *server.ReplConfig
-	if ps, ok := store.(*tkplq.PartitionedStore); ok && *role != server.RoleRouter {
+	if store != nil {
 		src := repl.NewSource(repl.SourceConfig{
-			Store:          ps,
+			Store:          store,
 			HeartbeatEvery: *replHeartbeat,
 			WindowBytes:    *replWindow,
 			Logf: func(format string, args ...any) {
 				fmt.Fprintf(out, format+"\n", args...)
 			},
 		})
-		replCfg = &server.ReplConfig{Source: src, Follower: fol, Store: ps, Self: adv}
+		replCfg = &server.ReplConfig{Source: src, Follower: fol, Self: adv}
 	}
 
 	srv, err := server.New(server.Config{
@@ -532,42 +500,19 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 }
 
-// daemonStore is the durable-store surface run needs; both *tkplq.WAL
-// (-storage flat) and *tkplq.PartitionedStore (-storage parts) satisfy it,
-// and it in turn satisfies server.DurableStore.
-type daemonStore interface {
-	tkplq.Persister
-	RecordsSinceSnapshot() int64
-	Close() error
-}
-
-// logRecovery announces what recovery did, in the attached store's terms:
-// a flat store replays snapshot + log, a partitioned store maps sealed
-// partitions and replays only the WAL tail.
-func logRecovery(out io.Writer, store daemonStore, recovered *tkplq.Table, dataDir string) {
-	switch st := store.(type) {
-	case *tkplq.PartitionedStore:
-		ps := st.Stats()
-		fmt.Fprintf(out, "tkplqd: recovered %d records from %s (%d sealed partitions mapped, %d sealed records untouched, %d replayed from the WAL tail)\n",
-			recovered.Len(), dataDir, ps.Partitions, ps.SealedRecords, ps.WAL.ReplayedRecords)
-		if ps.MigratedRecords > 0 {
-			fmt.Fprintf(out, "tkplqd: migrated flat snapshot (%d records) into partition %d — the directory is partitioned from now on\n",
-				ps.MigratedRecords, ps.Seq)
-		}
-		warnCorrupt(out, ps.WAL)
-	case *tkplq.WAL:
-		ws := st.Stats()
-		fmt.Fprintf(out, "tkplqd: recovered %d records from %s (snapshot seq %d, %d frames replayed, %d torn bytes dropped)\n",
-			ws.RecoveredRecords, dataDir, ws.SnapshotSeq, ws.ReplayedFrames, ws.TornBytes)
-		warnCorrupt(out, ws)
+// logRecovery announces what recovery did: sealed partitions mapped, the WAL
+// tail replayed, and — once per directory — a legacy flat snapshot migrated.
+func logRecovery(out io.Writer, store *tkplq.PartitionedStore, recovered *tkplq.Table, dataDir string) {
+	ps := store.Stats()
+	fmt.Fprintf(out, "tkplqd: recovered %d records from %s (%d sealed partitions mapped, %d sealed records untouched, %d replayed from the WAL tail)\n",
+		recovered.Len(), dataDir, ps.Partitions, ps.SealedRecords, ps.WAL.ReplayedRecords)
+	if ps.MigratedRecords > 0 {
+		fmt.Fprintf(out, "tkplqd: migrated flat snapshot (%d records) into partition %d — the directory is partitioned from now on\n",
+			ps.MigratedRecords, ps.Seq)
 	}
-}
-
-// warnCorrupt surfaces complete-but-corrupt WAL frames dropped at recovery.
-func warnCorrupt(out io.Writer, ws tkplq.WALStats) {
-	if ws.CorruptFrames > 0 {
+	if ps.WAL.CorruptFrames > 0 {
 		fmt.Fprintf(out, "tkplqd: WARNING: %d complete WAL frames failed their CRC and were dropped — bit rot if the log was fsynced; check the disk\n",
-			ws.CorruptFrames)
+			ps.WAL.CorruptFrames)
 	}
 }
 

@@ -176,8 +176,8 @@ func TestDaemonDurableRestart(t *testing.T) {
 	}
 
 	base, out, stop := startDaemon(t, args)
-	if !strings.Contains(out.String(), "bootstrap snapshot") {
-		t.Fatalf("first boot did not announce the bootstrap snapshot: %s", out.String())
+	if !strings.Contains(out.String(), "bootstrap partition") {
+		t.Fatalf("first boot did not announce the bootstrap partition: %s", out.String())
 	}
 	ingest := `{"records":[{"oid":9001,"t":700,"samples":[{"ploc":0,"prob":1.0}]},` +
 		`{"oid":9001,"t":703,"samples":[{"ploc":1,"prob":0.5},{"ploc":2,"prob":0.5}]}]}`
@@ -338,7 +338,7 @@ func TestDaemonPprof(t *testing.T) {
 	}
 }
 
-// TestDaemonPartitionedRestart boots the daemon with -storage parts: the
+// TestDaemonPartitionedRestart boots the daemon with -data-dir: the
 // first boot seals the bootstrap dataset into partition 1, an on-demand
 // seal commits partition 2, and a restart maps both partitions — replaying
 // only the post-seal WAL tail — while answering the same query identically.
@@ -347,7 +347,7 @@ func TestDaemonPartitionedRestart(t *testing.T) {
 	args := []string{
 		"-addr", "127.0.0.1:0",
 		"-objects", "6", "-duration", "600", "-seed", "3",
-		"-data-dir", dataDir, "-storage", "parts",
+		"-data-dir", dataDir,
 	}
 
 	base, out, stop := startDaemon(t, args)

@@ -42,7 +42,7 @@ func TestDaemonReplicatedFailover(t *testing.T) {
 		args := append([]string{
 			"-addr", "127.0.0.1:0", "-advertise", name,
 			"-role", "shard", "-topology", shardTopo, "-shard-index", strconv.Itoa(idx),
-			"-storage", "parts", "-data-dir", dataDir,
+			"-data-dir", dataDir,
 			"-keep-segments", "8", "-repl-heartbeat", "50ms",
 		}, extra...)
 		base, _, stop := startDaemon(t, args)

@@ -8,65 +8,49 @@ import (
 )
 
 // Durability. A System is in-memory by default: records appended via Ingest
-// die with the process. Attaching a Persister (normally a WAL store from
-// OpenWAL) makes ingest durable — every accepted batch is written ahead to
-// the log before it is applied to the live table, and Snapshot compacts the
-// log into a binary snapshot of the whole table. See docs/OPERATIONS.md for
-// running the tkplqd daemon durably and docs/FORMATS.md for the on-disk
-// byte layouts.
+// die with the process. Attaching the durable store (OpenPartitioned, then
+// SetPersister) makes ingest durable — every accepted batch is written ahead
+// to a CRC-framed log before it is applied to the live table, and Snapshot
+// seals the table's mutable head into an immutable, memory-mapped partition
+// and truncates the log. There is one durable layout; a data directory left
+// by a build that wrote a flat snapshot + log is converted to it, one way,
+// the first time it is opened. See docs/OPERATIONS.md for running the tkplqd
+// daemon durably and docs/FORMATS.md for the on-disk byte layouts.
 
 type (
-	// WAL is a durable write-ahead-log + snapshot store over one data
-	// directory. Obtain one with OpenWAL; it implements Persister and
-	// Snapshotter.
-	WAL = wal.Store
-	// WALOptions parametrizes OpenWAL: the data directory, the fsync
-	// policy (SyncAlways / SyncInterval) and the SyncInterval cadence.
-	WALOptions = wal.Options
-	// WALStats is a snapshot of a WAL store's counters: appended frames /
-	// records / bytes, fsyncs, snapshots, records since the last snapshot,
-	// and what recovery found (recovered records, replayed frames, torn
-	// bytes dropped).
+	// WALStats is a snapshot of the head log's counters
+	// (PartitionedStats.WAL): appended frames / records / bytes, fsyncs,
+	// seals, records since the last seal, and what recovery found (recovered
+	// records, replayed frames, torn bytes dropped).
 	WALStats = wal.Stats
-	// SyncPolicy selects when appended WAL frames are fsynced.
+	// SyncPolicy selects when appended WAL frames are fsynced
+	// (PartitionedOptions.Policy).
 	SyncPolicy = wal.SyncPolicy
 )
 
-// WAL fsync policies for WALOptions.Policy.
+// WAL fsync policies for PartitionedOptions.Policy.
 const (
 	// SyncAlways fsyncs after every appended batch (the default): an
 	// acknowledged ingest survives a machine crash.
 	SyncAlways = wal.SyncAlways
-	// SyncInterval batches fsyncs on a background timer (WALOptions.
-	// SyncEvery): higher ingest throughput, bounded loss window on a
-	// machine crash, no loss on a process crash.
+	// SyncInterval batches fsyncs on a background timer
+	// (PartitionedOptions.SyncEvery): higher ingest throughput, bounded loss
+	// window on a machine crash, no loss on a process crash.
 	SyncInterval = wal.SyncInterval
 )
 
-// OpenWAL opens (or initializes) a durable data directory and recovers its
-// contents: the newest binary snapshot plus a frame-by-frame replay of the
-// write-ahead log, tolerating a torn final frame from a crash mid-append.
-// It returns the store and the recovered table; recovery is deterministic,
-// so a System built over the recovered table answers queries bit-identically
-// to one that never restarted. Wire the store into a System with
-// SetPersister, then ingest through System.Ingest as usual.
-func OpenWAL(opts WALOptions) (*WAL, *Table, error) {
-	return wal.Open(opts)
-}
-
 type (
-	// PartitionedStore is the memory-mapped, time-partitioned durable store:
-	// a WAL-backed mutable head plus immutable sealed partitions opened via
-	// mmap. Obtain one with OpenPartitioned; it implements Persister and
-	// Sealer, so System.Snapshot seals instead of writing a flat snapshot.
+	// PartitionedStore is the durable store: a WAL-backed mutable head plus
+	// immutable, time-partitioned sealed partitions opened via mmap. Obtain
+	// one with OpenPartitioned and attach it with System.SetPersister.
 	PartitionedStore = parts.Store
 	// PartitionedOptions parametrizes OpenPartitioned: data directory, fsync
-	// policy/cadence (as WALOptions), and partition verification mode.
+	// policy/cadence, partition verification mode, compaction policy.
 	PartitionedOptions = parts.Options
 	// PartitionedStats is a snapshot of a partitioned store's counters:
 	// sealed partition count/records/bytes, seals, records migrated from a
-	// flat snapshot, records decoded out of sealed partitions, plus the
-	// head WAL's counters.
+	// legacy flat snapshot, records decoded out of sealed partitions, plus
+	// the head WAL's counters.
 	PartitionedStats = parts.Stats
 	// PartitionVerify selects how much of each sealed partition
 	// OpenPartitioned checks (VerifyFull by default).
@@ -92,76 +76,51 @@ const (
 	VerifyFooter = parts.VerifyFooter
 )
 
-// OpenPartitioned opens (or initializes) a partitioned data directory: the
+// OpenPartitioned opens (or initializes) a durable data directory: the
 // sealed partitions are memory-mapped (verified per opts.Verify) and only
-// the short WAL tail is replayed into the mutable head — recovery does work
-// proportional to the tail, not the table, and sealed records never occupy
-// heap. A flat data directory (OpenWAL layout) is migrated in place on
-// first open: its snapshot becomes partition 1. The returned table answers
-// every query bit-identically to a flat table over the same history. Wire
-// the store into a System with SetPersister; System.Snapshot then seals the
-// head into a new partition (the store implements Sealer).
+// the short WAL tail is replayed into the mutable head, tolerating a torn
+// final frame from a crash mid-append — recovery does work proportional to
+// the tail, not the table, and sealed records never occupy heap. A legacy
+// flat directory (snapshot-N.bin + wal-N.log) is migrated in place on first
+// open: its snapshot becomes partition N. Recovery is deterministic: a
+// System built over the returned table answers every query bit-identically
+// to one that never restarted. Wire the store into the System with
+// SetPersister, then ingest through System.Ingest as usual; System.Snapshot
+// seals the head into a new partition.
 func OpenPartitioned(opts PartitionedOptions) (*PartitionedStore, *Table, error) {
 	return parts.Open(opts)
 }
 
-// Persister is the durability hook behind System.Ingest: when attached via
-// SetPersister, every validated batch is passed to AppendBatch before it is
-// applied to the live table (write-ahead order), under the System's ingest
-// serialization lock. An AppendBatch error aborts the ingest with the table
-// untouched. *WAL implements Persister.
-type Persister interface {
-	AppendBatch(recs []Record) error
-}
-
-// Snapshotter is implemented by persisters that can compact their log into
-// a full-table snapshot; System.Snapshot feeds it the table's canonical
-// time-sorted record slice. *WAL implements Snapshotter.
-type Snapshotter interface {
-	Snapshot(recs []Record) error
-}
-
-// Sealer is implemented by persisters that compact by sealing the table's
-// mutable head into an immutable partition instead of rewriting the whole
-// table; System.Snapshot prefers it over Snapshotter, so a sealing
-// persister never pays an O(table) snapshot. *PartitionedStore implements
-// Sealer.
-type Sealer interface {
-	Seal() error
-}
-
-// ErrNoSnapshotter is returned by System.Snapshot when no snapshot-capable
-// persister is attached.
+// ErrNoSnapshotter is returned by System.Snapshot when no durable store is
+// attached.
 var ErrNoSnapshotter = errors.New("tkplq: no snapshot-capable persister attached")
 
-// SetPersister attaches the durability hook consulted by Ingest and
-// Snapshot (nil detaches it). Attach the persister before serving traffic:
-// SetPersister is synchronized with in-flight Ingest calls, but batches
-// ingested before the persister is attached are not retroactively logged.
-func (s *System) SetPersister(p Persister) {
+// SetPersister attaches the durable store consulted by Ingest and Snapshot
+// (nil detaches it): every validated batch is passed to the store's
+// AppendBatch before it is applied to the live table (write-ahead order),
+// under the System's ingest serialization lock, and an AppendBatch error
+// aborts the ingest with the table untouched. Attach the store before
+// serving traffic: SetPersister is synchronized with in-flight Ingest calls,
+// but batches ingested before the store is attached are not retroactively
+// logged.
+func (s *System) SetPersister(p *PartitionedStore) {
 	s.ingestMu.Lock()
 	s.persist = p
 	s.ingestMu.Unlock()
 }
 
-// Snapshot compacts the attached persister's log. For a flat WAL store the
-// whole live table is written as a binary snapshot; for a sealing persister
-// (Sealer, e.g. a PartitionedStore) the mutable head is sealed into a new
-// immutable partition instead — O(head), never O(table). Either way it
-// holds the ingest lock for the duration — concurrent Ingest calls wait,
-// queries are unaffected — so the cut is exact: the committed artifact
-// contains precisely the batches appended before it, and the rotated log
-// contains precisely the batches after. Returns ErrNoSnapshotter when the
-// attached persister (if any) can do neither.
+// Snapshot seals the attached store's mutable head into a new immutable
+// partition and truncates its log — O(head), never O(table). It holds the
+// ingest lock for the duration — concurrent Ingest calls wait, queries are
+// unaffected — so the cut is exact: the committed partition contains
+// precisely the batches appended before it, and the rotated log contains
+// precisely the batches after. Returns ErrNoSnapshotter when no store is
+// attached.
 func (s *System) Snapshot() error {
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
-	if sealer, ok := s.persist.(Sealer); ok {
-		return sealer.Seal()
-	}
-	snap, ok := s.persist.(Snapshotter)
-	if !ok {
+	if s.persist == nil {
 		return ErrNoSnapshotter
 	}
-	return snap.Snapshot(s.table.SortedRecords())
+	return s.persist.Seal()
 }

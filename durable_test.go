@@ -1,17 +1,13 @@
 package tkplq_test
 
-// Crash/restart determinism: a daemon's table recovered from snapshot + WAL
-// replay must answer queries bit-identically to the table that never
-// restarted — the contract behind tkplqd -data-dir. The test simulates a
-// kill -9 (the store is abandoned, never Closed), tears the final WAL frame
-// the way a mid-append crash would, recovers, and compares rankings AND
-// flows with == on every float64, concurrently under the race detector.
+// Shared fixtures of the durability tests (partitioned_test.go,
+// compaction_test.go, legacy_flat_test.go): the deterministic world, the
+// ingest batches, the query battery and the bit-for-bit comparison.
 
 import (
 	"context"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"tkplq"
@@ -131,128 +127,4 @@ func assertIdentical(t *testing.T, label string, got, want []*tkplq.Response) {
 			}
 		}
 	}
-}
-
-func TestCrashRestartDeterminism(t *testing.T) {
-	// Reference: one system that never restarts. Capture the battery after
-	// nine batches and again after all ten.
-	refB, refTable := durableTestBuilding(t)
-	ref, err := tkplq.NewSystem(refB.Space, refTable, tkplq.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	batches := ingestBatches(refB.Space.NumPLocations())
-	for _, b := range batches[:9] {
-		if err := ref.Ingest(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want9 := answerSet(t, ref)
-	if err := ref.Ingest(batches[9]); err != nil {
-		t.Fatal(err)
-	}
-	want10 := answerSet(t, ref)
-
-	// Durable run: bootstrap snapshot, five batches, mid-run snapshot, five
-	// more batches — then die without Close (kill -9) and tear the final
-	// frame as a crash mid-append would.
-	dir := t.TempDir()
-	durB, durTable := durableTestBuilding(t)
-	dur, err := tkplq.NewSystem(durB.Space, durTable, tkplq.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dur.Snapshot(); err != tkplq.ErrNoSnapshotter {
-		t.Fatalf("Snapshot without persister = %v, want ErrNoSnapshotter", err)
-	}
-	store, recovered, err := tkplq.OpenWAL(tkplq.WALOptions{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if recovered.Len() != 0 {
-		t.Fatalf("fresh dir recovered %d records", recovered.Len())
-	}
-	dur.SetPersister(store)
-	if err := dur.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range batches[:5] {
-		if err := dur.Ingest(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := dur.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range batches[5:] {
-		if err := dur.Ingest(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Crash: no Close. The dying process's flock evaporates with it; here
-	// the "restarted process" recovers a byte-for-byte copy of the
-	// directory (the crashed store still holds the original's lock). Tear
-	// the final frame (batch 9) by chopping bytes off the active segment.
-	dir2 := copyDataDir(t, dir)
-	segs, err := filepath.Glob(filepath.Join(dir2, "wal-*.log"))
-	if err != nil || len(segs) != 1 {
-		t.Fatalf("want exactly one active segment, got %v (%v)", segs, err)
-	}
-	fi, err := os.Stat(segs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(segs[0], fi.Size()-3); err != nil {
-		t.Fatal(err)
-	}
-
-	// Recover. The torn batch 9 is gone; everything else must answer
-	// bit-identically to the uninterrupted reference at nine batches.
-	store2, table2, err := tkplq.OpenWAL(tkplq.WALOptions{Dir: dir2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ws := store2.Stats(); ws.TornBytes == 0 || ws.SnapshotSeq != 2 {
-		t.Fatalf("recovery stats = %+v, want torn bytes and snapshot seq 2", ws)
-	}
-	recB, _ := durableTestBuilding(t)
-	rec, err := tkplq.NewSystem(recB.Space, table2, tkplq.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec.SetPersister(store2)
-
-	// Concurrent queries against the recovered system, under -race.
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			assertIdentical(t, "recovered (torn tail)", answerSet(t, rec), want9)
-		}()
-	}
-	wg.Wait()
-
-	// Re-ingest the lost batch; now the recovered system must match the
-	// ten-batch reference exactly.
-	if err := rec.Ingest(batches[9]); err != nil {
-		t.Fatal(err)
-	}
-	assertIdentical(t, "recovered + reingested", answerSet(t, rec), want10)
-
-	// One more full cycle, this time a graceful restart.
-	if err := store2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	store3, table3, err := tkplq.OpenWAL(tkplq.WALOptions{Dir: dir2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store3.Close()
-	rec2B, _ := durableTestBuilding(t)
-	rec2, err := tkplq.NewSystem(rec2B.Space, table3, tkplq.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertIdentical(t, "second restart", answerSet(t, rec2), want10)
 }

@@ -92,12 +92,12 @@ func ExampleSystem_DoBatch() {
 }
 
 // ExampleSystem_Ingest streams the paper's Table 2 records into a live,
-// durable system: a WAL store is attached with SetPersister, so every
+// durable system: the store is attached with SetPersister, so every
 // accepted batch is written ahead to disk before it lands in the table.
 // Restarting — reopening the data directory — recovers the exact table,
 // and the recovered system answers Example 3's flow computation
 // identically. (The same holds across a kill -9: every acknowledged batch
-// is already framed in the log; see TestCrashRestartDeterminism.)
+// is already framed in the log; see TestPartitionedCrashRestartEquivalence.)
 func ExampleSystem_Ingest() {
 	dir, err := os.MkdirTemp("", "tkplq-durable")
 	if err != nil {
@@ -106,7 +106,7 @@ func ExampleSystem_Ingest() {
 	defer os.RemoveAll(dir)
 
 	fig := tkplq.PaperExampleSpace()
-	store, recovered, err := tkplq.OpenWAL(tkplq.WALOptions{Dir: dir})
+	store, recovered, err := tkplq.OpenPartitioned(tkplq.PartitionedOptions{Dir: dir})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func ExampleSystem_Ingest() {
 		log.Fatal(err)
 	}
 
-	store2, table, err := tkplq.OpenWAL(tkplq.WALOptions{Dir: dir})
+	store2, table, err := tkplq.OpenPartitioned(tkplq.PartitionedOptions{Dir: dir})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -154,14 +154,6 @@ type Options struct {
 	// 0 selects runtime.GOMAXPROCS(0); 1 (or any negative value) forces the
 	// single-threaded path, exactly as the paper's algorithms are written.
 	Workers int
-	// Parallelism is the deprecated former name of Workers, honored when
-	// Workers is 0 and Parallelism is non-zero. Note the default changed
-	// with the sharded pipeline: both fields zero now selects GOMAXPROCS
-	// workers, where the old engine ran single-threaded — results are
-	// bit-identical either way; set Workers to 1 to pin the old behavior.
-	//
-	// Deprecated: set Workers instead.
-	Parallelism int
 	// DisableCache turns off the engine's presence/interval cache. With the
 	// cache enabled (the default), repeated and overlapping-window queries
 	// reuse per-(object, interval) reductions and presence summaries
@@ -194,9 +186,6 @@ func (o Options) pathBudget() int {
 // workerCount resolves the effective worker pool size; see Options.Workers.
 func (o Options) workerCount() int {
 	w := o.Workers
-	if w == 0 {
-		w = o.Parallelism
-	}
 	if w == 0 {
 		return runtime.GOMAXPROCS(0)
 	}

@@ -260,14 +260,14 @@ func indoorRect(x1, y1, x2, y2 float64) geomRect {
 
 func indoorPt(x, y float64) geomPoint { return geomPoint{X: x, Y: y} }
 
-// TestParallelismEquivalence: Options.Parallelism changes wall-clock only —
+// TestParallelismEquivalence: Options.Workers changes wall-clock only —
 // results and statistics are identical to the sequential run.
 func TestParallelismEquivalence(t *testing.T) {
 	fig := indoor.Figure1Space()
 	rng := rand.New(rand.NewSource(55))
 	tb := randTable(rng, fig, 15, 40)
 	serial := NewEngine(fig.Space, Options{})
-	parallel := NewEngine(fig.Space, Options{Parallelism: 4})
+	parallel := NewEngine(fig.Space, Options{Workers: 4})
 
 	a, aStats, err := serial.TopK(tb, fig.SLocs[:], len(fig.SLocs), 0, 40, AlgoNestedLoop)
 	if err != nil {

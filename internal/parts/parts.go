@@ -15,9 +15,8 @@ import (
 	"tkplq/internal/wal"
 )
 
-// Data-dir protocol. A partitioned data directory mirrors the flat WAL
-// directory (internal/wal), with sealed partitions in place of the single
-// snapshot:
+// Data-dir protocol. A data directory holds the sealed partitions plus the
+// head's write-ahead log (internal/wal):
 //
 //	data/
 //	  part-00000001-00000002.tkp  // compacted: seals 1..2 merged
@@ -31,9 +30,11 @@ import (
 // its frames all live in the new partition. Recovery maps every partition
 // in sequence order, drops log segments older than the newest partition
 // (subsumed), and replays the rest into the head — work proportional to
-// the WAL tail, never the table. A flat snapshot-N.bin found in the
-// directory is migrated on open: its records become part-N.tkp and the
-// snapshot is removed (one-way; see docs/OPERATIONS.md).
+// the WAL tail, never the table. A snapshot-N.bin found in the directory —
+// left by a build that predates partitions, or dropped in from gendata
+// -format bin to seed the directory — is migrated on open: its records
+// become part-N.tkp and the snapshot is removed (one-way; see
+// docs/OPERATIONS.md). This is the only reader of that layout.
 //
 // Compaction (compact.go) merges a run of adjacent partitions into one
 // range-named file part-<lo>-<hi>.tkp covering seal sequences [lo, hi]; the
@@ -153,11 +154,10 @@ type Stats struct {
 	WAL wal.Stats
 }
 
-// Store is a partitioned durable store: a WAL-backed mutable head plus the
-// sealed partition set, over one locked data directory. It satisfies
-// tkplq.Persister (AppendBatch) and tkplq.Sealer (Seal); like wal.Store,
-// callers must serialize AppendBatch with the table apply, and Seal with
-// both (tkplq.System's ingest lock does).
+// Store is the durable store: a WAL-backed mutable head plus the sealed
+// partition set, over one locked data directory. Callers must serialize
+// AppendBatch with the table apply, and Seal with both (tkplq.System's
+// ingest lock does).
 type Store struct {
 	dir   string
 	opts  Options
@@ -184,8 +184,8 @@ type Store struct {
 // sealed partition (verified per opts.Verify — a corrupt partition fails
 // Open loudly), migrates a flat snapshot if one is present, replays the
 // surviving WAL tail into the head, and returns the store plus the backed
-// table. The table answers queries bit-identically to a flat table over the
-// same record history.
+// table. The table answers queries bit-identically to an in-memory table
+// over the same record history.
 func Open(opts Options) (*Store, *iupt.Table, error) {
 	if opts.Dir == "" {
 		return nil, nil, errors.New("parts: Options.Dir is required")
@@ -402,16 +402,15 @@ func parseSeq(s string) uint64 {
 	return n
 }
 
-// AppendBatch durably appends one ingest batch to the head WAL. It
-// satisfies tkplq.Persister; semantics are wal.Store.AppendBatch's.
+// AppendBatch durably appends one ingest batch to the head WAL; semantics
+// are wal.Store.AppendBatch's.
 func (s *Store) AppendBatch(recs []iupt.Record) error { return s.wal.AppendBatch(recs) }
 
 // Seal freezes the head into a new sealed partition: the head records are
 // committed as part-(Seq+1).tkp, the table atomically swaps them for the
 // mapped partition, and the WAL rotates (truncating the log past the seal).
 // An empty head is a no-op. The caller must block ingest across the call —
-// tkplq.System.Snapshot holds its ingest lock — exactly as for a flat
-// snapshot. Seal satisfies tkplq.Sealer.
+// tkplq.System.Snapshot holds its ingest lock.
 func (s *Store) Seal() error {
 	head := s.table.HeadRecords()
 	if len(head) == 0 {
@@ -424,7 +423,7 @@ func (s *Store) Seal() error {
 		if committed {
 			// The rename succeeded, so recovery already treats the current
 			// segment as subsumed by part-newSeq even though the dir fsync
-			// failed; mirror wal.Store.Snapshot and refuse further appends.
+			// failed; refuse further appends.
 			s.wal.Poison(err)
 		}
 		return err
@@ -459,7 +458,7 @@ func (s *Store) Seal() error {
 
 // RecordsSinceSnapshot reports the records appended to the head since the
 // last seal, lock-free — the server's auto-seal trigger probes it per
-// ingest, exactly as it probes a flat wal.Store.
+// ingest.
 func (s *Store) RecordsSinceSnapshot() int64 { return s.wal.RecordsSinceSnapshot() }
 
 // Dir returns the store's data directory.
@@ -475,7 +474,7 @@ func (s *Store) Partitions() []*Partition {
 
 // Log exposes the head WAL for replication: internal/repl tails its
 // committed segment bytes and watches its append/rotate signal. Callers
-// must not append, snapshot or rotate through it.
+// must not append or rotate through it.
 func (s *Store) Log() *wal.Store { return s.wal }
 
 // Failed returns the store's poison error, or nil while it accepts writes

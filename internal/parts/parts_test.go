@@ -453,38 +453,45 @@ func TestStoreDropsSubsumedSegment(t *testing.T) {
 	}
 }
 
-// TestStoreMigratesFlatSnapshot opens a flat WAL directory with the
-// partitioned store and asserts the snapshot becomes partition 1 with the
-// records intact, the WAL tail still replays, and the migration is one-way.
+// TestStoreMigratesFlatSnapshot opens a legacy flat directory — one binary
+// IUPT snapshot plus the log segment of the same sequence — and asserts the
+// snapshot becomes partition 1 with the records intact, the WAL tail still
+// replays, and the migration is one-way. (The root package's
+// TestLegacyFlatDirectoryMigrates runs the same door over bytes an old build
+// actually wrote.)
 func TestStoreMigratesFlatSnapshot(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	dir := t.TempDir()
 
-	w, flatTable, err := wal.Open(wal.Options{Dir: dir})
+	b1 := sortedCopy(testRecords(r, 120, 60))
+	f, err := os.Create(filepath.Join(dir, "snapshot-00000001.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b1 := testRecords(r, 120, 60)
-	if err := w.AppendBatch(b1); err != nil {
+	if err := iupt.WriteRecordsBinary(f, b1); err != nil {
 		t.Fatal(err)
 	}
-	for _, rec := range b1 {
-		flatTable.Append(rec)
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if err := w.Snapshot(flatTable.SortedRecords()); err != nil {
+	w, _, err := wal.Open(wal.Options{Dir: dir, Base: func(string) (*iupt.Table, uint64, error) {
+		return iupt.NewTable(), 1, nil
+	}})
+	if err != nil {
 		t.Fatal(err)
 	}
 	b2 := testRecords(r, 40, 60)
 	if err := w.AppendBatch(b2); err != nil {
 		t.Fatal(err)
 	}
-	for _, rec := range b2 {
-		flatTable.Append(rec)
-	}
-	ref := flatTable.SortedRecords()
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
+	flatTable := iupt.NewTable()
+	for _, rec := range append(append([]iupt.Record(nil), b1...), b2...) {
+		flatTable.Append(rec)
+	}
+	ref := flatTable.SortedRecords()
 
 	s, table, err := Open(Options{Dir: dir})
 	if err != nil {
@@ -535,26 +542,5 @@ func TestStoreCorruptPartitionIsLoudBootError(t *testing.T) {
 	if s2, _, err := Open(Options{Dir: dir}); err == nil {
 		s2.Close()
 		t.Fatal("store opened over a corrupt partition")
-	}
-}
-
-// TestFlatOpenRefusesPartitionedDir: once a directory holds sealed
-// partitions, a flat wal.Open must fail loudly rather than silently serve
-// the WAL tail without the sealed records.
-func TestFlatOpenRefusesPartitionedDir(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	dir := t.TempDir()
-	s, table := openStore(t, dir)
-	ingest(t, s, table, sortedCopy(testRecords(r, 8, 10)))
-	if err := s.Seal(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := wal.Open(wal.Options{Dir: dir}); err == nil {
-		t.Fatal("flat open of a partitioned directory succeeded")
-	} else if !strings.Contains(err.Error(), "partitioned layout") {
-		t.Fatalf("refusal does not name the layout: %v", err)
 	}
 }

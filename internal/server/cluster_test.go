@@ -14,7 +14,7 @@ import (
 
 	"tkplq"
 	"tkplq/internal/cluster"
-	"tkplq/internal/wal"
+	"tkplq/internal/parts"
 )
 
 // HTTP-level tests of the distributed deployment: a router over 1/2/4 real
@@ -421,27 +421,30 @@ func TestClusterShardRestartFromWAL(t *testing.T) {
 	c := startCluster(t, synB.Space, base, 2)
 	client := c.routerTS.Client()
 
-	// Rebuild shard 0 as a durable shard: WAL store seeded via a bootstrap
-	// snapshot of its partition, swapped in behind the same address.
+	// Rebuild shard 0 as a durable shard: its partition ingested into a
+	// fresh store and sealed, swapped in behind the same address.
 	dir := t.TempDir()
-	store, recovered, err := wal.Open(wal.Options{Dir: dir})
+	store, recovered, err := parts.Open(parts.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if recovered.Len() != 0 {
 		t.Fatal("fresh WAL dir recovered records")
 	}
-	part := tkplq.NewTable()
+	var part []tkplq.Record
 	for _, rec := range base.SortedRecords() {
 		if c.topo.Owns(rec.OID, 0) {
-			part.Append(rec)
+			part = append(part, rec)
 		}
 	}
-	durSys, err := tkplq.NewSystem(synB.Space, part, tkplq.Options{})
+	durSys, err := tkplq.NewSystem(synB.Space, recovered, tkplq.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	durSys.SetPersister(store)
+	if err := durSys.Ingest(part); err != nil {
+		t.Fatal(err)
+	}
 	if err := durSys.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +455,7 @@ func TestClusterShardRestartFromWAL(t *testing.T) {
 	c.slots[0].set(durSrv.Handler())
 
 	// Ingest lands in shard 0's WAL through the router.
-	baseLen := part.Len()
+	baseLen := len(part)
 	oid0 := oidOwnedBy(c.topo, 0, 9500)
 	resp, body := postJSON(t, client, c.routerTS.URL+"/v1/ingest", map[string]any{
 		"records": []map[string]any{
@@ -472,7 +475,7 @@ func TestClusterShardRestartFromWAL(t *testing.T) {
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	store2, recovered2, err := wal.Open(wal.Options{Dir: dir})
+	store2, recovered2, err := parts.Open(parts.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

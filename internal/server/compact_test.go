@@ -3,11 +3,11 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"strings"
 	"testing"
 
 	"tkplq"
 	"tkplq/internal/parts"
-	"tkplq/internal/wal"
 )
 
 // TestCompactEndpoint drives POST /v1/compact over HTTP: sealing several
@@ -133,7 +133,8 @@ func TestCompactEndpoint(t *testing.T) {
 		}
 	}
 
-	// GET is rejected; a flat store answers 501.
+	// GET is rejected; an in-memory server answers 501 and names the flag
+	// that would make it durable.
 	if r, err := client.Get(ts.URL + "/v1/compact"); err != nil {
 		t.Fatal(err)
 	} else {
@@ -142,19 +143,13 @@ func TestCompactEndpoint(t *testing.T) {
 			t.Fatalf("GET /v1/compact = %d, want 405", r.StatusCode)
 		}
 	}
-	flatStore, flatTable, err := wal.Open(wal.Options{Dir: t.TempDir()})
+	memSys, err := tkplq.NewSystem(fig.Space, tkplq.NewTable(), tkplq.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { flatStore.Close() })
-	flatSys, err := tkplq.NewSystem(fig.Space, flatTable, tkplq.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	flatSys.SetPersister(flatStore)
-	_, flatTS := newTestServer(t, flatSys, Config{Store: flatStore})
-	resp, body = postJSON(t, flatTS.Client(), flatTS.URL+"/v1/compact", map[string]any{})
-	if resp.StatusCode != http.StatusNotImplemented {
-		t.Fatalf("compact on a flat store = %d: %s, want 501", resp.StatusCode, body)
+	_, memTS := newTestServer(t, memSys, Config{})
+	resp, body = postJSON(t, memTS.Client(), memTS.URL+"/v1/compact", map[string]any{})
+	if resp.StatusCode != http.StatusNotImplemented || !strings.Contains(string(body), "-data-dir") {
+		t.Fatalf("compact without a store = %d: %s, want 501 naming -data-dir", resp.StatusCode, body)
 	}
 }

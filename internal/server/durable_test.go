@@ -1,13 +1,15 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"tkplq"
-	"tkplq/internal/wal"
+	"tkplq/internal/parts"
 )
 
 // ingestBody builds a /v1/ingest payload of n single-sample records for one
@@ -29,8 +31,8 @@ func ingestBody(ids *struct {
 }
 
 // TestSnapshotEndpointAndDurableRestart drives the persistence surface over
-// HTTP: on-demand snapshots, the wal stats section, SnapshotEvery-triggered
-// automatic compaction, and a restart that recovers the ingested records and
+// HTTP: on-demand seals, the wal stats section, the SnapshotEvery-triggered
+// automatic seal, and a restart that recovers the ingested records and
 // answers the same query identically.
 func TestSnapshotEndpointAndDurableRestart(t *testing.T) {
 	dir := t.TempDir()
@@ -40,7 +42,7 @@ func TestSnapshotEndpointAndDurableRestart(t *testing.T) {
 		SLocs [6]tkplq.SLocID
 	}{PLocs: fig.PLocs, SLocs: fig.SLocs}
 
-	store, recovered, err := wal.Open(wal.Options{Dir: dir})
+	store, recovered, err := parts.Open(parts.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +54,8 @@ func TestSnapshotEndpointAndDurableRestart(t *testing.T) {
 	_, ts := newTestServer(t, sys, Config{Store: store, SnapshotEvery: 4})
 	client := ts.Client()
 
-	// On-demand snapshot of the (empty) table.
+	// On-demand seal of the (empty) head: succeeds and commits nothing — a
+	// partition is never empty.
 	resp, body := postJSON(t, client, ts.URL+"/v1/snapshot", map[string]any{})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("snapshot = %d: %s", resp.StatusCode, body)
@@ -61,7 +64,7 @@ func TestSnapshotEndpointAndDurableRestart(t *testing.T) {
 	if err := json.Unmarshal(body, &snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.SnapshotSeq != 1 || snap.Records != 0 {
+	if snap.SnapshotSeq != 0 || snap.Records != 0 {
 		t.Fatalf("snapshot response = %+v", snap)
 	}
 
@@ -88,21 +91,18 @@ func TestSnapshotEndpointAndDurableRestart(t *testing.T) {
 	if stats.WAL == nil {
 		t.Fatal("stats missing wal section with a store attached")
 	}
-	if stats.WAL.Frames != 1 || stats.WAL.RecordsSinceSnap != 2 || stats.WAL.SnapshotSeq != 1 {
+	if stats.WAL.Frames != 1 || stats.WAL.RecordsSinceSnap != 2 || stats.WAL.SnapshotSeq != 0 {
 		t.Fatalf("wal stats after first ingest = %+v", stats.WAL)
 	}
-	if stats.Storage != nil {
-		t.Fatalf("flat store reported a storage section: %+v", stats.Storage)
-	}
 
-	// Two more records cross SnapshotEvery=4: the automatic background
-	// compaction must commit snapshot 2.
+	// Two more records cross SnapshotEvery=4: the automatic background seal
+	// must commit partition 1.
 	resp, body = postJSON(t, client, ts.URL+"/v1/ingest", ingestBody(ids, 2, 100, 2))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("ingest = %d: %s", resp.StatusCode, body)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for get().WAL.SnapshotSeq < 2 {
+	for get().WAL.SnapshotSeq < 1 {
 		if time.Now().After(deadline) {
 			t.Fatalf("auto-snapshot never committed: %+v", get().WAL)
 		}
@@ -120,7 +120,7 @@ func TestSnapshotEndpointAndDurableRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	store2, table2, err := wal.Open(wal.Options{Dir: dir})
+	store2, table2, err := parts.Open(parts.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,5 +180,84 @@ func TestSnapshotWithoutStore(t *testing.T) {
 	}
 	if stats.WAL != nil {
 		t.Fatalf("in-memory server reported wal stats: %+v", stats.WAL)
+	}
+}
+
+// TestShutdownWaitsForAutoSeal: the auto-seal runs on its own goroutine and
+// outlives the ingest request that triggered it. A caller that shuts the
+// server down, closes the store and reopens the directory in the same
+// process — every in-process restart — must find the seal either not started
+// or fully committed, never landing a partition in a directory the new store
+// has already scanned.
+func TestShutdownWaitsForAutoSeal(t *testing.T) {
+	dir := t.TempDir()
+	fig := tkplq.PaperExampleSpace()
+	ids := &struct {
+		PLocs [9]tkplq.PLocID
+		SLocs [6]tkplq.SLocID
+	}{PLocs: fig.PLocs, SLocs: fig.SLocs}
+	store, recovered, err := parts.Open(parts.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := tkplq.NewSystem(fig.Space, recovered, tkplq.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.SetPersister(store)
+	const records = 5000 // enough that the seal is still writing when ingest returns
+	srv, err := New(Config{
+		System: sys, Store: store, SnapshotEvery: records, Addr: "127.0.0.1:0",
+		Logf: func(string, ...any) {}, // the seal may log after a failed test returned
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve() }()
+
+	resp, body := postJSON(t, http.DefaultClient, "http://"+srv.Addr()+"/v1/ingest", ingestBody(ids, 1, 0, records))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest = %d: %s", resp.StatusCode, body)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	store2, table2, err := parts.Open(parts.Options{Dir: dir, Verify: parts.VerifyFull})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store2.Close()
+	if table2.Len() != records {
+		t.Fatalf("reopened %d records, want %d", table2.Len(), records)
+	}
+	// Let a seal that escaped Shutdown finish, so a torn set shows on disk.
+	for deadline := time.Now().Add(30 * time.Second); len(srv.autoSeal) > 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("auto-seal never finished")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	onDisk, err := filepath.Glob(filepath.Join(dir, "part-*.tkp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mapped := store2.Stats().Partitions; mapped != len(onDisk) {
+		t.Fatalf("reopened store mapped %d partitions but the directory now holds %v: a seal landed after the reopen", mapped, onDisk)
+	}
+	if srv.snapshots.Load() != 1 || len(onDisk) != 1 {
+		t.Fatalf("auto-seal committed %d times into %v, want the one partition", srv.snapshots.Load(), onDisk)
 	}
 }

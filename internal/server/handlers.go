@@ -10,8 +10,6 @@ import (
 	"time"
 
 	"tkplq"
-	"tkplq/internal/parts"
-	"tkplq/internal/wal"
 )
 
 // QueryRequest is the body of POST /v1/query (and the base of the v2 form).
@@ -125,16 +123,17 @@ type IngestErrorResponse struct {
 
 // SnapshotResponse is the body of a successful POST /v1/snapshot.
 type SnapshotResponse struct {
-	// SnapshotSeq is the committed snapshot's sequence number.
+	// SnapshotSeq is the newest sealed partition's sequence number.
 	SnapshotSeq uint64 `json:"snapshot_seq"`
-	// Records is the number of records the snapshot holds.
+	// Records is the table's record count.
 	Records int `json:"records"`
-	// ElapsedMS is the snapshot write + log rotation time.
+	// ElapsedMS is the partition write + log rotation time.
 	ElapsedMS float64 `json:"elapsed_ms"`
 }
 
 // WALStatsJSON is the `wal` section of GET /v1/stats, present when the
-// daemon runs with a data directory.
+// daemon runs with a data directory: the head log's counters, where
+// "snapshot" means a seal (snapshot_seq is the newest sealed partition).
 type WALStatsJSON struct {
 	SnapshotSeq        uint64 `json:"snapshot_seq"`
 	Frames             int64  `json:"frames"`
@@ -152,11 +151,10 @@ type WALStatsJSON struct {
 }
 
 // StorageStatsJSON is the `storage` section of GET /v1/stats, present when
-// the daemon runs with partitioned storage (tkplqd -storage parts): the
-// sealed partition set plus the observables behind the partitioned-store
-// guarantees — MaterializedRecords stays 0 across a restart (recovery maps
-// partitions without decoding them) and grows only by what window queries
-// actually read.
+// the daemon runs with a data directory: the sealed partition set plus the
+// observables behind the store's guarantees — MaterializedRecords stays 0
+// across a restart (recovery maps partitions without decoding them) and
+// grows only by what window queries actually read.
 type StorageStatsJSON struct {
 	SealSeq             uint64 `json:"seal_seq"`
 	Partitions          int    `json:"partitions"`
@@ -223,9 +221,9 @@ type StatsResponse struct {
 		UpdatesSent int64             `json:"updates_sent"`
 		Monitors    []MonitorStatJSON `json:"monitors"`
 	} `json:"subscriptions"`
-	// WAL is present only when the server fronts a durable store.
-	WAL *WALStatsJSON `json:"wal,omitempty"`
-	// Storage is present only when the durable store is partitioned.
+	// WAL and Storage are present only when the server fronts a durable
+	// store.
+	WAL     *WALStatsJSON     `json:"wal,omitempty"`
 	Storage *StorageStatsJSON `json:"storage,omitempty"`
 	// Replication is present on replicated members: follower lag on a
 	// primary, the upstream link on a follower.
@@ -436,24 +434,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, IngestResponse{Ingested: len(recs), Records: s.sys.Table().Len()})
 }
 
-// storeWALStats extracts the head-log counters from whichever store shape
-// is attached: flat stores report them directly, partitioned stores embed
-// them in parts.Stats (where SnapshotSeq/Snapshots count seals). Callers
-// must have checked s.cfg.Store != nil.
-func (s *Server) storeWALStats() wal.Stats {
-	switch st := s.cfg.Store.(type) {
-	case interface{ Stats() parts.Stats }:
-		return st.Stats().WAL
-	case interface{ Stats() wal.Stats }:
-		return st.Stats()
-	}
-	return wal.Stats{}
-}
-
-// maybeAutoSnapshot compacts the WAL in the background once SnapshotEvery
-// records have accumulated since the last snapshot. At most one automatic
-// snapshot runs at a time; a failure is logged and retried by the next
-// ingest that crosses the threshold.
+// maybeAutoSnapshot seals the head in the background once SnapshotEvery
+// records have accumulated since the last seal. At most one automatic seal
+// runs at a time; a failure is logged and retried by the next ingest that
+// crosses the threshold.
 func (s *Server) maybeAutoSnapshot() {
 	if s.cfg.Store == nil || s.cfg.SnapshotEvery <= 0 || s.isFollower() {
 		// On a follower, seals happen only where the replication stream says
@@ -466,21 +450,23 @@ func (s *Server) maybeAutoSnapshot() {
 	if s.cfg.Store.RecordsSinceSnapshot() < int64(s.cfg.SnapshotEvery) {
 		return
 	}
-	if !s.snapshotting.CompareAndSwap(false, true) {
+	select {
+	case s.autoSeal <- struct{}{}: // released when the seal ends; Shutdown waits for that
+	default:
 		return
 	}
 	go func() {
-		defer s.snapshotting.Store(false)
+		defer func() { <-s.autoSeal }()
 		if err := s.sys.Snapshot(); err != nil {
 			s.cfg.Logf("server: auto-snapshot: %v", err)
 			return
 		}
 		s.snapshots.Add(1)
-		s.cfg.Logf("server: auto-snapshot committed (seq %d)", s.storeWALStats().SnapshotSeq)
+		s.cfg.Logf("server: auto-snapshot committed (seq %d)", s.cfg.Store.Log().Seq())
 	}()
 }
 
-// handleSnapshot serves POST /v1/snapshot: an on-demand WAL compaction.
+// handleSnapshot serves POST /v1/snapshot: an on-demand seal of the head.
 // Without a durable store the endpoint answers 501.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if s.router != nil {
@@ -502,7 +488,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	s.snapshots.Add(1)
 	writeJSON(w, SnapshotResponse{
-		SnapshotSeq: s.storeWALStats().SnapshotSeq,
+		SnapshotSeq: s.cfg.Store.Log().Seq(),
 		Records:     s.sys.Table().Len(),
 		ElapsedMS:   float64(time.Since(started).Microseconds()) / 1000,
 	})
@@ -525,18 +511,14 @@ type CompactResponse struct {
 }
 
 // handleCompact serves POST /v1/compact: one on-demand, policy-driven
-// partition compaction. Requires partitioned storage; plain flat persistence
-// answers 501.
+// partition compaction. Without a durable store the endpoint answers 501.
 func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	if s.router != nil {
 		errorJSON(w, http.StatusNotImplemented, "compaction is per-shard (POST /v1/compact on each shard)")
 		return
 	}
-	st, ok := s.cfg.Store.(interface {
-		Compact() (parts.CompactResult, error)
-	})
-	if !ok {
-		errorJSON(w, http.StatusNotImplemented, "compaction requires partitioned storage (start tkplqd with -storage parts)")
+	if s.cfg.Store == nil {
+		errorJSON(w, http.StatusNotImplemented, "persistence not configured (start tkplqd with -data-dir)")
 		return
 	}
 	if s.isFollower() {
@@ -546,7 +528,7 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	started := time.Now()
-	res, err := st.Compact()
+	res, err := s.cfg.Store.Compact()
 	if err != nil {
 		errorJSON(w, http.StatusInternalServerError, "compact: %v", err)
 		return
@@ -628,25 +610,23 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	if s.cfg.Store != nil {
-		if pst, ok := s.cfg.Store.(interface{ Stats() parts.Stats }); ok {
-			ps := pst.Stats()
-			out.Storage = &StorageStatsJSON{
-				SealSeq:             ps.Seq,
-				Partitions:          ps.Partitions,
-				SealedRecords:       ps.SealedRecords,
-				SealedBytes:         ps.SealedBytes,
-				Seals:               ps.Seals,
-				MigratedRecords:     ps.MigratedRecords,
-				MaterializedRecords: ps.MaterializedRecords,
-				Compactions:         ps.Compactions,
-				CompactedPartitions: ps.CompactedPartitions,
-				WindowEntries:       cs.WindowEntries,
-				WindowHits:          cs.WindowHits,
-				WindowMisses:        cs.WindowMisses,
-				WindowBytes:         cs.WindowBytes,
-			}
+		ps := s.cfg.Store.Stats()
+		out.Storage = &StorageStatsJSON{
+			SealSeq:             ps.Seq,
+			Partitions:          ps.Partitions,
+			SealedRecords:       ps.SealedRecords,
+			SealedBytes:         ps.SealedBytes,
+			Seals:               ps.Seals,
+			MigratedRecords:     ps.MigratedRecords,
+			MaterializedRecords: ps.MaterializedRecords,
+			Compactions:         ps.Compactions,
+			CompactedPartitions: ps.CompactedPartitions,
+			WindowEntries:       cs.WindowEntries,
+			WindowHits:          cs.WindowHits,
+			WindowMisses:        cs.WindowMisses,
+			WindowBytes:         cs.WindowBytes,
 		}
-		ws := s.storeWALStats()
+		ws := ps.WAL
 		out.WAL = &WALStatsJSON{
 			SnapshotSeq:        ws.SnapshotSeq,
 			Frames:             ws.Frames,

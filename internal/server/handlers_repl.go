@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"time"
 
-	"tkplq/internal/parts"
 	"tkplq/internal/repl"
 )
 
@@ -21,8 +20,6 @@ type ReplConfig struct {
 	// server starts in follower mode (read-only, not ready until synced)
 	// until POST /v2/promote.
 	Follower *repl.Follower
-	// Store is the shard's partitioned store, for position reporting.
-	Store *parts.Store
 	// Self is this member's advertised address (diagnostics).
 	Self string
 }
@@ -131,11 +128,9 @@ func (s *Server) writeFollowerRefusal(w http.ResponseWriter, what string) {
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	out := ReadyResponse{Ready: true, Role: s.cfg.Role, Records: s.sys.Table().Len()}
 	if s.cfg.Store != nil {
-		if f, ok := s.cfg.Store.(interface{ Failed() error }); ok {
-			if err := f.Failed(); err != nil {
-				out.Ready = false
-				out.Cause = "store poisoned (restart to recover): " + err.Error()
-			}
+		if err := s.cfg.Store.Failed(); err != nil {
+			out.Ready = false
+			out.Cause = "store poisoned (restart to recover): " + err.Error()
 		}
 	}
 	if rc := s.cfg.Replication; rc != nil {
@@ -152,8 +147,8 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		} else {
 			out.Mode = "primary"
 			out.Synced = true
-			if rc.Store != nil {
-				out.SealSeq, out.WALOff = rc.Store.Log().Position()
+			if s.cfg.Store != nil {
+				out.SealSeq, out.WALOff = s.cfg.Store.Log().Position()
 			}
 		}
 	}
@@ -250,8 +245,8 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	}
 	if !s.isFollower() {
 		out := PromoteResponse{Mode: "primary"}
-		if rc.Store != nil {
-			out.SealSeq, out.WALOff = rc.Store.Log().Position()
+		if s.cfg.Store != nil {
+			out.SealSeq, out.WALOff = s.cfg.Store.Log().Position()
 		}
 		writeJSON(w, out)
 		return

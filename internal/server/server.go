@@ -14,7 +14,7 @@
 //	                   distributed query (router fan-in; see Role*)
 //	GET  /v2/span    — internal: the table's time span, for cluster-wide
 //	                   te == 0 resolution
-//	POST /v1/snapshot — compact the WAL into a binary table snapshot on demand
+//	POST /v1/snapshot — seal the mutable head into a partition on demand
 //	GET  /v1/stats   — engine cache + coalescer + wal counters, server counters,
 //	                   table shape, live subscription feeds
 //	GET  /healthz    — liveness
@@ -30,10 +30,10 @@
 //
 // When the daemon runs with a data directory (Config.Store), ingest is
 // durable: System.Ingest writes every accepted batch ahead to the WAL, the
-// /v1/stats payload grows a `wal` section, POST /v1/snapshot compacts the
-// log on demand, and Config.SnapshotEvery triggers an automatic compaction
-// once that many records have accumulated since the last snapshot. See
-// docs/OPERATIONS.md.
+// /v1/stats payload grows `wal` and `storage` sections, POST /v1/snapshot
+// seals the head into a partition on demand, and Config.SnapshotEvery
+// triggers an automatic seal once that many records have accumulated since
+// the last one. See docs/OPERATIONS.md.
 package server
 
 import (
@@ -64,17 +64,6 @@ const (
 	RoleRouter     = "router"
 )
 
-// DurableStore is the minimal surface the server needs from the durable
-// store attached to its System. Both *wal.Store and *parts.Store satisfy
-// it; the stats and snapshot handlers discover the richer per-shape
-// counters (wal.Stats, parts.Stats) by type assertion, so new store shapes
-// only need this method to plug in.
-type DurableStore interface {
-	// RecordsSinceSnapshot reports records appended since the last
-	// snapshot/seal: the lock-free probe behind Config.SnapshotEvery.
-	RecordsSinceSnapshot() int64
-}
-
 // Config parametrizes a Server.
 type Config struct {
 	// System is the query system to serve. Required.
@@ -91,15 +80,14 @@ type Config struct {
 	// Logf receives server log lines; log.Printf when nil.
 	Logf func(format string, args ...any)
 	// Store is the durable store attached to System (nil = in-memory
-	// serving): a *wal.Store (flat, tkplq.OpenWAL) or a *parts.Store
-	// (partitioned, tkplq.OpenPartitioned). The server never writes it
-	// directly — System.Ingest and System.Snapshot do — but uses it to
-	// report the wal (and, when partitioned, storage) sections of
-	// /v1/stats, to answer POST /v1/snapshot, and to drive SnapshotEvery.
-	Store DurableStore
-	// SnapshotEvery triggers an automatic snapshot once this many records
-	// have been appended since the last one (0 = on-demand snapshots only).
-	// Requires Store.
+	// serving). The server never appends to or seals it directly —
+	// System.Ingest and System.Snapshot do — but uses it to report the wal
+	// and storage sections of /v1/stats and its position on /readyz, to
+	// answer POST /v1/snapshot and /v1/compact, and to drive SnapshotEvery.
+	Store *tkplq.PartitionedStore
+	// SnapshotEvery triggers an automatic seal once this many records have
+	// been appended since the last one (0 = on-demand seals only). Requires
+	// Store.
 	SnapshotEvery int
 	// SSEHeartbeat paces the comment heartbeats of /v2/subscribe streams that
 	// keep idle connections alive through proxies; DefaultSSEHeartbeat when
@@ -157,7 +145,7 @@ type Server struct {
 	ingestRequests  atomic.Int64
 	recordsIngested atomic.Int64
 	snapshots       atomic.Int64
-	snapshotting    atomic.Bool // one auto-snapshot in flight at a time
+	autoSeal        chan struct{} // capacity 1: held by the one auto-seal in flight
 	subsActive      atomic.Int64
 	subsTotal       atomic.Int64
 	subUpdates      atomic.Int64
@@ -203,7 +191,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Replication != nil && cfg.Role == RoleRouter {
 		return nil, errors.New("server: the router role does not replicate (Replication is for shard/standalone members)")
 	}
-	s := &Server{sys: cfg.System, cfg: cfg, started: time.Now()}
+	s := &Server{sys: cfg.System, cfg: cfg, started: time.Now(), autoSeal: make(chan struct{}, 1)}
 	if cfg.Replication != nil && cfg.Replication.Follower != nil {
 		s.following.Store(true)
 	}
@@ -303,8 +291,10 @@ func (s *Server) Serve() error {
 	return err
 }
 
-// Shutdown stops accepting connections and waits for in-flight requests to
-// drain, up to the context's deadline.
+// Shutdown stops accepting connections and waits for in-flight requests —
+// and an auto-seal one of them started — to finish, up to the context's
+// deadline. After a nil return nothing of the server's touches the store, so
+// the caller may close it and reopen the directory.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.cfg.Logf("server: shutting down (%d queries, %d records ingested)",
 		s.queries.Load(), s.recordsIngested.Load())
@@ -316,5 +306,17 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		// their own; cancel them or httpSrv.Shutdown waits out its budget.
 		rc.Source.Shutdown()
 	}
-	return s.httpSrv.Shutdown(ctx)
+	if err := s.httpSrv.Shutdown(ctx); err != nil {
+		return err
+	}
+	// The handlers have drained, so no new auto-seal can start; the one the
+	// last ingest launched may still be committing its partition, and its
+	// rename must not land in a directory the caller has already reopened.
+	select {
+	case s.autoSeal <- struct{}{}:
+		<-s.autoSeal
+		return nil
+	case <-ctx.Done():
+		return fmt.Errorf("server: auto-seal still running: %w", ctx.Err())
+	}
 }

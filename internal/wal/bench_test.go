@@ -31,39 +31,6 @@ func benchAppend(b *testing.B, policy SyncPolicy) {
 func BenchmarkWALAppendFsyncAlways(b *testing.B)   { benchAppend(b, SyncAlways) }
 func BenchmarkWALAppendFsyncInterval(b *testing.B) { benchAppend(b, SyncInterval) }
 
-// BenchmarkWALRecovery measures Open over a log of 1000 32-record batches —
-// the worst-case restart cost at a given snapshot cadence.
-func BenchmarkWALRecovery(b *testing.B) {
-	b.ReportAllocs()
-	dir := b.TempDir()
-	s, _, err := Open(Options{Dir: dir, Policy: SyncInterval})
-	if err != nil {
-		b.Fatal(err)
-	}
-	recs := batchB(32)
-	for i := 0; i < 1000; i++ {
-		if err := s.AppendBatch(recs); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s2, table, err := Open(Options{Dir: dir})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if table.Len() != 32000 {
-			b.Fatalf("recovered %d records", table.Len())
-		}
-		if err := s2.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // batchB builds a representative n-record batch (two samples per record,
 // matching the synthetic dataset's average sample-set size).
 func batchB(n int) []iupt.Record {

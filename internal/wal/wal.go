@@ -1,29 +1,27 @@
-// Package wal implements the durability layer behind the live IUPT: an
-// append-only, CRC-framed, fsync-batched write-ahead log paired with
-// periodic binary snapshots of the table.
+// Package wal implements the write-ahead log under the live IUPT's mutable
+// head: an append-only, CRC-framed, fsync-batched log of ingest batches that
+// replays on top of a base artifact its caller owns (internal/parts' sealed
+// partitions).
 //
-// A Store owns one data directory containing at most one snapshot and one
-// active log segment, both named by a monotonically increasing snapshot
-// sequence number:
+// A Store owns the log segments of one locked data directory, named by a
+// monotonically increasing rotation sequence:
 //
 //	data/
-//	  snapshot-00000003.bin   // binary IUPT snapshot (cmd/gendata format)
-//	  wal-00000003.log        // batches accepted after snapshot 3
+//	  wal-00000003.log        // batches accepted after base artifact 3
 //
 // Every accepted ingest batch is appended atomically as one CRC32C-framed
 // record before it is applied to the in-memory table (write-ahead order).
-// Snapshot writes the whole table to a temp file, fsyncs, renames it into
-// place, rotates the log to a fresh segment and deletes the now-redundant
-// older files — so the log is truncated at every snapshot and recovery cost
-// is bounded by the snapshot cadence.
+// Once the caller has durably committed an artifact that contains every
+// frame of the active segment, RotateAfterCommit swings the log onto a fresh
+// segment and deletes the subsumed one — so the log is truncated at every
+// commit and recovery cost is bounded by the commit cadence.
 //
-// Open recovers the directory deterministically: it loads the newest
-// snapshot, replays the surviving segment frame by frame, and tolerates a
-// torn final frame (a crash mid-append) by truncating the segment back to
-// the last complete batch. Because the snapshot stores records in the
-// table's canonical time-sorted order and replay re-applies batches in
-// append order, a recovered table answers queries bit-identically to the
-// table that never restarted.
+// Open recovers the directory deterministically: it asks Options.Base for
+// the base table and its sequence, drops segments the base subsumes, replays
+// the surviving segment frame by frame, and tolerates a torn final frame (a
+// crash mid-append) by truncating the segment back to the last complete
+// batch. Because replay re-applies batches in append order, a recovered
+// table answers queries bit-identically to the table that never restarted.
 //
 // The on-disk byte layouts are specified in docs/FORMATS.md.
 package wal
@@ -74,15 +72,14 @@ type Options struct {
 	// SyncEvery is the background fsync cadence for SyncInterval
 	// (DefaultSyncEvery when zero).
 	SyncEvery time.Duration
-	// Base, when non-nil, replaces snapshot recovery with an external base
-	// artifact (internal/parts passes its sealed-partition set). The hook
-	// runs during Open, after the directory lock is acquired, and returns
-	// the base table plus the sequence number of the newest base artifact:
-	// log segments with an older sequence are subsumed by the base and
-	// dropped; the rest replay into the returned table. Snapshot files are
-	// the hook's responsibility (parts migrates them into partitions);
-	// Open neither reads nor writes them in this mode, and Snapshot must
-	// not be called on the store — rotate with RotateAfterCommit instead.
+	// Base reconstructs the state the log replays on top of (internal/parts
+	// passes its sealed-partition set). The hook runs during Open, after the
+	// directory lock is acquired, and returns the base table plus the
+	// sequence number of the newest base artifact: log segments with an
+	// older sequence are subsumed by the base and dropped; the rest replay
+	// into the returned table. Every file in the directory other than the
+	// log segments is the hook's to read and write. A nil Base means an
+	// empty table at sequence 0 — a bare log.
 	Base func(dir string) (*iupt.Table, uint64, error)
 	// KeepSegments retains that many rotated-out segments on disk instead
 	// of deleting them at rotation (0 = delete immediately, the historical
@@ -97,8 +94,8 @@ type Options struct {
 // Replayed*/Torn* describe the Open that created the store; the rest count
 // work performed since.
 type Stats struct {
-	// SnapshotSeq is the sequence number of the newest committed snapshot
-	// (0 = none yet).
+	// SnapshotSeq is the sequence number of the newest committed base
+	// artifact (0 = none yet): the base's at Open, then the latest rotation.
 	SnapshotSeq uint64
 	// Frames, Records and Bytes count appended batches, their records and
 	// their on-disk frame bytes.
@@ -108,20 +105,20 @@ type Stats struct {
 	// Fsyncs counts segment fsyncs (per append under SyncAlways, per timer
 	// tick with pending writes under SyncInterval, plus one on Close).
 	Fsyncs int64
-	// Snapshots counts snapshots committed by this store.
+	// Snapshots counts rotations (one per artifact the caller committed)
+	// performed by this store.
 	Snapshots int64
-	// SinceSnapshot counts records appended since the last snapshot (or
-	// Open), the signal behind automatic snapshot cadence.
+	// SinceSnapshot counts records appended since the last rotation (or
+	// Open), the signal behind the automatic seal cadence.
 	SinceSnapshot int64
-	// RecoveredRecords is the table size produced by Open (snapshot or base
-	// records plus replayed WAL records).
+	// RecoveredRecords is the table size produced by Open (base records
+	// plus replayed WAL records).
 	RecoveredRecords int64
 	// ReplayedFrames counts complete WAL frames applied during Open.
 	ReplayedFrames int64
 	// ReplayedRecords counts records applied from WAL frames during Open —
-	// the work recovery actually performed beyond loading the snapshot or
-	// mapping the base. For a partitioned store this is the whole recovery
-	// cost: restart does work proportional to the WAL tail, not the table.
+	// the work recovery actually performed beyond mapping the base: restart
+	// does work proportional to the WAL tail, not the table.
 	ReplayedRecords int64
 	// TornBytes counts trailing bytes dropped (and truncated away) during
 	// Open: an incomplete final frame, or everything from the first
@@ -151,24 +148,16 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // recreated) when it is the final segment.
 var errShortSegment = errors.New("segment shorter than its header")
 
-var (
-	snapshotRE = regexp.MustCompile(`^snapshot-(\d{8})\.bin$`)
-	segmentRE  = regexp.MustCompile(`^wal-(\d{8})\.log$`)
-	// partitionRE recognizes internal/parts' sealed partitions — both
-	// single-seal part-N.tkp and compacted part-N-M.tkp range files — so a
-	// flat open can refuse a partitioned directory instead of silently
-	// serving the WAL tail without the sealed records.
-	partitionRE = regexp.MustCompile(`^part-(\d{8})(?:-(\d{8}))?\.tkp$`)
-)
+var segmentRE = regexp.MustCompile(`^wal-(\d{8})\.log$`)
 
-func snapshotName(seq uint64) string { return fmt.Sprintf("snapshot-%08d.bin", seq) }
-func segmentName(seq uint64) string  { return fmt.Sprintf("wal-%08d.log", seq) }
+func segmentName(seq uint64) string { return fmt.Sprintf("wal-%08d.log", seq) }
 
-// Store is a durable write-ahead log + snapshot store over one data
-// directory. It is safe for concurrent use, but callers that pair it with a
-// live table (tkplq.System does) must serialize AppendBatch with the table
-// apply and Snapshot with both — otherwise the log order can diverge from
-// the table order and recovery would replay a different history.
+// Store is a durable write-ahead log over one data directory. It is safe for
+// concurrent use, but callers that pair it with a live table (tkplq.System
+// does) must serialize AppendBatch with the table apply and the
+// commit+RotateAfterCommit pair with both — otherwise the log order can
+// diverge from the table order and recovery would replay a different
+// history.
 type Store struct {
 	dir  string
 	opts Options
@@ -176,11 +165,11 @@ type Store struct {
 	mu     sync.Mutex
 	seg    *os.File
 	lock   *os.File // flock'd lock file guarding the directory
-	seq    uint64   // current snapshot/segment sequence
+	seq    uint64   // current base-artifact/segment sequence
 	segOff int64    // committed byte length of the active segment
 	dirty  bool     // segment has writes not yet fsynced
 	closed bool
-	failed error // poisoned: rotation failed past the snapshot commit point
+	failed error // poisoned: rotation failed past an artifact's commit point
 	stats  Stats
 
 	// watchers are poked (non-blocking) after every appended frame and
@@ -197,12 +186,12 @@ type Store struct {
 	done chan struct{}
 }
 
-// Open opens (or initializes) the data directory and recovers its contents
-// into a fresh table: newest snapshot first, then the surviving log segment
-// frame by frame. A torn final frame — the signature of a crash mid-append —
-// is dropped and truncated away (Stats.TornBytes); a corrupt frame anywhere
-// else is an error. Stale files from interrupted snapshots (older segments,
-// older snapshots, *.tmp leftovers) are removed.
+// Open opens (or initializes) the data directory and recovers its contents:
+// the base table first (Options.Base), then the surviving log segment frame
+// by frame on top of it. A torn final frame — the signature of a crash
+// mid-append — is dropped and truncated away (Stats.TornBytes); a corrupt
+// frame anywhere else is an error. Stale files from interrupted commits
+// (segments the base subsumes, *.tmp leftovers) are removed.
 func Open(opts Options) (*Store, *iupt.Table, error) {
 	if opts.Dir == "" {
 		return nil, nil, errors.New("wal: Options.Dir is required")
@@ -214,7 +203,7 @@ func Open(opts Options) (*Store, *iupt.Table, error) {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
 	// One store per directory: a second process opening the same data dir
-	// would interleave frames and clobber the other's snapshots. The flock
+	// would interleave frames and clobber the other's partitions. The flock
 	// is released automatically when the process dies, so a kill -9 never
 	// wedges the directory.
 	lock, err := lockDir(opts.Dir)
@@ -232,75 +221,54 @@ func Open(opts Options) (*Store, *iupt.Table, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
-	snapshots := map[uint64]string{}
 	segments := map[uint64]string{}
 	for _, e := range entries {
 		name := e.Name()
 		switch {
 		case filepath.Ext(name) == ".tmp":
-			// Leftover of an interrupted snapshot write; never committed.
+			// Leftover of an interrupted artifact write; never committed.
 			_ = os.Remove(filepath.Join(opts.Dir, name))
-		case snapshotRE.MatchString(name):
-			seq := parseSeq(snapshotRE.FindStringSubmatch(name)[1])
-			snapshots[seq] = filepath.Join(opts.Dir, name)
 		case segmentRE.MatchString(name):
 			seq := parseSeq(segmentRE.FindStringSubmatch(name)[1])
 			segments[seq] = filepath.Join(opts.Dir, name)
-		case partitionRE.MatchString(name) && opts.Base == nil:
-			// The directory was migrated to the partitioned layout; a flat
-			// open would ignore the sealed records — refuse loudly.
-			return nil, nil, fmt.Errorf("wal: %s holds sealed partition %s: the directory uses the partitioned layout (reopen with -storage parts)", opts.Dir, name)
 		}
 	}
 
 	s := &Store{dir: opts.Dir, opts: opts, lock: lock}
 
-	// Recover the base state: the newest snapshot, or — in external-base
-	// mode — whatever the Base hook reconstructs (sealed partitions). Either
-	// way snapSeq is the cut every surviving log frame must postdate.
+	// Recover the base state: whatever the Base hook reconstructs (sealed
+	// partitions). baseSeq is the cut every surviving log frame must
+	// postdate.
 	table := iupt.NewTable()
-	var snapSeq uint64
+	var baseSeq uint64
 	if opts.Base != nil {
-		table, snapSeq, err = opts.Base(opts.Dir)
+		table, baseSeq, err = opts.Base(opts.Dir)
 		if err != nil {
 			return nil, nil, err
 		}
-	} else if len(snapshots) > 0 {
-		// Anything older than the newest snapshot is redundant by
-		// construction (snapshot N contains everything up to its cut).
-		snapSeq = maxSeq(snapshots)
-		table, err = readSnapshot(snapshots[snapSeq])
-		if err != nil {
-			return nil, nil, fmt.Errorf("wal: snapshot %s: %w", snapshots[snapSeq], err)
-		}
-		for seq, path := range snapshots {
-			if seq < snapSeq {
-				_ = os.Remove(path)
-			}
-		}
 	}
-	// Segments older than the snapshot are fully contained in it: a crash
-	// between snapshot commit and cleanup leaves them behind. Drop the ones
+	// Segments older than the base are fully contained in it: a crash
+	// between artifact commit and cleanup leaves them behind. Drop the ones
 	// outside the replication retention window; retained ones stay on disk
 	// for catch-up streaming but are never replayed.
 	for seq, path := range segments {
-		if seq < snapSeq && snapSeq-seq > uint64(opts.KeepSegments) {
+		if seq < baseSeq && baseSeq-seq > uint64(opts.KeepSegments) {
 			_ = os.Remove(path)
 			delete(segments, seq)
 		}
 	}
 
 	// Replay surviving segments from the base cut on, in sequence order.
-	// Normally exactly one (seq == snapSeq) exists; tolerate a torn tail
+	// Normally exactly one (seq == baseSeq) exists; tolerate a torn tail
 	// only in the last.
 	var segSeqs []uint64
 	for seq := range segments {
-		if seq >= snapSeq {
+		if seq >= baseSeq {
 			segSeqs = append(segSeqs, seq)
 		}
 	}
 	sort.Slice(segSeqs, func(i, j int) bool { return segSeqs[i] < segSeqs[j] })
-	s.seq = snapSeq
+	s.seq = baseSeq
 	for i, seq := range segSeqs {
 		last := i == len(segSeqs)-1
 		frames, records, validOff, torn, corrupt, err := replaySegment(segments[seq], table, last)
@@ -329,7 +297,7 @@ func Open(opts Options) (*Store, *iupt.Table, error) {
 		}
 	}
 	s.stats.RecoveredRecords = int64(table.Len())
-	s.stats.SnapshotSeq = snapSeq
+	s.stats.SnapshotSeq = baseSeq
 
 	// Open (or create) the active segment for appending.
 	segPath := filepath.Join(opts.Dir, segmentName(s.seq))
@@ -368,26 +336,6 @@ func Open(opts Options) (*Store, *iupt.Table, error) {
 func parseSeq(s string) uint64 {
 	n, _ := strconv.ParseUint(s, 10, 64)
 	return n
-}
-
-func maxSeq(m map[uint64]string) uint64 {
-	var max uint64
-	for seq := range m {
-		if seq > max {
-			max = seq
-		}
-	}
-	return max
-}
-
-// readSnapshot loads one binary IUPT snapshot.
-func readSnapshot(path string) (*iupt.Table, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return iupt.ReadBinary(f)
 }
 
 // createSegment creates an empty log segment with its header, fsynced.
@@ -434,7 +382,6 @@ func syncDir(dir string) error {
 // no-op; a batch whose encoded payload exceeds the 64 MiB frame bound is
 // rejected up front (replay enforces the same bound, so an oversized frame
 // could never be recovered — split huge bulk loads into smaller batches).
-// AppendBatch satisfies tkplq.Persister.
 func (s *Store) AppendBatch(recs []iupt.Record) error {
 	if len(recs) == 0 {
 		return nil
@@ -484,71 +431,9 @@ func (s *Store) AppendBatch(recs []iupt.Record) error {
 	return nil
 }
 
-// Snapshot atomically replaces the store's on-disk state with a binary
-// snapshot of recs — the table's full, time-sorted record slice — then
-// rotates the log to a fresh segment and deletes the superseded files. The
-// caller must guarantee that recs reflects exactly the batches appended so
-// far (tkplq.System.Snapshot holds its ingest lock across the read and this
-// call). Snapshot satisfies tkplq.Snapshotter.
-func (s *Store) Snapshot(recs []iupt.Record) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.usableLocked(); err != nil {
-		return err
-	}
-	newSeq := s.seq + 1
-
-	// Write the snapshot to a temp file and rename it into place: readers
-	// (and recovery) only ever see a complete snapshot or none.
-	tmp := filepath.Join(s.dir, snapshotName(newSeq)+".tmp")
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: snapshot: %w", err)
-	}
-	if err := iupt.WriteRecordsBinary(f, recs); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("wal: snapshot: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("wal: snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("wal: snapshot: %w", err)
-	}
-	final := filepath.Join(s.dir, snapshotName(newSeq))
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("wal: snapshot: %w", err)
-	}
-	// The rename IS the commit point: a restart will recover snapshot
-	// newSeq and discard older segments, so any failure from here on must
-	// poison the store — appending more acknowledged batches to the old
-	// segment would lose them on that restart.
-	if err := syncDir(s.dir); err != nil {
-		s.failed = fmt.Errorf("wal: rotation failed after snapshot %d committed: %w", newSeq, err)
-		return s.failed
-	}
-
-	// The snapshot is committed: rotate the log. A crash anywhere past this
-	// point recovers from snapshot newSeq; the leftovers below are cleaned
-	// up by the next Open.
-	oldSeq := s.seq
-	if err := s.rotateLocked(newSeq); err != nil {
-		return err
-	}
-	// Best-effort: the old snapshot is subsumed by snapshot newSeq and would
-	// be removed by the next Open anyway.
-	_ = os.Remove(filepath.Join(s.dir, snapshotName(oldSeq)))
-	return nil
-}
-
 // rotateLocked swings the log onto a fresh segment at newSeq and deletes the
 // superseded one. The caller must have durably committed an artifact
-// (snapshot or sealed partition) at newSeq that subsumes every frame of the
+// (a sealed partition) at newSeq that subsumes every frame of the
 // current segment: recovery will drop segments older than newSeq, so a
 // rotation FAILURE here must poison the store — continuing to append to the
 // old segment would silently lose acknowledged batches on restart. Callers
@@ -588,13 +473,12 @@ func (s *Store) rotateLocked(newSeq uint64) error {
 }
 
 // RotateAfterCommit rotates the log onto a fresh segment at sequence Seq()+1
-// and deletes the superseded segment, without writing a snapshot. The caller
+// and deletes the superseded segment. The caller
 // must first have durably committed an external artifact at that sequence
 // that contains every record of the current segment — internal/parts calls
 // this after renaming a sealed partition into place — and must serialize the
 // commit+rotate pair with AppendBatch (the System's ingest lock does).
-// Returns the new sequence. On error the store is poisoned, exactly like a
-// failed Snapshot rotation.
+// Returns the new sequence. On error the store is poisoned.
 func (s *Store) RotateAfterCommit() (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -609,15 +493,15 @@ func (s *Store) RotateAfterCommit() (uint64, error) {
 }
 
 // Seq returns the current rotation sequence: the suffix of the active log
-// segment and of the newest committed snapshot or base artifact. The next
-// commit (Snapshot or RotateAfterCommit) uses Seq()+1.
+// segment and of the newest committed base artifact. The next commit
+// (RotateAfterCommit) uses Seq()+1.
 func (s *Store) Seq() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.seq
 }
 
-// Poison marks the store failed: every later AppendBatch, Snapshot and
+// Poison marks the store failed: every later AppendBatch and
 // RotateAfterCommit returns err until a restart recovers the directory.
 // For callers layering their own commit protocol on the log (internal/parts):
 // once an external artifact at Seq()+1 is committed, a failure before
@@ -654,7 +538,7 @@ func (s *Store) Stats() Stats {
 func (s *Store) Dir() string { return s.dir }
 
 // RecordsSinceSnapshot reports the records appended since the last
-// snapshot without taking the store lock — cheap enough to probe on every
+// rotation without taking the store lock — cheap enough to probe on every
 // ingest (the server's SnapshotEvery trigger does).
 func (s *Store) RecordsSinceSnapshot() int64 { return s.sinceSnap.Load() }
 
@@ -688,7 +572,7 @@ func (s *Store) syncLoop() {
 }
 
 // Close fsyncs and closes the active segment. Close is idempotent; after
-// Close, AppendBatch and Snapshot fail.
+// Close, AppendBatch and RotateAfterCommit fail.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {

@@ -39,6 +39,20 @@ func mustOpen(t *testing.T, opts Options) (*Store, *iupt.Table) {
 	return s, table
 }
 
+// baseAt is an Options.Base hook standing in for internal/parts: the base
+// artifact at sequence seq holds exactly the given batches.
+func baseAt(seq uint64, batches ...[]iupt.Record) func(string) (*iupt.Table, uint64, error) {
+	return func(string) (*iupt.Table, uint64, error) {
+		table := iupt.NewTable()
+		for _, b := range batches {
+			for _, rec := range b {
+				table.Append(rec)
+			}
+		}
+		return table, seq, nil
+	}
+}
+
 // assertRecords compares a table's contents to the expected batches, in
 // canonical sorted order, field by field.
 func assertRecords(t *testing.T, table *iupt.Table, batches ...[]iupt.Record) {
@@ -108,32 +122,32 @@ func TestOpenEmptyAppendReopen(t *testing.T) {
 	}
 }
 
-func TestSnapshotRotatesAndTruncatesLog(t *testing.T) {
+// TestRotateTruncatesLog: once the caller has committed a base artifact
+// holding every appended frame, RotateAfterCommit moves the log to a fresh
+// segment and deletes the subsumed one; a reopen over that base replays only
+// what was appended after the rotation.
+func TestRotateTruncatesLog(t *testing.T) {
 	dir := t.TempDir()
-	s, table := mustOpen(t, Options{Dir: dir})
+	s, _ := mustOpen(t, Options{Dir: dir})
 	b1, b2, b3 := batch(1, 0, 5), batch(2, 2, 4), batch(3, 50, 2)
-	apply := func(b []iupt.Record) {
-		t.Helper()
+	for _, b := range [][]iupt.Record{b1, b2} {
 		if err := s.AppendBatch(b); err != nil {
 			t.Fatal(err)
 		}
-		for _, rec := range b {
-			table.Append(rec)
-		}
 	}
-	apply(b1)
-	apply(b2)
-	if err := s.Snapshot(table.SortedRecords()); err != nil {
+	if seq, err := s.RotateAfterCommit(); err != nil || seq != 1 {
+		t.Fatalf("RotateAfterCommit = %d, %v, want sequence 1", seq, err)
+	}
+	if err := s.AppendBatch(b3); err != nil {
 		t.Fatal(err)
 	}
-	apply(b3)
 	st := s.Stats()
 	if st.SnapshotSeq != 1 || st.Snapshots != 1 || st.SinceSnapshot != 2 {
-		t.Fatalf("post-snapshot stats = %+v", st)
+		t.Fatalf("post-rotation stats = %+v", st)
 	}
 
-	// Exactly one snapshot and one (rotated) segment remain on disk,
-	// besides the advisory LOCK file.
+	// Exactly the rotated segment remains on disk, besides the advisory
+	// LOCK file.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -145,25 +159,19 @@ func TestSnapshotRotatesAndTruncatesLog(t *testing.T) {
 		}
 		names = append(names, e.Name())
 	}
-	if len(names) != 2 {
-		t.Fatalf("data dir holds %v, want exactly snapshot+segment", names)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "snapshot-00000001.bin")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "wal-00000001.log")); err != nil {
-		t.Fatal(err)
+	if len(names) != 1 || names[0] != "wal-00000001.log" {
+		t.Fatalf("data dir holds %v, want exactly wal-00000001.log", names)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	s2, table2 := mustOpen(t, Options{Dir: dir})
+	s2, table2 := mustOpen(t, Options{Dir: dir, Base: baseAt(1, b1, b2)})
 	defer s2.Close()
 	assertRecords(t, table2, b1, b2, b3)
 	st2 := s2.Stats()
 	if st2.SnapshotSeq != 1 || st2.ReplayedFrames != 1 {
-		t.Fatalf("recovery stats = %+v, want snapshot seq 1 + 1 replayed frame", st2)
+		t.Fatalf("recovery stats = %+v, want base seq 1 + 1 replayed frame", st2)
 	}
 }
 
@@ -257,21 +265,18 @@ func TestSyncIntervalPolicy(t *testing.T) {
 	assertRecords(t, table2, b)
 }
 
-// TestStaleFileCleanup simulates the crash window between snapshot commit
-// and old-file deletion: stale segments and snapshots below the newest
-// snapshot's sequence are ignored and removed, and *.tmp leftovers from an
-// interrupted snapshot write are discarded.
+// TestStaleFileCleanup simulates the crash window between artifact commit
+// and old-file deletion: a stale segment below the base's sequence is
+// ignored and removed, and *.tmp leftovers from an interrupted artifact
+// write are discarded.
 func TestStaleFileCleanup(t *testing.T) {
 	dir := t.TempDir()
-	s, table := mustOpen(t, Options{Dir: dir})
+	s, _ := mustOpen(t, Options{Dir: dir})
 	b1, b2 := batch(1, 0, 3), batch(2, 9, 2)
 	if err := s.AppendBatch(b1); err != nil {
 		t.Fatal(err)
 	}
-	for _, rec := range b1 {
-		table.Append(rec)
-	}
-	if err := s.Snapshot(table.SortedRecords()); err != nil {
+	if _, err := s.RotateAfterCommit(); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.AppendBatch(b2); err != nil {
@@ -281,8 +286,8 @@ func TestStaleFileCleanup(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Resurrect a stale pre-snapshot segment holding a batch that must NOT
-	// be replayed (it is already inside snapshot 1), plus a temp leftover.
+	// Resurrect a stale pre-rotation segment holding a batch that must NOT
+	// be replayed (it is already inside base 1), plus a temp leftover.
 	staleSeg := filepath.Join(dir, "wal-00000000.log")
 	f, err := createSegment(staleSeg)
 	if err != nil {
@@ -299,12 +304,12 @@ func TestStaleFileCleanup(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	tmp := filepath.Join(dir, "snapshot-00000002.bin.tmp")
+	tmp := filepath.Join(dir, "part-00000002.tkp.tmp")
 	if err := os.WriteFile(tmp, []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	s2, table2 := mustOpen(t, Options{Dir: dir})
+	s2, table2 := mustOpen(t, Options{Dir: dir, Base: baseAt(1, b1)})
 	defer s2.Close()
 	assertRecords(t, table2, b1, b2)
 	if _, err := os.Stat(staleSeg); !os.IsNotExist(err) {
@@ -378,32 +383,6 @@ func TestDoubleOpenLocked(t *testing.T) {
 	}
 }
 
-func TestSnapshotSeedsFromGendataFormat(t *testing.T) {
-	// A gendata -format bin file dropped in as snapshot-00000001.bin seeds
-	// the data dir: the formats are identical by construction.
-	dir := t.TempDir()
-	table := iupt.NewTable()
-	for _, rec := range batch(7, 0, 6) {
-		table.Append(rec)
-	}
-	f, err := os.Create(filepath.Join(dir, "snapshot-00000001.bin"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := table.WriteBinary(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s, recovered := mustOpen(t, Options{Dir: dir})
-	defer s.Close()
-	assertRecords(t, recovered, batch(7, 0, 6))
-	if st := s.Stats(); st.SnapshotSeq != 1 {
-		t.Fatalf("seeded snapshot seq = %d, want 1", st.SnapshotSeq)
-	}
-}
-
 // TestShortFinalSegmentRecreated simulates a crash during segment creation
 // itself: a data dir whose active segment is shorter than its own header
 // (even zero bytes) must recover — the file holds no frames — instead of
@@ -411,15 +390,12 @@ func TestSnapshotSeedsFromGendataFormat(t *testing.T) {
 func TestShortFinalSegmentRecreated(t *testing.T) {
 	for _, size := range []int{0, 3, segHdrLen - 1} {
 		dir := t.TempDir()
-		s, table := mustOpen(t, Options{Dir: dir})
+		s, _ := mustOpen(t, Options{Dir: dir})
 		b := batch(1, 0, 4)
 		if err := s.AppendBatch(b); err != nil {
 			t.Fatal(err)
 		}
-		for _, rec := range b {
-			table.Append(rec)
-		}
-		if err := s.Snapshot(table.SortedRecords()); err != nil {
+		if _, err := s.RotateAfterCommit(); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Close(); err != nil {
@@ -429,7 +405,7 @@ func TestShortFinalSegmentRecreated(t *testing.T) {
 		if err := os.Truncate(seg, int64(size)); err != nil {
 			t.Fatal(err)
 		}
-		s2, table2 := mustOpen(t, Options{Dir: dir})
+		s2, table2 := mustOpen(t, Options{Dir: dir, Base: baseAt(1, b)})
 		assertRecords(t, table2, b)
 		if st := s2.Stats(); st.TornBytes != int64(size) {
 			t.Fatalf("size %d: TornBytes = %d", size, st.TornBytes)
@@ -442,21 +418,11 @@ func TestShortFinalSegmentRecreated(t *testing.T) {
 		if err := s2.Close(); err != nil {
 			t.Fatal(err)
 		}
-		s3, table3 := mustOpen(t, Options{Dir: dir})
+		s3, table3 := mustOpen(t, Options{Dir: dir, Base: baseAt(1, b)})
 		assertRecords(t, table3, b, b2)
 		if err := s3.Close(); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-func TestCorruptSnapshotFails(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "snapshot-00000003.bin"), []byte("not a snapshot"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Open(Options{Dir: dir}); err == nil {
-		t.Fatal("Open accepted a corrupt snapshot")
 	}
 }
 

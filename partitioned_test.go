@@ -1,9 +1,10 @@
 package tkplq_test
 
-// Flat vs partitioned equivalence: a system over a partitioned store —
-// sealed mmap'd partitions plus a WAL-backed head, restarted with kill -9
-// semantics and a torn final frame — must answer every query bit-identically
-// to a flat in-RAM system that never persisted anything, for all three
+// Crash/restart determinism — the contract behind tkplqd -data-dir: a system
+// over the durable store — sealed mmap'd partitions plus a WAL-backed head,
+// restarted with kill -9 semantics (the store is abandoned, never Closed)
+// and a torn final frame — must answer every query bit-identically to an
+// in-RAM system that never persisted anything, for all three
 // TkPLQ algorithms at every worker count, concurrently under the race
 // detector. Also pins the partitioned restart-work contract at the facade:
 // recovery replays only the WAL tail and decodes zero sealed records.
@@ -63,7 +64,7 @@ func assertSameRecords(t *testing.T, label string, got, want []tkplq.Record) {
 func TestPartitionedCrashRestartEquivalence(t *testing.T) {
 	workerCounts := []int{1, 2, 4}
 
-	// Reference: a flat in-RAM system that never persists. Capture the
+	// Reference: an in-RAM system that never persists. Capture the
 	// battery after nine batches and after all ten, at every worker count.
 	refB, refTable := durableTestBuilding(t)
 	ref, err := tkplq.NewSystem(refB.Space, refTable, tkplq.Options{})
@@ -103,6 +104,9 @@ func TestPartitionedCrashRestartEquivalence(t *testing.T) {
 	dur, err := tkplq.NewSystem(durB.Space, recovered, tkplq.Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := dur.Snapshot(); err != tkplq.ErrNoSnapshotter {
+		t.Fatalf("Snapshot without a store = %v, want ErrNoSnapshotter", err)
 	}
 	dur.SetPersister(store)
 	if err := dur.Ingest(durTable.SortedRecords()); err != nil {

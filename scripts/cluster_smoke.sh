@@ -214,7 +214,7 @@ cat > "${WORKDIR}/topology-repl.json" <<EOF
 {"shards":[["${S0A_ADDR}","${S0B_ADDR}"],["${S1A_ADDR}","${S1B_ADDR}"]]}
 EOF
 
-REPL_ARGS=(-dataset syn -topology "${WORKDIR}/topology-repl.json" -storage parts \
+REPL_ARGS=(-dataset syn -topology "${WORKDIR}/topology-repl.json" \
     -fsync always -repl-heartbeat 100ms)
 "${WORKDIR}/tkplqd" -addr "${S0A_ADDR}" -role shard -shard-index 0 \
     -iupt "${WORKDIR}/smoke.csv" -data-dir "${WORKDIR}/s0a" "${REPL_ARGS[@]}" \

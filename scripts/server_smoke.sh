@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # End-to-end server smoke: gendata generates a dataset, tkplqd serves it,
 # and the HTTP API must answer /healthz, /v1/query, /v2/subscribe (SSE live
-# feed) and /v1/stats with well-formed payloads. The durability section then restarts the daemon
-# with a data directory, ingests, snapshots, kills it with SIGKILL
-# mid-flight and asserts the restarted daemon recovers every record and
-# answers the same query identically. Run from the repo root (CI runs
-# `make smoke`).
+# feed) and /v1/stats with well-formed payloads. The durability section then
+# restarts the daemon with a data directory, ingests, seals, kills it with
+# SIGKILL mid-flight and asserts the restarted daemon maps the sealed
+# partitions, replays only the log tail and answers the same query
+# identically; compacts and does it again; and finally boots a directory
+# seeded with a gendata bin file through the one-way flat-snapshot migration.
+# Run from the repo root (CI runs `make smoke`).
 set -euo pipefail
 
 PORT=$(( (RANDOM % 20000) + 20000 ))
@@ -168,26 +170,28 @@ DURABLE_ARGS=(-addr "${ADDR}" -dataset syn -iupt "${WORKDIR}/smoke.csv"
 "${WORKDIR}/tkplqd" "${DURABLE_ARGS[@]}" > "${WORKDIR}/tkplqd-durable.log" 2>&1 &
 DAEMON_PID=$!
 wait_healthy "${WORKDIR}/tkplqd-durable.log"
-grep -q "bootstrap snapshot" "${WORKDIR}/tkplqd-durable.log"
+grep -q "bootstrap partition" "${WORKDIR}/tkplqd-durable.log"
 
-echo "== durability: ingest + on-demand snapshot + more ingest"
+echo "== durability: ingest + on-demand seal + tail"
 curl -fsS -X POST "http://${ADDR}/v1/ingest" -H 'Content-Type: application/json' \
     -d '{"records":[{"oid":9001,"t":60,"samples":[{"ploc":0,"prob":1.0}]},{"oid":9001,"t":90,"samples":[{"ploc":1,"prob":0.5},{"ploc":2,"prob":0.5}]}]}' >/dev/null
-SNAP=$(curl -fsS -X POST "http://${ADDR}/v1/snapshot")
-echo "${SNAP}"
-[ "$(echo "${SNAP}" | jq -r .snapshot_seq)" -ge 2 ]
+SEAL=$(curl -fsS -X POST "http://${ADDR}/v1/snapshot")
+echo "${SEAL}"
+[ "$(echo "${SEAL}" | jq -r .snapshot_seq)" = "2" ]
 curl -fsS -X POST "http://${ADDR}/v1/ingest" -H 'Content-Type: application/json' \
     -d '{"records":[{"oid":9002,"t":120,"samples":[{"ploc":3,"prob":1.0}]}]}' >/dev/null
-WSTATS=$(curl -fsS "http://${ADDR}/v1/stats")
-echo "${WSTATS}" | jq .wal
-echo "${WSTATS}" | jq -e '.wal.records_since_snapshot == 1 and .wal.fsyncs >= 1' >/dev/null
+PSTATS=$(curl -fsS "http://${ADDR}/v1/stats")
+echo "${PSTATS}" | jq '{wal, storage}'
+echo "${PSTATS}" | jq -e '.wal.records_since_snapshot == 1 and .wal.fsyncs >= 1' >/dev/null
+# The bootstrap partition plus the on-demand seal.
+echo "${PSTATS}" | jq -e '.storage.partitions == 2 and .storage.seals == 2' >/dev/null
 
 BEFORE_RESULTS=$(curl -fsS -X POST "http://${ADDR}/v1/query" \
     -H 'Content-Type: application/json' \
     -d '{"kind":"topk","algorithm":"bf","k":5}' | jq -c .results)
 BEFORE_RECORDS=$(curl -fsS "http://${ADDR}/healthz" | jq -r .records)
 
-echo "== durability: kill -9, restart against the same data dir"
+echo "== durability: kill -9, sub-second restart maps the sealed set"
 kill -9 "${DAEMON_PID}"
 wait "${DAEMON_PID}" 2>/dev/null || true
 DAEMON_PID=""
@@ -195,6 +199,12 @@ DAEMON_PID=""
 DAEMON_PID=$!
 wait_healthy "${WORKDIR}/tkplqd-restart.log"
 grep -q "recovered" "${WORKDIR}/tkplqd-restart.log"
+grep -q "sealed partitions mapped" "${WORKDIR}/tkplqd-restart.log"
+# Before any query touches the table: both partitions mapped, only the
+# 1-record WAL tail replayed, zero sealed records decoded.
+PSTATS2=$(curl -fsS "http://${ADDR}/v1/stats")
+echo "${PSTATS2}" | jq '{storage, wal: {replayed_records: .wal.replayed_records}}'
+echo "${PSTATS2}" | jq -e '.storage.partitions == 2 and .storage.materialized_records == 0 and .wal.replayed_records == 1' >/dev/null
 
 AFTER_RESULTS=$(curl -fsS -X POST "http://${ADDR}/v1/query" \
     -H 'Content-Type: application/json' \
@@ -208,67 +218,6 @@ if [ "${BEFORE_RESULTS}" != "${AFTER_RESULTS}" ]; then
 fi
 [ "${BEFORE_RECORDS}" = "${AFTER_RECORDS}" ]
 echo "recovered ${AFTER_RECORDS} records; rankings identical across kill -9"
-
-echo "== graceful shutdown (durable)"
-kill "${DAEMON_PID}"
-wait "${DAEMON_PID}"
-DAEMON_PID=""
-
-echo "== partitioned storage: -storage parts migrates the flat data dir"
-PARTS_ARGS=("${DURABLE_ARGS[@]}" -storage parts)
-"${WORKDIR}/tkplqd" "${PARTS_ARGS[@]}" > "${WORKDIR}/tkplqd-parts.log" 2>&1 &
-DAEMON_PID=$!
-wait_healthy "${WORKDIR}/tkplqd-parts.log"
-grep -q "migrated flat snapshot" "${WORKDIR}/tkplqd-parts.log"
-grep -q "sealed partitions mapped" "${WORKDIR}/tkplqd-parts.log"
-# The migrated table answers exactly what the flat daemon answered.
-MIGRATED_RESULTS=$(curl -fsS -X POST "http://${ADDR}/v1/query" \
-    -H 'Content-Type: application/json' \
-    -d '{"kind":"topk","algorithm":"bf","k":5}' | jq -c .results)
-if [ "${AFTER_RESULTS}" != "${MIGRATED_RESULTS}" ]; then
-    echo "migration changed the answer:"
-    echo "flat:  ${AFTER_RESULTS}"
-    echo "parts: ${MIGRATED_RESULTS}"
-    exit 1
-fi
-
-echo "== partitioned storage: ingest + seal + tail"
-curl -fsS -X POST "http://${ADDR}/v1/ingest" -H 'Content-Type: application/json' \
-    -d '{"records":[{"oid":9003,"t":150,"samples":[{"ploc":0,"prob":1.0}]},{"oid":9003,"t":180,"samples":[{"ploc":1,"prob":1.0}]}]}' >/dev/null
-SEAL=$(curl -fsS -X POST "http://${ADDR}/v1/snapshot")
-echo "${SEAL}"
-curl -fsS -X POST "http://${ADDR}/v1/ingest" -H 'Content-Type: application/json' \
-    -d '{"records":[{"oid":9003,"t":210,"samples":[{"ploc":2,"prob":1.0}]}]}' >/dev/null
-PSTATS=$(curl -fsS "http://${ADDR}/v1/stats")
-echo "${PSTATS}" | jq .storage
-echo "${PSTATS}" | jq -e '.storage.partitions == 2 and .storage.seals == 1' >/dev/null
-P_BEFORE=$(curl -fsS -X POST "http://${ADDR}/v1/query" \
-    -H 'Content-Type: application/json' \
-    -d '{"kind":"topk","algorithm":"bf","k":5}' | jq -c .results)
-
-echo "== partitioned storage: kill -9, sub-second restart maps the sealed set"
-kill -9 "${DAEMON_PID}"
-wait "${DAEMON_PID}" 2>/dev/null || true
-DAEMON_PID=""
-"${WORKDIR}/tkplqd" "${PARTS_ARGS[@]}" > "${WORKDIR}/tkplqd-parts2.log" 2>&1 &
-DAEMON_PID=$!
-wait_healthy "${WORKDIR}/tkplqd-parts2.log"
-grep -q "sealed partitions mapped" "${WORKDIR}/tkplqd-parts2.log"
-# Before any query touches the table: both partitions mapped, only the
-# 1-record WAL tail replayed, zero sealed records decoded.
-PSTATS2=$(curl -fsS "http://${ADDR}/v1/stats")
-echo "${PSTATS2}" | jq '{storage, wal: {replayed_records: .wal.replayed_records}}'
-echo "${PSTATS2}" | jq -e '.storage.partitions == 2 and .storage.materialized_records == 0 and .wal.replayed_records == 1' >/dev/null
-P_AFTER=$(curl -fsS -X POST "http://${ADDR}/v1/query" \
-    -H 'Content-Type: application/json' \
-    -d '{"kind":"topk","algorithm":"bf","k":5}' | jq -c .results)
-if [ "${P_BEFORE}" != "${P_AFTER}" ]; then
-    echo "partitioned restart changed the answer:"
-    echo "before: ${P_BEFORE}"
-    echo "after:  ${P_AFTER}"
-    exit 1
-fi
-echo "partitioned restart: rankings identical across kill -9"
 
 echo "== compaction: ingest past several more seals"
 for round in 1 2 3; do
@@ -308,7 +257,7 @@ echo "== compaction: kill -9, restart recovers the compacted set"
 kill -9 "${DAEMON_PID}"
 wait "${DAEMON_PID}" 2>/dev/null || true
 DAEMON_PID=""
-"${WORKDIR}/tkplqd" "${PARTS_ARGS[@]}" > "${WORKDIR}/tkplqd-compact.log" 2>&1 &
+"${WORKDIR}/tkplqd" "${DURABLE_ARGS[@]}" > "${WORKDIR}/tkplqd-compact.log" 2>&1 &
 DAEMON_PID=$!
 wait_healthy "${WORKDIR}/tkplqd-compact.log"
 CSTATS2=$(curl -fsS "http://${ADDR}/v1/stats")
@@ -324,7 +273,57 @@ if [ "${C_AFTER}" != "${C_RESTART}" ]; then
 fi
 echo "compaction: ${C_PARTS_BEFORE} partitions -> ${C_PARTS_AFTER}, rankings identical across compact + kill -9"
 
-echo "== graceful shutdown (partitioned)"
+echo "== graceful shutdown (durable)"
+kill "${DAEMON_PID}"
+wait "${DAEMON_PID}"
+DAEMON_PID=""
+
+echo "== legacy flat directory: a gendata bin file seeds a data dir through the one-way migration"
+# The documented bootstrap-from-file door, and the layout older builds left
+# behind: snapshot-N.bin is converted into partition N on the first open.
+SEED_DIR="${WORKDIR}/seeded"
+mkdir -p "${SEED_DIR}"
+"${WORKDIR}/gendata" -objects 12 -duration 1800 -seed 7 \
+    -format bin -out "${SEED_DIR}/snapshot-00000001.bin"
+SEEDED_ARGS=(-addr "${ADDR}" -dataset syn -data-dir "${SEED_DIR}")
+"${WORKDIR}/tkplqd" "${SEEDED_ARGS[@]}" > "${WORKDIR}/tkplqd-seeded.log" 2>&1 &
+DAEMON_PID=$!
+wait_healthy "${WORKDIR}/tkplqd-seeded.log"
+grep -q "migrated flat snapshot" "${WORKDIR}/tkplqd-seeded.log"
+grep -q "sealed partitions mapped" "${WORKDIR}/tkplqd-seeded.log"
+[ ! -e "${SEED_DIR}/snapshot-00000001.bin" ]
+# The migrated table answers exactly what the in-memory daemon answered over
+# the same dataset.
+MIGRATED_RESULTS=$(curl -fsS -X POST "http://${ADDR}/v1/query" \
+    -H 'Content-Type: application/json' \
+    -d '{"kind":"topk","algorithm":"bf","k":5}' | jq -c .results)
+if [ "$(echo "${QUERY}" | jq -c .results)" != "${MIGRATED_RESULTS}" ]; then
+    echo "migration changed the answer:"
+    echo "in-memory: $(echo "${QUERY}" | jq -c .results)"
+    echo "migrated:  ${MIGRATED_RESULTS}"
+    exit 1
+fi
+MIGRATED=$(curl -fsS "http://${ADDR}/v1/stats" | jq -r .storage.migrated_records)
+[ "${MIGRATED}" -gt 0 ]
+
+echo "== legacy flat directory: kill -9, the second boot migrates nothing"
+kill -9 "${DAEMON_PID}"
+wait "${DAEMON_PID}" 2>/dev/null || true
+DAEMON_PID=""
+"${WORKDIR}/tkplqd" "${SEEDED_ARGS[@]}" > "${WORKDIR}/tkplqd-seeded2.log" 2>&1 &
+DAEMON_PID=$!
+wait_healthy "${WORKDIR}/tkplqd-seeded2.log"
+if grep -q "migrated flat snapshot" "${WORKDIR}/tkplqd-seeded2.log"; then
+    echo "second boot migrated again:"; cat "${WORKDIR}/tkplqd-seeded2.log"; exit 1
+fi
+curl -fsS "http://${ADDR}/v1/stats" | jq -e '.storage.migrated_records == 0 and .storage.partitions == 1' >/dev/null
+SEEDED_RESTART=$(curl -fsS -X POST "http://${ADDR}/v1/query" \
+    -H 'Content-Type: application/json' \
+    -d '{"kind":"topk","algorithm":"bf","k":5}' | jq -c .results)
+[ "${MIGRATED_RESULTS}" = "${SEEDED_RESTART}" ]
+echo "migrated ${MIGRATED} records once; rankings identical to the in-memory daemon"
+
+echo "== graceful shutdown (migrated)"
 kill "${DAEMON_PID}"
 wait "${DAEMON_PID}"
 DAEMON_PID=""

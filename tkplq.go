@@ -22,11 +22,11 @@ type System struct {
 	table  *iupt.Table
 	engine *core.Engine
 
-	// ingestMu serializes Ingest (and Snapshot) so the persister's log
-	// order always matches the table's apply order — the property that
-	// makes WAL recovery bit-identical to the uninterrupted table.
+	// ingestMu serializes Ingest (and Snapshot) so the store's log order
+	// always matches the table's apply order — the property that makes WAL
+	// recovery bit-identical to the uninterrupted table.
 	ingestMu sync.Mutex
-	persist  Persister
+	persist  *PartitionedStore
 }
 
 // NewSystem builds a query system over the space and table. The zero
@@ -182,8 +182,8 @@ func (e *IngestError) Unwrap() error { return e.Err }
 // and query-level coalescing keys on the table's record count, so queries
 // racing an ingest never share a stale evaluation.
 //
-// With a Persister attached (SetPersister), the validated batch is written
-// ahead to the persister before it is applied, under the ingest
+// With a durable store attached (SetPersister), the validated batch is
+// written ahead to the store's log before it is applied, under the ingest
 // serialization lock; a persistence error aborts the ingest with the table
 // untouched. A batch whose write-ahead frame was durably logged is applied
 // on recovery even if the caller never saw the acknowledgment — durable
