@@ -49,20 +49,12 @@ func newCoalescer() *coalescer {
 	return &coalescer{flights: make(map[flightKey]*flight)}
 }
 
-// flightKind distinguishes the query shapes that go through the coalescer.
-type flightKind uint8
-
-const (
-	flightTopK flightKind = iota
-	flightDensity
-	flightFlow
-)
-
-// flightKey identifies one coalescable evaluation. tableLen pins the table's
-// record count at join time, so a query issued after an append never joins a
-// flight that may have started from the shorter table.
+// flightKey identifies one coalescable evaluation (every kind but
+// KindPresence coalesces). tableLen pins the table's record count at join
+// time, so a query issued after an append never joins a flight that may have
+// started from the shorter table.
 type flightKey struct {
-	kind     flightKind
+	kind     QueryKind
 	algo     Algorithm
 	k        int
 	ts, te   iupt.Time
@@ -126,21 +118,6 @@ func slocsEqual(a, b []indoor.SLocID) bool {
 		}
 	}
 	return true
-}
-
-// flightKeyFor assembles the key for one evaluation. q must be canonical.
-func flightKeyFor(kind flightKind, table *iupt.Table, q []indoor.SLocID, k int, ts, te iupt.Time, algo Algorithm) flightKey {
-	return flightKey{
-		kind:     kind,
-		algo:     algo,
-		k:        k,
-		ts:       ts,
-		te:       te,
-		table:    table,
-		tableLen: table.Len(),
-		qLen:     len(q),
-		qHash:    slocHash(q),
-	}
 }
 
 // do runs eval under the key, sharing the evaluation with every concurrent

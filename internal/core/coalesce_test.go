@@ -318,7 +318,7 @@ func TestCoalesceDisabled(t *testing.T) {
 // re-evaluate for themselves, and future identical queries run normally.
 func TestCoalescePanickingLeader(t *testing.T) {
 	c := newCoalescer()
-	key := flightKey{kind: flightTopK, k: 1}
+	key := flightKey{kind: KindTopK, k: 1}
 	q := []indoor.SLocID{0}
 
 	boom := func(context.Context) ([]Result, Stats, error) { panic("engine blew up") }

@@ -17,11 +17,16 @@
 //     (Algorithm 3) and Best-First (Algorithm 4, aggregate R-tree join with
 //     max-heap upper-bound pruning).
 //
-// Evaluation runs through a concurrent sharded pipeline: the per-object
-// work (reduction, presence summarization) fans out over a bounded worker
-// pool (Options.Workers) partitioned with iupt.ShardObjects, while every
-// floating-point accumulation stays in canonical ascending-object order —
-// so rankings and flows are bit-identical for every worker count. A
+// There is one evaluation pipeline (partial.go): Nested-Loop's shared
+// per-object pass feeding one finisher that sums presences into flows and
+// ranks. Flow, density, presence and DoBatch groups are that pass too, and a
+// cluster is the same pass per shard with the finisher at the router; only
+// Naive and Best-First search the presence oracle their own way. The
+// per-object work (reduction, presence summarization) fans out over a
+// bounded worker pool (Options.Workers) partitioned with iupt.ShardObjects,
+// while every floating-point accumulation stays in canonical
+// ascending-object order — so rankings and flows are bit-identical for every
+// worker count, shard count and algorithm. A
 // content-verified presence/interval cache (Options.DisableCache,
 // Options.CacheCapacity) lets repeated and overlapping-window queries,
 // including the continuous Monitor, reuse per-(object, window) reductions

@@ -13,8 +13,8 @@ import (
 // per square meter instead of raw flow, so a packed kiosk can outrank a
 // half-empty atrium. Result.Flow carries the density (objects/m²).
 //
-// Densities are derived from one shared Nested-Loop pass (every location's
-// flow is needed, so Best-First's partial evaluation cannot help).
+// Densities are derived from the shared pass (every location's flow is
+// needed, so Best-First's partial evaluation cannot help).
 // Concurrent identical calls share one evaluation (Options.DisableCoalescing,
 // Stats.Coalesced).
 // TopKDensity is the uncancellable legacy form of Do with KindDensity; use
@@ -27,34 +27,8 @@ func (e *Engine) TopKDensity(table *iupt.Table, q []indoor.SLocID, k int, ts, te
 	return resp.Results, resp.Stats, nil
 }
 
-// coalescedTopKDensity routes an already-validated density query through the
-// request coalescer (when enabled).
-func (e *Engine) coalescedTopKDensity(ctx context.Context, table *iupt.Table, q []indoor.SLocID, k int, ts, te iupt.Time) ([]Result, Stats, error) {
-	if e.coal == nil {
-		return e.evalTopKDensity(ctx, table, q, k, ts, te)
-	}
-	canon := canonicalSLocs(q)
-	key := flightKeyFor(flightDensity, table, canon, k, ts, te, AlgoNestedLoop)
-	return e.coal.do(ctx, key, canon, func(ctx context.Context) ([]Result, Stats, error) {
-		return e.evalTopKDensity(ctx, table, q, k, ts, te)
-	})
-}
-
-// evalTopKDensity is the uncoalesced density evaluation; q and k are already
-// validated, so it dispatches straight to the nested-loop pass (going through
-// the public TopK here would open a nested flight and double-count
-// CacheStats.Flights).
-func (e *Engine) evalTopKDensity(ctx context.Context, table *iupt.Table, q []indoor.SLocID, k int, ts, te iupt.Time) ([]Result, Stats, error) {
-	full, stats, err := e.evalTopK(ctx, table, q, len(q), ts, te, AlgoNestedLoop)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return e.densityRank(full, k), stats, nil
-}
-
 // densityRank divides each location's flow by its floor area and re-ranks,
-// dropping zero-area locations. Shared by the single-query path and the
-// DoBatch path so both perform the identical float operations.
+// dropping zero-area locations. The finisher is its one caller.
 func (e *Engine) densityRank(full []Result, k int) []Result {
 	out := make([]Result, 0, len(full))
 	for _, r := range full {

@@ -8,13 +8,11 @@ import (
 )
 
 // Flow computes the indoor flow Θ_{ts,te,O}(q) for a single S-location
-// (paper §3.3, Algorithm 2): fetch the records in [ts, te] via the time
-// index, group them per object, reduce each object's sequence, construct its
-// valid paths (or the equivalent DP), and accumulate object presences. The
-// per-object work fans out over the engine's worker pool; accumulation stays
-// in ascending object order, so the flow is bit-identical at any pool size.
-// Concurrent identical calls share one evaluation (Options.DisableCoalescing,
-// Stats.Coalesced).
+// (paper §3.3, Algorithm 2): the sum, over the objects with records in
+// [ts, te], of their presence in q — a one-column run of the shared pass, so
+// the flow is bit-identical at any pool size and to the same location's flow
+// in any TopK. Concurrent identical calls share one evaluation
+// (Options.DisableCoalescing, Stats.Coalesced).
 //
 // Flow is the uncancellable legacy form of Do with KindFlow; use Do to bound
 // the evaluation with a context (and to see validation errors — Flow maps an
@@ -27,61 +25,23 @@ func (e *Engine) Flow(table *iupt.Table, q indoor.SLocID, ts, te iupt.Time) (flo
 	return resp.Flow, resp.Stats
 }
 
-// coalescedFlow routes an already-validated flow computation through the
-// request coalescer (when enabled).
-func (e *Engine) coalescedFlow(ctx context.Context, table *iupt.Table, q indoor.SLocID, ts, te iupt.Time) (float64, Stats, error) {
-	if e.coal == nil {
-		return e.evalFlow(ctx, table, q, ts, te)
-	}
-	canon := []indoor.SLocID{q}
-	key := flightKeyFor(flightFlow, table, canon, 0, ts, te, 0)
-	res, stats, err := e.coal.do(ctx, key, canon, func(ctx context.Context) ([]Result, Stats, error) {
-		flow, st, err := e.evalFlow(ctx, table, q, ts, te)
-		if err != nil {
-			return nil, Stats{}, err
-		}
-		return []Result{{SLoc: q, Flow: flow}}, st, nil
-	})
-	if err != nil {
-		return 0, Stats{}, err
-	}
-	return res[0].Flow, stats, nil
-}
-
-// evalFlow is the uncoalesced flow evaluation.
-func (e *Engine) evalFlow(ctx context.Context, table *iupt.Table, q indoor.SLocID, ts, te iupt.Time) (float64, Stats, error) {
-	seqs, err := e.sequences(ctx, table, ts, te)
-	if err != nil {
-		return 0, Stats{}, err
-	}
-	oracle := newOracle(e, seqs, map[indoor.SLocID]bool{q: true})
-	if err := oracle.ensureSummaries(ctx, oracle.objects()); err != nil {
-		return 0, Stats{}, err
-	}
-	flow, err := e.flowWithOracle(ctx, oracle, q)
-	if err != nil {
-		return 0, Stats{}, err
-	}
-	return flow, oracle.finishStats(), nil
-}
-
-// flowWithOracle sums presences of all (non-pruned) objects for q, in
-// ascending object order. Objects not yet summarized are computed lazily on
-// the calling goroutine (the context is checked between objects); callers
-// wanting fan-out run ensureSummaries first.
-func (e *Engine) flowWithOracle(ctx context.Context, oracle *presenceOracle, q indoor.SLocID) (float64, error) {
+// flowWithOracle is Naive's per-location loop: it sums the presences of all
+// (non-pruned) objects for q in ascending object order, computing each
+// summary lazily on the calling goroutine. It gives up between objects once
+// ctx is done; topkNaive then discards the value with the whole query.
+func (e *Engine) flowWithOracle(ctx context.Context, oracle *presenceOracle, q indoor.SLocID) float64 {
 	cell := e.space.CellOfSLoc(q)
 	flow := 0.0
 	for _, oid := range oracle.objects() {
-		if err := ctx.Err(); err != nil {
-			return 0, err
+		if ctx.Err() != nil {
+			return 0
 		}
 		if _, ok := oracle.reduction(oid); !ok {
 			continue
 		}
 		flow += oracle.summary(oid).Presence(cell, e.opts.Presence)
 	}
-	return flow, nil
+	return flow
 }
 
 // Presence computes Φ_{ts,te}(q, o) for a single object (paper Equation 1),
@@ -95,24 +55,4 @@ func (e *Engine) Presence(table *iupt.Table, q indoor.SLocID, oid iupt.ObjectID,
 		return 0
 	}
 	return resp.Flow
-}
-
-// evalPresence is the uncoalesced presence evaluation (single object, single
-// S-location).
-func (e *Engine) evalPresence(ctx context.Context, table *iupt.Table, q indoor.SLocID, oid iupt.ObjectID, ts, te iupt.Time) (float64, Stats, error) {
-	seqs, err := e.sequences(ctx, table, ts, te)
-	if err != nil {
-		return 0, Stats{}, err
-	}
-	seq, ok := seqs[oid]
-	if !ok {
-		return 0, Stats{}, nil
-	}
-	oracle := newOracle(e, map[iupt.ObjectID]iupt.Sequence{oid: seq}, nil)
-	sum := oracle.summary(oid)
-	stats := oracle.finishStats() // fold the lookup into the engine's CacheStats
-	if sum == nil {
-		return 0, stats, nil
-	}
-	return sum.Presence(e.space.CellOfSLoc(q), e.opts.Presence), stats, nil
 }

@@ -216,32 +216,35 @@ func TestSubscribeStreamEquivalence(t *testing.T) {
 		}
 	}()
 	<-done
-	// The writer is finished; wait for the feed to quiesce at the final
-	// horizon, then close and drain.
+	// The writer is finished; drain the feed until the update that covers
+	// every record arrives (waiting on the event, not on a sleep), then close
+	// and collect whatever is still buffered.
 	final := iupt.Time(0)
 	for _, rec := range recs {
 		if rec.T > final {
 			final = rec.T
 		}
 	}
+	var got []Update
 	deadline := time.After(5 * time.Second)
-	for {
-		mu.Lock()
-		stats := eng.MonitorStats()
-		mu.Unlock()
-		if len(stats) == 1 && stats[0].Observed == len(recs) && stats[0].Evals > 0 {
-			// All records announced; one more beat lets the loop finish the
-			// last evaluation before we stop it.
-			time.Sleep(10 * time.Millisecond)
-			break
-		}
+	for caughtUp := false; !caughtUp; {
 		select {
+		case u := <-sub.Updates():
+			got = append(got, u)
+			caughtUp = u.Records == len(recs)
 		case <-deadline:
 			t.Fatal("subscription never caught up with the writer")
-		case <-time.After(5 * time.Millisecond):
 		}
 	}
+	// No lock here: MonitorStats takes the monitor's lock, which the eval loop
+	// holds while waiting for the barrier (see SubscribeConfig.Barrier).
+	if stats := eng.MonitorStats(); len(stats) != 1 || stats[0].Observed != len(recs) || stats[0].Evals == 0 {
+		t.Errorf("monitor stats after catching up = %+v, want one monitor that observed %d records", stats, len(recs))
+	}
 	sub.Close()
+	for u := range sub.Updates() {
+		got = append(got, u)
+	}
 
 	// Replay: each update declares the table prefix it covered (Records), so
 	// it must be bit-identical to a from-scratch evaluation of its own window
@@ -249,8 +252,7 @@ func TestSubscribeStreamEquivalence(t *testing.T) {
 	ref := NewEngine(fig.Space, Options{Workers: 3})
 	var lastSeq uint64
 	var lastUpdate *Update
-	n := 0
-	for u := range sub.Updates() {
+	for _, u := range got {
 		if u.Seq < lastSeq {
 			t.Fatalf("update seq went backward: %d after %d", u.Seq, lastSeq)
 		}
@@ -271,10 +273,6 @@ func TestSubscribeStreamEquivalence(t *testing.T) {
 		}
 		cp := u
 		lastUpdate = &cp
-		n++
-	}
-	if n == 0 {
-		t.Fatal("no updates received (expected at least the initial snapshot)")
 	}
 	if lastUpdate.Te != final {
 		t.Errorf("final update window ends at %d, want %d", lastUpdate.Te, final)

@@ -3,21 +3,22 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"tkplq/internal/indoor"
 	"tkplq/internal/iupt"
 )
 
-// This file is the engine half of the distributed fan-in (internal/cluster,
-// internal/server's router): a shard evaluates its local objects into a
-// Partial, the router merges the shards' Partials in canonical ascending-
-// object order and finishes the ranking. Because the per-object presence
-// values are computed by exactly the code the single-node paths run, and the
-// merge performs the same floating-point additions in the same order as a
-// single process evaluating the union table, the distributed answer is
-// bit-identical to the standalone one by construction — the PR-1 determinism
-// contract, cashed in across process boundaries.
+// This file is the one evaluation pipeline (see the package comment). The
+// shared pass yields one presence row per contributing object in ascending
+// object order; the finisher sums the rows into flows (Eq. 2) in that order
+// and ranks. Do streams one into the other, DoBatch does so per group over
+// the members' union, and a cluster puts a wire between them: a shard's
+// DoPartial keeps the rows as a Partial, the router merges the shards'
+// (MergePartials) and feeds the same finisher (FinishPartial,
+// FinishPartialGroup). Presence values and the order of the float additions
+// are thus one piece of code in every deployment — the PR-1 determinism
+// contract, with no second path to keep in step.
 
 // Partial is one shard's contribution to a distributed query: for every
 // local object with records in the window that survived PSL∩Q pruning, the
@@ -34,16 +35,66 @@ type Partial struct {
 	Stats Stats
 }
 
-// DoPartial evaluates the shard-local contribution to q: the per-object
-// presence rows over q.SLocs for every local object in [Ts, Te]. It accepts
-// every query kind — KindFlow is a one-column partial, KindPresence
-// restricts the evaluation to q.OID (an empty partial when the object has no
-// local records) — and ignores q.Algorithm: a partial is always the full
-// shared per-object pass, and since all three TkPLQ algorithms return
-// bit-identical flows, the merged answer matches a standalone run of any of
-// them. Per-query overrides (Workers, DisableCache) apply as in Do;
-// coalescing of identical fan-outs is the router's job, so DoPartial never
-// opens a flight itself.
+// sharedPass is the only implementation of "reduce + summarize each object
+// once" (Algorithm 3's object loop). It fetches the window's sequences,
+// computes the summaries across the worker pool and then, in ascending object
+// order, hands emit one row per object that survived PSL∩Q pruning: row[j] is
+// its presence in q.SLocs[j]. A pruned object emits nothing, which for every
+// consumer equals a row of exact 0.0s. The row buffer is reused (DoPartial,
+// the consumer that keeps rows, copies them), so a standalone query holds
+// O(|Q|) floats however many objects the window has. q supplies the window,
+// the columns and, for KindPresence only, the one object to restrict to; e
+// must already be the query's view.
+func (e *Engine) sharedPass(ctx context.Context, table *iupt.Table, q Query, emit func(oid iupt.ObjectID, row []float64)) (Stats, error) {
+	seqs, err := e.sequences(ctx, table, q.Ts, q.Te)
+	if err != nil {
+		return Stats{}, err
+	}
+	var query map[indoor.SLocID]bool
+	if q.Kind == KindPresence {
+		// Only the one object, and no PSL∩Q pruning: its summary is computed
+		// unconditionally (a non-intersecting PSL yields an exact 0.0 either
+		// way).
+		if seq, ok := seqs[q.OID]; ok {
+			seqs = map[iupt.ObjectID]iupt.Sequence{q.OID: seq}
+		} else {
+			seqs = nil
+		}
+	} else {
+		query = make(map[indoor.SLocID]bool, len(q.SLocs))
+		for _, s := range q.SLocs {
+			query[s] = true
+		}
+	}
+	oracle := newOracle(e, seqs, query)
+	oids := oracle.objects()
+	if err := oracle.ensureSummaries(ctx, oids); err != nil {
+		return Stats{}, err
+	}
+	row := make([]float64, len(q.SLocs))
+	for _, oid := range oids {
+		if _, ok := oracle.reduction(oid); !ok {
+			continue // pruned: an exact 0.0 in every column
+		}
+		sum := oracle.summary(oid)
+		for j, s := range q.SLocs {
+			// Presence is the one place that knows PresenceMode and LogScale.
+			row[j] = sum.Presence(e.space.CellOfSLoc(s), e.opts.Presence)
+		}
+		emit(oid, row)
+	}
+	return oracle.finishStats(), nil
+}
+
+// DoPartial evaluates the shard-local contribution to q: the shared pass's
+// per-object presence rows over q.SLocs for every local object in [Ts, Te],
+// retained. It accepts every query kind — KindFlow is a one-column partial,
+// KindPresence restricts the evaluation to q.OID (an empty partial when the
+// object has no local records) — and ignores q.Algorithm: since all three
+// TkPLQ algorithms return bit-identical flows, the merged answer matches a
+// standalone run of any of them. Per-query overrides (Workers, DisableCache)
+// apply as in Do; coalescing of identical fan-outs is the router's job, so
+// DoPartial never opens a flight itself.
 func (e *Engine) DoPartial(ctx context.Context, table *iupt.Table, q Query) (*Partial, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -57,50 +108,15 @@ func (e *Engine) DoPartial(ctx context.Context, table *iupt.Table, q Query) (*Pa
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ev := e.view(q)
-	seqs, err := ev.sequences(ctx, table, q.Ts, q.Te)
+	p := &Partial{}
+	stats, err := e.view(q).sharedPass(ctx, table, q, func(oid iupt.ObjectID, row []float64) {
+		p.OIDs = append(p.OIDs, oid)
+		p.Rows = append(p.Rows, append([]float64(nil), row...))
+	})
 	if err != nil {
 		return nil, err
 	}
-	var query map[indoor.SLocID]bool
-	if q.Kind == KindPresence {
-		// Mirror evalPresence: only the one object, no PSL∩Q pruning (the
-		// summary is computed unconditionally; a non-intersecting PSL yields
-		// an exact 0.0 either way).
-		if seq, ok := seqs[q.OID]; ok {
-			seqs = map[iupt.ObjectID]iupt.Sequence{q.OID: seq}
-		} else {
-			seqs = nil
-		}
-	} else {
-		query = make(map[indoor.SLocID]bool, len(q.SLocs))
-		for _, s := range q.SLocs {
-			query[s] = true
-		}
-	}
-	oracle := newOracle(ev, seqs, query)
-	oids := oracle.objects()
-	if err := oracle.ensureSummaries(ctx, oids); err != nil {
-		return nil, err
-	}
-	cells := make([]indoor.CellID, len(q.SLocs))
-	for j, s := range q.SLocs {
-		cells[j] = e.space.CellOfSLoc(s)
-	}
-	p := &Partial{}
-	for _, oid := range oids {
-		if _, ok := oracle.reduction(oid); !ok {
-			continue // pruned: contributes exact 0.0 to every column
-		}
-		sum := oracle.summary(oid)
-		row := make([]float64, len(cells))
-		for j := range cells {
-			row[j] = sum.Presence(cells[j], e.opts.Presence)
-		}
-		p.OIDs = append(p.OIDs, oid)
-		p.Rows = append(p.Rows, row)
-	}
-	p.Stats = oracle.finishStats()
+	p.Stats = stats
 	return p, nil
 }
 
@@ -153,182 +169,176 @@ func MergePartials(parts []*Partial) (*Partial, error) {
 	}
 }
 
-// Flows accumulates the partial's rows into per-column flow sums, walking
-// objects in ascending order — the canonical accumulation every single-node
-// path performs. p must be merged (strictly ascending OIDs).
-func (p *Partial) Flows(nCols int) []float64 {
-	flows := make([]float64, nCols)
-	for _, row := range p.Rows {
-		for j := 0; j < nCols && j < len(row); j++ {
-			flows[j] += row[j]
+// finisher is the only implementation of "accumulate flows in ascending-
+// object order, rank". It answers its member queries from a stream of
+// per-object presence rows: per member and location, one += per contributing
+// object in ascending object id, whichever side of a wire the rows came from.
+type finisher struct {
+	eng     *Engine
+	members []finishMember
+}
+
+// finishMember is one query being answered from the finisher's rows.
+type finishMember struct {
+	qi    int // index into the caller's qs and out
+	q     Query
+	cols  []int     // cols[j] is the row column carrying q.SLocs[j]
+	flows []float64 // flows[j] is q.SLocs[j]'s running sum
+}
+
+// newFinisher prepares to answer the validated queries qs[qi], qi in idxs,
+// from rows whose columns are the S-locations in columns. Their order is the
+// evaluator's — q.SLocs as the caller listed them for a lone query, the
+// ascending union for a batch group — so the lookup assumes none.
+func (e *Engine) newFinisher(qs []Query, idxs []int, columns []indoor.SLocID) (finisher, error) {
+	col := make(map[indoor.SLocID]int, len(columns))
+	for c, s := range columns {
+		col[s] = c
+	}
+	f := finisher{eng: e, members: make([]finishMember, len(idxs))}
+	for i, qi := range idxs {
+		q := qs[qi]
+		m := finishMember{qi: qi, q: q, cols: make([]int, len(q.SLocs)), flows: make([]float64, len(q.SLocs))}
+		for j, s := range q.SLocs {
+			c, ok := col[s]
+			if !ok {
+				return finisher{}, fmt.Errorf("core: S-location %d missing from the evaluated columns", s)
+			}
+			m.cols[j] = c
+		}
+		f.members[i] = m
+	}
+	return f, nil
+}
+
+// add credits one object's row to every member. Rows must arrive in strictly
+// ascending object order (the shared pass and MergePartials guarantee it);
+// row is not retained.
+func (f finisher) add(oid iupt.ObjectID, row []float64) {
+	for i := range f.members {
+		m := &f.members[i]
+		if m.q.Kind == KindPresence && m.q.OID != oid {
+			continue // a presence is the flow of its one object: 0.0 + x == x
+		}
+		for j, c := range m.cols {
+			m.flows[j] += row[c]
 		}
 	}
-	return flows
 }
 
-// presenceOf returns the merged partial's row value for one object and
-// column (0.0 when the object contributed no row — pruned or absent).
-func (p *Partial) presenceOf(oid iupt.ObjectID, col int) float64 {
-	i := sort.Search(len(p.OIDs), func(i int) bool { return p.OIDs[i] >= oid })
-	if i < len(p.OIDs) && p.OIDs[i] == oid && col < len(p.Rows[i]) {
-		return p.Rows[i][col]
+// finish turns every member's sums into its response, out[qi]. stats
+// describes the pass that produced the rows; a group larger than one reports
+// its size in Stats.SharedBatch. A new ranking variant is one more case here.
+func (f finisher) finish(stats Stats, out []*Response) {
+	if stats.Workers == 0 {
+		stats.Workers = 1 // a partial merged from no shard, or built by hand
 	}
-	return 0
+	if len(f.members) > 1 {
+		stats.SharedBatch = len(f.members)
+	}
+	for i := range f.members {
+		m := &f.members[i]
+		results := make([]Result, len(m.flows))
+		for j, s := range m.q.SLocs {
+			results[j] = Result{SLoc: s, Flow: m.flows[j]}
+		}
+		resp := &Response{Stats: stats}
+		// rankTopK truncates only when k < len, so the validated K ranks
+		// exactly like its clamp to len(q.SLocs).
+		switch m.q.Kind {
+		case KindTopK:
+			resp.Results = rankTopK(results, m.q.K)
+		case KindDensity:
+			resp.Results = f.eng.densityRank(results, m.q.K)
+		default: // KindFlow, KindPresence: the one scalar
+			resp.Results, resp.Flow = results, m.flows[0]
+		}
+		out[m.qi] = resp
+	}
 }
 
-// FinishPartial completes a distributed query from the merged partial:
-// the same flow accumulation, ranking comparator and (for density) area
-// division as the single-node evaluation, so the response is bit-identical
-// to Do over the union table. merged's columns must align with q.SLocs.
+// FinishPartial completes a distributed query from the merged partial: the
+// one-member case of FinishPartialGroup, whose columns are q.SLocs in the
+// caller's order (the order the shards evaluated). The response is
+// bit-identical to Do over the union table.
 func (e *Engine) FinishPartial(q Query, merged *Partial) (*Response, error) {
-	k, err := e.validateQuery(q)
-	if err != nil {
+	out := make([]*Response, 1)
+	if err := e.FinishPartialGroup([]Query{q}, []int{0}, q.SLocs, merged, out); err != nil {
 		return nil, err
 	}
-	if merged == nil {
-		return nil, fmt.Errorf("core: nil merged partial")
-	}
-	stats := merged.Stats
-	if stats.Workers == 0 {
-		stats.Workers = 1
-	}
-	switch q.Kind {
-	case KindPresence:
-		p := merged.presenceOf(q.OID, 0)
-		return &Response{Results: []Result{{SLoc: q.SLocs[0], Flow: p}}, Flow: p, Stats: stats}, nil
-	case KindFlow:
-		flow := merged.Flows(1)[0]
-		return &Response{Results: []Result{{SLoc: q.SLocs[0], Flow: flow}}, Flow: flow, Stats: stats}, nil
-	}
-	flows := merged.Flows(len(q.SLocs))
-	results := make([]Result, len(q.SLocs))
-	for j, s := range q.SLocs {
-		results[j] = Result{SLoc: s, Flow: flows[j]}
-	}
-	if q.Kind == KindDensity {
-		return &Response{Results: e.densityRank(results, k), Stats: stats}, nil
-	}
-	return &Response{Results: rankTopK(results, k), Stats: stats}, nil
+	return out[0], nil
 }
 
 // UnionSLocs returns the ascending duplicate-free union of the queries'
 // S-location sets: the column order of a shared batch group's single
 // fan-out (see FinishPartialGroup).
 func UnionSLocs(qs []Query, idxs []int) []indoor.SLocID {
-	set := make(map[indoor.SLocID]bool)
+	var out []indoor.SLocID
 	for _, qi := range idxs {
-		for _, s := range qs[qi].SLocs {
-			set[s] = true
-		}
+		out = append(out, qs[qi].SLocs...)
 	}
-	out := make([]indoor.SLocID, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // FinishPartialGroup answers the queries at idxs — one DoBatch-style group
 // sharing a window — from a single merged partial evaluated over union (the
-// ascending union of the members' S-location sets, i.e. the merged columns).
-// Like Engine.evalBatchGroup, every member's flows accumulate in ascending
-// object order and objects pruned by the union contribute an exact 0.0 to
-// every member, so each response is bit-identical to evaluating the member
-// alone; Stats.SharedBatch reports the group size. Responses land in
-// out[qi] for each qi in idxs.
+// members' combined S-location set, i.e. the merged columns). It is the
+// finisher Engine.DoBatch runs in-process, fed from merged.Rows instead of a
+// local pass, so each response is bit-identical to evaluating the member
+// alone. Responses land in out[qi] for each qi in idxs.
 func (e *Engine) FinishPartialGroup(qs []Query, idxs []int, union []indoor.SLocID, merged *Partial, out []*Response) error {
 	if merged == nil {
 		return fmt.Errorf("core: nil merged partial")
 	}
-	col := func(s indoor.SLocID) (int, error) {
-		i := sort.Search(len(union), func(i int) bool { return union[i] >= s })
-		if i >= len(union) || union[i] != s {
-			return 0, fmt.Errorf("core: S-location %d missing from the group union", s)
-		}
-		return i, nil
+	if len(merged.OIDs) != len(merged.Rows) {
+		return fmt.Errorf("core: partial has %d oids but %d rows", len(merged.OIDs), len(merged.Rows))
 	}
-	shared := merged.Stats
-	if shared.Workers == 0 {
-		shared.Workers = 1
-	}
-	shared.SharedBatch = len(idxs)
 	for _, qi := range idxs {
-		q := qs[qi]
-		k, err := e.validateQuery(q)
-		if err != nil {
+		if _, err := e.validateQuery(qs[qi]); err != nil {
 			return err
 		}
-		if q.Kind == KindPresence {
-			c, err := col(q.SLocs[0])
-			if err != nil {
-				return err
-			}
-			p := merged.presenceOf(q.OID, c)
-			out[qi] = &Response{Results: []Result{{SLoc: q.SLocs[0], Flow: p}}, Flow: p, Stats: shared}
-			continue
-		}
-		cols := make([]int, len(q.SLocs))
-		for j, s := range q.SLocs {
-			if cols[j], err = col(s); err != nil {
-				return err
-			}
-		}
-		flows := make([]float64, len(q.SLocs))
-		for _, row := range merged.Rows {
-			for j, c := range cols {
-				flows[j] += row[c]
-			}
-		}
-		results := make([]Result, len(q.SLocs))
-		for j, s := range q.SLocs {
-			results[j] = Result{SLoc: s, Flow: flows[j]}
-		}
-		switch q.Kind {
-		case KindFlow:
-			out[qi] = &Response{Results: results, Flow: flows[0], Stats: shared}
-		case KindDensity:
-			out[qi] = &Response{Results: e.densityRank(results, k), Stats: shared}
-		default: // KindTopK
-			out[qi] = &Response{Results: rankTopK(results, k), Stats: shared}
-		}
 	}
+	fin, err := e.newFinisher(qs, idxs, union)
+	if err != nil {
+		return err
+	}
+	for i, row := range merged.Rows {
+		if len(row) != len(union) {
+			return fmt.Errorf("core: partial row of object %d has %d columns, want %d", merged.OIDs[i], len(row), len(union))
+		}
+		fin.add(merged.OIDs[i], row)
+	}
+	fin.finish(merged.Stats, out)
 	return nil
 }
 
-// BatchGroups partitions the queries of a distributed batch exactly as
-// Engine.DoBatch does in-process: by window fingerprint and evaluation-
-// changing overrides, in first-appearance order. Each returned group is the
-// index set of one shared fan-out.
-func (e *Engine) BatchGroups(qs []Query) [][]int {
-	groups := make(map[batchKey][]int)
-	var order []batchKey
-	for i, q := range qs {
-		key := batchKey{ts: q.Ts, te: q.Te, workers: e.view(q).opts.workerCount(), disableCache: q.DisableCache}
-		if _, ok := groups[key]; !ok {
-			order = append(order, key)
-		}
-		groups[key] = append(groups[key], i)
-	}
-	out := make([][]int, 0, len(order))
-	for _, key := range order {
-		out = append(out, groups[key])
-	}
-	return out
+// batchKey groups the queries of one batch that can share a single
+// per-object data-reduction + presence-summarization pass: same window
+// fingerprint and same evaluation-changing overrides.
+type batchKey struct {
+	ts, te       iupt.Time
+	workers      int
+	disableCache bool
 }
 
-// flightKindOf maps a coalescable query kind to its flight kind.
-func flightKindOf(k QueryKind) (flightKind, bool) {
-	switch k {
-	case KindTopK:
-		return flightTopK, true
-	case KindDensity:
-		return flightDensity, true
-	case KindFlow:
-		return flightFlow, true
-	default:
-		return 0, false
+// BatchGroups partitions the queries of a batch — Engine.DoBatch's and a
+// router's alike — by window fingerprint and evaluation-changing overrides,
+// in first-appearance order so evaluation order is deterministic. Each
+// returned group is the index set of one shared pass (one fan-out).
+func (e *Engine) BatchGroups(qs []Query) [][]int {
+	var out [][]int
+	at := make(map[batchKey]int) // key → its group's index in out
+	for i, q := range qs {
+		key := batchKey{ts: q.Ts, te: q.Te, workers: e.view(q).opts.workerCount(), disableCache: q.DisableCache}
+		g, ok := at[key]
+		if !ok {
+			g, at[key] = len(out), len(out)
+			out = append(out, nil)
+		}
+		out[g] = append(out[g], i)
 	}
+	return out
 }
 
 // QueryCoalescer exposes the engine's query-level request coalescer to
@@ -352,13 +362,12 @@ func NewQueryCoalescer() *QueryCoalescer { return &QueryCoalescer{c: newCoalesce
 // the leader's results with Stats.Coalesced set, exactly as in-process
 // coalescing reports it.
 func (qc *QueryCoalescer) Do(ctx context.Context, q Query, k int, epoch int64, eval func(context.Context) ([]Result, Stats, error)) ([]Result, Stats, error) {
-	kind, ok := flightKindOf(q.Kind)
-	if !ok || q.DisableCoalescing {
+	if q.Kind == KindPresence || q.DisableCoalescing {
 		return eval(ctx)
 	}
 	canon := canonicalSLocs(q.SLocs)
 	key := flightKey{
-		kind:     kind,
+		kind:     q.Kind,
 		algo:     q.Algorithm,
 		k:        k,
 		ts:       q.Ts,

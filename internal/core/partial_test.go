@@ -324,7 +324,11 @@ func TestDoPartialPrunedObjectsAbsent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Flows(1)[0]; got != want.Flow {
-		t.Fatalf("partial flow %v, want standalone %v", got, want.Flow)
+	got, err := eng.FinishPartial(q, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Flow != want.Flow {
+		t.Fatalf("partial flow %v, want standalone %v", got.Flow, want.Flow)
 	}
 }

@@ -45,8 +45,9 @@ func (k QueryKind) String() string {
 type Query struct {
 	// Kind selects the computation; the zero value is KindTopK.
 	Kind QueryKind
-	// Algorithm selects the TkPLQ search strategy; KindTopK only (density
-	// always runs the shared nested-loop pass). The zero value is AlgoNaive.
+	// Algorithm selects how a KindTopK query is evaluated. The other kinds
+	// ignore it: they run the shared pass, which is what AlgoNestedLoop
+	// selects for KindTopK too. The zero value is AlgoNaive.
 	Algorithm Algorithm
 	// K is the result count for KindTopK and KindDensity, clamped to
 	// len(SLocs); it must be positive.
@@ -152,6 +153,11 @@ func (e *Engine) validateQuery(q Query) (int, error) {
 // coalesced onto another caller's flight detaches on cancellation without
 // disturbing the flight; a canceled leader hands the work back to its
 // followers.
+//
+// Naive and Best-First are the paper's two search strategies over the
+// presence oracle. Every other query — Nested-Loop, density, flow, presence —
+// is the one-shard, one-member case of the shared pass → finisher pipeline
+// (partial.go).
 func (e *Engine) Do(ctx context.Context, table *iupt.Table, q Query) (*Response, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -167,60 +173,81 @@ func (e *Engine) Do(ctx context.Context, table *iupt.Table, q Query) (*Response,
 		return nil, err
 	}
 	ev := e.view(q)
-	switch q.Kind {
-	case KindTopK:
-		res, st, err := ev.coalescedTopK(ctx, table, q.SLocs, k, q.Ts, q.Te, q.Algorithm)
-		if err != nil {
-			return nil, err
+	results, stats, err := ev.coalesced(ctx, table, q, k, func(ctx context.Context) ([]Result, Stats, error) {
+		switch {
+		case q.Kind == KindTopK && q.Algorithm == AlgoNaive:
+			return ev.topkNaive(ctx, table, q.SLocs, k, q.Ts, q.Te)
+		case q.Kind == KindTopK && q.Algorithm == AlgoBestFirst:
+			return ev.topkBestFirst(ctx, table, q.SLocs, k, q.Ts, q.Te)
 		}
-		return &Response{Results: res, Stats: st}, nil
-	case KindDensity:
-		res, st, err := ev.coalescedTopKDensity(ctx, table, q.SLocs, k, q.Ts, q.Te)
-		if err != nil {
-			return nil, err
+		out := make([]*Response, 1)
+		if err := ev.evalGroup(ctx, table, q, []Query{q}, []int{0}, out); err != nil {
+			return nil, Stats{}, err
 		}
-		return &Response{Results: res, Stats: st}, nil
-	case KindFlow:
-		flow, st, err := ev.coalescedFlow(ctx, table, q.SLocs[0], q.Ts, q.Te)
-		if err != nil {
-			return nil, err
-		}
-		return &Response{Results: []Result{{SLoc: q.SLocs[0], Flow: flow}}, Flow: flow, Stats: st}, nil
-	default: // KindPresence, validated above
-		p, st, err := ev.evalPresence(ctx, table, q.SLocs[0], q.OID, q.Ts, q.Te)
-		if err != nil {
-			return nil, err
-		}
-		return &Response{Results: []Result{{SLoc: q.SLocs[0], Flow: p}}, Flow: p, Stats: st}, nil
+		return out[0].Results, out[0].Stats, nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	resp := &Response{Results: results, Stats: stats}
+	if q.Kind == KindFlow || q.Kind == KindPresence {
+		resp.Flow = results[0].Flow
+	}
+	return resp, nil
 }
 
-// batchKey groups the queries of one DoBatch call that can share a single
-// per-object data-reduction + presence-summarization pass: same window
-// fingerprint and same evaluation-changing overrides.
-type batchKey struct {
-	ts, te       iupt.Time
-	workers      int
-	disableCache bool
+// coalesced runs a validated query's evaluation through the request coalescer
+// (when enabled). Presence never coalesces. A flight keys on the algorithm
+// only for the kind that reads it: density pins AlgoNestedLoop and flow 0.
+func (e *Engine) coalesced(ctx context.Context, table *iupt.Table, q Query, k int, eval func(context.Context) ([]Result, Stats, error)) ([]Result, Stats, error) {
+	if e.coal == nil || q.Kind == KindPresence {
+		return eval(ctx)
+	}
+	canon := canonicalSLocs(q.SLocs)
+	key := flightKey{kind: q.Kind, k: k, ts: q.Ts, te: q.Te, table: table, tableLen: table.Len(), qLen: len(canon), qHash: slocHash(canon)}
+	switch q.Kind {
+	case KindTopK:
+		key.algo = q.Algorithm
+	case KindDensity:
+		key.algo = AlgoNestedLoop
+	}
+	return e.coal.do(ctx, key, canon, eval)
+}
+
+// evalGroup answers the validated queries at idxs — one window, one override
+// set, e being their view — from a single shared pass streamed into one
+// finisher. pass is what that pass evaluates: the member itself for a lone
+// query, for a batch group the window over the union of the members'
+// S-location sets (what a router fans out). Pruning against the union stays
+// sound: an object it prunes has zero presence in every member's locations.
+func (e *Engine) evalGroup(ctx context.Context, table *iupt.Table, pass Query, qs []Query, idxs []int, out []*Response) error {
+	fin, err := e.newFinisher(qs, idxs, pass.SLocs)
+	if err != nil {
+		return err
+	}
+	stats, err := e.sharedPass(ctx, table, pass, fin.add)
+	if err != nil {
+		return err
+	}
+	fin.finish(stats, out)
+	return nil
 }
 
 // DoBatch evaluates a set of queries, sharing work across them. Queries are
-// grouped by window fingerprint (and per-query overrides); each group with
-// more than one member performs the expensive per-object pipeline —
-// Algorithm 1 data reduction and Equation 1 presence summarization — exactly
-// once for the whole group and then fans out the cheap per-query ranking.
-// This is the amortization the one-query-per-call API cannot express: M
-// overlapping dashboard queries over the same window cost one reduction pass
-// instead of M.
+// grouped by window fingerprint and per-query overrides (BatchGroups); each
+// group with more than one member performs the expensive per-object pipeline
+// — Algorithm 1 data reduction and Equation 1 presence summarization —
+// exactly once, over the union of the members' S-location sets, and the
+// finisher fans out the cheap per-query ranking. This is the amortization
+// the one-query-per-call API cannot express: M overlapping dashboard queries
+// over the same window cost one reduction pass instead of M.
 //
 // Results are bit-identical to issuing each query through Do sequentially,
-// at every worker count: the shared pass computes the same per-object
-// summaries, accumulates flows in the same canonical ascending-object order,
-// and ranks with the same comparator. (Per-query Stats differ by design —
-// they describe the shared pass, with Stats.SharedBatch set to the group
-// size.) Every query is validated before any evaluation starts; an invalid
-// query anywhere fails the whole batch. Responses align index-for-index
-// with qs.
+// at every worker count: a lone query and a group run the same shared pass
+// and the same finisher. (Per-query Stats differ by design — they describe
+// the shared pass, with Stats.SharedBatch set to the group size.) Every query
+// is validated before any evaluation starts; an invalid query anywhere fails
+// the whole batch. Responses align index-for-index with qs.
 func (e *Engine) DoBatch(ctx context.Context, table *iupt.Table, qs []Query) ([]*Response, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -228,112 +255,28 @@ func (e *Engine) DoBatch(ctx context.Context, table *iupt.Table, qs []Query) ([]
 	if table == nil {
 		return nil, fmt.Errorf("core: nil table")
 	}
-	ks := make([]int, len(qs))
 	for i, q := range qs {
-		k, err := e.validateQuery(q)
-		if err != nil {
+		if _, err := e.validateQuery(q); err != nil {
 			return nil, fmt.Errorf("core: batch query %d: %w", i, err)
 		}
-		ks[i] = k
-	}
-	// Group in first-appearance order so evaluation order is deterministic.
-	groups := make(map[batchKey][]int)
-	var order []batchKey
-	for i, q := range qs {
-		key := batchKey{ts: q.Ts, te: q.Te, workers: e.view(q).opts.workerCount(), disableCache: q.DisableCache}
-		if _, ok := groups[key]; !ok {
-			order = append(order, key)
-		}
-		groups[key] = append(groups[key], i)
 	}
 	out := make([]*Response, len(qs))
-	for _, key := range order {
-		idxs := groups[key]
+	for _, idxs := range e.BatchGroups(qs) {
+		m := qs[idxs[0]]
 		if len(idxs) == 1 {
-			// A lone window gains nothing from the shared pass; route it
-			// through Do so it still coalesces with concurrent callers.
-			resp, err := e.Do(ctx, table, qs[idxs[0]])
+			// A lone window gains nothing from sharing; route it through Do
+			// so it still coalesces with concurrent callers.
+			resp, err := e.Do(ctx, table, m)
 			if err != nil {
 				return nil, err
 			}
 			out[idxs[0]] = resp
 			continue
 		}
-		if err := e.evalBatchGroup(ctx, table, qs, ks, idxs, out); err != nil {
+		pass := Query{Kind: KindTopK, Ts: m.Ts, Te: m.Te, SLocs: UnionSLocs(qs, idxs)}
+		if err := e.view(m).evalGroup(ctx, table, pass, qs, idxs, out); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
-}
-
-// evalBatchGroup answers the queries at idxs (all sharing one window and one
-// override set) from a single shared oracle pass. The oracle's query set is
-// the union of the member queries' S-location sets, so PSL∩Q pruning stays
-// sound for every member: an object pruned by the union has zero presence in
-// every member's locations, and contributing an exact 0.0 to a float sum is
-// the identity — which is why the per-query flows below are bit-identical to
-// the single-query evaluations.
-func (e *Engine) evalBatchGroup(ctx context.Context, table *iupt.Table, qs []Query, ks []int, idxs []int, out []*Response) error {
-	ev := e.view(qs[idxs[0]])
-	seqs, err := ev.sequences(ctx, table, qs[idxs[0]].Ts, qs[idxs[0]].Te)
-	if err != nil {
-		return err
-	}
-	union := make(map[indoor.SLocID]bool)
-	for _, qi := range idxs {
-		for _, s := range qs[qi].SLocs {
-			union[s] = true
-		}
-	}
-	oracle := newOracle(ev, seqs, union)
-	oids := oracle.objects()
-	if err := oracle.ensureSummaries(ctx, oids); err != nil {
-		return err
-	}
-	shared := oracle.finishStats()
-	shared.SharedBatch = len(idxs)
-
-	for _, qi := range idxs {
-		q := qs[qi]
-		if q.Kind == KindPresence {
-			p := 0.0
-			if _, ok := seqs[q.OID]; ok {
-				if sum := oracle.summary(q.OID); sum != nil {
-					p = sum.Presence(e.space.CellOfSLoc(q.SLocs[0]), e.opts.Presence)
-				}
-			}
-			out[qi] = &Response{Results: []Result{{SLoc: q.SLocs[0], Flow: p}}, Flow: p, Stats: shared}
-			continue
-		}
-		// Accumulate every member location's flow in canonical ascending
-		// object order — the same additions, in the same order, as the
-		// single-query paths perform.
-		cells := make([]indoor.CellID, len(q.SLocs))
-		for j, s := range q.SLocs {
-			cells[j] = e.space.CellOfSLoc(s)
-		}
-		flows := make([]float64, len(q.SLocs))
-		for _, oid := range oids {
-			if _, ok := oracle.reduction(oid); !ok {
-				continue // pruned by the union set ⇒ pruned for every member
-			}
-			sum := oracle.summary(oid)
-			for j := range cells {
-				flows[j] += sum.Presence(cells[j], e.opts.Presence)
-			}
-		}
-		results := make([]Result, len(q.SLocs))
-		for j, s := range q.SLocs {
-			results[j] = Result{SLoc: s, Flow: flows[j]}
-		}
-		switch q.Kind {
-		case KindFlow:
-			out[qi] = &Response{Results: results, Flow: flows[0], Stats: shared}
-		case KindDensity:
-			out[qi] = &Response{Results: e.densityRank(results, ks[qi]), Stats: shared}
-		default: // KindTopK
-			out[qi] = &Response{Results: rankTopK(results, ks[qi]), Stats: shared}
-		}
-	}
-	return nil
 }

@@ -76,11 +76,13 @@ func (s *Subscription) Dropped() int64 {
 // Close ends the subscription: the Updates channel is closed and the
 // monitor's reference count drops, shutting the monitor down if this was its
 // last subscriber. Idempotent and safe to call concurrently with delivery.
+// Done fires last, once the monitor reference is released, so whoever
+// observes it no longer finds this subscription in MonitorStats.
 func (s *Subscription) Close() {
 	s.once.Do(func() {
 		s.mon.detachSub(s)
-		close(s.done)
 		s.mon.eng.mons.release(s.mon)
+		close(s.done)
 	})
 }
 
@@ -116,7 +118,11 @@ func (s *Subscription) push(u Update) {
 // SubscribeConfig tells Engine.Subscribe which table to watch and how its
 // reads are serialized; see MonitorConfig for the field semantics.
 type SubscribeConfig struct {
-	Table   *iupt.Table
+	Table *iupt.Table
+	// Barrier: the lock order is monitor lock, then Barrier — the eval loop
+	// holds its monitor's lock while it waits for the Barrier to read the
+	// table. A Barrier holder must therefore not call MonitorStats, Subscribe
+	// or Subscription.Close, which take a monitor lock (NotifyAppend does not).
 	Barrier sync.Locker
 }
 

@@ -30,19 +30,6 @@ func (e *Engine) TopK(table *iupt.Table, q []indoor.SLocID, k int, ts, te iupt.T
 	return resp.Results, resp.Stats, nil
 }
 
-// coalescedTopK routes an already-validated TkPLQ through the request
-// coalescer (when enabled) to the selected algorithm.
-func (e *Engine) coalescedTopK(ctx context.Context, table *iupt.Table, q []indoor.SLocID, k int, ts, te iupt.Time, algo Algorithm) ([]Result, Stats, error) {
-	if e.coal == nil {
-		return e.evalTopK(ctx, table, q, k, ts, te, algo)
-	}
-	canon := canonicalSLocs(q)
-	key := flightKeyFor(flightTopK, table, canon, k, ts, te, algo)
-	return e.coal.do(ctx, key, canon, func(ctx context.Context) ([]Result, Stats, error) {
-		return e.evalTopK(ctx, table, q, k, ts, te, algo)
-	})
-}
-
 // validateTopK checks a TkPLQ query set and clamps k to its size.
 func (e *Engine) validateTopK(q []indoor.SLocID, k int) (int, error) {
 	if k <= 0 {
@@ -65,18 +52,6 @@ func (e *Engine) validateTopK(q []indoor.SLocID, k int) (int, error) {
 		k = len(q)
 	}
 	return k, nil
-}
-
-// evalTopK dispatches an already-validated TopK to the selected algorithm.
-func (e *Engine) evalTopK(ctx context.Context, table *iupt.Table, q []indoor.SLocID, k int, ts, te iupt.Time, algo Algorithm) ([]Result, Stats, error) {
-	switch algo {
-	case AlgoNaive:
-		return e.topkNaive(ctx, table, q, k, ts, te)
-	case AlgoNestedLoop:
-		return e.topkNestedLoop(ctx, table, q, k, ts, te)
-	default:
-		return e.topkBestFirst(ctx, table, q, k, ts, te)
-	}
 }
 
 // topkNaive computes every query location's flow independently, rebuilding
@@ -106,8 +81,7 @@ func (e *Engine) topkNaive(ctx context.Context, table *iupt.Table, q []indoor.SL
 		// A fresh, cache-bypassing oracle per location: no sharing, by design.
 		oracle := newOracle(e, seqs, map[indoor.SLocID]bool{sloc: true})
 		oracle.nocache = true
-		flow, _ := e.flowWithOracle(ctx, oracle, sloc)
-		flows[i] = Result{SLoc: sloc, Flow: flow}
+		flows[i] = Result{SLoc: sloc, Flow: e.flowWithOracle(ctx, oracle, sloc)}
 		out := locOutcome{stats: oracle.stats}
 		for oid, s := range oracle.summaries {
 			if s != nil {
@@ -169,61 +143,6 @@ func (e *Engine) topkNaive(ctx context.Context, table *iupt.Table, q []indoor.SL
 	}
 	stats.ObjectsComputed = len(computed)
 	return rankTopK(flows, k), stats, nil
-}
-
-// topkNestedLoop is Algorithm 3: one pass over objects; each object's path
-// construction is shared across every query location it can contribute to.
-// Summaries are computed across the worker pool; the accumulation below
-// walks objects ascending and cells sorted, so flows are deterministic and
-// worker-count-invariant.
-func (e *Engine) topkNestedLoop(ctx context.Context, table *iupt.Table, q []indoor.SLocID, k int, ts, te iupt.Time) ([]Result, Stats, error) {
-	seqs, err := e.sequences(ctx, table, ts, te)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	query := make(map[indoor.SLocID]bool, len(q))
-	for _, s := range q {
-		query[s] = true
-	}
-	oracle := newOracle(e, seqs, query)
-	oids := oracle.objects()
-	if err := oracle.ensureSummaries(ctx, oids); err != nil {
-		return nil, Stats{}, err
-	}
-
-	flows := make(map[indoor.SLocID]float64, len(q))
-	for _, oid := range oids {
-		if _, ok := oracle.reduction(oid); !ok {
-			continue
-		}
-		sum := oracle.summary(oid)
-		// Instead of checking every q, walk the cells the object can pass
-		// and credit only the query locations inside them (the Hφ / Hls
-		// bookkeeping of Algorithm 3, lines 18-27, in aggregated form).
-		// Each S-location has exactly one parent cell, so an object credits
-		// a location at most once and the per-location sums accumulate in
-		// ascending object order regardless of cell iteration order.
-		for cell, mass := range sum.PassMass {
-			presence := mass
-			if e.opts.Presence == NormalizedValid {
-				if sum.ValidMass <= 0 {
-					continue
-				}
-				presence = mass / sum.ValidMass
-			}
-			for _, sloc := range e.space.SLocsOfCell(cell) {
-				if query[sloc] {
-					flows[sloc] += presence
-				}
-			}
-		}
-	}
-
-	results := make([]Result, 0, len(q))
-	for _, sloc := range q {
-		results = append(results, Result{SLoc: sloc, Flow: flows[sloc]})
-	}
-	return rankTopK(results, k), oracle.finishStats(), nil
 }
 
 // resultBefore is the TkPLQ ranking order: flow descending, ties broken by

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -68,6 +69,80 @@ func TestAlgorithmsAgreeOnFlows(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestAlgorithmsAgreeWhenDPRescales: one object reports the same two-sample
+// set {a: 0.5, b: 0.5} for 160 ticks, where a and b each connect to
+// themselves but not to each other — two valid paths of mass 0.5^160 each,
+// far past the DP's rescaleThreshold, so the summary carries a LogScale. In
+// UnnormalizedTotal mode the flow is that tiny mass itself, and every way of
+// asking for it must return the same bits: only ObjectSummary.Presence may
+// interpret PassMass.
+func TestAlgorithmsAgreeWhenDPRescales(t *testing.T) {
+	fig := indoor.Figure1Space()
+	sp := fig.Space
+	var a, b indoor.PLocID
+	found := false
+	for _, x := range fig.PLocs {
+		for _, y := range fig.PLocs {
+			if !found && sp.MILConnected(x, x) && sp.MILConnected(y, y) && !sp.MILConnected(x, y) && !sp.MILConnected(y, x) {
+				a, b, found = x, y, true
+			}
+		}
+	}
+	if !found {
+		t.Fatal("Figure 1 has no self-connected, mutually unconnected P-location pair")
+	}
+	const ticks = 160
+	tb := iupt.NewTable()
+	for tk := 0; tk < ticks; tk++ {
+		tb.Append(iupt.Record{OID: 1, T: iupt.Time(tk), Samples: iupt.SampleSet{{Loc: a, Prob: 0.5}, {Loc: b, Prob: 0.5}}})
+	}
+	// DisableInterMerge keeps the 160 identical sets from merging into one.
+	e := NewEngine(sp, Options{Presence: UnnormalizedTotal, DisableInterMerge: true})
+	red, _ := e.ReduceData(tb.SequencesInRange(0, ticks)[1], nil)
+	sum, _ := e.Summarize(red.Seq)
+	if len(red.Seq) < 150 || sum.LogScale == 0 {
+		t.Fatalf("fixture no longer rescales: %d reduced sets, LogScale %v", len(red.Seq), sum.LogScale)
+	}
+
+	ctx := context.Background()
+	q := fig.SLocs[:]
+	do := func(label string, qu Query) []Result {
+		t.Helper()
+		qu.Ts, qu.Te = 0, ticks
+		resp, err := e.Do(ctx, tb, qu)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		return resp.Results
+	}
+	want := do("naive", Query{Kind: KindTopK, Algorithm: AlgoNaive, K: len(q), SLocs: q})
+	if want[0].Flow <= 0 || want[0].Flow > rescaleThreshold {
+		t.Fatalf("top flow %v, want a positive mass below the rescale threshold", want[0].Flow)
+	}
+	bitEqual(t, "nested-loop", do("nested-loop", Query{Kind: KindTopK, Algorithm: AlgoNestedLoop, K: len(q), SLocs: q}), want)
+	bitEqual(t, "best-first", do("best-first", Query{Kind: KindTopK, Algorithm: AlgoBestFirst, K: len(q), SLocs: q}), want)
+
+	pq := Query{Kind: KindTopK, K: len(q), Ts: 0, Te: ticks, SLocs: q}
+	p, err := e.DoPartial(ctx, tb, pq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin, err := e.FinishPartial(pq, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bitEqual(t, "DoPartial→FinishPartial", fin.Results, want)
+
+	density := make([]Result, 0, len(want))
+	for _, w := range want {
+		if got := do("flow", Query{Kind: KindFlow, SLocs: []indoor.SLocID{w.SLoc}}); got[0].Flow != w.Flow {
+			t.Errorf("KindFlow(%d) = %v, want %v (bit-identical)", w.SLoc, got[0].Flow, w.Flow)
+		}
+		density = append(density, Result{SLoc: w.SLoc, Flow: w.Flow / e.SLocArea(w.SLoc)})
+	}
+	bitEqual(t, "density", do("density", Query{Kind: KindDensity, K: len(q), SLocs: q}), rankTopK(density, len(density)))
 }
 
 // TestBestFirstTopKPrefix: BF with k < |Q| returns the first k entries of

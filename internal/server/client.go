@@ -147,6 +147,21 @@ func (c *shardClient) aheadOf(o *shardClient) bool {
 	return c.walOff.Load() > o.walOff.Load()
 }
 
+const staleFmt = "stale replica: has %d records, router acknowledged ingest at %d"
+
+// staleAt refuses an answer computed from fewer records than the router has
+// already acknowledged an ingest at (a follower behind its primary would
+// un-see that ingest). The refusal is retryable, so readMember moves on to
+// the next member, and it becomes this member's not-ready cause.
+func (c *shardClient) staleAt(records, acked int) error {
+	if records >= acked {
+		return nil
+	}
+	cause := fmt.Sprintf(staleFmt, records, acked)
+	c.setCause(cause)
+	return c.errAt(http.StatusServiceUnavailable, errors.New(cause))
+}
+
 // call performs one HTTP round-trip under the per-attempt timeout and
 // returns the status code and body. Bodies are fully read so connections
 // are reused.
@@ -179,9 +194,11 @@ func (c *shardClient) call(ctx context.Context, method, path string, body []byte
 	return resp.StatusCode, out, nil
 }
 
-// probe refreshes the member's health state from its /readyz. Probes use
-// their own short timeout and do not touch the request counters.
-func (c *shardClient) probe(ctx context.Context) {
+// probe refreshes the member's health state from its /readyz; one holding
+// fewer than acked records is not ready for reads whatever it says (see
+// staleAt). Probes use their own short timeout and do not touch the request
+// counters.
+func (c *shardClient) probe(ctx context.Context, acked int) {
 	actx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(actx, http.MethodGet, c.base+"/readyz", nil)
@@ -219,6 +236,10 @@ func (c *shardClient) probe(ctx context.Context) {
 	c.sealSeq.Store(rr.SealSeq)
 	c.walOff.Store(rr.WALOff)
 	c.setCause(rr.Cause)
+	if rr.Ready && rr.Records < acked {
+		c.ready.Store(false)
+		c.setCause(fmt.Sprintf(staleFmt, rr.Records, acked))
+	}
 }
 
 // promote asks the member to stop following and accept writes (idempotent
@@ -258,7 +279,7 @@ func errorEnvelope(status int, body []byte) error {
 
 // partial POSTs a pinned-window query to the member's /v2/partial and
 // decodes the per-object contribution.
-func (c *shardClient) partial(ctx context.Context, req QueryV2) (*PartialResponse, error) {
+func (c *shardClient) partial(ctx context.Context, req QueryV2, acked int) (*PartialResponse, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, c.err(err)
@@ -277,11 +298,14 @@ func (c *shardClient) partial(ctx context.Context, req QueryV2) (*PartialRespons
 	if len(p.OIDs) != len(p.Rows) {
 		return nil, c.err(fmt.Errorf("malformed partial: %d oids, %d rows", len(p.OIDs), len(p.Rows)))
 	}
+	if err := c.staleAt(p.Records, acked); err != nil {
+		return nil, err
+	}
 	return &p, nil
 }
 
 // span fetches the member table's time span.
-func (c *shardClient) span(ctx context.Context) (*SpanResponse, error) {
+func (c *shardClient) span(ctx context.Context, acked int) (*SpanResponse, error) {
 	status, out, err := c.call(ctx, http.MethodGet, "/v2/span", nil)
 	if err != nil {
 		return nil, c.err(err)
@@ -292,6 +316,9 @@ func (c *shardClient) span(ctx context.Context) (*SpanResponse, error) {
 	var sp SpanResponse
 	if err := json.Unmarshal(out, &sp); err != nil {
 		return nil, c.err(fmt.Errorf("decoding span: %w", err))
+	}
+	if err := c.staleAt(sp.Records, acked); err != nil {
+		return nil, err
 	}
 	return &sp, nil
 }

@@ -15,6 +15,7 @@ import (
 	"tkplq"
 	"tkplq/internal/cluster"
 	"tkplq/internal/parts"
+	"tkplq/internal/retry"
 )
 
 // HTTP-level tests of the distributed deployment: a router over 1/2/4 real
@@ -732,4 +733,117 @@ func startBenchCluster(b *testing.B, bld *tkplq.Building, tb *tkplq.Table, n int
 	c.routerTS = httptest.NewServer(routerSrv.Handler())
 	b.Cleanup(c.routerTS.Close)
 	return c
+}
+
+// TestRouterRefusesStaleReplica: once the router has returned 200 for an
+// ingest, no read may be answered from a member that has not applied it. One
+// shard, two members over the same pre-ingest data; member 1 never receives
+// the routed ingest (a follower that stays a frame behind) yet keeps telling
+// /readyz it is ready. Both read legs of a te-defaulted query are exposed —
+// a stale /v2/span pins the window at the old end of data, a stale
+// /v2/partial misses the new records — so every query must still equal the
+// standalone reference, and the router must name the laggard in /v1/stats.
+func TestRouterRefusesStaleReplica(t *testing.T) {
+	base := newSynSystem(t).Table()
+	standaloneSys, err := tkplq.NewSystem(synB.Space, cloneTable(base), tkplq.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, standalone := newTestServer(t, standaloneSys, Config{})
+
+	const members = 2
+	slots := make([]*swapHandler, members)
+	addrs := make([]string, members)
+	for i := range slots {
+		slots[i] = &swapHandler{}
+		ts := httptest.NewServer(slots[i])
+		t.Cleanup(ts.Close)
+		addrs[i] = strings.TrimPrefix(ts.URL, "http://")
+	}
+	topo, err := cluster.NewReplicated([][]string{addrs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range slots {
+		sys, err := tkplq.NewSystem(synB.Space, cloneTable(base), tkplq.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := New(Config{System: sys, Role: RoleShard, Topology: topo, ShardIndex: 0, Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		slots[i].set(srv.Handler())
+	}
+	routerSys, err := tkplq.NewSystem(synB.Space, tkplq.NewTable(), tkplq.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	routerSrv, routerTS := newTestServer(t, routerSys, Config{
+		Role: RoleRouter, Topology: topo, ShardTimeout: 5 * time.Second,
+		Retry:          retry.Policy{Base: time.Millisecond, Cap: 2 * time.Millisecond, Attempts: 3},
+		HealthInterval: 10 * time.Millisecond,
+	})
+	t.Cleanup(routerSrv.router.stop)
+	client := routerTS.Client()
+
+	// member1 polls the router's view of member 1 until ok accepts it.
+	member1 := func(what string, ok func(MemberHealthJSON) bool) MemberHealthJSON {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			sr, err := client.Get(routerTS.URL + "/v1/stats")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stats StatsResponse
+			err = json.NewDecoder(sr.Body).Decode(&stats)
+			sr.Body.Close()
+			if err != nil || stats.Cluster == nil || len(stats.Cluster.Shards) != 1 || len(stats.Cluster.Shards[0].Members) != members {
+				t.Fatalf("router stats: %v %+v", err, stats.Cluster)
+			}
+			if m := stats.Cluster.Shards[0].Members[1]; ok(m) {
+				return m
+			} else if time.Now().After(deadline) {
+				t.Fatalf("member 1 never %s: %+v", what, m)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	// Reads only balance onto member 1 once a probe has found it ready.
+	member1("became ready", func(m MemberHealthJSON) bool { return m.Ready })
+
+	query := map[string]any{"kind": "topk", "algorithm": "bf", "k": 5} // te == 0: end of data
+	_, before := postJSON(t, standalone.Client(), standalone.URL+"/v2/query", query)
+	batch := map[string]any{"records": []map[string]any{
+		{"oid": 9001, "t": 2000, "samples": []map[string]any{{"ploc": 0, "prob": 1.0}}},
+		{"oid": 9002, "t": 2001, "samples": []map[string]any{{"ploc": 0, "prob": 1.0}}},
+		{"oid": 9003, "t": 2002, "samples": []map[string]any{{"ploc": 0, "prob": 1.0}}},
+	}}
+	for _, url := range []string{routerTS.URL, standalone.URL} {
+		if resp, body := postJSON(t, client, url+"/v1/ingest", batch); resp.StatusCode != http.StatusOK {
+			t.Fatalf("ingest at %s = %d: %s", url, resp.StatusCode, body)
+		}
+	}
+	_, wantBody := postJSON(t, standalone.Client(), standalone.URL+"/v2/query", query)
+	want := resultsOf(t, wantBody)
+	if want == resultsOf(t, before) {
+		t.Fatal("the ingest does not change the reference answer; the test would prove nothing")
+	}
+
+	// Round-robin would hand member 1 a leg of every one of these.
+	for i := 0; i < 2*members; i++ {
+		resp, body := postJSON(t, client, routerTS.URL+"/v2/query", query)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("query %d after routed ingest = %d: %s", i, resp.StatusCode, body)
+		}
+		if got := resultsOf(t, body); got != want {
+			t.Fatalf("query %d after routed ingest diverged from standalone (served by a stale member):\n got %s\nwant %s", i, got, want)
+		}
+	}
+	m := member1("was marked stale", func(m MemberHealthJSON) bool { return !m.Ready && strings.Contains(m.Cause, "stale replica") })
+	acked := fmt.Sprint(base.Len() + 3)
+	if !strings.Contains(m.Cause, fmt.Sprint(base.Len())+" records") || !strings.Contains(m.Cause, acked) {
+		t.Errorf("stale cause %q does not name both record counts (%d, %s)", m.Cause, base.Len(), acked)
+	}
 }

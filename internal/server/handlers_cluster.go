@@ -19,7 +19,8 @@ type PartialResponse struct {
 	Rows [][]float64 `json:"rows"`
 	// Stats describes the shard-local work.
 	Stats StatsJSON `json:"stats"`
-	// Records is the shard table's record count at evaluation time.
+	// Records is the shard table's record count when the evaluation began:
+	// the rows reflect at least that many (the router's stale-replica check).
 	Records int `json:"records"`
 }
 
@@ -219,6 +220,7 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 		errorJSON(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	records := s.sys.Table().Len() // before evaluating; see PartialResponse.Records
 	p, err := s.sys.DoPartial(ctx, q)
 	if err != nil {
 		s.writeQueryError(w, err)
@@ -228,7 +230,7 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 		OIDs:    make([]int64, len(p.OIDs)),
 		Rows:    p.Rows,
 		Stats:   statsJSON(p.Stats),
-		Records: s.sys.Table().Len(),
+		Records: records,
 	}
 	if out.Rows == nil {
 		out.Rows = [][]float64{}
@@ -243,10 +245,10 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 // handleSpan serves GET /v2/span: the shard table's time span, used by the
 // router to resolve te == 0 windows cluster-wide.
 func (s *Server) handleSpan(w http.ResponseWriter, r *http.Request) {
-	var out SpanResponse
+	// Count first: the span then reflects at least that many records.
+	out := SpanResponse{Records: s.sys.Table().Len()}
 	if lo, hi, ok := s.sys.Table().TimeSpan(); ok {
-		out = SpanResponse{Lo: int64(lo), Hi: int64(hi), OK: true}
+		out.Lo, out.Hi, out.OK = int64(lo), int64(hi), true
 	}
-	out.Records = s.sys.Table().Len()
 	writeJSON(w, out)
 }

@@ -54,7 +54,7 @@ func (s *Server) toQuery(ctx context.Context, req QueryV2) (tkplq.Query, QueryV2
 			req.K = 10
 		}
 	case tkplq.KindDensity:
-		req.Algorithm = "" // density always runs the shared nested-loop pass
+		req.Algorithm = "" // density always runs the shared pass
 		if req.K == 0 {
 			req.K = 10
 		}

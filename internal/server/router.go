@@ -31,10 +31,10 @@ const failoverThreshold = 2
 // Router is the fan-out/fan-in half of a distributed tkplq cluster. It owns
 // one shardClient per replica-set member and answers queries by collecting
 // the shards' per-object partial contributions (/v2/partial) and merging
-// them in canonical ascending-object order before ranking — the same
-// additions in the same order as a standalone process over the union table,
-// so every answer is bit-identical to single-node evaluation (see
-// internal/core's partial machinery and the PR-1 determinism contract).
+// them in canonical ascending-object order before ranking — a standalone
+// process is the one-shard case of the same pass and finisher, so every
+// answer is bit-identical to single-node evaluation (see internal/core's
+// partial.go and the PR-1 determinism contract).
 //
 // The router holds no records itself: its engine exists only for query
 // validation, ranking and the density area division, all of which depend on
@@ -44,7 +44,8 @@ const failoverThreshold = 2
 //
 // With replicated shards (topology entries listing [primary, follower...]),
 // a background loop probes every member's /readyz: idempotent reads
-// load-balance round-robin across the shard's ready members and retry
+// load-balance round-robin across the shard's ready members (which hold at
+// least the records this router has acknowledged, shardGroup.acked) and retry
 // across them under the shared backoff policy; ingest goes to the current
 // primary only and is never retried (a lost response may have been
 // applied). When a primary stays not-ready for failoverThreshold probes,
@@ -79,10 +80,21 @@ type shardGroup struct {
 	primary atomic.Int32 // index into members
 	rr      atomic.Uint32
 	fails   int // consecutive bad primary probes; health loop only
+	// acked is the highest record count a routed ingest to this shard was
+	// acknowledged at; a read answered from fewer records would un-see it
+	// (shardClient.staleAt). Reset when the primary changes: replication is
+	// asynchronous, so the new primary defines the truth.
+	acked atomic.Int64
 }
 
 func (g *shardGroup) primaryClient() *shardClient {
 	return g.members[g.primary.Load()]
+}
+
+// ack raises the shard's read floor to records (a max: acks can reorder).
+func (g *shardGroup) ack(records int) {
+	for cur := g.acked.Load(); int64(records) > cur && !g.acked.CompareAndSwap(cur, int64(records)); cur = g.acked.Load() {
+	}
 }
 
 // candidates orders the group's members for one idempotent read: ready
@@ -197,10 +209,12 @@ func (rt *Router) healthLoop() {
 		for _, g := range rt.groups {
 			for _, c := range g.members {
 				wg.Add(1)
-				go func(c *shardClient) {
+				// acked is read before the probe leaves, so an ingest that
+				// races the probe cannot make a caught-up member look stale.
+				go func(c *shardClient, acked int) {
 					defer wg.Done()
-					c.probe(ctx)
-				}(c)
+					c.probe(ctx, acked)
+				}(c, int(g.acked.Load()))
 			}
 		}
 		wg.Wait()
@@ -228,6 +242,7 @@ func (rt *Router) maybeFailover(ctx context.Context, g *shardGroup) {
 			if i != cur && c.reachable.Load() && c.modeVal.Load() == memberModePrimary {
 				g.primary.Store(int32(i))
 				g.fails = 0
+				g.acked.Store(0)
 				rt.failovers.Add(1)
 				rt.logf("server: router adopted shard %d primary %s (was %s)", g.index, c.addr, p.addr)
 				return
@@ -266,6 +281,7 @@ func (rt *Router) maybeFailover(ctx context.Context, g *shardGroup) {
 	}
 	g.primary.Store(int32(best))
 	g.fails = 0
+	g.acked.Store(0)
 	rt.failovers.Add(1)
 	rt.logf("server: router failed shard %d over %s -> %s (seal %d, wal off %d)",
 		g.index, p.addr, b.addr, b.sealSeq.Load(), b.walOff.Load())
@@ -274,10 +290,13 @@ func (rt *Router) maybeFailover(ctx context.Context, g *shardGroup) {
 // readMember runs one idempotent call against a shard's replica set:
 // candidates in load-balanced order, retrying across them under the shared
 // backoff policy. A non-retryable answer (4xx — the request itself is bad)
-// returns immediately; transport failures and 5xx mark the member not-ready
-// and move on. Ingest must never go through here.
-func readMember[T any](ctx context.Context, rt *Router, g *shardGroup, f func(ctx context.Context, c *shardClient) (T, error)) (T, error) {
+// returns immediately; transport failures, 5xx and answers from fewer than
+// acked records (shardClient.staleAt) mark the member not-ready and move on.
+// acked is pinned up front: the read must see every ingest acknowledged
+// before it began, not ones that race it. Ingest must never go through here.
+func readMember[T any](ctx context.Context, rt *Router, g *shardGroup, f func(ctx context.Context, c *shardClient, acked int) (T, error)) (T, error) {
 	var zero T
+	acked := int(g.acked.Load())
 	cands := g.candidates()
 	attempts := rt.retry.MaxAttempts()
 	var lastErr error
@@ -291,7 +310,7 @@ func readMember[T any](ctx context.Context, rt *Router, g *shardGroup, f func(ct
 		if attempt > 0 {
 			c.retried.Add(1)
 		}
-		out, err := f(ctx, c)
+		out, err := f(ctx, c, acked)
 		if err == nil {
 			return out, nil
 		}
@@ -371,8 +390,8 @@ func (rt *Router) fanPartials(ctx context.Context, q tkplq.Query) ([]*core.Parti
 		wg.Add(1)
 		go func(i int, g *shardGroup) {
 			defer wg.Done()
-			pr, err := readMember(fctx, rt, g, func(ctx context.Context, c *shardClient) (*PartialResponse, error) {
-				return c.partial(ctx, req)
+			pr, err := readMember(fctx, rt, g, func(ctx context.Context, c *shardClient, acked int) (*PartialResponse, error) {
+				return c.partial(ctx, req, acked)
 			})
 			if err != nil {
 				errs[i] = err
@@ -434,8 +453,8 @@ func (rt *Router) endOfData(ctx context.Context) (tkplq.Time, error) {
 		wg.Add(1)
 		go func(i int, g *shardGroup) {
 			defer wg.Done()
-			spans[i], errs[i] = readMember(ctx, rt, g, func(ctx context.Context, c *shardClient) (*SpanResponse, error) {
-				return c.span(ctx)
+			spans[i], errs[i] = readMember(ctx, rt, g, func(ctx context.Context, c *shardClient, acked int) (*SpanResponse, error) {
+				return c.span(ctx, acked)
 			})
 		}(i, g)
 	}
@@ -472,8 +491,8 @@ func (rt *Router) Do(ctx context.Context, q tkplq.Query) (*tkplq.Response, error
 		g := rt.groups[rt.topo.ShardOf(q.OID)]
 		rt.fanOuts.Add(1)
 		req := wireQuery(q)
-		pr, err := readMember(ctx, rt, g, func(ctx context.Context, c *shardClient) (*PartialResponse, error) {
-			return c.partial(ctx, req)
+		pr, err := readMember(ctx, rt, g, func(ctx context.Context, c *shardClient, acked int) (*PartialResponse, error) {
+			return c.partial(ctx, req, acked)
 		})
 		if err != nil {
 			rt.shardErrors.Add(1)
@@ -592,6 +611,9 @@ func (rt *Router) ingest(ctx context.Context, recs []RecordJSON) (int, any) {
 			o.ok, o.rej, o.err = c.ingest(ctx, byShard[i])
 			if o.err != nil {
 				rt.pokeHealth()
+			}
+			if o.ok != nil {
+				rt.groups[i].ack(o.ok.Records)
 			}
 		}(i)
 	}

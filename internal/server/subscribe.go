@@ -176,8 +176,10 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 			if _, err := fmt.Fprintf(w, "event: update\ndata: %s\n\n", data); err != nil {
 				return
 			}
-			flusher.Flush()
+			// Count before flushing: a client that has read the event must
+			// find it in /v1/stats.
 			s.subUpdates.Add(1)
+			flusher.Flush()
 		}
 	}
 }

@@ -78,10 +78,10 @@ func (s *System) DoBatch(ctx context.Context, qs []Query) ([]*Response, error) {
 // every local object in the window that survived pruning, the object's
 // presence in each queried S-location, in ascending object order. Shards
 // produce Partials with System.DoPartial; a router merges them with
-// MergePartials and finishes the ranking with System.FinishPartial — and
-// because the merge performs the same floating-point additions in the same
-// canonical ascending-object order as a single process over the union
-// table, the distributed answer is bit-identical to the standalone one.
+// MergePartials and finishes the ranking with System.FinishPartial. A
+// standalone Do is the one-shard case of the same pass and finisher, so the
+// floating-point additions happen in the same canonical ascending-object
+// order and the distributed answer is bit-identical to the standalone one.
 type Partial = core.Partial
 
 // DoPartial evaluates this system's local contribution to a distributed
@@ -98,8 +98,8 @@ func (s *System) DoPartial(ctx context.Context, q Query) (*Partial, error) {
 // (overlapping shard partitions) is a hard error.
 func MergePartials(parts []*Partial) (*Partial, error) { return core.MergePartials(parts) }
 
-// FinishPartial completes a distributed query from a merged partial with
-// the exact flow accumulation and ranking of a single-node evaluation.
+// FinishPartial completes a distributed query from a merged partial: the
+// flow accumulation and ranking a standalone Do runs, over the merged rows.
 func (s *System) FinishPartial(q Query, merged *Partial) (*Response, error) {
 	return s.engine.FinishPartial(q, merged)
 }
