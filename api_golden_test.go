@@ -2,8 +2,12 @@ package tkplq_test
 
 // The public-API golden test: a snapshot of every exported declaration of
 // package tkplq lives in testdata/api.txt, and this test fails when the
-// surface drifts — so a PR can never silently break the facade. After an
-// intentional change, regenerate with:
+// surface drifts — so a PR can never silently break the facade. Most of the
+// facade is type aliases into internal packages, which a syntactic snapshot
+// shows as one line each, so the package is also type-checked (standard
+// library only) and every exported type — aliases included — lists its
+// exported fields and the exported methods of *T. After an intentional
+// change, regenerate with:
 //
 //	go test -run TestPublicAPIGolden . -update-api
 //
@@ -14,9 +18,11 @@ import (
 	"flag"
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/printer"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -90,7 +96,8 @@ func TestPublicAPIGolden(t *testing.T) {
 var spaceRun = regexp.MustCompile(`\s+`)
 
 // publicAPI renders every exported top-level declaration of the package in
-// dir as one normalized line each, sorted.
+// dir as one normalized line each, plus the resolved members of every
+// exported type, sorted.
 func publicAPI(dir string) ([]string, error) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
@@ -112,7 +119,12 @@ func publicAPI(dir string) ([]string, error) {
 		return spaceRun.ReplaceAllString(buf.String(), " "), nil
 	}
 
-	var lines []string
+	// Type-check first: the syntactic pass below strips bodies and comments
+	// from the same syntax trees.
+	lines, err := typeMembers(fset, pkg)
+	if err != nil {
+		return nil, err
+	}
 	for _, file := range pkg.Files {
 		for _, decl := range file.Decls {
 			switch d := decl.(type) {
@@ -178,6 +190,48 @@ func publicAPI(dir string) ([]string, error) {
 		}
 	}
 	sort.Strings(lines)
+	return lines, nil
+}
+
+// typeMembers type-checks the package from source and returns, for every
+// exported type name in its scope (aliases resolved), one line per exported
+// struct field and one per exported method in the method set of *T — what a
+// caller can actually reach through the name, wherever it is declared.
+func typeMembers(fset *token.FileSet, pkg *ast.Package) ([]string, error) {
+	files := make([]*ast.File, 0, len(pkg.Files))
+	for _, f := range pkg.Files {
+		files = append(files, f)
+	}
+	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
+	checked, err := conf.Check(pkg.Name, fset, files, nil)
+	if err != nil {
+		return nil, err
+	}
+	qual := func(p *types.Package) string { return p.Name() }
+	var lines []string
+	for _, name := range checked.Scope().Names() {
+		tn, ok := checked.Scope().Lookup(name).(*types.TypeName)
+		if !ok || !tn.Exported() {
+			continue
+		}
+		if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					lines = append(lines, fmt.Sprintf("field %s.%s %s", name, f.Name(), types.TypeString(f.Type(), qual)))
+				}
+			}
+		}
+		recv := tn.Type()
+		if !types.IsInterface(recv) {
+			recv = types.NewPointer(recv)
+		}
+		for ms, i := types.NewMethodSet(recv), 0; i < ms.Len(); i++ {
+			if m := ms.At(i).Obj(); m.Exported() {
+				sig := strings.TrimPrefix(types.TypeString(m.Type(), qual), "func")
+				lines = append(lines, fmt.Sprintf("method (*%s) %s%s", name, m.Name(), sig))
+			}
+		}
+	}
 	return lines, nil
 }
 
