@@ -126,13 +126,24 @@ func microData(b *testing.B) *benchData {
 	return micro
 }
 
+// benchTopK is one KindTopK evaluation through Engine.Do.
+func benchTopK(b *testing.B, eng *core.Engine, tb *iupt.Table, q []indoor.SLocID, k int, ts, te iupt.Time, algo core.Algorithm) {
+	b.Helper()
+	if _, err := eng.Do(context.Background(), tb, core.Query{Kind: core.KindTopK, Algorithm: algo, K: k, Ts: ts, Te: te, SLocs: q}); err != nil {
+		b.Fatal(err)
+	}
+}
+
 func BenchmarkFlowSingleLocation(b *testing.B) {
 	b.ReportAllocs()
 	d := microData(b)
 	eng := core.NewEngine(d.building.Space, core.Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.Flow(d.table, d.slocs[i%len(d.slocs)], 0, d.span)
+		q := core.Query{Kind: core.KindFlow, SLocs: d.slocs[i%len(d.slocs):][:1], Te: d.span}
+		if _, err := eng.Do(context.Background(), d.table, q); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -200,9 +211,7 @@ func BenchmarkTopKAlgorithms(b *testing.B) {
 			b.ReportAllocs()
 			eng := core.NewEngine(d.building.Space, core.Options{})
 			for i := 0; i < b.N; i++ {
-				if _, _, err := eng.TopK(d.table, d.slocs, 3, 0, d.span, algo.a); err != nil {
-					b.Fatal(err)
-				}
+				benchTopK(b, eng, d.table, d.slocs, 3, 0, d.span, algo.a)
 			}
 		})
 	}
@@ -270,9 +279,7 @@ func BenchmarkTopKWorkers(b *testing.B) {
 				})
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, _, err := eng.TopK(d.table, d.slocs, 5, 0, d.span, algo.a); err != nil {
-						b.Fatal(err)
-					}
+					benchTopK(b, eng, d.table, d.slocs, 5, 0, d.span, algo.a)
 				}
 			})
 		}
@@ -291,42 +298,31 @@ func BenchmarkTopKPresenceCache(b *testing.B) {
 			eng := core.NewEngine(d.building.Space, core.Options{DisableCache: !cached})
 			if cached {
 				// Populate the cache outside the timed region.
-				if _, _, err := eng.TopK(d.table, d.slocs, 5, 0, d.span, core.AlgoNestedLoop); err != nil {
-					b.Fatal(err)
-				}
+				benchTopK(b, eng, d.table, d.slocs, 5, 0, d.span, core.AlgoNestedLoop)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := eng.TopK(d.table, d.slocs, 5, 0, d.span, core.AlgoNestedLoop); err != nil {
-					b.Fatal(err)
-				}
+				benchTopK(b, eng, d.table, d.slocs, 5, 0, d.span, core.AlgoNestedLoop)
 			}
 		})
 	}
 }
 
-// BenchmarkMonitorSlidingWindow measures the continuous monitor's
-// overlapping-window evaluation, where the presence cache reuses every
-// object whose records are shared between consecutive windows.
-func BenchmarkMonitorSlidingWindow(b *testing.B) {
-	b.ReportAllocs()
-	d := parallelData(b)
-	eng := core.NewEngine(d.building.Space, core.Options{})
-	mon, err := eng.NewMonitor(d.slocs, 5, 1800)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < d.table.Len(); i++ {
-		if err := mon.Observe(d.table.Record(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		now := iupt.Time(1800 + (i%100)*10)
-		if _, _, err := mon.Current(now); err != nil {
-			b.Fatal(err)
-		}
+// handoffLocker is the ingest lock of BenchmarkIncrementalUpdate's table. The
+// writer locks the embedded mutex directly; the feed's monitor unlocks through
+// Unlock, which leaves a token, so the benchmark can sleep until the monitor
+// has read the table instead of spinning on MonitorStats (whose allocations
+// would land in allocs/op).
+type handoffLocker struct {
+	sync.Mutex
+	read chan struct{} // cap 1: a token means "read since you last looked"
+}
+
+func (l *handoffLocker) Unlock() {
+	l.Mutex.Unlock()
+	select {
+	case l.read <- struct{}{}:
+	default:
 	}
 }
 
@@ -335,9 +331,8 @@ func BenchmarkMonitorSlidingWindow(b *testing.B) {
 // is brought up to date. The incremental path splices the record into the
 // retained per-object state and recomputes only the perturbed object; the
 // full path re-evaluates the whole window from scratch (cache disabled —
-// the cost a poll-style client pays per refresh without retained state).
-// The incremental sub-benchmark must stay an order of magnitude cheaper;
-// scripts/bench_regression.sh tracks both.
+// the cost a polling client pays per refresh without retained state).
+// The incremental sub-benchmark must stay an order of magnitude cheaper.
 func BenchmarkIncrementalUpdate(b *testing.B) {
 	d := parallelData(b)
 	const window = iupt.Time(1800)
@@ -350,27 +345,35 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 	b.Run("incremental", func(b *testing.B) {
 		b.ReportAllocs()
 		eng := core.NewEngine(d.building.Space, core.Options{})
-		mon, err := eng.NewMonitor(d.slocs, 5, window)
+		tb := iupt.NewTable()
+		for i := 0; i < d.table.Len(); i++ {
+			tb.Append(d.table.Record(i))
+		}
+		bar := &handoffLocker{read: make(chan struct{}, 1)}
+		sub, err := eng.Subscribe(context.Background(), core.SubscribeConfig{Table: tb, Barrier: bar},
+			core.Query{Kind: core.KindTopK, Algorithm: core.AlgoBestFirst, K: 5, Window: window, SLocs: d.slocs})
 		if err != nil {
 			b.Fatal(err)
 		}
-		defer mon.Close()
-		for i := 0; i < d.table.Len(); i++ {
-			if err := mon.Observe(d.table.Record(i)); err != nil {
-				b.Fatal(err)
+		defer sub.Close()
+		evals := eng.MonitorStats()[0].Evals // 1: Subscribe built the window state
+		ingest := func(rec iupt.Record) {
+			bar.Mutex.Lock()
+			tb.Append(rec)
+			eng.NotifyAppend(tb, []iupt.Record{rec}, tb.Len())
+			bar.Mutex.Unlock()
+			// Wait for the evaluation, not for a push: a record that leaves
+			// the ranking unchanged evaluates but pushes nothing. Once the
+			// monitor has read the table, MonitorStats blocks on the monitor's
+			// lock until the evaluation is done.
+			for evals++; eng.MonitorStats()[0].Evals < evals; {
+				<-bar.read
 			}
 		}
-		if _, _, err := mon.Current(now); err != nil {
-			b.Fatal(err) // build the retained window state outside the timer
-		}
+		ingest(feed(0)) // slide the window to end at now outside the timer
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := mon.Observe(feed(i)); err != nil {
-				b.Fatal(err)
-			}
-			if _, _, err := mon.Current(now); err != nil {
-				b.Fatal(err)
-			}
+			ingest(feed(i + 1))
 		}
 	})
 	b.Run("full", func(b *testing.B) {
@@ -383,9 +386,7 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			tb.Append(feed(i))
-			if _, _, err := eng.TopK(tb, d.slocs, 5, now-window, now, core.AlgoBestFirst); err != nil {
-				b.Fatal(err)
-			}
+			benchTopK(b, eng, tb, d.slocs, 5, now-window, now, core.AlgoBestFirst)
 		}
 	})
 }
@@ -414,7 +415,7 @@ func BenchmarkEndToEndPipeline(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := sys.TopK(sys.AllSLocations(), 3, 0, 600, tkplq.BestFirst); err != nil {
+		if _, err := sys.Do(context.Background(), tkplq.Query{Algorithm: tkplq.BestFirst, K: 3, Te: 600, SLocs: sys.AllSLocations()}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -493,7 +494,8 @@ func BenchmarkQueryStampede(b *testing.B) {
 					wg.Add(1)
 					go func() {
 						defer wg.Done()
-						if _, _, err := eng.TopK(d.table, d.slocs, 5, 0, d.span, core.AlgoNestedLoop); err != nil {
+						q := core.Query{Algorithm: core.AlgoNestedLoop, K: 5, Te: d.span, SLocs: d.slocs}
+						if _, err := eng.Do(context.Background(), d.table, q); err != nil {
 							b.Error(err)
 						}
 					}()

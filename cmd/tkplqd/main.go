@@ -1,18 +1,21 @@
 // Command tkplqd is the TkPLQ serving daemon: it loads (or generates) an
 // indoor mobility dataset and serves continuous queries over HTTP.
 //
-//	POST /v1/query    {"kind":"topk","algorithm":"bf","k":5,"ts":0,"te":0,"slocs":[]}
-//	POST /v2/query    same shape plus per-query options (workers, no_cache,
-//	                  no_coalesce, oid for kind "presence"); send a JSON array
-//	                  to evaluate a shared-work batch in one request
+//	POST /v2/query    {"kind":"topk","algorithm":"bf","k":5,"ts":0,"te":0,"slocs":[]}
+//	                  plus per-query options (workers, no_cache, no_coalesce,
+//	                  oid for kind "presence"); send a JSON array to evaluate
+//	                  a shared-work batch in one request
 //	POST /v1/ingest   {"records":[{"oid":1,"t":120,"samples":[{"ploc":4,"prob":0.6},...]}]}
 //	POST /v1/snapshot seal the live head into a partition (needs -data-dir)
+//	POST /v1/compact  merge runs of small sealed partitions (needs -data-dir)
 //	GET  /v2/subscribe?window=900&k=5[&slocs=1,2][&algorithm=bf]
 //	                  Server-Sent Events stream of live ranking changes over
 //	                  the trailing window; identical subscriptions share one
 //	                  incrementally-maintained monitor
 //	GET  /v1/stats
-//	GET  /healthz
+//	GET  /healthz, /readyz
+//	POST /v2/partial, GET /v2/span, POST /v2/replicate, /v2/replicate/ack,
+//	     /v2/promote  cluster-internal (router fan-in, replication, failover)
 //
 // Every request is evaluated under its own context: the request-timeout
 // budget and the client connection are the cancellation sources, so a

@@ -80,7 +80,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Fatalf("healthz = %d", resp.StatusCode)
 	}
 
-	qresp, err := http.Post(base+"/v1/query", "application/json",
+	qresp, err := http.Post(base+"/v2/query", "application/json",
 		strings.NewReader(`{"kind":"topk","algorithm":"bf","k":3}`))
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +191,7 @@ func TestDaemonDurableRestart(t *testing.T) {
 	}
 	query := func(base string) ([]byte, int) {
 		t.Helper()
-		resp, err := http.Post(base+"/v1/query", "application/json",
+		resp, err := http.Post(base+"/v2/query", "application/json",
 			strings.NewReader(`{"kind":"topk","algorithm":"bf","k":5,"te":800}`))
 		if err != nil {
 			t.Fatal(err)
@@ -269,14 +269,16 @@ func TestBuildSystemFromFile(t *testing.T) {
 
 	// The two systems answer identically over the same data.
 	q := sys.AllSLocations()
-	a, _, err := sys.TopK(q, 3, 0, 600, tkplq.BestFirst)
+	query := tkplq.Query{Algorithm: tkplq.BestFirst, K: 3, Te: 600, SLocs: q}
+	ra, err := sys.Do(context.Background(), query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := loaded.TopK(q, 3, 0, 600, tkplq.BestFirst)
+	rb, err := loaded.Do(context.Background(), query)
 	if err != nil {
 		t.Fatal(err)
 	}
+	a, b := ra.Results, rb.Results
 	if len(a) != len(b) {
 		t.Fatalf("rankings differ in length: %d vs %d", len(a), len(b))
 	}
@@ -395,7 +397,7 @@ func TestDaemonPartitionedRestart(t *testing.T) {
 				Flow float64 `json:"flow"`
 			} `json:"results"`
 		}
-		if err := json.Unmarshal(post(base, "/v1/query", queryBody), &body); err != nil {
+		if err := json.Unmarshal(post(base, "/v2/query", queryBody), &body); err != nil {
 			t.Fatal(err)
 		}
 		b, err := json.Marshal(body.Results)

@@ -136,8 +136,11 @@ func ExampleSystem_Ingest() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	flow, _ := restarted.Flow(fig.SLocs[5], 1, 8)
-	fmt.Printf("recovered %d records, Θ(r6)=%.2f\n", table.Len(), flow)
+	resp, err := restarted.Do(context.Background(), tkplq.Query{Kind: tkplq.KindFlow, SLocs: []tkplq.SLocID{fig.SLocs[5]}, Ts: 1, Te: 8})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("recovered %d records, Θ(r6)=%.2f\n", table.Len(), resp.Flow)
 	// Output:
 	// recovered 10 records, Θ(r6)=1.97
 }

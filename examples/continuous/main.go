@@ -5,9 +5,7 @@
 //
 // This example replays a simulated morning through System.Subscribe: records
 // are ingested in time order and the live feed pushes a fresh top-3 whenever
-// the ranking over the trailing 15 minutes changes. At the end it polls the
-// same system once through the deprecated Monitor.Current surface to show
-// both views agree bit-for-bit.
+// the ranking over the trailing 15 minutes changes.
 //
 // Run with:
 //
@@ -102,24 +100,4 @@ func main() {
 		}
 		fmt.Printf("   (%d objects in window)\n", last.Stats.ObjectsTotal)
 	}
-
-	// The deprecated polling surface rides the same shared table and the same
-	// incremental engine, so it answers identically to the last push.
-	mon, err := sys.NewMonitor(sys.AllSLocations(), 3, 15*60)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer mon.Close()
-	res, _, err := mon.Current(last.Te)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\npolling view at t=%dmin agrees: ", last.Te/60)
-	for i, r := range res {
-		if i > 0 {
-			fmt.Print("  |  ")
-		}
-		fmt.Printf("%d. %-3s %5.1f", i+1, building.Space.SLocation(r.SLoc).Name, r.Flow)
-	}
-	fmt.Println()
 }

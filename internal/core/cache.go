@@ -16,7 +16,7 @@ import (
 // S-location q in O(1), so one entry serves all locations of all queries).
 //
 // Two query windows that see the same records for an object (the common case
-// for repeated queries and for a Monitor's overlapping sliding windows) map
+// for repeated queries and for a subscription's overlapping sliding windows) map
 // to the same entry and skip reduction and summarization entirely. Hash
 // collisions are harmless: every hit is verified against the stored sequence
 // before use.
@@ -168,13 +168,6 @@ func (c *summaryCache) insertLocked(key cacheKey, en *cacheEntry) {
 	c.cur[key] = en
 }
 
-// invalidate drops every entry of one object (called when new records for
-// the object are observed, so windows that now see different data cannot pin
-// stale memory).
-func (c *summaryCache) invalidate(oid iupt.ObjectID) {
-	c.invalidateRange(oid, 0, iupt.Time(math.MaxInt64))
-}
-
 // invalidateRange drops the object's entries whose interval overlaps
 // [lo, hi] — the time span of the records just ingested for it. Entries
 // over disjoint windows still see exactly the records they were computed
@@ -235,8 +228,8 @@ type CacheStats struct {
 	Entries int
 	// Hits and Misses count summary lookups over the engine's lifetime.
 	Hits, Misses int64
-	// Invalidations counts per-object invalidations (one per observed
-	// record routed through Monitor.Observe).
+	// Invalidations counts per-object range invalidations (one per object
+	// touched by an ingested batch; see Engine.InvalidateObjectRange).
 	Invalidations int64
 	// Coalesced counts queries over the engine's lifetime that were served
 	// by joining a concurrent identical caller's in-flight evaluation, and
@@ -282,17 +275,6 @@ func (e *Engine) CacheStats() CacheStats {
 		co.mu.Unlock()
 	}
 	return out
-}
-
-// InvalidateObject drops the cached presence summaries of one object. Monitor
-// calls this on Observe; callers that mutate an external table out-of-band
-// can call it directly. It is a no-op when the cache is disabled (stale
-// entries are never served regardless — every hit is content-verified — so
-// invalidation is about reclaiming memory promptly, not correctness).
-func (e *Engine) InvalidateObject(oid iupt.ObjectID) {
-	if e.cache != nil {
-		e.cache.invalidate(oid)
-	}
 }
 
 // InvalidateObjectRange drops the object's cached summaries whose window

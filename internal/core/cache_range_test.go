@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"tkplq/internal/iupt"
@@ -50,10 +51,10 @@ func TestInvalidateRangeKeepsDisjointWindows(t *testing.T) {
 		t.Error("boundary-touching windows survived invalidation")
 	}
 
-	// The full-range form still clears everything for the object.
-	c.invalidate(1)
+	// A range covering all time clears everything for the object.
+	c.invalidateRange(1, 0, math.MaxInt64)
 	if n := c.entriesFor(1); n != 0 {
-		t.Errorf("object 1 has %d entries after full invalidate", n)
+		t.Errorf("object 1 has %d entries after an all-time invalidate", n)
 	}
 	if n := c.entriesFor(2); n != 1 {
 		t.Errorf("object 2 has %d entries, want 1", n)

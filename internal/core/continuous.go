@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"slices"
 	"sync"
 
@@ -10,11 +9,11 @@ import (
 	"tkplq/internal/iupt"
 )
 
-// Monitor answers the *online, continuous* variant of the top-k popular
+// monitor answers the *online, continuous* variant of the top-k popular
 // location query that the paper's §7 leaves as future work: positioning
-// records stream in, and at any moment the k most popular S-locations over
-// a sliding window of the recent past can be requested (Current) or pushed
-// (Subscribe).
+// records stream in, and the k most popular S-locations over a sliding window
+// of the recent past are pushed to the subscriptions sharing the monitor
+// (Engine.Subscribe is the only way to create one).
 //
 // Evaluation is incremental. The monitor retains the per-object positioning
 // sequences and presence summaries of its current window; an ingested record
@@ -33,13 +32,14 @@ import (
 // bit-identical to a from-scratch evaluation of the same window, at every
 // worker count, for all three algorithms.
 //
-// A Monitor either owns a private table (Engine.NewMonitor) or sits on a
-// shared one (Engine.OpenMonitor, Engine.Subscribe): appends to a shared
-// table are announced with Engine.NotifyAppend under the owner's ingest
-// lock, which doubles as the monitor's read barrier — table reads during a
-// rebuild happen under it, so every record is reflected in the monitor's
-// state exactly once. Monitor is safe for concurrent use.
-type Monitor struct {
+// The window's horizon is the data's: nobody supplies a "now". Appends to the
+// watched table are announced with Engine.NotifyAppend under the owner's
+// ingest lock, which doubles as the monitor's read barrier, and one hold of
+// that barrier drains the mailbox, derives the window end from what it
+// drained, reads the table and fixes the covered record count — so every
+// record is reflected in the monitor's state exactly once, and an update's
+// Records and [Ts, Te] describe the same prefix of the table.
+type monitor struct {
 	eng      *Engine
 	table    *iupt.Table
 	query    []indoor.SLocID        // canonical (ascending) query set
@@ -48,19 +48,16 @@ type Monitor struct {
 	k        int
 	window   iupt.Time
 	algo     Algorithm
-	barrier  sync.Locker               // serializes table reads with the owner's appends
-	ingest   func([]iupt.Record) error // Observe route for shared tables; nil = private append
-	legacy   bool                      // created via NewMonitor/OpenMonitor: lives until Close
-	id       uint64                    // registry order, for deterministic MonitorStats
-	refs     int                       // live subscriptions; guarded by eng.mons.mu
-	key      *monitorKey               // coalescing key while registered; guarded by eng.mons.mu
+	barrier  sync.Locker // serializes table reads with the owner's appends
+	id       uint64      // registry order, for deterministic MonitorStats
+	refs     int         // live subscriptions; guarded by eng.mons.mu
+	key      *monitorKey // coalescing key while registered; guarded by eng.mons.mu
 
 	// pendMu guards the notification mailbox. It is a leaf lock: enqueue runs
 	// under the owner's ingest lock and must never wait on an evaluation.
 	pendMu   sync.Mutex
 	pending  []pendingBatch
-	pendLen  int       // table length already covered by window state + mailbox
-	pendMaxT iupt.Time // latest timestamp sitting in the mailbox
+	pendLen  int // table length already covered by window state + mailbox
 	observed int
 	wake     chan struct{} // cap 1; kicks the subscription eval loop
 
@@ -94,57 +91,9 @@ type pendingBatch struct {
 	lenAfter int
 }
 
-// MonitorConfig opens a Monitor over a shared table (see Engine.OpenMonitor).
-type MonitorConfig struct {
-	// Table is the table the monitor watches. Required.
-	Table *iupt.Table
-	// Barrier serializes the monitor's table reads with the owner's append
-	// path; appends and their NotifyAppend announcement must happen under it.
-	// nil selects a private mutex (correct only if all appends flow through
-	// Observe).
-	Barrier sync.Locker
-	// Ingest, when set, is where Observe routes records (e.g. System.Ingest,
-	// so observed records are WAL-durable and visible to queries). The
-	// function must append to Table and announce via Engine.NotifyAppend.
-	// nil makes Observe append to Table directly.
-	Ingest func([]iupt.Record) error
-}
-
-// NewMonitor creates a continuous monitor over the query set with a sliding
-// window of the given length (seconds), backed by a private table: only
-// records fed through Observe are visible to it.
-//
-// Deprecated: private-table monitors predate the shared-table incremental
-// engine. Open a monitor on the live table with Engine.OpenMonitor, or
-// stream ranking changes with Engine.Subscribe; Observe/Current keep working
-// on both.
-func (e *Engine) NewMonitor(query []indoor.SLocID, k int, window iupt.Time) (*Monitor, error) {
-	return e.OpenMonitor(MonitorConfig{Table: iupt.NewTable()}, query, k, window)
-}
-
-// OpenMonitor creates a continuous monitor over cfg.Table. The monitor is
-// registered for Engine.NotifyAppend dispatch and evaluates incrementally;
-// it holds its registration until Close.
-func (e *Engine) OpenMonitor(cfg MonitorConfig, query []indoor.SLocID, k int, window iupt.Time) (*Monitor, error) {
-	if cfg.Table == nil {
-		return nil, fmt.Errorf("core: monitor needs a table")
-	}
-	if window <= 0 {
-		return nil, fmt.Errorf("core: monitor window must be positive, got %d", window)
-	}
-	k, err := e.validateTopK(query, k)
-	if err != nil {
-		return nil, err
-	}
-	m := e.newMonitor(cfg, canonicalSLocs(query), k, window, AlgoBestFirst)
-	m.legacy = true
-	e.mons.register(m, nil)
-	return m, nil
-}
-
 // newMonitor assembles a monitor; query must be canonical and validated.
-func (e *Engine) newMonitor(cfg MonitorConfig, query []indoor.SLocID, k int, window iupt.Time, algo Algorithm) *Monitor {
-	m := &Monitor{
+func (e *Engine) newMonitor(cfg SubscribeConfig, query []indoor.SLocID, k int, window iupt.Time, algo Algorithm) *monitor {
+	m := &monitor{
 		eng:      e,
 		table:    cfg.Table,
 		query:    query,
@@ -154,7 +103,6 @@ func (e *Engine) newMonitor(cfg MonitorConfig, query []indoor.SLocID, k int, win
 		window:   window,
 		algo:     algo,
 		barrier:  cfg.Barrier,
-		ingest:   cfg.Ingest,
 		wake:     make(chan struct{}, 1),
 		subs:     make(map[int]*Subscription),
 	}
@@ -168,54 +116,11 @@ func (e *Engine) newMonitor(cfg MonitorConfig, query []indoor.SLocID, k int, win
 	return m
 }
 
-// Observe ingests one positioning record. Records may arrive out of order.
-// On a shared-table monitor the record flows through the owner's ingest path
-// (so it is validated, persisted and announced exactly like any other
-// ingest); on a private-table monitor it is validated, appended and
-// announced locally. Either way the engine's cached presence summaries for
-// the record's object are invalidated — windows that now see different data
-// for the object must recompute it, while other objects' cached work keeps
-// serving overlapping-window evaluations.
-//
-// Deprecated: Observe remains for the poll-style Monitor API. New code
-// should ingest through the table owner (e.g. System.Ingest) and consume
-// ranking changes via Subscribe.
-func (m *Monitor) Observe(rec iupt.Record) error {
-	if m.ingest != nil {
-		return m.ingest([]iupt.Record{rec})
-	}
-	if err := rec.Samples.Validate(); err != nil {
-		return err
-	}
-	m.barrier.Lock()
-	m.table.Append(rec)
-	m.enqueue([]iupt.Record{rec}, m.table.Len())
-	m.barrier.Unlock()
-	m.eng.InvalidateObject(rec.OID)
-	return nil
-}
-
-// ObserveBatch ingests many records at once (one owner-ingest batch on a
-// shared-table monitor).
-//
-// Deprecated: see Observe.
-func (m *Monitor) ObserveBatch(recs []iupt.Record) error {
-	if m.ingest != nil {
-		return m.ingest(recs)
-	}
-	for _, rec := range recs {
-		if err := m.Observe(rec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // enqueue files one announced append into the mailbox. Must run under the
 // monitor's barrier (the owner's ingest lock), which makes the lenAfter
 // dedupe exact: a batch whose range is already covered by the last table
 // snapshot the monitor read — or by an earlier mailbox entry — is dropped.
-func (m *Monitor) enqueue(recs []iupt.Record, lenAfter int) {
+func (m *monitor) enqueue(recs []iupt.Record, lenAfter int) {
 	m.pendMu.Lock()
 	if lenAfter <= m.pendLen {
 		m.pendMu.Unlock()
@@ -224,11 +129,6 @@ func (m *Monitor) enqueue(recs []iupt.Record, lenAfter int) {
 	m.pending = append(m.pending, pendingBatch{recs: recs, lenAfter: lenAfter})
 	m.pendLen = lenAfter
 	m.observed += len(recs)
-	for _, rec := range recs {
-		if rec.T > m.pendMaxT {
-			m.pendMaxT = rec.T
-		}
-	}
 	m.pendMu.Unlock()
 	select {
 	case m.wake <- struct{}{}:
@@ -236,72 +136,29 @@ func (m *Monitor) enqueue(recs []iupt.Record, lenAfter int) {
 	}
 }
 
-// Observed returns the number of records announced to the monitor so far
-// (its own Observes plus, on a shared table, every other ingest since the
-// monitor attached).
-func (m *Monitor) Observed() int {
+// Observed returns the number of records announced to the monitor since it
+// attached.
+func (m *monitor) Observed() int {
 	m.pendMu.Lock()
 	defer m.pendMu.Unlock()
 	return m.observed
 }
 
-// Window returns the sliding-window length.
-func (m *Monitor) Window() iupt.Time { return m.window }
-
-// Close releases the monitor: it stops the subscription eval loop, closes
-// every remaining subscription and deregisters from the engine, so later
-// ingests no longer reach it. Idempotent. Monitors handed out by Subscribe
-// close themselves when their last subscription does; explicitly created
-// monitors (NewMonitor, OpenMonitor) should be closed when done.
-func (m *Monitor) Close() {
-	m.eng.mons.drop(m)
-	m.shutdown()
-}
-
-// shutdown stops the loop and closes subscribers; deregistration is the
-// caller's concern (registry callbacks arrive here already deregistered).
-func (m *Monitor) shutdown() {
+// shutdown stops the eval loop. Its one caller is the registry's release of
+// the last reference, and a subscription detaches before it releases, so
+// there is never a subscriber left to close here.
+func (m *monitor) shutdown() {
 	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return
-	}
+	defer m.mu.Unlock()
 	m.closed = true
 	if m.loopStop != nil {
 		close(m.loopStop)
 		m.loopStop = nil
 	}
-	subs := make([]*Subscription, 0, len(m.subs))
-	for _, sub := range m.subs {
-		subs = append(subs, sub)
-	}
-	m.subs = make(map[int]*Subscription)
-	for _, sub := range subs {
-		close(sub.ch)
-	}
-	m.mu.Unlock()
-	for _, sub := range subs {
-		sub.markDone()
-	}
-}
-
-// Current evaluates the top-k over the window [now-window, now],
-// incrementally against the monitor's retained state. Repeated calls with
-// the same now and no interleaved ingest return the retained result without
-// recomputing anything. The answer is bit-identical to a from-scratch
-// evaluation (any algorithm) of the same window on the monitor's table.
-func (m *Monitor) Current(now iupt.Time) ([]Result, Stats, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return nil, Stats{}, fmt.Errorf("core: monitor is closed")
-	}
-	m.refreshLocked(now)
-	return append([]Result(nil), m.results...), m.stats, nil
 }
 
 // hasPending reports whether the mailbox holds unprocessed batches.
-func (m *Monitor) hasPending() bool {
+func (m *monitor) hasPending() bool {
 	m.pendMu.Lock()
 	defer m.pendMu.Unlock()
 	return len(m.pending) > 0
@@ -309,44 +166,51 @@ func (m *Monitor) hasPending() bool {
 
 // drainPending empties the mailbox. Must run under the barrier so no new
 // batch can slip between the drain and the table read that follows it.
-func (m *Monitor) drainPending() []pendingBatch {
+func (m *monitor) drainPending() []pendingBatch {
 	m.pendMu.Lock()
 	defer m.pendMu.Unlock()
 	out := m.pending
 	m.pending = nil
-	m.pendMaxT = 0
 	return out
 }
 
-// refreshLocked brings the window state to [now-window, now]. Caller holds
-// m.mu.
-func (m *Monitor) refreshLocked(now iupt.Time) {
-	ts := now - m.window
-	if ts < 0 {
-		ts = 0
-	}
-	if m.built && ts == m.ts && now == m.te && !m.hasPending() {
+// coverLocked records that the window state reflects the whole table as it
+// stands. Caller holds m.mu and the barrier, which is what makes the count,
+// the drained mailbox and the table read around it one cut.
+func (m *monitor) coverLocked() {
+	m.covered = m.table.Len()
+	m.pendMu.Lock()
+	m.pendLen = m.covered
+	m.pendMu.Unlock()
+}
+
+// refreshLocked brings the window state up to the data: [te-window, te] with
+// te the latest record timestamp announced so far. Nothing but an announced
+// append can move it, so a built monitor with an empty mailbox is current.
+// Caller holds m.mu.
+func (m *monitor) refreshLocked() {
+	switch {
+	case !m.built:
+		m.rebuildLocked()
+	case m.hasPending():
+		m.advanceLocked()
+	default:
 		return // retained result is current
-	}
-	if !m.built {
-		m.rebuildLocked(ts, now)
-	} else {
-		m.advanceLocked(ts, now)
 	}
 	m.rerankLocked()
 	m.evals++
 }
 
 // rebuildLocked builds the window state from scratch — the once-per-monitor
-// full pass every later evaluation deltas against.
-func (m *Monitor) rebuildLocked(ts, te iupt.Time) {
+// full pass every later evaluation deltas against. The horizon is the
+// table's upper time bound (0 for an empty table).
+func (m *monitor) rebuildLocked() {
 	m.barrier.Lock()
 	m.drainPending() // everything announced so far is in the snapshot below
+	_, te, _ := m.table.TimeSpan()
+	ts := max(te-m.window, 0)
 	recs := m.table.RecordsInRange(ts, te)
-	m.covered = m.table.Len()
-	m.pendMu.Lock()
-	m.pendLen = m.covered
-	m.pendMu.Unlock()
+	m.coverLocked()
 	m.barrier.Unlock()
 
 	m.seqs = make(map[iupt.ObjectID]iupt.Sequence)
@@ -359,100 +223,85 @@ func (m *Monitor) rebuildLocked(ts, te iupt.Time) {
 	m.stats = m.recomputeLocked(m.oids)
 }
 
-// advanceLocked slides the window from [m.ts, m.te] to [ts, te] and splices
-// in the mailbox, dirtying only the objects whose visible records changed:
+// advanceLocked slides the window forward to the latest timestamp in the
+// mailbox and splices the mailbox in, dirtying only the objects whose visible
+// records changed. The horizon never decreases (it is the maximum of the old
+// one and the drained timestamps), so neither does the window start, and the
+// three sources of change are each one-sided:
 //
-//   - records leaving the window are a prefix/suffix of their object's
-//     retained sequence (sequences are time-ordered) and are trimmed off;
-//   - records entering the window are fetched with binary search on the
-//     table's sorted snapshot (the window-edge delta intervals) and
-//     prepended/appended in canonical order;
-//   - mailbox records inside the stable region are spliced in at their
-//     canonical position (after retained same-timestamp records — arrival
-//     order, exactly where a fresh stable sort would put them); mailbox
-//     records inside an entering interval are dropped here because the delta
-//     fetch already covers them, and records outside the new window are
-//     dropped because a later slide's delta fetch will find them in the
-//     table.
+//   - records leaving the window are a prefix of their object's retained
+//     sequence (sequences are time-ordered) and are trimmed off;
+//   - records entering the window all lie in the one interval
+//     [max(oldTe+1, ts), te] — the whole new window on a disjoint jump — and
+//     are fetched with binary search on the table's sorted snapshot, then
+//     appended in canonical order;
+//   - mailbox records in the stable region, ts ≤ T ≤ oldTe, are spliced in at
+//     their canonical position (after retained same-timestamp records —
+//     arrival order, exactly where a fresh stable sort would put them);
+//     mailbox records beyond oldTe are dropped here because the entering
+//     fetch already covers them, and records behind the window are dropped
+//     because no later window reaches back to them.
 //
 // Objects untouched by all three sources keep their sequences — provably
 // equal to a fresh fetch — and their summaries. Only dirty objects are
 // re-reduced and re-summarized.
-func (m *Monitor) advanceLocked(ts, te iupt.Time) {
-	oldTs, oldTe := m.ts, m.te
+func (m *monitor) advanceLocked() {
+	oldTe := m.te
 	dirty := make(map[iupt.ObjectID]bool)
 
 	m.barrier.Lock()
 	batches := m.drainPending()
-	// Entering intervals: parts of [ts, te] outside [oldTs, oldTe]. The
-	// intervals are discrete (Time is integral), so the boundaries are exact.
-	var entering [][]iupt.Record
-	addEntering := func(lo, hi iupt.Time) {
-		if lo > hi {
-			return
-		}
-		if recs := m.table.RecordsInRange(lo, hi); len(recs) > 0 {
-			entering = append(entering, recs)
+	te := oldTe
+	for _, b := range batches {
+		for _, rec := range b.recs {
+			te = max(te, rec.T)
 		}
 	}
-	if te < oldTs || ts > oldTe {
-		addEntering(ts, te) // disjoint slide: the whole new window enters
-	} else {
-		addEntering(ts, min(oldTs-1, te))
-		addEntering(max(oldTe+1, ts), te)
+	ts := max(te-m.window, 0)
+	// Time is integral, so oldTe+1 is exactly the first instant the old
+	// window did not cover. When te did not move nothing enters, and the
+	// table (whose sorted view every append invalidates) is left alone.
+	var entering []iupt.Record
+	if te > oldTe {
+		entering = m.table.RecordsInRange(max(oldTe+1, ts), te)
 	}
-	m.covered = m.table.Len()
-	m.pendMu.Lock()
-	m.pendLen = m.covered
-	m.pendMu.Unlock()
+	m.coverLocked()
 	m.barrier.Unlock()
 
-	inEntering := func(t iupt.Time) bool {
-		if t < ts || t > te {
-			return false
-		}
-		return t < oldTs || t > oldTe
-	}
-
 	// Trim leaving records. An object has leaving records only if its
-	// retained sequence sticks out of the new window, so the scan touches
+	// retained sequence starts before the new window, so the scan touches
 	// exactly the objects the slide invalidates.
-	if ts > oldTs || te < oldTe {
+	if ts > m.ts {
 		for _, oid := range m.oids {
 			seq := m.seqs[oid]
-			lo, hi := 0, len(seq)
-			for lo < hi && seq[lo].T < ts {
+			lo := 0
+			for lo < len(seq) && seq[lo].T < ts {
 				lo++
 			}
-			for hi > lo && seq[hi-1].T > te {
-				hi--
-			}
-			if lo == 0 && hi == len(seq) {
+			if lo == 0 {
 				continue
 			}
 			dirty[oid] = true
-			if lo == hi {
+			if lo == len(seq) {
 				delete(m.seqs, oid)
 				continue
 			}
-			m.seqs[oid] = append(iupt.Sequence(nil), seq[lo:hi]...)
+			m.seqs[oid] = append(iupt.Sequence(nil), seq[lo:]...)
 		}
 	}
 
-	// Splice entering records (canonical order within each delta interval).
-	for _, recs := range entering {
-		for i := range recs {
-			oid := recs[i].OID
-			dirty[oid] = true
-			tss := iupt.TimedSampleSet{T: recs[i].T, Samples: recs[i].Samples}
-			m.seqs[oid] = spliceRecord(m.seqs[oid], tss)
-		}
+	// Append entering records: they come in canonical order and all lie
+	// beyond oldTe, hence after everything retained.
+	for i := range entering {
+		oid := entering[i].OID
+		dirty[oid] = true
+		m.seqs[oid] = append(m.seqs[oid], iupt.TimedSampleSet{T: entering[i].T, Samples: entering[i].Samples})
 	}
 
 	// Splice mailbox records that fall in the stable region.
 	for _, b := range batches {
 		for _, rec := range b.recs {
-			if rec.T < ts || rec.T > te || inEntering(rec.T) {
+			if rec.T < ts || rec.T > oldTe {
 				continue
 			}
 			dirty[rec.OID] = true
@@ -496,7 +345,7 @@ func spliceRecord(seq iupt.Sequence, tss iupt.TimedSampleSet) iupt.Sequence {
 // presence oracle (sharded across the worker pool, served from the engine
 // cache where sequences are unchanged in content) and returns the
 // evaluation's stats. Untouched objects keep their summaries.
-func (m *Monitor) recomputeLocked(dirtyList []iupt.ObjectID) Stats {
+func (m *monitor) recomputeLocked(dirtyList []iupt.ObjectID) Stats {
 	st := Stats{ObjectsTotal: len(m.seqs), Workers: 1}
 	if len(dirtyList) > 0 {
 		dirtySeqs := make(map[iupt.ObjectID]iupt.Sequence, len(dirtyList))
@@ -521,7 +370,7 @@ func (m *Monitor) recomputeLocked(dirtyList []iupt.ObjectID) Stats {
 // in canonical ascending object order — the same additions, in the same
 // order, as a from-scratch evaluation — and re-selects the ranking through
 // the bounded top-k heap. Caller holds m.mu.
-func (m *Monitor) rerankLocked() {
+func (m *monitor) rerankLocked() {
 	flows := make([]float64, len(m.cells))
 	for _, oid := range m.oids {
 		sum := m.sums[oid]

@@ -29,8 +29,9 @@
 // worker count, shard count and algorithm. A
 // content-verified presence/interval cache (Options.DisableCache,
 // Options.CacheCapacity) lets repeated and overlapping-window queries,
-// including the continuous Monitor, reuse per-(object, window) reductions
-// and summaries; Monitor.Observe invalidates the observed object's entries.
+// including the live feeds behind Subscribe, reuse per-(object, window)
+// reductions and summaries; an ingest invalidates the touched objects'
+// overlapping entries (InvalidateObjectRange).
 package core
 
 import (

@@ -1,31 +1,6 @@
 package core
 
-import (
-	"context"
-
-	"tkplq/internal/indoor"
-	"tkplq/internal/iupt"
-)
-
-// TopKDensity answers the size-aware variant the paper's §7 suggests as
-// future work ("study historical densities for indoor locations by
-// considering the impact of their sizes"): S-locations are ranked by flow
-// per square meter instead of raw flow, so a packed kiosk can outrank a
-// half-empty atrium. Result.Flow carries the density (objects/m²).
-//
-// Densities are derived from the shared pass (every location's flow is
-// needed, so Best-First's partial evaluation cannot help).
-// Concurrent identical calls share one evaluation (Options.DisableCoalescing,
-// Stats.Coalesced).
-// TopKDensity is the uncancellable legacy form of Do with KindDensity; use
-// Do to bound the evaluation with a context.
-func (e *Engine) TopKDensity(table *iupt.Table, q []indoor.SLocID, k int, ts, te iupt.Time) ([]Result, Stats, error) {
-	resp, err := e.Do(context.Background(), table, Query{Kind: KindDensity, K: k, Ts: ts, Te: te, SLocs: q})
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return resp.Results, resp.Stats, nil
-}
+import "tkplq/internal/indoor"
 
 // densityRank divides each location's flow by its floor area and re-ranks,
 // dropping zero-area locations. The finisher is its one caller.

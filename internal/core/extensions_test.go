@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sync"
@@ -10,139 +11,149 @@ import (
 	"tkplq/internal/iupt"
 )
 
+// TestMonitorValidation: Subscribe rejects every malformed feed request up
+// front, before any monitor exists.
 func TestMonitorValidation(t *testing.T) {
 	fig := indoor.Figure1Space()
 	e := NewEngine(fig.Space, Options{})
-	if _, err := e.NewMonitor(nil, 1, 10); err == nil {
-		t.Error("empty query should fail")
+	live := &liveTable{eng: e, tb: iupt.NewTable()}
+	ok := Query{Kind: KindTopK, Algorithm: AlgoBestFirst, K: 1, Window: 10, SLocs: fig.SLocs[:2]}
+	with := func(edit func(*Query)) Query {
+		q := ok
+		edit(&q)
+		return q
 	}
-	if _, err := e.NewMonitor(fig.SLocs[:1], 0, 10); err == nil {
-		t.Error("k=0 should fail")
+	for _, tc := range []struct {
+		name string
+		cfg  SubscribeConfig
+		q    Query
+	}{
+		{"nil table", SubscribeConfig{Barrier: &live.mu}, ok},
+		{"non-top-k kind", live.cfg(), with(func(q *Query) { q.Kind = KindFlow; q.SLocs = fig.SLocs[:1] })},
+		{"zero window", live.cfg(), with(func(q *Query) { q.Window = 0 })},
+		{"negative window", live.cfg(), with(func(q *Query) { q.Window = -5 })},
+		{"unknown algorithm", live.cfg(), with(func(q *Query) { q.Algorithm = Algorithm(9) })},
+		{"k = 0", live.cfg(), with(func(q *Query) { q.K = 0 })},
+		{"empty query set", live.cfg(), with(func(q *Query) { q.SLocs = nil })},
+		{"unknown S-location", live.cfg(), with(func(q *Query) { q.SLocs = []indoor.SLocID{99} })},
+		{"duplicate S-location", live.cfg(), with(func(q *Query) { q.SLocs = []indoor.SLocID{fig.SLocs[0], fig.SLocs[0]} })},
+	} {
+		if sub, err := e.Subscribe(context.Background(), tc.cfg, tc.q); err == nil {
+			sub.Close()
+			t.Errorf("%s: accepted", tc.name)
+		}
 	}
-	if _, err := e.NewMonitor(fig.SLocs[:1], 1, 0); err == nil {
-		t.Error("zero window should fail")
+	if st := e.MonitorStats(); len(st) != 0 {
+		t.Errorf("rejected subscriptions left %d monitors behind", len(st))
 	}
-	if _, err := e.NewMonitor([]indoor.SLocID{99}, 1, 10); err == nil {
-		t.Error("unknown S-location should fail")
-	}
-	m, err := e.NewMonitor(fig.SLocs[:2], 1, 10)
+	sub, err := e.Subscribe(context.Background(), live.cfg(), ok)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("well-formed subscription rejected: %v", err)
 	}
-	if m.Window() != 10 {
-		t.Errorf("Window = %d", m.Window())
-	}
-	if err := m.Observe(iupt.Record{OID: 1, T: 1, Samples: iupt.SampleSet{{Loc: 1, Prob: 0.5}}}); err == nil {
-		t.Error("invalid record should be rejected")
-	}
+	sub.Close()
 }
 
-// TestMonitorSlidingWindow replays the paper-example records through the
-// monitor and checks the window semantics: with the full example in the
-// window, the top-1 is r6; after the window slides past every record, flows
-// drop to zero.
+// TestMonitorSlidingWindow subscribes over the paper-example records and
+// checks the window semantics: with the full example in the window, the top-1
+// is r6; one far-future record slides the window past every example record,
+// and the flows drop to zero.
 func TestMonitorSlidingWindow(t *testing.T) {
 	f := newPaperFixture()
 	e := rawEngine(f, NormalizedValid, EngineDP)
-	m, err := e.NewMonitor([]indoor.SLocID{f.fig.SLocs[0], f.fig.SLocs[5]}, 1, 8)
+	live := &liveTable{eng: e, tb: f.table}
+	sub, err := e.Subscribe(context.Background(), live.cfg(), Query{
+		Kind: KindTopK, Algorithm: AlgoBestFirst, K: 1, Window: 8,
+		SLocs: []indoor.SLocID{f.fig.SLocs[0], f.fig.SLocs[5]},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < f.table.Len(); i++ {
-		if err := m.Observe(f.table.Record(i)); err != nil {
-			t.Fatal(err)
-		}
+	defer sub.Close()
+	first := awaitUpdate(t, sub, func(Update) bool { return true })
+	if first.Ts != 0 || first.Te != 8 || first.Records != f.table.Len() {
+		t.Fatalf("snapshot covers [%d, %d] over %d records, want [0, 8] over %d", first.Ts, first.Te, first.Records, f.table.Len())
 	}
-	if m.Observed() != f.table.Len() {
-		t.Fatalf("Observed = %d", m.Observed())
-	}
-	res, _, err := m.Current(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].SLoc != f.fig.SLocs[5] || res[0].Flow <= 0 {
+	if res := first.Results; res[0].SLoc != f.fig.SLocs[5] || res[0].Flow <= 0 {
 		t.Errorf("window [0,8] top-1 = %+v, want r6 with positive flow", res[0])
 	}
-	// Slide far past all records: nothing in window.
-	res2, _, err := m.Current(1000)
-	if err != nil {
-		t.Fatal(err)
+	// p3 borders r3 and r4 only, so the record itself adds nothing to r1/r6.
+	live.ingest(iupt.Record{OID: 7, T: 1000, Samples: iupt.SampleSet{{Loc: f.fig.PLocs[2], Prob: 1}}})
+	far := awaitUpdate(t, sub, func(u Update) bool { return u.Records == first.Records+1 })
+	if far.Ts != 992 || far.Te != 1000 {
+		t.Errorf("window after the far-future record = [%d, %d], want [992, 1000]", far.Ts, far.Te)
 	}
-	if res2[0].Flow != 0 {
-		t.Errorf("empty window flow = %v", res2[0].Flow)
+	if far.Results[0].Flow != 0 || far.Stats.ObjectsTotal != 1 {
+		t.Errorf("slid-past window: top flow %v over %d objects, want 0 over 1", far.Results[0].Flow, far.Stats.ObjectsTotal)
+	}
+	if st := e.MonitorStats(); len(st) != 1 || st[0].Observed != 1 {
+		t.Errorf("monitor stats = %+v, want one monitor that observed 1 record", st)
 	}
 }
 
+// TestMonitorCaching: a second identical subscriber is served the retained
+// result — its snapshot costs no evaluation — and a new record does.
 func TestMonitorCaching(t *testing.T) {
 	f := newPaperFixture()
 	e := rawEngine(f, NormalizedValid, EngineDP)
-	m, err := e.NewMonitor(f.fig.SLocs[:], 2, 8)
+	live := &liveTable{eng: e, tb: f.table}
+	q := Query{Kind: KindTopK, Algorithm: AlgoBestFirst, K: len(f.fig.SLocs), Window: 8, SLocs: f.fig.SLocs[:]}
+	subA, err := e.Subscribe(context.Background(), live.cfg(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < f.table.Len(); i++ {
-		if err := m.Observe(f.table.Record(i)); err != nil {
-			t.Fatal(err)
-		}
+	defer subA.Close()
+	a := awaitUpdate(t, subA, func(Update) bool { return true })
+	evals := e.MonitorStats()[0].Evals
+	if evals != 1 {
+		t.Fatalf("first snapshot took %d evaluations, want 1", evals)
 	}
-	a, _, err := m.Current(8)
+	subB, err := e.Subscribe(context.Background(), live.cfg(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := m.Current(8) // cached path
-	if err != nil {
-		t.Fatal(err)
+	defer subB.Close()
+	b := awaitUpdate(t, subB, func(Update) bool { return true })
+	bitEqual(t, "second subscriber's snapshot", b.Results, a.Results)
+	if st := e.MonitorStats(); len(st) != 1 || st[0].Subscribers != 2 || st[0].Evals != evals {
+		t.Errorf("after an identical second subscriber: %+v, want one monitor, 2 subscribers, still %d evals", st, evals)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Errorf("cached result differs at %d", i)
-		}
+	// A new record makes the retained result stale and changes r1's flow.
+	live.ingest(iupt.Record{OID: 9, T: 8, Samples: iupt.SampleSet{{Loc: f.fig.PLocs[6], Prob: 1.0}}})
+	c := awaitUpdate(t, subA, func(u Update) bool { return u.Records == a.Records+1 })
+	if len(c.Results) != len(a.Results) || resultsEqual(c.Results, a.Results) {
+		t.Fatalf("update after the new record = %+v, want the same size as and different flows from %+v", c.Results, a.Results)
 	}
-	// New observation invalidates the cache and can change the answer.
-	if err := m.Observe(iupt.Record{OID: 9, T: 8, Samples: iupt.SampleSet{{Loc: f.fig.PLocs[6], Prob: 1.0}}}); err != nil {
-		t.Fatal(err)
-	}
-	c, _, err := m.Current(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c) != len(a) {
-		t.Fatalf("result size changed")
+	if got := e.MonitorStats()[0].Evals; got != evals+1 {
+		t.Errorf("evals after one ingest = %d, want %d", got, evals+1)
 	}
 }
 
-// TestMonitorMatchesBatchQuery: the monitor's answer equals a direct TopK
-// over the same window.
+// TestMonitorMatchesBatchQuery: as the table grows, the monitor's answer
+// equals a direct TopK over the same window.
 func TestMonitorMatchesBatchQuery(t *testing.T) {
 	fig := indoor.Figure1Space()
 	rng := rand.New(rand.NewSource(33))
-	tb := randTable(rng, fig, 8, 30)
+	src := randTable(rng, fig, 8, 30)
 	e := NewEngine(fig.Space, Options{})
-	m, err := e.NewMonitor(fig.SLocs[:], 3, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < tb.Len(); i++ {
-		if err := m.Observe(tb.Record(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	live := &liveTable{eng: e, tb: iupt.NewTable()}
+	m := live.monitor(fig.SLocs[:], 3, 10)
+	next := 0
 	for _, now := range []iupt.Time{5, 10, 17, 30} {
-		got, _, err := m.Current(now)
-		if err != nil {
-			t.Fatal(err)
+		for ; next < src.Len() && src.Record(next).T <= now; next++ {
+			live.ingest(src.Record(next))
 		}
-		ts := now - 10
-		if ts < 0 {
-			ts = 0
+		got := current(m)
+		maxT := src.Record(next - 1).T // Record is time-ordered
+		if got.Te != maxT || got.Ts != max(0, maxT-10) {
+			t.Fatalf("now=%d: window = [%d, %d], want [%d, %d]", now, got.Ts, got.Te, max(0, maxT-10), maxT)
 		}
-		want, _, err := e.TopK(tb, fig.SLocs[:], 3, ts, now, AlgoBestFirst)
+		want, _, err := e.TopK(live.tb, fig.SLocs[:], 3, got.Ts, got.Te, AlgoBestFirst)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range want {
-			if got[i].SLoc != want[i].SLoc || math.Abs(got[i].Flow-want[i].Flow) > 1e-9 {
-				t.Errorf("now=%d rank %d: got %+v, want %+v", now, i, got[i], want[i])
+			if got.Results[i].SLoc != want[i].SLoc || math.Abs(got.Results[i].Flow-want[i].Flow) > 1e-9 {
+				t.Errorf("now=%d rank %d: got %+v, want %+v", now, i, got.Results[i], want[i])
 			}
 		}
 	}
@@ -151,17 +162,13 @@ func TestMonitorMatchesBatchQuery(t *testing.T) {
 func TestMonitorConcurrentUse(t *testing.T) {
 	fig := indoor.Figure1Space()
 	rng := rand.New(rand.NewSource(44))
-	tb := randTable(rng, fig, 6, 20)
+	src := randTable(rng, fig, 6, 20)
 	e := NewEngine(fig.Space, Options{})
-	m, err := e.NewMonitor(fig.SLocs[:], 2, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Snapshot the source records: Table lazily sorts on first read and is
-	// not itself a concurrent structure — Monitor is.
-	recs := make([]iupt.Record, tb.Len())
+	live := &liveTable{eng: e, tb: iupt.NewTable()}
+	m := live.monitor(fig.SLocs[:], 2, 10)
+	recs := make([]iupt.Record, src.Len())
 	for i := range recs {
-		recs[i] = tb.Record(i)
+		recs[i] = src.Record(i)
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -169,18 +176,18 @@ func TestMonitorConcurrentUse(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < len(recs); i += 4 {
-				if err := m.Observe(recs[i]); err != nil {
-					t.Error(err)
-					return
-				}
-				if _, _, err := m.Current(iupt.Time(10 + i%10)); err != nil {
-					t.Error(err)
+				live.ingest(recs[i])
+				if u := current(m); u.Records == 0 || u.Records > len(recs) {
+					t.Errorf("update covers %d records of %d", u.Records, len(recs))
 					return
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
+	if u := current(m); u.Records != len(recs) {
+		t.Errorf("final update covers %d records, want %d", u.Records, len(recs))
+	}
 }
 
 func TestTopKDensity(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -49,11 +50,14 @@ func TestSelectTopKMatchesRankTopK(t *testing.T) {
 	}
 }
 
-// TestIncrementalEquivalenceRandom drives a shared-table monitor through
-// random interleavings of out-of-order ingests and forward/backward window
-// slides, checking after every step that Current is bit-identical to a
-// from-scratch evaluation of the same window — for all three algorithms, at
-// multiple worker counts, for both a full ranking and a truncated top-k.
+// TestIncrementalEquivalenceRandom drives two monitors on one live table
+// through random out-of-order batches — records landing mid-window, behind
+// the window, just ahead of it, and far enough ahead to make the slide
+// disjoint — and checks after every step that the window is the data's
+// ([maxT-window, maxT] clamped at 0) and that the retained ranking is
+// bit-identical to a from-scratch evaluation of that window: for all three
+// algorithms, at crossed worker counts, for a full ranking and a truncated
+// top-k.
 func TestIncrementalEquivalenceRandom(t *testing.T) {
 	fig := indoor.Figure1Space()
 	for _, workers := range []int{1, 4} {
@@ -61,120 +65,114 @@ func TestIncrementalEquivalenceRandom(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			eng := NewEngine(fig.Space, Options{Workers: workers})
 			ref := NewEngine(fig.Space, Options{Workers: 5 - workers}) // cross worker counts
-			tb := iupt.NewTable()
-			var mu sync.Mutex // the owner's ingest lock = monitor barrier
-
-			ingest := func(recs []iupt.Record) {
-				mu.Lock()
-				for _, rec := range recs {
-					tb.Append(rec)
-				}
-				eng.NotifyAppend(tb, recs, tb.Len())
-				mu.Unlock()
-			}
+			live := &liveTable{eng: eng, tb: iupt.NewTable()}
 
 			q := append([]indoor.SLocID(nil), fig.SLocs[:]...)
 			const window = iupt.Time(10)
-			full, err := eng.OpenMonitor(MonitorConfig{Table: tb, Barrier: &mu}, q, len(q), window)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer full.Close()
-			top2, err := eng.OpenMonitor(MonitorConfig{Table: tb, Barrier: &mu}, q, 2, window)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer top2.Close()
+			full := live.monitor(q, len(q), window)
+			top2 := live.monitor(q, 2, window)
 
-			now := iupt.Time(5)
+			maxT := iupt.Time(0)
 			plocs := fig.PLocs[:]
 			for step := 0; step < 40; step++ {
-				// Ingest a small batch around (and sometimes well behind or
-				// ahead of) the current horizon, so slides see records
-				// entering, leaving, landing mid-window, and duplicates.
+				// Most steps ingest a small batch scattered around the
+				// horizon (−12 … +12: behind the window, inside it, a short
+				// slide ahead); one in six jumps more than a window ahead.
+				// A step without a batch must leave the monitors untouched.
 				if rng.Intn(4) > 0 {
+					jump := iupt.Time(0)
+					if rng.Intn(6) == 0 {
+						jump = window + 1 + iupt.Time(rng.Intn(20))
+					}
 					batch := make([]iupt.Record, rng.Intn(4)+1)
 					for i := range batch {
 						batch[i] = iupt.Record{
 							OID:     iupt.ObjectID(rng.Intn(5) + 1),
-							T:       max(0, now+iupt.Time(rng.Intn(25)-12)),
+							T:       max(0, maxT+jump+iupt.Time(rng.Intn(25)-12)),
 							Samples: randSampleSet(rng, plocs, 4),
 						}
+						maxT = max(maxT, batch[i].T)
 					}
-					ingest(batch)
-				}
-				// Slide: mostly forward, sometimes backward or jumping.
-				switch rng.Intn(6) {
-				case 0:
-					now = max(0, now-iupt.Time(rng.Intn(8))) // backward
-				case 1:
-					now += iupt.Time(rng.Intn(30)) // long jump (disjoint window)
-				default:
-					now += iupt.Time(rng.Intn(5))
+					live.ingest(batch...)
 				}
 
-				gotFull, _, err := full.Current(now)
-				if err != nil {
-					t.Fatal(err)
+				gotFull, got2 := current(full), current(top2)
+				ts := max(0, maxT-window)
+				for _, u := range []Update{gotFull, got2} {
+					if u.Ts != ts || u.Te != maxT || u.Records != live.tb.Len() {
+						t.Fatalf("workers %d seed %d step %d: update covers [%d, %d] over %d records, want [%d, %d] over %d",
+							workers, seed, step, u.Ts, u.Te, u.Records, ts, maxT, live.tb.Len())
+					}
 				}
-				got2, _, err := top2.Current(now)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ts := max(0, now-window)
 				for _, algo := range []Algorithm{AlgoNaive, AlgoNestedLoop, AlgoBestFirst} {
-					want, _, err := ref.TopK(tb, q, len(q), ts, now, algo)
+					want, _, err := ref.TopK(live.tb, q, len(q), ts, maxT, algo)
 					if err != nil {
 						t.Fatal(err)
 					}
-					bitEqual(t, algo.String()+" full", gotFull, want)
-					bitEqual(t, algo.String()+" top2", got2, want[:2])
+					bitEqual(t, algo.String()+" full", gotFull.Results, want)
+					bitEqual(t, algo.String()+" top2", got2.Results, want[:2])
 				}
 			}
 		}
 	}
 }
 
-// TestMonitorPrivateTableIncremental: the deprecated private-table monitor
-// (Engine.NewMonitor + Observe) runs on the same incremental engine and must
-// match from-scratch evaluation of its own record stream.
-func TestMonitorPrivateTableIncremental(t *testing.T) {
+// TestSubscribeHorizonUnderBarrier: the feed never claims records its window
+// has not reached. A batch that lands after the monitor decided to evaluate
+// but before it took the barrier is counted in Update.Records, so its
+// timestamps must move the window too — the horizon is read under the same
+// hold of the barrier that drains the mailbox. (When the horizon was sampled
+// before the barrier, this feed settled on records 2, window [0, 3] with a
+// T = 20 record in the table, until some later ingest.)
+func TestSubscribeHorizonUnderBarrier(t *testing.T) {
 	fig := indoor.Figure1Space()
-	rng := rand.New(rand.NewSource(11))
-	eng := NewEngine(fig.Space, Options{Workers: 2})
-	q := append([]indoor.SLocID(nil), fig.SLocs[:]...)
-	m, err := eng.NewMonitor(q, len(q), 8)
+	eng := NewEngine(fig.Space, Options{Workers: 1})
+	tb := iupt.NewTable()
+	barrier := &hookedLocker{}
+	sub, err := eng.Subscribe(context.Background(), SubscribeConfig{Table: tb, Barrier: barrier},
+		Query{Kind: KindTopK, Algorithm: AlgoBestFirst, K: 3, Window: 5, SLocs: fig.SLocs[:]})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
+	defer sub.Close()
+	ingest := func(rec iupt.Record) {
+		barrier.mu.Lock() // not barrier.Lock: the writer must not fire the hook
+		tb.Append(rec)
+		eng.NotifyAppend(tb, []iupt.Record{rec}, tb.Len())
+		barrier.mu.Unlock()
+	}
+	set := func(p indoor.PLocID) iupt.SampleSet { return iupt.SampleSet{{Loc: p, Prob: 1}} }
+	// The next taker of the barrier is the eval loop, woken by the T = 3
+	// ingest below; the late batch slips in just before it gets the lock.
+	barrier.arm(func() { ingest(iupt.Record{OID: 2, T: 20, Samples: set(fig.PLocs[5])}) })
+	ingest(iupt.Record{OID: 1, T: 3, Samples: set(fig.PLocs[3])})
 
-	shadow := iupt.NewTable() // reference copy of everything observed
-	ref := NewEngine(fig.Space, Options{Workers: 1})
-	now := iupt.Time(0)
-	for step := 0; step < 30; step++ {
-		rec := iupt.Record{
-			OID:     iupt.ObjectID(rng.Intn(4) + 1),
-			T:       max(0, now+iupt.Time(rng.Intn(10)-3)),
-			Samples: randSampleSet(rng, fig.PLocs[:], 3),
-		}
-		if err := m.Observe(rec); err != nil {
-			t.Fatal(err)
-		}
-		shadow.Append(rec)
-		now += iupt.Time(rng.Intn(4))
-
-		got, _, err := m.Current(now)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _, err := ref.TopK(shadow, q, len(q), max(0, now-8), now, AlgoBestFirst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bitEqual(t, "private monitor", got, want)
+	// Nothing is ingested after these two records, so the first update that
+	// covers both is what the feed settles on.
+	last := awaitUpdate(t, sub, func(u Update) bool { return u.Records == 2 })
+	if last.Ts != 15 || last.Te != 20 {
+		t.Fatalf("feed settled on records 2, window [%d, %d]; want window [15, 20]", last.Ts, last.Te)
 	}
 }
+
+// hookedLocker is a barrier whose Lock runs a one-shot hook before acquiring,
+// so a test can land an ingest in the gap between a monitor's decision to
+// evaluate and its hold of the barrier.
+type hookedLocker struct {
+	mu   sync.Mutex
+	hook atomic.Pointer[func()]
+}
+
+func (h *hookedLocker) arm(f func()) { h.hook.Store(&f) }
+
+func (h *hookedLocker) Lock() {
+	if f := h.hook.Swap(nil); f != nil {
+		(*f)()
+	}
+	h.mu.Lock()
+}
+
+func (h *hookedLocker) Unlock() { h.mu.Unlock() }
 
 // TestSubscribeStreamEquivalence subscribes while a writer goroutine ingests
 // concurrently, then replays every received update against a from-scratch
@@ -261,8 +259,14 @@ func TestSubscribeStreamEquivalence(t *testing.T) {
 			t.Fatalf("update covers %d records, table has %d", u.Records, len(recs))
 		}
 		prefix := iupt.NewTable()
+		horizon := iupt.Time(0)
 		for _, rec := range recs[:u.Records] {
 			prefix.Append(rec)
+			horizon = max(horizon, rec.T)
+		}
+		if u.Te != horizon || u.Ts != max(0, horizon-10) {
+			t.Fatalf("update over the first %d records covers [%d, %d], want [%d, %d]",
+				u.Records, u.Ts, u.Te, max(0, horizon-10), horizon)
 		}
 		for _, algo := range []Algorithm{AlgoNaive, AlgoNestedLoop, AlgoBestFirst} {
 			want, _, err := ref.TopK(prefix, q, len(q), u.Ts, u.Te, algo)
@@ -328,17 +332,6 @@ func TestSubscribeCoalescing(t *testing.T) {
 	}
 	if st := eng.MonitorStats(); len(st) != 0 {
 		t.Fatalf("after closing all subscriptions: %d monitors remain", len(st))
-	}
-
-	// Invalid subscriptions are rejected up front.
-	if _, err := eng.Subscribe(context.Background(), cfg, Query{Kind: KindTopK, K: 3, SLocs: fig.SLocs[:]}); err == nil {
-		t.Error("zero window accepted")
-	}
-	if _, err := eng.Subscribe(context.Background(), cfg, Query{Kind: KindFlow, Window: 5, K: 1, SLocs: fig.SLocs[:1]}); err == nil {
-		t.Error("non-topk kind accepted")
-	}
-	if _, err := eng.Subscribe(context.Background(), SubscribeConfig{Barrier: &mu}, q); err == nil {
-		t.Error("nil table accepted")
 	}
 }
 

@@ -210,82 +210,62 @@ func TestCacheDisabled(t *testing.T) {
 	}
 }
 
-// TestMonitorObserveInvalidatesCache: observing a record drops the observed
-// object's cached summaries (and only that object's), and the next Current
-// reflects the new data.
+// TestMonitorObserveInvalidatesCache: an ingest's range invalidation drops the
+// touched object's overlapping cached summaries (and only that object's), and
+// the monitor's next evaluation reflects the new record. It is the one
+// integration test of ingest-time invalidation.
 func TestMonitorObserveInvalidatesCache(t *testing.T) {
 	fig := indoor.Figure1Space()
 	eng := NewEngine(fig.Space, Options{})
-	mon, err := eng.NewMonitor(fig.SLocs[:], 3, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	live := &liveTable{eng: eng, tb: iupt.NewTable()}
+	mon := live.monitor(fig.SLocs[:], 3, 100)
 	set := func(p indoor.PLocID) iupt.SampleSet { return iupt.SampleSet{{Loc: p, Prob: 1}} }
-	for _, rec := range []iupt.Record{
+	before := []iupt.Record{
 		{OID: 1, T: 10, Samples: set(fig.PLocs[0])},
 		{OID: 1, T: 12, Samples: set(fig.PLocs[1])},
 		{OID: 2, T: 11, Samples: set(fig.PLocs[2])},
-	} {
-		if err := mon.Observe(rec); err != nil {
-			t.Fatal(err)
-		}
 	}
+	live.ingest(before...)
 
-	r1, st1, err := mon.Current(20)
-	if err != nil {
-		t.Fatal(err)
-	}
+	u1 := current(mon)
 	if eng.cache.entriesFor(1) == 0 || eng.cache.entriesFor(2) == 0 {
-		t.Fatal("Current did not populate the presence cache")
+		t.Fatal("the evaluation did not populate the presence cache")
 	}
 
-	// Same window, no new record: served from the monitor's result cache.
-	r1b, st1b, err := mon.Current(20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameResults(t, "monitor result cache", r1, r1b)
-	if st1b != st1 {
-		t.Errorf("cached Current returned different stats: %+v vs %+v", st1b, st1)
+	// No new record: served from the monitor's retained result.
+	u1b := current(mon)
+	assertSameResults(t, "monitor retained result", u1.Results, u1b.Results)
+	if u1b.Stats != u1.Stats {
+		t.Errorf("retained result returned different stats: %+v vs %+v", u1b.Stats, u1.Stats)
 	}
 
-	// Observing object 1 invalidates its summaries but keeps object 2's.
-	if err := mon.Observe(iupt.Record{OID: 1, T: 14, Samples: set(fig.PLocs[3])}); err != nil {
-		t.Fatal(err)
-	}
+	// Ingesting for object 1 inside the span its cached sequence covers
+	// invalidates its summaries but keeps object 2's.
+	added := iupt.Record{OID: 1, T: 11, Samples: set(fig.PLocs[3])}
+	live.ingest(added)
+	eng.InvalidateObjectRange(added.OID, added.T, added.T)
 	if n := eng.cache.entriesFor(1); n != 0 {
-		t.Errorf("object 1 still has %d cached entries after Observe", n)
+		t.Errorf("object 1 still has %d cached entries after the ingest", n)
 	}
 	if eng.cache.entriesFor(2) == 0 {
-		t.Error("object 2's cache entries were dropped by an unrelated Observe")
+		t.Error("object 2's cache entries were dropped by an unrelated ingest")
 	}
 
-	// The monitor result cache was invalidated too: Current recomputes and
-	// sees the new record.
-	r2, _, err := mon.Current(20)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The announcement made the retained result stale too: the monitor
+	// recomputes and sees the new record, exactly as a fresh engine does.
+	u2 := current(mon)
 	ref := NewEngine(fig.Space, sequentialOpts(Options{}))
-	monRef, err := ref.NewMonitor(fig.SLocs[:], 3, 100)
+	want, _, err := ref.TopK(live.tb, fig.SLocs[:], 3, u2.Ts, u2.Te, AlgoBestFirst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rec := range []iupt.Record{
-		{OID: 1, T: 10, Samples: set(fig.PLocs[0])},
-		{OID: 1, T: 12, Samples: set(fig.PLocs[1])},
-		{OID: 2, T: 11, Samples: set(fig.PLocs[2])},
-		{OID: 1, T: 14, Samples: set(fig.PLocs[3])},
-	} {
-		if err := monRef.Observe(rec); err != nil {
-			t.Fatal(err)
-		}
+	if u2.Te != 12 || u2.Records != len(before)+1 {
+		t.Errorf("post-ingest update covers %d records up to t=%d, want %d up to 12", u2.Records, u2.Te, len(before)+1)
 	}
-	want, _, err := monRef.Current(20)
-	if err != nil {
-		t.Fatal(err)
+	if resultsEqual(u1.Results, u2.Results) {
+		t.Error("the new record did not change the ranking's flows")
 	}
-	assertSameResults(t, "post-observe Current", want, r2)
+	assertSameResults(t, "post-ingest evaluation", want, u2.Results)
 }
 
 // TestCacheEviction: the cache stays bounded at 2× its per-generation cap.
@@ -311,10 +291,9 @@ func TestConcurrentEngineUse(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	tb := randTable(rng, fig, 16, 40)
 	eng := NewEngine(fig.Space, Options{Workers: 4, CacheCapacity: 32})
-	mon, err := eng.NewMonitor(fig.SLocs[:], 2, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
+	live := &liveTable{eng: eng, tb: tb}
+	mon := live.monitor(fig.SLocs[:], 2, 50)
+	tb0 := tb.Len()
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
@@ -342,13 +321,11 @@ func TestConcurrentEngineUse(t *testing.T) {
 					T:       iupt.Time(i),
 					Samples: randSampleSet(local, fig.PLocs[:], 3),
 				}
-				if err := mon.Observe(rec); err != nil {
-					errs <- err
-					return
-				}
+				live.ingest(rec)
+				eng.InvalidateObjectRange(rec.OID, rec.T, rec.T)
 				if i%5 == 4 {
-					if _, _, err := mon.Current(iupt.Time(i)); err != nil {
-						errs <- err
+					if u := current(mon); u.Records < tb0+i+1 {
+						errs <- fmt.Errorf("update covers %d records after %d were there", u.Records, tb0+i+1)
 						return
 					}
 				}

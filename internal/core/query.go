@@ -144,9 +144,8 @@ func (e *Engine) validateQuery(q Query) (int, error) {
 	}
 }
 
-// Do evaluates one query. It is the single entry point behind the legacy
-// TopK/TopKDensity/Flow/Presence methods, with two additions: per-query
-// option overrides (Query.Workers, Query.DisableCache,
+// Do evaluates one query: the single entry point behind every query kind,
+// with per-query option overrides (Query.Workers, Query.DisableCache,
 // Query.DisableCoalescing) and full context plumbing — a canceled or expired
 // ctx aborts the evaluation promptly (shard workers stop between objects,
 // Best-First stops between heap pops) and Do returns ctx.Err(). A follower

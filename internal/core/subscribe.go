@@ -50,7 +50,7 @@ type Update struct {
 // cancellation of the subscribing context) releases the feed. When the last
 // subscription of a coalesced monitor closes, the monitor itself shuts down.
 type Subscription struct {
-	mon  *Monitor
+	mon  *monitor
 	id   int
 	ch   chan Update
 	done chan struct{}
@@ -60,7 +60,7 @@ type Subscription struct {
 }
 
 // Updates returns the feed channel. It is closed when the subscription ends
-// (Close, context cancellation, or monitor shutdown).
+// (Close or context cancellation).
 func (s *Subscription) Updates() <-chan Update { return s.ch }
 
 // Done is closed when the subscription has fully ended.
@@ -84,12 +84,6 @@ func (s *Subscription) Close() {
 		s.mon.eng.mons.release(s.mon)
 		close(s.done)
 	})
-}
-
-// markDone closes the done channel when the monitor shuts down underneath
-// the subscription (engine-initiated teardown rather than subscriber Close).
-func (s *Subscription) markDone() {
-	s.once.Do(func() { close(s.done) })
 }
 
 // push delivers an update, conflating when the subscriber lags: the oldest
@@ -116,13 +110,17 @@ func (s *Subscription) push(u Update) {
 }
 
 // SubscribeConfig tells Engine.Subscribe which table to watch and how its
-// reads are serialized; see MonitorConfig for the field semantics.
+// reads are serialized.
 type SubscribeConfig struct {
+	// Table is the table the feed watches. Required.
 	Table *iupt.Table
-	// Barrier: the lock order is monitor lock, then Barrier — the eval loop
-	// holds its monitor's lock while it waits for the Barrier to read the
-	// table. A Barrier holder must therefore not call MonitorStats, Subscribe
-	// or Subscription.Close, which take a monitor lock (NotifyAppend does not).
+	// Barrier serializes the feed's table reads with the owner's append path;
+	// appends and their NotifyAppend announcement must happen under it. nil
+	// selects a private mutex (correct only while nothing appends to Table).
+	// The lock order is monitor lock, then Barrier — the eval loop holds its
+	// monitor's lock while it waits for the Barrier to read the table. A
+	// Barrier holder must therefore not call MonitorStats, Subscribe or
+	// Subscription.Close, which take a monitor lock (NotifyAppend does not).
 	Barrier sync.Locker
 }
 
@@ -199,7 +197,7 @@ func (e *Engine) Subscribe(ctx context.Context, cfg SubscribeConfig, q Query) (*
 
 // attach registers a new subscription on the monitor and starts its eval
 // loop if this is the first one. Returns nil if the monitor is closed.
-func (m *Monitor) attach() *Subscription {
+func (m *monitor) attach() *Subscription {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
@@ -221,20 +219,17 @@ func (m *Monitor) attach() *Subscription {
 }
 
 // detachSub removes the subscription and closes its channel (under m.mu, so
-// no push can race the close). No-op if the monitor already detached it.
-func (m *Monitor) detachSub(s *Subscription) {
+// no push can race the close). Subscription.Close calls it exactly once.
+func (m *monitor) detachSub(s *Subscription) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.subs[s.id]; !ok {
-		return
-	}
 	delete(m.subs, s.id)
 	close(s.ch)
 }
 
 // sendSnapshot evaluates the current window and delivers it to one (new)
 // subscriber, without bumping the change sequence.
-func (m *Monitor) sendSnapshot(s *Subscription) {
+func (m *monitor) sendSnapshot(s *Subscription) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
@@ -243,30 +238,12 @@ func (m *Monitor) sendSnapshot(s *Subscription) {
 	if _, ok := m.subs[s.id]; !ok {
 		return
 	}
-	m.refreshLocked(m.clock())
+	m.refreshLocked()
 	s.push(m.updateLocked())
 }
 
-// clock returns the evaluation horizon: the latest record timestamp the
-// monitor knows about — window end so far, mailbox maximum, or (before the
-// first build) the table's upper time bound.
-func (m *Monitor) clock() iupt.Time {
-	now := m.te
-	if !m.built {
-		if _, hi, ok := m.table.TimeSpan(); ok {
-			now = hi
-		}
-	}
-	m.pendMu.Lock()
-	if m.pendMaxT > now {
-		now = m.pendMaxT
-	}
-	m.pendMu.Unlock()
-	return now
-}
-
 // updateLocked assembles an Update from the monitor's current state.
-func (m *Monitor) updateLocked() Update {
+func (m *monitor) updateLocked() Update {
 	return Update{
 		Seq:     m.seq,
 		Ts:      m.ts,
@@ -280,7 +257,7 @@ func (m *Monitor) updateLocked() Update {
 // evalLoop is the monitor's single evaluation goroutine: it wakes on every
 // announced ingest, re-evaluates incrementally, and pushes an update iff the
 // ranking changed. It runs while the monitor has subscribers.
-func (m *Monitor) evalLoop(stop chan struct{}) {
+func (m *monitor) evalLoop(stop chan struct{}) {
 	for {
 		select {
 		case <-stop:
@@ -297,12 +274,12 @@ func (m *Monitor) evalLoop(stop chan struct{}) {
 	}
 }
 
-// evalAndPushLocked re-evaluates at the current horizon and pushes an update
+// evalAndPushLocked re-evaluates at the data's horizon and pushes an update
 // to every subscriber iff the results changed bitwise.
-func (m *Monitor) evalAndPushLocked() {
+func (m *monitor) evalAndPushLocked() {
 	prev := m.results
 	prevBuilt := m.built
-	m.refreshLocked(m.clock())
+	m.refreshLocked()
 	if prevBuilt && resultsEqual(prev, m.results) {
 		return
 	}
@@ -331,7 +308,7 @@ func resultsEqual(a, b []Result) bool {
 
 // NotifyAppend announces records appended to a shared table to every monitor
 // watching it. Call it after the append, under the same lock that serializes
-// the monitors' table reads (MonitorConfig.Barrier) — that ordering is what
+// the monitors' table reads (SubscribeConfig.Barrier) — that ordering is what
 // makes delivery exactly-once: a monitor either reads the records from the
 // table inside a rebuild snapshot (and the announcement dedupes against
 // lenAfter), or receives them here, never both, never neither. lenAfter is
@@ -352,7 +329,7 @@ type MonitorStat struct {
 	// incremental engine produces bit-identical results for all three).
 	Algorithm Algorithm
 	// Subscribers is the number of live subscriptions coalesced onto this
-	// monitor; 0 for poll-style monitors.
+	// monitor.
 	Subscribers int
 	// Evals counts incremental evaluations; DirtyObjects the object
 	// summaries recomputed across them (DirtyObjects/Evals is the average
@@ -362,9 +339,6 @@ type MonitorStat struct {
 	// Updates counts pushed ranking changes; Observed records announced.
 	Updates  int64
 	Observed int
-	// Legacy marks monitors created through NewMonitor/OpenMonitor rather
-	// than Subscribe.
-	Legacy bool
 }
 
 // MonitorStats reports every live monitor on this engine, in creation order.
@@ -393,15 +367,15 @@ type monitorKey struct {
 // the coalescer).
 type monitorRegistry struct {
 	mu     sync.Mutex
-	byKey  map[monitorKey]*Monitor
-	byTab  map[*iupt.Table]map[*Monitor]bool
+	byKey  map[monitorKey]*monitor
+	byTab  map[*iupt.Table]map[*monitor]bool
 	nextID uint64
 }
 
 func newMonitorRegistry() *monitorRegistry {
 	return &monitorRegistry{
-		byKey: make(map[monitorKey]*Monitor),
-		byTab: make(map[*iupt.Table]map[*Monitor]bool),
+		byKey: make(map[monitorKey]*monitor),
+		byTab: make(map[*iupt.Table]map[*monitor]bool),
 	}
 }
 
@@ -409,7 +383,7 @@ func newMonitorRegistry() *monitorRegistry {
 // bumped, creating and registering it on first use. Subscriptions that must
 // not coalesce (DisableCoalescing, or a hash-collided key) get a private
 // monitor, registered for notification dispatch but not by key.
-func (r *monitorRegistry) acquire(ev *Engine, cfg SubscribeConfig, q Query, key monitorKey, canon []indoor.SLocID, k int) *Monitor {
+func (r *monitorRegistry) acquire(ev *Engine, cfg SubscribeConfig, q Query, key monitorKey, canon []indoor.SLocID, k int) *monitor {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	coalesce := !q.DisableCoalescing
@@ -422,7 +396,7 @@ func (r *monitorRegistry) acquire(ev *Engine, cfg SubscribeConfig, q Query, key 
 			coalesce = false // hash collision: never share across query sets
 		}
 	}
-	m := ev.newMonitor(MonitorConfig{Table: cfg.Table, Barrier: cfg.Barrier}, canon, k, q.Window, q.Algorithm)
+	m := ev.newMonitor(cfg, canon, k, q.Window, q.Algorithm)
 	m.refs = 1
 	r.registerLocked(m)
 	if coalesce {
@@ -433,14 +407,13 @@ func (r *monitorRegistry) acquire(ev *Engine, cfg SubscribeConfig, q Query, key 
 }
 
 // release drops one reference; the last one deregisters the monitor and
-// shuts it down. Poll-style monitors (legacy) are unaffected — they live
-// until their own Close.
-func (r *monitorRegistry) release(m *Monitor) {
+// shuts it down.
+func (r *monitorRegistry) release(m *monitor) {
 	r.mu.Lock()
 	if m.refs > 0 {
 		m.refs--
 	}
-	dead := m.refs == 0 && !m.legacy
+	dead := m.refs == 0
 	if dead {
 		r.removeLocked(m)
 	}
@@ -450,37 +423,19 @@ func (r *monitorRegistry) release(m *Monitor) {
 	}
 }
 
-// register adds a monitor for notification dispatch (and, with a key, for
-// coalescing — unused by OpenMonitor, which registers keyless).
-func (r *monitorRegistry) register(m *Monitor, key *monitorKey) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.registerLocked(m)
-	if key != nil {
-		r.byKey[*key] = m
-		m.key = key
-	}
-}
-
-func (r *monitorRegistry) registerLocked(m *Monitor) {
+// registerLocked adds a monitor for notification dispatch.
+func (r *monitorRegistry) registerLocked(m *monitor) {
 	r.nextID++
 	m.id = r.nextID
 	tabs := r.byTab[m.table]
 	if tabs == nil {
-		tabs = make(map[*Monitor]bool)
+		tabs = make(map[*monitor]bool)
 		r.byTab[m.table] = tabs
 	}
 	tabs[m] = true
 }
 
-// drop deregisters a monitor (legacy Close path).
-func (r *monitorRegistry) drop(m *Monitor) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.removeLocked(m)
-}
-
-func (r *monitorRegistry) removeLocked(m *Monitor) {
+func (r *monitorRegistry) removeLocked(m *monitor) {
 	if m.key != nil {
 		if r.byKey[*m.key] == m {
 			delete(r.byKey, *m.key)
@@ -501,7 +456,7 @@ func (r *monitorRegistry) removeLocked(m *Monitor) {
 // what keeps announcements ordered and exactly-once per monitor.
 func (r *monitorRegistry) notify(table *iupt.Table, recs []iupt.Record, lenAfter int) {
 	r.mu.Lock()
-	mons := make([]*Monitor, 0, len(r.byTab[table]))
+	mons := make([]*monitor, 0, len(r.byTab[table]))
 	for m := range r.byTab[table] {
 		mons = append(mons, m)
 	}
@@ -514,7 +469,7 @@ func (r *monitorRegistry) notify(table *iupt.Table, recs []iupt.Record, lenAfter
 // statsAll snapshots every live monitor's counters in creation order.
 func (r *monitorRegistry) statsAll() []MonitorStat {
 	r.mu.Lock()
-	mons := make([]*Monitor, 0)
+	mons := make([]*monitor, 0)
 	for _, tabs := range r.byTab {
 		for m := range tabs {
 			mons = append(mons, m)
@@ -534,7 +489,6 @@ func (r *monitorRegistry) statsAll() []MonitorStat {
 			Evals:        m.evals,
 			DirtyObjects: m.dirtyTotal,
 			Updates:      m.pushed,
-			Legacy:       m.legacy,
 		}
 		m.mu.Unlock()
 		st.Observed = m.Observed()

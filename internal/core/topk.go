@@ -10,26 +10,6 @@ import (
 	"tkplq/internal/iupt"
 )
 
-// TopK answers the Top-k Popular Location Query (Problem 1): the k
-// S-locations of Q with the highest indoor flows in [ts, te], computed with
-// the selected search algorithm. All three algorithms return identical
-// rankings (ties broken by ascending S-location id); they differ in how much
-// work they avoid, reported in Stats. Heavy per-object work is sharded
-// across the engine's worker pool (Options.Workers) with deterministic
-// merging, so rankings and flows are bit-identical for every worker count.
-// Concurrent identical calls share one evaluation (Options.DisableCoalescing,
-// Stats.Coalesced).
-//
-// TopK is the uncancellable legacy form of Do with KindTopK; use Do to bound
-// the evaluation with a context.
-func (e *Engine) TopK(table *iupt.Table, q []indoor.SLocID, k int, ts, te iupt.Time, algo Algorithm) ([]Result, Stats, error) {
-	resp, err := e.Do(context.Background(), table, Query{Kind: KindTopK, Algorithm: algo, K: k, Ts: ts, Te: te, SLocs: q})
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return resp.Results, resp.Stats, nil
-}
-
 // validateTopK checks a TkPLQ query set and clamps k to its size.
 func (e *Engine) validateTopK(q []indoor.SLocID, k int) (int, error) {
 	if k <= 0 {

@@ -153,7 +153,7 @@ func clusterQueryCases() []map[string]any {
 // TestClusterBitIdenticalToStandalone replays the same queries through a
 // standalone server and 1-, 2- and 4-shard clusters over the same dataset:
 // the ranked results (locations, order and float flows) must be identical
-// byte for byte, for singles, the v1 adapter and shared-work batches.
+// byte for byte, for singles, an open-ended window and shared-work batches.
 func TestClusterBitIdenticalToStandalone(t *testing.T) {
 	sys := newSynSystem(t)
 	_, standalone := newTestServer(t, sys, Config{})
@@ -167,9 +167,11 @@ func TestClusterBitIdenticalToStandalone(t *testing.T) {
 		}
 		want[i] = resultsOf(t, body)
 	}
-	_, v1body := postJSON(t, standalone.Client(), standalone.URL+"/v1/query",
-		map[string]any{"kind": "topk", "algorithm": "bf", "k": 5})
-	wantV1 := resultsOf(t, v1body)
+	// A body with no window: te defaults to the end of the data, which a
+	// router has to resolve cluster-wide.
+	openEnded := map[string]any{"kind": "topk", "algorithm": "bf", "k": 5}
+	_, openBody := postJSON(t, standalone.Client(), standalone.URL+"/v2/query", openEnded)
+	wantOpen := resultsOf(t, openBody)
 
 	for _, shards := range []int{1, 2, 4} {
 		c := startCluster(t, synB.Space, synTable, shards)
@@ -184,14 +186,12 @@ func TestClusterBitIdenticalToStandalone(t *testing.T) {
 			}
 		}
 
-		// v1 adapter through the router.
-		resp, body := postJSON(t, client, c.routerTS.URL+"/v1/query",
-			map[string]any{"kind": "topk", "algorithm": "bf", "k": 5})
+		resp, body := postJSON(t, client, c.routerTS.URL+"/v2/query", openEnded)
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("shards=%d v1 = %d: %s", shards, resp.StatusCode, body)
+			t.Fatalf("shards=%d open-ended = %d: %s", shards, resp.StatusCode, body)
 		}
-		if got := resultsOf(t, body); got != wantV1 {
-			t.Errorf("shards=%d v1 adapter diverged:\n got %s\nwant %s", shards, got, wantV1)
+		if got := resultsOf(t, body); got != wantOpen {
+			t.Errorf("shards=%d open-ended query diverged:\n got %s\nwant %s", shards, got, wantOpen)
 		}
 
 		// Shared-work batch: one fan-out per window group, members finished

@@ -65,7 +65,7 @@ func TestCompactEndpoint(t *testing.T) {
 	}
 
 	queryBody := map[string]any{"kind": "topk", "k": 3, "te": 500}
-	_, before := postJSON(t, client, ts.URL+"/v1/query", queryBody)
+	_, before := postJSON(t, client, ts.URL+"/v2/query", queryBody)
 
 	resp, body := postJSON(t, client, ts.URL+"/v1/compact", map[string]any{})
 	if resp.StatusCode != http.StatusOK {
@@ -98,7 +98,7 @@ func TestCompactEndpoint(t *testing.T) {
 
 	// The answer is unchanged, and the repeated sealed window lands in the
 	// window summary cache without rematerializing sealed records.
-	_, after := postJSON(t, client, ts.URL+"/v1/query", queryBody)
+	_, after := postJSON(t, client, ts.URL+"/v2/query", queryBody)
 	var b, a QueryResponse
 	if err := json.Unmarshal(before, &b); err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func TestCompactEndpoint(t *testing.T) {
 		}
 	}
 	matBefore := stats().Storage.MaterializedRecords
-	_, again := postJSON(t, client, ts.URL+"/v1/query", queryBody)
+	_, again := postJSON(t, client, ts.URL+"/v2/query", queryBody)
 	st = stats().Storage
 	if st.MaterializedRecords != matBefore {
 		t.Fatalf("repeated sealed window rematerialized %d records, want 0", st.MaterializedRecords-matBefore)

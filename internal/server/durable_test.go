@@ -114,7 +114,7 @@ func TestSnapshotEndpointAndDurableRestart(t *testing.T) {
 
 	// Capture an answer, then restart: close everything, recover from disk.
 	queryBody := map[string]any{"kind": "topk", "k": 3, "te": 200}
-	_, before := postJSON(t, client, ts.URL+"/v1/query", queryBody)
+	_, before := postJSON(t, client, ts.URL+"/v2/query", queryBody)
 	ts.Close()
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestSnapshotEndpointAndDurableRestart(t *testing.T) {
 	}
 	sys2.SetPersister(store2)
 	_, ts2 := newTestServer(t, sys2, Config{Store: store2})
-	_, after := postJSON(t, ts2.Client(), ts2.URL+"/v1/query", queryBody)
+	_, after := postJSON(t, ts2.Client(), ts2.URL+"/v2/query", queryBody)
 
 	var b, a QueryResponse
 	if err := json.Unmarshal(before, &b); err != nil {

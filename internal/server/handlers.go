@@ -12,10 +12,10 @@ import (
 	"tkplq"
 )
 
-// QueryRequest is the body of POST /v1/query (and the base of the v2 form).
+// QueryRequest is the base of one POST /v2/query query (QueryV2 embeds it).
 type QueryRequest struct {
-	// Kind selects the query: "topk" (default), "density" or "flow"
-	// (v2 additionally accepts "presence").
+	// Kind selects the query: "topk" (default), "density", "flow" or
+	// "presence".
 	Kind string `json:"kind"`
 	// Algorithm selects the TkPLQ search: "naive", "nl" or "bf" (default).
 	// Ignored for density and flow.
@@ -73,8 +73,8 @@ func statsJSON(st tkplq.Stats) StatsJSON {
 	}
 }
 
-// QueryResponse is the body of a successful POST /v1/query (and one element
-// of a /v2/query batch response).
+// QueryResponse is the answer to one POST /v2/query query: the whole body for
+// a single query object, one element of the array for a batch.
 type QueryResponse struct {
 	Kind      string       `json:"kind"`
 	Algorithm string       `json:"algorithm,omitempty"`
@@ -248,9 +248,6 @@ type MonitorStatJSON struct {
 	// the monitor.
 	Updates  int64 `json:"updates"`
 	Observed int   `json:"observed"`
-	// Legacy marks poll-style monitors (System.NewMonitor) rather than
-	// subscription feeds.
-	Legacy bool `json:"legacy,omitempty"`
 }
 
 // errorJSON writes a JSON error body with the status code.
@@ -319,35 +316,6 @@ func (s *Server) writeQueryError(w http.ResponseWriter, err error) {
 		}
 		errorJSON(w, http.StatusBadRequest, "%v", err)
 	}
-}
-
-// handleQuery is the v1 endpoint: a thin adapter that converts the v1
-// request shape to a tkplq.Query and evaluates it under the request context.
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req QueryRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
-		s.queryErrors.Add(1)
-		errorJSON(w, http.StatusBadRequest, "bad query request: %v", err)
-		return
-	}
-	// v1 keeps its original kind surface; "presence" (and anything else
-	// v2-only) must not leak in through the shared adapter.
-	switch req.Kind {
-	case "", "topk", "density", "flow":
-	default:
-		s.queryErrors.Add(1)
-		errorJSON(w, http.StatusBadRequest, "unknown query kind %q (want topk, density or flow)", req.Kind)
-		return
-	}
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	out, err := s.evalOne(ctx, QueryV2{QueryRequest: req})
-	if err != nil {
-		s.writeQueryError(w, err)
-		return
-	}
-	s.queries.Add(1)
-	writeJSON(w, out)
 }
 
 // convertRecords validates the wire records against the space and converts
@@ -606,7 +574,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			DirtyObjects: ms.DirtyObjects,
 			Updates:      ms.Updates,
 			Observed:     ms.Observed,
-			Legacy:       ms.Legacy,
 		})
 	}
 	if s.cfg.Store != nil {

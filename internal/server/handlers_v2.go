@@ -13,8 +13,8 @@ import (
 	"tkplq"
 )
 
-// QueryV2 is one query of POST /v2/query: the v1 shape plus per-query
-// options and the presence kind. The endpoint accepts either a single
+// QueryV2 is one query of POST /v2/query: the base shape plus per-query
+// options and the presence object. The endpoint accepts either a single
 // QueryV2 object (answered with one QueryResponse) or a JSON array of them
 // (answered with an array, evaluated as one shared-work batch via
 // System.DoBatch — queries over the same window perform the per-object data
@@ -32,9 +32,9 @@ type QueryV2 struct {
 	NoCoalesce bool `json:"no_coalesce"`
 }
 
-// toQuery converts one wire query to a tkplq.Query, applying the v1-
-// compatible defaults (kind topk, algorithm bf, k 10, te = end of data,
-// empty slocs = all S-locations). On a router, "end of data" is resolved
+// toQuery converts one wire query to a tkplq.Query, applying the wire
+// defaults (kind topk, algorithm bf, k 10, te = end of data, empty slocs =
+// all S-locations). On a router, "end of data" is resolved
 // cluster-wide by fanning /v2/span (the router's own table is empty), which
 // is why conversion runs under the request context.
 func (s *Server) toQuery(ctx context.Context, req QueryV2) (tkplq.Query, QueryV2, error) {

@@ -94,7 +94,7 @@ func TestPartitionedStoreOverHTTP(t *testing.T) {
 
 	// Capture an answer, then restart from disk.
 	queryBody := map[string]any{"kind": "topk", "k": 3, "te": 200}
-	_, before := postJSON(t, client, ts.URL+"/v1/query", queryBody)
+	_, before := postJSON(t, client, ts.URL+"/v2/query", queryBody)
 	ts.Close()
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
@@ -124,7 +124,7 @@ func TestPartitionedStoreOverHTTP(t *testing.T) {
 	if stats.Storage == nil || stats.Storage.Partitions != 1 || stats.WAL.ReplayedRecords != 2 {
 		t.Fatalf("restarted stats = storage %+v wal %+v", stats.Storage, stats.WAL)
 	}
-	_, after := postJSON(t, ts2.Client(), ts2.URL+"/v1/query", queryBody)
+	_, after := postJSON(t, ts2.Client(), ts2.URL+"/v2/query", queryBody)
 
 	var b, a QueryResponse
 	if err := json.Unmarshal(before, &b); err != nil {

@@ -3,9 +3,9 @@
 //
 // Endpoints:
 //
-//	POST /v1/query   — one TkPLQ / density / flow query over a time window
-//	POST /v2/query   — context-aware query API: one query object, or an
-//	                   array of queries evaluated as a shared-work batch
+//	POST /v2/query   — the one query endpoint: a TkPLQ / density / flow /
+//	                   presence query object over a time window, or an
+//	                   array of them evaluated as a shared-work batch
 //	GET  /v2/subscribe — Server-Sent Events stream of top-k ranking changes
 //	                   over a sliding window, evaluated incrementally; identical
 //	                   subscriptions share one monitor
@@ -15,9 +15,15 @@
 //	GET  /v2/span    — internal: the table's time span, for cluster-wide
 //	                   te == 0 resolution
 //	POST /v1/snapshot — seal the mutable head into a partition on demand
+//	POST /v1/compact — merge runs of small sealed partitions on demand
 //	GET  /v1/stats   — engine cache + coalescer + wal counters, server counters,
 //	                   table shape, live subscription feeds
 //	GET  /healthz    — liveness
+//	GET  /readyz     — readiness: 503 with the cause on a poisoned store or
+//	                   a follower that has not caught up (routers probe it)
+//	POST /v2/replicate, /v2/replicate/ack, /v2/promote — internal: WAL-shipped
+//	                   replication stream, follower progress reports, failover
+//	                   promotion (see internal/repl)
 //
 // Every request is evaluated under its own context: the per-request budget
 // (Config.RequestTimeout) and the client connection are the cancellation
@@ -203,7 +209,6 @@ func New(cfg Config) (*Server, error) {
 	// wrong-method request gets the JSON error envelope, not the mux's bare
 	// text 405.
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/query", s.method(http.MethodPost, s.handleQuery))
 	mux.HandleFunc("/v2/query", s.method(http.MethodPost, s.handleQueryV2))
 	mux.HandleFunc("/v2/subscribe", s.method(http.MethodGet, s.handleSubscribe))
 	mux.HandleFunc("/v1/ingest", s.method(http.MethodPost, s.handleIngest))

@@ -105,6 +105,17 @@ func postJSON(t *testing.T, client *http.Client, url string, body any) (*http.Re
 	return resp, out.Bytes()
 }
 
+// do evaluates q through the library, the reference the HTTP answers are
+// compared with.
+func do(t *testing.T, sys *tkplq.System, q tkplq.Query) *tkplq.Response {
+	t.Helper()
+	resp, err := sys.Do(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
 func TestHealthz(t *testing.T) {
 	sys, _ := newPaperSystem(t)
 	_, ts := newTestServer(t, sys, Config{})
@@ -133,13 +144,9 @@ func TestQueryTopK(t *testing.T) {
 	_, ts := newTestServer(t, sys, Config{})
 
 	// Sequential reference through the library.
-	q := sys.AllSLocations()
-	want, _, err := sys.TopK(q, 5, 0, 1800, tkplq.BestFirst)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := do(t, sys, tkplq.Query{Algorithm: tkplq.BestFirst, K: 5, Te: 1800, SLocs: sys.AllSLocations()}).Results
 
-	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/query", QueryRequest{
+	resp, body := postJSON(t, ts.Client(), ts.URL+"/v2/query", QueryRequest{
 		Kind: "topk", Algorithm: "bf", K: 5, Ts: 0, Te: 1800,
 	})
 	if resp.StatusCode != http.StatusOK {
@@ -176,7 +183,7 @@ func TestQueryDefaultsAndKinds(t *testing.T) {
 	_, ts := newTestServer(t, sys, Config{})
 
 	// Empty body object: kind topk, algorithm bf, k 10, window to table end.
-	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/query", map[string]any{})
+	resp, body := postJSON(t, ts.Client(), ts.URL+"/v2/query", map[string]any{})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("default query status = %d: %s", resp.StatusCode, body)
 	}
@@ -192,13 +199,13 @@ func TestQueryDefaultsAndKinds(t *testing.T) {
 	}
 
 	// Density ranks by flow per m².
-	resp, body = postJSON(t, ts.Client(), ts.URL+"/v1/query", QueryRequest{Kind: "density", K: 3})
+	resp, body = postJSON(t, ts.Client(), ts.URL+"/v2/query", QueryRequest{Kind: "density", K: 3})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("density status = %d: %s", resp.StatusCode, body)
 	}
 
 	// Flow needs exactly one S-location.
-	resp, body = postJSON(t, ts.Client(), ts.URL+"/v1/query", QueryRequest{Kind: "flow", SLocs: []int{0}})
+	resp, body = postJSON(t, ts.Client(), ts.URL+"/v2/query", QueryRequest{Kind: "flow", SLocs: []int{0}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("flow status = %d: %s", resp.StatusCode, body)
 	}
@@ -220,7 +227,6 @@ func TestQueryValidation(t *testing.T) {
 	}{
 		{"bad algorithm", QueryRequest{Algorithm: "quantum"}},
 		{"bad kind", QueryRequest{Kind: "heatmap"}},
-		{"v2-only presence kind", QueryRequest{Kind: "presence", SLocs: []int{0}}},
 		{"inverted window", QueryRequest{Ts: 100, Te: 50}},
 		{"flow without slocs", QueryRequest{Kind: "flow"}},
 		{"flow with two slocs", QueryRequest{Kind: "flow", SLocs: []int{0, 1}}},
@@ -236,14 +242,14 @@ func TestQueryValidation(t *testing.T) {
 		var resp *http.Response
 		var body []byte
 		if tc.name == "malformed json" {
-			r, err := ts.Client().Post(ts.URL+"/v1/query", "application/json", strings.NewReader("{nope"))
+			r, err := ts.Client().Post(ts.URL+"/v2/query", "application/json", strings.NewReader("{nope"))
 			if err != nil {
 				t.Fatal(err)
 			}
 			r.Body.Close()
 			resp = r
 		} else {
-			resp, body = postJSON(t, ts.Client(), ts.URL+"/v1/query", tc.body)
+			resp, body = postJSON(t, ts.Client(), ts.URL+"/v2/query", tc.body)
 		}
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status = %d (%s), want 400", tc.name, resp.StatusCode, body)
@@ -251,13 +257,13 @@ func TestQueryValidation(t *testing.T) {
 	}
 
 	// Wrong method.
-	resp, err := ts.Client().Get(ts.URL + "/v1/query")
+	resp, err := ts.Client().Get(ts.URL + "/v2/query")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /v1/query status = %d, want 405", resp.StatusCode)
+		t.Errorf("GET /v2/query status = %d, want 405", resp.StatusCode)
 	}
 }
 
@@ -286,7 +292,7 @@ func TestIngestAndQuery(t *testing.T) {
 	}
 
 	// The ingested records are immediately queryable.
-	resp, body = postJSON(t, ts.Client(), ts.URL+"/v1/query", QueryRequest{
+	resp, body = postJSON(t, ts.Client(), ts.URL+"/v2/query", QueryRequest{
 		K: 1, Ts: 1, Te: 8, SLocs: []int{int(ids.SLocs[0]), int(ids.SLocs[5])},
 	})
 	if resp.StatusCode != http.StatusOK {
@@ -324,7 +330,7 @@ func TestStatsEndpoint(t *testing.T) {
 	postJSON(t, ts.Client(), ts.URL+"/v1/ingest", IngestRequest{Records: []RecordJSON{
 		{OID: 1, T: 1, Samples: []SampleJSON{{PLoc: int(ids.PLocs[3]), Prob: 1.0}}},
 	}})
-	postJSON(t, ts.Client(), ts.URL+"/v1/query", QueryRequest{K: 2, Ts: 0, Te: 5})
+	postJSON(t, ts.Client(), ts.URL+"/v2/query", QueryRequest{K: 2, Ts: 0, Te: 5})
 
 	resp, err := ts.Client().Get(ts.URL + "/v1/stats")
 	if err != nil {
@@ -352,7 +358,7 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
-// TestConcurrentQueryCoalescing fires 64 concurrent identical /v1/query
+// TestConcurrentQueryCoalescing fires 64 concurrent identical /v2/query
 // requests and checks that every response is bit-identical to the sequential
 // path and that the engine coalesced concurrent evaluations. The Naive
 // algorithm with Workers:1 keeps each evaluation slow (and cache-free), so in
@@ -369,10 +375,7 @@ func TestConcurrentQueryCoalescing(t *testing.T) {
 		client := ts.Client()
 		client.Transport.(*http.Transport).MaxIdleConnsPerHost = callers
 
-		want, _, terr := sys.TopK(sys.AllSLocations(), 5, 0, 1800, tkplq.Naive)
-		if terr != nil {
-			t.Fatal(terr)
-		}
+		want := do(t, sys, tkplq.Query{Algorithm: tkplq.Naive, K: 5, Te: 1800, SLocs: sys.AllSLocations()}).Results
 		wantJSON := make([]ResultJSON, len(want))
 		for i, r := range want {
 			wantJSON[i] = ResultJSON{SLoc: int(r.SLoc), Name: sys.Space().SLocation(r.SLoc).Name, Flow: r.Flow}
@@ -387,7 +390,7 @@ func TestConcurrentQueryCoalescing(t *testing.T) {
 			go func(i int) {
 				defer wg.Done()
 				<-start
-				resp, body := postJSON(t, client, ts.URL+"/v1/query", req)
+				resp, body := postJSON(t, client, ts.URL+"/v2/query", req)
 				if resp.StatusCode != http.StatusOK {
 					errs[i] = fmt.Errorf("status %d: %s", resp.StatusCode, body)
 					return
@@ -441,7 +444,7 @@ func TestRequestTimeout(t *testing.T) {
 
 	// A Naive full-query evaluation takes well over a millisecond on this
 	// dataset; the timeout handler must cut it off with a 503 JSON body.
-	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/query", QueryRequest{
+	resp, body := postJSON(t, ts.Client(), ts.URL+"/v2/query", QueryRequest{
 		Kind: "topk", Algorithm: "naive", K: 5, Ts: 0, Te: 1800,
 	})
 	if resp.StatusCode != http.StatusServiceUnavailable {
@@ -455,16 +458,13 @@ func TestRequestTimeout(t *testing.T) {
 	}
 }
 
-// TestQueryV2SingleForm: the v2 endpoint answers a single query object with
-// the same payload shape as v1, bit-identical to the library path.
+// TestQueryV2SingleForm: the endpoint answers a single query object with a
+// single response object, bit-identical to the library path.
 func TestQueryV2SingleForm(t *testing.T) {
 	sys := newSynSystem(t)
 	_, ts := newTestServer(t, sys, Config{})
 
-	want, _, err := sys.TopK(sys.AllSLocations(), 5, 0, 1800, tkplq.BestFirst)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := do(t, sys, tkplq.Query{Algorithm: tkplq.BestFirst, K: 5, Te: 1800, SLocs: sys.AllSLocations()}).Results
 	resp, body := postJSON(t, ts.Client(), ts.URL+"/v2/query", map[string]any{
 		"kind": "topk", "algorithm": "bf", "k": 5, "ts": 0, "te": 1800,
 	})
@@ -484,7 +484,7 @@ func TestQueryV2SingleForm(t *testing.T) {
 		}
 	}
 
-	// The presence kind is v2-only.
+	// The presence kind takes its object from "oid".
 	resp, body = postJSON(t, ts.Client(), ts.URL+"/v2/query", map[string]any{
 		"kind": "presence", "slocs": []int{0}, "oid": 1, "ts": 0, "te": 1800,
 	})
@@ -494,7 +494,7 @@ func TestQueryV2SingleForm(t *testing.T) {
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
-	wantP := sys.Presence(0, 1, 0, 1800)
+	wantP := do(t, sys, tkplq.Query{Kind: tkplq.KindPresence, SLocs: []tkplq.SLocID{0}, OID: 1, Te: 1800}).Flow
 	if len(out.Results) != 1 || math.Float64bits(out.Results[0].Flow) != math.Float64bits(wantP) {
 		t.Errorf("presence = %+v, want single entry %v", out.Results, wantP)
 	}
@@ -507,11 +507,8 @@ func TestQueryV2BatchSharesWork(t *testing.T) {
 	sys := newSynSystem(t)
 	_, ts := newTestServer(t, sys, Config{})
 
-	wantBF, _, err := sys.TopK(sys.AllSLocations(), 3, 0, 1800, tkplq.BestFirst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantFlow, _ := sys.Flow(0, 0, 1800)
+	wantBF := do(t, sys, tkplq.Query{Algorithm: tkplq.BestFirst, K: 3, Te: 1800, SLocs: sys.AllSLocations()}).Results
+	wantFlow := do(t, sys, tkplq.Query{Kind: tkplq.KindFlow, SLocs: []tkplq.SLocID{0}, Te: 1800}).Flow
 
 	resp, body := postJSON(t, ts.Client(), ts.URL+"/v2/query", []map[string]any{
 		{"kind": "topk", "algorithm": "bf", "k": 3, "ts": 0, "te": 1800},
@@ -593,15 +590,16 @@ func TestErrorEnvelopes(t *testing.T) {
 
 	resp, body := get("/nope")
 	assertEnvelope("404", resp, body, http.StatusNotFound)
-	resp, body = get("/v1/query")
+	resp, body = get("/v2/query")
 	assertEnvelope("405", resp, body, http.StatusMethodNotAllowed)
 	if allow := resp.Header.Get("Allow"); allow != http.MethodPost {
 		t.Errorf("405 Allow = %q, want POST", allow)
 	}
-	resp, body = postJSON(t, ts.Client(), ts.URL+"/v1/query", map[string]any{"kay": 5})
-	assertEnvelope("unknown field", resp, body, http.StatusBadRequest)
+	// The removed v1 query endpoint is an ordinary unknown path.
+	resp, body = postJSON(t, ts.Client(), ts.URL+"/v1/query", map[string]any{"kind": "topk", "k": 5})
+	assertEnvelope("removed /v1/query", resp, body, http.StatusNotFound)
 	resp, body = postJSON(t, ts.Client(), ts.URL+"/v2/query", map[string]any{"kay": 5})
-	assertEnvelope("v2 unknown field", resp, body, http.StatusBadRequest)
+	assertEnvelope("unknown field", resp, body, http.StatusBadRequest)
 
 	// Structured ingest rejection: the envelope carries the failing record's
 	// index and object.
@@ -665,7 +663,7 @@ func TestClientDisconnectCancelsEvaluation(t *testing.T) {
 	// an evaluation.
 	for attempt := 1; attempt <= 20; attempt++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/query", bytes.NewReader(reqBody))
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v2/query", bytes.NewReader(reqBody))
 		if err != nil {
 			cancel()
 			t.Fatal(err)

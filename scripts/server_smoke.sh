@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # End-to-end server smoke: gendata generates a dataset, tkplqd serves it,
-# and the HTTP API must answer /healthz, /v1/query, /v2/subscribe (SSE live
+# and the HTTP API must answer /healthz, /v2/query, /v2/subscribe (SSE live
 # feed) and /v1/stats with well-formed payloads. The durability section then
 # restarts the daemon with a data directory, ingests, seals, kills it with
 # SIGKILL mid-flight and asserts the restarted daemon maps the sealed
@@ -66,8 +66,8 @@ echo "${HEALTH}"
 [ "$(echo "${HEALTH}" | jq -r .status)" = "ok" ]
 [ "$(echo "${HEALTH}" | jq -r .records)" -gt 0 ]
 
-echo "== /v1/query (top-5 best-first)"
-QUERY=$(curl -fsS -X POST "http://${ADDR}/v1/query" \
+echo "== /v2/query (top-5 best-first)"
+QUERY=$(curl -fsS -X POST "http://${ADDR}/v2/query" \
     -H 'Content-Type: application/json' \
     -d '{"kind":"topk","algorithm":"bf","k":5}')
 echo "${QUERY}" | jq .
@@ -98,7 +98,12 @@ echo "${BATCH}" | jq -e 'all(.stats.shared_batch == 3)' >/dev/null
 echo "== error envelope (unknown endpoint + typo'd field are JSON)"
 NOTFOUND=$(curl -sS "http://${ADDR}/nope")
 [ "$(echo "${NOTFOUND}" | jq -r .error | wc -c)" -gt 1 ]
-TYPO=$(curl -sS -X POST "http://${ADDR}/v1/query" \
+# The removed v1 query endpoint is an unknown endpoint like any other.
+GONE=$(curl -sS -o "${WORKDIR}/gone.json" -w '%{http_code}' -X POST "http://${ADDR}/v1/query" \
+    -H 'Content-Type: application/json' -d '{"kind":"topk","k":5}')
+[ "${GONE}" = "404" ]
+jq -e '.error | length > 0' "${WORKDIR}/gone.json" >/dev/null
+TYPO=$(curl -sS -X POST "http://${ADDR}/v2/query" \
     -H 'Content-Type: application/json' -d '{"kay":5}')
 [ "$(echo "${TYPO}" | jq -r .error | wc -c)" -gt 1 ]
 # An in-memory daemon must refuse snapshots with the envelope, not a crash.
@@ -186,7 +191,7 @@ echo "${PSTATS}" | jq -e '.wal.records_since_snapshot == 1 and .wal.fsyncs >= 1'
 # The bootstrap partition plus the on-demand seal.
 echo "${PSTATS}" | jq -e '.storage.partitions == 2 and .storage.seals == 2' >/dev/null
 
-BEFORE_RESULTS=$(curl -fsS -X POST "http://${ADDR}/v1/query" \
+BEFORE_RESULTS=$(curl -fsS -X POST "http://${ADDR}/v2/query" \
     -H 'Content-Type: application/json' \
     -d '{"kind":"topk","algorithm":"bf","k":5}' | jq -c .results)
 BEFORE_RECORDS=$(curl -fsS "http://${ADDR}/healthz" | jq -r .records)
@@ -206,7 +211,7 @@ PSTATS2=$(curl -fsS "http://${ADDR}/v1/stats")
 echo "${PSTATS2}" | jq '{storage, wal: {replayed_records: .wal.replayed_records}}'
 echo "${PSTATS2}" | jq -e '.storage.partitions == 2 and .storage.materialized_records == 0 and .wal.replayed_records == 1' >/dev/null
 
-AFTER_RESULTS=$(curl -fsS -X POST "http://${ADDR}/v1/query" \
+AFTER_RESULTS=$(curl -fsS -X POST "http://${ADDR}/v2/query" \
     -H 'Content-Type: application/json' \
     -d '{"kind":"topk","algorithm":"bf","k":5}' | jq -c .results)
 AFTER_RECORDS=$(curl -fsS "http://${ADDR}/healthz" | jq -r .records)
@@ -227,7 +232,7 @@ for round in 1 2 3; do
 done
 C_PARTS_BEFORE=$(curl -fsS "http://${ADDR}/v1/stats" | jq -r .storage.partitions)
 [ "${C_PARTS_BEFORE}" -ge 5 ]
-C_BEFORE=$(curl -fsS -X POST "http://${ADDR}/v1/query" \
+C_BEFORE=$(curl -fsS -X POST "http://${ADDR}/v2/query" \
     -H 'Content-Type: application/json' \
     -d '{"kind":"topk","algorithm":"bf","k":5}' | jq -c .results)
 
@@ -243,7 +248,7 @@ if [ "${C_PARTS_AFTER}" -ge "${C_PARTS_BEFORE}" ]; then
     exit 1
 fi
 echo "${CSTATS}" | jq -e '.storage.compactions == 1 and .storage.compacted_partitions >= 2' >/dev/null
-C_AFTER=$(curl -fsS -X POST "http://${ADDR}/v1/query" \
+C_AFTER=$(curl -fsS -X POST "http://${ADDR}/v2/query" \
     -H 'Content-Type: application/json' \
     -d '{"kind":"topk","algorithm":"bf","k":5}' | jq -c .results)
 if [ "${C_BEFORE}" != "${C_AFTER}" ]; then
@@ -262,7 +267,7 @@ DAEMON_PID=$!
 wait_healthy "${WORKDIR}/tkplqd-compact.log"
 CSTATS2=$(curl -fsS "http://${ADDR}/v1/stats")
 echo "${CSTATS2}" | jq -e ".storage.partitions == ${C_PARTS_AFTER}" >/dev/null
-C_RESTART=$(curl -fsS -X POST "http://${ADDR}/v1/query" \
+C_RESTART=$(curl -fsS -X POST "http://${ADDR}/v2/query" \
     -H 'Content-Type: application/json' \
     -d '{"kind":"topk","algorithm":"bf","k":5}' | jq -c .results)
 if [ "${C_AFTER}" != "${C_RESTART}" ]; then
@@ -294,7 +299,7 @@ grep -q "sealed partitions mapped" "${WORKDIR}/tkplqd-seeded.log"
 [ ! -e "${SEED_DIR}/snapshot-00000001.bin" ]
 # The migrated table answers exactly what the in-memory daemon answered over
 # the same dataset.
-MIGRATED_RESULTS=$(curl -fsS -X POST "http://${ADDR}/v1/query" \
+MIGRATED_RESULTS=$(curl -fsS -X POST "http://${ADDR}/v2/query" \
     -H 'Content-Type: application/json' \
     -d '{"kind":"topk","algorithm":"bf","k":5}' | jq -c .results)
 if [ "$(echo "${QUERY}" | jq -c .results)" != "${MIGRATED_RESULTS}" ]; then
@@ -317,7 +322,7 @@ if grep -q "migrated flat snapshot" "${WORKDIR}/tkplqd-seeded2.log"; then
     echo "second boot migrated again:"; cat "${WORKDIR}/tkplqd-seeded2.log"; exit 1
 fi
 curl -fsS "http://${ADDR}/v1/stats" | jq -e '.storage.migrated_records == 0 and .storage.partitions == 1' >/dev/null
-SEEDED_RESTART=$(curl -fsS -X POST "http://${ADDR}/v1/query" \
+SEEDED_RESTART=$(curl -fsS -X POST "http://${ADDR}/v2/query" \
     -H 'Content-Type: application/json' \
     -d '{"kind":"topk","algorithm":"bf","k":5}' | jq -c .results)
 [ "${MIGRATED_RESULTS}" = "${SEEDED_RESTART}" ]

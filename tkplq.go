@@ -104,50 +104,6 @@ func (s *System) FinishPartial(q Query, merged *Partial) (*Response, error) {
 	return s.engine.FinishPartial(q, merged)
 }
 
-// Flow computes the indoor flow of one S-location over [ts, te]
-// (paper Definition 1 / Algorithm 2). It is a context-free wrapper over Do;
-// an invalid S-location yields 0.
-func (s *System) Flow(q SLocID, ts, te Time) (float64, Stats) {
-	resp, err := s.Do(context.Background(), Query{Kind: KindFlow, SLocs: []SLocID{q}, Ts: ts, Te: te})
-	if err != nil {
-		return 0, Stats{}
-	}
-	return resp.Flow, resp.Stats
-}
-
-// Presence computes one object's presence in an S-location over [ts, te]
-// (paper Equation 1). It is a context-free wrapper over Do.
-func (s *System) Presence(q SLocID, oid ObjectID, ts, te Time) float64 {
-	resp, err := s.Do(context.Background(), Query{Kind: KindPresence, SLocs: []SLocID{q}, OID: oid, Ts: ts, Te: te})
-	if err != nil {
-		return 0
-	}
-	return resp.Flow
-}
-
-// TopK answers the Top-k Popular Location Query with the chosen algorithm
-// (paper Problem 1; §4). All algorithms return the same ranking — they
-// differ in the work they avoid, visible in Stats. It is a context-free
-// wrapper over Do.
-func (s *System) TopK(q []SLocID, k int, ts, te Time, algo Algorithm) ([]Result, Stats, error) {
-	return unpack(s.Do(context.Background(), Query{Kind: KindTopK, Algorithm: algo, K: k, Ts: ts, Te: te, SLocs: q}))
-}
-
-// TopKDensity ranks S-locations by flow per square meter (the paper's
-// size-aware future-work variant, §7). Result.Flow carries objects/m².
-// It is a context-free wrapper over Do.
-func (s *System) TopKDensity(q []SLocID, k int, ts, te Time) ([]Result, Stats, error) {
-	return unpack(s.Do(context.Background(), Query{Kind: KindDensity, K: k, Ts: ts, Te: te, SLocs: q}))
-}
-
-// unpack adapts a Do response to the legacy (results, stats, error) shape.
-func unpack(resp *Response, err error) ([]Result, Stats, error) {
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return resp.Results, resp.Stats, nil
-}
-
 // IngestError reports the first record of an Ingest batch that failed
 // validation, with enough structure for callers (e.g. the HTTP serving
 // layer) to point at the offending record instead of parsing an error
@@ -257,37 +213,6 @@ func (s *System) Ingest(recs []Record) error {
 // by joining an in-flight identical evaluation vs. evaluations performed).
 // Fields of a component disabled via Options are zero.
 func (s *System) CacheStats() CacheStats { return s.engine.CacheStats() }
-
-// InvalidateObject drops the engine's cached presence summaries for one
-// object. Queries never serve stale data regardless (cache hits are
-// content-verified); calling this after mutating the table out-of-band
-// reclaims the object's cached memory promptly.
-func (s *System) InvalidateObject(oid ObjectID) { s.engine.InvalidateObject(oid) }
-
-// Monitor is a continuous, online TkPLQ over a sliding window (the paper's
-// §7 future-work variant): stream records in with Observe, ask for the
-// current top-k with Current. Evaluation is incremental — an observed record
-// perturbs only its object's summary, a window slide recomputes only the
-// objects whose records enter or leave — and results stay bit-identical to
-// a from-scratch evaluation of the same window.
-type Monitor = core.Monitor
-
-// NewMonitor creates a continuous monitor over the system's live table:
-// records ingested through System.Ingest and records fed to Monitor.Observe
-// land in the same WAL-durable table and are both visible to the monitor
-// (Observe simply routes through Ingest). Close the monitor when done.
-//
-// Deprecated: NewMonitor remains as a poll-style wrapper over the
-// incremental evaluation engine. New code should ingest via System.Ingest
-// and stream ranking changes with System.Subscribe, which shares one
-// incremental monitor across identical subscriptions.
-func (s *System) NewMonitor(q []SLocID, k int, window Time) (*Monitor, error) {
-	return s.engine.OpenMonitor(core.MonitorConfig{
-		Table:   s.table,
-		Barrier: &s.ingestMu,
-		Ingest:  s.Ingest,
-	}, q, k, window)
-}
 
 // Subscribe opens a live feed of the query's top-k ranking over the system's
 // table. The query's Window field (required, positive) slides with the data:

@@ -1,11 +1,21 @@
 package tkplq_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"tkplq"
 )
+
+// topK asks one TkPLQ through Do.
+func topK(sys *tkplq.System, q []tkplq.SLocID, k int, ts, te tkplq.Time, algo tkplq.Algorithm) ([]tkplq.Result, tkplq.Stats, error) {
+	resp, err := sys.Do(context.Background(), tkplq.Query{Kind: tkplq.KindTopK, Algorithm: algo, K: k, Ts: ts, Te: te, SLocs: q})
+	if err != nil {
+		return nil, tkplq.Stats{}, err
+	}
+	return resp.Results, resp.Stats, nil
+}
 
 // TestEndToEndSynthetic exercises the full public API: generate a building,
 // simulate movement, produce an IUPT, answer TkPLQ with all algorithms, and
@@ -44,7 +54,7 @@ func TestEndToEndSynthetic(t *testing.T) {
 
 	var prev []tkplq.Result
 	for _, algo := range []tkplq.Algorithm{tkplq.Naive, tkplq.NestedLoop, tkplq.BestFirst} {
-		res, stats, err := sys.TopK(q, k, ts, te, algo)
+		res, stats, err := topK(sys, q, k, ts, te, algo)
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
 		}
@@ -75,7 +85,11 @@ func TestEndToEndSynthetic(t *testing.T) {
 	}
 
 	// Flow consistency and bounds.
-	flow, stats := sys.Flow(prev[0].SLoc, ts, te)
+	fresp, err := sys.Do(context.Background(), tkplq.Query{Kind: tkplq.KindFlow, SLocs: []tkplq.SLocID{prev[0].SLoc}, Ts: ts, Te: te})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flow, stats := fresp.Flow, fresp.Stats
 	if math.Abs(flow-prev[0].Flow) > 1e-9 {
 		t.Errorf("Flow = %v, TopK reported %v", flow, prev[0].Flow)
 	}
@@ -87,8 +101,11 @@ func TestEndToEndSynthetic(t *testing.T) {
 	}
 
 	// Presence of a known object is within [0, 1].
-	p := sys.Presence(prev[0].SLoc, 1, ts, te)
-	if p < 0 || p > 1+1e-9 {
+	presp, err := sys.Do(context.Background(), tkplq.Query{Kind: tkplq.KindPresence, SLocs: []tkplq.SLocID{prev[0].SLoc}, OID: 1, Ts: ts, Te: te})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := presp.Flow; p < 0 || p > 1+1e-9 {
 		t.Errorf("presence = %v", p)
 	}
 }
@@ -114,7 +131,7 @@ func TestPaperExampleThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := sys.TopK([]tkplq.SLocID{fig.SLocs[0], fig.SLocs[5]}, 1, 1, 8, tkplq.BestFirst)
+	res, _, err := topK(sys, []tkplq.SLocID{fig.SLocs[0], fig.SLocs[5]}, 1, 1, 8, tkplq.BestFirst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +205,7 @@ func TestIngest(t *testing.T) {
 	if got := sys.Table().Len(); got != len(batch) {
 		t.Fatalf("table has %d records after ingest, want %d", got, len(batch))
 	}
-	res, _, err := sys.TopK(q, 1, 1, 8, tkplq.BestFirst)
+	res, _, err := topK(sys, q, 1, 1, 8, tkplq.BestFirst)
 	if err != nil {
 		t.Fatal(err)
 	}
