@@ -1,11 +1,11 @@
 package tkplq_test
 
-// Benchmarks for the sealed-window summary cache: the same fully-sealed
-// window evaluated cold (caches bypassed, the partitioned store's
-// rematerialize + reduce + summarize path every time) versus cached
-// (repeated windows served from the sealed-window and presence caches).
-// bench/baseline.json records both; the gap is the cache's value, the
-// benchdiff gate keeps it from silently eroding.
+// Benchmarks for the window cache: the same fully-sealed window evaluated
+// cold (cache bypassed, the partitioned store's rematerialize + reduce +
+// summarize path every time) versus cached (the repeated window and every
+// per-object result served from the cache). bench/baseline.json records both;
+// the gap is the cache's value, the benchdiff gate keeps it from silently
+// eroding.
 
 import (
 	"context"

@@ -22,7 +22,7 @@
 // timed-out or abandoned request stops the engine's shard workers instead
 // of burning them to completion. Concurrent identical queries share one
 // evaluation (query-level request coalescing) on top of the engine's
-// per-object presence cache. The daemon shuts down gracefully on
+// window cache. The daemon shuts down gracefully on
 // SIGINT/SIGTERM, draining in-flight requests.
 //
 // With -data-dir the live table is durable: every accepted ingest batch is

@@ -4,11 +4,15 @@ package tkplq_test
 // partitions are merged by the background compactor must answer every query
 // bit-identically to a flat in-RAM system — before, during (queries racing
 // the swap, under -race) and after the compaction, for all three TkPLQ
-// algorithms at every tested worker count. Also pins the sealed-window
-// summary cache's observable contract: a repeated window over sealed data is
-// answered without rematerializing a single record.
+// algorithms at every tested worker count. Also pins the window cache's
+// observable contract: a repeated window is answered without rematerializing
+// a single record, and a cached system answers exactly as an uncached one
+// through ingest, seals and compactions.
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -231,12 +235,11 @@ func TestPartitionBoundaryWindows(t *testing.T) {
 	assertIdentical(t, "compacted boundary windows", battery(parts), want)
 }
 
-// TestSummaryCacheSkipsRematerialization pins the sealed-window cache's
-// observable promise: the second evaluation of a window that is fully
-// answered by sealed partitions decodes zero additional records from the
-// store (storage materialized_records stays flat) and reports window-cache
-// hits, while a window overlapping the mutable WAL head keeps
-// rematerializing.
+// TestSummaryCacheSkipsRematerialization pins the window cache's observable
+// promise: the second evaluation of an unchanged window decodes zero
+// additional records from the store (storage materialized_records stays flat)
+// and reports window-cache hits, while an ingest into the window or a
+// compaction under it rematerializes once.
 func TestSummaryCacheSkipsRematerialization(t *testing.T) {
 	sys, store := sealedSystem(t, t.TempDir(), 10, tkplq.PartitionedOptions{})
 	// Everything sealed (10 batches + initial dataset), WAL head empty.
@@ -277,7 +280,7 @@ func TestSummaryCacheSkipsRematerialization(t *testing.T) {
 	assertIdentical(t, "cached sealed window", []*tkplq.Response{resp1}, []*tkplq.Response{refResp})
 
 	// Ingest into the window: the next evaluation must see the new record —
-	// the head overlap disables the window cache, and the answer tracks a
+	// the head count moves the window's identity, and the answer tracks a
 	// flat system fed the same record.
 	extra := tkplq.Record{OID: 999, T: 660, Samples: tkplq.SampleSet{{Loc: 1, Prob: 1}}}
 	if err := sys.Ingest([]tkplq.Record{extra}); err != nil {
@@ -297,9 +300,8 @@ func TestSummaryCacheSkipsRematerialization(t *testing.T) {
 	}
 	assertIdentical(t, "window after head ingest", []*tkplq.Response{got}, []*tkplq.Response{want2})
 
-	// Compaction changes the partition identity set: the first evaluation
-	// after it re-materializes (cache key changed), then caches again once
-	// the head is sealed away.
+	// Seal and compaction change the partition identity set: the first
+	// evaluation after them re-materializes, the next is cached again.
 	if err := sys.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
@@ -322,4 +324,186 @@ func TestSummaryCacheSkipsRematerialization(t *testing.T) {
 	if d := store.Stats().MaterializedRecords - base; d != 0 {
 		t.Fatalf("repeated post-compaction window rematerialized %d records, want 0", d)
 	}
+}
+
+// TestCacheDifferentialPartitioned is the cached ≡ uncached differential on
+// the durable layout: a partitioned system with the cache against a flat
+// in-RAM twin without one, through seeded random ingest (behind the sealed
+// partitions, in order, and where no window looks), seals and compactions,
+// asking both every kind of question by Do, DoBatch and DoPartial at workers 1
+// and 4 after every step. Then it pins what a hit is when partitions vouch
+// for the window.
+func TestCacheDifferentialPartitioned(t *testing.T) {
+	ctx := t.Context()
+	sys, store := sealedSystem(t, t.TempDir(), 4, tkplq.PartitionedOptions{})
+	b, table := durableTestBuilding(t)
+	plain, err := tkplq.NewSystem(b.Space, table, tkplq.Options{DisableCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, batch := range ingestBatches(b.Space.NumPLocations()) {
+		if err := plain.Ingest(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nextOID := tkplq.ObjectID(1000)
+	ingest := func(ts ...tkplq.Time) {
+		t.Helper()
+		recs := make([]tkplq.Record, len(ts))
+		for i, at := range ts {
+			recs[i] = tkplq.Record{OID: nextOID, T: at, Samples: tkplq.SampleSet{
+				{Loc: tkplq.PLocID(int(nextOID) % b.Space.NumPLocations()), Prob: 0.7},
+				{Loc: tkplq.PLocID(int(nextOID+1) % b.Space.NumPLocations()), Prob: 0.3},
+			}}
+			nextOID++
+		}
+		for _, s := range []*tkplq.System{sys, plain} {
+			if err := s.Ingest(recs); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	slocs := sys.AllSLocations()
+	battery := func(ts, te tkplq.Time, workers int) []tkplq.Query {
+		return []tkplq.Query{
+			{Kind: tkplq.KindTopK, Algorithm: tkplq.BestFirst, K: 5, Ts: ts, Te: te, SLocs: slocs, Workers: workers},
+			{Kind: tkplq.KindTopK, Algorithm: tkplq.NestedLoop, K: len(slocs), Ts: ts, Te: te, SLocs: slocs, Workers: workers},
+			{Kind: tkplq.KindTopK, Algorithm: tkplq.Naive, K: 3, Ts: ts, Te: te, SLocs: slocs[:6], Workers: workers},
+			{Kind: tkplq.KindDensity, K: 5, Ts: ts, Te: te, SLocs: slocs, Workers: workers},
+			{Kind: tkplq.KindFlow, Ts: ts, Te: te, SLocs: slocs[3:4], Workers: workers},
+			{Kind: tkplq.KindPresence, OID: 2, Ts: ts, Te: te, SLocs: slocs[:1], Workers: workers},
+		}
+	}
+
+	windows := [][2]tkplq.Time{{0, 300}, {200, 500}, {450, 640}, {0, 700}, {630, 700}, {700, 760}}
+	rng := rand.New(rand.NewSource(20))
+	now := tkplq.Time(700)
+	for step := 0; step < 30; step++ {
+		var what string
+		switch rng.Intn(6) {
+		case 0:
+			what = "ingest behind the partitions"
+			ingest(tkplq.Time(rng.Intn(600)), tkplq.Time(rng.Intn(600)))
+		case 1:
+			what = "ingest in order"
+			ingest(now, now+1)
+			now += 2
+		case 2:
+			what = "ingest elsewhere"
+			ingest(5000 + tkplq.Time(rng.Intn(1000)))
+		case 3:
+			what = "seal"
+			if err := sys.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+		case 4:
+			what = "compaction"
+			if _, err := store.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			what = "nothing"
+		}
+		win := windows[rng.Intn(len(windows))]
+		for _, workers := range []int{1, 4} {
+			at := fmt.Sprintf("step %d (%s) window %v workers=%d", step, what, win, workers)
+			qs := battery(win[0], win[1], workers)
+			got := make([]*tkplq.Response, len(qs))
+			want := make([]*tkplq.Response, len(qs))
+			for i, q := range qs {
+				if got[i], err = sys.Do(ctx, q); err != nil {
+					t.Fatalf("%s query %d: %v", at, i, err)
+				}
+				if want[i], err = plain.Do(ctx, q); err != nil {
+					t.Fatalf("%s query %d (uncached): %v", at, i, err)
+				}
+				gotP, err := sys.DoPartial(ctx, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantP, err := plain.DoPartial(ctx, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(gotP.OIDs, wantP.OIDs) || !reflect.DeepEqual(gotP.Rows, wantP.Rows) {
+					t.Fatalf("%s DoPartial %d: cached rows differ from uncached", at, i)
+				}
+			}
+			assertIdentical(t, at+" Do", got, want)
+			gotB, err := sys.DoBatch(ctx, qs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantB, err := plain.DoBatch(ctx, qs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertIdentical(t, at+" DoBatch", gotB, wantB)
+		}
+	}
+
+	// What a hit is. The window sits inside the first partition.
+	q := tkplq.Query{Kind: tkplq.KindTopK, Algorithm: tkplq.NestedLoop, K: len(slocs), Ts: 100, Te: 400, SLocs: slocs, Workers: 1}
+	ask := func(label string, wantHit bool) {
+		t.Helper()
+		before, decoded := sys.CacheStats(), store.Stats().MaterializedRecords
+		got, err := sys.Do(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := plain.Do(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertIdentical(t, label, []*tkplq.Response{got}, []*tkplq.Response{want})
+		after, st := sys.CacheStats(), got.Stats
+		if st.ObjectsComputed == 0 {
+			t.Fatalf("%s: no object computed — the window is empty", label)
+		}
+		if wantHit {
+			if st.CacheHits != int64(st.ObjectsComputed) || st.CacheMisses != 0 {
+				t.Errorf("%s: %d hits / %d misses over %d computed objects, want every object a hit", label, st.CacheHits, st.CacheMisses, st.ObjectsComputed)
+			}
+			if after.WindowHits != before.WindowHits+1 {
+				t.Errorf("%s: window hits %d → %d, want the window itself served from the cache", label, before.WindowHits, after.WindowHits)
+			}
+			if d := store.Stats().MaterializedRecords - decoded; d != 0 {
+				t.Errorf("%s: rematerialized %d records, want 0", label, d)
+			}
+		} else {
+			if st.CacheHits != 0 || st.CacheMisses != int64(st.ObjectsComputed) {
+				t.Errorf("%s: %d hits / %d misses over %d computed objects, want every object a miss", label, st.CacheHits, st.CacheMisses, st.ObjectsComputed)
+			}
+			if after.WindowMisses != before.WindowMisses+1 {
+				t.Errorf("%s: window misses %d → %d, want one rematerialization", label, before.WindowMisses, after.WindowMisses)
+			}
+		}
+	}
+	ingest(250) // whatever the walk left cached for this window is now stale
+	ask("first sighting", false)
+	ask("repeat of an untouched window", true)
+	ingest(6000, 50)
+	ask("after ingest elsewhere", true)
+	ingest(251)
+	ask("after ingest into the window", false)
+	ask("repeat after the ingest", true)
+	if err := sys.Snapshot(); err != nil { // the head's span [50, 6000] covers the window
+		t.Fatal(err)
+	}
+	ask("first sighting after a seal over the window", false)
+	ask("repeat after the seal", true)
+	for i := 0; i < 4; i++ { // enough small partitions for a merge, none near the window
+		ingest(7000 + tkplq.Time(i))
+		if err := sys.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ask("after seals elsewhere", true)
+	if res, err := store.Compact(); err != nil {
+		t.Fatal(err)
+	} else if res.Inputs < 2 {
+		t.Fatalf("compaction merged %d inputs, want a real merge", res.Inputs)
+	}
+	ask("first sighting after a compaction under the window", false)
+	ask("repeat after the compaction", true)
 }

@@ -26,7 +26,7 @@ type (
 // computing concrete flows only for leaf entries that survive to the top,
 // and terminates as soon as k results are confirmed.
 func (e *Engine) topkBestFirst(ctx context.Context, table *iupt.Table, q []indoor.SLocID, k int, ts, te iupt.Time) ([]Result, Stats, error) {
-	seqs, err := e.sequences(ctx, table, ts, te)
+	seqs, memo, err := e.window(ctx, table, ts, te)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -34,7 +34,7 @@ func (e *Engine) topkBestFirst(ctx context.Context, table *iupt.Table, q []indoo
 	for _, s := range q {
 		query[s] = true
 	}
-	oracle := newOracle(e, seqs, query)
+	oracle := newOracle(e, seqs, memo, query)
 	// Every object's reduction (PSLs) is needed for RC; shard them across
 	// the worker pool. Summaries stay lazy — only candidates that survive to
 	// the top of the heap pay for path construction, as in the paper.

@@ -16,7 +16,7 @@ import (
 // finishes and receives a copy of the leader's results and stats with
 // Stats.Coalesced set.
 //
-// The coalescer sits *above* the presence cache: the cache dedupes per-object
+// The coalescer sits *above* the window cache: the cache dedupes per-object
 // work across queries that have already finished, the coalescer dedupes whole
 // evaluations that are racing right now (a stampede of identical requests,
 // e.g. a popular dashboard window, costs one evaluation instead of N).
@@ -96,6 +96,21 @@ func canonicalSLocs(q []indoor.SLocID) []indoor.SLocID {
 		}
 	}
 	return out
+}
+
+// FNV-1a constants for the query-set hash.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func fnvMix(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= v & 0xff
+		h *= fnvPrime64
+		v >>= 8
+	}
+	return h
 }
 
 // slocHash fingerprints a canonical query set with FNV-1a.

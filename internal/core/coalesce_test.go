@@ -250,7 +250,6 @@ func TestCoalesceIngestSplitsFlights(t *testing.T) {
 	// Grow the table while the first flight is parked: the second identical
 	// query sees a different record count and must open its own flight.
 	tb.Append(iupt.Record{OID: 99, T: 5, Samples: iupt.SampleSet{{Loc: fig.PLocs[0], Prob: 1}}})
-	eng.InvalidateObjectRange(99, 5, 5)
 
 	var wg2 sync.WaitGroup
 	var stSecond Stats

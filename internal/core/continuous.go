@@ -22,7 +22,8 @@ import (
 // whose records enter or leave the window (found by binary search on the
 // table's sorted snapshot, iupt.Table.RecordsInRange). Only the dirty
 // objects' reductions and summaries are recomputed, through the same
-// presence oracle — and engine cache — the one-shot queries use. The cheap
+// presence oracle the one-shot queries use (without the engine cache: the
+// retained summaries are the feed's own). The cheap
 // parts of an evaluation are repeated in full precisely because they must
 // be: per-location flows are re-accumulated over all retained summaries in
 // canonical ascending object order (float addition is non-associative, so
@@ -342,9 +343,11 @@ func spliceRecord(seq iupt.Sequence, tss iupt.TimedSampleSet) iupt.Sequence {
 }
 
 // recomputeLocked re-reduces and re-summarizes the dirty objects through the
-// presence oracle (sharded across the worker pool, served from the engine
-// cache where sequences are unchanged in content) and returns the
-// evaluation's stats. Untouched objects keep their summaries.
+// presence oracle (sharded across the worker pool) and returns the
+// evaluation's stats. Untouched objects keep their summaries. The oracle gets
+// no memo: the dirty sequences are the monitor's private spliced state, not a
+// window the table can vouch for, and the summaries a later tick could reuse
+// are the ones retained here already.
 func (m *monitor) recomputeLocked(dirtyList []iupt.ObjectID) Stats {
 	st := Stats{ObjectsTotal: len(m.seqs), Workers: 1}
 	if len(dirtyList) > 0 {
@@ -352,7 +355,7 @@ func (m *monitor) recomputeLocked(dirtyList []iupt.ObjectID) Stats {
 		for _, oid := range dirtyList {
 			dirtySeqs[oid] = m.seqs[oid]
 		}
-		oracle := newOracle(m.eng, dirtySeqs, m.querySet)
+		oracle := newOracle(m.eng, dirtySeqs, nil, m.querySet)
 		// Background ctx: ensure only fails on ctx cancellation.
 		_ = oracle.ensureSummaries(context.Background(), dirtyList)
 		for _, oid := range dirtyList {

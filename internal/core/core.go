@@ -26,22 +26,21 @@
 // bounded worker pool (Options.Workers) partitioned with iupt.ShardObjects,
 // while every floating-point accumulation stays in canonical
 // ascending-object order — so rankings and flows are bit-identical for every
-// worker count, shard count and algorithm. A
-// content-verified presence/interval cache (Options.DisableCache,
-// Options.CacheCapacity) lets repeated and overlapping-window queries,
-// including the live feeds behind Subscribe, reuse per-(object, window)
-// reductions and summaries; an ingest invalidates the touched objects'
-// overlapping entries (InvalidateObjectRange).
+// worker count, shard count and algorithm. One cache (windowcache.go,
+// Options.DisableCache) lets a repeated window reuse its materialized
+// sequences and every per-object reduction and summary computed over them;
+// the table's identity for the window (iupt.WindowIdentity) is the whole
+// proof of a hit, so nothing invalidates and an ingest does not know the
+// cache exists. The live feeds behind Subscribe retain their own per-object
+// summaries and use no cache.
 package core
 
 import (
-	"context"
 	"errors"
 	"runtime"
 	"sync"
 
 	"tkplq/internal/indoor"
-	"tkplq/internal/iupt"
 )
 
 // EngineKind selects how object presence is computed.
@@ -160,23 +159,20 @@ type Options struct {
 	// 0 selects runtime.GOMAXPROCS(0); 1 (or any negative value) forces the
 	// single-threaded path, exactly as the paper's algorithms are written.
 	Workers int
-	// DisableCache turns off the engine's presence/interval cache. With the
-	// cache enabled (the default), repeated and overlapping-window queries
-	// reuse per-(object, interval) reductions and presence summaries
-	// instead of recomputing them; Stats.CacheHits and Stats.CacheMisses
-	// report the effect per query. The Naive algorithm always bypasses the
-	// cache — it exists to measure repeated work.
+	// DisableCache turns off the engine's window cache. With the cache
+	// enabled (the default), a query over a window whose records have not
+	// changed since an earlier query reuses that query's materialized
+	// sequences and its per-object reductions and presence summaries instead
+	// of recomputing them; Stats.CacheHits and Stats.CacheMisses report the
+	// effect per query. The Naive algorithm always bypasses the cache — it
+	// exists to measure repeated work.
 	DisableCache bool
-	// CacheCapacity caps the presence cache at this many entries per
-	// eviction generation (live memory ≤ 2× this); 0 selects
-	// DefaultCacheCapacity.
-	CacheCapacity int
 	// DisableCoalescing turns off query-level request coalescing. With
 	// coalescing enabled (the default), concurrent identical queries — same
 	// query kind, algorithm, k, window, table snapshot and query set — share
 	// one in-flight evaluation: the first caller evaluates, the rest block
 	// and receive a copy of its results with Stats.Coalesced set. The
-	// coalescer is independent of the presence cache (DisableCache does not
+	// coalescer is independent of the window cache (DisableCache does not
 	// affect it) and never changes results: flight identity pins the table's
 	// record count, so a query racing an ingest never joins a stale flight.
 	DisableCoalescing bool
@@ -203,15 +199,14 @@ func (o Options) workerCount() int {
 
 // Engine computes flows and answers TkPLQ over one indoor space.
 // An Engine is safe for concurrent use: its configuration is immutable,
-// per-query state lives in the query functions, and the presence cache is
+// per-query state lives in the query functions, and the window cache is
 // internally synchronized.
 type Engine struct {
-	space  *indoor.Space
-	opts   Options
-	cache  *summaryCache // nil when Options.DisableCache is set
-	wcache *windowCache  // nil when Options.DisableCache is set
-	coal   *coalescer    // nil when Options.DisableCoalescing is set
-	mons   *monitorRegistry
+	space *indoor.Space
+	opts  Options
+	cache *windowCache // nil when Options.DisableCache is set
+	coal  *coalescer   // nil when Options.DisableCoalescing is set
+	mons  *monitorRegistry
 
 	// scratch pools per-worker summarizeScratch arenas so the reduce →
 	// summarize hot path reuses its working memory across objects. A shared
@@ -224,8 +219,7 @@ type Engine struct {
 func NewEngine(space *indoor.Space, opts Options) *Engine {
 	e := &Engine{space: space, opts: opts, scratch: &sync.Pool{}, mons: newMonitorRegistry()}
 	if !opts.DisableCache {
-		e.cache = newSummaryCache(opts.CacheCapacity)
-		e.wcache = newWindowCache()
+		e.cache = newWindowCache()
 	}
 	if !opts.DisableCoalescing {
 		e.coal = newCoalescer()
@@ -235,37 +229,6 @@ func NewEngine(space *indoor.Space, opts Options) *Engine {
 
 // Space returns the engine's indoor space.
 func (e *Engine) Space() *indoor.Space { return e.space }
-
-// sequences fetches the per-object positioning sequences of [ts, te],
-// sharding the per-object sorting across the worker pool. A canceled ctx
-// aborts the fetch and returns ctx.Err().
-//
-// Windows fully answered by immutable sealed partitions are served from the
-// sealed-window cache when possible: the table's partition identity set over
-// the window keys the entry, so any data change that could alter the answer
-// forces a rematerialization (see windowCache). Cached maps are shared across
-// queries — callers must treat the result as read-only, which every consumer
-// in this package does.
-func (e *Engine) sequences(ctx context.Context, table *iupt.Table, ts, te iupt.Time) (map[iupt.ObjectID]iupt.Sequence, error) {
-	wc := e.wcache
-	if wc == nil {
-		return table.SequencesInRangeSharded(ctx, ts, te, e.opts.workerCount())
-	}
-	ids, sealed := table.SealedWindow(ts, te)
-	if !sealed {
-		return table.SequencesInRangeSharded(ctx, ts, te, e.opts.workerCount())
-	}
-	key := windowKey{table: table, ts: ts, te: te}
-	if seqs, ok := wc.lookup(key, ids); ok {
-		return seqs, nil
-	}
-	seqs, err := table.SequencesInRangeSharded(ctx, ts, te, e.opts.workerCount())
-	if err != nil {
-		return nil, err
-	}
-	wc.store(key, ids, seqs)
-	return seqs, nil
-}
 
 // Options returns the engine's options.
 func (e *Engine) Options() Options { return e.opts }
@@ -303,9 +266,10 @@ type Stats struct {
 	// fanned out over (1 when everything ran on the calling goroutine; see
 	// Options.Workers).
 	Workers int
-	// CacheHits and CacheMisses count presence-summary lookups served from
-	// / missed by the engine's presence cache during this query. Both stay
-	// 0 when the cache is disabled or bypassed (Naive).
+	// CacheHits and CacheMisses count, one per object whose presence summary
+	// this query asked for, those served from the cached window's memo and
+	// those computed. Both stay 0 when the cache is disabled or bypassed
+	// (Naive, subscription feeds).
 	CacheHits   int64
 	CacheMisses int64
 	// Coalesced is 1 when this query did not evaluate at all: it joined a

@@ -57,7 +57,7 @@ type liveTable struct {
 func (l *liveTable) cfg() SubscribeConfig { return SubscribeConfig{Table: l.tb, Barrier: &l.mu} }
 
 // ingest appends a batch and announces it under the lock, as System.Ingest
-// does (cache invalidation aside).
+// does.
 func (l *liveTable) ingest(recs ...iupt.Record) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -21,28 +21,32 @@ import (
 // engine's worker pool. Outcomes land in a per-index slice and are merged
 // into the oracle's maps — and into Stats — in ascending object order, so
 // results and statistics are identical to the single-threaded path for every
-// worker count. It also fronts the engine's presence/interval cache: a
-// (object, window) pair whose sequence was reduced and summarized by any
-// earlier query on the same engine is served from the cache.
+// worker count. Over a cached window it also fronts the window's memo: an
+// object reduced and summarized by any earlier query over the same records is
+// served from there, by object id, without touching a sample.
 //
 // The lazy accessors (reduction, summary) and the merge phase must run on
 // one goroutine; computeOne is safe to call concurrently.
 type presenceOracle struct {
-	eng     *Engine
-	query   map[indoor.SLocID]bool // nil disables PSL∩Q pruning
-	seqs    map[iupt.ObjectID]iupt.Sequence
-	nocache bool // Naive sets this: no sharing across locations, by design
+	eng   *Engine
+	query map[indoor.SLocID]bool // nil disables PSL∩Q pruning
+	seqs  map[iupt.ObjectID]iupt.Sequence
+	memo  *objectMemo // of the cached window seqs came from; nil = no sharing
 
 	reductions map[iupt.ObjectID]*Reduction // nil value = pruned
 	summaries  map[iupt.ObjectID]*ObjectSummary
 	stats      Stats
 }
 
-func newOracle(e *Engine, seqs map[iupt.ObjectID]iupt.Sequence, query map[indoor.SLocID]bool) *presenceOracle {
+// newOracle evaluates over seqs, a subset of one window's sequences. memo is
+// that window's (Engine.window); nil — an uncached window, Naive, a monitor's
+// privately spliced sequences — computes everything and shares nothing.
+func newOracle(e *Engine, seqs map[iupt.ObjectID]iupt.Sequence, memo *objectMemo, query map[indoor.SLocID]bool) *presenceOracle {
 	return &presenceOracle{
 		eng:        e,
 		query:      query,
 		seqs:       seqs,
+		memo:       memo,
 		reductions: make(map[iupt.ObjectID]*Reduction, len(seqs)),
 		summaries:  make(map[iupt.ObjectID]*ObjectSummary, len(seqs)),
 		stats:      Stats{ObjectsTotal: len(seqs)},
@@ -60,11 +64,6 @@ func (o *presenceOracle) objects() []iupt.ObjectID {
 	return iupt.SortedObjects(o.seqs)
 }
 
-// cacheEnabled reports whether this oracle consults the engine cache.
-func (o *presenceOracle) cacheEnabled() bool {
-	return o.eng.cache != nil && !o.nocache
-}
-
 // prunedBy replicates ReduceData's PSL∩Q check for a reduction computed
 // without a query (so the reduction itself stays query-independent and
 // cacheable).
@@ -79,51 +78,44 @@ type outcome struct {
 	sum      *ObjectSummary // nil unless a summary was requested
 	fellBack bool
 	pruned   bool
-	sumHit   bool // summary served from the engine cache
+	sumHit   bool // summary served from the window's memo
 }
 
 // computeOne reduces (and, when needSummary, summarizes) one object, going
-// through the engine cache when enabled. have, if non-nil, is a reduction
-// already computed for this object and query window, reused on cache miss.
-// scr is the caller's scratch arena — shard workers hold one across all
-// their objects, so steady-state evaluation recycles its working memory.
-// computeOne only reads oracle state and is safe to call concurrently (with
-// per-caller scr).
+// through the window's memo when there is one. have, if non-nil, is a
+// reduction already computed for this object and query window, reused on
+// memo miss. scr is the caller's scratch arena — shard workers hold one
+// across all their objects, so steady-state evaluation recycles its working
+// memory. computeOne only reads oracle state and is safe to call concurrently
+// (with per-caller scr).
 func (o *presenceOracle) computeOne(oid iupt.ObjectID, needSummary bool, have *Reduction, scr *summarizeScratch) outcome {
-	seq := o.seqs[oid]
-	useCache := o.cacheEnabled() && len(seq) > 0
-	var key cacheKey
-	red, fellBack := have, false
-	var sum *ObjectSummary
-	if useCache {
-		key = sequenceKey(oid, seq)
-		if en := o.eng.cache.lookup(key, seq); en != nil {
-			red, sum, fellBack = en.red, en.sum, en.fellBack
+	m := memoized{red: have}
+	if o.memo != nil {
+		if got, ok := o.memo.get(oid); ok {
+			m = got
 		}
 	}
-	if red == nil {
-		red, _ = o.eng.reduceDataScratch(seq, nil, scr)
+	if m.red == nil {
+		m.red, _ = o.eng.reduceDataScratch(o.seqs[oid], nil, scr)
 	}
-	if o.prunedBy(red) {
-		if useCache && sum == nil {
-			o.eng.cache.store(key, &cacheEntry{seq: seq, red: red})
+	pruned := o.prunedBy(m.red)
+	if pruned || !needSummary {
+		if o.memo != nil && m.sum == nil {
+			o.memo.put(oid, memoized{red: m.red})
 		}
-		return outcome{pruned: true}
-	}
-	if !needSummary {
-		if useCache && sum == nil {
-			o.eng.cache.store(key, &cacheEntry{seq: seq, red: red})
+		if pruned {
+			return outcome{pruned: true}
 		}
-		return outcome{red: red}
+		return outcome{red: m.red}
 	}
-	if sum != nil {
-		return outcome{red: red, sum: sum, fellBack: fellBack, sumHit: true}
+	if m.sum != nil {
+		return outcome{red: m.red, sum: m.sum, fellBack: m.fellBack, sumHit: true}
 	}
-	sum, fellBack = o.eng.summarizeScratch(red.Seq, scr)
-	if useCache {
-		o.eng.cache.store(key, &cacheEntry{seq: seq, red: red, sum: sum, fellBack: fellBack})
+	m.sum, m.fellBack = o.eng.summarizeScratch(m.red.Seq, scr)
+	if o.memo != nil {
+		o.memo.put(oid, m)
 	}
-	return outcome{red: red, sum: sum, fellBack: fellBack}
+	return outcome{red: m.red, sum: m.sum, fellBack: m.fellBack}
 }
 
 // applySummary merges a summarized outcome into the oracle's maps and stats.
@@ -146,7 +138,7 @@ func (o *presenceOracle) applySummary(oid iupt.ObjectID, oc outcome) {
 	}
 	o.stats.SampleSetsOriginal += int64(len(o.seqs[oid]))
 	o.stats.SampleSetsReduced += int64(len(oc.red.Seq))
-	if o.cacheEnabled() {
+	if o.memo != nil {
 		if oc.sumHit {
 			o.stats.CacheHits++
 		} else {
@@ -188,8 +180,9 @@ func (o *presenceOracle) summary(oid iupt.ObjectID) *ObjectSummary {
 // ensureSummaries fills the reduction and summary caches for the listed
 // objects, fanning pending ones across the engine's worker pool. A canceled
 // ctx aborts between objects and returns ctx.Err(); completed per-object
-// work stays in the engine cache (entries are content-verified, so partial
-// progress is safe to keep) but none of it is merged into this oracle.
+// work stays in the window's memo (it is a function of the window's records
+// alone, so partial progress is safe to keep) but none of it is merged into
+// this oracle.
 func (o *presenceOracle) ensureSummaries(ctx context.Context, oids []iupt.ObjectID) error {
 	return o.ensure(ctx, oids, true)
 }
@@ -263,7 +256,7 @@ func (o *presenceOracle) ensure(ctx context.Context, oids []iupt.ObjectID, needS
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		// Partial outcomes are discarded: a canceled query returns no result,
-		// and whatever the workers finished already went to the engine cache.
+		// and whatever the workers finished already went to the window's memo.
 		return err
 	}
 
@@ -285,14 +278,15 @@ func (o *presenceOracle) ensure(ctx context.Context, oids []iupt.ObjectID, needS
 
 // finishStats normalizes the oracle's stats before they are returned:
 // Workers reflects the largest pool used (1 when everything stayed on the
-// calling goroutine), and cache lookups are folded into the engine's
-// lifetime counters.
+// calling goroutine), and memo lookups are folded into the engine's lifetime
+// counters.
 func (o *presenceOracle) finishStats() Stats {
 	if o.stats.Workers == 0 {
 		o.stats.Workers = 1
 	}
-	if o.cacheEnabled() && (o.stats.CacheHits > 0 || o.stats.CacheMisses > 0) {
-		o.eng.cache.recordLookup(o.stats.CacheHits, o.stats.CacheMisses)
+	if o.memo != nil {
+		o.eng.cache.objHits.Add(o.stats.CacheHits)
+		o.eng.cache.objMisses.Add(o.stats.CacheMisses)
 	}
 	return o.stats
 }

@@ -200,7 +200,7 @@ func TestCacheDisabled(t *testing.T) {
 		}
 	}
 	cs := eng.CacheStats()
-	if cs.Entries != 0 || cs.Hits != 0 || cs.Misses != 0 || cs.Invalidations != 0 {
+	if cs.Entries != 0 || cs.Hits != 0 || cs.Misses != 0 || cs.WindowEntries != 0 || cs.WindowHits != 0 || cs.WindowMisses != 0 {
 		t.Errorf("CacheStats on disabled cache = %+v, want zero cache fields", cs)
 	}
 	// The request coalescer is independent of the presence cache: the two
@@ -210,10 +210,10 @@ func TestCacheDisabled(t *testing.T) {
 	}
 }
 
-// TestMonitorObserveInvalidatesCache: an ingest's range invalidation drops the
-// touched object's overlapping cached summaries (and only that object's), and
-// the monitor's next evaluation reflects the new record. It is the one
-// integration test of ingest-time invalidation.
+// TestMonitorObserveInvalidatesCache: an announced ingest makes the monitor's
+// retained result stale — the only cached state a feed has, since monitors
+// neither read nor fill the engine's cache — and the next evaluation reflects
+// the new record exactly as a fresh engine does.
 func TestMonitorObserveInvalidatesCache(t *testing.T) {
 	fig := indoor.Figure1Space()
 	eng := NewEngine(fig.Space, Options{})
@@ -228,8 +228,11 @@ func TestMonitorObserveInvalidatesCache(t *testing.T) {
 	live.ingest(before...)
 
 	u1 := current(mon)
-	if eng.cache.entriesFor(1) == 0 || eng.cache.entriesFor(2) == 0 {
-		t.Fatal("the evaluation did not populate the presence cache")
+	if u1.Stats.CacheHits != 0 || u1.Stats.CacheMisses != 0 {
+		t.Errorf("monitor evaluation reported cache traffic: %+v", u1.Stats)
+	}
+	if cs := eng.CacheStats(); cs.Entries != 0 || cs.WindowEntries != 0 || cs.Misses != 0 {
+		t.Errorf("monitor evaluation filled the engine cache: %+v", cs)
 	}
 
 	// No new record: served from the monitor's retained result.
@@ -239,20 +242,9 @@ func TestMonitorObserveInvalidatesCache(t *testing.T) {
 		t.Errorf("retained result returned different stats: %+v vs %+v", u1b.Stats, u1.Stats)
 	}
 
-	// Ingesting for object 1 inside the span its cached sequence covers
-	// invalidates its summaries but keeps object 2's.
-	added := iupt.Record{OID: 1, T: 11, Samples: set(fig.PLocs[3])}
-	live.ingest(added)
-	eng.InvalidateObjectRange(added.OID, added.T, added.T)
-	if n := eng.cache.entriesFor(1); n != 0 {
-		t.Errorf("object 1 still has %d cached entries after the ingest", n)
-	}
-	if eng.cache.entriesFor(2) == 0 {
-		t.Error("object 2's cache entries were dropped by an unrelated ingest")
-	}
-
-	// The announcement made the retained result stale too: the monitor
+	// The announcement makes the retained result stale: the monitor
 	// recomputes and sees the new record, exactly as a fresh engine does.
+	live.ingest(iupt.Record{OID: 1, T: 11, Samples: set(fig.PLocs[3])})
 	u2 := current(mon)
 	ref := NewEngine(fig.Space, sequentialOpts(Options{}))
 	want, _, err := ref.TopK(live.tb, fig.SLocs[:], 3, u2.Ts, u2.Te, AlgoBestFirst)
@@ -272,14 +264,18 @@ func TestMonitorObserveInvalidatesCache(t *testing.T) {
 func TestCacheEviction(t *testing.T) {
 	fig := indoor.Figure1Space()
 	rng := rand.New(rand.NewSource(3))
-	eng := NewEngine(fig.Space, Options{CacheCapacity: 8})
-	// Many disjoint single-object windows → many distinct cache keys.
-	tb := randTable(rng, fig, 4, 200)
-	for te := iupt.Time(5); te <= 200; te += 5 {
+	eng := NewEngine(fig.Space, Options{})
+	// 200 distinct windows → 200 distinct cache keys.
+	tb := randTable(rng, fig, 4, 1000)
+	for te := iupt.Time(5); te <= 1000; te += 5 {
 		eng.Flow(tb, fig.SLocs[0], te-5, te)
 	}
-	if cs := eng.CacheStats(); cs.Entries > 16 {
-		t.Errorf("cache grew to %d entries, cap is 8 per generation", cs.Entries)
+	cs := eng.CacheStats()
+	if cs.WindowMisses != 200 {
+		t.Fatalf("%d windows were materialized, want 200", cs.WindowMisses)
+	}
+	if cs.WindowEntries > 2*DefaultWindowCacheCapacity {
+		t.Errorf("cache grew to %d windows, cap is %d per generation", cs.WindowEntries, DefaultWindowCacheCapacity)
 	}
 }
 
@@ -290,7 +286,7 @@ func TestConcurrentEngineUse(t *testing.T) {
 	fig := indoor.Figure1Space()
 	rng := rand.New(rand.NewSource(41))
 	tb := randTable(rng, fig, 16, 40)
-	eng := NewEngine(fig.Space, Options{Workers: 4, CacheCapacity: 32})
+	eng := NewEngine(fig.Space, Options{Workers: 4})
 	live := &liveTable{eng: eng, tb: tb}
 	mon := live.monitor(fig.SLocs[:], 2, 50)
 	tb0 := tb.Len()
@@ -322,7 +318,6 @@ func TestConcurrentEngineUse(t *testing.T) {
 					Samples: randSampleSet(local, fig.PLocs[:], 3),
 				}
 				live.ingest(rec)
-				eng.InvalidateObjectRange(rec.OID, rec.T, rec.T)
 				if i%5 == 4 {
 					if u := current(mon); u.Records < tb0+i+1 {
 						errs <- fmt.Errorf("update covers %d records after %d were there", u.Records, tb0+i+1)

@@ -46,7 +46,7 @@ type Partial struct {
 // the columns and, for KindPresence only, the one object to restrict to; e
 // must already be the query's view.
 func (e *Engine) sharedPass(ctx context.Context, table *iupt.Table, q Query, emit func(oid iupt.ObjectID, row []float64)) (Stats, error) {
-	seqs, err := e.sequences(ctx, table, q.Ts, q.Te)
+	seqs, memo, err := e.window(ctx, table, q.Ts, q.Te)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -54,7 +54,8 @@ func (e *Engine) sharedPass(ctx context.Context, table *iupt.Table, q Query, emi
 	if q.Kind == KindPresence {
 		// Only the one object, and no PSL∩Q pruning: its summary is computed
 		// unconditionally (a non-intersecting PSL yields an exact 0.0 either
-		// way).
+		// way). The restriction is a map of its own: seqs may be a cached
+		// window's, shared with every other query over it.
 		if seq, ok := seqs[q.OID]; ok {
 			seqs = map[iupt.ObjectID]iupt.Sequence{q.OID: seq}
 		} else {
@@ -66,7 +67,7 @@ func (e *Engine) sharedPass(ctx context.Context, table *iupt.Table, q Query, emi
 			query[s] = true
 		}
 	}
-	oracle := newOracle(e, seqs, query)
+	oracle := newOracle(e, seqs, memo, query)
 	oids := oracle.objects()
 	if err := oracle.ensureSummaries(ctx, oids); err != nil {
 		return Stats{}, err

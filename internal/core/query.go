@@ -71,9 +71,10 @@ type Query struct {
 	// Results are bit-identical at every pool size, so the override is a
 	// scheduling knob, never a correctness one.
 	Workers int
-	// DisableCache bypasses the engine's presence/interval cache for this
-	// query: nothing is read from or newly merged into per-query stats. The
-	// underlying cache keeps serving other queries.
+	// DisableCache bypasses the engine's window cache for this query: its
+	// window is materialized afresh, nothing is read from or stored in a
+	// memo, and the per-query cache counters stay 0. The underlying cache
+	// keeps serving other queries. Subscribe ignores it: feeds use no cache.
 	DisableCache bool
 	// DisableCoalescing opts this query out of query-level request
 	// coalescing: it always evaluates for itself and never joins (or leads)
@@ -112,7 +113,6 @@ func (e *Engine) view(q Query) *Engine {
 	}
 	if q.DisableCache {
 		v.cache = nil
-		v.wcache = nil
 	}
 	if q.DisableCoalescing {
 		v.coal = nil

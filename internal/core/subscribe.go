@@ -168,7 +168,6 @@ func (e *Engine) Subscribe(ctx context.Context, cfg SubscribeConfig, q Query) (*
 		window:  q.Window,
 		algo:    q.Algorithm,
 		workers: ev.opts.workerCount(),
-		nocache: q.DisableCache,
 		qLen:    len(canon),
 		qHash:   slocHash(canon),
 	}
@@ -356,7 +355,6 @@ type monitorKey struct {
 	window  iupt.Time
 	algo    Algorithm
 	workers int
-	nocache bool
 	qLen    int
 	qHash   uint64
 }

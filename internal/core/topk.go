@@ -38,10 +38,10 @@ func (e *Engine) validateTopK(q []indoor.SLocID, k int) (int, error) {
 // each object's paths once per relevant location — the repeated work the
 // paper's §4 intro calls out. The locations themselves are independent, so
 // they are sharded across the worker pool; within a location the evaluation
-// is sequential and bypasses the presence cache (sharing cached summaries
-// across locations is exactly what Naive exists to not do).
+// is sequential and bypasses the cache, window and memo alike (sharing
+// summaries across locations is exactly what Naive exists to not do).
 func (e *Engine) topkNaive(ctx context.Context, table *iupt.Table, q []indoor.SLocID, k int, ts, te iupt.Time) ([]Result, Stats, error) {
-	seqs, err := e.sequences(ctx, table, ts, te)
+	seqs, _, err := table.Window(ctx, ts, te, nil)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -58,9 +58,8 @@ func (e *Engine) topkNaive(ctx context.Context, table *iupt.Table, q []indoor.SL
 	flows := make([]Result, len(q))
 	eval := func(i int) {
 		sloc := q[i]
-		// A fresh, cache-bypassing oracle per location: no sharing, by design.
-		oracle := newOracle(e, seqs, map[indoor.SLocID]bool{sloc: true})
-		oracle.nocache = true
+		// A fresh, memo-less oracle per location: no sharing, by design.
+		oracle := newOracle(e, seqs, nil, map[indoor.SLocID]bool{sloc: true})
 		flows[i] = Result{SLoc: sloc, Flow: e.flowWithOracle(ctx, oracle, sloc)}
 		out := locOutcome{stats: oracle.stats}
 		for oid, s := range oracle.summaries {

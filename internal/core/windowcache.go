@@ -1,51 +1,50 @@
 package core
 
 import (
+	"context"
 	"sync"
+	"sync/atomic"
 
 	"tkplq/internal/iupt"
 )
 
-// windowCache is the engine's sealed-window sequence cache, layered in front
-// of the per-object summaryCache. Where summaryCache shares reductions and
-// presence summaries across queries, it still pays an O(window) rematerialize
-// (decode records out of the table, group and sort per object) on every query
-// just to produce the sequences it verifies hits against. For windows that
-// are fully answered by immutable sealed partitions, that rematerialization
-// is pure waste: the bytes on disk cannot change, so neither can the
-// sequences.
+// windowCache is the engine's only cache. An entry is one materialized query
+// window — the per-object sequences of [ts, te] on one table — plus a memo of
+// what queries have computed over it, per object: the Algorithm 1 reduction
+// and the Equation 1 presence summary (which answers Presence(q, o) for
+// *every* S-location q in O(1), so one memo slot serves all locations of all
+// queries). Both are pure functions of the object's records inside the
+// window, so the one thing a hit must prove is "these are the same records",
+// and the one proof is the table's identity for the window
+// (iupt.WindowIdentity): the overlapping sealed partitions in seal order plus
+// the number of head records inside. On one table an equal identity implies
+// byte-identical contents, and a superseded identity is never presented
+// again — the argument lives with the type. Any change that could alter the
+// answer — a record ingested into the window, a seal over it, a compaction
+// under it — changes the identity and turns the lookup into a miss; stale
+// entries then age out through the generations. Correctness never depends on
+// that eviction, and nothing is ever invalidated.
 //
-// An entry keys on (table, window) and is guarded by the exact identity set
-// of the sealed partitions that answer the window (iupt.Table.SealedWindow).
-// Partition identities are seal-sequence ranges, never reused within a store,
-// so a hit proves the window reads exactly the bytes it read when the entry
-// was stored. Any change that could alter the answer — a record ingested
-// into the window, a new seal overlapping it, a compaction replacing inputs
-// with a range partition — changes the identity set (or un-seals the window)
-// and turns the lookup into a miss; stale entries then age out through the
-// generations. Correctness never depends on that eviction.
+// A hit returns the stored map and memo themselves, not copies: they are
+// shared by every query over the window, so consumers treat the sequences,
+// reductions and summaries as read-only.
 //
-// A hit returns the stored map itself, not a copy: every consumer of
-// Engine.sequences treats the map and its sequences as read-only, and the
-// aliasing is what makes repeated windows cheap downstream — summaryCache
-// verification sees the very slices it stored and short-circuits on pointer
-// equality instead of re-hashing content (see sequencesEqual).
-//
-// Eviction mirrors summaryCache's two-generation clock. All methods are safe
-// for concurrent use; entries are immutable once stored.
+// Eviction is a two-generation clock: inserts go to the current generation;
+// when it fills, it becomes the previous generation and a fresh one starts.
+// Hits in the previous generation promote the entry. Live entries are bounded
+// by 2× DefaultWindowCacheCapacity. All methods are safe for concurrent use.
 type windowCache struct {
 	mu   sync.Mutex
 	cap  int
 	cur  map[windowKey]*windowEntry
 	prev map[windowKey]*windowEntry
 
-	hits, misses int64
+	hits, misses       atomic.Int64 // windows served / materialized
+	objHits, objMisses atomic.Int64 // summaries served from a memo / computed
 }
 
 // windowKey identifies one query window on one table. The table pointer is
-// part of the key: partition identities are only unique within a single
-// store, so two tables could legitimately present equal identity sets over
-// equal windows with different data.
+// part of the key: window identities are only comparable within one table.
 type windowKey struct {
 	table *iupt.Table
 	ts    iupt.Time
@@ -53,23 +52,57 @@ type windowKey struct {
 }
 
 type windowEntry struct {
-	ids   []uint64 // sealed-partition identity set, in seal order
+	id    iupt.WindowIdentity // of the snapshot seqs was built from
 	seqs  map[iupt.ObjectID]iupt.Sequence
 	bytes int64 // estimated live size of seqs
+	memo  objectMemo
 }
 
-// DefaultWindowCacheCapacity is the per-generation entry cap of the sealed-
-// window cache. Entries are whole materialized windows, so the cap is far
-// smaller than the per-object summary cache's.
+// objectMemo holds the per-object results computed over one cached window.
+// Shard workers of one query and concurrent queries over the window fill it
+// side by side; a slot's values are immutable once stored.
+type objectMemo struct {
+	mu sync.Mutex
+	m  map[iupt.ObjectID]memoized
+}
+
+// memoized is one object's slot. sum may be nil when only the reduction has
+// been computed so far (the object was pruned by the query's PSL∩Q check, or
+// Best-First never promoted it to a candidate); a later put upgrades the slot
+// in place.
+type memoized struct {
+	red      *Reduction
+	sum      *ObjectSummary
+	fellBack bool
+}
+
+func (m *objectMemo) get(oid iupt.ObjectID) (memoized, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	v, ok := m.m[oid]
+	return v, ok
+}
+
+func (m *objectMemo) put(oid iupt.ObjectID, v memoized) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if v.sum == nil && m.m[oid].sum != nil {
+		return // never downgrade a summarized slot to reduction-only
+	}
+	m.m[oid] = v
+}
+
+// DefaultWindowCacheCapacity is the per-generation entry cap of the window
+// cache. Entries are whole materialized windows, so the cap is small.
 const DefaultWindowCacheCapacity = 64
 
 func newWindowCache() *windowCache {
 	return &windowCache{cap: DefaultWindowCacheCapacity, cur: make(map[windowKey]*windowEntry)}
 }
 
-// lookup returns the cached sequences for the window iff the stored identity
-// set matches ids exactly.
-func (c *windowCache) lookup(key windowKey, ids []uint64) (map[iupt.ObjectID]iupt.Sequence, bool) {
+// get returns the entry stored for the window, current or not: the table
+// decides whether its identity still holds (Engine.window).
+func (c *windowCache) get(key windowKey) *windowEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	en, ok := c.cur[key]
@@ -79,24 +112,22 @@ func (c *windowCache) lookup(key windowKey, ids []uint64) (map[iupt.ObjectID]iup
 			c.insertLocked(key, en)
 		}
 	}
-	if ok && idsEqual(en.ids, ids) {
-		c.hits++
-		return en.seqs, true
-	}
-	c.misses++
-	return nil, false
+	return en
 }
 
-// store inserts the materialized window under its identity set.
-func (c *windowCache) store(key windowKey, ids []uint64, seqs map[iupt.ObjectID]iupt.Sequence) {
+// store inserts a freshly materialized window under the identity of the
+// snapshot it was read from, replacing whatever the key held.
+func (c *windowCache) store(key windowKey, id iupt.WindowIdentity, seqs map[iupt.ObjectID]iupt.Sequence) *windowEntry {
 	en := &windowEntry{
-		ids:   append([]uint64(nil), ids...),
+		id:    id,
 		seqs:  seqs,
 		bytes: sequencesBytes(seqs),
+		memo:  objectMemo{m: make(map[iupt.ObjectID]memoized, len(seqs))},
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.insertLocked(key, en)
+	return en
 }
 
 func (c *windowCache) insertLocked(key windowKey, en *windowEntry) {
@@ -107,16 +138,40 @@ func (c *windowCache) insertLocked(key windowKey, en *windowEntry) {
 	c.cur[key] = en
 }
 
-func idsEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
+// window fetches the per-object positioning sequences of [ts, te] and the
+// memo queries over them share. A canceled ctx aborts the fetch and returns
+// ctx.Err().
+//
+// With the cache bypassed (Options.DisableCache, Query.DisableCache) the
+// window is materialized afresh and has no memo. Otherwise one call into the
+// table both revalidates the stored entry's identity and, when it no longer
+// holds, rematerializes the window together with the identity of that very
+// snapshot (iupt.Table.Window), which is stored with it. The returned map and
+// memo are shared across queries — callers must treat them as read-only,
+// which every consumer in this package does.
+func (e *Engine) window(ctx context.Context, table *iupt.Table, ts, te iupt.Time) (map[iupt.ObjectID]iupt.Sequence, *objectMemo, error) {
+	wc := e.cache
+	if wc == nil {
+		seqs, _, err := table.Window(ctx, ts, te, nil)
+		return seqs, nil, err
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
+	key := windowKey{table: table, ts: ts, te: te}
+	en := wc.get(key)
+	var known *iupt.WindowIdentity
+	if en != nil {
+		known = &en.id
 	}
-	return true
+	seqs, id, err := table.Window(ctx, ts, te, known)
+	if err != nil {
+		return nil, nil, err
+	}
+	if seqs == nil { // the stored identity still names the window
+		wc.hits.Add(1)
+		return en.seqs, &en.memo, nil
+	}
+	wc.misses.Add(1)
+	en = wc.store(key, id, seqs)
+	return en.seqs, &en.memo, nil
 }
 
 // sequencesBytes estimates the live memory pinned by one materialized window:
@@ -133,17 +188,60 @@ func sequencesBytes(seqs map[iupt.ObjectID]iupt.Sequence) int64 {
 	return b
 }
 
-// snapshot reports the cache's counters for CacheStats.
-func (c *windowCache) snapshot() (entries int, hits, misses, bytes int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	entries = len(c.cur) + len(c.prev)
-	hits, misses = c.hits, c.misses
-	for _, en := range c.cur {
-		bytes += en.bytes
+// CacheStats is a snapshot of the engine's work-sharing state: the window
+// cache and the query-level request coalescer, exposed via Engine.CacheStats.
+type CacheStats struct {
+	// Entries is the number of live memoized per-object results across all
+	// cached windows.
+	Entries int
+	// Hits and Misses count, over the engine's lifetime, one per object whose
+	// presence summary a query asked for: served from a cached window's memo,
+	// or computed.
+	Hits, Misses int64
+	// Coalesced counts queries over the engine's lifetime that were served
+	// by joining a concurrent identical caller's in-flight evaluation, and
+	// Flights counts the evaluations actually performed — so of
+	// Coalesced+Flights queries answered, only Flights did any work. Both
+	// stay 0 when Options.DisableCoalescing is set; the coalescer is
+	// independent of the cache, so they are reported even when
+	// Options.DisableCache zeroes every other field.
+	Coalesced int64
+	Flights   int64
+	// WindowEntries, WindowHits, WindowMisses and WindowBytes describe the
+	// cached windows themselves: whole materialized query windows pinned by
+	// the table's identity for them. A window hit skips rematerializing
+	// records out of the table entirely (the storage layer's
+	// materialized_records counter stays flat).
+	WindowEntries int
+	WindowHits    int64
+	WindowMisses  int64
+	WindowBytes   int64
+}
+
+// CacheStats returns a snapshot of the engine's cache and request coalescer.
+// Fields of a disabled component are zero.
+func (e *Engine) CacheStats() CacheStats {
+	var out CacheStats
+	if c := e.cache; c != nil {
+		out.Hits, out.Misses = c.objHits.Load(), c.objMisses.Load()
+		out.WindowHits, out.WindowMisses = c.hits.Load(), c.misses.Load()
+		c.mu.Lock()
+		out.WindowEntries = len(c.cur) + len(c.prev)
+		for _, gen := range []map[windowKey]*windowEntry{c.cur, c.prev} {
+			for _, en := range gen {
+				out.WindowBytes += en.bytes
+				en.memo.mu.Lock()
+				out.Entries += len(en.memo.m)
+				en.memo.mu.Unlock()
+			}
+		}
+		c.mu.Unlock()
 	}
-	for _, en := range c.prev {
-		bytes += en.bytes
+	if co := e.coal; co != nil {
+		co.mu.Lock()
+		out.Coalesced = co.coalesced
+		out.Flights = co.led
+		co.mu.Unlock()
 	}
-	return entries, hits, misses, bytes
+	return out
 }

@@ -170,10 +170,10 @@ func (c *Config) RealDataset() (*Dataset, error) {
 	return cache.rd, nil
 }
 
-// warmIndex forces the lazy 1-D R-tree build so measured query times do not
-// include one-off index construction.
+// warmIndex forces the table's lazy time sort so measured query times do not
+// include the one-off sort.
 func warmIndex(t *iupt.Table) {
-	t.RangeQuery(0, 0, func(iupt.Record) bool { return false })
+	t.HeadRecords()
 }
 
 // SyntheticDataset builds (and caches) the SYN dataset at the default

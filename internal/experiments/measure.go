@@ -57,7 +57,7 @@ type methodRun struct {
 
 // runExact times one TkPLQ execution of the exact engine through the
 // context-aware Do API (so canceling Config.Ctx aborts mid-query). A fresh
-// engine per draw keeps the presence cache cold, and the worker pool
+// engine per draw keeps the window cache cold, and the worker pool
 // defaults to 1 (not GOMAXPROCS) unless Config.Workers opts in — so
 // recorded times stay comparable with the paper's single-threaded
 // evaluation and with numbers measured before the sharded engine existed.

@@ -1,11 +1,12 @@
 // Package iupt implements the Indoor Uncertain Positioning Table of paper
 // §2.2: non-periodic records (oid, X, t) where X is a set of probabilistic
 // samples (loc, prob) over P-locations with probabilities summing to one.
-// The table is indexed on its time attribute with the 1-D R-tree (paper
-// §3.3) and yields per-object positioning sequences for a query interval.
+// The table is indexed on its time attribute — a lazily time-sorted snapshot
+// searched by bisection stands in for the paper's 1-D R-tree (§3.3) — and
+// yields per-object positioning sequences for a query interval.
 //
 // A Table is safe for concurrent use: appends and queries interleave
-// freely, the lazy time sort and index rebuilds are copy-on-write, and
+// freely, the lazy time sort is copy-on-write, and
 // SortedRecords hands out immutable snapshots — the properties the engine's
 // live Monitor and the WAL store's Snapshot (internal/wal) build on.
 //
@@ -26,7 +27,6 @@ import (
 	"sync"
 
 	"tkplq/internal/indoor"
-	"tkplq/internal/rtree"
 )
 
 // ObjectID identifies an indoor moving object.
@@ -179,8 +179,8 @@ func (seq Sequence) MaxPaths() int64 {
 
 // Table is the IUPT: an append-only collection of positioning records with
 // a time index. A Table is safe for concurrent use: appends and queries may
-// interleave freely. The lazy sort and index (re)builds happen under the
-// table's lock and replace — never mutate — the record slice, so queries
+// interleave freely. The lazy sort happens under the table's lock and
+// replaces — never mutates — the record slice, so queries
 // always iterate a consistent snapshot even while records stream in.
 //
 // A table optionally carries sealed partitions (sealed.go): immutable,
@@ -192,22 +192,20 @@ type Table struct {
 	mu      sync.RWMutex
 	records []Record // the mutable head; all of the table when sealed is empty
 	sealed  []SealedPart
-	index   *rtree.IntervalIndex[int32]
 	sorted  bool
 }
 
 // NewTable returns an empty table.
 func NewTable() *Table { return &Table{sorted: true} }
 
-// Append adds a record. Records may arrive in any time order; the index is
-// (re)built lazily on first query.
+// Append adds a record. Records may arrive in any time order; the head is
+// re-sorted lazily on first query.
 func (t *Table) Append(rec Record) {
 	t.mu.Lock()
 	if n := len(t.records); n > 0 && rec.T < t.records[n-1].T {
 		t.sorted = false
 	}
 	t.records = append(t.records, rec)
-	t.index = nil
 	t.mu.Unlock()
 }
 
@@ -295,24 +293,6 @@ func (t *Table) ensureSortedLocked() {
 	t.sorted = true
 }
 
-// ensureIndexLocked builds the 1-D R-tree over the current (sorted) records.
-// Callers must hold the write lock.
-func (t *Table) ensureIndexLocked() {
-	t.ensureSortedLocked()
-	if t.index != nil {
-		return
-	}
-	lo := make([]float64, len(t.records))
-	hi := make([]float64, len(t.records))
-	ids := make([]int32, len(t.records))
-	for i := range t.records {
-		lo[i] = float64(t.records[i].T)
-		hi[i] = lo[i]
-		ids[i] = int32(i)
-	}
-	t.index = rtree.BulkLoadIntervals(rtree.DefaultMaxEntries, lo, hi, ids)
-}
-
 // sortedRecords returns a time-ordered snapshot of the head records. Later
 // appends and re-sorts never mutate the returned slice's backing array.
 func (t *Table) sortedRecords() []Record {
@@ -390,32 +370,15 @@ func (t *Table) RecordsInRange(ts, te Time) []Record {
 	return mergeRange(head, sealed, ts, te)
 }
 
-// snapshot returns a consistent (records, index) pair for query evaluation.
-func (t *Table) snapshot() ([]Record, *rtree.IntervalIndex[int32]) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.ensureIndexLocked()
-	return t.records, t.index
-}
-
-// RangeQuery invokes fn for every record with ts <= T <= te, via the 1-D
-// R-tree time index. Iteration order is unspecified. The iteration sees the
-// table as of the call; concurrent appends affect only later queries. On a
-// table with sealed parts the R-tree covers only the head; sealed records
-// are visited via the pruned partition plan instead.
+// RangeQuery invokes fn for every record with ts <= T <= te, in canonical
+// order, until fn returns false. The iteration sees the table as of the call;
+// concurrent appends affect only later queries.
 func (t *Table) RangeQuery(ts, te Time, fn func(rec Record) bool) {
-	if len(t.Sealed()) > 0 {
-		for _, rec := range t.RecordsInRange(ts, te) {
-			if !fn(rec) {
-				return
-			}
+	for _, rec := range t.RecordsInRange(ts, te) {
+		if !fn(rec) {
+			return
 		}
-		return
 	}
-	recs, index := t.snapshot()
-	index.RangeQuery(float64(ts), float64(te), func(i int32) bool {
-		return fn(recs[i])
-	})
 }
 
 // SequencesInRange builds the per-object positioning sequences for records

@@ -1,6 +1,10 @@
 package iupt
 
-import "fmt"
+import (
+	"context"
+	"fmt"
+	"slices"
+)
 
 // Sealed partitions. A Table normally holds every record in heap memory (the
 // "head"). For larger-than-RAM datasets the table can additionally carry a
@@ -99,7 +103,6 @@ func (t *Table) CommitSeal(part SealedPart, headLen int) error {
 	}
 	t.sealed = append(t.sealed, part)
 	t.records = nil
-	t.index = nil
 	t.sorted = true
 	return nil
 }
@@ -176,31 +179,75 @@ func (t *Table) ReplaceSealedRun(olds []SealedPart, neu SealedPart) error {
 	return nil
 }
 
-// SealedWindow reports whether [ts, te] is fully answered by sealed parts:
-// ok is true only when at least one sealed part overlaps the window and no
-// head record falls inside it. When ok, ids holds the identities of the
-// overlapping parts in seal order — a cache key that is stable exactly as
-// long as the window's contents are: sealing moves head records into a new
-// identity and compaction replaces identities, so a key match implies
-// bit-identical window contents.
-func (t *Table) SealedWindow(ts, te Time) (ids []uint64, ok bool) {
-	if te < ts {
-		return nil, false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.ensureSortedLocked()
-	if len(rangeSubslice(t.records, ts, te)) > 0 {
-		return nil, false
-	}
-	for _, p := range t.sealed {
-		lo, hi := p.Span()
-		if hi < ts || lo > te {
-			continue
+// WindowIdentity names the contents of one window [ts, te] of one table
+// without reading them: the identities of the sealed parts whose span
+// overlaps the window, in seal order, and the number of head records inside
+// it. On one table, equal identities imply byte-identical window contents,
+// and an identity the window has moved on from is never presented again:
+//
+//   - Parts changes only by gaining a part (CommitSeal) or by trading a run
+//     of parts for their merge (ReplaceSealedRun). Either brings in an
+//     identity the store never issued before, and a merged part's span covers
+//     its inputs', so it overlaps the window if any of them did. A changed
+//     Parts therefore never equals an earlier one.
+//   - While Parts stands still, no head record inside the window has been
+//     sealed: the seal moves the whole head into one part whose span covers
+//     that record, hence overlaps the window, hence joins Parts. And the head
+//     is append-only between seals. So under one Parts, Head only ever grows,
+//     by exactly the records appended into the window.
+//
+// Two equal identities thus bracket a stretch in which nothing was appended
+// into the window, sealed over it or compacted under it. The converse does
+// not hold — a seal whose span straddles an untouched window changes its
+// identity — which costs a cache a spurious miss, never a wrong hit.
+// Identities of different tables are not comparable: part identities are
+// unique within one store only.
+type WindowIdentity struct {
+	Parts []uint64
+	Head  int
+}
+
+// Equal reports whether the two identities name the same window contents.
+func (id WindowIdentity) Equal(other WindowIdentity) bool {
+	return id.Head == other.Head && slices.Equal(id.Parts, other.Parts)
+}
+
+// Window materializes the per-object positioning sequences of [ts, te] (see
+// SequencesInRangeSharded for their order) together with the identity of the
+// snapshot they were read from. Both come from one retainView — one hold of
+// the table's lock — so no append, seal or compaction can fall between them:
+// a cache that stores the pair never holds sequences under an identity that
+// describes other records. When known still identifies the window nothing is
+// materialized and seqs is nil: revalidating a cached window costs a binary
+// search over the head and a scan of the part spans. A canceled ctx aborts
+// the scan between record batches and returns ctx.Err(), so a canceled query
+// never pays for a large window.
+func (t *Table) Window(ctx context.Context, ts, te Time, known *WindowIdentity) (seqs map[ObjectID]Sequence, id WindowIdentity, err error) {
+	head, sealed, release := t.retainView()
+	defer release()
+	if te >= ts {
+		id.Head = len(rangeSubslice(head, ts, te))
+		for _, p := range sealed {
+			if lo, hi := p.Span(); hi >= ts && lo <= te {
+				id.Parts = append(id.Parts, p.Identity())
+			}
 		}
-		ids = append(ids, p.Identity())
 	}
-	return ids, len(ids) > 0
+	if known != nil && known.Equal(id) {
+		return nil, id, nil
+	}
+	recs := mergeRange(head, sealed, ts, te)
+	seqs = make(map[ObjectID]Sequence)
+	for i := range recs {
+		if i&1023 == 0 && ctx.Err() != nil {
+			return nil, id, ctx.Err()
+		}
+		seqs[recs[i].OID] = append(seqs[recs[i].OID], TimedSampleSet{T: recs[i].T, Samples: recs[i].Samples})
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, id, err
+	}
+	return seqs, id, nil
 }
 
 // mergeRange plans [ts, te] over the sealed parts and the head: only parts

@@ -2,9 +2,11 @@ package iupt
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -385,48 +387,168 @@ func TestRetainedViewBalance(t *testing.T) {
 	}
 }
 
-// TestSealedWindow asserts the cache-key predicate: ok only for windows
-// fully answered by sealed parts, with identities tracking seal/compaction.
-func TestSealedWindow(t *testing.T) {
-	mk := func(lo, hi Time) *memPart {
-		var recs []Record
-		for ts := lo; ts <= hi; ts++ {
-			recs = append(recs, Record{OID: 1, T: ts, Samples: SampleSet{{Loc: 1, Prob: 1}}})
+// windowBytes serializes records field by field, probabilities as raw bits:
+// two windows hold the same bytes iff they hold the same records in the same
+// order.
+func windowBytes(recs []Record) string {
+	var b []byte
+	for _, r := range recs {
+		b = binary.LittleEndian.AppendUint32(b, uint32(r.OID))
+		b = binary.LittleEndian.AppendUint64(b, uint64(r.T))
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(r.Samples)))
+		for _, s := range r.Samples {
+			b = binary.LittleEndian.AppendUint32(b, uint32(s.Loc))
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.Prob))
 		}
-		return newMemPart(recs)
 	}
-	a, b := mk(0, 9), mk(10, 19)
-	tab := NewBackedTable([]SealedPart{a, b})
+	return string(b)
+}
 
-	ids, ok := tab.SealedWindow(0, 19)
-	if !ok || len(ids) != 2 || ids[0] != a.id || ids[1] != b.id {
-		t.Fatalf("fully sealed window: ids=%v ok=%v", ids, ok)
+// TestWindowIdentityProperty walks a table through seeded random in-order
+// appends, out-of-order appends into old windows, appends no watched window
+// sees, seals and compactions, and after every step checks the contract
+// caches build on (WindowIdentity): on one table an identity seen before
+// means the bytes seen under it, and changed bytes mean a changed identity.
+func TestWindowIdentityProperty(t *testing.T) {
+	ctx := context.Background()
+	// Data time runs 0..~130; "elsewhere" appends land in [300, 400].
+	windows := [][2]Time{{0, 9}, {20, 39}, {35, 60}, {50, 50}, {0, 119}, {100, 119}, {7, 3}, {1000, 2000}}
+	kinds := make(map[string]bool) // window states the walk reached
+	for seed := int64(1); seed <= 4; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		tab := NewTable()
+		now := Time(0)
+		seen := make([]map[string]string, len(windows)) // identity → bytes first seen under it
+		last := make([]WindowIdentity, len(windows))
+		lastBytes := make([]string, len(windows))
+		for w := range seen {
+			seen[w] = make(map[string]string)
+		}
+		for step := 0; step < 250; step++ {
+			elsewhere := false
+			var what string
+			switch p := r.Intn(100); {
+			case p < 50:
+				what = "in-order append"
+				for n := 1 + r.Intn(3); n > 0; n-- {
+					tab.Append(Record{OID: ObjectID(r.Intn(6)), T: now, Samples: testSamples(r)})
+					now += Time(r.Intn(3))
+				}
+			case p < 65:
+				what = "out-of-order append"
+				tab.Append(Record{OID: ObjectID(r.Intn(6)), T: Time(r.Intn(int(now) + 1)), Samples: testSamples(r)})
+			case p < 75:
+				what, elsewhere = "append elsewhere", true
+				tab.Append(Record{OID: ObjectID(r.Intn(6)), T: 300 + Time(r.Intn(101)), Samples: testSamples(r)})
+			case p < 90:
+				what = "seal"
+				if head := tab.HeadRecords(); len(head) > 0 {
+					if err := tab.CommitSeal(newMemPart(head), len(head)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			default:
+				what = "compaction"
+				if parts := tab.Sealed(); len(parts) >= 2 {
+					i := r.Intn(len(parts) - 1)
+					run := parts[i : i+2+r.Intn(min(2, len(parts)-i-1))]
+					merged := newMemPart(mergeRange(nil, run, math.MinInt64, math.MaxInt64))
+					if err := tab.ReplaceSealedRun(run, merged); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for w, win := range windows {
+				seqs, id, err := tab.Window(ctx, win[0], win[1], nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				recs := tab.RecordsInRange(win[0], win[1])
+				bytes := windowBytes(recs)
+				at := fmt.Sprintf("seed %d step %d (%s) window %v identity %v", seed, step, what, win, id)
+
+				// The sequences are the records, grouped.
+				regrouped := make(map[ObjectID]Sequence)
+				for _, rec := range recs {
+					regrouped[rec.OID] = append(regrouped[rec.OID], TimedSampleSet{T: rec.T, Samples: rec.Samples})
+				}
+				if !reflect.DeepEqual(seqs, regrouped) {
+					t.Fatalf("%s: Window's sequences are not RecordsInRange grouped by object", at)
+				}
+				// Equal identity ⇒ the bytes first seen under it.
+				key := fmt.Sprint(id)
+				if first, ok := seen[w][key]; ok && first != bytes {
+					t.Fatalf("%s: identity seen before over different bytes", at)
+				}
+				seen[w][key] = bytes
+				// Changed bytes ⇒ changed identity; and the conditional read
+				// materializes exactly when the identity moved.
+				moved := !id.Equal(last[w])
+				if bytes != lastBytes[w] && !moved {
+					t.Fatalf("%s: bytes changed under an unchanged identity", at)
+				}
+				if again, _, _ := tab.Window(ctx, win[0], win[1], &last[w]); (again != nil) != moved {
+					t.Fatalf("%s: conditional read materialized=%v with identity moved=%v (was %v)", at, again != nil, moved, last[w])
+				}
+				// A plain append elsewhere costs no window its identity.
+				if elsewhere && moved {
+					t.Fatalf("%s: an append outside every window moved the identity from %v", at, last[w])
+				}
+				last[w], lastBytes[w] = id, bytes
+				kinds[fmt.Sprintf("sealed=%v head=%v", len(id.Parts) > 0, id.Head > 0)] = true
+			}
+		}
 	}
-	if ids, ok := tab.SealedWindow(12, 15); !ok || len(ids) != 1 || ids[0] != b.id {
-		t.Fatalf("single-part window: ids=%v ok=%v", ids, ok)
+	if len(kinds) != 4 {
+		t.Errorf("the walk reached window states %v, want all of empty, head-only, sealed-only and straddling", kinds)
 	}
-	if _, ok := tab.SealedWindow(25, 30); ok {
-		t.Fatal("window past the sealed span reported ok")
+}
+
+// hookPart runs a hook when its records are read — after the table's lock is
+// released, while a window is being materialized.
+type hookPart struct {
+	*memPart
+	onRead func()
+}
+
+func (p *hookPart) AppendRange(dst []Record, ts, te Time) []Record {
+	if p.onRead != nil {
+		p.onRead()
 	}
-	if _, ok := tab.SealedWindow(5, 3); ok {
-		t.Fatal("inverted window reported ok")
+	return p.memPart.AppendRange(dst, ts, te)
+}
+
+// TestWindowIdentityOneSnapshot: an append that lands while a window is being
+// materialized is in neither the sequences nor the identity Window returns —
+// they describe one snapshot — so a cache storing the pair can never hold
+// sequences under an identity that vouches for other records, and its next
+// revalidation misses.
+func TestWindowIdentityOneSnapshot(t *testing.T) {
+	ctx := context.Background()
+	one := SampleSet{{Loc: 1, Prob: 1}}
+	part := &hookPart{memPart: newMemPart([]Record{{OID: 1, T: 5, Samples: one}, {OID: 1, T: 8, Samples: one}})}
+	tab := NewBackedTable([]SealedPart{part})
+	tab.Append(Record{OID: 2, T: 6, Samples: one})
+	part.onRead = func() {
+		part.onRead = nil
+		tab.Append(Record{OID: 3, T: 7, Samples: one})
 	}
 
-	// A head record inside the window disables caching for that window only.
-	tab.Append(Record{OID: 2, T: 15, Samples: SampleSet{{Loc: 1, Prob: 1}}})
-	if _, ok := tab.SealedWindow(0, 19); ok {
-		t.Fatal("window overlapping a head record reported ok")
+	seqs, id, err := tab.Window(ctx, 0, 10, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ids, ok := tab.SealedWindow(0, 9); !ok || len(ids) != 1 || ids[0] != a.id {
-		t.Fatalf("head-free window: ids=%v ok=%v", ids, ok)
+	if tab.HeadLen() != 2 {
+		t.Fatal("the hook did not append mid-materialization")
 	}
-
-	// Compaction changes the window's identity vector.
-	merged := mk(0, 19)
-	if err := tab.ReplaceSealedRun([]SealedPart{a, b}, merged); err != nil {
-		t.Fatalf("ReplaceSealedRun: %v", err)
+	if _, late := seqs[3]; late || len(seqs[2]) != 1 || id.Head != 1 {
+		t.Fatalf("sequences %v under identity %v: want the pre-append snapshot on both sides", seqs, id)
 	}
-	if ids, ok := tab.SealedWindow(0, 9); !ok || len(ids) != 1 || ids[0] != merged.id {
-		t.Fatalf("post-compaction window: ids=%v ok=%v", ids, ok)
+	fresh, id2, err := tab.Window(ctx, 0, 10, &id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh == nil || len(fresh[3]) != 1 || id2.Head != 2 {
+		t.Fatalf("revalidating %v after the append returned %v under %v, want a rematerialized window with the new record", id, fresh, id2)
 	}
 }

@@ -64,20 +64,9 @@ func ShardObjects(oids []ObjectID, n int) [][]ObjectID {
 // bit-identical to a fresh fetch. The workers parameter is retained for
 // callers tuned against the earlier sharded-sort implementation; the single
 // ordered pass needs no fan-out and the output is identical for every value.
-// A canceled ctx aborts the scan between record batches and returns
-// ctx.Err(), so a canceled query never pays for a large window.
+// It is Window without the identity.
 func (t *Table) SequencesInRangeSharded(ctx context.Context, ts, te Time, workers int) (map[ObjectID]Sequence, error) {
 	_ = workers
-	recs := t.RecordsInRange(ts, te)
-	out := make(map[ObjectID]Sequence)
-	for i := range recs {
-		if i&1023 == 0 && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		out[recs[i].OID] = append(out[recs[i].OID], TimedSampleSet{T: recs[i].T, Samples: recs[i].Samples})
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	seqs, _, err := t.Window(ctx, ts, te, nil)
+	return seqs, err
 }

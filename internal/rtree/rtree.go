@@ -1,8 +1,9 @@
 // Package rtree implements an in-memory R-tree from scratch, as required by
-// the paper's query processing: an R-tree RQ over query S-locations, a
+// the paper's query processing: an R-tree RQ over query S-locations and a
 // COUNT-aggregate R-tree RC over object PSL MBRs (paper §4.2, following Tao &
-// Papadias' aggregate R-trees), and a one-dimensional variant indexing the
-// IUPT time attribute (the paper's "1DR-tree", §3.3).
+// Papadias' aggregate R-trees). The paper's third tree, the "1DR-tree" over
+// the IUPT time attribute (§3.3), is internal/iupt's sorted snapshot searched
+// by bisection.
 //
 // The tree supports Guttman-style insertion with quadratic node splitting,
 // Sort-Tile-Recursive (STR) bulk loading, window queries, and per-entry

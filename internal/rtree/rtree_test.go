@@ -296,82 +296,6 @@ func TestBulkEquivalentToInsert(t *testing.T) {
 	}
 }
 
-func TestIntervalIndex(t *testing.T) {
-	ix := NewIntervalIndex[string](4)
-	ix.Insert(0, 10, "a")
-	ix.Insert(5, 15, "b")
-	ix.Insert(20, 30, "c")
-	ix.Insert(7, 7, "point")
-	if ix.Len() != 4 {
-		t.Fatalf("Len = %d", ix.Len())
-	}
-	var got []string
-	ix.RangeQuery(6, 8, func(s string) bool { got = append(got, s); return true })
-	sort.Strings(got)
-	want := []string{"a", "b", "point"}
-	if len(got) != len(want) {
-		t.Fatalf("RangeQuery = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("RangeQuery = %v, want %v", got, want)
-		}
-	}
-	if c := ix.CountInRange(0, 100); c != 4 {
-		t.Errorf("CountInRange = %d", c)
-	}
-	if c := ix.CountInRange(16, 19); c != 0 {
-		t.Errorf("CountInRange(gap) = %d", c)
-	}
-}
-
-func TestIntervalIndexBoundaryInclusive(t *testing.T) {
-	ix := NewIntervalIndex[int](4)
-	ix.Insert(10, 20, 1)
-	hit := 0
-	ix.RangeQuery(20, 25, func(int) bool { hit++; return true })
-	if hit != 1 {
-		t.Errorf("boundary-touching interval not returned")
-	}
-	hit = 0
-	ix.RangeQuery(0, 10, func(int) bool { hit++; return true })
-	if hit != 1 {
-		t.Errorf("left-boundary-touching interval not returned")
-	}
-}
-
-func TestBulkLoadIntervals(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	const n = 1000
-	lo := make([]float64, n)
-	hi := make([]float64, n)
-	items := make([]int, n)
-	for i := 0; i < n; i++ {
-		lo[i] = rng.Float64() * 1000
-		hi[i] = lo[i] + rng.Float64()*50
-		items[i] = i
-	}
-	ix := BulkLoadIntervals(16, lo, hi, items)
-	if ix.Len() != n {
-		t.Fatalf("Len = %d", ix.Len())
-	}
-	for trial := 0; trial < 30; trial++ {
-		qlo := rng.Float64() * 1000
-		qhi := qlo + rng.Float64()*100
-		want := 0
-		for i := 0; i < n; i++ {
-			if lo[i] <= qhi && qlo <= hi[i] {
-				want++
-			}
-		}
-		got := 0
-		ix.RangeQuery(qlo, qhi, func(int) bool { got++; return true })
-		if got != want {
-			t.Fatalf("trial %d: got %d, want %d", trial, got, want)
-		}
-	}
-}
-
 func BenchmarkInsert(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	tr := New[int](16)

@@ -167,10 +167,11 @@ type StorageStatsJSON struct {
 	// input partitions they retired.
 	Compactions         int64 `json:"compactions"`
 	CompactedPartitions int64 `json:"compacted_partitions"`
-	// The window_* fields describe the engine's sealed-window summary cache:
-	// whole materialized query windows keyed by sealed-partition identity. A
-	// window hit answers a repeated window without touching the partition
-	// files at all — materialized_records stays flat.
+	// The window_* fields describe the engine's cached windows: whole
+	// materialized query windows pinned by the table's identity for them
+	// (sealed partitions plus head count). A window hit answers a repeated
+	// window without touching the partition files at all —
+	// materialized_records stays flat.
 	WindowEntries int   `json:"window_entries"`
 	WindowHits    int64 `json:"window_hits"`
 	WindowMisses  int64 `json:"window_misses"`
@@ -188,12 +189,11 @@ type StatsResponse struct {
 	// shard's health + embedded stats.
 	Cluster *ClusterStatsJSON `json:"cluster,omitempty"`
 	Engine  struct {
-		CacheEntries       int   `json:"cache_entries"`
-		CacheHits          int64 `json:"cache_hits"`
-		CacheMisses        int64 `json:"cache_misses"`
-		CacheInvalidations int64 `json:"cache_invalidations"`
-		Coalesced          int64 `json:"coalesced"`
-		Flights            int64 `json:"flights"`
+		CacheEntries int   `json:"cache_entries"`
+		CacheHits    int64 `json:"cache_hits"`
+		CacheMisses  int64 `json:"cache_misses"`
+		Coalesced    int64 `json:"coalesced"`
+		Flights      int64 `json:"flights"`
 	} `json:"engine"`
 	Server struct {
 		UptimeSeconds   float64 `json:"uptime_seconds"`
@@ -544,7 +544,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	out.Engine.CacheEntries = cs.Entries
 	out.Engine.CacheHits = cs.Hits
 	out.Engine.CacheMisses = cs.Misses
-	out.Engine.CacheInvalidations = cs.Invalidations
 	out.Engine.Coalesced = cs.Coalesced
 	out.Engine.Flights = cs.Flights
 	out.Server.UptimeSeconds = time.Since(s.started).Seconds()

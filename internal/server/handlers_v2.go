@@ -26,7 +26,7 @@ type QueryV2 struct {
 	// Workers overrides the engine worker pool for this query (0 = engine
 	// default). Results are bit-identical at every pool size.
 	Workers int `json:"workers"`
-	// NoCache bypasses the presence cache for this query.
+	// NoCache bypasses the engine's window cache for this query.
 	NoCache bool `json:"no_cache"`
 	// NoCoalesce opts this query out of request coalescing.
 	NoCoalesce bool `json:"no_coalesce"`

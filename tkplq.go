@@ -16,7 +16,7 @@ import (
 // System couples an indoor space with an IUPT and answers flow and TkPLQ
 // queries. A System is safe for concurrent use once constructed: queries
 // fan per-object work out over a bounded worker pool (Options.Workers) and
-// share a presence cache that is internally synchronized.
+// share a window cache that is internally synchronized.
 type System struct {
 	space  *indoor.Space
 	table  *iupt.Table
@@ -127,8 +127,7 @@ func (e *IngestError) Error() string {
 func (e *IngestError) Unwrap() error { return e.Err }
 
 // Ingest validates and appends a batch of positioning records to the
-// system's live table and invalidates the engine's cached presence summaries
-// for the affected objects. The whole batch is validated before anything is
+// system's live table. The whole batch is validated before anything is
 // appended, so a bad record leaves the table untouched; the returned error
 // is a *IngestError identifying the first offending record. Structural
 // checks (negative timestamps, duplicate (object, timestamp) pairs within
@@ -175,30 +174,6 @@ func (s *System) Ingest(recs []Record) error {
 	for _, rec := range recs {
 		s.table.Append(rec)
 	}
-	// Invalidate each touched object once, after all appends — and only the
-	// cached windows overlapping the object's new records: summaries over
-	// disjoint historical windows (typically sealed partitions) still see
-	// exactly the data they were computed from, so in-order ingest leaves
-	// them cached.
-	type span struct{ lo, hi Time }
-	spans := make(map[ObjectID]span, len(recs))
-	for _, rec := range recs {
-		sp, ok := spans[rec.OID]
-		if !ok {
-			spans[rec.OID] = span{rec.T, rec.T}
-			continue
-		}
-		if rec.T < sp.lo {
-			sp.lo = rec.T
-		}
-		if rec.T > sp.hi {
-			sp.hi = rec.T
-		}
-		spans[rec.OID] = sp
-	}
-	for oid, sp := range spans {
-		s.engine.InvalidateObjectRange(oid, sp.lo, sp.hi)
-	}
 	// Announce the batch to live monitors and subscriptions while still
 	// holding the ingest lock — their table-read barrier — so each monitor
 	// sees the batch exactly once: in this announcement or in a table
@@ -208,8 +183,8 @@ func (s *System) Ingest(recs []Record) error {
 }
 
 // CacheStats returns a snapshot of the engine's work-sharing machinery: the
-// presence/interval cache (live entries plus lifetime hit, miss and
-// invalidation counts) and the query-level request coalescer (queries served
+// window cache (live windows and memoized per-object results plus lifetime
+// hit and miss counts) and the query-level request coalescer (queries served
 // by joining an in-flight identical evaluation vs. evaluations performed).
 // Fields of a component disabled via Options are zero.
 func (s *System) CacheStats() CacheStats { return s.engine.CacheStats() }

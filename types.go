@@ -113,9 +113,9 @@ type (
 	// Options configures the query engine. Options.Workers bounds the
 	// sharded evaluation pipeline's worker pool (0 = GOMAXPROCS, 1 =
 	// single-threaded); results are bit-identical at every pool size.
-	// Options.DisableCache / Options.CacheCapacity control the presence
-	// cache that lets repeated and overlapping-window queries reuse
-	// per-object work. Options.DisableCoalescing turns off query-level
+	// Options.DisableCache turns off the window cache that lets a repeated
+	// window reuse its materialized sequences and per-object work.
+	// Options.DisableCoalescing turns off query-level
 	// request coalescing, which lets concurrent identical queries share one
 	// in-flight evaluation.
 	Options = core.Options
@@ -128,10 +128,10 @@ type (
 	// Result is one ranked TkPLQ answer.
 	Result = core.Result
 	// Stats reports work performed by a query, including the worker-pool
-	// size used, presence-cache hits and misses, and whether the query was
+	// size used, window-cache hits and misses, and whether the query was
 	// coalesced onto a concurrent identical evaluation (Stats.Coalesced).
 	Stats = core.Stats
-	// CacheStats is a snapshot of the engine's presence-cache and request-
+	// CacheStats is a snapshot of the engine's window-cache and request-
 	// coalescer state.
 	CacheStats = core.CacheStats
 	// Subscription is a live feed of ranking changes from System.Subscribe.
