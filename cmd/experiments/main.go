@@ -7,7 +7,7 @@
 //	            [-mc-rounds N] [-seed N] [-workers N] [-list]
 //
 // Without -exp, every experiment runs in paper order. See DESIGN.md §5 for
-// the experiment index and EXPERIMENTS.md for recorded results.
+// the experiment index.
 package main
 
 import (

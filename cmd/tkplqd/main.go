@@ -8,7 +8,7 @@
 //	POST /v1/ingest   {"records":[{"oid":1,"t":120,"samples":[{"ploc":4,"prob":0.6},...]}]}
 //	POST /v1/snapshot seal the live head into a partition (needs -data-dir)
 //	POST /v1/compact  merge runs of small sealed partitions (needs -data-dir)
-//	GET  /v2/subscribe?window=900&k=5[&slocs=1,2][&algorithm=bf]
+//	GET  /v2/subscribe?window=900&k=5[&slocs=1,2]
 //	                  Server-Sent Events stream of live ranking changes over
 //	                  the trailing window; identical subscriptions share one
 //	                  incrementally-maintained monitor

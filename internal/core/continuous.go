@@ -25,13 +25,12 @@ import (
 // presence oracle the one-shot queries use (without the engine cache: the
 // retained summaries are the feed's own). The cheap
 // parts of an evaluation are repeated in full precisely because they must
-// be: per-location flows are re-accumulated over all retained summaries in
-// canonical ascending object order (float addition is non-associative, so
-// delta-updating a sum would break the determinism contract), and the
-// ranking is re-selected through a bounded top-k heap with the exact
-// rankTopK order. The result of every incremental evaluation is therefore
-// bit-identical to a from-scratch evaluation of the same window, at every
-// worker count, for all three algorithms.
+// be: every retained summary is fed, as a presence row in canonical ascending
+// object order, to the same finisher that sums and ranks every one-shot query
+// (float addition is non-associative, so delta-updating a sum would break the
+// determinism contract). The result of every incremental evaluation is
+// therefore bit-identical to a from-scratch evaluation of the same window, at
+// every worker count, for all three algorithms.
 //
 // The window's horizon is the data's: nobody supplies a "now". Appends to the
 // watched table are announced with Engine.NotifyAppend under the owner's
@@ -44,11 +43,9 @@ type monitor struct {
 	eng      *Engine
 	table    *iupt.Table
 	query    []indoor.SLocID        // canonical (ascending) query set
-	cells    []indoor.CellID        // parallel to query
 	querySet map[indoor.SLocID]bool // for PSL∩Q pruning in the oracle
 	k        int
 	window   iupt.Time
-	algo     Algorithm
 	barrier  sync.Locker // serializes table reads with the owner's appends
 	id       uint64      // registry order, for deterministic MonitorStats
 	refs     int         // live subscriptions; guarded by eng.mons.mu
@@ -93,16 +90,14 @@ type pendingBatch struct {
 }
 
 // newMonitor assembles a monitor; query must be canonical and validated.
-func (e *Engine) newMonitor(cfg SubscribeConfig, query []indoor.SLocID, k int, window iupt.Time, algo Algorithm) *monitor {
+func (e *Engine) newMonitor(cfg SubscribeConfig, query []indoor.SLocID, k int, window iupt.Time) *monitor {
 	m := &monitor{
 		eng:      e,
 		table:    cfg.Table,
 		query:    query,
-		cells:    make([]indoor.CellID, len(query)),
 		querySet: make(map[indoor.SLocID]bool, len(query)),
 		k:        k,
 		window:   window,
-		algo:     algo,
 		barrier:  cfg.Barrier,
 		wake:     make(chan struct{}, 1),
 		subs:     make(map[int]*Subscription),
@@ -110,8 +105,7 @@ func (e *Engine) newMonitor(cfg SubscribeConfig, query []indoor.SLocID, k int, w
 	if m.barrier == nil {
 		m.barrier = &sync.Mutex{}
 	}
-	for i, s := range query {
-		m.cells[i] = e.space.CellOfSLoc(s)
+	for _, s := range query {
 		m.querySet[s] = true
 	}
 	return m
@@ -369,24 +363,24 @@ func (m *monitor) recomputeLocked(dirtyList []iupt.ObjectID) Stats {
 	return st
 }
 
-// rerankLocked re-accumulates per-location flows over every retained summary
-// in canonical ascending object order — the same additions, in the same
-// order, as a from-scratch evaluation — and re-selects the ranking through
-// the bounded top-k heap. Caller holds m.mu.
+// rerankLocked re-ranks the window from the retained summaries: each becomes
+// a presence row over the query set, fed in canonical ascending object order
+// to a one-member finisher — the same additions, in the same order, and the
+// same ranking as a from-scratch evaluation. Caller holds m.mu.
 func (m *monitor) rerankLocked() {
-	flows := make([]float64, len(m.cells))
+	q := Query{Kind: KindTopK, K: m.k, SLocs: m.query}
+	// The query set was validated by Subscribe and is its own column list.
+	fin, _ := m.eng.newFinisher([]Query{q}, []int{0}, m.query)
+	row := make([]float64, len(m.query))
 	for _, oid := range m.oids {
 		sum := m.sums[oid]
 		if sum == nil {
 			continue // pruned by PSL∩Q: contributes nothing, as everywhere else
 		}
-		for j := range m.cells {
-			flows[j] += sum.Presence(m.cells[j], m.eng.opts.Presence)
-		}
+		m.eng.presenceRow(row, sum, m.query)
+		fin.add(oid, row)
 	}
-	results := make([]Result, len(m.query))
-	for j, s := range m.query {
-		results[j] = Result{SLoc: s, Flow: flows[j]}
-	}
-	m.results = selectTopK(results, m.k)
+	var out [1]*Response
+	fin.finish(m.stats, out[:])
+	m.results = out[0].Results
 }

@@ -32,7 +32,6 @@ func TestMonitorValidation(t *testing.T) {
 		{"non-top-k kind", live.cfg(), with(func(q *Query) { q.Kind = KindFlow; q.SLocs = fig.SLocs[:1] })},
 		{"zero window", live.cfg(), with(func(q *Query) { q.Window = 0 })},
 		{"negative window", live.cfg(), with(func(q *Query) { q.Window = -5 })},
-		{"unknown algorithm", live.cfg(), with(func(q *Query) { q.Algorithm = Algorithm(9) })},
 		{"k = 0", live.cfg(), with(func(q *Query) { q.K = 0 })},
 		{"empty query set", live.cfg(), with(func(q *Query) { q.SLocs = nil })},
 		{"unknown S-location", live.cfg(), with(func(q *Query) { q.SLocs = []indoor.SLocID{99} })},

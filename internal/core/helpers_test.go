@@ -71,7 +71,7 @@ func (l *liveTable) ingest(recs ...iupt.Record) {
 // minus the subscription and its eval loop: the test decides when the monitor
 // evaluates, by calling current.
 func (l *liveTable) monitor(q []indoor.SLocID, k int, window iupt.Time) *monitor {
-	m := l.eng.newMonitor(l.cfg(), canonicalSLocs(q), k, window, AlgoBestFirst)
+	m := l.eng.newMonitor(l.cfg(), canonicalSLocs(q), k, window)
 	l.eng.mons.mu.Lock()
 	l.eng.mons.registerLocked(m)
 	l.eng.mons.mu.Unlock()

@@ -32,24 +32,6 @@ func bitEqual(t *testing.T, ctxMsg string, got, want []Result) {
 	}
 }
 
-// TestSelectTopKMatchesRankTopK: the bounded-heap selection must equal the
-// full sort for every k, including ties.
-func TestSelectTopKMatchesRankTopK(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
-		n := rng.Intn(20) + 1
-		results := make([]Result, n)
-		for i := range results {
-			// Coarse flows so ties are common.
-			results[i] = Result{SLoc: indoor.SLocID(i), Flow: float64(rng.Intn(5))}
-		}
-		k := rng.Intn(n+2) + 1
-		want := rankTopK(append([]Result(nil), results...), k)
-		got := selectTopK(results, k)
-		bitEqual(t, "selectTopK", got, want)
-	}
-}
-
 // TestIncrementalEquivalenceRandom drives two monitors on one live table
 // through random out-of-order batches — records landing mid-window, behind
 // the window, just ahead of it, and far enough ahead to make the slide
@@ -288,9 +270,11 @@ func TestSubscribeStreamEquivalence(t *testing.T) {
 	}
 }
 
-// TestSubscribeCoalescing: identical subscriptions share one monitor;
-// differing parameters or DisableCoalescing do not; the monitor dies with
-// its last subscription.
+// TestSubscribeCoalescing: identical subscriptions share one monitor — and a
+// subscription has no algorithm, so ones that differ only in Query.Algorithm
+// are identical and an ingest is evaluated once for all of them; differing
+// parameters or DisableCoalescing do not share; the monitor dies with its
+// last subscription.
 func TestSubscribeCoalescing(t *testing.T) {
 	fig := indoor.Figure1Space()
 	eng := NewEngine(fig.Space, Options{})
@@ -303,12 +287,25 @@ func TestSubscribeCoalescing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := eng.Subscribe(context.Background(), cfg, q)
+	asNL := q
+	asNL.Algorithm = AlgoNestedLoop
+	b, err := eng.Subscribe(context.Background(), cfg, asNL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := eng.MonitorStats(); len(st) != 1 || st[0].Subscribers != 2 {
-		t.Fatalf("identical subscriptions: got %+v, want one monitor with 2 subscribers", st)
+	if st := eng.MonitorStats(); len(st) != 1 || st[0].Subscribers != 2 || st[0].Evals != 1 {
+		t.Fatalf("subscriptions differing only in Algorithm: got %+v, want one monitor with 2 subscribers built once", st)
+	}
+	rec := iupt.Record{OID: 1, T: 5, Samples: iupt.SampleSet{{Loc: fig.PLocs[0], Prob: 1}}}
+	mu.Lock()
+	tb.Append(rec)
+	eng.NotifyAppend(tb, []iupt.Record{rec}, tb.Len())
+	mu.Unlock()
+	for _, sub := range []*Subscription{a, b} {
+		awaitUpdate(t, sub, func(u Update) bool { return u.Records == 1 })
+	}
+	if st := eng.MonitorStats(); len(st) != 1 || st[0].Evals != 2 {
+		t.Fatalf("one ingest over two subscribers: got %+v, want one monitor and one more evaluation", st)
 	}
 
 	wide := q

@@ -77,14 +77,20 @@ func (e *Engine) sharedPass(ctx context.Context, table *iupt.Table, q Query, emi
 		if _, ok := oracle.reduction(oid); !ok {
 			continue // pruned: an exact 0.0 in every column
 		}
-		sum := oracle.summary(oid)
-		for j, s := range q.SLocs {
-			// Presence is the one place that knows PresenceMode and LogScale.
-			row[j] = sum.Presence(e.space.CellOfSLoc(s), e.opts.Presence)
-		}
+		e.presenceRow(row, oracle.summary(oid), q.SLocs)
 		emit(oid, row)
 	}
 	return oracle.finishStats(), nil
+}
+
+// presenceRow fills row[j] with the summarized object's presence in slocs[j].
+// It is the only "summary → presence row" step — the shared pass's and the
+// live feed's — and Presence the one place that knows PresenceMode and
+// LogScale.
+func (e *Engine) presenceRow(row []float64, sum *ObjectSummary, slocs []indoor.SLocID) {
+	for j, s := range slocs {
+		row[j] = sum.Presence(e.space.CellOfSLoc(s), e.opts.Presence)
+	}
 }
 
 // DoPartial evaluates the shard-local contribution to q: the shared pass's

@@ -47,7 +47,8 @@ type Query struct {
 	Kind QueryKind
 	// Algorithm selects how a KindTopK query is evaluated. The other kinds
 	// ignore it: they run the shared pass, which is what AlgoNestedLoop
-	// selects for KindTopK too. The zero value is AlgoNaive.
+	// selects for KindTopK too, and so do DoPartial and Subscribe, whose
+	// answers are bit-identical under all three. The zero value is AlgoNaive.
 	Algorithm Algorithm
 	// K is the result count for KindTopK and KindDensity, clamped to
 	// len(SLocs); it must be positive.

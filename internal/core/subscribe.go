@@ -131,11 +131,13 @@ type SubscribeConfig struct {
 // the ranking or any flow differs — bitwise — from the previous one. A new
 // subscription receives the current ranking immediately as its first update.
 //
-// Identical subscriptions (same table, query set, K, Window, Algorithm and
+// Identical subscriptions (same table, query set, K, Window and
 // evaluation-changing overrides) coalesce onto one shared monitor: one
 // incremental evaluation feeds any number of subscribers.
 // Query.DisableCoalescing opts a subscription out into a private monitor.
-// Query.Ts and Query.Te are ignored.
+// Query.Ts and Query.Te are ignored, and so is Query.Algorithm, exactly as
+// DoPartial ignores it: the feed has one incremental evaluation, whose
+// updates are bit-identical to Do under all three algorithms.
 //
 // Canceling ctx closes the subscription exactly like Close. The returned
 // subscription never blocks evaluation: a slow consumer loses old updates to
@@ -150,9 +152,6 @@ func (e *Engine) Subscribe(ctx context.Context, cfg SubscribeConfig, q Query) (*
 	if q.Window <= 0 {
 		return nil, fmt.Errorf("core: subscribe window must be positive, got %d", q.Window)
 	}
-	if q.Algorithm != AlgoNaive && q.Algorithm != AlgoNestedLoop && q.Algorithm != AlgoBestFirst {
-		return nil, fmt.Errorf("core: unknown algorithm %d", q.Algorithm)
-	}
 	k, err := e.validateTopK(q.SLocs, q.K)
 	if err != nil {
 		return nil, err
@@ -166,7 +165,6 @@ func (e *Engine) Subscribe(ctx context.Context, cfg SubscribeConfig, q Query) (*
 		table:   cfg.Table,
 		k:       k,
 		window:  q.Window,
-		algo:    q.Algorithm,
 		workers: ev.opts.workerCount(),
 		qLen:    len(canon),
 		qHash:   slocHash(canon),
@@ -324,9 +322,6 @@ type MonitorStat struct {
 	// K and Window echo the monitor's parameters.
 	K      int
 	Window iupt.Time
-	// Algorithm is the requested search algorithm (informational: the
-	// incremental engine produces bit-identical results for all three).
-	Algorithm Algorithm
 	// Subscribers is the number of live subscriptions coalesced onto this
 	// monitor.
 	Subscribers int
@@ -353,7 +348,6 @@ type monitorKey struct {
 	table   *iupt.Table
 	k       int
 	window  iupt.Time
-	algo    Algorithm
 	workers int
 	qLen    int
 	qHash   uint64
@@ -394,7 +388,7 @@ func (r *monitorRegistry) acquire(ev *Engine, cfg SubscribeConfig, q Query, key 
 			coalesce = false // hash collision: never share across query sets
 		}
 	}
-	m := ev.newMonitor(cfg, canon, k, q.Window, q.Algorithm)
+	m := ev.newMonitor(cfg, canon, k, q.Window)
 	m.refs = 1
 	r.registerLocked(m)
 	if coalesce {
@@ -482,7 +476,6 @@ func (r *monitorRegistry) statsAll() []MonitorStat {
 			Query:        append([]indoor.SLocID(nil), m.query...),
 			K:            m.k,
 			Window:       m.window,
-			Algorithm:    m.algo,
 			Subscribers:  len(m.subs),
 			Evals:        m.evals,
 			DirtyObjects: m.dirtyTotal,

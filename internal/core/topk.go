@@ -126,8 +126,8 @@ func (e *Engine) topkNaive(ctx context.Context, table *iupt.Table, q []indoor.SL
 
 // resultBefore is the TkPLQ ranking order: flow descending, ties broken by
 // ascending S-location id. S-location ids are unique within a query set, so
-// this is a total order — which is what makes rankTopK and selectTopK
-// interchangeable: a total order has exactly one sorted permutation.
+// this is a total order: a ranking has exactly one sorted permutation,
+// however it was produced.
 func resultBefore(a, b Result) bool {
 	if a.Flow != b.Flow {
 		return a.Flow > b.Flow
@@ -143,55 +143,4 @@ func rankTopK(results []Result, k int) []Result {
 		results = results[:k]
 	}
 	return results
-}
-
-// selectTopK returns the same k results, in the same order, as
-// rankTopK(clone(results), k), without sorting the whole slice: a bounded
-// min-heap keeps the k best seen so far (its root is the worst of the kept),
-// each remaining result either displaces the root or is discarded in O(log k),
-// and only the k survivors are sorted. This is the re-rank step of the
-// incremental Monitor, where per-update cost must not grow with |Q| log |Q|.
-// The input slice is never modified.
-func selectTopK(results []Result, k int) []Result {
-	if k >= len(results) {
-		out := append([]Result(nil), results...)
-		return rankTopK(out, k)
-	}
-	// Min-heap under the ranking order: parent ranks after (or equal to) its
-	// children, so heap[0] is the weakest kept result.
-	heap := make([]Result, 0, k)
-	siftDown := func(i int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			worst := i
-			if l < len(heap) && resultBefore(heap[worst], heap[l]) {
-				worst = l
-			}
-			if r < len(heap) && resultBefore(heap[worst], heap[r]) {
-				worst = r
-			}
-			if worst == i {
-				return
-			}
-			heap[i], heap[worst] = heap[worst], heap[i]
-			i = worst
-		}
-	}
-	for _, res := range results {
-		if len(heap) < k {
-			heap = append(heap, res)
-			if len(heap) == k {
-				for i := k/2 - 1; i >= 0; i-- {
-					siftDown(i)
-				}
-			}
-			continue
-		}
-		if resultBefore(res, heap[0]) {
-			heap[0] = res
-			siftDown(0)
-		}
-	}
-	sort.Slice(heap, func(i, j int) bool { return resultBefore(heap[i], heap[j]) })
-	return heap
 }

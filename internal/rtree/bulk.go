@@ -16,9 +16,18 @@ type BulkItem[T any] struct {
 // BulkLoad builds a tree from items using Sort-Tile-Recursive (STR) packing.
 // STR produces near-full nodes with low overlap, which matters for the
 // Best-First join: tighter node MBRs give tighter flow upper bounds and
-// earlier termination. maxEntries < 4 selects DefaultMaxEntries.
+// earlier termination. maxEntries < 4 selects DefaultMaxEntries. No items
+// yield the empty tree: a leaf root with no entries, height 1.
 func BulkLoad[T any](maxEntries int, items []BulkItem[T]) *Tree[T] {
-	t := New[T](maxEntries)
+	if maxEntries < 4 {
+		maxEntries = DefaultMaxEntries
+	}
+	t := &Tree[T]{
+		root:       &Node[T]{leaf: true},
+		maxEntries: maxEntries,
+		minEntries: maxEntries * 2 / 5,
+		height:     1,
+	}
 	if len(items) == 0 {
 		return t
 	}

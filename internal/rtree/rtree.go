@@ -5,12 +5,15 @@
 // the IUPT time attribute (§3.3), is internal/iupt's sorted snapshot searched
 // by bisection.
 //
-// The tree supports Guttman-style insertion with quadratic node splitting,
-// Sort-Tile-Recursive (STR) bulk loading, window queries, and per-entry
-// aggregate counts maintained on every path from root to leaf. Node internals
-// (entries, their MBRs and counts) are exposed read-only because the paper's
-// Best-First algorithm (Alg. 4) drives a custom heap-ordered join over the
-// two trees' node structures.
+// Algorithm 4 builds both trees for one query and joins them; it never
+// updates one. So the only way to make a tree is Sort-Tile-Recursive (STR)
+// bulk loading (BulkLoad), and a tree is immutable after load: nothing in the
+// package writes to a node once BulkLoad returns, which makes a Tree safe for
+// any number of concurrent readers without a lock. It answers window queries
+// (Search) and carries a per-entry COUNT aggregate on every path from root to
+// leaf. Node internals (entries, their MBRs and counts) are exposed read-only
+// because the paper's Best-First algorithm (Alg. 4) drives a custom
+// heap-ordered join over the two trees' node structures.
 package rtree
 
 import (
@@ -24,7 +27,7 @@ import (
 const DefaultMaxEntries = 16
 
 // Tree is an R-tree mapping rectangles to values of type T.
-// The zero value is not usable; call New.
+// The zero value is not usable; call BulkLoad.
 type Tree[T any] struct {
 	root       *Node[T]
 	maxEntries int
@@ -96,20 +99,6 @@ func (n *Node[T]) count() int {
 	return c
 }
 
-// New returns an empty tree with fan-out maxEntries (DefaultMaxEntries when
-// maxEntries < 4; fan-outs below 4 make quadratic split degenerate).
-func New[T any](maxEntries int) *Tree[T] {
-	if maxEntries < 4 {
-		maxEntries = DefaultMaxEntries
-	}
-	return &Tree[T]{
-		root:       &Node[T]{leaf: true},
-		maxEntries: maxEntries,
-		minEntries: maxEntries * 2 / 5,
-		height:     1,
-	}
-}
-
 // Len returns the number of items in the tree.
 func (t *Tree[T]) Len() int { return t.size }
 
@@ -118,163 +107,6 @@ func (t *Tree[T]) Height() int { return t.height }
 
 // Root returns the root node for read-only traversal.
 func (t *Tree[T]) Root() *Node[T] { return t.root }
-
-// Bounds returns the MBR of all items (empty rect for an empty tree).
-func (t *Tree[T]) Bounds() geom.Rect { return t.root.mbr() }
-
-// Insert adds an item with the given bounding rectangle.
-func (t *Tree[T]) Insert(rect geom.Rect, item T) {
-	e := Entry[T]{rect: rect, item: item, count: 1}
-	split := t.insert(t.root, e, t.height)
-	if split != nil {
-		// Root split: grow the tree by one level.
-		old := t.root
-		t.root = &Node[T]{
-			leaf: false,
-			entries: []Entry[T]{
-				{rect: old.mbr(), child: old, count: old.count()},
-				{rect: split.mbr(), child: split, count: split.count()},
-			},
-		}
-		t.height++
-	}
-	t.size++
-}
-
-// insert pushes entry e down to the leaf level, splitting on overflow.
-// level counts down from t.height; level 1 is the leaf level.
-// It returns a new sibling node if n was split, else nil.
-func (t *Tree[T]) insert(n *Node[T], e Entry[T], level int) *Node[T] {
-	if level == 1 {
-		n.entries = append(n.entries, e)
-		if len(n.entries) > t.maxEntries {
-			return t.splitNode(n)
-		}
-		return nil
-	}
-	i := chooseSubtree(n, e.rect)
-	split := t.insert(n.entries[i].child, e, level-1)
-	// Refresh the chosen entry's MBR and count.
-	n.entries[i].rect = n.entries[i].child.mbr()
-	n.entries[i].count = n.entries[i].child.count()
-	if split != nil {
-		n.entries = append(n.entries, Entry[T]{
-			rect: split.mbr(), child: split, count: split.count(),
-		})
-		if len(n.entries) > t.maxEntries {
-			return t.splitNode(n)
-		}
-	}
-	return nil
-}
-
-// chooseSubtree picks the child entry needing the least enlargement to
-// absorb rect, breaking ties by smaller area (Guttman's ChooseLeaf).
-func chooseSubtree[T any](n *Node[T], rect geom.Rect) int {
-	best := 0
-	bestEnl := n.entries[0].rect.Enlargement(rect)
-	bestArea := n.entries[0].rect.Area()
-	for i := 1; i < len(n.entries); i++ {
-		enl := n.entries[i].rect.Enlargement(rect)
-		area := n.entries[i].rect.Area()
-		if enl < bestEnl || (enl == bestEnl && area < bestArea) {
-			best, bestEnl, bestArea = i, enl, area
-		}
-	}
-	return best
-}
-
-// splitNode performs Guttman's quadratic split in place: n keeps one group,
-// the returned node holds the other.
-func (t *Tree[T]) splitNode(n *Node[T]) *Node[T] {
-	entries := n.entries
-	seedA, seedB := quadraticPickSeeds(entries)
-
-	groupA := []Entry[T]{entries[seedA]}
-	groupB := []Entry[T]{entries[seedB]}
-	mbrA, mbrB := entries[seedA].rect, entries[seedB].rect
-
-	rest := make([]Entry[T], 0, len(entries)-2)
-	for i, e := range entries {
-		if i != seedA && i != seedB {
-			rest = append(rest, e)
-		}
-	}
-
-	for len(rest) > 0 {
-		// Force assignment when one group must take everything left to
-		// reach the minimum fill.
-		if len(groupA)+len(rest) <= t.minEntries {
-			groupA = append(groupA, rest...)
-			for _, e := range rest {
-				mbrA = mbrA.Union(e.rect)
-			}
-			break
-		}
-		if len(groupB)+len(rest) <= t.minEntries {
-			groupB = append(groupB, rest...)
-			for _, e := range rest {
-				mbrB = mbrB.Union(e.rect)
-			}
-			break
-		}
-		// PickNext: the entry with the greatest preference difference.
-		bestIdx, bestDiff := 0, -1.0
-		for i, e := range rest {
-			dA := mbrA.Enlargement(e.rect)
-			dB := mbrB.Enlargement(e.rect)
-			diff := dA - dB
-			if diff < 0 {
-				diff = -diff
-			}
-			if diff > bestDiff {
-				bestIdx, bestDiff = i, diff
-			}
-		}
-		e := rest[bestIdx]
-		rest[bestIdx] = rest[len(rest)-1]
-		rest = rest[:len(rest)-1]
-
-		dA := mbrA.Enlargement(e.rect)
-		dB := mbrB.Enlargement(e.rect)
-		switch {
-		case dA < dB:
-			groupA = append(groupA, e)
-			mbrA = mbrA.Union(e.rect)
-		case dB < dA:
-			groupB = append(groupB, e)
-			mbrB = mbrB.Union(e.rect)
-		case mbrA.Area() < mbrB.Area():
-			groupA = append(groupA, e)
-			mbrA = mbrA.Union(e.rect)
-		case len(groupA) <= len(groupB):
-			groupA = append(groupA, e)
-			mbrA = mbrA.Union(e.rect)
-		default:
-			groupB = append(groupB, e)
-			mbrB = mbrB.Union(e.rect)
-		}
-	}
-
-	n.entries = groupA
-	return &Node[T]{leaf: n.leaf, entries: groupB}
-}
-
-// quadraticPickSeeds returns the pair of entries wasting the most area if
-// grouped together.
-func quadraticPickSeeds[T any](entries []Entry[T]) (int, int) {
-	seedA, seedB, worst := 0, 1, -1.0
-	for i := 0; i < len(entries); i++ {
-		for j := i + 1; j < len(entries); j++ {
-			u := entries[i].rect.Union(entries[j].rect)
-			waste := u.Area() - entries[i].rect.Area() - entries[j].rect.Area()
-			if waste > worst {
-				seedA, seedB, worst = i, j, waste
-			}
-		}
-	}
-	return seedA, seedB
-}
 
 // Search invokes fn for every item whose rectangle intersects query.
 // Traversal stops early if fn returns false.
@@ -297,35 +129,6 @@ func searchNode[T any](n *Node[T], query geom.Rect, fn func(geom.Rect, T) bool) 
 		}
 	}
 	return true
-}
-
-// CountInRect returns the number of items intersecting query, using COUNT
-// aggregates to skip fully-covered subtrees.
-func (t *Tree[T]) CountInRect(query geom.Rect) int {
-	return countNode(t.root, query)
-}
-
-func countNode[T any](n *Node[T], query geom.Rect) int {
-	total := 0
-	for i := range n.entries {
-		e := &n.entries[i]
-		if !e.rect.Intersects(query) {
-			continue
-		}
-		if n.leaf {
-			total++
-		} else if query.ContainsRect(e.rect) {
-			total += e.count
-		} else {
-			total += countNode(e.child, query)
-		}
-	}
-	return total
-}
-
-// All invokes fn for every item in the tree.
-func (t *Tree[T]) All(fn func(rect geom.Rect, item T) bool) {
-	t.Search(geom.R(-1e18, -1e18, 1e18, 1e18), fn)
 }
 
 // CheckInvariants validates structural invariants: MBR containment, COUNT

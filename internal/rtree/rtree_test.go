@@ -1,10 +1,11 @@
 package rtree
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
-	"testing/quick"
 
 	"tkplq/internal/geom"
 )
@@ -38,26 +39,24 @@ func collectSearch[T any](t *Tree[T], query geom.Rect) []T {
 }
 
 func TestEmptyTree(t *testing.T) {
-	tr := New[int](0)
+	tr := BulkLoad[int](0, nil)
 	if tr.Len() != 0 || tr.Height() != 1 {
 		t.Fatalf("empty tree Len=%d Height=%d", tr.Len(), tr.Height())
 	}
 	if got := collectSearch(tr, geom.R(0, 0, 100, 100)); len(got) != 0 {
 		t.Errorf("search on empty tree returned %v", got)
 	}
-	if !tr.Bounds().IsEmpty() {
-		t.Error("empty tree bounds should be empty")
-	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestInsertSearchSmall(t *testing.T) {
-	tr := New[string](4)
-	tr.Insert(geom.R(0, 0, 1, 1), "a")
-	tr.Insert(geom.R(2, 2, 3, 3), "b")
-	tr.Insert(geom.R(0.5, 0.5, 2.5, 2.5), "c")
+func TestSearchSmall(t *testing.T) {
+	tr := BulkLoad(4, []BulkItem[string]{
+		{Rect: geom.R(0, 0, 1, 1), Item: "a"},
+		{Rect: geom.R(2, 2, 3, 3), Item: "b"},
+		{Rect: geom.R(0.5, 0.5, 2.5, 2.5), Item: "c"},
+	})
 	if tr.Len() != 3 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
@@ -71,67 +70,87 @@ func TestInsertSearchSmall(t *testing.T) {
 	}
 }
 
-func TestInsertMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	const n = 2000
-	rects := make([]geom.Rect, n)
-	tr := New[int](8)
-	for i := range rects {
-		rects[i] = randRect(rng, 1000)
-		tr.Insert(rects[i], i)
+// subtreeItems returns the items stored at or below e, by walking the public
+// node accessors down to the leaves.
+func subtreeItems(e Entry[int]) []int {
+	if e.IsLeafEntry() {
+		return []int{e.Item()}
 	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	var out []int
+	for i := 0; i < e.Child().Len(); i++ {
+		out = append(out, subtreeItems(e.Child().Entry(i))...)
 	}
-	if tr.Height() < 3 {
-		t.Errorf("expected height >= 3 for %d items with fanout 8, got %d", n, tr.Height())
-	}
-	for trial := 0; trial < 50; trial++ {
-		q := randRect(rng, 1000).Expand(20)
-		want := bruteSearch(rects, q)
-		got := collectSearch(tr, q)
-		sort.Ints(got)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: got %d results, want %d", trial, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: result %d = %d, want %d", trial, i, got[i], want[i])
-			}
-		}
-		if c := tr.CountInRect(q); c != len(want) {
-			t.Fatalf("trial %d: CountInRect = %d, want %d", trial, c, len(want))
-		}
-	}
+	return out
 }
 
-func TestBulkLoadMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	const n = 3000
-	rects := make([]geom.Rect, n)
-	items := make([]BulkItem[int], n)
-	for i := range rects {
-		rects[i] = randRect(rng, 500)
-		items[i] = BulkItem[int]{Rect: rects[i], Item: i}
-	}
-	tr := BulkLoad(10, items)
-	if tr.Len() != n {
-		t.Fatalf("Len = %d, want %d", tr.Len(), n)
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 50; trial++ {
-		q := randRect(rng, 500).Expand(10)
-		want := bruteSearch(rects, q)
-		got := collectSearch(tr, q)
-		sort.Ints(got)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: got %d results, want %d", trial, len(got), len(want))
+// checkAggregates asserts, for every entry at or below n, that its COUNT is
+// the number of items under it and its rectangle the tight MBR of theirs. It
+// returns the depth of the leaves below n (1 when n is a leaf).
+func checkAggregates(t *testing.T, n *Node[int], rects []geom.Rect) int {
+	t.Helper()
+	depth := 1
+	for i := 0; i < n.Len(); i++ {
+		e := n.Entry(i)
+		under := subtreeItems(e)
+		mbr := geom.EmptyRect()
+		for _, id := range under {
+			mbr = mbr.Union(rects[id])
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d mismatch at %d", trial, i)
+		if e.Count() != len(under) {
+			t.Fatalf("entry COUNT = %d, %d items under it", e.Count(), len(under))
+		}
+		if e.Rect() != mbr {
+			t.Fatalf("entry rect %v, MBR of its items %v", e.Rect(), mbr)
+		}
+		if !e.IsLeafEntry() {
+			depth = 1 + checkAggregates(t, e.Child(), rects)
+		}
+	}
+	return depth
+}
+
+// TestBulkLoadMatchesBruteForce is the package's reference test: at sizes that
+// hit every STR packing remainder, the loaded tree keeps its invariants,
+// carries exact COUNT aggregates and tight MBRs on every entry, and answers
+// window queries exactly like a linear scan.
+func TestBulkLoadMatchesBruteForce(t *testing.T) {
+	const m = 10
+	for _, n := range []int{0, 1, m, m + 1, m*m - 1, m*m + 1, 1000, 3000} {
+		rng := rand.New(rand.NewSource(7))
+		rects := make([]geom.Rect, n)
+		items := make([]BulkItem[int], n)
+		for i := range rects {
+			rects[i] = randRect(rng, 500)
+			items[i] = BulkItem[int]{Rect: rects[i], Item: i}
+		}
+		tr := BulkLoad(m, items)
+		if tr.Len() != n {
+			t.Fatalf("n=%d: Len = %d", n, tr.Len())
+		}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		rootCount := 0
+		for i := 0; i < tr.Root().Len(); i++ {
+			rootCount += tr.Root().Entry(i).Count()
+		}
+		if rootCount != n {
+			t.Fatalf("n=%d: root COUNT = %d", n, rootCount)
+		}
+		h := tr.Height()
+		if depth := checkAggregates(t, tr.Root(), rects); depth != h {
+			t.Fatalf("n=%d: Height = %d, leaves at depth %d", n, h, depth)
+		}
+		if (h == 1) != (n <= m) || math.Pow(m, float64(h)) < float64(n) {
+			t.Fatalf("n=%d: Height = %d cannot hold the items at fan-out %d", n, h, m)
+		}
+		for trial := 0; trial < 50; trial++ {
+			q := randRect(rng, 500).Expand(10)
+			want := bruteSearch(rects, q)
+			got := collectSearch(tr, q)
+			sort.Ints(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("n=%d trial %d: Search = %v, brute force %v", n, trial, got, want)
 			}
 		}
 	}
@@ -165,10 +184,11 @@ func TestBulkLoadEmpty(t *testing.T) {
 }
 
 func TestSearchEarlyStop(t *testing.T) {
-	tr := New[int](4)
-	for i := 0; i < 100; i++ {
-		tr.Insert(geom.R(float64(i), 0, float64(i)+0.5, 1), i)
+	items := make([]BulkItem[int], 100)
+	for i := range items {
+		items[i] = BulkItem[int]{Rect: geom.R(float64(i), 0, float64(i)+0.5, 1), Item: i}
 	}
+	tr := BulkLoad(4, items)
 	calls := 0
 	tr.Search(geom.R(0, 0, 100, 1), func(_ geom.Rect, _ int) bool {
 		calls++
@@ -179,35 +199,14 @@ func TestSearchEarlyStop(t *testing.T) {
 	}
 }
 
-func TestAggregateCounts(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	tr := New[int](6)
-	for i := 0; i < 500; i++ {
-		tr.Insert(randRect(rng, 100), i)
-	}
-	// Root entry counts must sum to the tree size.
-	sum := 0
-	root := tr.Root()
-	for i := 0; i < root.Len(); i++ {
-		sum += root.Entry(i).Count()
-	}
-	if sum != tr.Len() {
-		t.Errorf("root counts sum to %d, want %d", sum, tr.Len())
-	}
-	// Whole-world count query returns everything via aggregates.
-	if c := tr.CountInRect(geom.R(-1, -1, 101, 101)); c != 500 {
-		t.Errorf("CountInRect(world) = %d", c)
-	}
-}
-
 func TestNodeAccessors(t *testing.T) {
-	tr := New[string](4)
-	for i := 0; i < 30; i++ {
-		tr.Insert(geom.R(float64(i), 0, float64(i)+1, 1), "x")
+	items := make([]BulkItem[string], 30)
+	for i := range items {
+		items[i] = BulkItem[string]{Rect: geom.R(float64(i), 0, float64(i)+1, 1), Item: "x"}
 	}
-	root := tr.Root()
+	root := BulkLoad(4, items).Root()
 	if root.IsLeaf() {
-		t.Fatal("root should be internal after splits")
+		t.Fatal("root of 30 items at fan-out 4 should be internal")
 	}
 	for i := 0; i < root.Len(); i++ {
 		e := root.Entry(i)
@@ -226,91 +225,13 @@ func TestNodeAccessors(t *testing.T) {
 	}
 }
 
-// Property: after any sequence of inserts, invariants hold and a full-space
-// search returns exactly the inserted items.
-func TestInsertProperty(t *testing.T) {
-	f := func(seed int64, nSmall uint8) bool {
-		n := int(nSmall)%120 + 1
-		rng := rand.New(rand.NewSource(seed))
-		tr := New[int](5)
-		for i := 0; i < n; i++ {
-			tr.Insert(randRect(rng, 50), i)
-		}
-		if err := tr.CheckInvariants(); err != nil {
-			return false
-		}
-		got := collectSearch(tr, geom.R(-100, -100, 200, 200))
-		if len(got) != n {
-			return false
-		}
-		seen := make(map[int]bool, n)
-		for _, id := range got {
-			if seen[id] {
-				return false
-			}
-			seen[id] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: STR bulk load and incremental insert answer queries identically.
-func TestBulkEquivalentToInsert(t *testing.T) {
-	f := func(seed int64, nSmall uint8) bool {
-		n := int(nSmall)%200 + 1
-		rng := rand.New(rand.NewSource(seed))
-		rects := make([]geom.Rect, n)
-		items := make([]BulkItem[int], n)
-		ins := New[int](8)
-		for i := range rects {
-			rects[i] = randRect(rng, 100)
-			items[i] = BulkItem[int]{Rect: rects[i], Item: i}
-			ins.Insert(rects[i], i)
-		}
-		blk := BulkLoad(8, items)
-		if err := blk.CheckInvariants(); err != nil {
-			return false
-		}
-		for trial := 0; trial < 5; trial++ {
-			q := randRect(rng, 100).Expand(5)
-			a := collectSearch(ins, q)
-			b := collectSearch(blk, q)
-			sort.Ints(a)
-			sort.Ints(b)
-			if len(a) != len(b) {
-				return false
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-func BenchmarkInsert(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	tr := New[int](16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Insert(randRect(rng, 10000), i)
-	}
-}
-
 func BenchmarkSearch(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	tr := New[int](16)
-	for i := 0; i < 10000; i++ {
-		tr.Insert(randRect(rng, 10000), i)
+	items := make([]BulkItem[int], 10000)
+	for i := range items {
+		items[i] = BulkItem[int]{Rect: randRect(rng, 10000), Item: i}
 	}
+	tr := BulkLoad(16, items)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := randRect(rng, 10000).Expand(50)

@@ -233,10 +233,9 @@ type StatsResponse struct {
 // MonitorStatJSON describes one live monitor feed in GET /v1/stats.
 type MonitorStatJSON struct {
 	// QuerySize is the size of the subscribed S-location set.
-	QuerySize int    `json:"query_size"`
-	K         int    `json:"k"`
-	Window    int64  `json:"window"`
-	Algorithm string `json:"algorithm"`
+	QuerySize int   `json:"query_size"`
+	K         int   `json:"k"`
+	Window    int64 `json:"window"`
 	// Subscribers is the number of live subscriptions coalesced onto this
 	// monitor.
 	Subscribers int `json:"subscribers"`
@@ -567,7 +566,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			QuerySize:    len(ms.Query),
 			K:            ms.K,
 			Window:       int64(ms.Window),
-			Algorithm:    ms.Algorithm.String(),
 			Subscribers:  ms.Subscribers,
 			Evals:        ms.Evals,
 			DirtyObjects: ms.DirtyObjects,

@@ -37,8 +37,7 @@ type UpdateJSON struct {
 
 // subscribeQuery parses the /v2/subscribe query parameters into a
 // subscription query: window (required, seconds), k (default 10), slocs
-// (comma-separated ids, empty = all), algorithm (naive|nl|bf, default bf),
-// no_coalesce.
+// (comma-separated ids, empty = all), no_coalesce.
 func (s *Server) subscribeQuery(r *http.Request) (tkplq.Query, error) {
 	params := r.URL.Query()
 	window, err := strconv.ParseInt(params.Get("window"), 10, 64)
@@ -49,13 +48,6 @@ func (s *Server) subscribeQuery(r *http.Request) (tkplq.Query, error) {
 	if v := params.Get("k"); v != "" {
 		if k, err = strconv.Atoi(v); err != nil || k <= 0 {
 			return tkplq.Query{}, fmt.Errorf("k must be a positive integer, got %q", v)
-		}
-	}
-	algo := tkplq.BestFirst
-	if v := params.Get("algorithm"); v != "" {
-		var ok bool
-		if algo, ok = algorithms[v]; !ok {
-			return tkplq.Query{}, fmt.Errorf("unknown algorithm %q (want naive, nl or bf)", v)
 		}
 	}
 	var slocs []tkplq.SLocID
@@ -76,7 +68,6 @@ func (s *Server) subscribeQuery(r *http.Request) (tkplq.Query, error) {
 	}
 	return tkplq.Query{
 		Kind:              tkplq.KindTopK,
-		Algorithm:         algo,
 		K:                 k,
 		Window:            tkplq.Time(window),
 		SLocs:             slocs,

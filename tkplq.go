@@ -199,7 +199,7 @@ func (s *System) CacheStats() CacheStats { return s.engine.CacheStats() }
 // evaluation feeds all of them; Query.DisableCoalescing opts out); a slow
 // consumer loses oldest updates to conflation (Update.Dropped) and never
 // delays evaluation. Canceling ctx closes the subscription like
-// Subscription.Close; Query.Ts and Query.Te are ignored.
+// Subscription.Close; Query.Ts, Query.Te and Query.Algorithm are ignored.
 func (s *System) Subscribe(ctx context.Context, q Query) (*Subscription, error) {
 	return s.engine.Subscribe(ctx, core.SubscribeConfig{
 		Table:   s.table,

@@ -11,7 +11,8 @@
 //
 //   - indoor space modeling (partitions, doors, P/S-locations, cells, the
 //     indoor space location graph and indoor location matrix);
-//   - the IUPT store with its 1-D R-tree time index;
+//   - the IUPT store: sealed time partitions plus a mutable head, searched
+//     by bisection on a time-sorted snapshot;
 //   - the data reduction method and the flow/presence computation with two
 //     interchangeable engines (paper-faithful path enumeration, and an
 //     equivalent polynomial-time dynamic program);
