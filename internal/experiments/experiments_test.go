@@ -2,25 +2,115 @@ package experiments
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 )
+
+// The golden file pins every cell of every experiment at smallConfig() that
+// is not a wall-clock time: one "# <id>" section per experiment, holding its
+// tables as Render prints them with the time cells masked. After an
+// intentional change to a printed number, regenerate with:
+//
+//	go test -run TestAllExperimentsRun ./internal/experiments -update-experiments
+var updateExperiments = flag.Bool("update-experiments", false, "rewrite testdata/small.golden with the current experiment output")
+
+const goldenPath = "testdata/small.golden"
+
+// timeCell matches what fsec prints, the only cells that differ between two
+// runs of one seed.
+var timeCell = regexp.MustCompile(`^[0-9.]+(µs|ms|s)$`)
+
+// renderMasked renders tbl with its time cells replaced by a fixed token.
+// Masking happens before Render so column widths do not depend on a time.
+func renderMasked(t *testing.T, buf *bytes.Buffer, tbl Table) {
+	t.Helper()
+	masked := tbl
+	masked.Rows = make([][]string, len(tbl.Rows))
+	for i, row := range tbl.Rows {
+		masked.Rows[i] = make([]string, len(row))
+		for j, cell := range row {
+			if timeCell.MatchString(cell) {
+				cell = "<time>"
+			}
+			masked.Rows[i][j] = cell
+		}
+	}
+	if err := masked.Render(buf); err != nil {
+		t.Errorf("%s render: %v", tbl.ID, err)
+	}
+}
+
+// goldenSections splits the golden file into its per-experiment sections.
+func goldenSections(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("%v — run `go test -run TestAllExperimentsRun ./internal/experiments -update-experiments` to create it", err)
+	}
+	out := make(map[string]string)
+	var id string
+	for _, line := range strings.SplitAfter(string(data), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# "); ok {
+			id = strings.TrimSpace(rest)
+		} else {
+			out[id] += line
+		}
+	}
+	return out
+}
+
+// firstDiff names the first line at which got and want part ways.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(g) || i < len(w); i++ {
+		var gl, wl string
+		if i < len(g) {
+			gl = g[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if gl != wl {
+			return "line " + strconv.Itoa(i+1) + ":\n  got:  " + gl + "\n  want: " + wl
+		}
+	}
+	return "no difference"
+}
 
 func smallConfig() *Config {
 	return &Config{Scale: Small, Queries: 1, MCRounds: 5, Seed: 17}
 }
 
 // TestAllExperimentsRun executes every experiment at Small scale, sharing
-// one dataset cache, and sanity-checks the emitted tables.
+// one dataset cache, sanity-checks the emitted tables and compares every
+// cell that is not a wall-clock time with the golden file.
 func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep is slow; skipped with -short")
 	}
 	cfg := smallConfig()
+	var golden map[string]string
+	if !*updateExperiments {
+		golden = goldenSections(t)
+	}
+	var all bytes.Buffer // every section, for -update-experiments
+	ran := 0
 	for _, exp := range All() {
 		exp := exp
 		t.Run(exp.ID, func(t *testing.T) {
+			ran++
+			var section bytes.Buffer
+			defer func() {
+				all.WriteString("# " + exp.ID + "\n" + section.String())
+				if golden != nil && section.String() != golden[exp.ID] {
+					t.Errorf("%s differs from %s (refresh with -update-experiments if intended), first at %s",
+						exp.ID, goldenPath, firstDiff(section.String(), golden[exp.ID]))
+				}
+			}()
 			tables, err := exp.Run(cfg)
 			if err != nil {
 				t.Fatalf("%s: %v", exp.ID, err)
@@ -47,8 +137,22 @@ func TestAllExperimentsRun(t *testing.T) {
 				if !strings.Contains(buf.String(), tbl.ID) {
 					t.Errorf("%s/%s: render missing id", exp.ID, tbl.ID)
 				}
+				renderMasked(t, &section, tbl)
 			}
 		})
+	}
+	if *updateExperiments {
+		// A -run filter that skipped some experiment must not truncate the file.
+		if ran != len(All()) {
+			t.Fatalf("-update-experiments needs every experiment; %d of %d ran", ran, len(All()))
+		}
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, all.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", goldenPath)
 	}
 }
 
