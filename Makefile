@@ -111,6 +111,12 @@ smoke-cluster:
 apicheck:
 	$(GO) test -run TestPublicAPIGolden .
 
+# The experiments have a golden of the same kind, checked by `make test`:
+# every cell of the Small-scale sweep that is not a wall-clock time must
+# match internal/experiments/testdata/small.golden. After an intentional
+# change to a printed number:
+#   go test -run TestAllExperimentsRun ./internal/experiments -update-experiments
+
 # The serving benchmark (bench/e2e, contract in BENCHMARK.json) is its own
 # module, so `go build ./... && go test ./...` here cannot see a root API
 # change that stops it compiling. This vets it and runs its unit tests
@@ -120,13 +126,13 @@ bench-e2e:
 	cd bench/e2e && $(GO) vet ./... && $(GO) test ./...
 
 # The headline number of ROADMAP item 3 (non-test Go lines outside bench/e2e,
-# with exactly the command ROADMAP quotes) plus the five packages the
-# deletions come from. Reported, not gated: reviewers judge it.
+# with exactly the command ROADMAP quotes) plus the packages the deletions
+# come from. Reported, not gated: reviewers judge it.
 loc:
 	@printf 'non-test Go lines (excluding bench/e2e): '; \
 	find . -name '*.go' -not -name '*_test.go' -not -path './bench/e2e/*' -not -path './.bench_build/*' | xargs cat | wc -l
-	@for p in internal/core internal/iupt internal/rtree internal/server cmd/tkplqd; do \
-		printf '  %-16s ' $$p; find ./$$p -name '*.go' -not -name '*_test.go' | xargs cat | wc -l; \
+	@for p in internal/core internal/iupt internal/rtree internal/server internal/experiments cmd/tkplqd; do \
+		printf '  %-20s ' $$p; find ./$$p -name '*.go' -not -name '*_test.go' | xargs cat | wc -l; \
 	done
 
 ci: lint build apicheck bench-e2e race bench smoke smoke-cluster

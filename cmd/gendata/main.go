@@ -65,41 +65,16 @@ func run(args []string, stdout, errOut io.Writer) error {
 		return err
 	}
 
-	var b *sim.Building
-	var err error
-	switch *dataset {
-	case "syn":
-		b, err = sim.Generate(sim.DefaultBuildingConfig())
-	case "rd":
-		b, err = sim.RealDataFloor()
-	default:
-		return fmt.Errorf("unknown dataset %q (want syn or rd)", *dataset)
-	}
+	b, err := sim.BuildingByName(*dataset)
 	if err != nil {
 		return err
 	}
-
-	moveCfg := sim.MovementConfig{
-		Objects:     *objects,
-		Duration:    iupt.Time(*duration),
-		MaxSpeed:    1.0,
-		MinDwell:    300,
-		MaxDwell:    1800,
-		MinLifespan: iupt.Time(*duration / 2),
-		MaxLifespan: iupt.Time(*duration),
-		Seed:        *seed,
-	}
-	trajs, err := sim.SimulateMovement(b, moveCfg)
+	trajs, err := sim.SimulateMovement(b, sim.CLIMovementConfig(*objects, iupt.Time(*duration), *seed))
 	if err != nil {
 		return err
 	}
-	posCfg := sim.PositioningConfig{
-		MaxPeriod:   iupt.Time(*period),
-		MSS:         *mss,
-		ErrorRadius: *mu,
-		Gamma:       0.2,
-		Seed:        *seed + 1,
-	}
+	posCfg := sim.CLIPositioningConfig(*seed)
+	posCfg.MaxPeriod, posCfg.MSS, posCfg.ErrorRadius = iupt.Time(*period), *mss, *mu
 
 	w := stdout
 	var f *os.File

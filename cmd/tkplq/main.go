@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"tkplq"
-	"tkplq/internal/iupt"
 	"tkplq/internal/sim"
 )
 
@@ -79,59 +78,14 @@ func run(ctx context.Context, args []string) error {
 		return errFlagParse // the FlagSet already printed the message + usage
 	}
 
-	var b *sim.Building
-	var err error
-	switch *dataset {
-	case "syn":
-		b, err = sim.Generate(sim.DefaultBuildingConfig())
-	case "rd":
-		b, err = sim.RealDataFloor()
-	default:
-		return fmt.Errorf("unknown dataset %q", *dataset)
-	}
+	b, err := sim.BuildingByName(*dataset)
 	if err != nil {
 		return err
 	}
 
-	var table *tkplq.Table
-	if *iuptFile != "" {
-		f, err := os.Open(*iuptFile)
-		if err != nil {
-			return err
-		}
-		switch *format {
-		case "csv":
-			table, err = iupt.ReadCSV(f)
-		case "bin":
-			table, err = iupt.ReadBinary(f)
-		default:
-			f.Close()
-			return fmt.Errorf("unknown format %q", *format)
-		}
-		cerr := f.Close()
-		if err != nil {
-			return err
-		}
-		if cerr != nil {
-			return cerr
-		}
-	} else {
-		moveCfg := sim.MovementConfig{
-			Objects: *objects, Duration: tkplq.Time(*duration), MaxSpeed: 1.0,
-			MinDwell: 300, MaxDwell: 1800,
-			MinLifespan: tkplq.Time(*duration / 2), MaxLifespan: tkplq.Time(*duration),
-			Seed: *seed,
-		}
-		trajs, err := sim.SimulateMovement(b, moveCfg)
-		if err != nil {
-			return err
-		}
-		table, err = sim.GenerateIUPT(b, trajs, sim.PositioningConfig{
-			MaxPeriod: 3, MSS: 4, ErrorRadius: 5, Gamma: 0.2, Seed: *seed + 1,
-		})
-		if err != nil {
-			return err
-		}
+	table, err := sim.CLITable(b, *iuptFile, *format, *objects, tkplq.Time(*duration), *seed)
+	if err != nil {
+		return err
 	}
 
 	opts := tkplq.Options{Workers: *workers}

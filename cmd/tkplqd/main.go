@@ -230,7 +230,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	var fol *repl.Follower
 	var folErrCh chan error
 	if *role == server.RoleRouter {
-		b, err := buildSpace(*dataset)
+		b, err := sim.BuildingByName(*dataset)
 		if err != nil {
 			return err
 		}
@@ -249,7 +249,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		b, err := buildSpace(*dataset)
+		b, err := sim.BuildingByName(*dataset)
 		if err != nil {
 			return err
 		}
@@ -339,7 +339,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 					}
 				}
 			}
-			b, err := buildSpace(*dataset)
+			b, err := sim.BuildingByName(*dataset)
 			if err != nil {
 				return err
 			}
@@ -575,19 +575,6 @@ func parseFsyncPolicy(s string) (tkplq.SyncPolicy, error) {
 	}
 }
 
-// buildSpace regenerates the deterministic indoor space for the dataset
-// kind (spaces are cheap; the IUPT is the heavy artifact).
-func buildSpace(dataset string) (*sim.Building, error) {
-	switch dataset {
-	case "syn":
-		return sim.Generate(sim.DefaultBuildingConfig())
-	case "rd":
-		return sim.RealDataFloor()
-	default:
-		return nil, fmt.Errorf("unknown dataset %q (want syn or rd)", dataset)
-	}
-}
-
 // buildSystem regenerates the indoor space and either loads the IUPT from a
 // gendata file or generates it on the fly. A non-nil own filter keeps only
 // the owned records (shard role): every cluster member runs the same
@@ -605,52 +592,18 @@ func buildSystem(dataset, iuptFile, format string, objects int, duration, seed i
 // a gendata file or generated on the fly), filtered by the shard ownership
 // predicate when non-nil.
 func buildTable(dataset, iuptFile, format string, objects int, duration, seed int64, own func(iupt.ObjectID) bool) (*sim.Building, *tkplq.Table, error) {
-	b, err := buildSpace(dataset)
+	b, err := sim.BuildingByName(dataset)
 	if err != nil {
 		return nil, nil, err
 	}
 
-	var table *tkplq.Table
+	table, err := sim.CLITable(b, iuptFile, format, objects, iupt.Time(duration), seed)
+	if err != nil {
+		return nil, nil, err
+	}
 	if iuptFile != "" {
-		f, err := os.Open(iuptFile)
-		if err != nil {
-			return nil, nil, err
-		}
-		switch format {
-		case "csv":
-			table, err = iupt.ReadCSV(f)
-		case "bin":
-			table, err = iupt.ReadBinary(f)
-		default:
-			f.Close()
-			return nil, nil, fmt.Errorf("unknown format %q (want csv or bin)", format)
-		}
-		cerr := f.Close()
-		if err != nil {
-			return nil, nil, err
-		}
-		if cerr != nil {
-			return nil, nil, cerr
-		}
 		if err := table.Validate(); err != nil {
 			return nil, nil, fmt.Errorf("%s: %w", iuptFile, err)
-		}
-	} else {
-		moveCfg := sim.MovementConfig{
-			Objects: objects, Duration: iupt.Time(duration), MaxSpeed: 1.0,
-			MinDwell: 300, MaxDwell: 1800,
-			MinLifespan: iupt.Time(duration / 2), MaxLifespan: iupt.Time(duration),
-			Seed: seed,
-		}
-		trajs, err := sim.SimulateMovement(b, moveCfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		table, err = sim.GenerateIUPT(b, trajs, sim.PositioningConfig{
-			MaxPeriod: 3, MSS: 4, ErrorRadius: 5, Gamma: 0.2, Seed: seed + 1,
-		})
-		if err != nil {
-			return nil, nil, err
 		}
 	}
 

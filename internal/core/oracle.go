@@ -23,7 +23,8 @@ import (
 // results and statistics are identical to the single-threaded path for every
 // worker count. Over a cached window it also fronts the window's memo: an
 // object reduced and summarized by any earlier query over the same records is
-// served from there, by object id, without touching a sample.
+// served from there, by object id, without touching a sample — and without a
+// goroutine: only objects with work left are pending.
 //
 // The lazy accessors (reduction, summary) and the merge phase must run on
 // one goroutine; computeOne is safe to call concurrently.
@@ -118,8 +119,21 @@ func (o *presenceOracle) computeOne(oid iupt.ObjectID, needSummary bool, have *R
 	return outcome{red: m.red, sum: m.sum, fellBack: m.fellBack}
 }
 
+// memoHolds reports whether computeOne would be an O(1) lookup: the window's
+// memo stores the object's reduction and, unless the query's PSL∩Q check
+// prunes it, the summary when one is needed.
+func (o *presenceOracle) memoHolds(oid iupt.ObjectID, needSummary bool) bool {
+	if o.memo == nil {
+		return false
+	}
+	m, ok := o.memo.get(oid)
+	return ok && m.red != nil && (!needSummary || m.sum != nil || o.prunedBy(m.red))
+}
+
 // applySummary merges a summarized outcome into the oracle's maps and stats.
-// Must run on the merge goroutine, in ascending object order.
+// Must run on the merge goroutine. It touches only map slots and integer
+// counters, so memo hits merged ahead of the computed objects (ensure) leave
+// both as one ascending pass would.
 func (o *presenceOracle) applySummary(oid iupt.ObjectID, oc outcome) {
 	if oc.pruned {
 		o.reductions[oid] = nil
@@ -199,15 +213,27 @@ func (o *presenceOracle) ensureReductions(ctx context.Context, oids []iupt.Objec
 // object order so maps, stats and every later flow accumulation are
 // identical to the sequential path. Workers check ctx between objects, so a
 // canceled evaluation stops burning the pool within one object's work.
+//
+// Pending is what is left to compute: an object the window's memo holds is
+// an O(1) lookup, taken here on the calling goroutine, so a fully memoized
+// query starts no goroutine (Stats.Workers reads 1) and minParallelItems
+// counts work to be done.
 func (o *presenceOracle) ensure(ctx context.Context, oids []iupt.ObjectID, needSummary bool) error {
 	pending := make([]iupt.ObjectID, 0, len(oids))
 	for _, oid := range oids {
 		if needSummary {
-			if _, ok := o.summaries[oid]; !ok {
-				pending = append(pending, oid)
+			if _, ok := o.summaries[oid]; ok {
+				continue
 			}
-		} else if _, ok := o.reductions[oid]; !ok {
+		} else if _, ok := o.reductions[oid]; ok {
+			continue
+		}
+		if !o.memoHolds(oid, needSummary) {
 			pending = append(pending, oid)
+		} else if needSummary {
+			o.summary(oid)
+		} else {
+			o.reduction(oid)
 		}
 	}
 	workers := o.eng.opts.workerCount()

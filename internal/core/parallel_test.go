@@ -124,27 +124,38 @@ func TestPresenceCacheReusesWork(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	tb := randTable(rng, fig, 15, 40)
 	q := fig.SLocs[:]
-	eng := NewEngine(fig.Space, Options{Workers: 4})
+	var eng *Engine // the Nested-Loop engine, kept for the window checks below
 
-	first, st1, err := eng.TopK(tb, q, len(q), 0, 40, AlgoNestedLoop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st1.CacheHits != 0 {
-		t.Errorf("cold query: CacheHits = %d, want 0", st1.CacheHits)
-	}
-	if st1.CacheMisses != int64(st1.ObjectsComputed) {
-		t.Errorf("cold query: CacheMisses = %d, want %d", st1.CacheMisses, st1.ObjectsComputed)
-	}
+	for _, algo := range []Algorithm{AlgoBestFirst, AlgoNestedLoop} {
+		eng = NewEngine(fig.Space, Options{Workers: 4})
+		first, st1, err := eng.TopK(tb, q, len(q), 0, 40, algo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st1.CacheHits != 0 {
+			t.Errorf("%v cold query: CacheHits = %d, want 0", algo, st1.CacheHits)
+		}
+		if st1.CacheMisses != int64(st1.ObjectsComputed) {
+			t.Errorf("%v cold query: CacheMisses = %d, want %d", algo, st1.CacheMisses, st1.ObjectsComputed)
+		}
+		if st1.Workers != 4 {
+			t.Errorf("%v cold query: Workers = %d, want 4 (every object is work to fan out)", algo, st1.Workers)
+		}
 
-	second, st2, err := eng.TopK(tb, q, len(q), 0, 40, AlgoNestedLoop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameResults(t, "cached rerun", first, second)
-	if st2.CacheHits != int64(st2.ObjectsComputed) || st2.CacheMisses != 0 {
-		t.Errorf("warm query: hits %d misses %d, want %d hits 0 misses",
-			st2.CacheHits, st2.CacheMisses, st2.ObjectsComputed)
+		second, st2, err := eng.TopK(tb, q, len(q), 0, 40, algo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameResults(t, "cached rerun", first, second)
+		if st2.CacheHits != int64(st2.ObjectsComputed) || st2.CacheMisses != 0 {
+			t.Errorf("%v warm query: hits %d misses %d, want %d hits 0 misses",
+				algo, st2.CacheHits, st2.CacheMisses, st2.ObjectsComputed)
+		}
+		// A fully memoized query has no work to fan out: memo hits resolve on
+		// the calling goroutine and no worker is started for them.
+		if st2.Workers != 1 {
+			t.Errorf("%v warm query: Workers = %d, want 1", algo, st2.Workers)
+		}
 	}
 
 	cs := eng.CacheStats()

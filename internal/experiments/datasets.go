@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"tkplq/internal/iupt"
@@ -9,32 +8,15 @@ import (
 )
 
 // Dataset bundles a building, ground-truth trajectories and the derived
-// IUPT plus the generation parameters, so experiments can re-derive
-// variants (different mss, T, µ) from the same ground truth.
+// IUPT, so experiments can re-derive variants (different mss, T, µ, |O|) from
+// the same ground truth.
 type Dataset struct {
-	Name     string
 	Building *sim.Building
 	Trajs    []sim.Trajectory
 	Table    *iupt.Table
-	MoveCfg  sim.MovementConfig
-	PosCfg   sim.PositioningConfig
 
 	// Span is the simulated duration in seconds.
 	Span iupt.Time
-	// Workers is the engine worker-pool setting applied to every measured
-	// query over this dataset (0 = GOMAXPROCS); see Config.Workers.
-	Workers int
-	// Ctx bounds every measured evaluation over this dataset; nil means
-	// Background. See Config.Ctx.
-	Ctx context.Context
-}
-
-// ctx returns the dataset's evaluation context, defaulting to Background.
-func (ds *Dataset) ctx() context.Context {
-	if ds.Ctx != nil {
-		return ds.Ctx
-	}
-	return context.Background()
 }
 
 // rdParams are the real-data analog generation parameters per scale
@@ -162,11 +144,7 @@ func (c *Config) RealDataset() (*Dataset, error) {
 		return nil, err
 	}
 	warmIndex(table)
-	cache.rd = &Dataset{
-		Name: "RD", Building: b, Trajs: trajs, Table: table,
-		MoveCfg: moveCfg, PosCfg: posCfg, Span: p.duration,
-		Workers: c.Workers, Ctx: c.Ctx,
-	}
+	cache.rd = &Dataset{Building: b, Trajs: trajs, Table: table, Span: p.duration}
 	return cache.rd, nil
 }
 
@@ -202,17 +180,12 @@ func (c *Config) SyntheticDataset() (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	ds := &Dataset{
-		Name: "SYN", Building: b, Trajs: trajs,
-		MoveCfg: moveCfg, Span: p.duration,
-		Workers: c.Workers, Ctx: c.Ctx,
-	}
+	ds := &Dataset{Building: b, Trajs: trajs, Span: p.duration}
 	table, err := c.synIUPT(ds, 3, 5)
 	if err != nil {
 		return nil, err
 	}
 	ds.Table = restrictObjects(table, p.objects[defaultObjIdx])
-	ds.PosCfg = sim.PositioningConfig{MaxPeriod: 3, MSS: 4, ErrorRadius: 5, Gamma: 0.2, Seed: c.Seed + 202}
 	cache.syn = ds
 	return ds, nil
 }

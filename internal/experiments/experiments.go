@@ -8,13 +8,20 @@
 // Medium (cmd/experiments default; paper-like RD, reduced SYN), and Paper
 // (full published parameters; minutes to hours). Scales change data volume,
 // never code paths, so result *shapes* are comparable throughout.
+//
+// Config.measure (measure.go) is the one method × point × draw nest: every
+// experiment but T7 is its methods, the sweep that derives its points and the
+// aggregates it prints. Every cell that is not a wall-clock time (fsec) is
+// deterministic in Config.Seed and pinned by testdata/small.golden; refresh
+// it after an intended change with
+//
+//	go test -run TestAllExperimentsRun ./internal/experiments -update-experiments
 package experiments
 
 import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -76,20 +83,20 @@ type Config struct {
 	Workers int
 
 	cache *datasetCache
+	// onGrid, when non-nil, sees every grid Config.measure produces. The
+	// package's tests assert the paper's count invariants on it without a
+	// second sweep.
+	onGrid func(g *grid)
 }
 
 func (c *Config) queries() int {
 	if c.Queries > 0 {
 		return c.Queries
 	}
-	switch c.Scale {
-	case Paper:
-		return 5
-	case Medium:
-		return 5
-	default:
+	if c.Scale == Small {
 		return 2
 	}
+	return 5
 }
 
 func (c *Config) mcRounds() int {
@@ -218,25 +225,4 @@ func ByID(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// IDs returns all experiment ids in order.
-func IDs() []string {
-	all := All()
-	out := make([]string, len(all))
-	for i, e := range all {
-		out[i] = e.ID
-	}
-	return out
-}
-
-// sortedKeys returns map keys in ascending order (generic helper for
-// deterministic iteration).
-func sortedKeys[K int | int64 | float64, V any](m map[K]V) []K {
-	out := make([]K, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

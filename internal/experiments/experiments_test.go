@@ -3,11 +3,14 @@ package experiments
 import (
 	"bytes"
 	"flag"
+	"math"
 	"os"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
+
+	"tkplq/internal/core"
 )
 
 // The golden file pins every cell of every experiment at smallConfig() that
@@ -87,7 +90,9 @@ func smallConfig() *Config {
 
 // TestAllExperimentsRun executes every experiment at Small scale, sharing
 // one dataset cache, sanity-checks the emitted tables and compares every
-// cell that is not a wall-clock time with the golden file.
+// cell that is not a wall-clock time with the golden file. The same pass
+// asserts the counts the paper's tables imply (checkCounts) and that every
+// τ and recall cell parses into [-1, 1] (checkTauCells).
 func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep is slow; skipped with -short")
@@ -99,10 +104,13 @@ func TestAllExperimentsRun(t *testing.T) {
 	}
 	var all bytes.Buffer // every section, for -update-experiments
 	ran := 0
+	var grids []*grid // what the running experiment measured
+	cfg.onGrid = func(g *grid) { grids = append(grids, g) }
 	for _, exp := range All() {
 		exp := exp
 		t.Run(exp.ID, func(t *testing.T) {
 			ran++
+			grids = nil
 			var section bytes.Buffer
 			defer func() {
 				all.WriteString("# " + exp.ID + "\n" + section.String())
@@ -138,7 +146,9 @@ func TestAllExperimentsRun(t *testing.T) {
 					t.Errorf("%s/%s: render missing id", exp.ID, tbl.ID)
 				}
 				renderMasked(t, &section, tbl)
+				checkTauCells(t, tbl)
 			}
+			checkCounts(t, exp.ID, grids, tables)
 		})
 	}
 	if *updateExperiments {
@@ -156,27 +166,120 @@ func TestAllExperimentsRun(t *testing.T) {
 	}
 }
 
-// TestTauCellsInRange parses every τ cell of the effectiveness tables and
-// checks it lies in [-1, 1].
-func TestTauCellsInRange(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow; skipped with -short")
+// checkTauCells parses every τ and recall cell of tbl — the whole body of a
+// "Kendall tau"/"Recall" table, the tau and recall columns of T4 and A2 —
+// and checks it lies in [-1, 1].
+func checkTauCells(t *testing.T, tbl Table) {
+	t.Helper()
+	whole := strings.HasPrefix(tbl.Title, "Kendall tau") || strings.HasPrefix(tbl.Title, "Recall")
+	for _, row := range tbl.Rows {
+		for j, cell := range row {
+			h := tbl.Header[j]
+			if j == 0 || !(whole || h == "tau" || h == "recall" || h == "tau vs full") {
+				continue
+			}
+			v, err := strconv.ParseFloat(cell, 64)
+			if err != nil {
+				t.Errorf("%s: cell %q not numeric: %v", tbl.ID, cell, err)
+			} else if v < -1 || v > 1 {
+				t.Errorf("%s: metric %v out of [-1, 1]", tbl.ID, v)
+			}
+		}
 	}
-	cfg := smallConfig()
-	tables, err := runFigure7(cfg)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// runsOf returns the named method's runs at every point of g.
+func runsOf(t *testing.T, g *grid, name string) []agg {
+	t.Helper()
+	for mi, m := range g.methods {
+		if m.name == name {
+			return g.cells[mi]
+		}
 	}
-	for _, tbl := range tables {
-		for _, row := range tbl.Rows {
-			for _, cell := range row[1:] {
-				v, err := strconv.ParseFloat(cell, 64)
-				if err != nil {
-					t.Fatalf("cell %q not numeric: %v", cell, err)
-				}
-				if v < -1-1e-9 || v > 1+1e-9 {
-					t.Errorf("metric %v out of [-1, 1]", v)
-				}
+	t.Fatalf("grid has no method %q", name)
+	return nil
+}
+
+// sameRanking reports whether two results list the same S-locations with
+// bit-identical flows.
+func sameRanking(a, b []core.Result) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].SLoc != b[i].SLoc || math.Float64bits(a[i].Flow) != math.Float64bits(b[i].Flow) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkCounts asserts, on the grids an experiment measured, the counts the
+// paper's tables imply (ROADMAP item 2a): object counts and rankings, which
+// are deterministic, not times or τ trends, which 1-2 draws cannot carry.
+func checkCounts(t *testing.T, id string, grids []*grid, tables []Table) {
+	t.Helper()
+	switch id {
+	case "T4", "F8", "F9", "F10", "A2":
+		if len(grids) != 1 {
+			t.Fatalf("%s measured %d grids, want 1", id, len(grids))
+		}
+	default:
+		return
+	}
+	g := grids[0]
+	if id == "A2" {
+		// intra-merge alone keeps every sample set; each stage only removes.
+		kept := func(name string) float64 {
+			a := runsOf(t, g, name)[0]
+			return float64(a.total(func(s *core.Stats) int64 { return s.SampleSetsReduced })) /
+				float64(a.total(func(s *core.Stats) int64 { return s.SampleSetsOriginal }))
+		}
+		full, inter, intra := kept("full"), kept("inter-only"), kept("intra-only")
+		if !(full <= inter && inter <= intra && intra == 1) {
+			t.Errorf("A2 sets kept: full %v ≤ inter-only %v ≤ intra-only %v == 1 does not hold", full, inter, intra)
+		}
+		// The reference row agrees with itself.
+		if row := tables[0].Rows[0]; row[0] != "full" || row[len(row)-1] != "1.000" {
+			t.Errorf("A2 reference row = %v, want full … 1.000", row)
+		}
+		return
+	}
+
+	// The paper's pruning order: Best-First evaluates no more objects than
+	// Nested-Loop, which evaluates no more than there are.
+	bf, nl := runsOf(t, g, "BF"), runsOf(t, g, "NL")
+	for pi, p := range g.points {
+		for di := range nl[pi] {
+			b, n := bf[pi][di].Stats, nl[pi][di].Stats
+			if !(b.ObjectsComputed <= n.ObjectsComputed && n.ObjectsComputed <= n.ObjectsTotal) {
+				t.Errorf("%s %s draw %d: objects computed BF %d ≤ NL %d ≤ total %d does not hold",
+					id, p.label, di, b.ObjectsComputed, n.ObjectsComputed, n.ObjectsTotal)
+			}
+		}
+	}
+	if id != "T4" {
+		return
+	}
+	// T4 also runs Naive and the -ORG variants: Naive computes exactly the
+	// objects Nested-Loop does, the three exact searches return one ranking
+	// (the determinism contract, seen as equal τ and recall cells), and
+	// with data reduction disabled the PSL∩Q check that prunes is off.
+	naive := runsOf(t, g, "Naive")
+	for di := range nl[0] {
+		if nl[0][di].Stats.ObjectsComputed != naive[0][di].Stats.ObjectsComputed {
+			t.Errorf("T4 draw %d: objects computed NL %d != Naive %d",
+				di, nl[0][di].Stats.ObjectsComputed, naive[0][di].Stats.ObjectsComputed)
+		}
+		if !sameRanking(bf[0][di].Res, nl[0][di].Res) || !sameRanking(nl[0][di].Res, naive[0][di].Res) {
+			t.Errorf("T4 draw %d: BF %v, NL %v and Naive %v are not one ranking",
+				di, bf[0][di].Res, nl[0][di].Res, naive[0][di].Res)
+		}
+	}
+	for _, name := range []string{"BF-ORG", "NL-ORG", "Naive-ORG"} {
+		for di, r := range runsOf(t, g, name)[0] {
+			if r.Stats.PruningRatio() != 0 {
+				t.Errorf("T4 %s draw %d: pruning %v, want 0", name, di, r.Stats.PruningRatio())
 			}
 		}
 	}
@@ -209,9 +312,6 @@ func TestByID(t *testing.T) {
 	}
 	if _, ok := ByID("nope"); ok {
 		t.Error("unknown id should miss")
-	}
-	if len(IDs()) != len(All()) {
-		t.Error("IDs/All mismatch")
 	}
 }
 
@@ -272,7 +372,8 @@ func TestMakeDraws(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds2 := makeDraws(ds, 0.5, 600, 4, 9)
+	draw := func() []queryDraw { return makeDraws(ds, 0.5, 600, 4, 9) }
+	ds2 := draw()
 	if len(ds2) != 4 {
 		t.Fatalf("draws = %d", len(ds2))
 	}
@@ -295,7 +396,7 @@ func TestMakeDraws(t *testing.T) {
 		}
 	}
 	// Determinism.
-	again := makeDraws(ds, 0.5, 600, 4, 9)
+	again := draw()
 	for i := range ds2 {
 		if ds2[i].ts != again[i].ts || len(ds2[i].Q) != len(again[i].Q) {
 			t.Error("draws should be deterministic per seed")

@@ -4,56 +4,51 @@ import (
 	"fmt"
 
 	"tkplq/internal/core"
-	"tkplq/internal/eval"
-	"tkplq/internal/iupt"
 	"tkplq/internal/sim"
 )
 
-// rdDefaults returns the default query shape on RD: k = 3, |Q| = 60% of the
-// 14 S-locations, Δt = the scale's default (paper: 30 min).
-func (c *Config) rdDefaults() (k int, qFrac float64, dt iupt.Time) {
-	return 3, 0.6, c.rdParams().dts[0]
+// rdGrid measures methods on RD over the points sw derives from the default
+// query: k = 3, |Q| = 60% of the 14 S-locations, Δt = the scale's default
+// (paper: 30 min). scored attaches the ground truth of the full population.
+func (c *Config) rdGrid(methods []method, scored bool, sw sweep) (*grid, error) {
+	ds, err := c.RealDataset()
+	if err != nil {
+		return nil, err
+	}
+	base := point{table: ds.Table, k: 3, qFrac: 0.6, dt: c.rdParams().dts[0]}
+	if scored {
+		base.truth = ds.Trajs
+	}
+	return c.measure(ds, methods, base, sw)
 }
+
+// The RD sweeps of k (F8, F11) and of the |Q| fraction (F9, F12).
+var (
+	rdKs     = []int{1, 2, 3, 4, 5, 6, 7, 8}
+	rdQFracs = []float64{0.2, 0.4, 0.6, 0.8, 1.0}
+)
 
 // runTable4 reproduces Table 4: every method in the default setting, with
 // running time, pruning ratio and effectiveness, including the -ORG
 // variants without data reduction.
 func runTable4(cfg *Config) ([]Table, error) {
-	ds, err := cfg.RealDataset()
+	org := core.Options{DisableReduction: true}
+	g, err := cfg.rdGrid([]method{
+		methodSC,
+		{name: "SC-rho(0.25)", baseline: "SC-rho"},
+		{name: fmt.Sprintf("MC(%d)", cfg.mcRounds()), baseline: "MC"},
+		methodBF,
+		methodNL,
+		{name: "Naive", algo: core.AlgoNaive},
+		{name: "BF-ORG", opts: org, algo: core.AlgoBestFirst},
+		{name: "NL-ORG", opts: org, algo: core.AlgoNestedLoop},
+		{name: "Naive-ORG", opts: org, algo: core.AlgoNaive},
+	}, true, onePoint(cfg.Seed+1, cfg.Seed+2))
 	if err != nil {
 		return nil, err
 	}
-	k, qFrac, dt := cfg.rdDefaults()
-	drawsList := makeDraws(ds, qFrac, dt, cfg.queries(), cfg.Seed+1)
 
-	type method struct {
-		name  string
-		exact bool
-		run   func(d queryDraw) (methodRun, error)
-	}
-	exact := func(opts core.Options, algo core.Algorithm) func(d queryDraw) (methodRun, error) {
-		return func(d queryDraw) (methodRun, error) {
-			return runExact(opts, ds, ds.Table, d, k, algo)
-		}
-	}
-	bl := func(name string) func(d queryDraw) (methodRun, error) {
-		return func(d queryDraw) (methodRun, error) {
-			return runBaseline(name, ds, ds.Table, d, k, cfg.mcRounds(), cfg.Seed+2), nil
-		}
-	}
-	org := core.Options{DisableReduction: true}
-	methods := []method{
-		{"SC", false, bl("SC")},
-		{"SC-rho(0.25)", false, bl("SC-rho")},
-		{fmt.Sprintf("MC(%d)", cfg.mcRounds()), false, bl("MC")},
-		{"BF", true, exact(core.Options{}, core.AlgoBestFirst)},
-		{"NL", true, exact(core.Options{}, core.AlgoNestedLoop)},
-		{"Naive", true, exact(core.Options{}, core.AlgoNaive)},
-		{"BF-ORG", true, exact(org, core.AlgoBestFirst)},
-		{"NL-ORG", true, exact(org, core.AlgoNestedLoop)},
-		{"Naive-ORG", true, exact(org, core.AlgoNaive)},
-	}
-
+	p := g.points[0]
 	tbl := Table{
 		ID:     "T4",
 		Title:  "Performance comparison in default setting (RD analog)",
@@ -61,304 +56,112 @@ func runTable4(cfg *Config) ([]Table, error) {
 		Notes: []string{
 			"expected shape (paper Table 4): SC/SC-rho fastest but weakest tau/recall;",
 			"BF < NL < Naive on time; -ORG variants much slower; MC slowest per quality;",
-			fmt.Sprintf("k=%d |Q|=%.0f%% Δt=%ds, %d random queries", k, 60.0, dt, len(drawsList)),
+			fmt.Sprintf("k=%d |Q|=%.0f%% Δt=%ds, %d random queries", p.k, 60.0, p.dt, cfg.queries()),
 		},
 	}
-	for _, m := range methods {
-		var a agg
-		for _, d := range drawsList {
-			r, err := m.run(d)
-			if err != nil {
-				return nil, err
-			}
-			truth := truthTopK(ds, d, k)
-			a.addRun(r, eval.Effectiveness(r.Res, truth))
-		}
+	for mi, m := range g.methods {
+		a := g.cells[mi][0]
 		pr := "-"
-		if m.exact {
-			pr = fpct(a.avgPrune())
+		if m.baseline == "" {
+			pr = cellPrune(a)
 		}
-		tbl.Rows = append(tbl.Rows, []string{
-			m.name, fsec(a.avgSeconds()), pr, f3(a.avgTau()), f3(a.avgRecall()),
-		})
+		tbl.Rows = append(tbl.Rows, []string{m.name, cellTime(a), pr, cellTau(a), cellRecall(a)})
 	}
 	return []Table{tbl}, nil
 }
 
-// mssVariants derives mss-truncated tables once per run.
-func mssVariants(ds *Dataset) map[int]*iupt.Table {
-	out := make(map[int]*iupt.Table, 4)
-	for mss := 1; mss <= 4; mss++ {
-		if mss == 4 {
-			out[mss] = ds.Table
-			continue
+// mssSweep runs the default query over the table truncated to mss = 1..4
+// samples per record (T5, F7). Every point shares one draw list and one
+// Monte-Carlo seed, so a column differs from its neighbour in mss alone.
+func mssSweep(drawSeed, baseSeed int64) sweep {
+	return func(ds *Dataset, base point) ([]point, error) {
+		base.drawSeed, base.baseSeed = drawSeed, baseSeed
+		pts := make([]point, 4)
+		for i := range pts {
+			mss := i + 1
+			pts[i] = base
+			pts[i].label = fmt.Sprintf("mss=%d", mss)
+			if mss < 4 { // RD is generated with mss = 4
+				pts[i].table = sim.TruncateSamples(ds.Table, mss)
+			}
 		}
-		out[mss] = sim.TruncateSamples(ds.Table, mss)
+		return pts, nil
 	}
-	return out
 }
 
 // runTable5 reproduces Table 5: running time vs mss for BF, SC, SC-ρ, MC.
 func runTable5(cfg *Config) ([]Table, error) {
-	ds, err := cfg.RealDataset()
+	g, err := cfg.rdGrid(scoredMethods, false, mssSweep(cfg.Seed+3, cfg.Seed+4))
 	if err != nil {
 		return nil, err
 	}
-	k, qFrac, dt := cfg.rdDefaults()
-	drawsList := makeDraws(ds, qFrac, dt, cfg.queries(), cfg.Seed+3)
-	variants := mssVariants(ds)
-
-	tbl := Table{
-		ID:     "T5",
-		Title:  "Running time vs mss (RD analog)",
-		Header: []string{"method", "mss=1", "mss=2", "mss=3", "mss=4"},
-		Notes: []string{
-			"expected shape (paper Table 5): all methods slow down with mss;",
-			"BF grows fastest (larger path sets), MC orders of magnitude above all",
-		},
-	}
-	methods := []string{"BF", "SC", "SC-rho", "MC"}
-	for _, name := range methods {
-		row := []string{name}
-		for mss := 1; mss <= 4; mss++ {
-			var a agg
-			for _, d := range drawsList {
-				var r methodRun
-				var err error
-				if name == "BF" {
-					r, err = runExact(core.Options{}, ds, variants[mss], d, k, core.AlgoBestFirst)
-					if err != nil {
-						return nil, err
-					}
-				} else {
-					r = runBaseline(name, ds, variants[mss], d, k, cfg.mcRounds(), cfg.Seed+4)
-				}
-				a.addRun(r, eval.Metrics{})
-			}
-			row = append(row, fsec(a.avgSeconds()))
-		}
-		tbl.Rows = append(tbl.Rows, row)
-	}
-	return []Table{tbl}, nil
+	return []Table{g.table("T5", "Running time vs mss (RD analog)", cellTime,
+		"expected shape (paper Table 5): all methods slow down with mss;",
+		"BF grows fastest (larger path sets), MC orders of magnitude above all")}, nil
 }
 
 // runFigure7 reproduces Figure 7: effectiveness (τ and recall) vs mss.
 func runFigure7(cfg *Config) ([]Table, error) {
-	ds, err := cfg.RealDataset()
+	g, err := cfg.rdGrid(scoredMethods, true, mssSweep(cfg.Seed+5, cfg.Seed+6))
 	if err != nil {
 		return nil, err
 	}
-	k, qFrac, dt := cfg.rdDefaults()
-	drawsList := makeDraws(ds, qFrac, dt, cfg.queries(), cfg.Seed+5)
-	variants := mssVariants(ds)
-
-	tau := Table{
-		ID:     "F7a",
-		Title:  "Kendall tau vs mss (RD analog)",
-		Header: []string{"method", "mss=1", "mss=2", "mss=3", "mss=4"},
-		Notes: []string{
-			"expected shape (paper Fig. 7): SC flat; SC-rho, MC, BF all improve",
-			"with more samples; BF highest from mss>=2",
-		},
-	}
-	rec := Table{
-		ID:     "F7b",
-		Title:  "Recall vs mss (RD analog)",
-		Header: tau.Header,
-	}
-	for _, name := range []string{"BF", "SC", "SC-rho", "MC"} {
-		tauRow, recRow := []string{name}, []string{name}
-		for mss := 1; mss <= 4; mss++ {
-			var a agg
-			for _, d := range drawsList {
-				var r methodRun
-				var err error
-				if name == "BF" {
-					r, err = runExact(core.Options{}, ds, variants[mss], d, k, core.AlgoBestFirst)
-					if err != nil {
-						return nil, err
-					}
-				} else {
-					r = runBaseline(name, ds, variants[mss], d, k, cfg.mcRounds(), cfg.Seed+6)
-				}
-				a.addRun(r, eval.Effectiveness(r.Res, truthTopK(ds, d, k)))
-			}
-			tauRow = append(tauRow, f3(a.avgTau()))
-			recRow = append(recRow, f3(a.avgRecall()))
-		}
-		tau.Rows = append(tau.Rows, tauRow)
-		rec.Rows = append(rec.Rows, recRow)
-	}
-	return []Table{tau, rec}, nil
+	return g.effectiveness("F7", "mss", "RD analog",
+		"expected shape (paper Fig. 7): SC flat; SC-rho, MC, BF all improve",
+		"with more samples; BF highest from mss>=2"), nil
 }
 
-// efficiencySweepRD is the common body of Figures 8-10: NL vs BF time and
-// pruning ratio across one swept parameter.
-func efficiencySweepRD(cfg *Config, id, title, param string,
-	sweep []string, mk func(i int) (k int, qFrac float64, dt iupt.Time), seed int64) ([]Table, error) {
-
-	ds, err := cfg.RealDataset()
+// rdEfficiency is Figures 8-10: NL vs BF running time (a) and pruning
+// ratio (b).
+func (c *Config) rdEfficiency(id, param string, sw sweep) ([]Table, error) {
+	g, err := c.rdGrid([]method{methodNL, methodBF}, false, sw)
 	if err != nil {
 		return nil, err
 	}
-	timeT := Table{
-		ID:     id + "a",
-		Title:  "Running time vs " + param + " (" + title + ")",
-		Header: append([]string{"method"}, sweep...),
-	}
-	pruneT := Table{
-		ID:     id + "b",
-		Title:  "Pruning ratio vs " + param + " (" + title + ")",
-		Header: append([]string{"method"}, sweep...),
-	}
-	for _, algo := range []core.Algorithm{core.AlgoNestedLoop, core.AlgoBestFirst} {
-		name := "NL"
-		if algo == core.AlgoBestFirst {
-			name = "BF"
-		}
-		timeRow, pruneRow := []string{name}, []string{name}
-		for i := range sweep {
-			k, qFrac, dt := mk(i)
-			drawsList := makeDraws(ds, qFrac, dt, cfg.queries(), seed+int64(i))
-			var a agg
-			for _, d := range drawsList {
-				r, err := runExact(core.Options{}, ds, ds.Table, d, k, algo)
-				if err != nil {
-					return nil, err
-				}
-				a.addRun(r, eval.Metrics{})
-			}
-			timeRow = append(timeRow, fsec(a.avgSeconds()))
-			pruneRow = append(pruneRow, fpct(a.avgPrune()))
-		}
-		timeT.Rows = append(timeT.Rows, timeRow)
-		pruneT.Rows = append(pruneT.Rows, pruneRow)
-	}
-	timeT.Notes = []string{"expected shape: BF at or below NL except k→|Q|; BF pruning ≥ NL pruning"}
-	return []Table{timeT, pruneT}, nil
+	return []Table{
+		g.table(id+"a", "Running time vs "+param+" (RD analog)", cellTime,
+			"expected shape: BF at or below NL except k→|Q|; BF pruning ≥ NL pruning"),
+		g.table(id+"b", "Pruning ratio vs "+param+" (RD analog)", cellPrune),
+	}, nil
 }
 
 // runFigure8: efficiency vs k.
 func runFigure8(cfg *Config) ([]Table, error) {
-	_, qFrac, dt := cfg.rdDefaults()
-	ks := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sweep := make([]string, len(ks))
-	for i, k := range ks {
-		sweep[i] = fmt.Sprintf("k=%d", k)
-	}
-	return efficiencySweepRD(cfg, "F8", "RD analog", "k", sweep,
-		func(i int) (int, float64, iupt.Time) { return ks[i], qFrac, dt },
-		cfg.Seed+10)
+	return cfg.rdEfficiency("F8", "k", kSweep(rdKs, cfg.Seed+10))
 }
 
 // runFigure9: efficiency vs |Q|.
 func runFigure9(cfg *Config) ([]Table, error) {
-	k, _, dt := cfg.rdDefaults()
-	fracs := []float64{0.2, 0.4, 0.6, 0.8, 1.0}
-	sweep := make([]string, len(fracs))
-	for i, f := range fracs {
-		sweep[i] = fmt.Sprintf("|Q|=%.0f%%", f*100)
-	}
-	return efficiencySweepRD(cfg, "F9", "RD analog", "|Q|", sweep,
-		func(i int) (int, float64, iupt.Time) { return k, fracs[i], dt },
-		cfg.Seed+20)
+	return cfg.rdEfficiency("F9", "|Q|", qSweep(rdQFracs, cfg.Seed+20))
 }
 
 // runFigure10: efficiency vs Δt.
 func runFigure10(cfg *Config) ([]Table, error) {
-	k, qFrac, _ := cfg.rdDefaults()
-	dts := cfg.rdParams().dts
-	sweep := make([]string, len(dts))
-	for i, dt := range dts {
-		sweep[i] = fmt.Sprintf("Δt=%dm", dt/60)
-	}
-	return efficiencySweepRD(cfg, "F10", "RD analog", "Δt", sweep,
-		func(i int) (int, float64, iupt.Time) { return k, qFrac, dts[i] },
-		cfg.Seed+30)
+	return cfg.rdEfficiency("F10", "Δt", dtSweep(cfg.rdParams().dts, cfg.Seed+30))
 }
 
-// effectivenessSweepRD is the common body of Figures 11-13.
-func effectivenessSweepRD(cfg *Config, id, param string, sweep []string,
-	mk func(i int) (k int, qFrac float64, dt iupt.Time), seed int64) ([]Table, error) {
-
-	ds, err := cfg.RealDataset()
+// rdEffectiveness is Figures 11-13: τ (a) and recall (b) of BF and the
+// three baselines.
+func (c *Config) rdEffectiveness(id, param string, sw sweep) ([]Table, error) {
+	g, err := c.rdGrid(scoredMethods, true, sw)
 	if err != nil {
 		return nil, err
 	}
-	tau := Table{
-		ID:     id + "a",
-		Title:  "Kendall tau vs " + param + " (RD analog)",
-		Header: append([]string{"method"}, sweep...),
-		Notes:  []string{"expected shape: BF highest throughout; SC/SC-rho far below; MC between"},
-	}
-	rec := Table{
-		ID:     id + "b",
-		Title:  "Recall vs " + param + " (RD analog)",
-		Header: tau.Header,
-	}
-	for _, name := range []string{"BF", "SC", "SC-rho", "MC"} {
-		tauRow, recRow := []string{name}, []string{name}
-		for i := range sweep {
-			k, qFrac, dt := mk(i)
-			drawsList := makeDraws(ds, qFrac, dt, cfg.queries(), seed+int64(i))
-			var a agg
-			for _, d := range drawsList {
-				var r methodRun
-				var err error
-				if name == "BF" {
-					r, err = runExact(core.Options{}, ds, ds.Table, d, k, core.AlgoBestFirst)
-					if err != nil {
-						return nil, err
-					}
-				} else {
-					r = runBaseline(name, ds, ds.Table, d, k, cfg.mcRounds(), seed+int64(i)+1)
-				}
-				a.addRun(r, eval.Effectiveness(r.Res, truthTopK(ds, d, k)))
-			}
-			tauRow = append(tauRow, f3(a.avgTau()))
-			recRow = append(recRow, f3(a.avgRecall()))
-		}
-		tau.Rows = append(tau.Rows, tauRow)
-		rec.Rows = append(rec.Rows, recRow)
-	}
-	return []Table{tau, rec}, nil
+	return g.effectiveness(id, param, "RD analog",
+		"expected shape: BF highest throughout; SC/SC-rho far below; MC between"), nil
 }
 
 // runFigure11: effectiveness vs k.
 func runFigure11(cfg *Config) ([]Table, error) {
-	_, qFrac, dt := cfg.rdDefaults()
-	ks := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sweep := make([]string, len(ks))
-	for i, k := range ks {
-		sweep[i] = fmt.Sprintf("k=%d", k)
-	}
-	return effectivenessSweepRD(cfg, "F11", "k", sweep,
-		func(i int) (int, float64, iupt.Time) { return ks[i], qFrac, dt },
-		cfg.Seed+40)
+	return cfg.rdEffectiveness("F11", "k", kSweep(rdKs, cfg.Seed+40))
 }
 
 // runFigure12: effectiveness vs |Q|.
 func runFigure12(cfg *Config) ([]Table, error) {
-	k, _, dt := cfg.rdDefaults()
-	fracs := []float64{0.2, 0.4, 0.6, 0.8, 1.0}
-	sweep := make([]string, len(fracs))
-	for i, f := range fracs {
-		sweep[i] = fmt.Sprintf("|Q|=%.0f%%", f*100)
-	}
-	return effectivenessSweepRD(cfg, "F12", "|Q|", sweep,
-		func(i int) (int, float64, iupt.Time) { return k, fracs[i], dt },
-		cfg.Seed+50)
+	return cfg.rdEffectiveness("F12", "|Q|", qSweep(rdQFracs, cfg.Seed+50))
 }
 
 // runFigure13: effectiveness vs Δt.
 func runFigure13(cfg *Config) ([]Table, error) {
-	k, qFrac, _ := cfg.rdDefaults()
-	dts := cfg.rdParams().dts
-	sweep := make([]string, len(dts))
-	for i, dt := range dts {
-		sweep[i] = fmt.Sprintf("Δt=%dm", dt/60)
-	}
-	return effectivenessSweepRD(cfg, "F13", "Δt", sweep,
-		func(i int) (int, float64, iupt.Time) { return k, qFrac, dts[i] },
-		cfg.Seed+60)
+	return cfg.rdEffectiveness("F13", "Δt", dtSweep(cfg.rdParams().dts, cfg.Seed+60))
 }

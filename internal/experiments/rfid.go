@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"tkplq/internal/baseline"
 	"tkplq/internal/core"
@@ -18,8 +19,7 @@ func runTable7(cfg *Config) ([]Table, error) {
 		return nil, err
 	}
 	p := cfg.synParams()
-	nObj := p.objects[defaultObjIdx]
-	trajs := restrictTrajs(ds.Trajs, nObj)
+	trajs := restrictTrajs(ds.Trajs, p.objects[defaultObjIdx])
 
 	rfidCfg := sim.DefaultRFIDConfig()
 	rfidCfg.Seed = cfg.Seed + 160
@@ -29,11 +29,8 @@ func runTable7(cfg *Config) ([]Table, error) {
 	}
 	recs := sim.GenerateRFID(ds.Building, dep, trajs, rfidCfg)
 
-	ks := append([]int(nil), p.ks...)
-	sortInts(ks)
-	fracs := append([]float64(nil), p.qFracs...)
-	sortFloats(fracs)
-	_, _, dt := cfg.synDefaults()
+	ks, fracs := slices.Sorted(slices.Values(p.ks)), slices.Sorted(slices.Values(p.qFracs))
+	dt := p.dts[0]
 
 	header := []string{"k"}
 	for _, f := range fracs {
@@ -51,29 +48,27 @@ func runTable7(cfg *Config) ([]Table, error) {
 		},
 	}
 
+	// SCC and UR consume the RFID records, not an IUPT, so T7 is the one
+	// table outside Config.measure; it scores through the same agg.
 	urCfg := baseline.DefaultURConfig()
 	for _, k := range ks {
 		row := []string{fmt.Sprintf("%d", k)}
 		for _, frac := range fracs {
-			drawsList := makeDraws(ds, frac, dt, cfg.queries(), cfg.Seed+170+int64(k))
-			var sccTau, urTau, bfTau float64
-			for _, d := range drawsList {
-				truth := cfg.synTruth(ds, d, k)
-
-				sccFlows := baseline.SCC(ds.Building.Space, dep, recs, d.Q, d.ts, d.te)
-				sccTau += eval.KendallTau(eval.TopKOf(sccFlows, k), truth)
-
-				urFlows := baseline.UR(ds.Building.Space, dep, recs, d.Q, d.ts, d.te, urCfg)
-				urTau += eval.KendallTau(eval.TopKOf(urFlows, k), truth)
-
-				r, err := runExact(core.Options{}, ds, ds.Table, d, k, core.AlgoBestFirst)
+			var scc, ur, bf agg
+			for _, d := range makeDraws(ds, frac, dt, cfg.queries(), cfg.Seed+170+int64(k)) {
+				tr := truthTopK(ds, trajs, d, k)
+				sccRes := eval.TopKOf(baseline.SCC(ds.Building.Space, dep, recs, d.Q, d.ts, d.te), k)
+				scc = append(scc, methodRun{Res: sccRes, Score: eval.Effectiveness(sccRes, tr)})
+				urRes := eval.TopKOf(baseline.UR(ds.Building.Space, dep, recs, d.Q, d.ts, d.te, urCfg), k)
+				ur = append(ur, methodRun{Res: urRes, Score: eval.Effectiveness(urRes, tr)})
+				r, err := cfg.runExact(core.Options{}, ds, ds.Table, d, k, core.AlgoBestFirst)
 				if err != nil {
 					return nil, err
 				}
-				bfTau += eval.KendallTau(r.Res, truth)
+				r.Score = eval.Effectiveness(r.Res, tr)
+				bf = append(bf, r)
 			}
-			n := float64(len(drawsList))
-			row = append(row, f3(sccTau/n), f3(urTau/n), f3(bfTau/n))
+			row = append(row, cellTau(scc), cellTau(ur), cellTau(bf))
 		}
 		tbl.Rows = append(tbl.Rows, row)
 	}
@@ -83,58 +78,21 @@ func runTable7(cfg *Config) ([]Table, error) {
 // runAblationEngines is ablation A1: path enumeration vs the DP engine on
 // growing Δt, quantifying why the DP engine is the default.
 func runAblationEngines(cfg *Config) ([]Table, error) {
-	ds, err := cfg.RealDataset()
+	g, err := cfg.rdGrid([]method{
+		{name: "enum", opts: core.Options{Engine: core.EngineEnum}, algo: core.AlgoNestedLoop},
+		{name: "dp", opts: core.Options{Engine: core.EngineDP}, algo: core.AlgoNestedLoop},
+	}, false, dtSweep(cfg.rdParams().dts, cfg.Seed+180))
 	if err != nil {
 		return nil, err
 	}
-	k, qFrac, _ := cfg.rdDefaults()
-	dts := cfg.rdParams().dts
-
-	cols := make([]string, len(dts))
-	for i, dt := range dts {
-		cols[i] = fmt.Sprintf("Δt=%dm", dt/60)
-	}
-	tbl := Table{
-		ID:     "A1",
-		Title:  "Ablation: enumeration vs DP engine, NL search (RD analog)",
-		Header: append([]string{"engine"}, cols...),
-		Notes: []string{
-			"enum materializes the paper's path sets (budget-capped, falls back to DP);",
-			"dp computes identical presences in polynomial time — see DESIGN.md §4",
-		},
-	}
-	engines := []struct {
-		name string
-		opts core.Options
-	}{
-		{"enum", core.Options{Engine: core.EngineEnum}},
-		{"dp", core.Options{Engine: core.EngineDP}},
-	}
-	fallbackRow := []string{"enum fallbacks"}
-	pathsRow := []string{"enum paths"}
-	for ei, eng := range engines {
-		row := []string{eng.name}
-		for i, dt := range dts {
-			drawsList := makeDraws(ds, qFrac, dt, cfg.queries(), cfg.Seed+180+int64(i))
-			var a agg
-			var fallbacks int
-			var paths int64
-			for _, d := range drawsList {
-				r, err := runExact(eng.opts, ds, ds.Table, d, k, core.AlgoNestedLoop)
-				if err != nil {
-					return nil, err
-				}
-				a.addRun(r, eval.Metrics{})
-				fallbacks += r.Stats.BudgetFallbacks
-				paths += r.Stats.PathsEnumerated
-			}
-			row = append(row, fsec(a.avgSeconds()))
-			if ei == 0 {
-				fallbackRow = append(fallbackRow, fmt.Sprintf("%d", fallbacks))
-				pathsRow = append(pathsRow, fmt.Sprintf("%d", paths))
-			}
-		}
-		tbl.Rows = append(tbl.Rows, row)
+	tbl := g.table("A1", "Ablation: enumeration vs DP engine, NL search (RD analog)", cellTime,
+		"enum materializes the paper's path sets (budget-capped, falls back to DP);",
+		"dp computes identical presences in polynomial time — see DESIGN.md §4")
+	tbl.Header[0] = "engine"
+	pathsRow, fallbackRow := []string{"enum paths"}, []string{"enum fallbacks"}
+	for _, a := range g.cells[0] {
+		pathsRow = append(pathsRow, fmt.Sprint(a.total(func(s *core.Stats) int64 { return s.PathsEnumerated })))
+		fallbackRow = append(fallbackRow, fmt.Sprint(a.total(func(s *core.Stats) int64 { return int64(s.BudgetFallbacks) })))
 	}
 	tbl.Rows = append(tbl.Rows, pathsRow, fallbackRow)
 	return []Table{tbl}, nil
@@ -144,21 +102,15 @@ func runAblationEngines(cfg *Config) ([]Table, error) {
 // stage (none / intra only / inter only / full) to time, data volume and
 // result agreement with the fully reduced run.
 func runAblationReduction(cfg *Config) ([]Table, error) {
-	ds, err := cfg.RealDataset()
+	nl := core.AlgoNestedLoop
+	g, err := cfg.rdGrid([]method{
+		{name: "full", algo: nl},
+		{name: "intra-only", opts: core.Options{DisableInterMerge: true}, algo: nl},
+		{name: "inter-only", opts: core.Options{DisableIntraMerge: true}, algo: nl},
+		{name: "none (ORG)", opts: core.Options{DisableReduction: true}, algo: nl},
+	}, false, onePoint(cfg.Seed+190, 0))
 	if err != nil {
 		return nil, err
-	}
-	k, qFrac, dt := cfg.rdDefaults()
-	drawsList := makeDraws(ds, qFrac, dt, cfg.queries(), cfg.Seed+190)
-
-	variants := []struct {
-		name string
-		opts core.Options
-	}{
-		{"full", core.Options{}},
-		{"intra-only", core.Options{DisableInterMerge: true}},
-		{"inter-only", core.Options{DisableIntraMerge: true}},
-		{"none (ORG)", core.Options{DisableReduction: true}},
 	}
 	tbl := Table{
 		ID:     "A2",
@@ -169,35 +121,20 @@ func runAblationReduction(cfg *Config) ([]Table, error) {
 			"inter-merge trades exactness for volume (paper §3.2)",
 		},
 	}
-
-	// Reference results from the full variant, per draw.
-	var fullRes [][]core.Result
-	for _, v := range variants {
-		var a agg
-		var kept, orig float64
+	full := g.cells[0][0] // the reference ranking, per draw
+	for mi, m := range g.methods {
+		a := g.cells[mi][0]
 		var tauVsFull float64
-		for di, d := range drawsList {
-			r, err := runExact(v.opts, ds, ds.Table, d, k, core.AlgoNestedLoop)
-			if err != nil {
-				return nil, err
-			}
-			a.addRun(r, eval.Metrics{})
-			kept += float64(r.Stats.SampleSetsReduced)
-			orig += float64(r.Stats.SampleSetsOriginal)
-			if v.name == "full" {
-				fullRes = append(fullRes, r.Res)
-				tauVsFull += 1
-			} else {
-				tauVsFull += eval.KendallTau(r.Res, fullRes[di])
-			}
+		for di, r := range a {
+			tauVsFull += eval.KendallTau(r.Res, full[di].Res)
 		}
 		ratio := "-"
-		if orig > 0 {
-			ratio = fpct(kept / orig)
+		if orig := a.total(func(s *core.Stats) int64 { return s.SampleSetsOriginal }); orig > 0 {
+			kept := a.total(func(s *core.Stats) int64 { return s.SampleSetsReduced })
+			ratio = fpct(float64(kept) / float64(orig))
 		}
 		tbl.Rows = append(tbl.Rows, []string{
-			v.name, fsec(a.avgSeconds()), ratio, fpct(a.avgPrune()),
-			f3(tauVsFull / float64(len(drawsList))),
+			m.name, cellTime(a), ratio, cellPrune(a), f3(tauVsFull / float64(len(a))),
 		})
 	}
 	return []Table{tbl}, nil

@@ -2,16 +2,25 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
-	"tkplq/internal/core"
-	"tkplq/internal/eval"
 	"tkplq/internal/iupt"
 )
 
-// synDataset returns the SYN dataset plus its default query shape.
-func (c *Config) synDefaults() (k int, qFrac float64, dt iupt.Time) {
+// synGrid measures methods on SYN over the points sw derives from the
+// default query (the first value of each synParams sweep) over the default
+// object count. scored attaches the ground truth of that same population.
+func (c *Config) synGrid(methods []method, scored bool, sw sweep) (*grid, error) {
+	ds, err := c.SyntheticDataset()
+	if err != nil {
+		return nil, err
+	}
 	p := c.synParams()
-	return p.ks[0], p.qFracs[0], p.dts[0]
+	base := point{table: ds.Table, k: p.ks[0], qFrac: p.qFracs[0], dt: p.dts[0]}
+	if scored {
+		base.truth = restrictTrajs(ds.Trajs, p.objects[defaultObjIdx])
+	}
+	return c.measure(ds, methods, base, sw)
 }
 
 // synVariantTable returns the SYN IUPT for a given T and µ, restricted to
@@ -21,357 +30,143 @@ func (c *Config) synVariantTable(ds *Dataset, t iupt.Time, mu float64) (*iupt.Ta
 	if err != nil {
 		return nil, err
 	}
-	p := c.synParams()
-	return restrictObjects(full, p.objects[defaultObjIdx]), nil
+	return restrictObjects(full, c.synParams().objects[defaultObjIdx]), nil
 }
 
-// synTruth computes ground truth restricted to the default object count.
-func (c *Config) synTruth(ds *Dataset, d queryDraw, k int) []core.Result {
-	p := c.synParams()
-	trajs := restrictTrajs(ds.Trajs, p.objects[defaultObjIdx])
-	flows := eval.GroundTruthFlows(ds.Building.Space, trajs, d.Q, d.ts, d.te)
-	return eval.TopKOf(flows, k)
+// periodSweep varies the positioning period T at the default µ (F14a, F15).
+func (c *Config) periodSweep(seed int64) sweep {
+	return func(ds *Dataset, base point) ([]point, error) {
+		ts := c.synParams().ts
+		pts := stepped(base, len(ts), seed)
+		for i, t := range ts {
+			table, err := c.synVariantTable(ds, t, 5)
+			if err != nil {
+				return nil, err
+			}
+			pts[i].label, pts[i].table = fmt.Sprintf("T=%ds", t), table
+		}
+		return pts, nil
+	}
+}
+
+// errorSweep varies the positioning error µ at the default T (F14b, F16).
+func (c *Config) errorSweep(seed int64) sweep {
+	return func(ds *Dataset, base point) ([]point, error) {
+		mus := c.synParams().mus
+		pts := stepped(base, len(mus), seed)
+		for i, mu := range mus {
+			table, err := c.synVariantTable(ds, 3, mu)
+			if err != nil {
+				return nil, err
+			}
+			pts[i].label, pts[i].table = fmt.Sprintf("µ=%gm", mu), table
+		}
+		return pts, nil
+	}
+}
+
+// objectSweep varies |O| (F17, F20): point i runs on the first objects[i]
+// objects of the default IUPT and, when base is scored, against the ground
+// truth of those same objects.
+func (c *Config) objectSweep(seed int64) sweep {
+	return func(ds *Dataset, base point) ([]point, error) {
+		full, err := c.synIUPT(ds, 3, 5)
+		if err != nil {
+			return nil, err
+		}
+		objects := c.synParams().objects
+		pts := stepped(base, len(objects), seed)
+		for i, n := range objects {
+			pts[i].label, pts[i].table = fmt.Sprintf("|O|=%d", n), restrictObjects(full, n)
+			if base.truth != nil {
+				pts[i].truth = restrictTrajs(ds.Trajs, n)
+			}
+		}
+		return pts, nil
+	}
+}
+
+// synCost is one SYN running-time table of NL, BF, SC, SC-ρ and MC (F14,
+// F17). The cost figures have always fixed one Monte-Carlo seed across
+// their sweep — F14 the same one in both halves.
+func (c *Config) synCost(id, param, note string, sw sweep, baseSeed int64) (Table, error) {
+	g, err := c.synGrid(costMethods, false, func(ds *Dataset, base point) ([]point, error) {
+		pts, err := sw(ds, base)
+		for i := range pts {
+			pts[i].baseSeed = baseSeed
+		}
+		return pts, err
+	})
+	if err != nil {
+		return Table{}, err
+	}
+	return g.table(id, "Running time vs "+param+" (SYN)", cellTime, note), nil
 }
 
 // runFigure14 reproduces Figure 14: running time vs T (a) and vs µ (b) for
 // NL, BF, SC, SC-ρ and MC on synthetic data.
 func runFigure14(cfg *Config) ([]Table, error) {
-	ds, err := cfg.SyntheticDataset()
+	ta, err := cfg.synCost("F14a", "T", "expected shape: NL/BF drop as T grows; MC dominates all costs",
+		cfg.periodSweep(cfg.Seed+70), cfg.Seed+71)
 	if err != nil {
 		return nil, err
 	}
-	p := cfg.synParams()
-	k, qFrac, dt := cfg.synDefaults()
-
-	mkTable := func(id, param string, cols []string) Table {
-		return Table{
-			ID:     id,
-			Title:  "Running time vs " + param + " (SYN)",
-			Header: append([]string{"method"}, cols...),
-			Notes:  []string{"expected shape: NL/BF drop as " + param + " grows; MC dominates all costs"},
-		}
-	}
-	tCols := make([]string, len(p.ts))
-	for i, t := range p.ts {
-		tCols[i] = fmt.Sprintf("T=%ds", t)
-	}
-	muCols := make([]string, len(p.mus))
-	for i, mu := range p.mus {
-		muCols[i] = fmt.Sprintf("µ=%gm", mu)
-	}
-	ta := mkTable("F14a", "T", tCols)
-	tb := mkTable("F14b", "µ", muCols)
-
-	methods := []string{"NL", "BF", "SC", "SC-rho", "MC"}
-	run := func(name string, table *iupt.Table, d queryDraw) (methodRun, error) {
-		switch name {
-		case "NL":
-			return runExact(core.Options{}, ds, table, d, k, core.AlgoNestedLoop)
-		case "BF":
-			return runExact(core.Options{}, ds, table, d, k, core.AlgoBestFirst)
-		default:
-			return runBaseline(name, ds, table, d, k, cfg.mcRounds(), cfg.Seed+71), nil
-		}
-	}
-
-	for _, name := range methods {
-		rowT := []string{name}
-		for i, t := range p.ts {
-			table, err := cfg.synVariantTable(ds, t, 5)
-			if err != nil {
-				return nil, err
-			}
-			drawsList := makeDraws(ds, qFrac, dt, cfg.queries(), cfg.Seed+70+int64(i))
-			var a agg
-			for _, d := range drawsList {
-				r, err := run(name, table, d)
-				if err != nil {
-					return nil, err
-				}
-				a.addRun(r, eval.Metrics{})
-			}
-			rowT = append(rowT, fsec(a.avgSeconds()))
-		}
-		ta.Rows = append(ta.Rows, rowT)
-
-		rowMu := []string{name}
-		for i, mu := range p.mus {
-			table, err := cfg.synVariantTable(ds, 3, mu)
-			if err != nil {
-				return nil, err
-			}
-			drawsList := makeDraws(ds, qFrac, dt, cfg.queries(), cfg.Seed+80+int64(i))
-			var a agg
-			for _, d := range drawsList {
-				r, err := run(name, table, d)
-				if err != nil {
-					return nil, err
-				}
-				a.addRun(r, eval.Metrics{})
-			}
-			rowMu = append(rowMu, fsec(a.avgSeconds()))
-		}
-		tb.Rows = append(tb.Rows, rowMu)
+	tb, err := cfg.synCost("F14b", "µ", "expected shape: NL/BF drop as µ grows; MC dominates all costs",
+		cfg.errorSweep(cfg.Seed+80), cfg.Seed+71)
+	if err != nil {
+		return nil, err
 	}
 	return []Table{ta, tb}, nil
-}
-
-// effectivenessSweepSYN is the shared body of Figures 15, 16, 18, 19, 21:
-// τ and recall of BF, SC, SC-ρ, MC across one swept parameter.
-func effectivenessSweepSYN(cfg *Config, id, param string, sweep []string,
-	variant func(i int) (*iupt.Table, queryShape, error), seed int64) ([]Table, error) {
-
-	ds, err := cfg.SyntheticDataset()
-	if err != nil {
-		return nil, err
-	}
-	tau := Table{
-		ID:     id + "a",
-		Title:  "Kendall tau vs " + param + " (SYN)",
-		Header: append([]string{"method"}, sweep...),
-		Notes:  []string{"expected shape: BF best throughout; SC/SC-rho degrade fastest"},
-	}
-	rec := Table{
-		ID:     id + "b",
-		Title:  "Recall vs " + param + " (SYN)",
-		Header: tau.Header,
-	}
-	for _, name := range []string{"BF", "SC", "SC-rho", "MC"} {
-		tauRow, recRow := []string{name}, []string{name}
-		for i := range sweep {
-			table, shape, err := variant(i)
-			if err != nil {
-				return nil, err
-			}
-			drawsList := makeDraws(ds, shape.qFrac, shape.dt, cfg.queries(), seed+int64(i))
-			var a agg
-			for _, d := range drawsList {
-				var r methodRun
-				if name == "BF" {
-					r, err = runExact(core.Options{}, ds, table, d, shape.k, core.AlgoBestFirst)
-					if err != nil {
-						return nil, err
-					}
-				} else {
-					r = runBaseline(name, ds, table, d, shape.k, cfg.mcRounds(), seed+int64(i)+1)
-				}
-				truth := shape.truth(d, shape.k)
-				a.addRun(r, eval.Effectiveness(r.Res, truth))
-			}
-			tauRow = append(tauRow, f3(a.avgTau()))
-			recRow = append(recRow, f3(a.avgRecall()))
-		}
-		tau.Rows = append(tau.Rows, tauRow)
-		rec.Rows = append(rec.Rows, recRow)
-	}
-	return []Table{tau, rec}, nil
-}
-
-// queryShape bundles one sweep point's query parameters and ground-truth
-// scoring (which may restrict the object population).
-type queryShape struct {
-	k     int
-	qFrac float64
-	dt    iupt.Time
-	truth func(d queryDraw, k int) []core.Result
-}
-
-// runFigure15: effectiveness vs T.
-func runFigure15(cfg *Config) ([]Table, error) {
-	ds, err := cfg.SyntheticDataset()
-	if err != nil {
-		return nil, err
-	}
-	p := cfg.synParams()
-	k, qFrac, dt := cfg.synDefaults()
-	sweep := make([]string, len(p.ts))
-	for i, t := range p.ts {
-		sweep[i] = fmt.Sprintf("T=%ds", t)
-	}
-	return effectivenessSweepSYN(cfg, "F15", "T", sweep, func(i int) (*iupt.Table, queryShape, error) {
-		table, err := cfg.synVariantTable(ds, p.ts[i], 5)
-		return table, queryShape{k: k, qFrac: qFrac, dt: dt,
-			truth: func(d queryDraw, k int) []core.Result { return cfg.synTruth(ds, d, k) }}, err
-	}, cfg.Seed+90)
-}
-
-// runFigure16: effectiveness vs µ.
-func runFigure16(cfg *Config) ([]Table, error) {
-	ds, err := cfg.SyntheticDataset()
-	if err != nil {
-		return nil, err
-	}
-	p := cfg.synParams()
-	k, qFrac, dt := cfg.synDefaults()
-	sweep := make([]string, len(p.mus))
-	for i, mu := range p.mus {
-		sweep[i] = fmt.Sprintf("µ=%gm", mu)
-	}
-	return effectivenessSweepSYN(cfg, "F16", "µ", sweep, func(i int) (*iupt.Table, queryShape, error) {
-		table, err := cfg.synVariantTable(ds, 3, p.mus[i])
-		return table, queryShape{k: k, qFrac: qFrac, dt: dt,
-			truth: func(d queryDraw, k int) []core.Result { return cfg.synTruth(ds, d, k) }}, err
-	}, cfg.Seed+100)
 }
 
 // runFigure17 reproduces Figure 17: running time vs |O| for NL, BF, SC,
 // SC-ρ and MC.
 func runFigure17(cfg *Config) ([]Table, error) {
-	ds, err := cfg.SyntheticDataset()
+	tbl, err := cfg.synCost("F17", "|O|", "expected shape: every method grows with |O|; BF < NL; MC far above",
+		cfg.objectSweep(cfg.Seed+110), cfg.Seed+111)
 	if err != nil {
 		return nil, err
-	}
-	p := cfg.synParams()
-	k, qFrac, dt := cfg.synDefaults()
-	full, err := cfg.synIUPT(ds, 3, 5)
-	if err != nil {
-		return nil, err
-	}
-
-	cols := make([]string, len(p.objects))
-	for i, n := range p.objects {
-		cols[i] = fmt.Sprintf("|O|=%d", n)
-	}
-	tbl := Table{
-		ID:     "F17",
-		Title:  "Running time vs |O| (SYN)",
-		Header: append([]string{"method"}, cols...),
-		Notes:  []string{"expected shape: every method grows with |O|; BF < NL; MC far above"},
-	}
-	for _, name := range []string{"NL", "BF", "SC", "SC-rho", "MC"} {
-		row := []string{name}
-		for i, n := range p.objects {
-			table := restrictObjects(full, n)
-			drawsList := makeDraws(ds, qFrac, dt, cfg.queries(), cfg.Seed+110+int64(i))
-			var a agg
-			for _, d := range drawsList {
-				var r methodRun
-				switch name {
-				case "NL":
-					r, err = runExact(core.Options{}, ds, table, d, k, core.AlgoNestedLoop)
-				case "BF":
-					r, err = runExact(core.Options{}, ds, table, d, k, core.AlgoBestFirst)
-				default:
-					r = runBaseline(name, ds, table, d, k, cfg.mcRounds(), cfg.Seed+111)
-				}
-				if err != nil {
-					return nil, err
-				}
-				a.addRun(r, eval.Metrics{})
-			}
-			row = append(row, fsec(a.avgSeconds()))
-		}
-		tbl.Rows = append(tbl.Rows, row)
 	}
 	return []Table{tbl}, nil
 }
 
-// runFigure18: effectiveness vs k.
-func runFigure18(cfg *Config) ([]Table, error) {
-	ds, err := cfg.SyntheticDataset()
+// synEffectiveness is Figures 15, 16 and 18-21: τ (a) and recall (b) of BF,
+// SC, SC-ρ and MC.
+func (c *Config) synEffectiveness(id, param string, sw sweep) ([]Table, error) {
+	g, err := c.synGrid(scoredMethods, true, sw)
 	if err != nil {
 		return nil, err
 	}
-	p := cfg.synParams()
-	_, qFrac, dt := cfg.synDefaults()
-	ks := append([]int(nil), p.ks...)
-	sortInts(ks)
-	sweep := make([]string, len(ks))
-	for i, k := range ks {
-		sweep[i] = fmt.Sprintf("k=%d", k)
-	}
-	return effectivenessSweepSYN(cfg, "F18", "k", sweep, func(i int) (*iupt.Table, queryShape, error) {
-		return ds.Table, queryShape{k: ks[i], qFrac: qFrac, dt: dt,
-			truth: func(d queryDraw, k int) []core.Result { return cfg.synTruth(ds, d, k) }}, nil
-	}, cfg.Seed+120)
+	return g.effectiveness(id, param, "SYN", "expected shape: BF best throughout; SC/SC-rho degrade fastest"), nil
+}
+
+// runFigure15: effectiveness vs T.
+func runFigure15(cfg *Config) ([]Table, error) {
+	return cfg.synEffectiveness("F15", "T", cfg.periodSweep(cfg.Seed+90))
+}
+
+// runFigure16: effectiveness vs µ.
+func runFigure16(cfg *Config) ([]Table, error) {
+	return cfg.synEffectiveness("F16", "µ", cfg.errorSweep(cfg.Seed+100))
+}
+
+// runFigure18: effectiveness vs k. The SYN sweeps list their default value
+// first, so F18, F19 and F21 sort them into axis order.
+func runFigure18(cfg *Config) ([]Table, error) {
+	return cfg.synEffectiveness("F18", "k", kSweep(slices.Sorted(slices.Values(cfg.synParams().ks)), cfg.Seed+120))
 }
 
 // runFigure19: effectiveness vs |Q|.
 func runFigure19(cfg *Config) ([]Table, error) {
-	ds, err := cfg.SyntheticDataset()
-	if err != nil {
-		return nil, err
-	}
-	p := cfg.synParams()
-	k, _, dt := cfg.synDefaults()
-	fracs := append([]float64(nil), p.qFracs...)
-	sortFloats(fracs)
-	sweep := make([]string, len(fracs))
-	for i, f := range fracs {
-		sweep[i] = fmt.Sprintf("|Q|=%.0f%%", f*100)
-	}
-	return effectivenessSweepSYN(cfg, "F19", "|Q|", sweep, func(i int) (*iupt.Table, queryShape, error) {
-		return ds.Table, queryShape{k: k, qFrac: fracs[i], dt: dt,
-			truth: func(d queryDraw, k int) []core.Result { return cfg.synTruth(ds, d, k) }}, nil
-	}, cfg.Seed+130)
+	return cfg.synEffectiveness("F19", "|Q|", qSweep(slices.Sorted(slices.Values(cfg.synParams().qFracs)), cfg.Seed+130))
 }
 
 // runFigure20: effectiveness vs |O|.
 func runFigure20(cfg *Config) ([]Table, error) {
-	ds, err := cfg.SyntheticDataset()
-	if err != nil {
-		return nil, err
-	}
-	p := cfg.synParams()
-	k, qFrac, dt := cfg.synDefaults()
-	full, err := cfg.synIUPT(ds, 3, 5)
-	if err != nil {
-		return nil, err
-	}
-	sweep := make([]string, len(p.objects))
-	for i, n := range p.objects {
-		sweep[i] = fmt.Sprintf("|O|=%d", n)
-	}
-	return effectivenessSweepSYN(cfg, "F20", "|O|", sweep, func(i int) (*iupt.Table, queryShape, error) {
-		n := p.objects[i]
-		return restrictObjects(full, n), queryShape{k: k, qFrac: qFrac, dt: dt,
-			truth: func(d queryDraw, k int) []core.Result {
-				flows := eval.GroundTruthFlows(ds.Building.Space, restrictTrajs(ds.Trajs, n), d.Q, d.ts, d.te)
-				return eval.TopKOf(flows, k)
-			}}, nil
-	}, cfg.Seed+140)
+	return cfg.synEffectiveness("F20", "|O|", cfg.objectSweep(cfg.Seed+140))
 }
 
 // runFigure21: effectiveness vs Δt.
 func runFigure21(cfg *Config) ([]Table, error) {
-	ds, err := cfg.SyntheticDataset()
-	if err != nil {
-		return nil, err
-	}
-	p := cfg.synParams()
-	k, qFrac, _ := cfg.synDefaults()
-	dts := append([]iupt.Time(nil), p.dts...)
-	sortTimes(dts)
-	sweep := make([]string, len(dts))
-	for i, dt := range dts {
-		sweep[i] = fmt.Sprintf("Δt=%dm", dt/60)
-	}
-	return effectivenessSweepSYN(cfg, "F21", "Δt", sweep, func(i int) (*iupt.Table, queryShape, error) {
-		return ds.Table, queryShape{k: k, qFrac: qFrac, dt: dts[i],
-			truth: func(d queryDraw, k int) []core.Result { return cfg.synTruth(ds, d, k) }}, nil
-	}, cfg.Seed+150)
-}
-
-func sortInts(v []int) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
-}
-
-func sortFloats(v []float64) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
-}
-
-func sortTimes(v []iupt.Time) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
+	return cfg.synEffectiveness("F21", "Δt", dtSweep(slices.Sorted(slices.Values(cfg.synParams().dts)), cfg.Seed+150))
 }

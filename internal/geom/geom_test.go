@@ -143,17 +143,8 @@ func TestRectIntersection(t *testing.T) {
 	}
 }
 
-func TestRectDistClamp(t *testing.T) {
+func TestRectClamp(t *testing.T) {
 	r := R(0, 0, 2, 2)
-	if d := r.DistToPoint(Pt(1, 1)); d != 0 {
-		t.Errorf("inside dist = %v", d)
-	}
-	if d := r.DistToPoint(Pt(5, 2)); !almostEq(d, 3, 1e-12) {
-		t.Errorf("side dist = %v", d)
-	}
-	if d := r.DistToPoint(Pt(5, 6)); !almostEq(d, 5, 1e-12) {
-		t.Errorf("corner dist = %v", d)
-	}
 	if c := r.Clamp(Pt(5, -1)); c != Pt(2, 0) {
 		t.Errorf("Clamp = %v", c)
 	}
@@ -166,18 +157,6 @@ func TestRectExpand(t *testing.T) {
 	}
 	if got := r.Expand(-2); !got.IsEmpty() {
 		t.Errorf("over-shrink should be empty, got %v", got)
-	}
-}
-
-func TestRectEnlargement(t *testing.T) {
-	a := R(0, 0, 2, 2)
-	b := R(3, 0, 4, 2)
-	// Union is [0,0,4,2] area 8, a has area 4 -> enlargement 4.
-	if e := a.Enlargement(b); !almostEq(e, 4, 1e-12) {
-		t.Errorf("Enlargement = %v", e)
-	}
-	if e := a.Enlargement(R(0.5, 0.5, 1, 1)); e != 0 {
-		t.Errorf("contained enlargement = %v", e)
 	}
 }
 

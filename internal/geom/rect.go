@@ -129,20 +129,6 @@ func (r Rect) UnionPoint(p Point) Rect {
 	return r.Union(Rect{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y})
 }
 
-// Enlargement returns the area increase required for r to absorb s.
-// Used by R-tree insertion heuristics.
-func (r Rect) Enlargement(s Rect) float64 {
-	return r.Union(s).Area() - r.Area()
-}
-
-// DistToPoint returns the minimum distance from p to r
-// (0 if p is inside r).
-func (r Rect) DistToPoint(p Point) float64 {
-	dx := math.Max(0, math.Max(r.MinX-p.X, p.X-r.MaxX))
-	dy := math.Max(0, math.Max(r.MinY-p.Y, p.Y-r.MaxY))
-	return math.Sqrt(dx*dx + dy*dy)
-}
-
 // Clamp returns the point of r closest to p.
 func (r Rect) Clamp(p Point) Point {
 	return Point{

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"strconv"
 	"strings"
 
@@ -50,6 +51,26 @@ func writeCSVRecord(bw *bufio.Writer, rec *Record) error {
 		}
 	}
 	return bw.WriteByte('\n')
+}
+
+// ReadFile loads a table from a file in the named format, "csv" or "bin"
+// (the -format of gendata and the query tools; docs/FORMATS.md).
+func ReadFile(path, format string) (*Table, error) {
+	var read func(io.Reader) (*Table, error)
+	switch format {
+	case "csv":
+		read = ReadCSV
+	case "bin":
+		read = ReadBinary
+	default:
+		return nil, fmt.Errorf("unknown format %q (want csv or bin)", format)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close() // only read
+	return read(f)
 }
 
 // ReadCSV parses a table from the CSV format. Blank lines and lines starting
