@@ -2,14 +2,17 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
+	"slices"
+	"strings"
 	"sync"
 
 	"tkplq/internal/indoor"
 	"tkplq/internal/iupt"
 )
 
-// coalescer is the engine's query-level request dedupe: concurrent identical
-// queries — same query kind, algorithm, k, time window, table snapshot and
+// coalescer is the driver's query-level request dedupe: concurrent identical
+// queries — same query kind, algorithm, k, time window, source version and
 // query set — share one in-flight evaluation instead of each recomputing it.
 // The first caller of a key becomes the flight's leader and evaluates; every
 // caller that arrives while the flight is open blocks until the leader
@@ -21,12 +24,11 @@ import (
 // evaluations that are racing right now (a stampede of identical requests,
 // e.g. a popular dashboard window, costs one evaluation instead of N).
 //
-// Identity is conservative. The flight key fingerprints the table by pointer
-// and record count, so queries against different tables — or against the same
-// table before and after an ingest — never share a flight; and the key's
-// query-set hash is verified against the stored canonical query set before a
-// caller joins, so hash collisions degrade to an uncoalesced evaluation, never
-// to a wrong answer.
+// Identity is exact. The flight key pins the row source's version — a table's
+// pointer and record count, a router's ingest epoch — so queries against
+// different tables, or against the same data before and after an ingest, never
+// share a flight; and it carries the canonical query set itself, so only
+// queries over the same set of S-locations do.
 type coalescer struct {
 	mu      sync.Mutex
 	flights map[flightKey]*flight
@@ -50,25 +52,23 @@ func newCoalescer() *coalescer {
 }
 
 // flightKey identifies one coalescable evaluation (every kind but
-// KindPresence coalesces). tableLen pins the table's record count at join
-// time, so a query issued after an append never joins a flight that may have
-// started from the shorter table.
+// KindPresence coalesces). version is the row source's at join time, so a
+// query issued after an append never joins a flight that may have started
+// from the shorter table; table is nil for a source that is not a table.
 type flightKey struct {
-	kind     QueryKind
-	algo     Algorithm
-	k        int
-	ts, te   iupt.Time
-	table    *iupt.Table
-	tableLen int
-	qLen     int
-	qHash    uint64
+	kind    QueryKind
+	algo    Algorithm
+	k       int
+	ts, te  iupt.Time
+	table   *iupt.Table
+	version int
+	slocs   string // slocKey of the query set
 }
 
 // flight is one in-flight evaluation. res, stats, err, panicked and
 // abandoned are written by the leader before done is closed and are
 // immutable afterwards.
 type flight struct {
-	q    []indoor.SLocID // canonical (ascending) query set, for collision verification
 	done chan struct{}
 
 	res   []Result
@@ -89,55 +89,30 @@ type flight struct {
 // order-invariant — ties break by id — so queries over the same *set* of
 // S-locations coalesce regardless of the order the caller listed them in.
 func canonicalSLocs(q []indoor.SLocID) []indoor.SLocID {
-	out := append([]indoor.SLocID(nil), q...)
-	for i := 1; i < len(out); i++ { // insertion sort: query sets are small-ish and nearly sorted
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	out := slices.Clone(q)
+	slices.Sort(out)
 	return out
 }
 
-// FNV-1a constants for the query-set hash.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-func fnvMix(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= fnvPrime64
-		v >>= 8
+// slocKey is a query set as a map key: the ids' bytes in ascending order, so
+// two keys are equal exactly when the sets are, however they were listed.
+func slocKey(canon []indoor.SLocID) string {
+	if !slices.IsSorted(canon) {
+		canon = canonicalSLocs(canon)
 	}
-	return h
-}
-
-// slocHash fingerprints a canonical query set with FNV-1a.
-func slocHash(q []indoor.SLocID) uint64 {
-	h := uint64(fnvOffset64)
-	for _, s := range q {
-		h = fnvMix(h, uint64(uint32(s)))
+	var b strings.Builder
+	b.Grow(4 * len(canon))
+	var id [4]byte
+	for _, s := range canon {
+		binary.LittleEndian.PutUint32(id[:], uint32(s))
+		b.Write(id[:])
 	}
-	return h
-}
-
-// slocsEqual reports element-wise equality of two canonical query sets.
-func slocsEqual(a, b []indoor.SLocID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return b.String()
 }
 
 // do runs eval under the key, sharing the evaluation with every concurrent
-// identical caller. q must be the canonical query set behind key.qHash. The
-// returned result slice is a private copy for each caller.
+// identical caller. The returned result slice is a private copy for each
+// caller.
 //
 // Context semantics: a follower whose ctx is canceled while it waits
 // *detaches* — it returns ctx.Err() immediately and the leader keeps
@@ -145,16 +120,9 @@ func slocsEqual(a, b []indoor.SLocID) bool {
 // mid-evaluation marks the flight abandoned; followers with live contexts
 // then evaluate for themselves instead of inheriting a cancellation that
 // was never theirs.
-func (c *coalescer) do(ctx context.Context, key flightKey, q []indoor.SLocID, eval func(context.Context) ([]Result, Stats, error)) ([]Result, Stats, error) {
+func (c *coalescer) do(ctx context.Context, key flightKey, eval func(context.Context) ([]Result, Stats, error)) ([]Result, Stats, error) {
 	c.mu.Lock()
 	if f, ok := c.flights[key]; ok {
-		if !slocsEqual(f.q, q) {
-			// Hash collision between different query sets: evaluate solo
-			// rather than serve someone else's answer.
-			c.led++
-			c.mu.Unlock()
-			return eval(ctx)
-		}
 		c.waiting++
 		c.mu.Unlock()
 		select {
@@ -182,7 +150,7 @@ func (c *coalescer) do(ctx context.Context, key flightKey, q []indoor.SLocID, ev
 			// rest coalesce onto it — a canceled leader must not turn its
 			// followers back into the stampede coalescing exists to prevent.
 			c.mu.Unlock()
-			return c.do(ctx, key, q, eval)
+			return c.do(ctx, key, eval)
 		}
 		c.coalesced++
 		c.mu.Unlock()
@@ -191,7 +159,7 @@ func (c *coalescer) do(ctx context.Context, key flightKey, q []indoor.SLocID, ev
 		return append([]Result(nil), f.res...), stats, f.err
 	}
 
-	f := &flight{q: q, done: make(chan struct{}), panicked: true}
+	f := &flight{done: make(chan struct{}), panicked: true}
 	c.flights[key] = f
 	c.led++
 	hold := c.holdEval

@@ -175,6 +175,35 @@ func TestCoalesceDistinctWindowsDoNotShare(t *testing.T) {
 	}
 }
 
+// TestCoalesceStrategiesDoNotShare: the three algorithms report different
+// Stats, so the same top-k under each of them is three flights, not one.
+func TestCoalesceStrategiesDoNotShare(t *testing.T) {
+	fig := indoor.Figure1Space()
+	tb := randTable(rand.New(rand.NewSource(12)), fig, 10, 40)
+	eng := NewEngine(fig.Space, Options{})
+	hold := make(chan struct{})
+	eng.coal.holdEval = hold
+
+	algos := []Algorithm{AlgoNaive, AlgoNestedLoop, AlgoBestFirst}
+	stats := make([]Stats, len(algos))
+	var wg sync.WaitGroup
+	for i, algo := range algos {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, stats[i], _ = eng.TopK(tb, fig.SLocs[:], 3, 0, 40, algo)
+		}()
+	}
+	waitForFlights(t, eng.coal, len(algos))
+	close(hold)
+	wg.Wait()
+	for i, st := range stats {
+		if st.Coalesced != 0 {
+			t.Errorf("%v joined another strategy's flight", algos[i])
+		}
+	}
+}
+
 // TestCoalesceQueryOrderInvariant: the same query *set* listed in different
 // orders coalesces (rankings are order-invariant by construction).
 func TestCoalesceQueryOrderInvariant(t *testing.T) {
@@ -318,7 +347,6 @@ func TestCoalesceDisabled(t *testing.T) {
 func TestCoalescePanickingLeader(t *testing.T) {
 	c := newCoalescer()
 	key := flightKey{kind: KindTopK, k: 1}
-	q := []indoor.SLocID{0}
 
 	boom := func(context.Context) ([]Result, Stats, error) { panic("engine blew up") }
 	good := func(context.Context) ([]Result, Stats, error) {
@@ -331,7 +359,7 @@ func TestCoalescePanickingLeader(t *testing.T) {
 	leaderDone := make(chan any, 1)
 	go func() {
 		defer func() { leaderDone <- recover() }()
-		c.do(context.Background(), key, q, boom)
+		c.do(context.Background(), key, boom)
 	}()
 	// Make sure boom is the leader: its flight must be registered before the
 	// follower is launched.
@@ -350,7 +378,7 @@ func TestCoalescePanickingLeader(t *testing.T) {
 	}
 	followerDone := make(chan []Result, 1)
 	go func() {
-		res, _, err := c.do(context.Background(), key, q, good)
+		res, _, err := c.do(context.Background(), key, good)
 		if err != nil {
 			t.Error(err)
 		}
@@ -369,7 +397,7 @@ func TestCoalescePanickingLeader(t *testing.T) {
 
 	// No dead flight left behind: a fresh identical query completes.
 	c.holdEval = nil
-	res, st, err := c.do(context.Background(), key, q, good)
+	res, st, err := c.do(context.Background(), key, good)
 	if err != nil || len(res) != 1 || st.Coalesced != 0 {
 		t.Fatalf("post-panic query = (%v, %+v, %v), want a clean solo evaluation", res, st, err)
 	}

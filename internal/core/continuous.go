@@ -49,7 +49,7 @@ type monitor struct {
 	barrier  sync.Locker // serializes table reads with the owner's appends
 	id       uint64      // registry order, for deterministic MonitorStats
 	refs     int         // live subscriptions; guarded by eng.mons.mu
-	key      *monitorKey // coalescing key while registered; guarded by eng.mons.mu
+	key      monitorKey  // coalescing key, zero for a private monitor; guarded by eng.mons.mu
 
 	// pendMu guards the notification mailbox. It is a leaf lock: enqueue runs
 	// under the owner's ingest lock and must never wait on an evaluation.

@@ -19,9 +19,10 @@
 //
 // There is one evaluation pipeline (partial.go): Nested-Loop's shared
 // per-object pass feeding one finisher that sums presences into flows and
-// ranks. Flow, density, presence and DoBatch groups are that pass too, and a
-// cluster is the same pass per shard with the finisher at the router; only
-// Naive and Best-First search the presence oracle their own way. The
+// ranks. One driver (Driver.Answer, query.go) runs it for every query — Do is
+// a batch of one — over two row sources: a table streams the pass, a cluster
+// router merges the passes its shards ran; only Naive and Best-First, on a
+// lone local top-k, search the presence oracle their own way. The
 // per-object work (reduction, presence summarization) fans out over a
 // bounded worker pool (Options.Workers) partitioned with iupt.ShardObjects,
 // while every floating-point accumulation stays in canonical
@@ -202,11 +203,10 @@ func (o Options) workerCount() int {
 // per-query state lives in the query functions, and the window cache is
 // internally synchronized.
 type Engine struct {
-	space *indoor.Space
-	opts  Options
-	cache *windowCache // nil when Options.DisableCache is set
-	coal  *coalescer   // nil when Options.DisableCoalescing is set
-	mons  *monitorRegistry
+	Driver // the space and the flights; coal is nil when Options.DisableCoalescing is set
+	opts   Options
+	cache  *windowCache // nil when Options.DisableCache is set
+	mons   *monitorRegistry
 
 	// scratch pools per-worker summarizeScratch arenas so the reduce →
 	// summarize hot path reuses its working memory across objects. A shared
@@ -217,7 +217,7 @@ type Engine struct {
 
 // NewEngine returns an engine for the space with the given options.
 func NewEngine(space *indoor.Space, opts Options) *Engine {
-	e := &Engine{space: space, opts: opts, scratch: &sync.Pool{}, mons: newMonitorRegistry()}
+	e := &Engine{Driver: Driver{space: space, workers: opts.Workers}, opts: opts, scratch: &sync.Pool{}, mons: newMonitorRegistry()}
 	if !opts.DisableCache {
 		e.cache = newWindowCache()
 	}

@@ -4,10 +4,10 @@ import "tkplq/internal/indoor"
 
 // densityRank divides each location's flow by its floor area and re-ranks,
 // dropping zero-area locations. The finisher is its one caller.
-func (e *Engine) densityRank(full []Result, k int) []Result {
+func (d *Driver) densityRank(full []Result, k int) []Result {
 	out := make([]Result, 0, len(full))
 	for _, r := range full {
-		area := e.SLocArea(r.SLoc)
+		area := d.SLocArea(r.SLoc)
 		if area <= 0 {
 			continue
 		}
@@ -19,10 +19,10 @@ func (e *Engine) densityRank(full []Result, k int) []Result {
 // SLocArea returns the S-location's floor area in square meters: the sum of
 // its partitions' areas (not the MBR, which overestimates L-shaped
 // locations).
-func (e *Engine) SLocArea(s indoor.SLocID) float64 {
+func (d *Driver) SLocArea(s indoor.SLocID) float64 {
 	area := 0.0
-	for _, pid := range e.space.SLocation(s).Partitions {
-		area += e.space.Partition(pid).Bounds.Area()
+	for _, pid := range d.space.SLocation(s).Partitions {
+		area += d.space.Partition(pid).Bounds.Area()
 	}
 	return area
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"tkplq/internal/indoor"
 	"tkplq/internal/iupt"
@@ -12,13 +11,13 @@ import (
 // This file is the one evaluation pipeline (see the package comment). The
 // shared pass yields one presence row per contributing object in ascending
 // object order; the finisher sums the rows into flows (Eq. 2) in that order
-// and ranks. Do streams one into the other, DoBatch does so per group over
-// the members' union, and a cluster puts a wire between them: a shard's
-// DoPartial keeps the rows as a Partial, the router merges the shards'
-// (MergePartials) and feeds the same finisher (FinishPartial,
-// FinishPartialGroup). Presence values and the order of the float additions
-// are thus one piece of code in every deployment — the PR-1 determinism
-// contract, with no second path to keep in step.
+// and ranks. One driver (Driver.Answer, query.go) streams one into the other
+// per window group, from either of two row sources: a table runs the shared
+// pass in-process, and a cluster puts a wire in between — a shard's DoPartial
+// keeps the rows as a Partial, the router merges the shards' (MergePartials)
+// and replays them (Replay). Presence values and the order of the float
+// additions are thus one piece of code in every deployment — the PR-1
+// determinism contract, with no second path to keep in step.
 
 // Partial is one shard's contribution to a distributed query: for every
 // local object with records in the window that survived PSL∩Q pruning, the
@@ -100,8 +99,8 @@ func (e *Engine) presenceRow(row []float64, sum *ObjectSummary, slocs []indoor.S
 // object has no local records) — and ignores q.Algorithm: since all three
 // TkPLQ algorithms return bit-identical flows, the merged answer matches a
 // standalone run of any of them. Per-query overrides (Workers, DisableCache)
-// apply as in Do; coalescing of identical fan-outs is the router's job, so
-// DoPartial never opens a flight itself.
+// apply as in Do; coalescing of identical fan-outs is the router's driver's
+// job, so DoPartial never opens a flight itself.
 func (e *Engine) DoPartial(ctx context.Context, table *iupt.Table, q Query) (*Partial, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -181,7 +180,7 @@ func MergePartials(parts []*Partial) (*Partial, error) {
 // per-object presence rows: per member and location, one += per contributing
 // object in ascending object id, whichever side of a wire the rows came from.
 type finisher struct {
-	eng     *Engine
+	drv     *Driver
 	members []finishMember
 }
 
@@ -197,12 +196,12 @@ type finishMember struct {
 // from rows whose columns are the S-locations in columns. Their order is the
 // evaluator's — q.SLocs as the caller listed them for a lone query, the
 // ascending union for a batch group — so the lookup assumes none.
-func (e *Engine) newFinisher(qs []Query, idxs []int, columns []indoor.SLocID) (finisher, error) {
+func (d *Driver) newFinisher(qs []Query, idxs []int, columns []indoor.SLocID) (finisher, error) {
 	col := make(map[indoor.SLocID]int, len(columns))
 	for c, s := range columns {
 		col[s] = c
 	}
-	f := finisher{eng: e, members: make([]finishMember, len(idxs))}
+	f := finisher{drv: d, members: make([]finishMember, len(idxs))}
 	for i, qi := range idxs {
 		q := qs[qi]
 		m := finishMember{qi: qi, q: q, cols: make([]int, len(q.SLocs)), flows: make([]float64, len(q.SLocs))}
@@ -256,7 +255,7 @@ func (f finisher) finish(stats Stats, out []*Response) {
 		case KindTopK:
 			resp.Results = rankTopK(results, m.q.K)
 		case KindDensity:
-			resp.Results = f.eng.densityRank(results, m.q.K)
+			resp.Results = f.drv.densityRank(results, m.q.K)
 		default: // KindFlow, KindPresence: the one scalar
 			resp.Results, resp.Flow = results, m.flows[0]
 		}
@@ -264,131 +263,36 @@ func (f finisher) finish(stats Stats, out []*Response) {
 	}
 }
 
-// FinishPartial completes a distributed query from the merged partial: the
-// one-member case of FinishPartialGroup, whose columns are q.SLocs in the
-// caller's order (the order the shards evaluated). The response is
-// bit-identical to Do over the union table.
-func (e *Engine) FinishPartial(q Query, merged *Partial) (*Response, error) {
-	out := make([]*Response, 1)
-	if err := e.FinishPartialGroup([]Query{q}, []int{0}, q.SLocs, merged, out); err != nil {
-		return nil, err
-	}
-	return out[0], nil
+// FinishPartial completes a distributed query from the merged partial, whose
+// columns are q.SLocs in the caller's order (the order the shards evaluated):
+// Driver.Answer over the partial replayed. The response is bit-identical to Do
+// over the union table.
+func (d *Driver) FinishPartial(q Query, merged *Partial) (*Response, error) {
+	q.DisableCoalescing = true // a replay has no version: it is nobody else's flight
+	return first(d.Answer(context.Background(), Replay(merged), []Query{q}))
 }
 
-// UnionSLocs returns the ascending duplicate-free union of the queries'
-// S-location sets: the column order of a shared batch group's single
-// fan-out (see FinishPartialGroup).
-func UnionSLocs(qs []Query, idxs []int) []indoor.SLocID {
-	var out []indoor.SLocID
-	for _, qi := range idxs {
-		out = append(out, qs[qi].SLocs...)
-	}
-	slices.Sort(out)
-	return slices.Compact(out)
-}
+// Replay is the RowSource that re-emits an already-merged partial's rows: the
+// tail of a router's source, after the fan-out and MergePartials. The partial
+// arrives from outside the process, so its shape is checked against the pass.
+func Replay(merged *Partial) RowSource { return replay{merged} }
 
-// FinishPartialGroup answers the queries at idxs — one DoBatch-style group
-// sharing a window — from a single merged partial evaluated over union (the
-// members' combined S-location set, i.e. the merged columns). It is the
-// finisher Engine.DoBatch runs in-process, fed from merged.Rows instead of a
-// local pass, so each response is bit-identical to evaluating the member
-// alone. Responses land in out[qi] for each qi in idxs.
-func (e *Engine) FinishPartialGroup(qs []Query, idxs []int, union []indoor.SLocID, merged *Partial, out []*Response) error {
-	if merged == nil {
-		return fmt.Errorf("core: nil merged partial")
+type replay struct{ p *Partial }
+
+func (replay) Version() int { return 0 }
+
+func (r replay) Rows(_ context.Context, pass Query, emit func(iupt.ObjectID, []float64)) (Stats, error) {
+	if r.p == nil {
+		return Stats{}, fmt.Errorf("core: nil merged partial")
 	}
-	if len(merged.OIDs) != len(merged.Rows) {
-		return fmt.Errorf("core: partial has %d oids but %d rows", len(merged.OIDs), len(merged.Rows))
+	if len(r.p.OIDs) != len(r.p.Rows) {
+		return Stats{}, fmt.Errorf("core: partial has %d oids but %d rows", len(r.p.OIDs), len(r.p.Rows))
 	}
-	for _, qi := range idxs {
-		if _, err := e.validateQuery(qs[qi]); err != nil {
-			return err
+	for i, row := range r.p.Rows {
+		if len(row) != len(pass.SLocs) {
+			return Stats{}, fmt.Errorf("core: partial row of object %d has %d columns, want %d", r.p.OIDs[i], len(row), len(pass.SLocs))
 		}
+		emit(r.p.OIDs[i], row)
 	}
-	fin, err := e.newFinisher(qs, idxs, union)
-	if err != nil {
-		return err
-	}
-	for i, row := range merged.Rows {
-		if len(row) != len(union) {
-			return fmt.Errorf("core: partial row of object %d has %d columns, want %d", merged.OIDs[i], len(row), len(union))
-		}
-		fin.add(merged.OIDs[i], row)
-	}
-	fin.finish(merged.Stats, out)
-	return nil
-}
-
-// batchKey groups the queries of one batch that can share a single
-// per-object data-reduction + presence-summarization pass: same window
-// fingerprint and same evaluation-changing overrides.
-type batchKey struct {
-	ts, te       iupt.Time
-	workers      int
-	disableCache bool
-}
-
-// BatchGroups partitions the queries of a batch — Engine.DoBatch's and a
-// router's alike — by window fingerprint and evaluation-changing overrides,
-// in first-appearance order so evaluation order is deterministic. Each
-// returned group is the index set of one shared pass (one fan-out).
-func (e *Engine) BatchGroups(qs []Query) [][]int {
-	var out [][]int
-	at := make(map[batchKey]int) // key → its group's index in out
-	for i, q := range qs {
-		key := batchKey{ts: q.Ts, te: q.Te, workers: e.view(q).opts.workerCount(), disableCache: q.DisableCache}
-		g, ok := at[key]
-		if !ok {
-			g, at[key] = len(out), len(out)
-			out = append(out, nil)
-		}
-		out[g] = append(out[g], i)
-	}
-	return out
-}
-
-// QueryCoalescer exposes the engine's query-level request coalescer to
-// callers that evaluate outside the in-process engine path — the
-// distributed router dedupes identical fleet-wide fan-outs through one.
-// epoch takes the role the table fingerprint plays in-process: the caller
-// bumps it on every mutation it routes (the router does so per ingest), so
-// a query racing an ingest never joins a pre-ingest flight. Identity is
-// otherwise the in-process one: kind, algorithm, k, window and canonical
-// S-location set, collision-verified.
-type QueryCoalescer struct {
-	c *coalescer
-}
-
-// NewQueryCoalescer returns an empty coalescer.
-func NewQueryCoalescer() *QueryCoalescer { return &QueryCoalescer{c: newCoalescer()} }
-
-// Do runs eval under the query's flight key, sharing the evaluation with
-// every concurrent identical caller at the same epoch. Presence queries and
-// queries with DisableCoalescing evaluate solo. Followers receive a copy of
-// the leader's results with Stats.Coalesced set, exactly as in-process
-// coalescing reports it.
-func (qc *QueryCoalescer) Do(ctx context.Context, q Query, k int, epoch int64, eval func(context.Context) ([]Result, Stats, error)) ([]Result, Stats, error) {
-	if q.Kind == KindPresence || q.DisableCoalescing {
-		return eval(ctx)
-	}
-	canon := canonicalSLocs(q.SLocs)
-	key := flightKey{
-		kind:     q.Kind,
-		algo:     q.Algorithm,
-		k:        k,
-		ts:       q.Ts,
-		te:       q.Te,
-		tableLen: int(epoch),
-		qLen:     len(canon),
-		qHash:    slocHash(canon),
-	}
-	return qc.c.do(ctx, key, canon, eval)
-}
-
-// Counts reports lifetime (coalesced, led) evaluations.
-func (qc *QueryCoalescer) Counts() (coalesced, led int64) {
-	qc.c.mu.Lock()
-	defer qc.c.mu.Unlock()
-	return qc.c.coalesced, qc.c.led
+	return r.p.Stats, nil
 }

@@ -169,128 +169,208 @@ func TestMergePartialsOrdersAcrossShards(t *testing.T) {
 	}
 }
 
-// TestFinishPartialGroupMatchesDoBatch: the router's shared-window batch
-// path — one fan-out over the union S-location set, every member finished
-// from the union columns — must answer exactly like the in-process DoBatch.
-func TestFinishPartialGroupMatchesDoBatch(t *testing.T) {
+// shardSource is a router in miniature: a RowSource whose every pass runs
+// DoPartial on each shard table (its own engine each, as separate processes
+// would), merges the partials and replays them. It counts the passes.
+type shardSource struct {
+	space   *indoor.Space
+	shards  []*iupt.Table
+	version int
+
+	mu     sync.Mutex
+	passes int
+}
+
+func (s *shardSource) Version() int { return s.version }
+
+func (s *shardSource) Rows(ctx context.Context, pass Query, emit func(iupt.ObjectID, []float64)) (Stats, error) {
+	s.mu.Lock()
+	s.passes++
+	s.mu.Unlock()
+	parts := make([]*Partial, len(s.shards))
+	for i, stb := range s.shards {
+		var err error
+		if parts[i], err = NewEngine(s.space, Options{}).DoPartial(ctx, stb, pass); err != nil {
+			return Stats{}, err
+		}
+	}
+	merged, err := MergePartials(parts)
+	if err != nil {
+		return Stats{}, err
+	}
+	return Replay(merged).Rows(ctx, pass, emit)
+}
+
+// randBatch draws a batch of all four kinds over a small pool of windows and
+// override sets, so members both share and split groups; some members are
+// exact duplicates of earlier ones.
+func randBatch(rng *rand.Rand, fig *indoor.Figure1, objects int) []Query {
+	windows := [][2]iupt.Time{{0, 60}, {0, 60}, {5, 50}, {20, 60}}
+	qs := make([]Query, 1+rng.Intn(8))
+	for i := range qs {
+		if i > 0 && rng.Intn(5) == 0 {
+			qs[i] = qs[rng.Intn(i)]
+			continue
+		}
+		w := windows[rng.Intn(len(windows))]
+		q := Query{Kind: QueryKind(rng.Intn(4)), Ts: w[0], Te: w[1], Workers: []int{0, 0, 0, 2}[rng.Intn(4)], DisableCache: rng.Intn(4) == 0}
+		slocs := append([]indoor.SLocID(nil), fig.SLocs[:]...)
+		rng.Shuffle(len(slocs), func(a, b int) { slocs[a], slocs[b] = slocs[b], slocs[a] })
+		switch q.Kind {
+		case KindTopK, KindDensity:
+			q.SLocs = slocs[:1+rng.Intn(len(slocs))]
+			q.K = 1 + rng.Intn(len(q.SLocs)+2)
+			q.Algorithm = Algorithm(rng.Intn(3))
+		default:
+			q.SLocs = slocs[:1]
+			q.OID = iupt.ObjectID(1 + rng.Intn(objects+2))
+		}
+		qs[i] = q
+	}
+	return qs
+}
+
+// TestDriverDifferential: there is one driver, so every way of reaching it
+// answers alike. Random batches answered by Do one query at a time, by
+// DoBatch, by the driver over a 1-, 2- and 3-shard source and by FinishPartial
+// agree bit for bit in results and Flow; every member reports its group's
+// size in Stats.SharedBatch; and a source is asked for exactly one pass per
+// window group.
+func TestDriverDifferential(t *testing.T) {
 	fig := indoor.Figure1Space()
 	rng := rand.New(rand.NewSource(43))
-	tb := randTable(rng, fig, 20, 60)
-	qset := fig.SLocs[:]
+	const objects = 20
+	tb := randTable(rng, fig, objects, 60)
+	ctx := context.Background()
 
-	qs := []Query{
-		{Kind: KindTopK, Algorithm: AlgoBestFirst, K: 3, Ts: 0, Te: 60, SLocs: qset},
-		{Kind: KindFlow, Ts: 0, Te: 60, SLocs: qset[2:3]},
-		{Kind: KindDensity, K: 2, Ts: 0, Te: 60, SLocs: qset[:4]},
-		{Kind: KindPresence, Ts: 0, Te: 60, SLocs: qset[1:2], OID: 3},
-		{Kind: KindTopK, Algorithm: AlgoNaive, K: 2, Ts: 5, Te: 50, SLocs: qset[:3]}, // separate window → own group
+	for round := 0; round < 40; round++ {
+		qs := randBatch(rng, fig, objects)
+		type group struct {
+			ts, te       iupt.Time
+			workers      int
+			disableCache bool
+		}
+		// Members share a pass when window, cache bypass and resolved pool size
+		// agree (an explicit Workers may equal this machine's default).
+		groupOf := func(q Query) group {
+			return group{q.Ts, q.Te, Options{Workers: q.Workers}.workerCount(), q.DisableCache}
+		}
+		groups := make(map[group]int)
+		for _, q := range qs {
+			groups[groupOf(q)]++
+		}
+		check := func(label string, want, got []*Response) {
+			t.Helper()
+			for i, q := range qs {
+				assertSameResponse(t, fmt.Sprintf("round %d %s member %d (%s)", round, label, i, q.Kind), want[i], got[i])
+				size := groups[groupOf(q)]
+				if size == 1 {
+					size = 0 // a lone query shared nothing
+				}
+				if got[i].Stats.SharedBatch != size {
+					t.Fatalf("round %d %s member %d: SharedBatch = %d, want %d", round, label, i, got[i].Stats.SharedBatch, size)
+				}
+			}
+		}
+
+		want := make([]*Response, len(qs))
+		one := NewEngine(fig.Space, Options{})
+		for i, q := range qs {
+			var err error
+			if want[i], err = one.Do(ctx, tb, q); err != nil {
+				t.Fatalf("round %d Do member %d: %v", round, i, err)
+			}
+		}
+
+		got, err := NewEngine(fig.Space, Options{}).DoBatch(ctx, tb, qs)
+		if err != nil {
+			t.Fatalf("round %d DoBatch: %v", round, err)
+		}
+		check("DoBatch", want, got)
+
+		for _, shards := range []int{1, 2, 3} {
+			split := splitTable(tb, shardTopology(t, shards))
+			src := &shardSource{space: fig.Space, shards: split}
+			got, err := NewDriver(fig.Space).Answer(ctx, src, qs)
+			if err != nil {
+				t.Fatalf("round %d shards=%d: %v", round, shards, err)
+			}
+			check(fmt.Sprintf("shards=%d", shards), want, got)
+			if src.passes != len(groups) {
+				t.Fatalf("round %d shards=%d: %d passes for %d window groups", round, shards, src.passes, len(groups))
+			}
+			for i, q := range qs {
+				assertSameResponse(t, fmt.Sprintf("round %d shards=%d FinishPartial member %d (%s)", round, shards, i, q.Kind),
+					want[i], distributedDo(t, fig.Space, split, q))
+			}
+		}
 	}
+}
 
-	ref := NewEngine(fig.Space, Options{})
-	want, err := ref.DoBatch(context.Background(), tb, qs)
+// TestDriverSharesFlights: identical concurrent queries at one source version
+// share a single evaluation; bumping the version (a routed ingest) forces a
+// fresh flight.
+func TestDriverSharesFlights(t *testing.T) {
+	fig := indoor.Figure1Space()
+	tb := randTable(rand.New(rand.NewSource(45)), fig, 12, 60)
+	qset := append([]indoor.SLocID(nil), fig.SLocs[:]...)
+	q := Query{Kind: KindTopK, Algorithm: AlgoBestFirst, K: 2, Ts: 0, Te: 60, SLocs: qset}
+	want, err := NewEngine(fig.Space, Options{}).Do(context.Background(), tb, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	topo := shardTopology(t, 2)
-	parts := splitTable(tb, topo)
-	router := NewEngine(fig.Space, Options{})
-	out := make([]*Response, len(qs))
-	for _, idxs := range router.BatchGroups(qs) {
-		union := UnionSLocs(qs, idxs)
-		m := qs[idxs[0]]
-		fq := Query{Kind: KindTopK, Algorithm: AlgoBestFirst, K: len(union), Ts: m.Ts, Te: m.Te, SLocs: union}
-		shardParts := make([]*Partial, len(parts))
-		for i, stb := range parts {
-			eng := NewEngine(fig.Space, Options{})
-			if shardParts[i], err = eng.DoPartial(context.Background(), stb, fq); err != nil {
-				t.Fatal(err)
-			}
-		}
-		merged, err := MergePartials(shardParts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := router.FinishPartialGroup(qs, idxs, union, merged, out); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := range qs {
-		label := fmt.Sprintf("batch member %d (kind=%d)", i, qs[i].Kind)
-		if out[i] == nil {
-			t.Fatalf("%s: no response", label)
-		}
-		assertSameResponse(t, label, want[i], out[i])
-	}
-	if g := out[0].Stats.SharedBatch; g != 4 {
-		t.Fatalf("shared group size %d, want 4", g)
-	}
-}
-
-// TestQueryCoalescerSharesFlights: identical concurrent queries at one epoch
-// share a single evaluation; bumping the epoch (a routed ingest) forces a
-// fresh flight.
-func TestQueryCoalescerSharesFlights(t *testing.T) {
-	fig := indoor.Figure1Space()
-	qset := append([]indoor.SLocID(nil), fig.SLocs[:]...)
-	q := Query{Kind: KindTopK, Algorithm: AlgoBestFirst, K: 2, Ts: 0, Te: 60, SLocs: qset}
-
-	qc := NewQueryCoalescer()
-	var evals sync.Map
-	var evalCount int
-	var mu sync.Mutex
-	eval := func(context.Context) ([]Result, Stats, error) {
-		mu.Lock()
-		evalCount++
-		mu.Unlock()
-		return []Result{{SLoc: qset[0], Flow: 1.5}}, Stats{Workers: 1}, nil
-	}
+	drv := NewDriver(fig.Space)
+	src := &shardSource{space: fig.Space, shards: []*iupt.Table{tb}, version: 1}
 
 	const callers = 8
 	var wg sync.WaitGroup
 	release := make(chan struct{})
 	for i := 0; i < callers; i++ {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			<-release
-			res, _, err := qc.Do(context.Background(), q, 2, 1, eval)
+			out, err := drv.Answer(context.Background(), src, []Query{q})
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			evals.Store(i, res[0].Flow)
-		}(i)
+			assertSameResults(t, "coalesced caller", want.Results, out[0].Results)
+		}()
 	}
 	close(release)
 	wg.Wait()
-	evals.Range(func(_, v any) bool {
-		if v.(float64) != 1.5 {
-			t.Errorf("coalesced caller got flow %v", v)
-		}
-		return true
-	})
-	if evalCount > callers {
-		t.Fatalf("eval ran %d times for %d callers", evalCount, callers)
+	if src.passes > callers {
+		t.Fatalf("source passed %d times for %d callers", src.passes, callers)
+	}
+	coalesced, led := drv.Counts()
+	if int(coalesced)+src.passes != callers || int(led) != src.passes {
+		t.Fatalf("%d callers: %d coalesced + %d passes (%d led)", callers, coalesced, src.passes, led)
 	}
 
-	// New epoch → the old flight (were it still open) cannot be joined.
-	before := evalCount
-	if _, _, err := qc.Do(context.Background(), q, 2, 2, eval); err != nil {
+	// New version → the old flight (were it still open) cannot be joined.
+	before := src.passes
+	src.version = 2
+	if _, err := drv.Answer(context.Background(), src, []Query{q}); err != nil {
 		t.Fatal(err)
 	}
-	if evalCount != before+1 {
-		t.Fatalf("epoch bump did not force a fresh evaluation")
+	if src.passes != before+1 {
+		t.Fatalf("version bump did not force a fresh evaluation")
 	}
 
 	// Presence and opt-out queries evaluate solo.
 	solo := Query{Kind: KindPresence, Ts: 0, Te: 60, SLocs: qset[:1], OID: 1}
-	if _, _, err := qc.Do(context.Background(), solo, 0, 2, eval); err != nil {
-		t.Fatal(err)
+	optOut := q
+	optOut.DisableCoalescing = true
+	_, ledBefore := drv.Counts()
+	for _, q := range []Query{solo, optOut} {
+		if _, err := drv.Answer(context.Background(), src, []Query{q}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	coalesced, led := qc.Counts()
-	if led == 0 {
-		t.Fatalf("coalescer led no flights (coalesced=%d)", coalesced)
+	if _, led := drv.Counts(); led != ledBefore {
+		t.Fatalf("presence / opt-out queries opened %d flights", led-ledBefore)
 	}
 }
 

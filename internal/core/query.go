@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 
 	"tkplq/internal/indoor"
 	"tkplq/internal/iupt"
@@ -99,13 +101,13 @@ type Response struct {
 	Stats Stats
 }
 
-// view returns the engine this query evaluates on: e itself when the query
-// carries no overrides, otherwise a shallow copy with the per-query worker
-// pool, cache bypass and coalescing bypass applied. The copy shares the
-// underlying cache and coalescer pointers (unless bypassed), so overridden
-// queries still feed the same machinery.
+// view returns the engine this query's pass evaluates on: e itself when the
+// query carries no overrides, otherwise a shallow copy with the per-query
+// worker pool and cache bypass applied. The copy shares the underlying cache
+// pointer (unless bypassed), so overridden queries still feed the same
+// machinery.
 func (e *Engine) view(q Query) *Engine {
-	if q.Workers == 0 && !q.DisableCache && !q.DisableCoalescing {
+	if q.Workers == 0 && !q.DisableCache {
 		return e
 	}
 	v := *e
@@ -115,28 +117,25 @@ func (e *Engine) view(q Query) *Engine {
 	if q.DisableCache {
 		v.cache = nil
 	}
-	if q.DisableCoalescing {
-		v.coal = nil
-	}
 	return &v
 }
 
-// validateQuery checks a query's shape against the engine's space and
+// validateQuery checks a query's shape against the driver's space and
 // returns the effective (clamped) k for ranked kinds.
-func (e *Engine) validateQuery(q Query) (int, error) {
+func (d *Driver) validateQuery(q Query) (int, error) {
 	switch q.Kind {
 	case KindTopK:
 		if q.Algorithm != AlgoNaive && q.Algorithm != AlgoNestedLoop && q.Algorithm != AlgoBestFirst {
 			return 0, fmt.Errorf("core: unknown algorithm %d", q.Algorithm)
 		}
-		return e.validateTopK(q.SLocs, q.K)
+		return d.validateTopK(q.SLocs, q.K)
 	case KindDensity:
-		return e.validateTopK(q.SLocs, q.K)
+		return d.validateTopK(q.SLocs, q.K)
 	case KindFlow, KindPresence:
 		if len(q.SLocs) != 1 {
 			return 0, fmt.Errorf("core: %s query needs exactly one S-location, got %d", q.Kind, len(q.SLocs))
 		}
-		if s := q.SLocs[0]; int(s) < 0 || int(s) >= e.space.NumSLocations() {
+		if s := q.SLocs[0]; int(s) < 0 || int(s) >= d.space.NumSLocations() {
 			return 0, fmt.Errorf("core: unknown S-location %d", s)
 		}
 		return 0, nil
@@ -145,87 +144,141 @@ func (e *Engine) validateQuery(q Query) (int, error) {
 	}
 }
 
-// Do evaluates one query: the single entry point behind every query kind,
-// with per-query option overrides (Query.Workers, Query.DisableCache,
-// Query.DisableCoalescing) and full context plumbing — a canceled or expired
-// ctx aborts the evaluation promptly (shard workers stop between objects,
-// Best-First stops between heap pops) and Do returns ctx.Err(). A follower
-// coalesced onto another caller's flight detaches on cancellation without
-// disturbing the flight; a canceled leader hands the work back to its
-// followers.
+// RowSource is where a Driver's presence rows come from: a table (Engine.Do
+// and DoBatch: the shared pass, streamed) or a cluster router (the shards'
+// partials, merged and replayed).
+type RowSource interface {
+	// Version pins a flight: a lone query joins a concurrent identical one
+	// only while the source reports the same version — a table's record
+	// count, a router's ingest epoch — so a query racing an ingest never
+	// shares a pre-ingest evaluation.
+	Version() int
+	// Rows evaluates one pass — the window pass.Ts/Te, the columns pass.SLocs,
+	// the overrides pass.Workers/DisableCache and, for KindPresence, only the
+	// object pass.OID — and hands emit one row per contributing object in
+	// strictly ascending object order: row[j] is its presence in
+	// pass.SLocs[j], and an object without a row has presence exactly 0.0
+	// everywhere. emit does not retain row. The Stats describe the pass.
+	Rows(ctx context.Context, pass Query, emit func(oid iupt.ObjectID, row []float64)) (Stats, error)
+}
+
+// Driver is the one way queries become responses (Answer). It knows the space
+// — validation, density areas — and carries the flights; where the rows come
+// from is the RowSource's business, which is what keeps a standalone answer
+// and a cluster's bit-identical.
+type Driver struct {
+	space *indoor.Space
+	coal  *coalescer // nil when coalescing is disabled
+	// workers is what Query.Workers == 0 means when grouping: the embedding
+	// engine's Options.Workers, 0 (GOMAXPROCS) on a router.
+	workers int
+}
+
+// NewDriver returns a coalescing driver for a caller that brings its own
+// RowSource (the cluster router); an Engine embeds its own.
+func NewDriver(space *indoor.Space) *Driver {
+	return &Driver{space: space, coal: newCoalescer()}
+}
+
+// Counts reports how many queries were served by joining a flight and how
+// many evaluations were led; both 0 with coalescing disabled.
+func (d *Driver) Counts() (coalesced, led int64) {
+	if d.coal == nil {
+		return 0, 0
+	}
+	d.coal.mu.Lock()
+	defer d.coal.mu.Unlock()
+	return d.coal.coalesced, d.coal.led
+}
+
+// Answer evaluates qs against src, sharing work across them. Every query is
+// validated before any evaluation starts; an invalid one fails the whole call
+// (naming its index when there are several). Queries are grouped by window
+// and per-query overrides, and each group performs the expensive per-object
+// pipeline — Algorithm 1 data reduction and Equation 1 presence summarization
+// — once, over the union of the members' S-location sets, before the finisher
+// fans out the cheap per-query ranking. Pruning against the union stays
+// sound: an object it prunes has zero presence in every member's locations.
+// A query alone in its group shares across calls instead: it coalesces with
+// concurrent identical callers (Query.DisableCoalescing opts out, presence
+// never does). A follower detaches from its flight when its ctx is canceled;
+// a canceled leader hands the work back to its followers.
 //
-// Naive and Best-First are the paper's two search strategies over the
-// presence oracle. Every other query — Nested-Loop, density, flow, presence —
-// is the one-shard, one-member case of the shared pass → finisher pipeline
-// (partial.go).
-func (e *Engine) Do(ctx context.Context, table *iupt.Table, q Query) (*Response, error) {
+// Responses align with qs and are bit-identical however a query was grouped;
+// Stats describe the pass that answered it, SharedBatch its group's size.
+func (d *Driver) Answer(ctx context.Context, src RowSource, qs []Query) ([]*Response, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if table == nil {
-		return nil, fmt.Errorf("core: nil table")
-	}
-	k, err := e.validateQuery(q)
-	if err != nil {
-		return nil, err
+	ks := make([]int, len(qs))
+	for i, q := range qs {
+		k, err := d.validateQuery(q)
+		if err != nil {
+			if len(qs) > 1 {
+				err = fmt.Errorf("core: batch query %d: %w", i, err)
+			}
+			return nil, err
+		}
+		ks[i] = k
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ev := e.view(q)
-	results, stats, err := ev.coalesced(ctx, table, q, k, func(ctx context.Context) ([]Result, Stats, error) {
-		switch {
-		case q.Kind == KindTopK && q.Algorithm == AlgoNaive:
-			return ev.topkNaive(ctx, table, q.SLocs, k, q.Ts, q.Te)
-		case q.Kind == KindTopK && q.Algorithm == AlgoBestFirst:
-			return ev.topkBestFirst(ctx, table, q.SLocs, k, q.Ts, q.Te)
+	out := make([]*Response, len(qs))
+	for _, idxs := range d.batchGroups(qs) {
+		i, m := idxs[0], qs[idxs[0]]
+		if len(idxs) > 1 {
+			// The pass is itself a valid query: a shard validates what it is sent.
+			union := unionSLocs(qs, idxs)
+			pass := Query{Kind: KindTopK, K: len(union), Ts: m.Ts, Te: m.Te, SLocs: union, Workers: m.Workers, DisableCache: m.DisableCache}
+			if err := d.evalGroup(ctx, src, pass, qs, idxs, out); err != nil {
+				return nil, err
+			}
+			continue
 		}
-		out := make([]*Response, 1)
-		if err := ev.evalGroup(ctx, table, q, []Query{q}, []int{0}, out); err != nil {
-			return nil, Stats{}, err
+		var eval func(context.Context) ([]Result, Stats, error)
+		key := flightKey{kind: m.Kind, k: ks[i], ts: m.Ts, te: m.Te, version: src.Version()}
+		if ts, ok := src.(tableSource); ok {
+			key.table = ts.table
+			key.algo, eval = ts.search(m, ks[i])
 		}
-		return out[0].Results, out[0].Stats, nil
-	})
-	if err != nil {
-		return nil, err
+		if eval == nil {
+			eval = func(ctx context.Context) ([]Result, Stats, error) {
+				if err := d.evalGroup(ctx, src, m, qs, idxs, out); err != nil {
+					return nil, Stats{}, err
+				}
+				return out[i].Results, out[i].Stats, nil
+			}
+		}
+		resp := &Response{}
+		var err error
+		if d.coal == nil || m.DisableCoalescing || m.Kind == KindPresence {
+			resp.Results, resp.Stats, err = eval(ctx)
+		} else {
+			key.slocs = slocKey(m.SLocs)
+			resp.Results, resp.Stats, err = d.coal.do(ctx, key, eval)
+		}
+		if err != nil {
+			return nil, err
+		}
+		if m.Kind == KindFlow || m.Kind == KindPresence {
+			resp.Flow = resp.Results[0].Flow
+		}
+		out[i] = resp
 	}
-	resp := &Response{Results: results, Stats: stats}
-	if q.Kind == KindFlow || q.Kind == KindPresence {
-		resp.Flow = results[0].Flow
-	}
-	return resp, nil
-}
-
-// coalesced runs a validated query's evaluation through the request coalescer
-// (when enabled). Presence never coalesces. A flight keys on the algorithm
-// only for the kind that reads it: density pins AlgoNestedLoop and flow 0.
-func (e *Engine) coalesced(ctx context.Context, table *iupt.Table, q Query, k int, eval func(context.Context) ([]Result, Stats, error)) ([]Result, Stats, error) {
-	if e.coal == nil || q.Kind == KindPresence {
-		return eval(ctx)
-	}
-	canon := canonicalSLocs(q.SLocs)
-	key := flightKey{kind: q.Kind, k: k, ts: q.Ts, te: q.Te, table: table, tableLen: table.Len(), qLen: len(canon), qHash: slocHash(canon)}
-	switch q.Kind {
-	case KindTopK:
-		key.algo = q.Algorithm
-	case KindDensity:
-		key.algo = AlgoNestedLoop
-	}
-	return e.coal.do(ctx, key, canon, eval)
+	return out, nil
 }
 
 // evalGroup answers the validated queries at idxs — one window, one override
-// set, e being their view — from a single shared pass streamed into one
-// finisher. pass is what that pass evaluates: the member itself for a lone
-// query, for a batch group the window over the union of the members'
-// S-location sets (what a router fans out). Pruning against the union stays
-// sound: an object it prunes has zero presence in every member's locations.
-func (e *Engine) evalGroup(ctx context.Context, table *iupt.Table, pass Query, qs []Query, idxs []int, out []*Response) error {
-	fin, err := e.newFinisher(qs, idxs, pass.SLocs)
+// set — from a single pass of src streamed into one finisher. pass is what
+// that pass evaluates: the member itself for a lone query (columns in the
+// caller's order), for a larger group the window over the members' union.
+func (d *Driver) evalGroup(ctx context.Context, src RowSource, pass Query, qs []Query, idxs []int, out []*Response) error {
+	fin, err := d.newFinisher(qs, idxs, pass.SLocs)
 	if err != nil {
 		return err
 	}
-	stats, err := e.sharedPass(ctx, table, pass, fin.add)
+	stats, err := src.Rows(ctx, pass, fin.add)
 	if err != nil {
 		return err
 	}
@@ -233,50 +286,102 @@ func (e *Engine) evalGroup(ctx context.Context, table *iupt.Table, pass Query, q
 	return nil
 }
 
-// DoBatch evaluates a set of queries, sharing work across them. Queries are
-// grouped by window fingerprint and per-query overrides (BatchGroups); each
-// group with more than one member performs the expensive per-object pipeline
-// — Algorithm 1 data reduction and Equation 1 presence summarization —
-// exactly once, over the union of the members' S-location sets, and the
-// finisher fans out the cheap per-query ranking. This is the amortization
-// the one-query-per-call API cannot express: M overlapping dashboard queries
-// over the same window cost one reduction pass instead of M.
-//
-// Results are bit-identical to issuing each query through Do sequentially,
-// at every worker count: a lone query and a group run the same shared pass
-// and the same finisher. (Per-query Stats differ by design — they describe
-// the shared pass, with Stats.SharedBatch set to the group size.) Every query
-// is validated before any evaluation starts; an invalid query anywhere fails
-// the whole batch. Responses align index-for-index with qs.
-func (e *Engine) DoBatch(ctx context.Context, table *iupt.Table, qs []Query) ([]*Response, error) {
-	if ctx == nil {
-		ctx = context.Background()
+// batchKey groups the queries of one call that can share a single pass: same
+// window and same evaluation-changing overrides (workers is the resolved pool
+// size, so an explicit default groups with an implicit one).
+type batchKey struct {
+	ts, te       iupt.Time
+	workers      int
+	disableCache bool
+}
+
+// batchGroups partitions qs by batchKey, in first-appearance order so
+// evaluation order is deterministic. Each group is the index set of one pass
+// (on a router, one fan-out).
+func (d *Driver) batchGroups(qs []Query) [][]int {
+	if len(qs) == 1 {
+		return loneGroup // the serving path's common case, without the map
 	}
+	var out [][]int
+	at := make(map[batchKey]int, len(qs)) // key → its group's index in out
+	for i, q := range qs {
+		pool := Options{Workers: cmp.Or(q.Workers, d.workers)}
+		key := batchKey{ts: q.Ts, te: q.Te, workers: pool.workerCount(), disableCache: q.DisableCache}
+		g, ok := at[key]
+		if !ok {
+			g, at[key] = len(out), len(out)
+			out = append(out, nil)
+		}
+		out[g] = append(out[g], i)
+	}
+	return out
+}
+
+var loneGroup = [][]int{{0}}
+
+// unionSLocs returns the ascending duplicate-free union of the queries'
+// S-location sets: the column order of a group's pass.
+func unionSLocs(qs []Query, idxs []int) []indoor.SLocID {
+	var out []indoor.SLocID
+	for _, qi := range idxs {
+		out = append(out, qs[qi].SLocs...)
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// tableSource is the local RowSource: the engine's shared pass over a table.
+type tableSource struct {
+	e     *Engine
+	table *iupt.Table
+}
+
+func (s tableSource) Version() int { return s.table.Len() }
+
+func (s tableSource) Rows(ctx context.Context, pass Query, emit func(iupt.ObjectID, []float64)) (Stats, error) {
+	return s.e.view(pass).sharedPass(ctx, s.table, pass, emit)
+}
+
+// search is the one reader of Query.Algorithm. Naive and Best-First, the
+// paper's two search strategies over the presence oracle, need the table, not
+// rows, so they exist for a lone top-k on a local table only; everywhere else
+// the field is ignored, all three algorithms' answers being bit-identical.
+// search returns the strategy (a flight keys on it: their Stats differ) and
+// its evaluation, or nil for a query that runs the pass.
+func (s tableSource) search(q Query, k int) (Algorithm, func(context.Context) ([]Result, Stats, error)) {
+	switch {
+	case q.Kind == KindTopK && q.Algorithm == AlgoNaive:
+		return AlgoNaive, func(ctx context.Context) ([]Result, Stats, error) {
+			return s.e.view(q).topkNaive(ctx, s.table, q.SLocs, k, q.Ts, q.Te)
+		}
+	case q.Kind == KindTopK && q.Algorithm == AlgoBestFirst:
+		return AlgoBestFirst, func(ctx context.Context) ([]Result, Stats, error) {
+			return s.e.view(q).topkBestFirst(ctx, s.table, q.SLocs, k, q.Ts, q.Te)
+		}
+	}
+	return AlgoNestedLoop, nil
+}
+
+// Do evaluates one query: a DoBatch of one.
+func (e *Engine) Do(ctx context.Context, table *iupt.Table, q Query) (*Response, error) {
+	return first(e.DoBatch(ctx, table, []Query{q}))
+}
+
+// DoBatch evaluates a set of queries over the table, sharing work across them
+// (Driver.Answer): M overlapping dashboard queries over the same window cost
+// one reduction pass instead of M, with results bit-identical to issuing each
+// through Do, at every worker count.
+func (e *Engine) DoBatch(ctx context.Context, table *iupt.Table, qs []Query) ([]*Response, error) {
 	if table == nil {
 		return nil, fmt.Errorf("core: nil table")
 	}
-	for i, q := range qs {
-		if _, err := e.validateQuery(q); err != nil {
-			return nil, fmt.Errorf("core: batch query %d: %w", i, err)
-		}
+	return e.Answer(ctx, tableSource{e, table}, qs)
+}
+
+// first unwraps the response to a batch of one.
+func first(out []*Response, err error) (*Response, error) {
+	if err != nil {
+		return nil, err
 	}
-	out := make([]*Response, len(qs))
-	for _, idxs := range e.BatchGroups(qs) {
-		m := qs[idxs[0]]
-		if len(idxs) == 1 {
-			// A lone window gains nothing from sharing; route it through Do
-			// so it still coalesces with concurrent callers.
-			resp, err := e.Do(ctx, table, m)
-			if err != nil {
-				return nil, err
-			}
-			out[idxs[0]] = resp
-			continue
-		}
-		pass := Query{Kind: KindTopK, Ts: m.Ts, Te: m.Te, SLocs: UnionSLocs(qs, idxs)}
-		if err := e.view(m).evalGroup(ctx, table, pass, qs, idxs, out); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return out[0], nil
 }

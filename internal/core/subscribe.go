@@ -166,8 +166,7 @@ func (e *Engine) Subscribe(ctx context.Context, cfg SubscribeConfig, q Query) (*
 		k:       k,
 		window:  q.Window,
 		workers: ev.opts.workerCount(),
-		qLen:    len(canon),
-		qHash:   slocHash(canon),
+		slocs:   slocKey(canon),
 	}
 
 	var sub *Subscription
@@ -340,17 +339,14 @@ func (e *Engine) MonitorStats() []MonitorStat {
 	return e.mons.statsAll()
 }
 
-// monitorKey identifies subscriptions that may share one monitor. The query
-// set itself is captured as (length, order-independent hash) and verified
-// element-wise on lookup — a hash collision falls back to a private monitor,
-// never to a wrong coalescing.
+// monitorKey identifies subscriptions that may share one monitor: exactly
+// those over the same table, k, window, worker pool and set of S-locations.
 type monitorKey struct {
 	table   *iupt.Table
 	k       int
 	window  iupt.Time
 	workers int
-	qLen    int
-	qHash   uint64
+	slocs   string // slocKey of the query set
 }
 
 // monitorRegistry tracks the engine's live monitors: coalescable ones by
@@ -372,28 +368,21 @@ func newMonitorRegistry() *monitorRegistry {
 }
 
 // acquire returns the coalesced monitor for key with its reference count
-// bumped, creating and registering it on first use. Subscriptions that must
-// not coalesce (DisableCoalescing, or a hash-collided key) get a private
-// monitor, registered for notification dispatch but not by key.
+// bumped, creating and registering it on first use. A subscription that must
+// not coalesce (DisableCoalescing) gets a private monitor, registered for
+// notification dispatch but not by key.
 func (r *monitorRegistry) acquire(ev *Engine, cfg SubscribeConfig, q Query, key monitorKey, canon []indoor.SLocID, k int) *monitor {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	coalesce := !q.DisableCoalescing
-	if coalesce {
-		if m, ok := r.byKey[key]; ok {
-			if slocsEqual(m.query, canon) {
-				m.refs++
-				return m
-			}
-			coalesce = false // hash collision: never share across query sets
-		}
+	if m, ok := r.byKey[key]; ok && !q.DisableCoalescing {
+		m.refs++
+		return m
 	}
 	m := ev.newMonitor(cfg, canon, k, q.Window)
 	m.refs = 1
 	r.registerLocked(m)
-	if coalesce {
-		r.byKey[key] = m
-		m.key = &key
+	if !q.DisableCoalescing {
+		r.byKey[key], m.key = m, key
 	}
 	return m
 }
@@ -428,11 +417,8 @@ func (r *monitorRegistry) registerLocked(m *monitor) {
 }
 
 func (r *monitorRegistry) removeLocked(m *monitor) {
-	if m.key != nil {
-		if r.byKey[*m.key] == m {
-			delete(r.byKey, *m.key)
-		}
-		m.key = nil
+	if r.byKey[m.key] == m {
+		delete(r.byKey, m.key)
 	}
 	if tabs := r.byTab[m.table]; tabs != nil {
 		delete(tabs, m)

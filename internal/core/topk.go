@@ -11,7 +11,7 @@ import (
 )
 
 // validateTopK checks a TkPLQ query set and clamps k to its size.
-func (e *Engine) validateTopK(q []indoor.SLocID, k int) (int, error) {
+func (d *Driver) validateTopK(q []indoor.SLocID, k int) (int, error) {
 	if k <= 0 {
 		return 0, fmt.Errorf("core: k must be positive, got %d", k)
 	}
@@ -20,7 +20,7 @@ func (e *Engine) validateTopK(q []indoor.SLocID, k int) (int, error) {
 	}
 	seen := make(map[indoor.SLocID]bool, len(q))
 	for _, s := range q {
-		if int(s) < 0 || int(s) >= e.space.NumSLocations() {
+		if int(s) < 0 || int(s) >= d.space.NumSLocations() {
 			return 0, fmt.Errorf("core: unknown S-location %d", s)
 		}
 		if seen[s] {

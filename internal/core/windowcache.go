@@ -237,11 +237,6 @@ func (e *Engine) CacheStats() CacheStats {
 		}
 		c.mu.Unlock()
 	}
-	if co := e.coal; co != nil {
-		co.mu.Lock()
-		out.Coalesced = co.coalesced
-		out.Flights = co.led
-		co.mu.Unlock()
-	}
+	out.Coalesced, out.Flights = e.Counts()
 	return out
 }

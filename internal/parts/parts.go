@@ -63,6 +63,21 @@ var (
 
 func partName(seq uint64) string { return fmt.Sprintf("part-%08d.tkp", seq) }
 
+// ParsePartName reports whether name is a sealed partition's file name — plain
+// or a compacted range — and the seal sequences [lo, hi] it covers.
+func ParsePartName(name string) (lo, hi uint64, ok bool) {
+	m := partRE.FindStringSubmatch(name)
+	if m == nil {
+		return 0, 0, false
+	}
+	lo = parseSeq(m[1])
+	hi = lo
+	if m[2] != "" {
+		hi = parseSeq(m[2])
+	}
+	return lo, hi, true
+}
+
 // partRangeName names a compacted partition covering seal sequences
 // [lo, hi]. Single-sequence partitions keep the short name.
 func partRangeName(lo, hi uint64) string {
@@ -228,20 +243,13 @@ func (s *Store) recoverBase(dir string) (*iupt.Table, uint64, error) {
 	snapPaths := map[uint64]string{}
 	for _, e := range entries {
 		name := e.Name()
-		switch {
-		case partRE.MatchString(name):
-			m := partRE.FindStringSubmatch(name)
-			lo := parseSeq(m[1])
-			hi := lo
-			if m[2] != "" {
-				hi = parseSeq(m[2])
-			}
+		if lo, hi, ok := ParsePartName(name); ok {
 			if hi < lo {
 				return nil, 0, fmt.Errorf("parts: %s: inverted sequence range", name)
 			}
 			found = append(found, partFile{lo: lo, hi: hi, path: filepath.Join(dir, name)})
-		case snapRE.MatchString(name):
-			snapPaths[parseSeq(snapRE.FindStringSubmatch(name)[1])] = filepath.Join(dir, name)
+		} else if m := snapRE.FindStringSubmatch(name); m != nil {
+			snapPaths[parseSeq(m[1])] = filepath.Join(dir, name)
 		}
 	}
 

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"tkplq/internal/iupt"
+	"tkplq/internal/parts"
 	"tkplq/internal/retry"
 	"tkplq/internal/wal"
 )
@@ -514,7 +515,7 @@ func (f *Follower) wipeAndRetry(format string, args ...any) error {
 // receiveFile applies one shipped partition: tmp + CRC verify + fsync +
 // rename + dir fsync, the same commit protocol a local seal uses.
 func (f *Follower) receiveFile(next func() (byte, []byte, error), dir string, fi FileInfo) error {
-	if fi.Name != filepath.Base(fi.Name) || !partFileRE.MatchString(fi.Name) {
+	if _, _, ok := parts.ParsePartName(fi.Name); !ok || fi.Name != filepath.Base(fi.Name) {
 		return fmt.Errorf("repl: refusing shipped file name %q", fi.Name)
 	}
 	final := filepath.Join(dir, fi.Name)
@@ -716,14 +717,6 @@ func (f *Follower) sendAck(frames, bytesApplied int64) {
 	resp.Body.Close()
 }
 
-// partFileRE recognizes sealed partition files (plain and compacted range
-// names); walFileRE and snapFileRE the WAL segments and flat snapshots.
-var (
-	partFileRE = regexp.MustCompile(`^part-(\d{8})(?:-(\d{8}))?\.tkp$`)
-	walFileRE  = regexp.MustCompile(`^wal-(\d{8})\.log$`)
-	snapFileRE = regexp.MustCompile(`^snapshot-(\d{8})\.bin$`)
-)
-
 // scanDir derives a bootstrap handshake from the data directory's contents:
 // the newest sealed partition sequence and the newest WAL segment's valid
 // prefix. A missing directory is created; unreadable state simply reports a
@@ -739,26 +732,17 @@ func scanDir(dir string) (Handshake, error) {
 	var h Handshake
 	var walSeqs []uint64
 	for _, e := range entries {
-		name := e.Name()
-		switch {
-		case partFileRE.MatchString(name):
-			m := partFileRE.FindStringSubmatch(name)
-			hi := parseSeqStr(m[1])
-			if m[2] != "" {
-				hi = parseSeqStr(m[2])
-			}
-			if hi > h.SealSeq {
-				h.SealSeq = hi
-			}
-		case walFileRE.MatchString(name):
-			walSeqs = append(walSeqs, parseSeqStr(walFileRE.FindStringSubmatch(name)[1]))
+		if _, hi, ok := parts.ParsePartName(e.Name()); ok {
+			h.SealSeq = max(h.SealSeq, hi)
+		} else if seq, ok := wal.ParseSegmentName(e.Name()); ok {
+			walSeqs = append(walSeqs, seq)
 		}
 	}
 	h.WALSeq = h.SealSeq
 	sort.Slice(walSeqs, func(i, j int) bool { return walSeqs[i] < walSeqs[j] })
 	if n := len(walSeqs); n > 0 && walSeqs[n-1] >= h.SealSeq {
 		seq := walSeqs[n-1]
-		off, crc, _, err := wal.ScanSegment(filepath.Join(dir, fmt.Sprintf("wal-%08d.log", seq)))
+		off, crc, _, err := wal.ScanSegment(filepath.Join(dir, wal.SegmentName(seq)))
 		if err == nil && off > wal.SegmentHeaderLen {
 			h.WALSeq, h.WALOff, h.WALCRC = seq, off, crc
 		}
@@ -766,13 +750,8 @@ func scanDir(dir string) (Handshake, error) {
 	return h, nil
 }
 
-func parseSeqStr(s string) uint64 {
-	var n uint64
-	for _, c := range s {
-		n = n*10 + uint64(c-'0')
-	}
-	return n
-}
+// snapFileRE recognizes legacy flat snapshots, which only a wipe still names.
+var snapFileRE = regexp.MustCompile(`^snapshot-(\d{8})\.bin$`)
 
 // wipeDir deletes the store files from the data directory — only the WAL
 // segments (walOnly) or everything (partitions, segments, snapshots, temp
@@ -788,30 +767,24 @@ func wipeDir(dir string, walOnly bool) error {
 		name string
 		hi   uint64
 	}
-	var parts []doomed
+	var sealed []doomed
 	for _, e := range entries {
 		name := e.Name()
-		switch {
-		case walFileRE.MatchString(name):
-			if err := os.Remove(filepath.Join(dir, name)); err != nil {
-				return err
+		if _, hi, ok := parts.ParsePartName(name); ok {
+			if !walOnly {
+				sealed = append(sealed, doomed{name: name, hi: hi})
 			}
-		case walOnly:
-		case partFileRE.MatchString(name):
-			m := partFileRE.FindStringSubmatch(name)
-			hi := parseSeqStr(m[1])
-			if m[2] != "" {
-				hi = parseSeqStr(m[2])
-			}
-			parts = append(parts, doomed{name: name, hi: hi})
-		case snapFileRE.MatchString(name) || filepath.Ext(name) == ".tmp":
+			continue
+		}
+		_, isWAL := wal.ParseSegmentName(name)
+		if isWAL || !walOnly && (snapFileRE.MatchString(name) || filepath.Ext(name) == ".tmp") {
 			if err := os.Remove(filepath.Join(dir, name)); err != nil {
 				return err
 			}
 		}
 	}
-	sort.Slice(parts, func(i, j int) bool { return parts[i].hi > parts[j].hi })
-	for _, p := range parts {
+	sort.Slice(sealed, func(i, j int) bool { return sealed[i].hi > sealed[j].hi })
+	for _, p := range sealed {
 		if err := os.Remove(filepath.Join(dir, p.name)); err != nil {
 			return err
 		}

@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"tkplq"
+	"tkplq/internal/parts"
 	"tkplq/internal/retry"
 )
 
@@ -448,7 +449,7 @@ func listParts(t *testing.T, dir string) []string {
 	}
 	var out []string
 	for _, e := range entries {
-		if partFileRE.MatchString(e.Name()) {
+		if _, _, ok := parts.ParsePartName(e.Name()); ok {
 			out = append(out, e.Name())
 		}
 	}

@@ -214,7 +214,8 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
-	q, _, err := s.toQuery(ctx, req)
+	end := tkplq.Time(-1)
+	q, _, err := s.toQuery(ctx, req, &end)
 	if err != nil {
 		s.queryErrors.Add(1)
 		errorJSON(w, http.StatusBadRequest, "%v", err)

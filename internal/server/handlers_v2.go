@@ -34,10 +34,11 @@ type QueryV2 struct {
 
 // toQuery converts one wire query to a tkplq.Query, applying the wire
 // defaults (kind topk, algorithm bf, k 10, te = end of data, empty slocs =
-// all S-locations). On a router, "end of data" is resolved
-// cluster-wide by fanning /v2/span (the router's own table is empty), which
-// is why conversion runs under the request context.
-func (s *Server) toQuery(ctx context.Context, req QueryV2) (tkplq.Query, QueryV2, error) {
+// all S-locations). *end caches the request's "end of data" (negative until a
+// member asks; see endOfData): a request resolves it at most once and hands
+// every te == 0 member the same value, so members that should share a window
+// do, and a router pays one /v2/span round however many members ask.
+func (s *Server) toQuery(ctx context.Context, req QueryV2, end *tkplq.Time) (tkplq.Query, QueryV2, error) {
 	if req.Kind == "" {
 		req.Kind = "topk"
 	}
@@ -87,15 +88,14 @@ func (s *Server) toQuery(ctx context.Context, req QueryV2) (tkplq.Query, QueryV2
 	}
 	ts, te := tkplq.Time(req.Ts), tkplq.Time(req.Te)
 	if te == 0 {
-		if s.router != nil {
-			hi, err := s.router.endOfData(ctx)
+		if *end < 0 {
+			hi, err := s.endOfData(ctx)
 			if err != nil {
 				return tkplq.Query{}, req, err
 			}
-			te = hi
-		} else if _, hi, ok := s.sys.Table().TimeSpan(); ok {
-			te = hi
+			*end = hi
 		}
+		te = *end
 	}
 	if te < ts {
 		return tkplq.Query{}, req, fmt.Errorf("empty window: te %d < ts %d", te, ts)
@@ -138,29 +138,21 @@ func (s *Server) renderResponse(req QueryV2, resp *tkplq.Response, elapsed time.
 	return out
 }
 
-// evalOne converts, evaluates and renders a single query under ctx. On a
-// router the evaluation is the distributed fan-in instead of the local
-// engine; the rendered shape is identical.
-func (s *Server) evalOne(ctx context.Context, req QueryV2) (QueryResponse, error) {
-	q, req, err := s.toQuery(ctx, req)
-	if err != nil {
-		return QueryResponse{}, err
-	}
-	started := time.Now()
-	var resp *tkplq.Response
+// endOfData resolves a te == 0 window: the table's newest timestamp, on a
+// router the newest across the cluster (its own table is empty, so it fans
+// /v2/span under the request context).
+func (s *Server) endOfData(ctx context.Context) (tkplq.Time, error) {
 	if s.router != nil {
-		resp, err = s.router.Do(ctx, q)
-	} else {
-		resp, err = s.sys.Do(ctx, q)
+		return s.router.endOfData(ctx)
 	}
-	if err != nil {
-		return QueryResponse{}, err
-	}
-	return s.renderResponse(req, resp, time.Since(started)), nil
+	_, hi, _ := s.sys.Table().TimeSpan()
+	return hi, nil
 }
 
-// handleQueryV2 serves POST /v2/query: a single query object or an array of
-// queries evaluated as one shared-work batch.
+// handleQueryV2 serves POST /v2/query: a single query object, or an array of
+// queries evaluated as one shared-work batch. Both are one convert → evaluate
+// → render path; a single object is a batch of one answered without the
+// array.
 func (s *Server) handleQueryV2(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	body, err := io.ReadAll(r.Body)
@@ -177,27 +169,18 @@ func (s *Server) handleQueryV2(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
 
-	if trimmed := bytes.TrimLeft(body, " \t\r\n"); len(trimmed) == 0 || trimmed[0] != '[' {
-		var req QueryV2
-		if err := strictUnmarshal(body, &req); err != nil {
-			s.queryErrors.Add(1)
-			errorJSON(w, http.StatusBadRequest, "bad query request: %v", err)
-			return
-		}
-		out, err := s.evalOne(ctx, req)
-		if err != nil {
-			s.writeQueryError(w, err)
-			return
-		}
-		s.queries.Add(1)
-		writeJSON(w, out)
-		return
+	trimmed := bytes.TrimLeft(body, " \t\r\n")
+	single := len(trimmed) == 0 || trimmed[0] != '['
+	reqs, what := make([]QueryV2, 1), "query"
+	if single {
+		err = strictUnmarshal(body, &reqs[0])
+	} else {
+		what = "batch"
+		err = strictUnmarshal(body, &reqs)
 	}
-
-	var reqs []QueryV2
-	if err := strictUnmarshal(body, &reqs); err != nil {
+	if err != nil {
 		s.queryErrors.Add(1)
-		errorJSON(w, http.StatusBadRequest, "bad batch request: %v", err)
+		errorJSON(w, http.StatusBadRequest, "bad %s request: %v", what, err)
 		return
 	}
 	if len(reqs) == 0 {
@@ -206,10 +189,10 @@ func (s *Server) handleQueryV2(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	queries := make([]tkplq.Query, len(reqs))
+	end := tkplq.Time(-1)
 	for i := range reqs {
-		q, req, err := s.toQuery(ctx, reqs[i])
-		if err != nil {
-			if _, ok := isShardError(err); ok {
+		if queries[i], reqs[i], err = s.toQuery(ctx, reqs[i], &end); err != nil {
+			if _, ok := isShardError(err); ok || single {
 				s.writeQueryError(w, err)
 				return
 			}
@@ -217,15 +200,9 @@ func (s *Server) handleQueryV2(w http.ResponseWriter, r *http.Request) {
 			errorJSON(w, http.StatusBadRequest, "batch query %d: %v", i, err)
 			return
 		}
-		queries[i], reqs[i] = q, req
 	}
 	started := time.Now()
-	var resps []*tkplq.Response
-	if s.router != nil {
-		resps, err = s.router.DoBatch(ctx, queries)
-	} else {
-		resps, err = s.sys.DoBatch(ctx, queries)
-	}
+	resps, err := s.evaluate(ctx, queries)
 	if err != nil {
 		s.writeQueryError(w, err)
 		return
@@ -236,6 +213,10 @@ func (s *Server) handleQueryV2(w http.ResponseWriter, r *http.Request) {
 		out[i] = s.renderResponse(reqs[i], resp, elapsed)
 	}
 	s.queries.Add(int64(len(reqs)))
+	if single {
+		writeJSON(w, &out[0])
+		return
+	}
 	s.batches.Add(1)
 	writeJSON(w, out)
 }

@@ -29,18 +29,17 @@ const probeTimeout = 2 * time.Second
 const failoverThreshold = 2
 
 // Router is the fan-out/fan-in half of a distributed tkplq cluster. It owns
-// one shardClient per replica-set member and answers queries by collecting
-// the shards' per-object partial contributions (/v2/partial) and merging
-// them in canonical ascending-object order before ranking — a standalone
-// process is the one-shard case of the same pass and finisher, so every
+// one shardClient per replica-set member and is a core.RowSource: a pass is
+// the shards' per-object partial contributions (/v2/partial) merged in
+// canonical ascending-object order. There is one driver and two row sources —
+// a standalone process answers the same core.Driver from its table — so every
 // answer is bit-identical to single-node evaluation (see internal/core's
 // partial.go and the PR-1 determinism contract).
 //
-// The router holds no records itself: its engine exists only for query
-// validation, ranking and the density area division, all of which depend on
-// the space alone. Identical concurrent fan-outs dedupe through a
-// core.QueryCoalescer whose epoch the router bumps on every routed ingest,
-// so a query racing an ingest never joins a pre-ingest flight.
+// The router holds no records and no engine: grouping, coalescing, validation
+// and ranking are the driver's, which needs the space alone. Its source
+// version is the ingest epoch, bumped on every routed ingest, so a query
+// racing an ingest never joins a pre-ingest flight.
 //
 // With replicated shards (topology entries listing [primary, follower...]),
 // a background loop probes every member's /readyz: idempotent reads
@@ -54,9 +53,8 @@ const failoverThreshold = 2
 // to it — so kill -9 of any single member leaves the cluster serving.
 type Router struct {
 	topo   *cluster.Topology
-	eng    *core.Engine
+	drv    *core.Driver
 	groups []*shardGroup
-	coal   *core.QueryCoalescer
 	epoch  atomic.Int64
 	retry  retry.Policy
 	logf   func(format string, args ...any)
@@ -125,8 +123,7 @@ func newRouter(topo *cluster.Topology, sys *tkplq.System, timeout time.Duration,
 	}
 	rt := &Router{
 		topo:  topo,
-		eng:   core.NewEngine(sys.Space(), core.Options{}),
-		coal:  core.NewQueryCoalescer(),
+		drv:   core.NewDriver(sys.Space()),
 		retry: pol,
 		logf:  logf,
 	}
@@ -327,19 +324,11 @@ func readMember[T any](ctx context.Context, rt *Router, g *shardGroup, f func(ct
 	return zero, lastErr
 }
 
-// kindNames is the reverse of the kinds map, for re-encoding fan-out queries.
-var kindNames = map[tkplq.QueryKind]string{
-	tkplq.KindTopK:     "topk",
-	tkplq.KindDensity:  "density",
-	tkplq.KindFlow:     "flow",
-	tkplq.KindPresence: "presence",
-}
-
-// wireQuery re-encodes a validated engine query for the shard /v2/partial
-// endpoint. The window is already pinned (te resolved router-side), so every
-// shard evaluates the same [ts, te] regardless of its local data span.
-// Coalescing happens once, router-side; shards must not coalesce the
-// fan-out's legs against each other.
+// wireQuery re-encodes a pass for the shard /v2/partial endpoint. The window
+// is already pinned (te resolved router-side), so every shard evaluates the
+// same [ts, te] regardless of its local data span. Coalescing happens once,
+// router-side; shards must not coalesce the fan-out's legs against each
+// other.
 func wireQuery(q tkplq.Query) QueryV2 {
 	slocs := make([]int, len(q.SLocs))
 	for i, s := range q.SLocs {
@@ -347,7 +336,7 @@ func wireQuery(q tkplq.Query) QueryV2 {
 	}
 	return QueryV2{
 		QueryRequest: QueryRequest{
-			Kind:  kindNames[q.Kind],
+			Kind:  q.Kind.String(),
 			K:     q.K,
 			Ts:    int64(q.Ts),
 			Te:    int64(q.Te),
@@ -373,20 +362,26 @@ func corePartial(pr *PartialResponse) *core.Partial {
 	return p
 }
 
-// fanPartials collects every shard's partial for q concurrently, each leg
-// retrying across its shard's replica set. The first shard whose whole
-// replica set fails cancels the remaining legs and is returned as a
-// *shardError naming the shard; when several legs fail, a real failure wins
-// over one induced by the cancellation.
+// fanPartials collects the partial for q of every shard that can contribute
+// — all of them, or for a presence pass the object's owner alone —
+// concurrently, each leg retrying across its shard's replica set. The first
+// shard whose whole replica set fails cancels the remaining legs and is
+// returned as a *shardError naming the shard; when several legs fail, a real
+// failure wins over one induced by the cancellation.
 func (rt *Router) fanPartials(ctx context.Context, q tkplq.Query) ([]*core.Partial, error) {
 	rt.fanOuts.Add(1)
+	groups := rt.groups
+	if q.Kind == tkplq.KindPresence {
+		owner := rt.topo.ShardOf(q.OID)
+		groups = groups[owner : owner+1]
+	}
 	fctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	parts := make([]*core.Partial, len(rt.groups))
-	errs := make([]error, len(rt.groups))
+	parts := make([]*core.Partial, len(groups))
+	errs := make([]error, len(groups))
 	req := wireQuery(q)
 	var wg sync.WaitGroup
-	for i, g := range rt.groups {
+	for i, g := range groups {
 		wg.Add(1)
 		go func(i int, g *shardGroup) {
 			defer wg.Done()
@@ -432,14 +427,21 @@ func firstShardError(ctx context.Context, errs []error) error {
 	return first
 }
 
-// fanMerged fans q to all shards and merges the partials.
-func (rt *Router) fanMerged(ctx context.Context, q tkplq.Query) (*core.Partial, error) {
-	parts, err := rt.fanPartials(ctx, q)
+// Rows implements core.RowSource: one fan-out, merged and replayed.
+func (rt *Router) Rows(ctx context.Context, pass tkplq.Query, emit func(tkplq.ObjectID, []float64)) (tkplq.Stats, error) {
+	parts, err := rt.fanPartials(ctx, pass)
 	if err != nil {
-		return nil, err
+		return tkplq.Stats{}, err
 	}
-	return core.MergePartials(parts)
+	merged, err := core.MergePartials(parts)
+	if err != nil {
+		return tkplq.Stats{}, err
+	}
+	return core.Replay(merged).Rows(ctx, pass, emit)
 }
+
+// Version implements core.RowSource: the routed-ingest epoch.
+func (rt *Router) Version() int { return int(rt.epoch.Load()) }
 
 // endOfData resolves a te == 0 window the way a standalone node resolves it
 // against its own table: the cluster's end of data is the max span high
@@ -470,93 +472,6 @@ func (rt *Router) endOfData(ctx context.Context) (tkplq.Time, error) {
 		}
 	}
 	return hi, nil
-}
-
-// clampK mirrors the engine's k clamp for the coalescer flight key.
-func clampK(q tkplq.Query) int {
-	if q.Kind != tkplq.KindTopK && q.Kind != tkplq.KindDensity {
-		return 0
-	}
-	if q.K > len(q.SLocs) {
-		return len(q.SLocs)
-	}
-	return q.K
-}
-
-// Do answers one validated query from the cluster. Presence queries route to
-// the single owning shard; every other kind fans to all shards, merges and
-// ranks. Identical concurrent fan-outs coalesce onto one evaluation.
-func (rt *Router) Do(ctx context.Context, q tkplq.Query) (*tkplq.Response, error) {
-	if q.Kind == tkplq.KindPresence {
-		g := rt.groups[rt.topo.ShardOf(q.OID)]
-		rt.fanOuts.Add(1)
-		req := wireQuery(q)
-		pr, err := readMember(ctx, rt, g, func(ctx context.Context, c *shardClient, acked int) (*PartialResponse, error) {
-			return c.partial(ctx, req, acked)
-		})
-		if err != nil {
-			rt.shardErrors.Add(1)
-			return nil, err
-		}
-		return rt.eng.FinishPartial(q, corePartial(pr))
-	}
-	results, stats, err := rt.coal.Do(ctx, q, clampK(q), rt.epoch.Load(), func(ctx context.Context) ([]tkplq.Result, tkplq.Stats, error) {
-		merged, err := rt.fanMerged(ctx, q)
-		if err != nil {
-			return nil, tkplq.Stats{}, err
-		}
-		resp, err := rt.eng.FinishPartial(q, merged)
-		if err != nil {
-			return nil, tkplq.Stats{}, err
-		}
-		return resp.Results, resp.Stats, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	resp := &tkplq.Response{Results: results, Stats: stats}
-	if q.Kind == tkplq.KindFlow && len(results) > 0 {
-		resp.Flow = results[0].Flow
-	}
-	return resp, nil
-}
-
-// DoBatch answers a query batch with the same shared-work grouping as
-// System.DoBatch: queries over one window share a single fan-out over the
-// ascending union of their S-location sets, and each member's answer is
-// finished from the union columns — bit-identical to evaluating it alone.
-func (rt *Router) DoBatch(ctx context.Context, qs []tkplq.Query) ([]*tkplq.Response, error) {
-	out := make([]*tkplq.Response, len(qs))
-	for _, idxs := range rt.eng.BatchGroups(qs) {
-		if len(idxs) == 1 {
-			resp, err := rt.Do(ctx, qs[idxs[0]])
-			if err != nil {
-				return nil, err
-			}
-			out[idxs[0]] = resp
-			continue
-		}
-		union := core.UnionSLocs(qs, idxs)
-		m := qs[idxs[0]]
-		fq := tkplq.Query{
-			Kind:         tkplq.KindTopK,
-			Algorithm:    tkplq.BestFirst,
-			K:            len(union),
-			Ts:           m.Ts,
-			Te:           m.Te,
-			SLocs:        union,
-			Workers:      m.Workers,
-			DisableCache: m.DisableCache,
-		}
-		merged, err := rt.fanMerged(ctx, fq)
-		if err != nil {
-			return nil, err
-		}
-		if err := rt.eng.FinishPartialGroup(qs, idxs, union, merged, out); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // shardIngestOutcome is one shard's result of a routed ingest.
@@ -699,7 +614,7 @@ func (rt *Router) clusterStats(ctx context.Context) ClusterStatsJSON {
 		IngestEpoch: rt.epoch.Load(),
 		Shards:      make([]ShardStatJSON, len(rt.groups)),
 	}
-	out.Coalesced, out.CoalesceLed = rt.coal.Counts()
+	out.Coalesced, out.CoalesceLed = rt.drv.Counts()
 	var wg sync.WaitGroup
 	for i, g := range rt.groups {
 		wg.Add(1)

@@ -184,3 +184,71 @@ func TestRouterRetryDiscipline(t *testing.T) {
 		t.Errorf("follower saw %d ingest attempts, want 0", n)
 	}
 }
+
+// TestRouterResolvesEndOfDataOncePerRequest: "te": 0 means end of data, and a
+// request decides what that is once — one /v2/span round per shard however
+// many members ask — so every member gets the same window and the batch still
+// shares its pass.
+func TestRouterResolvesEndOfDataOncePerRequest(t *testing.T) {
+	sys := newSynSystem(t)
+	c := startCluster(t, synB.Space, sys.Table(), 2)
+	members := make([]*countingMember, len(c.slots))
+	for i, slot := range c.slots {
+		members[i] = newCountingMember(slot.h)
+		slot.set(members[i])
+	}
+
+	batch := []map[string]any{
+		{"kind": "topk", "k": 3, "te": 0},
+		{"kind": "density", "k": 2, "te": 0},
+		{"kind": "flow", "slocs": []int{1}, "te": 0},
+	}
+	resp, body := postJSON(t, c.routerTS.Client(), c.routerTS.URL+"/v2/query", batch)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch = %d: %s", resp.StatusCode, body)
+	}
+	var out []QueryResponse
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	_, hi, _ := sys.Table().TimeSpan()
+	for i, qr := range out {
+		if qr.Te != int64(hi) {
+			t.Errorf("member %d echoes te %d, want the cluster's end of data %d", i, qr.Te, hi)
+		}
+		if qr.Stats.SharedBatch != len(batch) {
+			t.Errorf("member %d: shared_batch = %d, want %d", i, qr.Stats.SharedBatch, len(batch))
+		}
+	}
+	for i, m := range members {
+		if n := m.count("/v2/span"); n != 1 {
+			t.Errorf("shard %d saw %d /v2/span calls for one request, want 1", i, n)
+		}
+		if n := m.count("/v2/partial"); n != 1 {
+			t.Errorf("shard %d saw %d /v2/partial calls for one window group, want 1", i, n)
+		}
+	}
+}
+
+// TestRouterValidatesLikeStandalone: the driver validates before any row
+// source is asked, so a query the wire conversion lets through but the engine
+// rejects is the client's 400 on a router too — same body as standalone, no
+// fan-out, not a shard's 400 reported as an outage.
+func TestRouterValidatesLikeStandalone(t *testing.T) {
+	sys := newSynSystem(t)
+	_, soloTS := newTestServer(t, sys, Config{})
+	c := startCluster(t, synB.Space, sys.Table(), 2)
+	for _, req := range []any{
+		map[string]any{"kind": "topk", "k": -1},
+		[]map[string]any{{"kind": "topk", "k": 2}, {"kind": "topk", "slocs": []int{1, 1}}},
+	} {
+		wantResp, want := postJSON(t, soloTS.Client(), soloTS.URL+"/v2/query", req)
+		gotResp, got := postJSON(t, c.routerTS.Client(), c.routerTS.URL+"/v2/query", req)
+		if gotResp.StatusCode != http.StatusBadRequest || wantResp.StatusCode != http.StatusBadRequest || string(got) != string(want) {
+			t.Errorf("%v: router %d %s, standalone %d %s", req, gotResp.StatusCode, got, wantResp.StatusCode, want)
+		}
+	}
+	if n := c.routerSrv.router.fanOuts.Load(); n != 0 {
+		t.Errorf("invalid queries fanned out %d times", n)
+	}
+}

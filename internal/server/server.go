@@ -140,6 +140,9 @@ type Server struct {
 	ln      net.Listener
 	started time.Time
 	router  *Router // non-nil in the router role
+	// evaluate answers a converted /v2/query: the system's DoBatch, in the
+	// router role the same driver over the cluster's rows.
+	evaluate func(ctx context.Context, qs []tkplq.Query) ([]*tkplq.Response, error)
 
 	ownershipRejects atomic.Int64 // shard role: ingest records refused as not-owned
 	following        atomic.Bool  // replica booted as a follower and not yet promoted
@@ -197,12 +200,15 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Replication != nil && cfg.Role == RoleRouter {
 		return nil, errors.New("server: the router role does not replicate (Replication is for shard/standalone members)")
 	}
-	s := &Server{sys: cfg.System, cfg: cfg, started: time.Now(), autoSeal: make(chan struct{}, 1)}
+	s := &Server{sys: cfg.System, cfg: cfg, started: time.Now(), autoSeal: make(chan struct{}, 1), evaluate: cfg.System.DoBatch}
 	if cfg.Replication != nil && cfg.Replication.Follower != nil {
 		s.following.Store(true)
 	}
 	if cfg.Role == RoleRouter {
 		s.router = newRouter(cfg.Topology, cfg.System, cfg.ShardTimeout, cfg.Retry, cfg.HealthInterval, cfg.Logf)
+		s.evaluate = func(ctx context.Context, qs []tkplq.Query) ([]*tkplq.Response, error) {
+			return s.router.drv.Answer(ctx, s.router, qs)
+		}
 	}
 
 	// Explicit method checks (rather than Go 1.22 method patterns) so a

@@ -150,7 +150,19 @@ var errShortSegment = errors.New("segment shorter than its header")
 
 var segmentRE = regexp.MustCompile(`^wal-(\d{8})\.log$`)
 
-func segmentName(seq uint64) string { return fmt.Sprintf("wal-%08d.log", seq) }
+// SegmentName returns the file name of log segment seq.
+func SegmentName(seq uint64) string { return fmt.Sprintf("wal-%08d.log", seq) }
+
+// ParseSegmentName reports whether name is a log segment's file name, and of
+// which sequence.
+func ParseSegmentName(name string) (seq uint64, ok bool) {
+	m := segmentRE.FindStringSubmatch(name)
+	if m == nil {
+		return 0, false
+	}
+	seq, _ = strconv.ParseUint(m[1], 10, 64) // eight digits always parse
+	return seq, true
+}
 
 // Store is a durable write-ahead log over one data directory. It is safe for
 // concurrent use, but callers that pair it with a live table (tkplq.System
@@ -228,9 +240,10 @@ func Open(opts Options) (*Store, *iupt.Table, error) {
 		case filepath.Ext(name) == ".tmp":
 			// Leftover of an interrupted artifact write; never committed.
 			_ = os.Remove(filepath.Join(opts.Dir, name))
-		case segmentRE.MatchString(name):
-			seq := parseSeq(segmentRE.FindStringSubmatch(name)[1])
-			segments[seq] = filepath.Join(opts.Dir, name)
+		default:
+			if seq, ok := ParseSegmentName(name); ok {
+				segments[seq] = filepath.Join(opts.Dir, name)
+			}
 		}
 	}
 
@@ -300,7 +313,7 @@ func Open(opts Options) (*Store, *iupt.Table, error) {
 	s.stats.SnapshotSeq = baseSeq
 
 	// Open (or create) the active segment for appending.
-	segPath := filepath.Join(opts.Dir, segmentName(s.seq))
+	segPath := filepath.Join(opts.Dir, SegmentName(s.seq))
 	if _, ok := segments[s.seq]; ok {
 		s.seg, err = os.OpenFile(segPath, os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
@@ -329,13 +342,6 @@ func Open(opts Options) (*Store, *iupt.Table, error) {
 	}
 	ok = true
 	return s, table, nil
-}
-
-// parseSeq converts a zero-padded decimal capture; the regexp guarantees it
-// parses.
-func parseSeq(s string) uint64 {
-	n, _ := strconv.ParseUint(s, 10, 64)
-	return n
 }
 
 // createSegment creates an empty log segment with its header, fsynced.
@@ -439,7 +445,7 @@ func (s *Store) AppendBatch(recs []iupt.Record) error {
 // old segment would silently lose acknowledged batches on restart. Callers
 // must hold s.mu.
 func (s *Store) rotateLocked(newSeq uint64) error {
-	seg, err := createSegment(filepath.Join(s.dir, segmentName(newSeq)))
+	seg, err := createSegment(filepath.Join(s.dir, SegmentName(newSeq)))
 	if err != nil {
 		s.failed = fmt.Errorf("wal: rotation failed after commit of %d: %w", newSeq, err)
 		return s.failed
@@ -459,7 +465,7 @@ func (s *Store) rotateLocked(newSeq uint64) error {
 	// segment leaves the window per rotation.
 	_ = old.Close()
 	if drop := int64(newSeq) - int64(s.opts.KeepSegments) - 1; drop >= 0 {
-		_ = os.Remove(filepath.Join(s.dir, segmentName(uint64(drop))))
+		_ = os.Remove(filepath.Join(s.dir, SegmentName(uint64(drop))))
 	}
 	s.notifyLocked()
 	if err := syncDir(s.dir); err != nil {
@@ -633,7 +639,7 @@ func (s *Store) Failed() error {
 // SegmentPath returns the path of the segment with the given sequence
 // (which need not exist).
 func (s *Store) SegmentPath(seq uint64) string {
-	return filepath.Join(s.dir, segmentName(seq))
+	return filepath.Join(s.dir, SegmentName(seq))
 }
 
 // Watch registers a wakeup channel poked (non-blocking, so a slow consumer
