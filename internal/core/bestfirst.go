@@ -1,9 +1,9 @@
 package core
 
 import (
-	"container/heap"
 	"context"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"tkplq/internal/geom"
 	"tkplq/internal/indoor"
@@ -11,132 +11,160 @@ import (
 	"tkplq/internal/rtree"
 )
 
-// geomRect and geomPoint shorten generic helper signatures below.
+// Best-First (Algorithm 4) joins two R-trees and computes concrete flows only
+// for what reaches the top of a heap. Over a cached window the search pays
+// for that join and its presence lookups and for nothing else, because
+// neither tree changes between two asks:
+//
+//   - RQ, the PSL∩Q membership map and RC are a function of the query's
+//     S-locations and the window's reductions: built once per cached window
+//     and kept beside the window's memo (rankIndex, windowEntry.rank), under
+//     the same proof — the window's identity.
+//   - The search's working memory — the heap, the join lists, the candidate
+//     bitset, the summaries it has looked up — is pooled (bfScratch).
+//
+// Trees are immutable after BulkLoad, so they are shared by concurrent
+// searches without a lock. The bypasses (Options.DisableCache,
+// Query.DisableCache, a window the cache does not hold) build all of it per
+// call.
+
+// geomRect and geomPoint shorten helper signatures, here and in the tests.
 type (
 	geomRect  = geom.Rect
 	geomPoint = geom.Point
 )
 
-// topkBestFirst is Algorithm 4. Phase 1 builds the COUNT-aggregate R-tree RC
-// over object PSL MBRs (one finer-grained MBR per floor the object's PSLs
-// touch). Phase 2 seeds a max-heap with the root-level join of the query
+// rankIndex is Best-First's phase 1 over one window for one query set: the
+// query R-tree RQ, and the COUNT-aggregate R-tree RC over the PSL MBRs of the
+// objects the set does not prune (one finer-grained MBR per floor an object's
+// PSLs touch). RC's items are positions in oids, the window's objects in
+// ascending order, so a search keeps per-object state in flat slices and
+// walks candidates ascending by walking positions ascending.
+type rankIndex struct {
+	// slocs is the set it was built for: a private copy in the caller's
+	// order. The bulk load sees them in that order, so a permuted set is
+	// another RQ — with the same answer, but its own pop count.
+	slocs  []indoor.SLocID
+	member map[indoor.SLocID]bool // the oracle's PSL∩Q check
+	rq     *rtree.Tree[indoor.SLocID]
+	oids   []iupt.ObjectID
+	rc     *rtree.Tree[int32]
+	bytes  int64 // estimated live size
+}
+
+// rankIndex returns the index for q over a window and an oracle that prunes
+// by q: the index in the cached window's slot when it was built for q, else a
+// new one, stored there (win is nil for an uncached window). Building needs
+// every object's reduction (its PSLs), sharded across the worker pool;
+// summaries stay lazy. By the time an index is in a slot the window's memo
+// holds all of those reductions, so skipping the step on a hit leaves Stats
+// as a rebuild would.
+func (e *Engine) rankIndex(ctx context.Context, seqs map[iupt.ObjectID]iupt.Sequence, win *windowEntry, q []indoor.SLocID) (*rankIndex, *presenceOracle, error) {
+	if win != nil {
+		if ri := win.rank.Load(); ri != nil && slices.Equal(ri.slocs, q) {
+			return ri, newOracle(e, seqs, win.objectMemo(), ri.member), nil
+		}
+	}
+	ri := &rankIndex{slocs: slices.Clone(q), member: make(map[indoor.SLocID]bool, len(q))}
+	qItems := make([]rtree.BulkItem[indoor.SLocID], len(q))
+	for i, s := range q {
+		ri.member[s] = true
+		qItems[i] = rtree.BulkItem[indoor.SLocID]{Rect: e.space.SLocBounds(s), Item: s}
+	}
+	ri.rq = rtree.BulkLoad(rtree.DefaultMaxEntries, qItems)
+
+	oracle := newOracle(e, seqs, win.objectMemo(), ri.member)
+	ri.oids = oracle.objects()
+	if err := oracle.ensureReductions(ctx, ri.oids); err != nil {
+		return nil, nil, err
+	}
+	var items []rtree.BulkItem[int32]
+	for pos, oid := range ri.oids {
+		red, ok := oracle.reduction(oid)
+		if !ok {
+			continue
+		}
+		for _, rf := range e.PSLRects(red) {
+			items = append(items, rtree.BulkItem[int32]{Rect: rf.rect, Item: int32(pos)})
+		}
+	}
+	ri.rc = rtree.BulkLoad(rtree.DefaultMaxEntries, items)
+	// Per object its id; per location its id and map slot; per item of either
+	// tree a leaf entry and its share of the levels above.
+	ri.bytes = 8*int64(len(ri.oids)) + 24*int64(len(q)) + 64*int64(len(q)+len(items))
+	if win != nil {
+		win.rank.Store(ri)
+	}
+	return ri, oracle, nil
+}
+
+// topkBestFirst is Algorithm 4. Phase 1 is the rank index: RQ, and RC over
+// object PSL MBRs. Phase 2 seeds a max-heap with the root-level join of the query
 // R-tree RQ against RC, keyed by upper-bound flows (sums of COUNT
 // aggregates — valid because an object's presence never exceeds 1). Phase 3
 // pops heap entries best-first, descending whichever tree side is deeper,
 // computing concrete flows only for leaf entries that survive to the top,
 // and terminates as soon as k results are confirmed.
 func (e *Engine) topkBestFirst(ctx context.Context, table *iupt.Table, q []indoor.SLocID, k int, ts, te iupt.Time) ([]Result, Stats, error) {
-	seqs, memo, err := e.window(ctx, table, ts, te)
+	seqs, win, err := e.window(ctx, table, ts, te)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	query := make(map[indoor.SLocID]bool, len(q))
-	for _, s := range q {
-		query[s] = true
-	}
-	oracle := newOracle(e, seqs, memo, query)
-	// Every object's reduction (PSLs) is needed for RC; shard them across
-	// the worker pool. Summaries stay lazy — only candidates that survive to
-	// the top of the heap pay for path construction, as in the paper.
-	if err := oracle.ensureReductions(ctx, oracle.objects()); err != nil {
+	ri, oracle, err := e.rankIndex(ctx, seqs, win, q)
+	if err != nil {
 		return nil, Stats{}, err
 	}
-
-	// Phase 1: RC over PSL MBRs of non-pruned objects.
-	var rcItems []rtree.BulkItem[iupt.ObjectID]
-	for _, oid := range oracle.objects() {
-		red, ok := oracle.reduction(oid)
-		if !ok {
-			continue
-		}
-		for _, rf := range e.PSLRects(red) {
-			rcItems = append(rcItems, rtree.BulkItem[iupt.ObjectID]{Rect: rf.rect, Item: oid})
-		}
-	}
-	rc := rtree.BulkLoad(rtree.DefaultMaxEntries, rcItems)
-
-	// RQ over the query S-locations.
-	rqItems := make([]rtree.BulkItem[indoor.SLocID], len(q))
-	for i, s := range q {
-		rqItems[i] = rtree.BulkItem[indoor.SLocID]{Rect: e.space.SLocBounds(s), Item: s}
-	}
-	rq := rtree.BulkLoad(rtree.DefaultMaxEntries, rqItems)
+	s := e.getBFScratch(len(ri.oids))
+	defer e.putBFScratch(s)
 
 	// Phase 2: join the roots.
-	var h bfHeap
-	seqNo := 0
-	push := func(en bfEntry) {
-		en.seq = seqNo
-		seqNo++
-		heap.Push(&h, en)
+	rcRoot := ri.rc.Root()
+	rootList := s.reserve(rcRoot.Len())
+	for i := 0; i < rcRoot.Len(); i++ {
+		rootList = append(rootList, rcRoot.Entry(i))
 	}
-	rootList := entriesOf(rc.Root())
-	for i := 0; i < rq.Root().Len(); i++ {
-		eQ := rq.Root().Entry(i)
-		list, ub := joinList(eQ.Rect(), rootList)
-		push(bfEntry{ub: ub, qEntry: eQ, list: list})
+	rootList = s.commit(rootList)
+	rqRoot := ri.rq.Root()
+	for i := 0; i < rqRoot.Len(); i++ {
+		eQ := rqRoot.Entry(i)
+		list, ub := s.joinList(eQ.Rect(), rootList)
+		s.push(bfEntry{ub: ub, qEntry: eQ, list: list})
 	}
 
 	// Phase 3: best-first descent. The context is checked on every pop, so a
 	// canceled query abandons the search between candidate evaluations.
 	results := make([]Result, 0, k)
-	returned := make(map[indoor.SLocID]bool, k)
-	for h.Len() > 0 && len(results) < k {
+	for len(s.heap) > 0 && len(results) < k {
 		if err := ctx.Err(); err != nil {
 			return nil, Stats{}, err
 		}
-		en := heap.Pop(&h).(bfEntry)
+		en := s.heap.pop()
 		oracle.stats.HeapPops++
+		rcAtLeaves := len(en.list) == 0 || en.list[0].IsLeafEntry()
 		switch {
-		case en.qEntry.IsLeafEntry() && en.flowDone:
+		case en.flowDone:
 			// Concrete flow dominates every remaining upper bound.
 			results = append(results, Result{SLoc: en.qEntry.Item(), Flow: en.ub})
-			returned[en.qEntry.Item()] = true
+
+		case en.qEntry.IsLeafEntry() && rcAtLeaves:
+			// Load the candidate objects and compute the concrete flow,
+			// sharing each object's summary across query locations.
+			flow, err := e.flowForCandidates(ctx, oracle, ri, s, en.qEntry.Item(), en.list)
+			if err != nil {
+				return nil, Stats{}, err
+			}
+			s.push(bfEntry{ub: flow, qEntry: en.qEntry, flowDone: true})
 
 		case en.qEntry.IsLeafEntry():
-			if len(en.list) == 0 || en.list[0].IsLeafEntry() {
-				// Load the candidate objects and compute the concrete flow,
-				// sharing each object's summary across query locations.
-				flow, err := e.flowForCandidates(ctx, oracle, en.qEntry.Item(), en.list)
-				if err != nil {
-					return nil, Stats{}, err
-				}
-				push(bfEntry{ub: flow, qEntry: en.qEntry, flowDone: true})
-			} else {
-				// Descend the RC side.
-				if list2, ub := expandList(en.qEntry.Rect(), en.list); len(list2) > 0 {
-					push(bfEntry{ub: ub, qEntry: en.qEntry, list: list2})
-				} else {
-					push(bfEntry{ub: 0, qEntry: en.qEntry, flowDone: true})
-				}
-			}
+			// Descend the RC side.
+			s.pushJoined(en.qEntry, en.list, true)
 
 		default:
+			// Descend the RQ side, and the RC side with it (Algorithm 4 lines
+			// 41-43) unless it is already at its leaves.
 			child := en.qEntry.Child()
-			if len(en.list) > 0 && en.list[0].IsLeafEntry() {
-				// RC side already at leaves: descend only the RQ side.
-				for i := 0; i < child.Len(); i++ {
-					eq2 := child.Entry(i)
-					if list2, ub := joinList(eq2.Rect(), en.list); len(list2) > 0 {
-						push(bfEntry{ub: ub, qEntry: eq2, list: list2})
-					} else if eq2.IsLeafEntry() {
-						push(bfEntry{ub: 0, qEntry: eq2, flowDone: true})
-					} else {
-						pushZeroSubtree(&push, eq2)
-					}
-				}
-			} else {
-				// Descend both sides (Algorithm 4 lines 41-43).
-				for i := 0; i < child.Len(); i++ {
-					eq2 := child.Entry(i)
-					if list2, ub := expandList(eq2.Rect(), en.list); len(list2) > 0 {
-						push(bfEntry{ub: ub, qEntry: eq2, list: list2})
-					} else if eq2.IsLeafEntry() {
-						push(bfEntry{ub: 0, qEntry: eq2, flowDone: true})
-					} else {
-						pushZeroSubtree(&push, eq2)
-					}
-				}
+			for i := 0; i < child.Len(); i++ {
+				s.pushJoined(child.Entry(i), en.list, !rcAtLeaves)
 			}
 		}
 	}
@@ -144,17 +172,18 @@ func (e *Engine) topkBestFirst(ctx context.Context, table *iupt.Table, q []indoo
 	// Zero-flow padding: if fewer than k locations carried any candidate
 	// objects, fill deterministically with the remaining query locations.
 	if len(results) < k {
+		returned := make(map[indoor.SLocID]bool, len(results))
+		for _, r := range results {
+			returned[r.SLoc] = true
+		}
 		var rest []indoor.SLocID
 		for _, s := range q {
 			if !returned[s] {
 				rest = append(rest, s)
 			}
 		}
-		sort.Slice(rest, func(i, j int) bool { return rest[i] < rest[j] })
-		for _, s := range rest {
-			if len(results) == k {
-				break
-			}
+		slices.Sort(rest)
+		for _, s := range rest[:min(len(rest), k-len(results))] {
 			results = append(results, Result{SLoc: s, Flow: 0})
 		}
 	}
@@ -163,62 +192,39 @@ func (e *Engine) topkBestFirst(ctx context.Context, table *iupt.Table, q []indoo
 	return rankTopK(results, k), oracle.finishStats(), nil
 }
 
-// pushZeroSubtree enqueues every query leaf under eq as a zero-flow result
-// candidate; needed only when an internal RQ entry loses all candidate
-// objects but the query still needs padding entries.
-func pushZeroSubtree(push *func(bfEntry), eq rtree.Entry[indoor.SLocID]) {
+// pushJoined joins eq against list — one RC level down when expand is set —
+// and enqueues it with the join's upper bound. An entry that loses all its
+// candidate objects still owes the search its query leaves: they are enqueued
+// as confirmed zero flows.
+func (s *bfScratch) pushJoined(eq *rtree.Entry[indoor.SLocID], list []*rtree.Entry[int32], expand bool) {
+	var ub float64
+	if expand {
+		list, ub = s.expandList(eq.Rect(), list)
+	} else {
+		list, ub = s.joinList(eq.Rect(), list)
+	}
+	if len(list) > 0 {
+		s.push(bfEntry{ub: ub, qEntry: eq, list: list})
+	} else {
+		s.pushZeroSubtree(eq)
+	}
+}
+
+func (s *bfScratch) pushZeroSubtree(eq *rtree.Entry[indoor.SLocID]) {
 	if eq.IsLeafEntry() {
-		(*push)(bfEntry{ub: 0, qEntry: eq, flowDone: true})
+		s.push(bfEntry{ub: 0, qEntry: eq, flowDone: true})
 		return
 	}
 	child := eq.Child()
 	for i := 0; i < child.Len(); i++ {
-		pushZeroSubtree(push, child.Entry(i))
+		s.pushZeroSubtree(child.Entry(i))
 	}
-}
-
-// flowForCandidates computes the concrete flow of sloc from the (leaf-level)
-// join list, de-duplicating objects that appear through several per-floor
-// PSL MBRs. The candidates' summaries are computed across the worker pool;
-// the presence sum itself walks objects ascending, so the flow is
-// bit-identical at any pool size.
-func (e *Engine) flowForCandidates(ctx context.Context, oracle *presenceOracle, sloc indoor.SLocID, list []rtree.Entry[iupt.ObjectID]) (float64, error) {
-	cell := e.space.CellOfSLoc(sloc)
-	seen := make(map[iupt.ObjectID]bool, len(list))
-	oids := make([]iupt.ObjectID, 0, len(list))
-	for _, en := range list {
-		oid := en.Item()
-		if !seen[oid] {
-			seen[oid] = true
-			oids = append(oids, oid)
-		}
-	}
-	sort.Slice(oids, func(i, j int) bool { return oids[i] < oids[j] })
-	if err := oracle.ensureSummaries(ctx, oids); err != nil {
-		return 0, err
-	}
-	flow := 0.0
-	for _, oid := range oids {
-		if sum := oracle.summary(oid); sum != nil {
-			flow += sum.Presence(cell, e.opts.Presence)
-		}
-	}
-	return flow, nil
-}
-
-// entriesOf snapshots a node's entries.
-func entriesOf[T any](n *rtree.Node[T]) []rtree.Entry[T] {
-	out := make([]rtree.Entry[T], n.Len())
-	for i := range out {
-		out[i] = n.Entry(i)
-	}
-	return out
 }
 
 // joinList filters list down to the entries intersecting rect and sums their
 // COUNT aggregates into the flow upper bound (Algorithm 4 lines 13-17).
-func joinList[T any](rect geomRect, list []rtree.Entry[T]) ([]rtree.Entry[T], float64) {
-	var out []rtree.Entry[T]
+func (s *bfScratch) joinList(rect geomRect, list []*rtree.Entry[int32]) ([]*rtree.Entry[int32], float64) {
+	out := s.reserve(len(list))
 	ub := 0.0
 	for _, en := range list {
 		if en.Rect().Intersects(rect) {
@@ -226,13 +232,21 @@ func joinList[T any](rect geomRect, list []rtree.Entry[T]) ([]rtree.Entry[T], fl
 			ub += float64(en.Count())
 		}
 	}
-	return out, ub
+	return s.commit(out), ub
 }
 
 // expandList descends one RC level: the children of all list entries that
 // intersect rect (Algorithm 4 lines 44-51).
-func expandList[T any](rect geomRect, list []rtree.Entry[T]) ([]rtree.Entry[T], float64) {
-	var out []rtree.Entry[T]
+func (s *bfScratch) expandList(rect geomRect, list []*rtree.Entry[int32]) ([]*rtree.Entry[int32], float64) {
+	n := 0
+	for _, en := range list {
+		if child := en.Child(); child != nil {
+			n += child.Len()
+		} else {
+			n++
+		}
+	}
+	out := s.reserve(n)
 	ub := 0.0
 	for _, en := range list {
 		child := en.Child()
@@ -252,5 +266,47 @@ func expandList[T any](rect geomRect, list []rtree.Entry[T]) ([]rtree.Entry[T], 
 			}
 		}
 	}
-	return out, ub
+	return s.commit(out), ub
+}
+
+// flowForCandidates computes the concrete flow of sloc from the (leaf-level)
+// join list. An object appears in the list once per floor its PSLs touch; the
+// candidate bitset over object positions de-duplicates them and orders them:
+// its set bits are walked ascending, which is ascending object id, so the
+// presence sum adds in the canonical order and the flow is bit-identical at
+// any pool size. Only candidates the search has no summary for yet go to the
+// oracle, which computes them across the worker pool.
+func (e *Engine) flowForCandidates(ctx context.Context, oracle *presenceOracle, ri *rankIndex, s *bfScratch, sloc indoor.SLocID, list []*rtree.Entry[int32]) (float64, error) {
+	clear(s.cand)
+	for _, en := range list {
+		pos := en.Item()
+		s.cand[pos>>6] |= 1 << (pos & 63)
+	}
+	s.need = s.need[:0]
+	for w, word := range s.cand {
+		for ; word != 0; word &= word - 1 {
+			if pos := w<<6 + bits.TrailingZeros64(word); s.sums[pos] == nil {
+				s.need = append(s.need, ri.oids[pos])
+			}
+		}
+	}
+	if len(s.need) > 0 {
+		if err := oracle.ensureSummaries(ctx, s.need); err != nil {
+			return 0, err
+		}
+	}
+	cell := e.space.CellOfSLoc(sloc)
+	flow := 0.0
+	for w, word := range s.cand {
+		for ; word != 0; word &= word - 1 {
+			pos := w<<6 + bits.TrailingZeros64(word)
+			if s.sums[pos] == nil {
+				s.sums[pos] = oracle.summary(ri.oids[pos]) // just ensured: a lookup
+			}
+			if sum := s.sums[pos]; sum != nil {
+				flow += sum.Presence(cell, e.opts.Presence)
+			}
+		}
+	}
+	return flow, nil
 }

@@ -29,11 +29,12 @@
 // ascending-object order — so rankings and flows are bit-identical for every
 // worker count, shard count and algorithm. One cache (windowcache.go,
 // Options.DisableCache) lets a repeated window reuse its materialized
-// sequences and every per-object reduction and summary computed over them;
-// the table's identity for the window (iupt.WindowIdentity) is the whole
-// proof of a hit, so nothing invalidates and an ingest does not know the
-// cache exists. The live feeds behind Subscribe retain their own per-object
-// summaries and use no cache.
+// sequences, every per-object reduction and summary computed over them and
+// Best-First's R-trees over those reductions (bestfirst.go); the table's
+// identity for the window (iupt.WindowIdentity) is the whole proof of a hit,
+// so nothing invalidates and an ingest does not know the cache exists. The
+// live feeds behind Subscribe retain their own per-object summaries and use
+// no cache.
 package core
 
 import (
@@ -207,17 +208,18 @@ type Engine struct {
 	opts   Options
 	cache  *windowCache // nil when Options.DisableCache is set
 	mons   *monitorRegistry
-
 	// scratch pools per-worker summarizeScratch arenas so the reduce →
 	// summarize hot path reuses its working memory across objects. A shared
 	// pointer, so per-query engine views (query.go) copy the Engine shallowly
-	// and still feed the same pool.
-	scratch *sync.Pool
+	// and still feed the same pool. bfScratch does the same for the working
+	// memory of a Best-First search.
+	scratch   *sync.Pool
+	bfScratch *sync.Pool
 }
 
 // NewEngine returns an engine for the space with the given options.
 func NewEngine(space *indoor.Space, opts Options) *Engine {
-	e := &Engine{Driver: Driver{space: space, workers: opts.Workers}, opts: opts, scratch: &sync.Pool{}, mons: newMonitorRegistry()}
+	e := &Engine{Driver: Driver{space: space, workers: opts.Workers}, opts: opts, scratch: &sync.Pool{}, bfScratch: &sync.Pool{}, mons: newMonitorRegistry()}
 	if !opts.DisableCache {
 		e.cache = newWindowCache()
 	}

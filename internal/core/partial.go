@@ -45,7 +45,7 @@ type Partial struct {
 // the columns and, for KindPresence only, the one object to restrict to; e
 // must already be the query's view.
 func (e *Engine) sharedPass(ctx context.Context, table *iupt.Table, q Query, emit func(oid iupt.ObjectID, row []float64)) (Stats, error) {
-	seqs, memo, err := e.window(ctx, table, q.Ts, q.Te)
+	seqs, en, err := e.window(ctx, table, q.Ts, q.Te)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -66,7 +66,7 @@ func (e *Engine) sharedPass(ctx context.Context, table *iupt.Table, q Query, emi
 			query[s] = true
 		}
 	}
-	oracle := newOracle(e, seqs, memo, query)
+	oracle := newOracle(e, seqs, en.objectMemo(), query)
 	oids := oracle.objects()
 	if err := oracle.ensureSummaries(ctx, oids); err != nil {
 		return Stats{}, err

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"slices"
+
 	"tkplq/internal/indoor"
 	"tkplq/internal/iupt"
+	"tkplq/internal/rtree"
 )
 
 // summarizeScratch is the reusable per-worker scratch arena of the reduce →
@@ -68,6 +71,79 @@ func (e *Engine) putScratch(s *summarizeScratch) {
 	if e.scratch != nil {
 		e.scratch.Put(s)
 	}
+}
+
+// bfScratch is the working memory of one Best-First search (bestfirst.go),
+// pooled so that a search over a cached window allocates for its answer and
+// little else. Everything in it is sized by the search that holds it and
+// cleared of pointers before it goes back (putBFScratch): an idle pool pins no
+// summary and no tree of a window the cache has since evicted.
+type bfScratch struct {
+	heap bfHeap
+	seq  int // next bfEntry.seq
+
+	// lists is the arena join lists are carved from, tail first; a list is
+	// never freed before the search ends.
+	lists []*rtree.Entry[int32]
+
+	// Per object position of the search's rankIndex: the current location's
+	// candidates as a bitset, and the summaries looked up so far (nil = not
+	// yet). need lists the candidates still to look up, ascending.
+	cand []uint64
+	sums []*ObjectSummary
+	need []iupt.ObjectID
+}
+
+// getBFScratch hands out a cleared scratch for a search over objects object
+// positions, from the engine's pool (nil pool: see getScratch). The holder
+// must return it with putBFScratch.
+func (e *Engine) getBFScratch(objects int) *bfScratch {
+	var s *bfScratch
+	if e.bfScratch != nil {
+		s, _ = e.bfScratch.Get().(*bfScratch)
+	}
+	if s == nil {
+		s = new(bfScratch)
+	}
+	words := (objects + 63) / 64
+	s.cand = slices.Grow(s.cand[:0], words)[:words]
+	s.sums = slices.Grow(s.sums[:0], objects)[:objects]
+	return s
+}
+
+// putBFScratch clears every pointer the search left behind and returns the
+// scratch to the pool. Slots past a slice's length are nil already: pop zeroes
+// the slot it vacates, and the other slices were cleared at their longest.
+func (e *Engine) putBFScratch(s *bfScratch) {
+	clear(s.heap)
+	clear(s.lists)
+	clear(s.sums)
+	s.heap, s.lists, s.seq = s.heap[:0], s.lists[:0], 0
+	if e.bfScratch != nil {
+		e.bfScratch.Put(s)
+	}
+}
+
+func (s *bfScratch) push(en bfEntry) {
+	en.seq = s.seq
+	s.seq++
+	s.heap.push(en)
+}
+
+// reserve returns an empty list with room for n entries at the arena's tail;
+// commit keeps what was appended to it. When the arena is full a larger one
+// replaces it — lists carved so far keep the old one alive until the search
+// ends — so a pooled scratch soon holds one that fits a whole search.
+func (s *bfScratch) reserve(n int) []*rtree.Entry[int32] {
+	if cap(s.lists)-len(s.lists) < n {
+		s.lists = make([]*rtree.Entry[int32], 0, max(2*cap(s.lists), n, 1024))
+	}
+	return s.lists[len(s.lists) : len(s.lists) : len(s.lists)+n]
+}
+
+func (s *bfScratch) commit(list []*rtree.Entry[int32]) []*rtree.Entry[int32] {
+	s.lists = s.lists[:len(s.lists)+len(list)]
+	return list[:len(list):len(list)]
 }
 
 // sampleArena allocates the sample sets retained in a Reduction's output

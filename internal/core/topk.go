@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"tkplq/internal/indoor"
@@ -138,7 +138,15 @@ func resultBefore(a, b Result) bool {
 // rankTopK sorts by flow descending, breaking ties by ascending S-location
 // id, and truncates to k.
 func rankTopK(results []Result, k int) []Result {
-	sort.Slice(results, func(i, j int) bool { return resultBefore(results[i], results[j]) })
+	slices.SortFunc(results, func(a, b Result) int {
+		switch {
+		case resultBefore(a, b):
+			return -1
+		case resultBefore(b, a):
+			return 1
+		}
+		return 0
+	})
 	if k < len(results) {
 		results = results[:k]
 	}

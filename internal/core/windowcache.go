@@ -25,6 +25,13 @@ import (
 // entries then age out through the generations. Correctness never depends on
 // that eviction, and nothing is ever invalidated.
 //
+// An entry also carries what Best-First builds from those reductions: the
+// query R-tree RQ and the COUNT-aggregate R-tree RC of the last query set
+// asked over the window (rankIndex, one slot). It is a pure function of the
+// reductions and the query set, so the same identity proves it and it is
+// never invalidated either: a moved identity stores a new entry, whose slot
+// is empty.
+//
 // A hit returns the stored map and memo themselves, not copies: they are
 // shared by every query over the window, so consumers treat the sequences,
 // reductions and summaries as read-only.
@@ -56,6 +63,20 @@ type windowEntry struct {
 	seqs  map[iupt.ObjectID]iupt.Sequence
 	bytes int64 // estimated live size of seqs
 	memo  objectMemo
+	// rank is Best-First's index over the window for the last query set that
+	// searched it. Immutable once stored and replaced whole, so concurrent
+	// searches with different query sets each keep the one they loaded or
+	// built: the slot decides what the next search finds, never an answer.
+	rank atomic.Pointer[rankIndex]
+}
+
+// objectMemo returns the entry's memo; nil for the nil entry of an uncached
+// window (Engine.window).
+func (en *windowEntry) objectMemo() *objectMemo {
+	if en == nil {
+		return nil
+	}
+	return &en.memo
 }
 
 // objectMemo holds the per-object results computed over one cached window.
@@ -139,17 +160,17 @@ func (c *windowCache) insertLocked(key windowKey, en *windowEntry) {
 }
 
 // window fetches the per-object positioning sequences of [ts, te] and the
-// memo queries over them share. A canceled ctx aborts the fetch and returns
-// ctx.Err().
+// cache entry holding them, whose memo and rank index queries over the window
+// share. A canceled ctx aborts the fetch and returns ctx.Err().
 //
 // With the cache bypassed (Options.DisableCache, Query.DisableCache) the
-// window is materialized afresh and has no memo. Otherwise one call into the
+// window is materialized afresh and has no entry. Otherwise one call into the
 // table both revalidates the stored entry's identity and, when it no longer
 // holds, rematerializes the window together with the identity of that very
 // snapshot (iupt.Table.Window), which is stored with it. The returned map and
-// memo are shared across queries — callers must treat them as read-only,
+// entry are shared across queries — callers must treat them as read-only,
 // which every consumer in this package does.
-func (e *Engine) window(ctx context.Context, table *iupt.Table, ts, te iupt.Time) (map[iupt.ObjectID]iupt.Sequence, *objectMemo, error) {
+func (e *Engine) window(ctx context.Context, table *iupt.Table, ts, te iupt.Time) (map[iupt.ObjectID]iupt.Sequence, *windowEntry, error) {
 	wc := e.cache
 	if wc == nil {
 		seqs, _, err := table.Window(ctx, ts, te, nil)
@@ -167,11 +188,11 @@ func (e *Engine) window(ctx context.Context, table *iupt.Table, ts, te iupt.Time
 	}
 	if seqs == nil { // the stored identity still names the window
 		wc.hits.Add(1)
-		return en.seqs, &en.memo, nil
+		return en.seqs, en, nil
 	}
 	wc.misses.Add(1)
 	en = wc.store(key, id, seqs)
-	return en.seqs, &en.memo, nil
+	return en.seqs, en, nil
 }
 
 // sequencesBytes estimates the live memory pinned by one materialized window:
@@ -209,7 +230,8 @@ type CacheStats struct {
 	Flights   int64
 	// WindowEntries, WindowHits, WindowMisses and WindowBytes describe the
 	// cached windows themselves: whole materialized query windows pinned by
-	// the table's identity for them. A window hit skips rematerializing
+	// the table's identity for them (WindowBytes estimates their sequences
+	// and rank indexes). A window hit skips rematerializing
 	// records out of the table entirely (the storage layer's
 	// materialized_records counter stays flat).
 	WindowEntries int
@@ -230,6 +252,9 @@ func (e *Engine) CacheStats() CacheStats {
 		for _, gen := range []map[windowKey]*windowEntry{c.cur, c.prev} {
 			for _, en := range gen {
 				out.WindowBytes += en.bytes
+				if ri := en.rank.Load(); ri != nil {
+					out.WindowBytes += ri.bytes
+				}
 				en.memo.mu.Lock()
 				out.Entries += len(en.memo.m)
 				en.memo.mu.Unlock()

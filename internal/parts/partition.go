@@ -419,6 +419,7 @@ func (p *Partition) AppendRange(dst []iupt.Record, ts, te iupt.Time) []iupt.Reco
 		flat[i].Loc = indoor.PLocID(int32(binary.LittleEndian.Uint32(p.data[p.l.loc+4*si:])))
 		flat[i].Prob = math.Float64frombits(binary.LittleEndian.Uint64(p.data[p.l.prob+8*si:]))
 	}
+	dst = slices.Grow(dst, int(hi-lo))
 	for i := lo; i < hi; i++ {
 		so := int64(binary.LittleEndian.Uint32(p.data[offBase+4*i:]))
 		se := int64(binary.LittleEndian.Uint32(p.data[offBase+4*(i+1):]))

@@ -5,7 +5,8 @@
 // the IUPT time attribute (§3.3), is internal/iupt's sorted snapshot searched
 // by bisection.
 //
-// Algorithm 4 builds both trees for one query and joins them; it never
+// Algorithm 4 builds the two trees and joins them — internal/core keeps each
+// for as long as what it was built from cannot have changed — and never
 // updates one. So the only way to make a tree is Sort-Tile-Recursive (STR)
 // bulk loading (BulkLoad), and a tree is immutable after load: nothing in the
 // package writes to a node once BulkLoad returns, which makes a Tree safe for
@@ -78,8 +79,10 @@ func (n *Node[T]) IsLeaf() bool { return n.leaf }
 // Len returns the number of entries in the node.
 func (n *Node[T]) Len() int { return len(n.entries) }
 
-// Entry returns the i-th entry of the node.
-func (n *Node[T]) Entry(i int) Entry[T] { return n.entries[i] }
+// Entry returns a pointer to the i-th entry of the node: a join holds many
+// entries at once and should not copy them. The tree is immutable (see the
+// package comment), so the entry must not be written through it.
+func (n *Node[T]) Entry(i int) *Entry[T] { return &n.entries[i] }
 
 // mbr returns the bounding rectangle of all entries in the node.
 func (n *Node[T]) mbr() geom.Rect {

@@ -72,7 +72,7 @@ func TestSearchSmall(t *testing.T) {
 
 // subtreeItems returns the items stored at or below e, by walking the public
 // node accessors down to the leaves.
-func subtreeItems(e Entry[int]) []int {
+func subtreeItems(e *Entry[int]) []int {
 	if e.IsLeafEntry() {
 		return []int{e.Item()}
 	}
@@ -210,6 +210,9 @@ func TestNodeAccessors(t *testing.T) {
 	}
 	for i := 0; i < root.Len(); i++ {
 		e := root.Entry(i)
+		if e != root.Entry(i) {
+			t.Fatalf("Entry(%d) is not a stable pointer into the node", i)
+		}
 		if e.IsLeafEntry() {
 			t.Fatal("internal node has leaf entry")
 		}
