@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"tkplq/internal/core"
 	"tkplq/internal/repl"
 )
 
@@ -164,7 +165,8 @@ func (c *shardClient) staleAt(records, acked int) error {
 
 // call performs one HTTP round-trip under the per-attempt timeout and
 // returns the status code and body. Bodies are fully read so connections
-// are reused.
+// are reused; one larger than DefaultMaxBodyBytes fails the call by name
+// rather than arriving truncated.
 func (c *shardClient) call(ctx context.Context, method, path string, body []byte) (int, []byte, error) {
 	actx, cancel := context.WithTimeout(ctx, c.timeout)
 	defer cancel()
@@ -187,11 +189,17 @@ func (c *shardClient) call(ctx context.Context, method, path string, body []byte
 		return 0, nil, err
 	}
 	defer resp.Body.Close()
-	out, err := io.ReadAll(io.LimitReader(resp.Body, DefaultMaxBodyBytes))
-	if err != nil {
+	// A declared Content-Length sizes the buffer (MinRead spare, so reading
+	// to EOF never regrows it); one byte past the limit marks a body too
+	// large, which must fail rather than arrive truncated.
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(resp.ContentLength, 0), DefaultMaxBodyBytes)+bytes.MinRead))
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, DefaultMaxBodyBytes+1)); err != nil {
 		return 0, nil, err
 	}
-	return resp.StatusCode, out, nil
+	if buf.Len() > DefaultMaxBodyBytes {
+		return 0, nil, fmt.Errorf("response body exceeds the %d-byte limit", DefaultMaxBodyBytes)
+	}
+	return resp.StatusCode, buf.Bytes(), nil
 }
 
 // probe refreshes the member's health state from its /readyz; one holding
@@ -278,8 +286,10 @@ func errorEnvelope(status int, body []byte) error {
 }
 
 // partial POSTs a pinned-window query to the member's /v2/partial and
-// decodes the per-object contribution.
-func (c *shardClient) partial(ctx context.Context, req QueryV2, acked int) (*PartialResponse, error) {
+// decodes the per-object contribution (decodePartial). A body this build
+// cannot decode — a member running another build — is a failed call, never
+// a guess.
+func (c *shardClient) partial(ctx context.Context, req QueryV2, acked int) (*core.Partial, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, c.err(err)
@@ -291,17 +301,14 @@ func (c *shardClient) partial(ctx context.Context, req QueryV2, acked int) (*Par
 	if status != http.StatusOK {
 		return nil, c.errAt(status, errorEnvelope(status, out))
 	}
-	var p PartialResponse
-	if err := json.Unmarshal(out, &p); err != nil {
+	p, records, err := decodePartial(out, len(req.SLocs))
+	if err != nil {
 		return nil, c.err(fmt.Errorf("decoding partial: %w", err))
 	}
-	if len(p.OIDs) != len(p.Rows) {
-		return nil, c.err(fmt.Errorf("malformed partial: %d oids, %d rows", len(p.OIDs), len(p.Rows)))
-	}
-	if err := c.staleAt(p.Records, acked); err != nil {
+	if err := c.staleAt(records, acked); err != nil {
 		return nil, err
 	}
-	return &p, nil
+	return p, nil
 }
 
 // span fetches the member table's time span.

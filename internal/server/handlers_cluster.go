@@ -3,26 +3,10 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"strconv"
 
 	"tkplq"
 )
-
-// PartialResponse is the body of POST /v2/partial: one shard's per-object
-// contribution to a distributed query (see core.Partial). Go's JSON encoder
-// emits float64s in their shortest exact round-trip form, so the presence
-// values survive the wire bit-identically — the property the router's
-// canonical merge depends on.
-type PartialResponse struct {
-	// OIDs lists the contributing objects in strictly ascending order;
-	// Rows[i][j] is OIDs[i]'s presence in the j-th requested S-location.
-	OIDs []int64     `json:"oids"`
-	Rows [][]float64 `json:"rows"`
-	// Stats describes the shard-local work.
-	Stats StatsJSON `json:"stats"`
-	// Records is the shard table's record count when the evaluation began:
-	// the rows reflect at least that many (the router's stale-replica check).
-	Records int `json:"records"`
-}
 
 // SpanResponse is the body of GET /v2/span: the shard table's time span.
 // The router resolves a te == 0 query window to the max hi across shards
@@ -180,31 +164,13 @@ func (s *Server) handleIngestRouted(w http.ResponseWriter, r *http.Request, recs
 	}
 }
 
-// statsFromJSON converts the wire stats back to the engine shape (the
-// inverse of statsJSON), for merging shard partials router-side.
-func statsFromJSON(st StatsJSON) tkplq.Stats {
-	return tkplq.Stats{
-		ObjectsTotal:       st.ObjectsTotal,
-		ObjectsComputed:    st.ObjectsComputed,
-		PathsEnumerated:    st.PathsEnumerated,
-		BudgetFallbacks:    st.BudgetFallbacks,
-		SampleSetsOriginal: st.SampleSetsOriginal,
-		SampleSetsReduced:  st.SampleSetsReduced,
-		HeapPops:           st.HeapPops,
-		SequenceBreaks:     st.SequenceBreaks,
-		Workers:            st.Workers,
-		CacheHits:          st.CacheHits,
-		CacheMisses:        st.CacheMisses,
-		Coalesced:          st.Coalesced,
-		SharedBatch:        st.SharedBatch,
-	}
-}
-
 // handlePartial serves POST /v2/partial: the internal shard half of the
 // distributed fan-in. It evaluates the local objects' per-object presence
-// rows for one pinned-window query; the router merges the shards' partials
-// in canonical ascending-object order. The endpoint is served in every role
-// (a standalone node is a valid 1-shard cluster) but is not a public API.
+// rows for one pinned-window query and answers them in the binary partial
+// body (encodePartial); refusals stay JSON error envelopes. The router merges
+// the shards' partials in canonical ascending-object order. The endpoint is
+// served in every role (a standalone node is a valid 1-shard cluster) but is
+// not a public API.
 func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 	var req QueryV2
 	if err := s.decodeBody(w, r, &req); err != nil {
@@ -221,26 +187,19 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 		errorJSON(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	records := s.sys.Table().Len() // before evaluating; see PartialResponse.Records
+	// Counted before evaluating: the rows reflect at least this many records
+	// (the router's stale-replica check).
+	records := s.sys.Table().Len()
 	p, err := s.sys.DoPartial(ctx, q)
 	if err != nil {
 		s.writeQueryError(w, err)
 		return
 	}
-	out := PartialResponse{
-		OIDs:    make([]int64, len(p.OIDs)),
-		Rows:    p.Rows,
-		Stats:   statsJSON(p.Stats),
-		Records: records,
-	}
-	if out.Rows == nil {
-		out.Rows = [][]float64{}
-	}
-	for i, oid := range p.OIDs {
-		out.OIDs[i] = int64(oid)
-	}
+	body := encodePartial(p, len(q.SLocs), records)
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	s.queries.Add(1)
-	writeJSON(w, out)
+	_, _ = w.Write(body)
 }
 
 // handleSpan serves GET /v2/span: the shard table's time span, used by the

@@ -349,19 +349,6 @@ func wireQuery(q tkplq.Query) QueryV2 {
 	}
 }
 
-// corePartial converts one shard's wire partial back to the engine shape.
-func corePartial(pr *PartialResponse) *core.Partial {
-	p := &core.Partial{
-		Rows:  pr.Rows,
-		Stats: statsFromJSON(pr.Stats),
-	}
-	p.OIDs = make([]iupt.ObjectID, len(pr.OIDs))
-	for i, oid := range pr.OIDs {
-		p.OIDs[i] = iupt.ObjectID(oid)
-	}
-	return p
-}
-
 // fanPartials collects the partial for q of every shard that can contribute
 // — all of them, or for a presence pass the object's owner alone —
 // concurrently, each leg retrying across its shard's replica set. The first
@@ -385,15 +372,12 @@ func (rt *Router) fanPartials(ctx context.Context, q tkplq.Query) ([]*core.Parti
 		wg.Add(1)
 		go func(i int, g *shardGroup) {
 			defer wg.Done()
-			pr, err := readMember(fctx, rt, g, func(ctx context.Context, c *shardClient, acked int) (*PartialResponse, error) {
+			parts[i], errs[i] = readMember(fctx, rt, g, func(ctx context.Context, c *shardClient, acked int) (*core.Partial, error) {
 				return c.partial(ctx, req, acked)
 			})
-			if err != nil {
-				errs[i] = err
+			if errs[i] != nil {
 				cancel()
-				return
 			}
-			parts[i] = corePartial(pr)
 		}(i, g)
 	}
 	wg.Wait()

@@ -11,7 +11,8 @@
 //	                   subscriptions share one monitor
 //	POST /v1/ingest  — batched uncertain positioning records into the live table
 //	POST /v2/partial — internal: one shard's per-object contribution to a
-//	                   distributed query (router fan-in; see Role*)
+//	                   distributed query (router fan-in; see Role*), answered
+//	                   in a binary body (partial_wire.go)
 //	GET  /v2/span    — internal: the table's time span, for cluster-wide
 //	                   te == 0 resolution
 //	POST /v1/snapshot — seal the mutable head into a partition on demand
