@@ -1,8 +1,8 @@
 package baseline
 
 import (
+	"context"
 	"math/rand"
-	"sort"
 
 	"tkplq/internal/core"
 	"tkplq/internal/indoor"
@@ -31,12 +31,8 @@ func MC(space *indoor.Space, table *iupt.Table, query []indoor.SLocID, ts, te iu
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	eng := core.NewEngine(space, core.Options{DisableReduction: true})
 
-	seqs := table.SequencesInRange(ts, te)
-	oids := make([]iupt.ObjectID, 0, len(seqs))
-	for oid := range seqs {
-		oids = append(oids, oid)
-	}
-	sort.Slice(oids, func(i, j int) bool { return oids[i] < oids[j] })
+	// Objects in ascending id; a background ctx cannot cancel the read.
+	w, _, _ := table.Window(context.Background(), ts, te, nil)
 
 	acc := make(map[indoor.SLocID]float64, len(query))
 	for _, q := range query {
@@ -44,8 +40,7 @@ func MC(space *indoor.Space, table *iupt.Table, query []indoor.SLocID, ts, te iu
 	}
 	certain := make([]iupt.SampleSet, 0, 64)
 	for round := 0; round < cfg.Rounds; round++ {
-		for _, oid := range oids {
-			seq := seqs[oid]
+		for _, seq := range w.Seqs {
 			certain = certain[:0]
 			for _, ts := range seq {
 				certain = append(certain, iupt.SampleSet{

@@ -21,7 +21,8 @@ import (
 //     and kept beside the window's memo (rankIndex, windowEntry.rank), under
 //     the same proof — the window's identity.
 //   - The search's working memory — the heap, the join lists, the candidate
-//     bitset, the summaries it has looked up — is pooled (bfScratch).
+//     bitset — is pooled (bfScratch); the summaries it has looked up are the
+//     oracle's, by the same positions RC names.
 //
 // Trees are immutable after BulkLoad, so they are shared by concurrent
 // searches without a lock. The bypasses (Options.DisableCache,
@@ -37,9 +38,9 @@ type (
 // rankIndex is Best-First's phase 1 over one window for one query set: the
 // query R-tree RQ, and the COUNT-aggregate R-tree RC over the PSL MBRs of the
 // objects the set does not prune (one finer-grained MBR per floor an object's
-// PSLs touch). RC's items are positions in oids, the window's objects in
-// ascending order, so a search keeps per-object state in flat slices and
-// walks candidates ascending by walking positions ascending.
+// PSLs touch). RC's items are window positions (iupt.Window), so a search
+// keeps per-object state in flat slices — the oracle's — and walks candidates
+// ascending by walking positions ascending.
 type rankIndex struct {
 	// slocs is the set it was built for: a private copy in the caller's
 	// order. The bulk load sees them in that order, so a permuted set is
@@ -47,23 +48,19 @@ type rankIndex struct {
 	slocs  []indoor.SLocID
 	member map[indoor.SLocID]bool // the oracle's PSL∩Q check
 	rq     *rtree.Tree[indoor.SLocID]
-	oids   []iupt.ObjectID
 	rc     *rtree.Tree[int32]
 	bytes  int64 // estimated live size
 }
 
 // rankIndex returns the index for q over a window and an oracle that prunes
-// by q: the index in the cached window's slot when it was built for q, else a
-// new one, stored there (win is nil for an uncached window). Building needs
-// every object's reduction (its PSLs), sharded across the worker pool;
-// summaries stay lazy. By the time an index is in a slot the window's memo
-// holds all of those reductions, so skipping the step on a hit leaves Stats
-// as a rebuild would.
-func (e *Engine) rankIndex(ctx context.Context, seqs map[iupt.ObjectID]iupt.Sequence, win *windowEntry, q []indoor.SLocID) (*rankIndex, *presenceOracle, error) {
-	if win != nil {
-		if ri := win.rank.Load(); ri != nil && slices.Equal(ri.slocs, q) {
-			return ri, newOracle(e, seqs, win.objectMemo(), ri.member), nil
-		}
+// by q: the index in the window entry's slot when it was built for q, else a
+// new one, stored there. Building needs every object's reduction (its PSLs),
+// sharded across the worker pool; summaries stay lazy. By the time an index is
+// in a slot the window's memo holds all of those reductions, so skipping the
+// step on a hit leaves Stats as a rebuild would.
+func (e *Engine) rankIndex(ctx context.Context, en *windowEntry, q []indoor.SLocID) (*rankIndex, *presenceOracle, error) {
+	if ri := en.rank.Load(); ri != nil && slices.Equal(ri.slocs, q) {
+		return ri, newOracle(e, en.win, en.memo, ri.member), nil
 	}
 	ri := &rankIndex{slocs: slices.Clone(q), member: make(map[indoor.SLocID]bool, len(q))}
 	qItems := make([]rtree.BulkItem[indoor.SLocID], len(q))
@@ -73,15 +70,13 @@ func (e *Engine) rankIndex(ctx context.Context, seqs map[iupt.ObjectID]iupt.Sequ
 	}
 	ri.rq = rtree.BulkLoad(rtree.DefaultMaxEntries, qItems)
 
-	oracle := newOracle(e, seqs, win.objectMemo(), ri.member)
-	ri.oids = oracle.objects()
-	if err := oracle.ensureReductions(ctx, ri.oids); err != nil {
+	oracle := newOracle(e, en.win, en.memo, ri.member)
+	if err := oracle.ensureAll(ctx, false); err != nil {
 		return nil, nil, err
 	}
 	var items []rtree.BulkItem[int32]
-	for pos, oid := range ri.oids {
-		red, ok := oracle.reduction(oid)
-		if !ok {
+	for pos, red := range oracle.reductions {
+		if red == prunedRed {
 			continue
 		}
 		for _, rf := range e.PSLRects(red) {
@@ -89,12 +84,10 @@ func (e *Engine) rankIndex(ctx context.Context, seqs map[iupt.ObjectID]iupt.Sequ
 		}
 	}
 	ri.rc = rtree.BulkLoad(rtree.DefaultMaxEntries, items)
-	// Per object its id; per location its id and map slot; per item of either
-	// tree a leaf entry and its share of the levels above.
-	ri.bytes = 8*int64(len(ri.oids)) + 24*int64(len(q)) + 64*int64(len(q)+len(items))
-	if win != nil {
-		win.rank.Store(ri)
-	}
+	// Per location its id and map slot; per item of either tree a leaf entry
+	// and its share of the levels above.
+	ri.bytes = 24*int64(len(q)) + 64*int64(len(q)+len(items))
+	en.rank.Store(ri)
 	return ri, oracle, nil
 }
 
@@ -106,15 +99,15 @@ func (e *Engine) rankIndex(ctx context.Context, seqs map[iupt.ObjectID]iupt.Sequ
 // computing concrete flows only for leaf entries that survive to the top,
 // and terminates as soon as k results are confirmed.
 func (e *Engine) topkBestFirst(ctx context.Context, table *iupt.Table, q []indoor.SLocID, k int, ts, te iupt.Time) ([]Result, Stats, error) {
-	seqs, win, err := e.window(ctx, table, ts, te)
+	en, err := e.window(ctx, table, ts, te)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	ri, oracle, err := e.rankIndex(ctx, seqs, win, q)
+	ri, oracle, err := e.rankIndex(ctx, en, q)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	s := e.getBFScratch(len(ri.oids))
+	s := e.getBFScratch(len(en.win.OIDs))
 	defer e.putBFScratch(s)
 
 	// Phase 2: join the roots.
@@ -149,7 +142,7 @@ func (e *Engine) topkBestFirst(ctx context.Context, table *iupt.Table, q []indoo
 		case en.qEntry.IsLeafEntry() && rcAtLeaves:
 			// Load the candidate objects and compute the concrete flow,
 			// sharing each object's summary across query locations.
-			flow, err := e.flowForCandidates(ctx, oracle, ri, s, en.qEntry.Item(), en.list)
+			flow, err := e.flowForCandidates(ctx, oracle, s, en.qEntry.Item(), en.list)
 			if err != nil {
 				return nil, Stats{}, err
 			}
@@ -274,36 +267,27 @@ func (s *bfScratch) expandList(rect geomRect, list []*rtree.Entry[int32]) ([]*rt
 // candidate bitset over object positions de-duplicates them and orders them:
 // its set bits are walked ascending, which is ascending object id, so the
 // presence sum adds in the canonical order and the flow is bit-identical at
-// any pool size. Only candidates the search has no summary for yet go to the
-// oracle, which computes them across the worker pool.
-func (e *Engine) flowForCandidates(ctx context.Context, oracle *presenceOracle, ri *rankIndex, s *bfScratch, sloc indoor.SLocID, list []*rtree.Entry[int32]) (float64, error) {
+// any pool size. Only candidates the oracle has no summary for yet are
+// computed, across the worker pool.
+func (e *Engine) flowForCandidates(ctx context.Context, oracle *presenceOracle, s *bfScratch, sloc indoor.SLocID, list []*rtree.Entry[int32]) (float64, error) {
 	clear(s.cand)
 	for _, en := range list {
 		pos := en.Item()
 		s.cand[pos>>6] |= 1 << (pos & 63)
 	}
-	s.need = s.need[:0]
 	for w, word := range s.cand {
 		for ; word != 0; word &= word - 1 {
-			if pos := w<<6 + bits.TrailingZeros64(word); s.sums[pos] == nil {
-				s.need = append(s.need, ri.oids[pos])
-			}
+			oracle.want(w<<6+bits.TrailingZeros64(word), true)
 		}
 	}
-	if len(s.need) > 0 {
-		if err := oracle.ensureSummaries(ctx, s.need); err != nil {
-			return 0, err
-		}
+	if err := oracle.compute(ctx, true); err != nil {
+		return 0, err
 	}
 	cell := e.space.CellOfSLoc(sloc)
 	flow := 0.0
 	for w, word := range s.cand {
 		for ; word != 0; word &= word - 1 {
-			pos := w<<6 + bits.TrailingZeros64(word)
-			if s.sums[pos] == nil {
-				s.sums[pos] = oracle.summary(ri.oids[pos]) // just ensured: a lookup
-			}
-			if sum := s.sums[pos]; sum != nil {
+			if sum := oracle.summaries[w<<6+bits.TrailingZeros64(word)]; sum != nil {
 				flow += sum.Presence(cell, e.opts.Presence)
 			}
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"maps"
 	"slices"
 	"sync"
 
@@ -210,8 +211,9 @@ func (m *monitor) rebuildLocked() {
 
 	// Grouped exactly as Table.Window groups a window: every sequence capped,
 	// so advanceLocked's appends copy out of the shared arena.
-	m.seqs = iupt.GroupSequences(recs)
-	m.oids = iupt.SortedObjects(m.seqs)
+	w := iupt.GroupSequences(recs)
+	m.seqs = w.Map()
+	m.oids = w.OIDs
 	m.sums = make(map[iupt.ObjectID]*ObjectSummary, len(m.seqs))
 	m.ts, m.te, m.built = ts, te, true
 	m.stats = m.recomputeLocked(m.oids)
@@ -304,7 +306,7 @@ func (m *monitor) advanceLocked() {
 	}
 
 	// Refresh the ascending object list and drop state of vanished objects.
-	m.oids = iupt.SortedObjects(m.seqs)
+	m.oids = slices.Sorted(maps.Keys(m.seqs))
 	dirtyList := make([]iupt.ObjectID, 0, len(dirty))
 	for oid := range dirty {
 		if _, ok := m.seqs[oid]; ok {
@@ -335,8 +337,8 @@ func spliceRecord(seq iupt.Sequence, tss iupt.TimedSampleSet) iupt.Sequence {
 	return seq
 }
 
-// recomputeLocked re-reduces and re-summarizes the dirty objects through the
-// presence oracle (sharded across the worker pool) and returns the
+// recomputeLocked re-reduces and re-summarizes the dirty objects (ascending)
+// through the presence oracle, as a Window of their own, and returns the
 // evaluation's stats. Untouched objects keep their summaries. The oracle gets
 // no memo: the dirty sequences are the monitor's private spliced state, not a
 // window the table can vouch for, and the summaries a later tick could reuse
@@ -344,15 +346,15 @@ func spliceRecord(seq iupt.Sequence, tss iupt.TimedSampleSet) iupt.Sequence {
 func (m *monitor) recomputeLocked(dirtyList []iupt.ObjectID) Stats {
 	st := Stats{ObjectsTotal: len(m.seqs), Workers: 1}
 	if len(dirtyList) > 0 {
-		dirtySeqs := make(map[iupt.ObjectID]iupt.Sequence, len(dirtyList))
-		for _, oid := range dirtyList {
-			dirtySeqs[oid] = m.seqs[oid]
+		dirty := iupt.Window{OIDs: dirtyList, Seqs: make([]iupt.Sequence, len(dirtyList))}
+		for i, oid := range dirtyList {
+			dirty.Seqs[i] = m.seqs[oid]
 		}
-		oracle := newOracle(m.eng, dirtySeqs, nil, m.querySet)
-		// Background ctx: ensure only fails on ctx cancellation.
-		_ = oracle.ensureSummaries(context.Background(), dirtyList)
-		for _, oid := range dirtyList {
-			m.sums[oid] = oracle.summaries[oid]
+		oracle := newOracle(m.eng, dirty, nil, m.querySet)
+		// Background ctx: ensureAll only fails on ctx cancellation.
+		_ = oracle.ensureAll(context.Background(), true)
+		for i, oid := range dirtyList {
+			m.sums[oid] = oracle.summaries[i]
 		}
 		ost := oracle.finishStats()
 		ost.ObjectsTotal = len(m.seqs)

@@ -22,19 +22,21 @@
 // ranks. One driver (Driver.Answer, query.go) runs it for every query — Do is
 // a batch of one — over two row sources: a table streams the pass, a cluster
 // router merges the passes its shards ran; only Naive and Best-First, on a
-// lone local top-k, search the presence oracle their own way. The
-// per-object work (reduction, presence summarization) fans out over a
-// bounded worker pool (Options.Workers) partitioned with iupt.ShardObjects,
-// while every floating-point accumulation stays in canonical
-// ascending-object order — so rankings and flows are bit-identical for every
-// worker count, shard count and algorithm. One cache (windowcache.go,
-// Options.DisableCache) lets a repeated window reuse its materialized
-// sequences, every per-object reduction and summary computed over them and
-// Best-First's R-trees over those reductions (bestfirst.go); the table's
-// identity for the window (iupt.WindowIdentity) is the whole proof of a hit,
-// so nothing invalidates and an ingest does not know the cache exists. The
-// live feeds behind Subscribe retain their own per-object summaries and use
-// no cache.
+// lone local top-k, search the presence oracle their own way. A window is an
+// iupt.Window — objects ascending, sequences beside them — and everything
+// downstream of it, the memo, the oracle and Best-First's RC, indexes objects
+// by window position. The per-object work (reduction, presence
+// summarization) fans out over a bounded worker pool (Options.Workers) in
+// contiguous position ranges, while every floating-point accumulation walks
+// positions ascending, which is ascending object id — so rankings and flows
+// are bit-identical for every worker count, shard count and algorithm. One
+// cache (windowcache.go, Options.DisableCache) lets a repeated window reuse
+// its materialized sequences, every per-object reduction and summary computed
+// over them and Best-First's R-trees over those reductions (bestfirst.go); the
+// table's identity for the window (iupt.WindowIdentity) is the whole proof of
+// a hit, so nothing invalidates and an ingest does not know the cache exists.
+// The live feeds behind Subscribe retain their own per-object summaries and
+// use no cache.
 package core
 
 import (

@@ -7,20 +7,20 @@ import (
 )
 
 // flowWithOracle is Naive's per-location loop: it sums the presences of all
-// (non-pruned) objects for q in ascending object order, computing each
-// summary lazily on the calling goroutine. It gives up between objects once
-// ctx is done; topkNaive then discards the value with the whole query.
+// (non-pruned) objects for q in ascending position — ascending object id —
+// computing each summary lazily on the calling goroutine. It gives up between
+// objects once ctx is done; topkNaive then discards the value with the whole
+// query.
 func (e *Engine) flowWithOracle(ctx context.Context, oracle *presenceOracle, q indoor.SLocID) float64 {
 	cell := e.space.CellOfSLoc(q)
 	flow := 0.0
-	for _, oid := range oracle.objects() {
+	for i := range oracle.win.OIDs {
 		if ctx.Err() != nil {
 			return 0
 		}
-		if _, ok := oracle.reduction(oid); !ok {
-			continue
+		if sum := oracle.summary(i); sum != nil {
+			flow += sum.Presence(cell, e.opts.Presence)
 		}
-		flow += oracle.summary(oid).Presence(cell, e.opts.Presence)
 	}
 	return flow
 }

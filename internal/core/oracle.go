@@ -14,43 +14,54 @@ import (
 // "intermediate result sharing" of Algorithm 3 and the shared flow
 // computation required by Algorithm 4 (paper §4.2, line 28 remark).
 //
-// The oracle is the sharding point of the concurrent pipeline: per-object
-// work (Algorithm 1 reduction, Equation 1 summarization) is independent
-// across objects, so ensureReductions/ensureSummaries partition the pending
-// objects into contiguous shards (iupt.ShardObjects) and fan them across the
-// engine's worker pool. Outcomes land in a per-index slice and are merged
-// into the oracle's maps — and into Stats — in ascending object order, so
-// results and statistics are identical to the single-threaded path for every
-// worker count. Over a cached window it also fronts the window's memo: an
-// object reduced and summarized by any earlier query over the same records is
-// served from there, by object id, without touching a sample — and without a
-// goroutine: only objects with work left are pending.
+// Everything is by window position (iupt.Window): position i is the window's
+// i-th smallest object id, so a walk over ascending positions is the canonical
+// object order. The oracle is the sharding point of the concurrent pipeline:
+// per-object work (Algorithm 1 reduction, Equation 1 summarization) is
+// independent across objects, so compute splits the pending positions into
+// contiguous ranges and fans them across the engine's worker pool. Outcomes
+// land in a per-index slice and are merged — into the oracle's columns and
+// into Stats — in ascending position, so results and statistics are identical
+// to the single-threaded path for every worker count. Over a cached window it
+// also fronts the window's memo, by the same positions: an object reduced and
+// summarized by any earlier query over the same records is served from there
+// without touching a sample — and without a goroutine: only objects with work
+// left are pending.
 //
-// The lazy accessors (reduction, summary) and the merge phase must run on
-// one goroutine; computeOne is safe to call concurrently.
+// summary, want and compute's merge phase must run on one goroutine;
+// computeOne is safe to call concurrently.
 type presenceOracle struct {
 	eng   *Engine
 	query map[indoor.SLocID]bool // nil disables PSL∩Q pruning
-	seqs  map[iupt.ObjectID]iupt.Sequence
-	memo  *objectMemo // of the cached window seqs came from; nil = no sharing
+	win   iupt.Window
+	memo  objectMemo // the cached window's, aligned with win; nil = no sharing
 
-	reductions map[iupt.ObjectID]*Reduction // nil value = pruned
-	summaries  map[iupt.ObjectID]*ObjectSummary
+	// By position, what this query has resolved: the reduction (prunedRed
+	// once the PSL∩Q check pruned the object) and the summary. pending lists
+	// the positions want queued for the next compute, ascending.
+	reductions []*Reduction
+	summaries  []*ObjectSummary
+	pending    []int
 	stats      Stats
 }
 
-// newOracle evaluates over seqs, a subset of one window's sequences. memo is
-// that window's (Engine.window); nil — an uncached window, Naive, a monitor's
-// privately spliced sequences — computes everything and shares nothing.
-func newOracle(e *Engine, seqs map[iupt.ObjectID]iupt.Sequence, memo *objectMemo, query map[indoor.SLocID]bool) *presenceOracle {
+// prunedRed marks a position whose object the query's PSL∩Q check pruned: it
+// has no summary and contributes an exact 0.0 everywhere.
+var prunedRed = new(Reduction)
+
+// newOracle evaluates over w, one window's objects or a sub-slice of them.
+// memo is that window's (Engine.window), sliced like w; nil — an uncached
+// window, Naive, a monitor's privately spliced sequences — computes everything
+// and shares nothing.
+func newOracle(e *Engine, w iupt.Window, memo objectMemo, query map[indoor.SLocID]bool) *presenceOracle {
 	return &presenceOracle{
 		eng:        e,
 		query:      query,
-		seqs:       seqs,
+		win:        w,
 		memo:       memo,
-		reductions: make(map[iupt.ObjectID]*Reduction, len(seqs)),
-		summaries:  make(map[iupt.ObjectID]*ObjectSummary, len(seqs)),
-		stats:      Stats{ObjectsTotal: len(seqs)},
+		reductions: make([]*Reduction, len(w.OIDs)),
+		summaries:  make([]*ObjectSummary, len(w.OIDs)),
+		stats:      Stats{ObjectsTotal: len(w.OIDs)},
 	}
 }
 
@@ -58,12 +69,6 @@ func newOracle(e *Engine, seqs map[iupt.ObjectID]iupt.Sequence, memo *objectMemo
 // the goroutine overhead outweighs the parallelism and the oracle stays on
 // the calling goroutine (results are identical either way).
 const minParallelItems = 4
-
-// objects returns all object ids in ascending order, for deterministic
-// iteration.
-func (o *presenceOracle) objects() []iupt.ObjectID {
-	return iupt.SortedObjects(o.seqs)
-}
 
 // prunedBy replicates ReduceData's PSL∩Q check for a reduction computed
 // without a query (so the reduction itself stays query-independent and
@@ -73,7 +78,7 @@ func (o *presenceOracle) prunedBy(red *Reduction) bool {
 }
 
 // outcome is the result of computing one object, before it is merged into
-// the oracle's maps and stats.
+// the oracle's columns and stats.
 type outcome struct {
 	red      *Reduction
 	sum      *ObjectSummary // nil unless a summary was requested
@@ -82,27 +87,29 @@ type outcome struct {
 	sumHit   bool // summary served from the window's memo
 }
 
-// computeOne reduces (and, when needSummary, summarizes) one object, going
-// through the window's memo when there is one. have, if non-nil, is a
-// reduction already computed for this object and query window, reused on
-// memo miss. scr is the caller's scratch arena — shard workers hold one
-// across all their objects, so steady-state evaluation recycles its working
-// memory. computeOne only reads oracle state and is safe to call concurrently
-// (with per-caller scr).
-func (o *presenceOracle) computeOne(oid iupt.ObjectID, needSummary bool, have *Reduction, scr *summarizeScratch) outcome {
-	m := memoized{red: have}
+// computeOne reduces (and, when needSummary, summarizes) the object at
+// position i, going through the window's memo when there is one and reusing
+// a reduction this query already holds. scr is the caller's scratch arena —
+// shard workers hold one across all their objects, so steady-state evaluation
+// recycles its working memory — and slot is where the memo keeps what is
+// computed here; a memo hit touches neither. computeOne only reads oracle
+// state and is safe to call concurrently (with per-caller scr and slot).
+func (o *presenceOracle) computeOne(i int, needSummary bool, scr *summarizeScratch, slot *memoized) outcome {
+	m := memoized{red: o.reductions[i]} // never prunedRed: a pruned object is resolved
 	if o.memo != nil {
-		if got, ok := o.memo.get(oid); ok {
-			m = got
+		if got := o.memo.get(i); got != nil {
+			m = *got
 		}
 	}
-	if m.red == nil {
-		m.red, _ = o.eng.reduceDataScratch(o.seqs[oid], nil, scr)
+	fresh := m.red == nil
+	if fresh {
+		m.red, _ = o.eng.reduceDataScratch(o.win.Seqs[i], nil, scr)
 	}
 	pruned := o.prunedBy(m.red)
 	if pruned || !needSummary {
-		if o.memo != nil && m.sum == nil {
-			o.memo.put(oid, memoized{red: m.red})
+		if fresh && o.memo != nil {
+			*slot = memoized{red: m.red}
+			o.memo.put(i, slot)
 		}
 		if pruned {
 			return outcome{pruned: true}
@@ -114,7 +121,8 @@ func (o *presenceOracle) computeOne(oid iupt.ObjectID, needSummary bool, have *R
 	}
 	m.sum, m.fellBack = o.eng.summarizeScratch(m.red.Seq, scr)
 	if o.memo != nil {
-		o.memo.put(oid, m)
+		*slot = m
+		o.memo.put(i, slot)
 	}
 	return outcome{red: m.red, sum: m.sum, fellBack: m.fellBack}
 }
@@ -122,26 +130,29 @@ func (o *presenceOracle) computeOne(oid iupt.ObjectID, needSummary bool, have *R
 // memoHolds reports whether computeOne would be an O(1) lookup: the window's
 // memo stores the object's reduction and, unless the query's PSL∩Q check
 // prunes it, the summary when one is needed.
-func (o *presenceOracle) memoHolds(oid iupt.ObjectID, needSummary bool) bool {
+func (o *presenceOracle) memoHolds(i int, needSummary bool) bool {
 	if o.memo == nil {
 		return false
 	}
-	m, ok := o.memo.get(oid)
-	return ok && m.red != nil && (!needSummary || m.sum != nil || o.prunedBy(m.red))
+	m := o.memo.get(i)
+	return m != nil && (!needSummary || m.sum != nil || o.prunedBy(m.red))
 }
 
-// applySummary merges a summarized outcome into the oracle's maps and stats.
-// Must run on the merge goroutine. It touches only map slots and integer
-// counters, so memo hits merged ahead of the computed objects (ensure) leave
-// both as one ascending pass would.
-func (o *presenceOracle) applySummary(oid iupt.ObjectID, oc outcome) {
+// apply merges an outcome into the oracle's columns: the reduction, and the
+// summary and its stats when one was needed. Must run on the merge goroutine.
+// It touches only its position's slots and integer counters, so memo hits
+// merged ahead of the computed objects (want) leave both as one ascending pass
+// would.
+func (o *presenceOracle) apply(i int, oc outcome, needSummary bool) {
 	if oc.pruned {
-		o.reductions[oid] = nil
-		o.summaries[oid] = nil
+		o.reductions[i] = prunedRed
 		return
 	}
-	o.reductions[oid] = oc.red
-	o.summaries[oid] = oc.sum
+	o.reductions[i] = oc.red
+	if !needSummary {
+		return
+	}
+	o.summaries[i] = oc.sum
 	o.stats.ObjectsComputed++
 	o.stats.PathsEnumerated += oc.sum.Paths
 	if oc.sum.Segments > 1 {
@@ -150,7 +161,7 @@ func (o *presenceOracle) applySummary(oid iupt.ObjectID, oc outcome) {
 	if oc.fellBack {
 		o.stats.BudgetFallbacks++
 	}
-	o.stats.SampleSetsOriginal += int64(len(o.seqs[oid]))
+	o.stats.SampleSetsOriginal += int64(len(o.win.Seqs[i]))
 	o.stats.SampleSetsReduced += int64(len(oc.red.Seq))
 	if o.memo != nil {
 		if oc.sumHit {
@@ -161,144 +172,116 @@ func (o *presenceOracle) applySummary(oid iupt.ObjectID, oc outcome) {
 	}
 }
 
-// reduction returns the object's data reduction, or (nil, false) when the
-// object was pruned by the PSL∩Q check.
-func (o *presenceOracle) reduction(oid iupt.ObjectID) (*Reduction, bool) {
-	if red, ok := o.reductions[oid]; ok {
-		return red, red != nil
-	}
-	scr := o.eng.getScratch()
-	oc := o.computeOne(oid, false, nil, scr)
-	o.eng.putScratch(scr)
-	if oc.pruned {
-		o.reductions[oid] = nil
-		return nil, false
-	}
-	o.reductions[oid] = oc.red
-	return oc.red, true
+// summarized reports whether position i's summary is resolved: computed, or
+// known to be nil because the object was pruned.
+func (o *presenceOracle) summarized(i int) bool {
+	return o.summaries[i] != nil || o.reductions[i] == prunedRed
 }
 
-// summary returns the object's presence summary, computing it on first use.
-// It returns nil for pruned objects.
-func (o *presenceOracle) summary(oid iupt.ObjectID) *ObjectSummary {
-	if s, ok := o.summaries[oid]; ok {
-		return s
-	}
-	scr := o.eng.getScratch()
-	oc := o.computeOne(oid, true, o.reductions[oid], scr)
-	o.eng.putScratch(scr)
-	o.applySummary(oid, oc)
-	return oc.sum
+// summary returns the presence summary at position i, computing it on the
+// calling goroutine on first use (nothing else may be pending). It returns nil
+// for pruned objects.
+func (o *presenceOracle) summary(i int) *ObjectSummary {
+	o.want(i, true)
+	_ = o.compute(context.Background(), true) // fails only on cancellation
+	return o.summaries[i]
 }
 
-// ensureSummaries fills the reduction and summary caches for the listed
-// objects, fanning pending ones across the engine's worker pool. A canceled
-// ctx aborts between objects and returns ctx.Err(); completed per-object
-// work stays in the window's memo (it is a function of the window's records
-// alone, so partial progress is safe to keep) but none of it is merged into
-// this oracle.
-func (o *presenceOracle) ensureSummaries(ctx context.Context, oids []iupt.ObjectID) error {
-	return o.ensure(ctx, oids, true)
+// want queues position i for the next compute unless the query already holds
+// its reduction (and, when needSummary, its summary). What the window's memo
+// holds is an O(1) lookup, taken right here on the calling goroutine, so a
+// fully memoized query starts no goroutine (Stats.Workers reads 1) and
+// minParallelItems counts work to be done.
+func (o *presenceOracle) want(i int, needSummary bool) {
+	if needSummary && o.summarized(i) || !needSummary && o.reductions[i] != nil {
+		return
+	}
+	if o.memoHolds(i, needSummary) {
+		o.apply(i, o.computeOne(i, needSummary, nil, nil), needSummary)
+	} else {
+		o.pending = append(o.pending, i)
+	}
 }
 
-// ensureReductions fills only the reduction cache for the listed objects
-// (Best-First phase 1 needs every object's PSLs but summaries only for the
-// candidates that survive to the top of the heap).
-func (o *presenceOracle) ensureReductions(ctx context.Context, oids []iupt.ObjectID) error {
-	return o.ensure(ctx, oids, false)
+// ensureAll resolves every position's reduction and, when needSummary, its
+// summary.
+func (o *presenceOracle) ensureAll(ctx context.Context, needSummary bool) error {
+	for i := range o.win.OIDs {
+		o.want(i, needSummary)
+	}
+	return o.compute(ctx, needSummary)
 }
 
-// ensure computes pending objects across min(Workers, pending) goroutines,
-// partitioned with iupt.ShardObjects, then merges outcomes in ascending
-// object order so maps, stats and every later flow accumulation are
-// identical to the sequential path. Workers check ctx between objects, so a
-// canceled evaluation stops burning the pool within one object's work.
-//
-// Pending is what is left to compute: an object the window's memo holds is
-// an O(1) lookup, taken here on the calling goroutine, so a fully memoized
-// query starts no goroutine (Stats.Workers reads 1) and minParallelItems
-// counts work to be done.
-func (o *presenceOracle) ensure(ctx context.Context, oids []iupt.ObjectID, needSummary bool) error {
-	pending := make([]iupt.ObjectID, 0, len(oids))
-	for _, oid := range oids {
-		if needSummary {
-			if _, ok := o.summaries[oid]; ok {
-				continue
-			}
-		} else if _, ok := o.reductions[oid]; ok {
-			continue
-		}
-		if !o.memoHolds(oid, needSummary) {
-			pending = append(pending, oid)
-		} else if needSummary {
-			o.summary(oid)
-		} else {
-			o.reduction(oid)
-		}
-	}
-	workers := o.eng.opts.workerCount()
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-	if workers <= 1 || len(pending) < minParallelItems {
-		for _, oid := range pending {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if needSummary {
-				o.summary(oid)
-			} else {
-				o.reduction(oid)
-			}
-		}
+// compute resolves the pending positions, then merges the outcomes in
+// ascending position so columns, stats and every later flow accumulation are
+// identical at every pool size. The memo values it stores are carved from one
+// slice of the pending count. A canceled ctx stops the work between objects
+// and returns ctx.Err(); the completed per-object work stays in the window's
+// memo (it is a function of the window's records alone, so partial progress
+// is safe to keep).
+func (o *presenceOracle) compute(ctx context.Context, needSummary bool) error {
+	pending := o.pending
+	o.pending = o.pending[:0]
+	if len(pending) == 0 {
 		return ctx.Err()
 	}
+	var slots []memoized
+	if o.memo != nil {
+		slots = make([]memoized, len(pending))
+	}
+	if workers := min(o.eng.opts.workerCount(), len(pending)); workers > 1 && len(pending) >= minParallelItems {
+		return o.fanOut(ctx, pending, slots, needSummary, workers)
+	}
+	scr := o.eng.getScratch()
+	defer o.eng.putScratch(scr)
+	for k, i := range pending {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		o.apply(i, o.computeOne(i, needSummary, scr, slotAt(slots, k)), needSummary)
+	}
+	return ctx.Err()
+}
 
+// slotAt returns the k-th memo value a compute carved; nil without a memo.
+func slotAt(slots []memoized, k int) *memoized {
+	if slots == nil {
+		return nil
+	}
+	return &slots[k]
+}
+
+// fanOut is compute across workers goroutines, each a contiguous range of the
+// ascending pending list, checking ctx between objects so a canceled
+// evaluation stops burning the pool within one object's work.
+func (o *presenceOracle) fanOut(ctx context.Context, pending []int, slots []memoized, needSummary bool, workers int) error {
 	outcomes := make([]outcome, len(pending))
-	shards := iupt.ShardObjects(pending, workers)
 	var wg sync.WaitGroup
-	start := 0
-	for _, shard := range shards {
+	for w := 0; w < workers; w++ {
+		lo, hi := w*len(pending)/workers, (w+1)*len(pending)/workers
 		wg.Add(1)
-		go func(shard []iupt.ObjectID, base int) {
+		go func() {
 			defer wg.Done()
-			// One scratch arena per shard worker: every object of the shard
-			// reuses its buffers, so the pool is touched once per shard.
+			// One scratch arena per worker: every object of its range reuses
+			// the buffers, so the pool is touched once per range.
 			scr := o.eng.getScratch()
 			defer o.eng.putScratch(scr)
-			for i, oid := range shard {
+			for k := lo; k < hi; k++ {
 				if ctx.Err() != nil {
 					return
 				}
-				var have *Reduction
-				if red, ok := o.reductions[oid]; ok && red != nil {
-					have = red
-				}
-				outcomes[base+i] = o.computeOne(oid, needSummary, have, scr)
+				outcomes[k] = o.computeOne(pending[k], needSummary, scr, slotAt(slots, k))
 			}
-		}(shard, start)
-		start += len(shard)
+		}()
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		// Partial outcomes are discarded: a canceled query returns no result,
-		// and whatever the workers finished already went to the window's memo.
-		return err
+		return err // the outcomes are discarded with the query
 	}
-
-	for i, oid := range pending {
-		oc := outcomes[i]
-		if needSummary {
-			o.applySummary(oid, oc)
-		} else if oc.pruned {
-			o.reductions[oid] = nil
-		} else {
-			o.reductions[oid] = oc.red
-		}
+	for k, i := range pending {
+		o.apply(i, outcomes[k], needSummary)
 	}
-	if len(shards) > o.stats.Workers {
-		o.stats.Workers = len(shards)
-	}
+	o.stats.Workers = max(o.stats.Workers, workers)
 	return nil
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"tkplq/internal/indoor"
 	"tkplq/internal/iupt"
@@ -25,40 +26,44 @@ import (
 type Partial struct {
 	// OIDs lists the contributing objects in strictly ascending order.
 	OIDs []iupt.ObjectID
-	// Rows aligns with OIDs: Rows[i][j] is OIDs[i]'s presence in the j-th
-	// queried S-location (the column order of the Query.SLocs the partial
-	// was evaluated for).
-	Rows [][]float64
+	// Cols is the number of queried S-locations: len(Query.SLocs) of the
+	// query the partial was evaluated for.
+	Cols int
+	// Rows holds one row of Cols presences per object of OIDs, row-major:
+	// Rows[i*Cols+j] is OIDs[i]'s presence in the j-th queried S-location
+	// (the column order of that query's SLocs).
+	Rows []float64
 	// Stats describes the shard-local work (ObjectsTotal counts every local
 	// object in the window, including pruned ones that contribute no row).
 	Stats Stats
 }
 
 // sharedPass is the only implementation of "reduce + summarize each object
-// once" (Algorithm 3's object loop). It fetches the window's sequences,
-// computes the summaries across the worker pool and then, in ascending object
-// order, hands emit one row per object that survived PSL∩Q pruning: row[j] is
-// its presence in q.SLocs[j]. A pruned object emits nothing, which for every
-// consumer equals a row of exact 0.0s. The row buffer is reused (DoPartial,
-// the consumer that keeps rows, copies them), so a standalone query holds
-// O(|Q|) floats however many objects the window has. q supplies the window,
-// the columns and, for KindPresence only, the one object to restrict to; e
-// must already be the query's view.
-func (e *Engine) sharedPass(ctx context.Context, table *iupt.Table, q Query, emit func(oid iupt.ObjectID, row []float64)) (Stats, error) {
-	seqs, en, err := e.window(ctx, table, q.Ts, q.Te)
+// once" (Algorithm 3's object loop): it fetches the window and computes the
+// summaries across the worker pool, into an oracle whose summaries[i] is the
+// window's i-th object's, nil when PSL∩Q pruned it (rows streams them). q
+// supplies the window, the columns and, for KindPresence only, the one object
+// to restrict to; e must already be the query's view.
+func (e *Engine) sharedPass(ctx context.Context, table *iupt.Table, q Query) (*presenceOracle, error) {
+	en, err := e.window(ctx, table, q.Ts, q.Te)
 	if err != nil {
-		return Stats{}, err
+		return nil, err
 	}
+	w, memo := en.win, en.memo
 	var query map[indoor.SLocID]bool
 	if q.Kind == KindPresence {
 		// Only the one object, and no PSL∩Q pruning: its summary is computed
 		// unconditionally (a non-intersecting PSL yields an exact 0.0 either
-		// way). The restriction is a map of its own: seqs may be a cached
-		// window's, shared with every other query over it.
-		if seq, ok := seqs[q.OID]; ok {
-			seqs = map[iupt.ObjectID]iupt.Sequence{q.OID: seq}
-		} else {
-			seqs = nil
+		// way). The view is its sub-slice of the window and of the memo alike
+		// (empty when it has no records), so position 0 is its memo slot.
+		i, found := slices.BinarySearch(w.OIDs, q.OID)
+		j := i
+		if found {
+			j++
+		}
+		w = iupt.Window{OIDs: w.OIDs[i:j], Seqs: w.Seqs[i:j]}
+		if memo != nil {
+			memo = memo[i:j]
 		}
 	} else {
 		query = make(map[indoor.SLocID]bool, len(q.SLocs))
@@ -66,20 +71,29 @@ func (e *Engine) sharedPass(ctx context.Context, table *iupt.Table, q Query, emi
 			query[s] = true
 		}
 	}
-	oracle := newOracle(e, seqs, en.objectMemo(), query)
-	oids := oracle.objects()
-	if err := oracle.ensureSummaries(ctx, oids); err != nil {
-		return Stats{}, err
+	oracle := newOracle(e, w, memo, query)
+	if err := oracle.ensureAll(ctx, true); err != nil {
+		return nil, err
 	}
-	row := make([]float64, len(q.SLocs))
-	for _, oid := range oids {
-		if _, ok := oracle.reduction(oid); !ok {
+	return oracle, nil
+}
+
+// rows hands emit, in ascending position — ascending object id — one row per
+// object of a shared pass that survived PSL∩Q pruning: row[j] is its presence
+// in slocs[j]. A pruned object emits nothing, which for every consumer equals
+// a row of exact 0.0s. The row buffer is reused (DoPartial, the consumer that
+// keeps rows, copies them), so a standalone query holds O(|Q|) floats however
+// many objects the window has. It returns the pass's Stats.
+func (e *Engine) rows(o *presenceOracle, slocs []indoor.SLocID, emit func(oid iupt.ObjectID, row []float64)) Stats {
+	row := make([]float64, len(slocs))
+	for i, sum := range o.summaries {
+		if sum == nil {
 			continue // pruned: an exact 0.0 in every column
 		}
-		e.presenceRow(row, oracle.summary(oid), q.SLocs)
-		emit(oid, row)
+		e.presenceRow(row, sum, slocs)
+		emit(o.win.OIDs[i], row)
 	}
-	return oracle.finishStats(), nil
+	return o.finishStats()
 }
 
 // presenceRow fills row[j] with the summarized object's presence in slocs[j].
@@ -114,42 +128,40 @@ func (e *Engine) DoPartial(ctx context.Context, table *iupt.Table, q Query) (*Pa
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	p := &Partial{}
-	stats, err := e.view(q).sharedPass(ctx, table, q, func(oid iupt.ObjectID, row []float64) {
-		p.OIDs = append(p.OIDs, oid)
-		p.Rows = append(p.Rows, append([]float64(nil), row...))
-	})
+	v := e.view(q)
+	o, err := v.sharedPass(ctx, table, q)
 	if err != nil {
 		return nil, err
 	}
-	p.Stats = stats
+	n, cols := len(o.win.OIDs), len(q.SLocs) // n bounds the rows: pruned objects have none
+	p := &Partial{OIDs: make([]iupt.ObjectID, 0, n), Cols: cols, Rows: make([]float64, 0, n*cols)}
+	p.Stats = v.rows(o, q.SLocs, func(oid iupt.ObjectID, row []float64) {
+		p.OIDs = append(p.OIDs, oid)
+		p.Rows = append(p.Rows, row...)
+	})
 	return p, nil
 }
 
 // MergePartials merges disjoint per-shard partials into one canonical
 // ascending-object stream via a k-way merge (each input is already
 // ascending). Stats are folded with the same accumulation the in-process
-// shard merge uses. An object appearing in more than one partial means the
-// shards' object partitions overlap — a topology misconfiguration that
-// would double-count the object's presence — and is a hard error.
+// shard merge uses. The partials must share one column count. An object
+// appearing in more than one partial means the shards' object partitions
+// overlap — a topology misconfiguration that would double-count the object's
+// presence — and is a hard error.
 func MergePartials(parts []*Partial) (*Partial, error) {
-	total := 0
-	var stats Stats
-	for _, p := range parts {
-		if p == nil {
-			return nil, fmt.Errorf("core: nil partial")
+	total, merged := 0, &Partial{}
+	for i, p := range parts {
+		if err := p.check(); err != nil {
+			return nil, err
 		}
-		if len(p.OIDs) != len(p.Rows) {
-			return nil, fmt.Errorf("core: partial has %d oids but %d rows", len(p.OIDs), len(p.Rows))
+		if i > 0 && p.Cols != merged.Cols {
+			return nil, fmt.Errorf("core: partials of %d and %d columns", merged.Cols, p.Cols)
 		}
-		total += len(p.OIDs)
-		stats.add(&p.Stats) // sums ObjectsTotal/Computed etc., maxes Workers
+		merged.Cols, total = p.Cols, total+len(p.OIDs)
+		merged.Stats.add(&p.Stats) // sums ObjectsTotal/Computed etc., maxes Workers
 	}
-	merged := &Partial{
-		OIDs:  make([]iupt.ObjectID, 0, total),
-		Rows:  make([][]float64, 0, total),
-		Stats: stats,
-	}
+	merged.OIDs, merged.Rows = make([]iupt.ObjectID, 0, total), make([]float64, 0, total*merged.Cols)
 	heads := make([]int, len(parts))
 	for {
 		best := -1
@@ -170,10 +182,25 @@ func MergePartials(parts []*Partial) (*Partial, error) {
 			return nil, fmt.Errorf("core: object %d contributed by more than one partial (overlapping shard partitions?)", oid)
 		}
 		merged.OIDs = append(merged.OIDs, oid)
-		merged.Rows = append(merged.Rows, p.Rows[heads[best]])
+		merged.Rows = append(merged.Rows, p.row(heads[best])...)
 		heads[best]++
 	}
 }
+
+// check refuses a nil partial and one whose rows do not fill Cols columns per
+// object: a partial can arrive from outside the process.
+func (p *Partial) check() error {
+	if p == nil {
+		return fmt.Errorf("core: nil partial")
+	}
+	if len(p.Rows) != len(p.OIDs)*p.Cols {
+		return fmt.Errorf("core: partial has %d oids but %d cells over %d columns", len(p.OIDs), len(p.Rows), p.Cols)
+	}
+	return nil
+}
+
+// row returns the i-th object's row.
+func (p *Partial) row(i int) []float64 { return p.Rows[i*p.Cols : (i+1)*p.Cols] }
 
 // finisher is the only implementation of "accumulate flows in ascending-
 // object order, rank". It answers its member queries from a stream of
@@ -282,17 +309,14 @@ type replay struct{ p *Partial }
 func (replay) Version() int { return 0 }
 
 func (r replay) Rows(_ context.Context, pass Query, emit func(iupt.ObjectID, []float64)) (Stats, error) {
-	if r.p == nil {
-		return Stats{}, fmt.Errorf("core: nil merged partial")
+	if err := r.p.check(); err != nil {
+		return Stats{}, err
 	}
-	if len(r.p.OIDs) != len(r.p.Rows) {
-		return Stats{}, fmt.Errorf("core: partial has %d oids but %d rows", len(r.p.OIDs), len(r.p.Rows))
+	if len(r.p.OIDs) > 0 && r.p.Cols != len(pass.SLocs) {
+		return Stats{}, fmt.Errorf("core: partial rows have %d columns, want %d", r.p.Cols, len(pass.SLocs))
 	}
-	for i, row := range r.p.Rows {
-		if len(row) != len(pass.SLocs) {
-			return Stats{}, fmt.Errorf("core: partial row of object %d has %d columns, want %d", r.p.OIDs[i], len(row), len(pass.SLocs))
-		}
-		emit(r.p.OIDs[i], row)
+	for i, oid := range r.p.OIDs {
+		emit(oid, r.p.row(i))
 	}
 	return r.p.Stats, nil
 }

@@ -131,26 +131,32 @@ func TestPartialMergeMatchesStandalone(t *testing.T) {
 
 // TestMergePartialsRejectsOverlap: the same object contributed by two
 // partials is a topology bug that would double-count presence — hard error.
+// So are a nil partial, rows that do not fill the columns, and partials of
+// different column counts.
 func TestMergePartialsRejectsOverlap(t *testing.T) {
-	a := &Partial{OIDs: []iupt.ObjectID{1, 3}, Rows: [][]float64{{0.5}, {0.25}}}
-	b := &Partial{OIDs: []iupt.ObjectID{2, 3}, Rows: [][]float64{{0.125}, {1}}}
+	a := &Partial{OIDs: []iupt.ObjectID{1, 3}, Cols: 1, Rows: []float64{0.5, 0.25}}
+	b := &Partial{OIDs: []iupt.ObjectID{2, 3}, Cols: 1, Rows: []float64{0.125, 1}}
 	if _, err := MergePartials([]*Partial{a, b}); err == nil {
 		t.Fatal("overlapping partials merged without error")
 	}
 	if _, err := MergePartials([]*Partial{a, nil}); err == nil {
 		t.Fatal("nil partial merged without error")
 	}
-	if _, err := MergePartials([]*Partial{{OIDs: []iupt.ObjectID{1}, Rows: nil}}); err == nil {
+	if _, err := MergePartials([]*Partial{{OIDs: []iupt.ObjectID{1}, Cols: 1, Rows: nil}}); err == nil {
 		t.Fatal("misaligned partial merged without error")
+	}
+	wide := &Partial{OIDs: []iupt.ObjectID{2}, Cols: 2, Rows: []float64{0.125, 1}}
+	if _, err := MergePartials([]*Partial{a, wide}); err == nil {
+		t.Fatal("partials of 1 and 2 columns merged without error")
 	}
 }
 
 // TestMergePartialsOrdersAcrossShards: the k-way merge must interleave the
 // shards' ascending streams into one strictly ascending stream.
 func TestMergePartialsOrdersAcrossShards(t *testing.T) {
-	a := &Partial{OIDs: []iupt.ObjectID{1, 4, 9}, Rows: [][]float64{{1}, {4}, {9}}}
-	b := &Partial{OIDs: []iupt.ObjectID{2, 8}, Rows: [][]float64{{2}, {8}}}
-	c := &Partial{OIDs: []iupt.ObjectID{3}, Rows: [][]float64{{3}}}
+	a := &Partial{OIDs: []iupt.ObjectID{1, 4, 9}, Cols: 1, Rows: []float64{1, 4, 9}}
+	b := &Partial{OIDs: []iupt.ObjectID{2, 8}, Cols: 1, Rows: []float64{2, 8}}
+	c := &Partial{OIDs: []iupt.ObjectID{3}, Cols: 1, Rows: []float64{3}}
 	m, err := MergePartials([]*Partial{a, b, c})
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +169,7 @@ func TestMergePartialsOrdersAcrossShards(t *testing.T) {
 		if oid != want[i] {
 			t.Fatalf("merged OIDs[%d] = %d, want %d", i, oid, want[i])
 		}
-		if m.Rows[i][0] != float64(oid) {
+		if m.Rows[i] != float64(oid) {
 			t.Fatalf("row %d travelled with the wrong object: %v", i, m.Rows[i])
 		}
 	}
@@ -389,8 +395,8 @@ func TestDoPartialPrunedObjectsAbsent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.OIDs) != len(p.Rows) {
-		t.Fatalf("misaligned partial: %d oids, %d rows", len(p.OIDs), len(p.Rows))
+	if p.Cols != 1 || len(p.OIDs) != len(p.Rows) {
+		t.Fatalf("misaligned partial: %d oids, %d cells over %d columns", len(p.OIDs), len(p.Rows), p.Cols)
 	}
 	for i := 1; i < len(p.OIDs); i++ {
 		if p.OIDs[i] <= p.OIDs[i-1] {
@@ -410,5 +416,46 @@ func TestDoPartialPrunedObjectsAbsent(t *testing.T) {
 	}
 	if got.Flow != want.Flow {
 		t.Fatalf("partial flow %v, want standalone %v", got.Flow, want.Flow)
+	}
+}
+
+// TestSharedPassHotAllocBudget pins what the shared pass allocates over a
+// cached window whose memo holds every summary: a Nested-Loop Do and a
+// DoPartial each pay for the driver's and the oracle's per-query bookkeeping
+// — the oracle's columns are two slices by window position — and for the
+// answer, a partial's rows being one row-major slice sized from the window.
+// Nothing is per object: with an object map in the oracle, a row slice per
+// object and a sort of the window's keys per pass they read 36 and 61.
+func TestSharedPassHotAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are not meaningful under the race detector")
+	}
+	space, recs := rankIndexData(t)
+	tb := iupt.NewTable()
+	for _, rec := range recs {
+		tb.Append(rec)
+	}
+	eng := NewEngine(space, Options{})
+	q := Query{Algorithm: AlgoNestedLoop, K: 10, Te: 600, SLocs: allSLocs(space)}
+	ctx := context.Background()
+	for _, c := range []struct {
+		name   string
+		budget float64
+		run    func() error
+	}{
+		{"Nested-Loop Do", 28, func() error { _, err := eng.Do(ctx, tb, q); return err }},
+		{"DoPartial", 14, func() error { _, err := eng.DoPartial(ctx, tb, q); return err }},
+	} {
+		ask := func() {
+			if err := c.run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ask() // materialize the window and fill the memo
+		if allocs := testing.AllocsPerRun(100, ask); allocs > c.budget {
+			t.Errorf("hot %s allocates %v/op, budget %v", c.name, allocs, c.budget)
+		} else {
+			t.Logf("hot %s allocates %v/op", c.name, allocs)
+		}
 	}
 }

@@ -339,7 +339,12 @@ type tableSource struct {
 func (s tableSource) Version() int { return s.table.Len() }
 
 func (s tableSource) Rows(ctx context.Context, pass Query, emit func(iupt.ObjectID, []float64)) (Stats, error) {
-	return s.e.view(pass).sharedPass(ctx, s.table, pass, emit)
+	v := s.e.view(pass)
+	o, err := v.sharedPass(ctx, s.table, pass)
+	if err != nil {
+		return Stats{}, err
+	}
+	return v.rows(o, pass.SLocs, emit), nil
 }
 
 // search is the one reader of Query.Algorithm. Naive and Best-First, the

@@ -84,7 +84,7 @@ func (e *Engine) putScratch(s *summarizeScratch) {
 // pooled so that a search over a cached window allocates for its answer and
 // little else. Everything in it is sized by the search that holds it and
 // cleared of pointers before it goes back (putBFScratch): an idle pool pins no
-// summary and no tree of a window the cache has since evicted.
+// tree of a window the cache has since evicted.
 type bfScratch struct {
 	heap bfHeap
 	seq  int // next bfEntry.seq
@@ -93,12 +93,8 @@ type bfScratch struct {
 	// never freed before the search ends.
 	lists []*rtree.Entry[int32]
 
-	// Per object position of the search's rankIndex: the current location's
-	// candidates as a bitset, and the summaries looked up so far (nil = not
-	// yet). need lists the candidates still to look up, ascending.
+	// The current location's candidates: a bitset over window positions.
 	cand []uint64
-	sums []*ObjectSummary
-	need []iupt.ObjectID
 }
 
 // getBFScratch hands out a cleared scratch for a search over objects object
@@ -114,17 +110,15 @@ func (e *Engine) getBFScratch(objects int) *bfScratch {
 	}
 	words := (objects + 63) / 64
 	s.cand = slices.Grow(s.cand[:0], words)[:words]
-	s.sums = slices.Grow(s.sums[:0], objects)[:objects]
 	return s
 }
 
 // putBFScratch clears every pointer the search left behind and returns the
 // scratch to the pool. Slots past a slice's length are nil already: pop zeroes
-// the slot it vacates, and the other slices were cleared at their longest.
+// the slot it vacates, and the arena was cleared at its longest.
 func (e *Engine) putBFScratch(s *bfScratch) {
 	clear(s.heap)
 	clear(s.lists)
-	clear(s.sums)
 	s.heap, s.lists, s.seq = s.heap[:0], s.lists[:0], 0
 	if e.bfScratch != nil {
 		e.bfScratch.Put(s)

@@ -41,30 +41,30 @@ func (d *Driver) validateTopK(q []indoor.SLocID, k int) (int, error) {
 // is sequential and bypasses the cache, window and memo alike (sharing
 // summaries across locations is exactly what Naive exists to not do).
 func (e *Engine) topkNaive(ctx context.Context, table *iupt.Table, q []indoor.SLocID, k int, ts, te iupt.Time) ([]Result, Stats, error) {
-	seqs, _, err := table.Window(ctx, ts, te, nil)
+	w, _, err := table.Window(ctx, ts, te, nil)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	stats := Stats{ObjectsTotal: len(seqs), Workers: 1}
+	stats := Stats{ObjectsTotal: len(w.OIDs), Workers: 1}
 
 	// Each location's oracle is discarded after evaluation; only its stat
-	// counters and computed-object ids survive, so peak memory stays
+	// counters and computed positions survive, so peak memory stays
 	// O(objects) instead of O(|q| × objects) summaries.
 	type locOutcome struct {
 		stats    Stats
-		computed []iupt.ObjectID
+		computed []int
 	}
 	outs := make([]locOutcome, len(q))
 	flows := make([]Result, len(q))
 	eval := func(i int) {
 		sloc := q[i]
 		// A fresh, memo-less oracle per location: no sharing, by design.
-		oracle := newOracle(e, seqs, nil, map[indoor.SLocID]bool{sloc: true})
+		oracle := newOracle(e, *w, nil, map[indoor.SLocID]bool{sloc: true})
 		flows[i] = Result{SLoc: sloc, Flow: e.flowWithOracle(ctx, oracle, sloc)}
 		out := locOutcome{stats: oracle.stats}
-		for oid, s := range oracle.summaries {
+		for pos, s := range oracle.summaries {
 			if s != nil {
-				out.computed = append(out.computed, oid)
+				out.computed = append(out.computed, pos)
 			}
 		}
 		outs[i] = out
@@ -109,18 +109,20 @@ func (e *Engine) topkNaive(ctx context.Context, table *iupt.Table, q []indoor.SL
 
 	// Merge per-location stats in query order; distinct computed objects are
 	// a set union, so the merge order cannot change them.
-	computed := make(map[iupt.ObjectID]bool)
+	computed := make([]bool, len(w.OIDs))
 	for _, out := range outs {
 		stats.PathsEnumerated += out.stats.PathsEnumerated
 		stats.BudgetFallbacks += out.stats.BudgetFallbacks
 		stats.SampleSetsOriginal += out.stats.SampleSetsOriginal
 		stats.SampleSetsReduced += out.stats.SampleSetsReduced
 		stats.SequenceBreaks += out.stats.SequenceBreaks
-		for _, oid := range out.computed {
-			computed[oid] = true
+		for _, pos := range out.computed {
+			if !computed[pos] {
+				computed[pos] = true
+				stats.ObjectsComputed++
+			}
 		}
 	}
-	stats.ObjectsComputed = len(computed)
 	return rankTopK(flows, k), stats, nil
 }
 

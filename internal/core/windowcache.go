@@ -9,8 +9,8 @@ import (
 )
 
 // windowCache is the engine's only cache. An entry is one materialized query
-// window — the per-object sequences of [ts, te] on one table — plus a memo of
-// what queries have computed over it, per object: the Algorithm 1 reduction
+// window — the iupt.Window of [ts, te] on one table — plus a memo of what
+// queries have computed over it, per object position: the Algorithm 1 reduction
 // and the Equation 1 presence summary (which answers Presence(q, o) for
 // *every* S-location q in O(1), so one memo slot serves all locations of all
 // queries). Both are pure functions of the object's records inside the
@@ -32,7 +32,7 @@ import (
 // never invalidated either: a moved identity stores a new entry, whose slot
 // is empty.
 //
-// A hit returns the stored map and memo themselves, not copies: they are
+// A hit returns the stored window and memo themselves, not copies: they are
 // shared by every query over the window, so consumers treat the sequences,
 // reductions and summaries as read-only.
 //
@@ -59,10 +59,10 @@ type windowKey struct {
 }
 
 type windowEntry struct {
-	id    iupt.WindowIdentity // of the snapshot seqs was built from
-	seqs  map[iupt.ObjectID]iupt.Sequence
-	bytes int64 // estimated live size of seqs
-	memo  objectMemo
+	id    iupt.WindowIdentity // of the snapshot win was built from
+	win   iupt.Window
+	bytes int64      // estimated live size of win
+	memo  objectMemo // aligned with win
 	// rank is Best-First's index over the window for the last query set that
 	// searched it. Immutable once stored and replaced whole, so concurrent
 	// searches with different query sets each keep the one they loaded or
@@ -70,47 +70,36 @@ type windowEntry struct {
 	rank atomic.Pointer[rankIndex]
 }
 
-// objectMemo returns the entry's memo; nil for the nil entry of an uncached
-// window (Engine.window).
-func (en *windowEntry) objectMemo() *objectMemo {
-	if en == nil {
-		return nil
-	}
-	return &en.memo
-}
+// objectMemo holds the per-object results computed over one cached window:
+// slot i is the window's i-th object. Queries fill it side by side without a
+// lock: a stored value is immutable, and a slot only ever moves up — empty,
+// reduction-only, summarized — by compare-and-swap.
+type objectMemo []atomic.Pointer[memoized]
 
-// objectMemo holds the per-object results computed over one cached window.
-// Shard workers of one query and concurrent queries over the window fill it
-// side by side; a slot's values are immutable once stored.
-type objectMemo struct {
-	mu sync.Mutex
-	m  map[iupt.ObjectID]memoized
-}
-
-// memoized is one object's slot. sum may be nil when only the reduction has
+// memoized is one object's slot value. sum is nil when only the reduction has
 // been computed so far (the object was pruned by the query's PSL∩Q check, or
-// Best-First never promoted it to a candidate); a later put upgrades the slot
-// in place.
+// Best-First never promoted it to a candidate); a later put upgrades the slot.
 type memoized struct {
 	red      *Reduction
 	sum      *ObjectSummary
 	fellBack bool
 }
 
-func (m *objectMemo) get(oid iupt.ObjectID) (memoized, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	v, ok := m.m[oid]
-	return v, ok
-}
+// get returns slot i's value, nil while it is empty.
+func (m objectMemo) get(i int) *memoized { return m[i].Load() }
 
-func (m *objectMemo) put(oid iupt.ObjectID, v memoized) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if v.sum == nil && m.m[oid].sum != nil {
-		return // never downgrade a summarized slot to reduction-only
+// put stores v in slot i unless the slot already holds as much: a summary
+// beats a bare reduction, and any value beats none.
+func (m objectMemo) put(i int, v *memoized) {
+	for {
+		old := m[i].Load()
+		if old != nil && (old.sum != nil || v.sum == nil) {
+			return
+		}
+		if m[i].CompareAndSwap(old, v) {
+			return
+		}
 	}
-	m.m[oid] = v
 }
 
 // DefaultWindowCacheCapacity is the per-generation entry cap of the window
@@ -137,12 +126,12 @@ func (c *windowCache) get(key windowKey) *windowEntry {
 
 // store inserts a freshly materialized window under the identity of the
 // snapshot it was read from, replacing whatever the key held.
-func (c *windowCache) store(key windowKey, id iupt.WindowIdentity, seqs map[iupt.ObjectID]iupt.Sequence) *windowEntry {
+func (c *windowCache) store(key windowKey, id iupt.WindowIdentity, w iupt.Window) *windowEntry {
 	en := &windowEntry{
 		id:    id,
-		seqs:  seqs,
-		bytes: sequencesBytes(seqs),
-		memo:  objectMemo{m: make(map[iupt.ObjectID]memoized, len(seqs))},
+		win:   w,
+		bytes: windowBytes(w),
+		memo:  make(objectMemo, len(w.OIDs)),
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -164,22 +153,27 @@ func (c *windowCache) insertLocked(key windowKey, en *windowEntry) {
 	c.cur[key] = en
 }
 
-// window fetches the per-object positioning sequences of [ts, te] and the
+// window fetches the per-object positioning sequences of [ts, te] as the
 // cache entry holding them, whose memo and rank index queries over the window
-// share. A canceled ctx aborts the fetch and returns ctx.Err().
+// share, position for position. A canceled ctx aborts the fetch and returns
+// ctx.Err().
 //
 // With the cache bypassed (Options.DisableCache, Query.DisableCache) the
-// window is materialized afresh and has no entry. Otherwise one call into the
-// table both revalidates the stored entry's identity and, when it no longer
-// holds, rematerializes the window together with the identity of that very
-// snapshot (iupt.Table.Window), which is stored with it. The returned map and
-// entry are shared across queries — callers must treat them as read-only,
-// which every consumer in this package does.
-func (e *Engine) window(ctx context.Context, table *iupt.Table, ts, te iupt.Time) (map[iupt.ObjectID]iupt.Sequence, *windowEntry, error) {
+// window is materialized afresh into an entry no cache holds: its memo is nil,
+// so it shares nothing, and its rank slot dies with it. Otherwise one call
+// into the table both revalidates the stored entry's identity and, when it no
+// longer holds, rematerializes the window together with the identity of that
+// very snapshot (iupt.Table.Window), which is stored with it. The returned
+// entry is shared across queries — callers must treat its window and memo
+// values as read-only, which every consumer in this package does.
+func (e *Engine) window(ctx context.Context, table *iupt.Table, ts, te iupt.Time) (*windowEntry, error) {
 	wc := e.cache
 	if wc == nil {
-		seqs, _, err := table.Window(ctx, ts, te, nil)
-		return seqs, nil, err
+		w, _, err := table.Window(ctx, ts, te, nil)
+		if err != nil {
+			return nil, err
+		}
+		return &windowEntry{win: *w}, nil
 	}
 	key := windowKey{table: table, ts: ts, te: te}
 	en := wc.get(key)
@@ -187,26 +181,24 @@ func (e *Engine) window(ctx context.Context, table *iupt.Table, ts, te iupt.Time
 	if en != nil {
 		known = &en.id
 	}
-	seqs, id, err := table.Window(ctx, ts, te, known)
+	w, id, err := table.Window(ctx, ts, te, known)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if seqs == nil { // the stored identity still names the window
+	if w == nil { // the stored identity still names the window
 		wc.hits.Add(1)
-		return en.seqs, en, nil
+		return en, nil
 	}
 	wc.misses.Add(1)
-	en = wc.store(key, id, seqs)
-	return en.seqs, en, nil
+	return wc.store(key, id, *w), nil
 }
 
-// sequencesBytes estimates the live memory pinned by one materialized window:
-// per-object map slot + sequence header, per-record TimedSampleSet header,
-// per-sample payload.
-func sequencesBytes(seqs map[iupt.ObjectID]iupt.Sequence) int64 {
-	var b int64
-	for _, seq := range seqs {
-		b += 48 // map slot + slice header, rounded
+// windowBytes estimates the live memory pinned by one materialized window: per
+// object its id and sequence header in the window's columns and its memo slot
+// (4 + 24 + 8), per record its TimedSampleSet header, per sample its payload.
+func windowBytes(w iupt.Window) int64 {
+	b := 36 * int64(len(w.OIDs))
+	for _, seq := range w.Seqs {
 		for _, ts := range seq {
 			b += 32 + 16*int64(len(ts.Samples))
 		}
@@ -217,8 +209,8 @@ func sequencesBytes(seqs map[iupt.ObjectID]iupt.Sequence) int64 {
 // CacheStats is a snapshot of the engine's work-sharing state: the window
 // cache and the query-level request coalescer, exposed via Engine.CacheStats.
 type CacheStats struct {
-	// Entries is the number of live memoized per-object results across all
-	// cached windows.
+	// Entries is the number of filled per-object memo slots across all cached
+	// windows.
 	Entries int
 	// Hits and Misses count, over the engine's lifetime, one per object whose
 	// presence summary a query asked for: served from a cached window's memo,
@@ -260,9 +252,11 @@ func (e *Engine) CacheStats() CacheStats {
 				if ri := en.rank.Load(); ri != nil {
 					out.WindowBytes += ri.bytes
 				}
-				en.memo.mu.Lock()
-				out.Entries += len(en.memo.m)
-				en.memo.mu.Unlock()
+				for i := range en.memo {
+					if en.memo.get(i) != nil {
+						out.Entries++
+					}
+				}
 			}
 		}
 		c.mu.Unlock()

@@ -76,7 +76,7 @@ func TestCacheDifferentialRacingIngest(t *testing.T) {
 		// The table has no sealed part, so the identity's head count is the
 		// window's whole record count.
 		n := 0
-		for _, seq := range en.seqs {
+		for _, seq := range en.win.Seqs {
 			n += len(seq)
 		}
 		if len(en.id.Parts) != 0 || en.id.Head != n {
@@ -86,7 +86,7 @@ func TestCacheDifferentialRacingIngest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if en.id.Equal(id) && !reflect.DeepEqual(en.seqs, fresh) {
+		if en.id.Equal(id) && !reflect.DeepEqual(en.win, *fresh) {
 			t.Errorf("window [%d, %d]: cached sequences differ from the table's under the identity %v both claim", key.ts, key.te, id)
 		}
 	}
@@ -174,4 +174,89 @@ func TestWindowCacheStoreReplaces(t *testing.T) {
 	into()
 	ask(w1) // re-stores a key of the full cur: no rotation
 	check("re-store into a full cur", 1)
+}
+
+// TestObjectMemoNeverDowngrades: goroutines race reduction-only and summarized
+// puts on the same slots of a cached window's memo while a reader watches
+// them. No reader ever sees a summarized slot lose its summary, every slot
+// that was put ends summarized and keeps the first summary stored, and
+// CacheStats.Entries counts exactly the filled slots. Run under -race.
+func TestObjectMemoNeverDowngrades(t *testing.T) {
+	fig := indoor.Figure1Space()
+	eng := NewEngine(fig.Space, Options{})
+	const objects = 64
+	w := iupt.Window{OIDs: make([]iupt.ObjectID, objects), Seqs: make([]iupt.Sequence, objects)}
+	for i := range w.OIDs {
+		w.OIDs[i] = iupt.ObjectID(i)
+	}
+	memo := eng.cache.store(windowKey{te: 1}, iupt.WindowIdentity{}, w).memo
+	red := &Reduction{}
+	filled := func(i int) bool { return i%4 != 3 } // every fourth slot stays empty
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() { // the reader
+		defer wg.Done()
+		var summarized [objects]bool
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for i := range memo {
+				m := memo.get(i)
+				if summarized[i] && (m == nil || m.sum == nil) {
+					t.Errorf("slot %d was downgraded from summarized", i)
+					return
+				}
+				summarized[i] = m != nil && m.sum != nil
+			}
+		}
+	}()
+	var writers sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		writers.Add(1)
+		go func(g int) {
+			defer writers.Done()
+			for round := 0; round < 50; round++ {
+				for i := range memo {
+					switch {
+					case !filled(i):
+					case g%2 == 0:
+						memo.put(i, &memoized{red: red})
+					default:
+						memo.put(i, &memoized{red: red, sum: &ObjectSummary{Segments: g}})
+					}
+				}
+			}
+		}(g)
+	}
+	writers.Wait()
+	close(stop)
+	wg.Wait()
+
+	want := 0
+	for i := range memo {
+		m := memo.get(i)
+		if !filled(i) {
+			if m != nil {
+				t.Fatalf("slot %d was never put but holds %+v", i, m)
+			}
+			continue
+		}
+		want++
+		if m == nil || m.sum == nil {
+			t.Fatalf("slot %d ended without its summary: %+v", i, m)
+		}
+		memo.put(i, &memoized{red: red})
+		memo.put(i, &memoized{red: red, sum: &ObjectSummary{}})
+		if memo.get(i) != m {
+			t.Fatalf("slot %d: a later put replaced its summary", i)
+		}
+	}
+	if st := eng.CacheStats(); st.Entries != want {
+		t.Errorf("CacheStats.Entries = %d, want the %d filled slots", st.Entries, want)
+	}
 }

@@ -2,20 +2,22 @@ package iupt
 
 import (
 	"context"
+	"slices"
 	"sync"
 )
 
 // Grouping a window's records into per-object positioning sequences — the
-// hash table HO paper Algorithms 2-4 start from — is the whole of a cold
-// window's materialization, so it allocates what it keeps, once, at its final
-// size. A count pass finds every object's sequence length; one
-// []TimedSampleSet arena of exactly the window's record count is carved into
-// the sequences; a fill pass walks the records in canonical (T, arrival)
-// order and writes each into the next free slot of its object's sequence, so
-// every sequence comes out in canonical order, as a per-object append would
-// have built it. Every sequence is capped (cap == len): a consumer that
-// appends to one — the incremental monitor does — copies it out instead of
-// writing into its neighbour in the arena.
+// Window paper Algorithms 2-4 start from — is the whole of a cold window's
+// materialization, so it allocates what it keeps, once, at its final size. A
+// count pass finds every object's sequence length; the objects are sorted
+// once, so position i is the i-th smallest id; one []TimedSampleSet arena of
+// exactly the window's record count is carved into the sequences in position
+// order; a fill pass walks the records in canonical (T, arrival) order and
+// writes each into the next free slot of its object's sequence, so every
+// sequence comes out in canonical order, as a per-object append would have
+// built it. Every sequence is capped (cap == len): a consumer that appends to
+// one — the incremental monitor does — copies it out instead of writing into
+// its neighbour in the arena.
 //
 // The working state lives in a pooled grouper and is cleared before it goes
 // back, so an idle pool pins no record of a window its caller has dropped.
@@ -119,9 +121,9 @@ func (g *grouper) pop() (rec *Record, at int) {
 	return &g.runs[best][i], g.base[best] + i
 }
 
-// group carves the gathered runs into per-object sequences. A canceled ctx
-// aborts the fill between record batches and returns ctx.Err().
-func (g *grouper) group(ctx context.Context) (map[ObjectID]Sequence, error) {
+// group carves the gathered runs into a Window. A canceled ctx aborts the fill
+// between record batches and returns ctx.Err().
+func (g *grouper) group(ctx context.Context) (Window, error) {
 	// Count pass, in any order: a sequence's length is order-free.
 	for _, run := range g.runs {
 		for i := range run {
@@ -136,23 +138,26 @@ func (g *grouper) group(ctx context.Context) (map[ObjectID]Sequence, error) {
 			g.dense = append(g.dense, s)
 		}
 	}
+	// Slots are numbered in first-seen order; positions ascend by id.
+	w := Window{OIDs: slices.Clone(g.oids), Seqs: make([]Sequence, len(g.oids))}
+	slices.Sort(w.OIDs)
 	arena := make([]TimedSampleSet, len(g.dense))
-	seqs := make(map[ObjectID]Sequence, len(g.oids))
 	off := 0
-	for s, oid := range g.oids {
+	for i, oid := range w.OIDs {
+		s := g.slot[oid]
 		n := g.next[s]
-		seqs[oid] = arena[off : off+n : off+n]
+		w.Seqs[i] = arena[off : off+n : off+n]
 		g.next[s] = off
 		off += n
 	}
 	// Fill pass, in canonical order.
 	for n := 0; ; n++ {
 		if n&1023 == 0 && ctx.Err() != nil {
-			return nil, ctx.Err()
+			return Window{}, ctx.Err()
 		}
 		rec, at := g.pop()
 		if rec == nil {
-			return seqs, nil
+			return w, nil
 		}
 		s := g.dense[at]
 		arena[g.next[s]] = TimedSampleSet{T: rec.T, Samples: rec.Samples}
@@ -160,14 +165,14 @@ func (g *grouper) group(ctx context.Context) (map[ObjectID]Sequence, error) {
 	}
 }
 
-// GroupSequences groups records given in canonical order into per-object
-// positioning sequences, exactly as Table.Window groups a window's records:
-// one exact-size arena, every sequence capped. The sample sets are shared
-// with recs, not copied.
-func GroupSequences(recs []Record) map[ObjectID]Sequence {
+// GroupSequences groups records given in canonical order into a Window,
+// exactly as Table.Window groups a window's records: objects ascending, one
+// exact-size arena, every sequence capped. The sample sets are shared with
+// recs, not copied.
+func GroupSequences(recs []Record) Window {
 	g := getGrouper()
 	defer g.release()
 	g.addRun(recs)
-	seqs, _ := g.group(context.Background())
-	return seqs
+	w, _ := g.group(context.Background())
+	return w
 }

@@ -31,13 +31,35 @@ func naiveSequences(arrival []Record, ts, te Time) map[ObjectID]Sequence {
 	return out
 }
 
+// checkWindow asserts w is the append-built grouping want in Window's shape:
+// OIDs strictly ascending and aligned with Seqs, no empty sequence, and every
+// sequence capped (cap == len, so no consumer can append into a neighbour in
+// the arena).
+func checkWindow(t *testing.T, at string, w Window, want map[ObjectID]Sequence) {
+	t.Helper()
+	if len(w.OIDs) != len(w.Seqs) {
+		t.Fatalf("%s: %d object ids but %d sequences", at, len(w.OIDs), len(w.Seqs))
+	}
+	for i, oid := range w.OIDs {
+		if i > 0 && oid <= w.OIDs[i-1] {
+			t.Fatalf("%s: object ids not strictly ascending: %d after %d", at, oid, w.OIDs[i-1])
+		}
+		if seq := w.Seqs[i]; len(seq) == 0 || cap(seq) != len(seq) {
+			t.Fatalf("%s: object %d's sequence has len %d, cap %d", at, oid, len(seq), cap(seq))
+		}
+	}
+	if !reflect.DeepEqual(w.Map(), want) {
+		t.Fatalf("%s: carved sequences differ from the append-built ones", at)
+	}
+}
+
 // TestWindowCarve checks the carved window against the naive append-built
 // grouping on random tables in every layout a window can meet — one part, a
 // window straddling two parts, head only, sealed parts plus a head holding
 // late records, same-timestamp ties, an empty window and te < ts: the
-// sequences are equal, every sequence is capped (cap == len, so no consumer
-// can append into a neighbour in the arena), and the reused grouper holds no
-// record after a grouping.
+// sequences are equal, in Window's shape (checkWindow), equal to the
+// SequencesInRange map, and the reused grouper holds no record after a
+// grouping.
 func TestWindowCarve(t *testing.T) {
 	ctx := context.Background()
 	g := getGrouper() // one grouper across every case: big windows, then small
@@ -90,15 +112,10 @@ func TestWindowCarve(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, seqs := range []map[ObjectID]Sequence{got, again} {
-					if !reflect.DeepEqual(seqs, want) {
-						t.Fatalf("%s: carved sequences differ from the append-built ones", at)
-					}
-					for oid, seq := range seqs {
-						if cap(seq) != len(seq) {
-							t.Fatalf("%s: object %d's sequence has len %d, cap %d", at, oid, len(seq), cap(seq))
-						}
-					}
+				checkWindow(t, at, *got, want)
+				checkWindow(t, at+" (reused grouper)", again, want)
+				if m := tab.SequencesInRange(ts, te); !reflect.DeepEqual(m, want) {
+					t.Fatalf("%s: the SequencesInRange map differs from the window", at)
 				}
 				for i, rec := range g.buf[:cap(g.buf)] {
 					if rec.Samples != nil {
@@ -133,9 +150,7 @@ func TestWindowCarve(t *testing.T) {
 			}
 		}
 		flat, _ := buildPair(t, arrival, nil)
-		if got, want := GroupSequences(flat.SortedRecords()), naiveSequences(arrival, math.MinInt64, math.MaxInt64); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: GroupSequences differs from the append-built grouping", seed)
-		}
+		checkWindow(t, fmt.Sprintf("seed %d: GroupSequences", seed), GroupSequences(flat.SortedRecords()), naiveSequences(arrival, math.MinInt64, math.MaxInt64))
 	}
 	if len(kinds) != 7 {
 		t.Errorf("the cases reached %v, want te < ts, empty, head only, one part, sealed + head, straddling parts and merged", kinds)
@@ -143,7 +158,7 @@ func TestWindowCarve(t *testing.T) {
 }
 
 // TestWindowAllocBudget: a cold Window allocates what it keeps — the arena,
-// the sequence map and the identity — and nothing per record: the count is
+// the two columns, the Window and the identity — and nothing per record: the count is
 // the same small constant for a window of 1 000 records and of 10 000 over
 // the same objects, on a table with a sealed part and a head.
 func TestWindowAllocBudget(t *testing.T) {

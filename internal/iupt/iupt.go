@@ -20,7 +20,6 @@ package iupt
 
 import (
 	"cmp"
-	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -142,6 +141,17 @@ type TimedSampleSet struct {
 // Sequence is an object's time-ordered positioning sequence
 // X = (X1, ..., Xn) within a query interval.
 type Sequence []TimedSampleSet
+
+// Window is the per-object positioning sequences of one query window — the
+// HO of paper Algorithms 2-4 — as two aligned columns: OIDs strictly
+// ascending, and Seqs[i] the non-empty, time-ordered sequence of OIDs[i].
+// Position i is the i-th smallest object id, so walking positions ascending
+// is the canonical object order every float accumulation follows, and a
+// per-object table over a window is a slice indexed by position.
+type Window struct {
+	OIDs []ObjectID
+	Seqs []Sequence
+}
 
 // PLocUniverse returns the distinct P-locations appearing anywhere in the
 // sequence.
@@ -379,16 +389,6 @@ func (t *Table) RangeQuery(ts, te Time, fn func(rec Record) bool) {
 			return
 		}
 	}
-}
-
-// SequencesInRange builds the per-object positioning sequences for records
-// in [ts, te] — the hash table HO of paper Algorithms 2-4. Sequences are
-// time-ordered (stably, so same-timestamp records keep a deterministic
-// order). See SequencesInRangeSharded for the worker-pool, context-aware
-// variant.
-func (t *Table) SequencesInRange(ts, te Time) map[ObjectID]Sequence {
-	out, _ := t.SequencesInRangeSharded(context.Background(), ts, te, 1)
-	return out
 }
 
 // Validate checks every record's sample set. On a table with sealed parts

@@ -23,50 +23,6 @@ func TestSortedObjects(t *testing.T) {
 	}
 }
 
-func TestShardObjectsPartition(t *testing.T) {
-	oids := make([]ObjectID, 13)
-	for i := range oids {
-		oids[i] = ObjectID(i * 2)
-	}
-	for _, n := range []int{-1, 0, 1, 2, 3, 5, 13, 20} {
-		shards := ShardObjects(oids, n)
-		// Concatenation must reproduce the input exactly (order included).
-		var cat []ObjectID
-		for _, s := range shards {
-			cat = append(cat, s...)
-		}
-		if !reflect.DeepEqual(cat, oids) {
-			t.Fatalf("n=%d: concatenated shards = %v, want %v", n, cat, oids)
-		}
-		wantShards := n
-		if n < 1 {
-			wantShards = 1
-		}
-		if wantShards > len(oids) {
-			wantShards = len(oids)
-		}
-		if len(shards) != wantShards {
-			t.Fatalf("n=%d: got %d shards, want %d", n, len(shards), wantShards)
-		}
-		// Balanced: sizes differ by at most one.
-		min, max := len(oids), 0
-		for _, s := range shards {
-			if len(s) < min {
-				min = len(s)
-			}
-			if len(s) > max {
-				max = len(s)
-			}
-		}
-		if max-min > 1 {
-			t.Fatalf("n=%d: unbalanced shard sizes (min %d, max %d)", n, min, max)
-		}
-	}
-	if shards := ShardObjects(nil, 4); shards != nil {
-		t.Errorf("ShardObjects(nil) = %v, want nil", shards)
-	}
-}
-
 func TestSequencesInRangeShardedMatchesSequential(t *testing.T) {
 	tb := NewTable()
 	set := func(loc int32) SampleSet { return SampleSet{{Loc: indoor.PLocID(loc), Prob: 1}} }

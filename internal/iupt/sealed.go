@@ -215,20 +215,21 @@ func (id WindowIdentity) Equal(other WindowIdentity) bool {
 	return id.Head == other.Head && slices.Equal(id.Parts, other.Parts)
 }
 
-// Window materializes the per-object positioning sequences of [ts, te] (see
-// SequencesInRangeSharded for their order) together with the identity of the
-// snapshot they were read from. Both come from one retainView — one hold of
-// the table's lock — so no append, seal or compaction can fall between them:
-// a cache that stores the pair never holds sequences under an identity that
-// describes other records. When known still identifies the window nothing is
-// materialized and seqs is nil: revalidating a cached window costs a binary
+// Window materializes the per-object positioning sequences of [ts, te], in
+// canonical order and objects ascending (see the Window type), together with
+// the identity of the snapshot they were read from. Both come from one
+// retainView — one hold of the table's lock — so no append, seal or compaction
+// can fall between them: a cache that stores the pair never holds sequences
+// under an identity that describes other records. When known still identifies
+// the window nothing is materialized and w is nil — an empty window is a
+// non-nil *Window with no objects: revalidating a cached window costs a binary
 // search over the head and a scan of the part spans. A materialized window
 // costs its records once (group.go): the sealed runs decode into a pooled
 // buffer, the sources merge straight into one exact-size arena, and no
 // merged []Record copy of the range is ever made. A canceled ctx aborts the
 // scan between record batches and returns ctx.Err(), so a canceled query
 // never pays for a large window.
-func (t *Table) Window(ctx context.Context, ts, te Time, known *WindowIdentity) (seqs map[ObjectID]Sequence, id WindowIdentity, err error) {
+func (t *Table) Window(ctx context.Context, ts, te Time, known *WindowIdentity) (w *Window, id WindowIdentity, err error) {
 	head, sealed := t.retainView()
 	defer releaseParts(sealed)
 	if te >= ts {
@@ -245,13 +246,14 @@ func (t *Table) Window(ctx context.Context, ts, te Time, known *WindowIdentity) 
 	g := getGrouper()
 	defer g.release()
 	g.gather(head, sealed, ts, te)
-	if seqs, err = g.group(ctx); err == nil {
+	grouped, err := g.group(ctx)
+	if err == nil {
 		err = ctx.Err()
 	}
 	if err != nil {
 		return nil, id, err
 	}
-	return seqs, id, nil
+	return &grouped, id, nil
 }
 
 // mergeRange returns the records of [ts, te] over the sealed parts and the

@@ -472,7 +472,7 @@ func TestWindowIdentityProperty(t *testing.T) {
 				for _, rec := range recs {
 					regrouped[rec.OID] = append(regrouped[rec.OID], TimedSampleSet{T: rec.T, Samples: rec.Samples})
 				}
-				if !reflect.DeepEqual(seqs, regrouped) {
+				if !reflect.DeepEqual(seqs.Map(), regrouped) {
 					t.Fatalf("%s: Window's sequences are not RecordsInRange grouped by object", at)
 				}
 				// Equal identity ⇒ the bytes first seen under it.
@@ -541,14 +541,14 @@ func TestWindowIdentityOneSnapshot(t *testing.T) {
 	if tab.HeadLen() != 2 {
 		t.Fatal("the hook did not append mid-materialization")
 	}
-	if _, late := seqs[3]; late || len(seqs[2]) != 1 || id.Head != 1 {
+	if !slices.Equal(seqs.OIDs, []ObjectID{1, 2}) || len(seqs.Seqs[1]) != 1 || id.Head != 1 {
 		t.Fatalf("sequences %v under identity %v: want the pre-append snapshot on both sides", seqs, id)
 	}
 	fresh, id2, err := tab.Window(ctx, 0, 10, &id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fresh == nil || len(fresh[3]) != 1 || id2.Head != 2 {
+	if fresh == nil || !slices.Equal(fresh.OIDs, []ObjectID{1, 2, 3}) || len(fresh.Seqs[2]) != 1 || id2.Head != 2 {
 		t.Fatalf("revalidating %v after the append returned %v under %v, want a rematerialized window with the new record", id, fresh, id2)
 	}
 }

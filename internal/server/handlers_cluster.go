@@ -195,7 +195,7 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 		s.writeQueryError(w, err)
 		return
 	}
-	body := encodePartial(p, len(q.SLocs), records)
+	body := encodePartial(p, records)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	s.queries.Add(1)

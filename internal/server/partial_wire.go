@@ -35,15 +35,13 @@ func statsFields(st *core.Stats) [partialStats]any {
 	}
 }
 
-// encodePartial writes p, evaluated over cols columns from a table of records
-// records, as a /v2/partial body in one allocation of its final size.
-func encodePartial(p *core.Partial, cols, records int) []byte {
+// encodePartial writes p, evaluated from a table of records records, as a
+// /v2/partial body in one allocation of its final size.
+func encodePartial(p *core.Partial, records int) []byte {
 	cells := 0
-	for _, row := range p.Rows {
-		for _, v := range row {
-			if math.Float64bits(v) != 0 {
-				cells++
-			}
+	for _, v := range p.Rows {
+		if math.Float64bits(v) != 0 {
+			cells++
 		}
 	}
 	le := binary.LittleEndian
@@ -59,14 +57,14 @@ func encodePartial(p *core.Partial, cols, records int) []byte {
 		}
 	}
 	b = le.AppendUint32(b, uint32(len(p.OIDs)))
-	b = le.AppendUint32(b, uint32(cols))
+	b = le.AppendUint32(b, uint32(p.Cols))
 	for _, oid := range p.OIDs {
 		b = le.AppendUint64(b, uint64(oid))
 	}
-	for _, row := range p.Rows {
+	for i := range p.OIDs {
 		at, count := len(b), uint32(0)
 		b = le.AppendUint32(b, 0)
-		for j, v := range row {
+		for j, v := range p.Rows[i*p.Cols : (i+1)*p.Cols] {
 			if bits := math.Float64bits(v); bits != 0 {
 				b = le.AppendUint32(b, uint32(j))
 				b = le.AppendUint64(b, bits)
@@ -81,7 +79,7 @@ func encodePartial(p *core.Partial, cols, records int) []byte {
 // decodePartial parses a /v2/partial body answering a request for cols
 // columns and returns the partial and the shard's record count. It trusts
 // nothing in b: every count is checked against the bytes that remain before
-// anything is allocated for it, and the rows are carved from one []float64.
+// anything is allocated for it, and the rows fill one row-major []float64.
 func decodePartial(b []byte, cols int) (*core.Partial, int, error) {
 	if len(b) < partialHeadLen {
 		return nil, 0, fmt.Errorf("partial body of %d bytes is shorter than its %d-byte header", len(b), partialHeadLen)
@@ -96,7 +94,7 @@ func decodePartial(b []byte, cols int) (*core.Partial, int, error) {
 		return nil, 0, fmt.Errorf("partial claims %d records", records)
 	}
 	off += 8
-	p := &core.Partial{}
+	p := &core.Partial{Cols: cols}
 	for _, f := range statsFields(&p.Stats) {
 		v := int64(le.Uint64(b[off:]))
 		switch f := f.(type) {
@@ -127,10 +125,9 @@ func decodePartial(b []byte, cols int) (*core.Partial, int, error) {
 		}
 		p.OIDs[i] = iupt.ObjectID(id)
 	}
-	flat := make([]float64, n*cols)
-	p.Rows = make([][]float64, n)
-	for i := range p.Rows {
-		row := flat[i*cols : (i+1)*cols : (i+1)*cols]
+	p.Rows = make([]float64, n*cols)
+	for i := range p.OIDs {
+		row := p.Rows[i*cols : (i+1)*cols]
 		if len(b)-off < 4 {
 			return nil, 0, fmt.Errorf("partial truncated in row %d", i)
 		}
@@ -152,7 +149,6 @@ func decodePartial(b []byte, cols int) (*core.Partial, int, error) {
 			row[c] = math.Float64frombits(bits)
 			last = c
 		}
-		p.Rows[i] = row
 	}
 	if off != len(b) {
 		return nil, 0, fmt.Errorf("partial body has %d trailing bytes", len(b)-off)

@@ -19,12 +19,11 @@ import (
 	"tkplq/internal/iupt"
 )
 
-// wireCase is one partial the codec must carry: its column count and the
-// shard's record count beside it.
+// wireCase is one partial the codec must carry, and the shard's record count
+// beside it.
 type wireCase struct {
 	name    string
 	p       *core.Partial
-	cols    int
 	records int
 }
 
@@ -44,22 +43,20 @@ var specialFloats = []float64{
 // randomPartial builds an n-object, cols-column partial whose cells are
 // mostly +0.0, as a short window's are, with a sprinkling of special values.
 func randomPartial(r *rand.Rand, n, cols int) *core.Partial {
-	p := &core.Partial{OIDs: make([]iupt.ObjectID, n), Rows: make([][]float64, n)}
+	p := &core.Partial{OIDs: make([]iupt.ObjectID, n), Cols: cols, Rows: make([]float64, n*cols)}
 	id := iupt.ObjectID(r.Intn(100) - 50)
 	for i := range p.OIDs {
 		id += iupt.ObjectID(1 + r.Intn(1000))
 		p.OIDs[i] = id
-		row := make([]float64, cols)
-		for j := range row {
+		for j := range cols {
 			switch x := r.Float64(); {
 			case x < 0.8:
 			case x < 0.9:
-				row[j] = r.Float64() * 3
+				p.Rows[i*cols+j] = r.Float64() * 3
 			default:
-				row[j] = specialFloats[r.Intn(len(specialFloats))]
+				p.Rows[i*cols+j] = specialFloats[r.Intn(len(specialFloats))]
 			}
 		}
-		p.Rows[i] = row
 	}
 	for _, f := range statsFields(&p.Stats) {
 		switch f := f.(type) {
@@ -74,23 +71,20 @@ func randomPartial(r *rand.Rand, n, cols int) *core.Partial {
 
 func wireCases() []wireCase {
 	r := rand.New(rand.NewSource(1))
-	allSpecial := &core.Partial{OIDs: []iupt.ObjectID{math.MinInt32, -1, 0, math.MaxInt32}}
-	for i := range allSpecial.OIDs {
-		allSpecial.Rows = append(allSpecial.Rows, append([]float64(nil), specialFloats[3*i:3*i+3]...))
-	}
+	allSpecial := &core.Partial{OIDs: []iupt.ObjectID{math.MinInt32, -1, 0, math.MaxInt32}, Cols: 3, Rows: specialFloats[:12]}
 	cases := []wireCase{
-		{name: "empty", p: &core.Partial{}, cols: 86},
-		{name: "empty-flow", p: &core.Partial{OIDs: []iupt.ObjectID{}, Rows: [][]float64{}}, cols: 1, records: 1},
-		{name: "all-zero-rows", p: &core.Partial{OIDs: []iupt.ObjectID{1, 2}, Rows: [][]float64{make([]float64, 86), make([]float64, 86)}}, cols: 86, records: 40},
-		{name: "special-values", p: allSpecial, cols: 3, records: math.MaxInt},
-		{name: "flow", p: randomPartial(r, 20, 1), cols: 1, records: 680},
+		{name: "empty", p: &core.Partial{Cols: 86}},
+		{name: "empty-flow", p: &core.Partial{OIDs: []iupt.ObjectID{}, Cols: 1, Rows: []float64{}}, records: 1},
+		{name: "all-zero-rows", p: &core.Partial{OIDs: []iupt.ObjectID{1, 2}, Cols: 86, Rows: make([]float64, 2*86)}, records: 40},
+		{name: "special-values", p: allSpecial, records: math.MaxInt},
+		{name: "flow", p: randomPartial(r, 20, 1), records: 680},
 	}
 	for k := 0; k < 8; k++ {
 		n, cols := r.Intn(40), 1+r.Intn(86)
 		if k%2 == 0 {
 			cols = 86
 		}
-		cases = append(cases, wireCase{name: fmt.Sprintf("random-%d", k), p: randomPartial(r, n, cols), cols: cols, records: r.Intn(1 << 30)})
+		cases = append(cases, wireCase{name: fmt.Sprintf("random-%d", k), p: randomPartial(r, n, cols), records: r.Intn(1 << 30)})
 	}
 	return cases
 }
@@ -100,11 +94,11 @@ func wireCases() []wireCase {
 // payloads included), every Stats field and the record count.
 func TestPartialWireRoundTrip(t *testing.T) {
 	for _, tc := range wireCases() {
-		body := encodePartial(tc.p, tc.cols, tc.records)
+		body := encodePartial(tc.p, tc.records)
 		if len(body) != cap(body) {
 			t.Errorf("%s: body of %d bytes allocated %d", tc.name, len(body), cap(body))
 		}
-		got, records, err := decodePartial(body, tc.cols)
+		got, records, err := decodePartial(body, tc.p.Cols)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -114,20 +108,18 @@ func TestPartialWireRoundTrip(t *testing.T) {
 		if got.Stats != tc.p.Stats {
 			t.Errorf("%s: stats\n got %+v\nwant %+v", tc.name, got.Stats, tc.p.Stats)
 		}
-		if len(got.OIDs) != len(tc.p.OIDs) || len(got.Rows) != len(tc.p.OIDs) {
-			t.Fatalf("%s: %d oids and %d rows, want %d", tc.name, len(got.OIDs), len(got.Rows), len(tc.p.OIDs))
+		if got.Cols != tc.p.Cols || len(got.OIDs) != len(tc.p.OIDs) || len(got.Rows) != len(tc.p.Rows) {
+			t.Fatalf("%s: %d oids and %d cells over %d columns, want %d, %d and %d",
+				tc.name, len(got.OIDs), len(got.Rows), got.Cols, len(tc.p.OIDs), len(tc.p.Rows), tc.p.Cols)
 		}
 		for i, oid := range tc.p.OIDs {
 			if got.OIDs[i] != oid {
 				t.Errorf("%s: oid %d = %d, want %d", tc.name, i, got.OIDs[i], oid)
 			}
-			if len(got.Rows[i]) != tc.cols {
-				t.Fatalf("%s: row %d has %d columns, want %d", tc.name, i, len(got.Rows[i]), tc.cols)
-			}
-			for j, v := range tc.p.Rows[i] {
-				if g := got.Rows[i][j]; math.Float64bits(g) != math.Float64bits(v) {
-					t.Errorf("%s: cell (%d, %d) = %#x, want %#x", tc.name, i, j, math.Float64bits(g), math.Float64bits(v))
-				}
+		}
+		for c, v := range tc.p.Rows {
+			if g := got.Rows[c]; math.Float64bits(g) != math.Float64bits(v) {
+				t.Errorf("%s: cell (%d, %d) = %#x, want %#x", tc.name, c/tc.p.Cols, c%tc.p.Cols, math.Float64bits(g), math.Float64bits(v))
 			}
 		}
 	}
@@ -136,8 +128,8 @@ func TestPartialWireRoundTrip(t *testing.T) {
 // rejectBase is a valid body whose layout the rejection cases patch: objects
 // 7 and 9 over 4 columns, row 0 holding cells in columns 1 and 2, row 1 none.
 func rejectBase() (body []byte, cols int) {
-	p := &core.Partial{OIDs: []iupt.ObjectID{7, 9}, Rows: [][]float64{{0, 0.5, 0.25, 0}, {0, 0, 0, 0}}}
-	return encodePartial(p, 4, 10), 4
+	p := &core.Partial{OIDs: []iupt.ObjectID{7, 9}, Cols: 4, Rows: []float64{0, 0.5, 0.25, 0, 0, 0, 0, 0}}
+	return encodePartial(p, 10), 4
 }
 
 // Byte offsets into rejectBase's body.
@@ -223,9 +215,9 @@ func TestPartialWireRejects(t *testing.T) {
 		}
 	}
 	for _, tc := range wireCases() {
-		body := encodePartial(tc.p, tc.cols, tc.records)
+		body := encodePartial(tc.p, tc.records)
 		for cut := 0; cut < len(body); cut++ {
-			if _, _, err := decodePartial(body[:cut], tc.cols); err == nil {
+			if _, _, err := decodePartial(body[:cut], tc.p.Cols); err == nil {
 				t.Fatalf("%s: truncation at byte %d of %d accepted", tc.name, cut, len(body))
 			}
 		}
@@ -237,8 +229,8 @@ func TestPartialWireRejects(t *testing.T) {
 // decoded — the encoder writes exactly those bytes back.
 func FuzzPartialDecode(f *testing.F) {
 	for _, tc := range wireCases() {
-		if tc.cols <= math.MaxUint8 {
-			f.Add(encodePartial(tc.p, tc.cols, tc.records), uint8(tc.cols))
+		if tc.p.Cols <= math.MaxUint8 {
+			f.Add(encodePartial(tc.p, tc.records), uint8(tc.p.Cols))
 		}
 	}
 	for _, tc := range rejectCases() {
@@ -251,15 +243,10 @@ func FuzzPartialDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if len(p.OIDs) != len(p.Rows) {
-			t.Fatalf("%d oids, %d rows", len(p.OIDs), len(p.Rows))
+		if p.Cols != int(cols) || len(p.Rows) != len(p.OIDs)*p.Cols {
+			t.Fatalf("%d oids and %d cells over %d columns, want %d columns", len(p.OIDs), len(p.Rows), p.Cols, cols)
 		}
-		for i, row := range p.Rows {
-			if len(row) != int(cols) {
-				t.Fatalf("row %d has %d columns, want %d", i, len(row), cols)
-			}
-		}
-		if again := encodePartial(p, int(cols), records); !bytes.Equal(again, body) {
+		if again := encodePartial(p, records); !bytes.Equal(again, body) {
 			t.Fatalf("accepted body does not re-encode to itself:\n got %x\nwant %x", again, body)
 		}
 	})
