@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -190,29 +191,39 @@ func steadySequence(fig *indoor.Figure1) []iupt.SampleSet {
 }
 
 // TestSummarizeAllocBudget locks the steady-state allocation count of the
-// dense DP: with a warm scratch pool, one Summarize call allocates the
-// returned ObjectSummary, its PassMass at exact size (the masses collect in
-// scratch and are copied out once, cell-sorted) and the segment list — a
-// small constant, not a function of sequence length or of the number of
-// cells passed (the classic implementation allocated ~2 slices per step per
-// tracked cell, and a growing PassMass map a bucket per few cells).
+// Eq.-1 walk: with a warm scratch pool, one Summarize call allocates the
+// returned ObjectSummary and its PassMass at exact size (the masses collect in
+// scratch and are copied out once, cell-sorted) — a constant, not a function
+// of sequence length, of the number of cells passed or of the number of
+// segments (the classic implementation allocated ~2 slices per step per
+// tracked cell, and a growing PassMass map a bucket per few cells; until the
+// walk, every segment allocated its own summary, and the segment list one
+// more).
 func TestSummarizeAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are not meaningful under the race detector")
 	}
 	fig := indoor.Figure1Space()
 	e := NewEngine(fig.Space, Options{})
-	seq := steadySequence(fig)
-	sum, _ := e.Summarize(seq) // warm the scratch pool
-	if sum.Segments != 1 {
-		t.Fatalf("steady sequence split into %d segments, want 1", sum.Segments)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		e.Summarize(seq)
-	})
-	t.Logf("Summarize allocates %v/op", allocs)
-	if allocs > 4 {
-		t.Errorf("steady-state Summarize allocates %v/op, budget 4", allocs)
+	steady := steadySequence(fig)
+	// Two impossible steps: p4/p5 cannot be followed by p3, nor p3 by p4/p5.
+	impossible := slices.Concat(steady[:20], slices.Repeat([]iupt.SampleSet{{{Loc: fig.PLocs[2], Prob: 1}}}, 20), steady[:20])
+	for _, tc := range []struct {
+		name     string
+		seq      []iupt.SampleSet
+		segments int
+	}{{"one segment", steady, 1}, {"three segments", impossible, 3}} {
+		sum, _ := e.Summarize(tc.seq) // warm the scratch pool
+		if sum.Segments != tc.segments {
+			t.Fatalf("%s: split into %d segments, want %d", tc.name, sum.Segments, tc.segments)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			e.Summarize(tc.seq)
+		})
+		t.Logf("%s: Summarize allocates %v/op", tc.name, allocs)
+		if allocs > 2 {
+			t.Errorf("%s: steady-state Summarize allocates %v/op, budget 2", tc.name, allocs)
+		}
 	}
 }
 

@@ -37,6 +37,19 @@ func randSequence(rng *rand.Rand, plocs []indoor.PLocID, maxLen, maxSize int) []
 	return out
 }
 
+// impossibleSequence is a random Figure-1 sequence with one or two forced
+// impossible steps: p7 (inside c1) followed by p3 (between c3 and c4) has an
+// empty M_IL entry, so Summarize cuts there unless StrictPaths is set.
+func impossibleSequence(rng *rand.Rand, fig *indoor.Figure1) []iupt.SampleSet {
+	seq := randSequence(rng, fig.PLocs[:], 10, 4)
+	for f := rng.Intn(2); f >= 0; f-- {
+		at := rng.Intn(len(seq) + 1)
+		pair := []iupt.SampleSet{{{Loc: fig.PLocs[6], Prob: 1}}, {{Loc: fig.PLocs[2], Prob: 1}}}
+		seq = append(seq[:at], append(pair, seq[at:]...)...)
+	}
+	return seq
+}
+
 // summariesEqual compares two summaries' masses within eps, cell by cell
 // over the union of their cells; both must be cell-sorted.
 func summariesEqual(a, b *ObjectSummary, eps float64) bool {
@@ -66,7 +79,9 @@ func cellSorted(s *ObjectSummary) bool {
 
 // TestEnumEqualsDP is the central engine property: the path-enumeration
 // engine and the dynamic-programming engine produce the same valid mass and
-// per-cell pass mass on arbitrary sequences.
+// per-cell pass mass on arbitrary sequences — unsegmented, and through
+// Summarize on sequences with impossible steps, where both engines must cut
+// into the same segments.
 func TestEnumEqualsDP(t *testing.T) {
 	fig := indoor.Figure1Space()
 	plocs := fig.PLocs[:]
@@ -84,6 +99,16 @@ func TestEnumEqualsDP(t *testing.T) {
 		return summariesEqual(se, sd, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+
+	segmented := func(seed int64) bool {
+		seq := impossibleSequence(rand.New(rand.NewSource(seed)), fig)
+		se, fellBack := enum.Summarize(seq)
+		sd, _ := dp.Summarize(seq)
+		return !fellBack && se.Segments > 1 && se.Segments == sd.Segments && summariesEqual(se, sd, 1e-9)
+	}
+	if err := quick.Check(segmented, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }

@@ -45,10 +45,11 @@ func (e *Engine) summarizeEnum(seq []iupt.SampleSet) (*ObjectSummary, error) {
 		next := make([]path, 0, len(paths))
 		for _, ph := range paths {
 			for _, s := range xi {
-				cells, pr, ok := e.pairPass(ph.tail, s.Loc)
-				if !ok {
+				cells := e.space.MIL(ph.tail, s.Loc)
+				if len(cells) == 0 {
 					continue // invalid candidate, ruled out by topology
 				}
+				pr := 1.0 / float64(len(cells)) // §2.3 step 1: 1/|M_IL[a,b]|
 				np := path{tail: s.Loc, prob: ph.prob * s.Prob}
 				np.noPass = make(map[indoor.CellID]float64, len(ph.noPass)+len(cells))
 				for c, v := range ph.noPass {

@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"math"
-	"slices"
 
 	"tkplq/internal/geom"
 	"tkplq/internal/indoor"
@@ -105,7 +104,7 @@ func (s *ObjectSummary) presenceOf(mass float64, mode PresenceMode) float64 {
 // topologically compatible — the paper's model then has an empty valid-path
 // set and the object's presence degenerates to 0 everywhere, even if the
 // rest of the sequence is perfectly informative. Unless Options.StrictPaths
-// is set, Summarize splits the sequence at such impossible steps into
+// is set, Summarize cuts the sequence at such impossible steps (lookup) into
 // maximal consistent segments, evaluates each, and combines the per-cell
 // presences with the same union rule Equation 2 applies across a path's
 // steps: presence = 1 - Π_seg (1 - presence_seg). Sequences without
@@ -120,138 +119,51 @@ func (e *Engine) Summarize(seq []iupt.SampleSet) (sum *ObjectSummary, fellBack b
 // summarizeScratch is Summarize with an explicit scratch arena, the form the
 // oracle's shard workers call so one arena serves a whole shard of objects.
 func (e *Engine) summarizeScratch(seq []iupt.SampleSet, scr *summarizeScratch) (sum *ObjectSummary, fellBack bool) {
-	segs := e.splitSegments(seq, scr)
-	if len(segs) == 1 {
-		s, fb := e.summarizeOne(segs[0], scr)
-		s.Segments = 1
-		return s, fb
-	}
-	combined := &ObjectSummary{ValidMass: 1, Segments: len(segs)}
-	// noPass holds Π_seg (1 - presence_seg) per cell, cell-sorted: each
-	// segment's sorted PassMass merges into it, so every cell's product is
-	// taken in segment order, starting from 1 where the cell first appears.
-	noPass, merged := scr.union[:0], scr.unionNext[:0]
-	for _, seg := range segs {
-		s, fb := e.summarizeOne(seg, scr)
-		fellBack = fellBack || fb
-		combined.Paths += s.Paths
-		merged = merged[:0]
-		i := 0
-		for _, cm := range s.PassMass {
-			for i < len(noPass) && noPass[i].Cell < cm.Cell {
-				merged = append(merged, noPass[i])
-				i++
-			}
-			np := 1.0
-			if i < len(noPass) && noPass[i].Cell == cm.Cell {
-				np = noPass[i].Mass
-				i++
-			}
-			merged = append(merged, CellMass{Cell: cm.Cell, Mass: np * (1 - s.presenceOf(cm.Mass, e.opts.Presence))})
+	return e.summarizeWalk(seq, scr, !e.opts.StrictPaths, e.opts.Engine == EngineEnum)
+}
+
+// unionAdd merges one segment's cell-sorted pass masses into the union's
+// no-pass products Π_seg (1 - presence_seg) per cell, kept cell-sorted in
+// scr.union: every cell's product is taken in segment order, starting from 1
+// where the cell first appears.
+func (scr *summarizeScratch) unionAdd(seg *ObjectSummary, mode PresenceMode) {
+	noPass, merged := scr.union, scr.unionNext[:0]
+	i := 0
+	for _, cm := range seg.PassMass {
+		for i < len(noPass) && noPass[i].Cell < cm.Cell {
+			merged = append(merged, noPass[i])
+			i++
 		}
-		merged = append(merged, noPass[i:]...)
-		noPass, merged = merged, noPass
+		np := 1.0
+		if i < len(noPass) && noPass[i].Cell == cm.Cell {
+			np = noPass[i].Mass
+			i++
+		}
+		merged = append(merged, CellMass{Cell: cm.Cell, Mass: np * (1 - seg.presenceOf(cm.Mass, mode))})
 	}
+	scr.union, scr.unionNext = append(merged, noPass[i:]...), noPass
+}
+
+// unionSummary is the combined summary of the segs segments merged into the
+// union, which materialized paths paths: presence = 1 - Π_seg (1 -
+// presence_seg) as the pass mass of a valid mass of 1.
+func (scr *summarizeScratch) unionSummary(segs int, paths int64) *ObjectSummary {
 	scr.masses = scr.masses[:0]
-	for _, cm := range noPass {
+	for _, cm := range scr.union {
 		if mass := 1 - cm.Mass; mass > 0 {
 			scr.masses = append(scr.masses, CellMass{Cell: cm.Cell, Mass: mass})
 		}
 	}
-	combined.PassMass = exactMasses(scr.masses)
-	scr.union, scr.unionNext = noPass[:0], merged[:0]
-	return combined, fellBack
+	return &ObjectSummary{ValidMass: 1, PassMass: exactMasses(scr.masses), Paths: paths, Segments: segs}
 }
 
-// exactMasses sorts collected pass masses (one per cell) by cell and copies
-// them out at exact size: the PassMass of a new summary.
+// exactMasses copies cell-sorted pass masses out at exact size: the PassMass
+// of a new summary.
 func exactMasses(ms []CellMass) []CellMass {
 	if len(ms) == 0 {
 		return nil
 	}
-	slices.SortFunc(ms, byCell)
 	return append(make([]CellMass, 0, len(ms)), ms...)
 }
 
 func byCell(a, b CellMass) int { return cmp.Compare(a.Cell, b.Cell) }
-
-// summarizeOne evaluates a single consistent segment with the configured
-// engine.
-func (e *Engine) summarizeOne(seq []iupt.SampleSet, scr *summarizeScratch) (*ObjectSummary, bool) {
-	if e.opts.Engine == EngineEnum {
-		s, err := e.summarizeEnum(seq)
-		if err == nil {
-			return s, false
-		}
-		// ErrPathBudget is the only error summarizeEnum produces.
-		return e.summarizeDPScratch(seq, scr), true
-	}
-	return e.summarizeDPScratch(seq, scr), false
-}
-
-// splitSegments cuts the sequence wherever the valid-path mass would die: a
-// sample is *reachable* when some reachable sample of the previous set
-// connects to it through a non-empty M_IL entry, and a step with no
-// reachable sample at all forces a cut (pairwise-valid steps whose only
-// valid pairs hang off unreachable samples are cut too — enumeration over
-// the whole stretch would produce an empty path set). Within every returned
-// segment the engines are guaranteed a non-empty valid path set. With
-// StrictPaths the whole sequence is one segment, reproducing the paper's
-// semantics exactly.
-func (e *Engine) splitSegments(seq []iupt.SampleSet, scr *summarizeScratch) [][]iupt.SampleSet {
-	if e.opts.StrictPaths || len(seq) <= 1 {
-		return [][]iupt.SampleSet{seq}
-	}
-	mMax := 0
-	for _, x := range seq {
-		if len(x) > mMax {
-			mMax = len(x)
-		}
-	}
-	if cap(scr.reach) < mMax {
-		scr.reach = make([]bool, mMax)
-		scr.nextReach = make([]bool, mMax)
-	}
-	var segs [][]iupt.SampleSet
-	start := 0
-	reach, nextBuf := scr.reach[:mMax], scr.nextReach[:mMax]
-	reach = reach[:len(seq[0])]
-	for i := range reach {
-		reach[i] = true
-	}
-	for i := 1; i < len(seq); i++ {
-		next := nextBuf[:len(seq[i])]
-		clear(next)
-		any := false
-		for bi, b := range seq[i] {
-			for ai, a := range seq[i-1] {
-				if reach[ai] && e.space.MILConnected(a.Loc, b.Loc) {
-					next[bi] = true
-					any = true
-					break
-				}
-			}
-		}
-		if !any {
-			segs = append(segs, seq[start:i])
-			start = i
-			for bi := range next {
-				next[bi] = true
-			}
-		}
-		reach, nextBuf = next, reach[:cap(reach)]
-	}
-	segs = append(segs, seq[start:])
-	return segs
-}
-
-// pairPass returns the cells of M_IL[a, b] together with the per-cell pass
-// probability 1/|M_IL[a,b]| (§2.3 step 1 of the pass-probability
-// definition). ok is false when the pair is topologically invalid.
-func (e *Engine) pairPass(a, b indoor.PLocID) (cells []indoor.CellID, pr float64, ok bool) {
-	cells = e.space.MIL(a, b)
-	if len(cells) == 0 {
-		return nil, 0, false
-	}
-	return cells, 1.0 / float64(len(cells)), true
-}

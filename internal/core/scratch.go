@@ -16,17 +16,19 @@ import (
 // ObjectSummary) are always freshly allocated, exactly sized, and never
 // alias scratch storage.
 type summarizeScratch struct {
-	// Dense DP state (dp.go): the (C+1)×m value matrix in column-major
-	// blocks, and the per-step transition lists compiled into flat rows.
-	cur, next []float64
-	trans     []denseTransition
-	transRows []int32 // damped row indices, referenced by denseTransition
-	stepOff   []int32 // trans[stepOff[i-1]:stepOff[i]] = step i's transitions
-
-	// Tracked-cell interning (dp.go): cell id -> dense row, plus the reverse
-	// list in first-appearance order.
-	cellRow *indoor.IDMarks
-	tracked []indoor.CellID
+	// Eq.-1 walk state (dp.go): the segment's rows×m value matrix in
+	// column-major blocks, stepped from cur into next, its rescale log, and
+	// whether its mass died; the current step's valid pairs; the reachability
+	// marks that decide a cut; and the tracked-cell interning, cell id ->
+	// dense row, plus the reverse list in first-appearance order.
+	cur, next        []float64
+	rows             int
+	logScale         float64
+	dead             bool
+	pairs            []stepPair
+	reach, nextReach []bool
+	cellRow          *indoor.IDMarks
+	tracked          []indoor.CellID
 
 	// Data reduction state (reduce.go): epoch-stamped seen-sets over the
 	// space's dense cell/S-location/P-location id ranges, the collected
@@ -42,12 +44,10 @@ type summarizeScratch struct {
 	run      []iupt.SampleSet
 	runBuf   []iupt.Sample
 
-	// Summary state (dp.go, presence.go): a summary's pass masses before
-	// their cell-sorted exact-size copy, the segment splitter's reachability
-	// marks, and the multi-segment union's no-pass products, merged segment
-	// by segment from one buffer into the other.
+	// Summary state (dp.go, presence.go): a segment's cell-sorted pass masses
+	// before their exact-size copy, and the union's no-pass products, merged
+	// segment by segment from one buffer into the other.
 	masses           []CellMass
-	reach, nextReach []bool
 	union, unionNext []CellMass
 }
 
@@ -57,6 +57,16 @@ func newSummarizeScratch() *summarizeScratch {
 		cellSeen: &indoor.IDMarks{},
 		slocSeen: &indoor.IDMarks{},
 		plocPos:  &indoor.IDMarks{},
+	}
+}
+
+// fit makes both matrices hold at least need values, keeping cur's first
+// keep.
+func (scr *summarizeScratch) fit(keep, need int) {
+	if cap(scr.cur) < need {
+		cur := make([]float64, 2*need)
+		copy(cur, scr.cur[:keep])
+		scr.cur, scr.next = cur, make([]float64, 2*need)
 	}
 }
 

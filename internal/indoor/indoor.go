@@ -213,86 +213,36 @@ func (s *Space) ClassMembers(rep PLocID) []PLocID { return s.classMembers[rep] }
 // returns Cells(pi) (the adjacent cells of a partitioning P-location, or the
 // containing cell of a presence P-location). The result is sorted; it may
 // alias internal storage and must not be modified.
+//
+// derivePLocCells gives every P-location one or two sorted, distinct cells,
+// so the intersection is a[:1], a[1:], a or empty: four compares decide
+// whether b holds a's first and last cell, and the result never allocates.
+// Each compare is its own assignment so that the compiler emits conditional
+// moves; whether two P-locations share a cell is data, and a mispredicted
+// branch per lookup was the Eq.-1 kernel's largest cost.
 func (s *Space) MIL(pi, pj PLocID) []CellID {
-	a := s.plocCells[pi]
-	if pi == pj {
-		return a
+	a, b := s.plocCells[pi], s.plocCells[pj]
+	b0, b1 := b[0], b[len(b)-1]
+	first, last := a[0], a[len(a)-1]
+	lo, hi := 1, len(a)-1
+	if first == b0 {
+		lo = 0
 	}
-	b := s.plocCells[pj]
-	return intersectSorted(a, b)
+	if first == b1 {
+		lo = 0
+	}
+	if last == b0 {
+		hi = len(a)
+	}
+	if last == b1 {
+		hi = len(a)
+	}
+	return a[lo:max(lo, hi)]
 }
 
 // MILConnected reports whether M_IL[pi, pj] is non-empty, i.e. the pair may
 // appear consecutively on a valid path.
-func (s *Space) MILConnected(pi, pj PLocID) bool {
-	if pi == pj {
-		return len(s.plocCells[pi]) > 0
-	}
-	return intersectsSorted(s.plocCells[pi], s.plocCells[pj])
-}
-
-// intersectSorted returns the intersection of two sorted CellID slices.
-// Inputs are plocCells lists of at most two elements, so the matching
-// elements of a are always contiguous and the result can alias a — the MIL
-// lookup on the engine's hot path is allocation-free. The general fallback
-// allocates only when longer inputs match non-contiguously (unreachable for
-// cell lists, kept for safety).
-func intersectSorted(a, b []CellID) []CellID {
-	first, last, n := 0, -1, 0
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			if n == 0 {
-				first = i
-			}
-			last = i
-			n++
-			i++
-			j++
-		}
-	}
-	if n == 0 {
-		return nil
-	}
-	if last-first+1 == n {
-		return a[first : last+1]
-	}
-	out := make([]CellID, 0, n)
-	i, j = 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-func intersectsSorted(a, b []CellID) bool {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			return true
-		}
-	}
-	return false
-}
+func (s *Space) MILConnected(pi, pj PLocID) bool { return len(s.MIL(pi, pj)) > 0 }
 
 // FloorOffset returns the X translation applied per floor when mapping
 // floor-local coordinates into the global plane used by R-trees.
