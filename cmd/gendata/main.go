@@ -13,12 +13,11 @@
 // externally recorded expectations keyed to a seed.
 //
 // Both output formats are specified byte by byte in docs/FORMATS.md. A
-// binary file dropped into an empty data directory as a snapshot is
-// converted into the first sealed partition when tkplqd opens it, so a
-// generated file can seed one directly:
+// generated file seeds an empty data directory on tkplqd's first boot,
+// sealed as the bootstrap partition:
 //
-//	gendata -format bin -out data/snapshot-00000001.bin
-//	tkplqd -data-dir ./data ...
+//	gendata -format bin -out seed.bin
+//	tkplqd -iupt seed.bin -format bin -data-dir ./data ...
 //
 // Usage:
 //

@@ -38,9 +38,11 @@
 // partition; on later starts the recovered state wins and
 // -iupt/-objects/-duration only shape the indoor space, which must stay the
 // same (-dataset, and the same gendata space for ingested P-location ids).
-// A directory written by an older build's flat snapshot + log layout is
-// migrated in place, one way, on the first start. See docs/OPERATIONS.md for
-// the full operations guide and docs/FORMATS.md for the on-disk formats.
+// So `-iupt FILE -format bin -data-dir DIR` is the one way to seed a
+// directory from a file. A directory holding an older build's flat snapshot
+// + log layout is refused with the two ways to convert it. See
+// docs/OPERATIONS.md for the full operations guide and docs/FORMATS.md for
+// the on-disk formats.
 //
 // With -role the daemon becomes one member of a distributed cluster
 // (default: standalone). A `shard` owns the static partition of the objects
@@ -503,16 +505,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 }
 
-// logRecovery announces what recovery did: sealed partitions mapped, the WAL
-// tail replayed, and — once per directory — a legacy flat snapshot migrated.
+// logRecovery announces what recovery did: sealed partitions mapped and the
+// WAL tail replayed.
 func logRecovery(out io.Writer, store *tkplq.PartitionedStore, recovered *tkplq.Table, dataDir string) {
 	ps := store.Stats()
 	fmt.Fprintf(out, "tkplqd: recovered %d records from %s (%d sealed partitions mapped, %d sealed records untouched, %d replayed from the WAL tail)\n",
 		recovered.Len(), dataDir, ps.Partitions, ps.SealedRecords, ps.WAL.ReplayedRecords)
-	if ps.MigratedRecords > 0 {
-		fmt.Fprintf(out, "tkplqd: migrated flat snapshot (%d records) into partition %d — the directory is partitioned from now on\n",
-			ps.MigratedRecords, ps.Seq)
-	}
 	if ps.WAL.CorruptFrames > 0 {
 		fmt.Fprintf(out, "tkplqd: WARNING: %d complete WAL frames failed their CRC and were dropped — bit rot if the log was fsynced; check the disk\n",
 			ps.WAL.CorruptFrames)

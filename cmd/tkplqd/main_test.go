@@ -447,3 +447,96 @@ func TestDaemonPartitionedRestart(t *testing.T) {
 		t.Fatalf("restart changed the answer:\nbefore: %s\nafter:  %s", before, after)
 	}
 }
+
+// TestDaemonSeedsDataDirFromFile: -iupt FILE -format bin -data-dir DIR is
+// the one way to seed a data directory from a file. The first boot seals the
+// file into the bootstrap partition and answers byte-identically to an
+// in-memory daemon over the same file; a reboot without -iupt maps that one
+// partition, replays nothing and answers the same bytes.
+func TestDaemonSeedsDataDirFromFile(t *testing.T) {
+	sys, err := buildSystem("syn", "", "bin", 6, 600, 3, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := filepath.Join(t.TempDir(), "iupt.bin")
+	f, err := os.Create(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Table().WriteBinary(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	queries := []string{
+		`{"kind":"topk","algorithm":"bf","k":5,"te":600}`,
+		`{"kind":"topk","algorithm":"nl","k":3,"ts":120,"te":480}`,
+		`{"kind":"density","k":5,"te":600}`,
+	}
+	results := func(base string) []string {
+		t.Helper()
+		var out []string
+		for _, q := range queries {
+			resp, err := http.Post(base+"/v2/query", "application/json", strings.NewReader(q))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var body struct {
+				Results json.RawMessage `json:"results"`
+			}
+			err = json.NewDecoder(resp.Body).Decode(&body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK || len(body.Results) <= len("[]") {
+				t.Fatalf("POST /v2/query %s = %d with results %s: %v", q, resp.StatusCode, body.Results, err)
+			}
+			out = append(out, string(body.Results))
+		}
+		return out
+	}
+	assertSame := func(label string, got, want []string) {
+		t.Helper()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: query %s answered\n%s\nwant\n%s", label, queries[i], got[i], want[i])
+			}
+		}
+	}
+
+	base, _, stop := startDaemon(t, []string{"-addr", "127.0.0.1:0", "-iupt", file, "-format", "bin"})
+	want := results(base)
+	stop()
+
+	dataDir := filepath.Join(t.TempDir(), "data")
+	base, out, stop := startDaemon(t, []string{"-addr", "127.0.0.1:0", "-iupt", file, "-format", "bin", "-data-dir", dataDir})
+	if !strings.Contains(out.String(), "bootstrap partition") {
+		t.Fatalf("first boot did not announce the bootstrap partition: %s", out.String())
+	}
+	assertSame("seeded", results(base), want)
+	stop()
+
+	base, _, stop = startDaemon(t, []string{"-addr", "127.0.0.1:0", "-data-dir", dataDir})
+	defer stop()
+	resp, err := http.Get(base + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats struct {
+		Storage struct {
+			Partitions int `json:"partitions"`
+		} `json:"storage"`
+		WAL struct {
+			ReplayedRecords int64 `json:"replayed_records"`
+		} `json:"wal"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&stats)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Storage.Partitions != 1 || stats.WAL.ReplayedRecords != 0 {
+		t.Fatalf("reboot stats = %+v, want 1 partition and nothing replayed", stats)
+	}
+	assertSame("rebooted", results(base), want)
+}

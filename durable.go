@@ -13,9 +13,9 @@ import (
 // to a CRC-framed log before it is applied to the live table, and Snapshot
 // seals the table's mutable head into an immutable, memory-mapped partition
 // and truncates the log. There is one durable layout; a data directory left
-// by a build that wrote a flat snapshot + log is converted to it, one way,
-// the first time it is opened. See docs/OPERATIONS.md for running the tkplqd
-// daemon durably and docs/FORMATS.md for the on-disk byte layouts.
+// by a build that wrote a flat snapshot + log is refused with the ways to
+// convert it. See docs/OPERATIONS.md for running the tkplqd daemon durably
+// and docs/FORMATS.md for the on-disk byte layouts.
 
 type (
 	// WALStats is a snapshot of the head log's counters
@@ -48,9 +48,8 @@ type (
 	// policy/cadence, partition verification mode, compaction policy.
 	PartitionedOptions = parts.Options
 	// PartitionedStats is a snapshot of a partitioned store's counters:
-	// sealed partition count/records/bytes, seals, records migrated from a
-	// legacy flat snapshot, records decoded out of sealed partitions, plus
-	// the head WAL's counters.
+	// sealed partition count/records/bytes, seals, compactions, records
+	// decoded out of sealed partitions, plus the head WAL's counters.
 	PartitionedStats = parts.Stats
 	// PartitionVerify selects how much of each sealed partition
 	// OpenPartitioned checks (VerifyFull by default).
@@ -81,10 +80,10 @@ const (
 // the short WAL tail is replayed into the mutable head, tolerating a torn
 // final frame from a crash mid-append — recovery does work proportional to
 // the tail, not the table, and sealed records never occupy heap. A legacy
-// flat directory (snapshot-N.bin + wal-N.log) is migrated in place on first
-// open: its snapshot becomes partition N. Recovery is deterministic: a
-// System built over the returned table answers every query bit-identically
-// to one that never restarted. Wire the store into the System with
+// flat directory (snapshot-N.bin + wal-N.log) is refused with an error
+// naming the snapshot and the ways to convert it. Recovery is
+// deterministic: a System built over the returned table answers every query
+// bit-identically to one that never restarted. Wire the store into the System with
 // SetPersister, then ingest through System.Ingest as usual; System.Snapshot
 // seals the head into a new partition.
 func OpenPartitioned(opts PartitionedOptions) (*PartitionedStore, *Table, error) {

@@ -137,12 +137,12 @@ func (t *Table) WriteBinary(w io.Writer) error {
 
 // WriteRecordsBinary writes a record slice in the compact binary format —
 // the same bytes Table.WriteBinary produces for a table holding recs. It is
-// the encoder behind cmd/gendata's -format bin output, and wrote the
-// snapshot files of legacy flat data directories (read back only by
-// internal/parts' one-way migration); the byte layout is specified in
-// docs/FORMATS.md. recs should be
-// in the table's canonical time-sorted order (Table.SortedRecords) so a
-// reloaded table is bit-identical under queries.
+// the encoder behind cmd/gendata's -format bin output, whose files
+// `tkplqd -iupt FILE -format bin` reads, also to seed a data directory; it
+// wrote the snapshot files of legacy flat data directories too. The byte
+// layout is specified in docs/FORMATS.md. recs should be in the table's
+// canonical time-sorted order (Table.SortedRecords) so a reloaded table is
+// bit-identical under queries.
 func WriteRecordsBinary(w io.Writer, recs []Record) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(binaryMagic); err != nil {

@@ -30,11 +30,11 @@ import (
 // its frames all live in the new partition. Recovery maps every partition
 // in sequence order, drops log segments older than the newest partition
 // (subsumed), and replays the rest into the head — work proportional to
-// the WAL tail, never the table. A snapshot-N.bin found in the directory —
-// left by a build that predates partitions, or dropped in from gendata
-// -format bin to seed the directory — is migrated on open: its records
-// become part-N.tkp and the snapshot is removed (one-way; see
-// docs/OPERATIONS.md). This is the only reader of that layout.
+// the WAL tail, never the table. A snapshot-N.bin newer than every
+// partition is a legacy flat directory's table, which this package does not
+// read: Open refuses the directory untouched and names the two conversions
+// (docs/OPERATIONS.md). An older one is a leftover of a migration an earlier
+// build committed, and is removed.
 //
 // Compaction (compact.go) merges a run of adjacent partitions into one
 // range-named file part-<lo>-<hi>.tkp covering seal sequences [lo, hi]; the
@@ -157,8 +157,6 @@ type Stats struct {
 	// CompactedPartitions the input partitions they consumed.
 	Compactions         int64
 	CompactedPartitions int64
-	// MigratedRecords counts records converted from a flat snapshot at Open.
-	MigratedRecords int64
 	// MaterializedRecords counts records decoded out of sealed partitions
 	// since Open, summed over partitions — the observable behind the
 	// "window queries read only overlapping partitions" guarantee.
@@ -185,7 +183,6 @@ type Store struct {
 	mu          sync.Mutex
 	parts       []*Partition
 	seals       int64
-	migrated    int64
 	compactions int64
 	compacted   int64 // input partitions consumed by compactions
 
@@ -197,10 +194,9 @@ type Store struct {
 
 // Open opens (or initializes) a partitioned data directory: it maps every
 // sealed partition (verified per opts.Verify — a corrupt partition fails
-// Open loudly), migrates a flat snapshot if one is present, replays the
-// surviving WAL tail into the head, and returns the store plus the backed
-// table. The table answers queries bit-identically to an in-memory table
-// over the same record history.
+// Open loudly), replays the surviving WAL tail into the head, and returns
+// the store plus the backed table. The table answers queries
+// bit-identically to an in-memory table over the same record history.
 func Open(opts Options) (*Store, *iupt.Table, error) {
 	if opts.Dir == "" {
 		return nil, nil, errors.New("parts: Options.Dir is required")
@@ -228,8 +224,8 @@ func Open(opts Options) (*Store, *iupt.Table, error) {
 }
 
 // recoverBase is the wal.Options.Base hook: it runs under the directory
-// lock and reconstructs the sealed set (migrating a flat snapshot first if
-// needed), returning the backed table and the newest partition sequence.
+// lock and reconstructs the sealed set, returning the backed table and the
+// newest partition sequence.
 func (s *Store) recoverBase(dir string) (*iupt.Table, uint64, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -240,7 +236,8 @@ func (s *Store) recoverBase(dir string) (*iupt.Table, uint64, error) {
 		path   string
 	}
 	var found []partFile
-	snapPaths := map[uint64]string{}
+	var snapPaths []string
+	var snapSeq, baseSeq uint64
 	for _, e := range entries {
 		name := e.Name()
 		if lo, hi, ok := ParsePartName(name); ok {
@@ -248,9 +245,26 @@ func (s *Store) recoverBase(dir string) (*iupt.Table, uint64, error) {
 				return nil, 0, fmt.Errorf("parts: %s: inverted sequence range", name)
 			}
 			found = append(found, partFile{lo: lo, hi: hi, path: filepath.Join(dir, name)})
+			baseSeq = max(baseSeq, hi)
 		} else if m := snapRE.FindStringSubmatch(name); m != nil {
-			snapPaths[parseSeq(m[1])] = filepath.Join(dir, name)
+			snapPaths = append(snapPaths, filepath.Join(dir, name))
+			snapSeq = max(snapSeq, parseSeq(m[1]))
 		}
+	}
+
+	// A flat snapshot newer than every partition holds records no partition
+	// has: replaying its log segment alone would serve the tail as if it
+	// were the whole table. Refuse before touching a file. An older one was
+	// left behind by a crash after an earlier build's migration committed.
+	if snapSeq > baseSeq {
+		snap := filepath.Join(dir, fmt.Sprintf("snapshot-%08d.bin", snapSeq))
+		return nil, 0, fmt.Errorf("parts: %s is a legacy flat snapshot newer than every partition in %s, and this build does not read that layout. "+
+			"Either open the directory once with a build up to 3b3e4c1, which migrates it in place, "+
+			"or seed a new directory from the snapshot with `tkplqd -iupt %s -format bin -data-dir NEW`, which drops the log tail",
+			snap, dir, snap)
+	}
+	for _, path := range snapPaths {
+		_ = os.Remove(path)
 	}
 
 	// Drop (and delete) partitions whose sequence range is contained in
@@ -278,42 +292,11 @@ func (s *Store) recoverBase(dir string) (*iupt.Table, uint64, error) {
 	}
 	found = live
 	sort.Slice(found, func(i, j int) bool { return found[i].lo < found[j].lo })
-	var baseSeq uint64
 	for i, pf := range found {
 		if i > 0 && pf.lo <= found[i-1].hi {
 			// Partially overlapping ranges can only come from outside
 			// interference; serving either would double-count records.
 			return nil, 0, fmt.Errorf("parts: partitions %s and %s overlap in sequence range — corrupt data directory", found[i-1].path, pf.path)
-		}
-		if pf.hi > baseSeq {
-			baseSeq = pf.hi
-		}
-	}
-
-	// Migrate a flat snapshot newer than every partition: its records become
-	// the partition of the same sequence, so the flat directory's segments
-	// keep their meaning (segment N holds batches after cut N). The rename
-	// commits the partition before any snapshot is removed — a crash
-	// mid-migration redoes it idempotently on the next open.
-	if len(snapPaths) > 0 {
-		snapSeq := uint64(0)
-		for seq := range snapPaths {
-			if seq > snapSeq {
-				snapSeq = seq
-			}
-		}
-		if snapSeq > baseSeq {
-			migrated, err := s.migrateSnapshot(dir, snapPaths[snapSeq], snapSeq)
-			if err != nil {
-				return nil, 0, err
-			}
-			if migrated {
-				found = append(found, partFile{lo: snapSeq, hi: snapSeq, path: filepath.Join(dir, partName(snapSeq))})
-			}
-			baseSeq = snapSeq
-		}
-		for _, path := range snapPaths {
-			_ = os.Remove(path)
 		}
 	}
 
@@ -331,33 +314,6 @@ func (s *Store) recoverBase(dir string) (*iupt.Table, uint64, error) {
 		sealed = append(sealed, p)
 	}
 	return iupt.NewBackedTable(sealed), baseSeq, nil
-}
-
-// migrateSnapshot converts one flat snapshot into the partition of the same
-// sequence. An empty snapshot produces no partition file (a partition is
-// never empty); migrated reports whether one was written.
-func (s *Store) migrateSnapshot(dir, snapPath string, seq uint64) (migrated bool, err error) {
-	f, err := os.Open(snapPath)
-	if err != nil {
-		return false, fmt.Errorf("parts: migrating %s: %w", snapPath, err)
-	}
-	table, err := iupt.ReadBinary(f)
-	f.Close()
-	if err != nil {
-		return false, fmt.Errorf("parts: migrating %s: %w", snapPath, err)
-	}
-	recs := table.SortedRecords()
-	if len(recs) == 0 {
-		return false, nil
-	}
-	if _, err := s.commitPartitionFile(dir, seq, recs); err != nil {
-		// Any failure — even one past the rename — aborts Open: no store is
-		// returned, so there is nothing to poison, and a redundant partition
-		// file is re-migrated over idempotently on the next open.
-		return false, fmt.Errorf("parts: migrating %s: %w", snapPath, err)
-	}
-	s.migrated = int64(len(recs))
-	return true, nil
 }
 
 // commitPartitionFile writes recs as part-<seq>.tkp atomically:
@@ -527,7 +483,6 @@ func (s *Store) Stats() Stats {
 		Seals:               s.seals,
 		Compactions:         s.compactions,
 		CompactedPartitions: s.compacted,
-		MigratedRecords:     s.migrated,
 	}
 	st.Seq = st.WAL.SnapshotSeq
 	for _, p := range s.parts {

@@ -453,71 +453,6 @@ func TestStoreDropsSubsumedSegment(t *testing.T) {
 	}
 }
 
-// TestStoreMigratesFlatSnapshot opens a legacy flat directory — one binary
-// IUPT snapshot plus the log segment of the same sequence — and asserts the
-// snapshot becomes partition 1 with the records intact, the WAL tail still
-// replays, and the migration is one-way. (The root package's
-// TestLegacyFlatDirectoryMigrates runs the same door over bytes an old build
-// actually wrote.)
-func TestStoreMigratesFlatSnapshot(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	dir := t.TempDir()
-
-	b1 := sortedCopy(testRecords(r, 120, 60))
-	f, err := os.Create(filepath.Join(dir, "snapshot-00000001.bin"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := iupt.WriteRecordsBinary(f, b1); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	w, _, err := wal.Open(wal.Options{Dir: dir, Base: func(string) (*iupt.Table, uint64, error) {
-		return iupt.NewTable(), 1, nil
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2 := testRecords(r, 40, 60)
-	if err := w.AppendBatch(b2); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	flatTable := iupt.NewTable()
-	for _, rec := range append(append([]iupt.Record(nil), b1...), b2...) {
-		flatTable.Append(rec)
-	}
-	ref := flatTable.SortedRecords()
-
-	s, table, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := s.Stats()
-	if st.Partitions != 1 || st.MigratedRecords != int64(len(b1)) {
-		t.Fatalf("partitions=%d migrated=%d, want 1/%d", st.Partitions, st.MigratedRecords, len(b1))
-	}
-	if st.WAL.ReplayedRecords != int64(len(b2)) {
-		t.Fatalf("ReplayedRecords=%d, want %d", st.WAL.ReplayedRecords, len(b2))
-	}
-	sameRecords(t, "migrated", ref, table.SortedRecords())
-	if matches, _ := filepath.Glob(filepath.Join(dir, "snapshot-*.bin")); len(matches) != 0 {
-		t.Fatalf("snapshot files survive migration: %v", matches)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Idempotent on reopen.
-	s2, table2 := openStore(t, dir)
-	defer s2.Close()
-	sameRecords(t, "reopened", ref, table2.SortedRecords())
-}
-
 // TestStoreCorruptPartitionIsLoudBootError corrupts a sealed partition on
 // disk and asserts the store refuses to open.
 func TestStoreCorruptPartitionIsLoudBootError(t *testing.T) {

@@ -12,7 +12,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"regexp"
 	"sort"
 	"sync"
 	"time"
@@ -461,7 +460,8 @@ func (f *Follower) bootstrap(next func() (byte, []byte, error), m Manifest, h Ha
 	for i, fi := range m.Files {
 		if i == 0 && prev == 0 {
 			// No local partitions: adopt the primary's base wherever it
-			// starts (a flat-snapshot migration can base the set above 1).
+			// starts. Directories an earlier build migrated from a flat
+			// snapshot base their sealed set above seal 1.
 			prev = fi.SeqLo - 1
 		}
 		if fi.SeqLo != prev+1 || fi.SeqHi < fi.SeqLo {
@@ -750,14 +750,10 @@ func scanDir(dir string) (Handshake, error) {
 	return h, nil
 }
 
-// snapFileRE recognizes legacy flat snapshots, which only a wipe still names.
-var snapFileRE = regexp.MustCompile(`^snapshot-(\d{8})\.bin$`)
-
 // wipeDir deletes the store files from the data directory — only the WAL
-// segments (walOnly) or everything (partitions, segments, snapshots, temp
-// leftovers). Partitions go newest-first so a crash mid-wipe leaves a
-// contiguous prefix the next handshake can build on. Unknown files (LOCK)
-// are left alone.
+// segments (walOnly) or everything (partitions, segments, temp leftovers).
+// Partitions go newest-first so a crash mid-wipe leaves a contiguous prefix
+// the next handshake can build on. Unknown files (LOCK) are left alone.
 func wipeDir(dir string, walOnly bool) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -777,7 +773,7 @@ func wipeDir(dir string, walOnly bool) error {
 			continue
 		}
 		_, isWAL := wal.ParseSegmentName(name)
-		if isWAL || !walOnly && (snapFileRE.MatchString(name) || filepath.Ext(name) == ".tmp") {
+		if isWAL || !walOnly && filepath.Ext(name) == ".tmp" {
 			if err := os.Remove(filepath.Join(dir, name)); err != nil {
 				return err
 			}

@@ -470,6 +470,51 @@ func TestReplicationCleanBootstrap(t *testing.T) {
 	}
 }
 
+// TestReplicationBootstrapAboveSealOne: a directory an earlier build
+// migrated from a flat snapshot bases its sealed set above 1. A follower
+// bootstrapped from a primary whose only partition is part-00000002.tkp
+// adopts that base and answers like its primary.
+func TestReplicationBootstrapAboveSealOne(t *testing.T) {
+	p := &testPrimary{t: t, dir: t.TempDir(), inj: &injector{}}
+	b, seed := replTestData(t)
+	p.b = b
+	buf, err := parts.Encode(seed.SortedRecords())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(p.dir, "part-00000002.tkp"), buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	store, recovered, err := tkplq.OpenPartitioned(tkplq.PartitionedOptions{Dir: p.dir, KeepSegments: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	p.store = store
+	if p.sys, err = tkplq.NewSystem(b.Space, recovered, tkplq.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	p.sys.SetPersister(store)
+	for _, batch := range replBatches(b.Space.NumPLocations())[:3] {
+		if err := p.sys.Ingest(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.src = NewSource(SourceConfig{Store: store, HeartbeatEvery: 50 * time.Millisecond, Logf: t.Logf})
+	p.srv = httptest.NewServer(replMux(p.src, p.inj))
+	t.Cleanup(p.srv.Close)
+	p.addr = strings.TrimPrefix(p.srv.URL, "http://")
+
+	want := battery(t, p.sys)
+	tf := startFollower(t, b.Space, t.TempDir(), []string{p.addr}, nil)
+	defer tf.stop()
+	waitConverged(t, p, tf)
+	assertBitIdentical(t, "bootstrap above seal 1", p, tf, want)
+	if got := listParts(t, tf.dir); len(got) != 1 || got[0] != "part-00000002.tkp" {
+		t.Fatalf("follower holds partitions %v, want only part-00000002.tkp", got)
+	}
+}
+
 // TestFaultSweepPrimaryWrites kills the stream at every write position of a
 // clean session — clean break on even positions, torn half-frame on odd —
 // and requires the reconnect to converge bit-identically every time.

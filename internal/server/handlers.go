@@ -161,7 +161,6 @@ type StorageStatsJSON struct {
 	SealedRecords       int64  `json:"sealed_records"`
 	SealedBytes         int64  `json:"sealed_bytes"`
 	Seals               int64  `json:"seals"`
-	MigratedRecords     int64  `json:"migrated_records"`
 	MaterializedRecords int64  `json:"materialized_records"`
 	// Compactions counts committed compactions; CompactedPartitions the
 	// input partitions they retired.
@@ -581,7 +580,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			SealedRecords:       ps.SealedRecords,
 			SealedBytes:         ps.SealedBytes,
 			Seals:               ps.Seals,
-			MigratedRecords:     ps.MigratedRecords,
 			MaterializedRecords: ps.MaterializedRecords,
 			Compactions:         ps.Compactions,
 			CompactedPartitions: ps.CompactedPartitions,

@@ -5,8 +5,9 @@
 # restarts the daemon with a data directory, ingests, seals, kills it with
 # SIGKILL mid-flight and asserts the restarted daemon maps the sealed
 # partitions, replays only the log tail and answers the same query
-# identically; compacts and does it again; and finally boots a directory
-# seeded with a gendata bin file through the one-way flat-snapshot migration.
+# identically; compacts and does it again; seeds a directory from a gendata
+# bin file through -iupt FILE -format bin -data-dir; and checks that a legacy
+# flat snapshot in a data directory stops the boot.
 # Run from the repo root (CI runs `make smoke`).
 set -euo pipefail
 
@@ -283,54 +284,66 @@ kill "${DAEMON_PID}"
 wait "${DAEMON_PID}"
 DAEMON_PID=""
 
-echo "== legacy flat directory: a gendata bin file seeds a data dir through the one-way migration"
-# The documented bootstrap-from-file door, and the layout older builds left
-# behind: snapshot-N.bin is converted into partition N on the first open.
+echo "== seeding: a gendata bin file seeds a data dir through -iupt FILE -format bin -data-dir"
+# The one door from a file into a data directory: the first boot seals the
+# file into the bootstrap partition.
 SEED_DIR="${WORKDIR}/seeded"
-mkdir -p "${SEED_DIR}"
 "${WORKDIR}/gendata" -objects 12 -duration 1800 -seed 7 \
-    -format bin -out "${SEED_DIR}/snapshot-00000001.bin"
-SEEDED_ARGS=(-addr "${ADDR}" -dataset syn -data-dir "${SEED_DIR}")
-"${WORKDIR}/tkplqd" "${SEEDED_ARGS[@]}" > "${WORKDIR}/tkplqd-seeded.log" 2>&1 &
+    -format bin -out "${WORKDIR}/seed.bin"
+"${WORKDIR}/tkplqd" -addr "${ADDR}" -dataset syn -iupt "${WORKDIR}/seed.bin" -format bin \
+    -data-dir "${SEED_DIR}" > "${WORKDIR}/tkplqd-seeded.log" 2>&1 &
 DAEMON_PID=$!
 wait_healthy "${WORKDIR}/tkplqd-seeded.log"
-grep -q "migrated flat snapshot" "${WORKDIR}/tkplqd-seeded.log"
-grep -q "sealed partitions mapped" "${WORKDIR}/tkplqd-seeded.log"
-[ ! -e "${SEED_DIR}/snapshot-00000001.bin" ]
-# The migrated table answers exactly what the in-memory daemon answered over
+grep -q "bootstrap partition" "${WORKDIR}/tkplqd-seeded.log"
+# The seeded table answers exactly what the in-memory daemon answered over
 # the same dataset.
-MIGRATED_RESULTS=$(curl -fsS -X POST "http://${ADDR}/v2/query" \
+SEEDED_RESULTS=$(curl -fsS -X POST "http://${ADDR}/v2/query" \
     -H 'Content-Type: application/json' \
     -d '{"kind":"topk","algorithm":"bf","k":5}' | jq -c .results)
-if [ "$(echo "${QUERY}" | jq -c .results)" != "${MIGRATED_RESULTS}" ]; then
-    echo "migration changed the answer:"
+if [ "$(echo "${QUERY}" | jq -c .results)" != "${SEEDED_RESULTS}" ]; then
+    echo "seeding changed the answer:"
     echo "in-memory: $(echo "${QUERY}" | jq -c .results)"
-    echo "migrated:  ${MIGRATED_RESULTS}"
+    echo "seeded:    ${SEEDED_RESULTS}"
     exit 1
 fi
-MIGRATED=$(curl -fsS "http://${ADDR}/v1/stats" | jq -r .storage.migrated_records)
-[ "${MIGRATED}" -gt 0 ]
 
-echo "== legacy flat directory: kill -9, the second boot migrates nothing"
+echo "== seeding: kill -9, the reboot maps the one partition and replays nothing"
 kill -9 "${DAEMON_PID}"
 wait "${DAEMON_PID}" 2>/dev/null || true
 DAEMON_PID=""
-"${WORKDIR}/tkplqd" "${SEEDED_ARGS[@]}" > "${WORKDIR}/tkplqd-seeded2.log" 2>&1 &
+"${WORKDIR}/tkplqd" -addr "${ADDR}" -dataset syn -data-dir "${SEED_DIR}" \
+    > "${WORKDIR}/tkplqd-seeded2.log" 2>&1 &
 DAEMON_PID=$!
 wait_healthy "${WORKDIR}/tkplqd-seeded2.log"
-if grep -q "migrated flat snapshot" "${WORKDIR}/tkplqd-seeded2.log"; then
-    echo "second boot migrated again:"; cat "${WORKDIR}/tkplqd-seeded2.log"; exit 1
-fi
-curl -fsS "http://${ADDR}/v1/stats" | jq -e '.storage.migrated_records == 0 and .storage.partitions == 1' >/dev/null
+curl -fsS "http://${ADDR}/v1/stats" | jq -e '.storage.partitions == 1 and .wal.replayed_records == 0' >/dev/null
 SEEDED_RESTART=$(curl -fsS -X POST "http://${ADDR}/v2/query" \
     -H 'Content-Type: application/json' \
     -d '{"kind":"topk","algorithm":"bf","k":5}' | jq -c .results)
-[ "${MIGRATED_RESULTS}" = "${SEEDED_RESTART}" ]
-echo "migrated ${MIGRATED} records once; rankings identical to the in-memory daemon"
+[ "${SEEDED_RESULTS}" = "${SEEDED_RESTART}" ]
+echo "seeded once; rankings identical to the in-memory daemon across kill -9"
 
-echo "== graceful shutdown (migrated)"
+echo "== graceful shutdown (seeded)"
 kill "${DAEMON_PID}"
 wait "${DAEMON_PID}"
 DAEMON_PID=""
+
+echo "== refusal: a legacy flat snapshot in a data dir stops the boot"
+# A snapshot-N.bin newer than every partition is an older build's table,
+# which this build does not read: tkplqd exits non-zero, names the file and
+# leaves it in place.
+FLAT_DIR="${WORKDIR}/flat"
+mkdir -p "${FLAT_DIR}"
+cp "${WORKDIR}/seed.bin" "${FLAT_DIR}/snapshot-00000001.bin"
+set +e
+timeout 60 "${WORKDIR}/tkplqd" -addr "${ADDR}" -dataset syn -data-dir "${FLAT_DIR}" \
+    > "${WORKDIR}/tkplqd-flat.log" 2>&1
+RC=$?
+set -e
+if [ "${RC}" -eq 0 ] || [ "${RC}" -eq 124 ]; then
+    echo "tkplqd did not refuse the flat directory (exit ${RC}):"; cat "${WORKDIR}/tkplqd-flat.log"; exit 1
+fi
+grep -q "snapshot-00000001.bin" "${WORKDIR}/tkplqd-flat.log"
+cmp "${WORKDIR}/seed.bin" "${FLAT_DIR}/snapshot-00000001.bin"
+echo "refused with exit ${RC}; the snapshot is untouched"
 
 echo "server smoke OK"
