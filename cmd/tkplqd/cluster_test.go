@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestDaemonClusterEndToEnd boots two shard daemons and a router daemon as
@@ -142,11 +143,21 @@ func TestDaemonClusterFlagValidation(t *testing.T) {
 		{"several store flags without data-dir", []string{"-snapshot-interval", "1m", "-compact-interval", "10m"},
 			"-compact-interval, -snapshot-interval requires -data-dir"},
 		{"removed -storage flag", []string{"-data-dir", t.TempDir(), "-storage", "parts"}, "flag provided but not defined: -storage"},
+		{"replica-of with compact-interval", []string{"-replica-of", "127.0.0.1:9", "-data-dir", t.TempDir(),
+			"-compact-interval", "10m"}, "-compact-interval cannot be used with -replica-of"},
+		{"replica-of with compact-min-inputs", []string{"-replica-of", "127.0.0.1:9", "-data-dir", t.TempDir(),
+			"-compact-min-inputs", "2"}, "-compact-min-inputs cannot be used with -replica-of"},
+		{"replica-of with compact-target-bytes", []string{"-replica-of", "127.0.0.1:9", "-data-dir", t.TempDir(),
+			"-compact-target-bytes", "1024"}, "-compact-target-bytes cannot be used with -replica-of"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			// A deadline, so that a combination the daemon accepts fails
+			// instead of waiting forever in the follower bootstrap.
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
 			var out syncBuffer
-			err := run(context.Background(), append([]string{"-addr", "127.0.0.1:0"}, tc.args...), &out)
+			err := run(ctx, append([]string{"-addr", "127.0.0.1:0"}, tc.args...), &out)
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("run() = %v, want error containing %q", err, tc.wantErr)
 			}

@@ -176,6 +176,17 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		if *role == server.RoleRouter {
 			return fmt.Errorf("-replica-of is for shard/standalone members: the router holds no records to replicate")
 		}
+		// A follower's store opens without compaction, and keeps it off
+		// after a promotion, so these flags would silently do nothing.
+		var stray []string
+		fs.Visit(func(f *flag.Flag) {
+			if strings.HasPrefix(f.Name, "compact-") {
+				stray = append(stray, "-"+f.Name)
+			}
+		})
+		if len(stray) > 0 {
+			return fmt.Errorf("%s cannot be used with -replica-of: a follower's partition set stays a byte-for-byte copy of its primary's, so it never compacts in the background, not even after promotion", strings.Join(stray, ", "))
+		}
 	}
 	adv := *advertise
 	if adv == "" {
@@ -433,13 +444,21 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	fmt.Fprintf(out, "tkplqd: listening on %s (role %s, %d records, %d objects, %d S-locations)\n",
 		srv.Addr(), *role, sys.Table().Len(), len(sys.Table().Objects()), sys.Space().NumSLocations())
 
+	// The periodic sealer is stopped and joined before the store closes, so
+	// no seal commits a partition or writes to out after run returns.
+	stopSealer := func() {}
 	if store != nil && *snapshotIvl > 0 {
+		sealCtx, cancelSeal := context.WithCancel(ctx)
+		sealerDone := make(chan struct{})
+		stopSealer = func() { cancelSeal(); <-sealerDone }
+		defer stopSealer()
 		go func() {
+			defer close(sealerDone)
 			t := time.NewTicker(*snapshotIvl)
 			defer t.Stop()
 			for {
 				select {
-				case <-ctx.Done():
+				case <-sealCtx.Done():
 					return
 				case <-t.C:
 					if srv.Following() {
@@ -469,6 +488,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		if err := <-errCh; err != nil {
 			return err
 		}
+		stopSealer()
 		if store != nil {
 			// Final fsync: everything acknowledged is on disk before exit.
 			if err := store.Close(); err != nil {

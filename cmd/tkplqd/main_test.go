@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"sync"
@@ -446,6 +448,82 @@ func TestDaemonPartitionedRestart(t *testing.T) {
 	if !bytes.Equal(before, after) {
 		t.Fatalf("restart changed the answer:\nbefore: %s\nafter:  %s", before, after)
 	}
+}
+
+// TestPeriodicSealerStopsWithRun cancels the daemon while 1-ms periodic
+// seals run under steady ingest, three times over. Once run has returned,
+// nothing more reaches out and no file in the data directory changes: a seal
+// in flight at the cancel finishes before the store closes.
+func TestPeriodicSealerStopsWithRun(t *testing.T) {
+	ingestBody := func(ts int) string {
+		var b strings.Builder
+		b.WriteString(`{"records":[`)
+		for j := 0; j < 50; j++ {
+			if j > 0 {
+				b.WriteString(",")
+			}
+			fmt.Fprintf(&b, `{"oid":%d,"t":%d,"samples":[{"ploc":0,"prob":1.0}]}`, 9000+j, ts)
+		}
+		return b.String() + "]}"
+	}
+	for round := 0; round < 3; round++ {
+		dataDir := t.TempDir()
+		base, out, stop := startDaemon(t, []string{
+			"-addr", "127.0.0.1:0",
+			"-objects", "4", "-duration", "300", "-seed", "3",
+			"-data-dir", dataDir, "-snapshot-interval", "1ms",
+		})
+		quit := make(chan struct{})
+		var ingest sync.WaitGroup
+		ingest.Add(1)
+		go func() {
+			defer ingest.Done()
+			for i := 1000; ; i++ {
+				select {
+				case <-quit:
+					return
+				default:
+				}
+				if resp, err := http.Post(base+"/v1/ingest", "application/json", strings.NewReader(ingestBody(i))); err == nil {
+					resp.Body.Close()
+				}
+			}
+		}()
+		time.Sleep(100 * time.Millisecond)
+		stop()
+
+		outAtReturn, filesAtReturn := out.String(), dirState(t, dataDir)
+		close(quit)
+		ingest.Wait()
+		time.Sleep(50 * time.Millisecond)
+		if got := out.String(); got != outAtReturn {
+			t.Errorf("round %d: output written after run returned: %q", round, strings.TrimPrefix(got, outAtReturn))
+		}
+		if got := dirState(t, dataDir); !reflect.DeepEqual(got, filesAtReturn) {
+			t.Errorf("round %d: data directory changed after run returned:\nat return: %v\nlater:     %v", round, filesAtReturn, got)
+		}
+	}
+}
+
+// dirState maps every file under dir to its size and modification time.
+func dirState(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	state := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		info, err := d.Info()
+		if err != nil {
+			return err
+		}
+		state[path] = fmt.Sprintf("%d %d", info.Size(), info.ModTime().UnixNano())
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return state
 }
 
 // TestDaemonSeedsDataDirFromFile: -iupt FILE -format bin -data-dir DIR is

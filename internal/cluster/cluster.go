@@ -28,7 +28,6 @@ import (
 	"io"
 	"net/url"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -101,22 +100,6 @@ func NewReplicated(sets [][]string) (*Topology, error) {
 	f := topologyFile{Shards: make([]replicaSet, len(sets))}
 	for i, s := range sets {
 		f.Shards[i] = replicaSet(append([]string(nil), s...))
-	}
-	return build(f)
-}
-
-// NewWithObjects builds a topology of single-member shards with explicit
-// per-object assignments on top of the hash default. It validates like Load.
-func NewWithObjects(shards []string, objects map[iupt.ObjectID]int) (*Topology, error) {
-	f := topologyFile{Shards: make([]replicaSet, len(shards))}
-	for i, a := range shards {
-		f.Shards[i] = replicaSet{a}
-	}
-	if len(objects) > 0 {
-		f.Objects = make(map[string]int, len(objects))
-		for oid, idx := range objects {
-			f.Objects[strconv.FormatInt(int64(oid), 10)] = idx
-		}
 	}
 	return build(f)
 }
@@ -227,31 +210,12 @@ func normalizeAddr(addr string) (string, error) {
 // NumShards returns the number of shards in the topology.
 func (t *Topology) NumShards() int { return len(t.sets) }
 
-// Addr returns shard i's boot-time primary host:port address.
-func (t *Topology) Addr(i int) string { return t.sets[i][0] }
-
-// Addrs returns the shard boot-time primary addresses in index order (a
-// copy).
-func (t *Topology) Addrs() []string {
-	out := make([]string, len(t.sets))
-	for i, set := range t.sets {
-		out[i] = set[0]
-	}
-	return out
-}
-
 // NumMembers returns the size of shard i's replica set.
 func (t *Topology) NumMembers(i int) int { return len(t.sets[i]) }
 
 // Member returns shard i's m-th member address (member 0 is the boot-time
 // primary).
 func (t *Topology) Member(i, m int) string { return t.sets[i][m] }
-
-// Members returns shard i's replica-set addresses in member order (a copy):
-// member 0 is the boot-time primary, the rest are followers.
-func (t *Topology) Members(i int) []string {
-	return append([]string(nil), t.sets[i]...)
-}
 
 // ShardOf returns the owning shard index for an object id: the explicit
 // assignment when the topology lists one, otherwise an FNV-1a hash of the
@@ -283,45 +247,3 @@ func hashOID(oid iupt.ObjectID) uint64 {
 
 // Owns reports whether shard idx owns the object.
 func (t *Topology) Owns(oid iupt.ObjectID, idx int) bool { return t.ShardOf(oid) == idx }
-
-// Split partitions an ingest batch by owning shard, preserving each
-// record's relative order within its sub-batch. byShard[i] is shard i's
-// sub-batch (nil when the shard gets nothing); origIdx[i][j] is the position
-// byShard[i][j] held in recs, so a shard-reported ingest error can be mapped
-// back to the caller's batch index.
-func (t *Topology) Split(recs []iupt.Record) (byShard [][]iupt.Record, origIdx [][]int) {
-	byShard = make([][]iupt.Record, len(t.sets))
-	origIdx = make([][]int, len(t.sets))
-	for i, rec := range recs {
-		s := t.ShardOf(rec.OID)
-		byShard[s] = append(byShard[s], rec)
-		origIdx[s] = append(origIdx[s], i)
-	}
-	return byShard, origIdx
-}
-
-// FilterOwned returns the records of recs owned by shard idx, preserving
-// order. Shards use it at boot to carve their partition out of a shared
-// dataset file.
-func (t *Topology) FilterOwned(recs []iupt.Record, idx int) []iupt.Record {
-	var out []iupt.Record
-	for _, rec := range recs {
-		if t.ShardOf(rec.OID) == idx {
-			out = append(out, rec)
-		}
-	}
-	return out
-}
-
-// OwnedObjects returns the explicitly-assigned objects of shard idx in
-// ascending order (diagnostics; hash-assigned objects are not enumerable).
-func (t *Topology) OwnedObjects(idx int) []iupt.ObjectID {
-	var out []iupt.ObjectID
-	for oid, s := range t.objects {
-		if s == idx {
-			out = append(out, oid)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}

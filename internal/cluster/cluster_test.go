@@ -81,54 +81,12 @@ func TestShardOfIsTotalAndStable(t *testing.T) {
 }
 
 func TestExplicitAssignmentsOverrideHash(t *testing.T) {
-	topo, err := NewWithObjects([]string{"a:1", "b:2"}, map[iupt.ObjectID]int{7: 1, 8: 0})
+	topo, err := Parse(strings.NewReader(`{"shards":["a:1","b:2"],"objects":{"7":1,"8":0}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if topo.ShardOf(7) != 1 || topo.ShardOf(8) != 0 {
 		t.Fatalf("explicit assignments not honored: 7→%d 8→%d", topo.ShardOf(7), topo.ShardOf(8))
-	}
-	owned := topo.OwnedObjects(1)
-	if len(owned) != 1 || owned[0] != 7 {
-		t.Fatalf("OwnedObjects(1) = %v, want [7]", owned)
-	}
-}
-
-func TestSplitPreservesOrderAndIndices(t *testing.T) {
-	topo, err := New([]string{"a:1", "b:2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := make([]iupt.Record, 0, 40)
-	for i := 0; i < 40; i++ {
-		recs = append(recs, iupt.Record{OID: iupt.ObjectID(i % 7), T: iupt.Time(i)})
-	}
-	byShard, origIdx := topo.Split(recs)
-	total := 0
-	for s := range byShard {
-		if len(byShard[s]) != len(origIdx[s]) {
-			t.Fatalf("shard %d: %d records but %d indices", s, len(byShard[s]), len(origIdx[s]))
-		}
-		total += len(byShard[s])
-		for j, rec := range byShard[s] {
-			if topo.ShardOf(rec.OID) != s {
-				t.Fatalf("record for object %d landed on shard %d", rec.OID, s)
-			}
-			if recs[origIdx[s][j]].T != rec.T {
-				t.Fatalf("origIdx maps shard %d pos %d to the wrong record", s, j)
-			}
-			if j > 0 && origIdx[s][j] <= origIdx[s][j-1] {
-				t.Fatalf("shard %d sub-batch is not order-preserving", s)
-			}
-		}
-	}
-	if total != len(recs) {
-		t.Fatalf("split dropped records: %d of %d", total, len(recs))
-	}
-
-	filtered := topo.FilterOwned(recs, 0)
-	if len(filtered) != len(byShard[0]) {
-		t.Fatalf("FilterOwned(0) kept %d, split gave %d", len(filtered), len(byShard[0]))
 	}
 }
 
@@ -140,8 +98,8 @@ func TestReplicaSetAccessors(t *testing.T) {
 	if topo.NumShards() != 2 {
 		t.Fatalf("NumShards = %d, want 2", topo.NumShards())
 	}
-	if topo.Addr(0) != "p0:1" || topo.Addr(1) != "p1:1" {
-		t.Fatalf("Addr must return the boot-time primary: %v", topo.Addrs())
+	if topo.Member(0, 0) != "p0:1" || topo.Member(1, 0) != "p1:1" {
+		t.Fatalf("member 0 must be the boot-time primary: %q, %q", topo.Member(0, 0), topo.Member(1, 0))
 	}
 	if topo.NumMembers(0) != 3 || topo.NumMembers(1) != 1 {
 		t.Fatalf("NumMembers = %d,%d, want 3,1", topo.NumMembers(0), topo.NumMembers(1))
@@ -149,13 +107,8 @@ func TestReplicaSetAccessors(t *testing.T) {
 	if topo.Member(0, 2) != "f0:2" {
 		t.Fatalf("Member(0,2) = %q, want f0:2", topo.Member(0, 2))
 	}
-	members := topo.Members(0)
-	if len(members) != 3 || members[0] != "p0:1" || members[1] != "f0:1" {
-		t.Fatalf("Members(0) = %v", members)
-	}
-	members[0] = "mutated"
-	if topo.Member(0, 0) != "p0:1" {
-		t.Fatal("Members returned the internal slice")
+	if topo.Member(0, 1) != "f0:1" {
+		t.Fatalf("Member(0,1) = %q, want f0:1", topo.Member(0, 1))
 	}
 
 	// The equivalent programmatic constructor agrees with the file form.
@@ -178,12 +131,7 @@ func TestAddrsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if topo.Addr(0) != "a:1" || topo.Addr(1) != "b:2" {
-		t.Fatalf("addresses not normalized: %v", topo.Addrs())
-	}
-	addrs := topo.Addrs()
-	addrs[0] = "mutated"
-	if topo.Addr(0) != "a:1" {
-		t.Fatal("Addrs returned the internal slice")
+	if topo.Member(0, 0) != "a:1" || topo.Member(1, 0) != "b:2" {
+		t.Fatalf("addresses not normalized: %q, %q", topo.Member(0, 0), topo.Member(1, 0))
 	}
 }

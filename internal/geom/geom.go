@@ -37,15 +37,6 @@ func (p Point) Dist(q Point) float64 {
 	return math.Sqrt(dx*dx + dy*dy)
 }
 
-// Dist2 returns the squared Euclidean distance between p and q.
-func (p Point) Dist2(q Point) float64 {
-	dx, dy := p.X-q.X, p.Y-q.Y
-	return dx*dx + dy*dy
-}
-
-// Norm returns the Euclidean length of p viewed as a vector.
-func (p Point) Norm() float64 { return math.Sqrt(p.X*p.X + p.Y*p.Y) }
-
 // Lerp returns the point a fraction t of the way from p to q.
 // t=0 yields p, t=1 yields q; t outside [0,1] extrapolates.
 func (p Point) Lerp(q Point, t float64) Point {
@@ -65,18 +56,3 @@ func (s Segment) Len() float64 { return s.A.Dist(s.B) }
 
 // Midpoint returns the segment midpoint.
 func (s Segment) Midpoint() Point { return s.A.Lerp(s.B, 0.5) }
-
-// At returns the point a fraction t along the segment.
-func (s Segment) At(t float64) Point { return s.A.Lerp(s.B, t) }
-
-// DistToPoint returns the minimum distance from p to the segment.
-func (s Segment) DistToPoint(p Point) float64 {
-	d := s.B.Sub(s.A)
-	l2 := d.X*d.X + d.Y*d.Y
-	if l2 == 0 {
-		return p.Dist(s.A)
-	}
-	t := ((p.X-s.A.X)*d.X + (p.Y-s.A.Y)*d.Y) / l2
-	t = math.Max(0, math.Min(1, t))
-	return p.Dist(s.At(t))
-}

@@ -25,12 +25,6 @@ func TestPointDist(t *testing.T) {
 	if d := Pt(0, 0).Dist(Pt(3, 4)); !almostEq(d, 5, 1e-12) {
 		t.Errorf("Dist = %v, want 5", d)
 	}
-	if d2 := Pt(0, 0).Dist2(Pt(3, 4)); !almostEq(d2, 25, 1e-12) {
-		t.Errorf("Dist2 = %v, want 25", d2)
-	}
-	if n := Pt(3, 4).Norm(); !almostEq(n, 5, 1e-12) {
-		t.Errorf("Norm = %v, want 5", n)
-	}
 }
 
 func TestPointLerp(t *testing.T) {
@@ -54,19 +48,6 @@ func TestSegment(t *testing.T) {
 	if s.Midpoint() != Pt(5, 0) {
 		t.Errorf("Midpoint = %v", s.Midpoint())
 	}
-	if d := s.DistToPoint(Pt(5, 3)); !almostEq(d, 3, 1e-12) {
-		t.Errorf("DistToPoint mid = %v", d)
-	}
-	if d := s.DistToPoint(Pt(-4, 3)); !almostEq(d, 5, 1e-12) {
-		t.Errorf("DistToPoint beyond A = %v", d)
-	}
-	if d := s.DistToPoint(Pt(14, 3)); !almostEq(d, 5, 1e-12) {
-		t.Errorf("DistToPoint beyond B = %v", d)
-	}
-	zero := Segment{Pt(1, 1), Pt(1, 1)}
-	if d := zero.DistToPoint(Pt(4, 5)); !almostEq(d, 5, 1e-12) {
-		t.Errorf("degenerate segment dist = %v", d)
-	}
 }
 
 func TestRectNormalization(t *testing.T) {
@@ -81,9 +62,6 @@ func TestRectBasics(t *testing.T) {
 	r := R(0, 0, 4, 3)
 	if !almostEq(r.Area(), 12, 1e-12) {
 		t.Errorf("Area = %v", r.Area())
-	}
-	if !almostEq(r.Perimeter(), 14, 1e-12) {
-		t.Errorf("Perimeter = %v", r.Perimeter())
 	}
 	if r.Center() != Pt(2, 1.5) {
 		t.Errorf("Center = %v", r.Center())
@@ -143,13 +121,6 @@ func TestRectIntersection(t *testing.T) {
 	}
 }
 
-func TestRectClamp(t *testing.T) {
-	r := R(0, 0, 2, 2)
-	if c := r.Clamp(Pt(5, -1)); c != Pt(2, 0) {
-		t.Errorf("Clamp = %v", c)
-	}
-}
-
 func TestRectExpand(t *testing.T) {
 	r := R(1, 1, 3, 3)
 	if got := r.Expand(1); got != R(0, 0, 4, 4) {
@@ -157,16 +128,6 @@ func TestRectExpand(t *testing.T) {
 	}
 	if got := r.Expand(-2); !got.IsEmpty() {
 		t.Errorf("over-shrink should be empty, got %v", got)
-	}
-}
-
-func TestUnionAll(t *testing.T) {
-	got := UnionAll(R(0, 0, 1, 1), R(5, 5, 6, 6), R(-2, 3, 0, 4))
-	if got != R(-2, 0, 6, 6) {
-		t.Errorf("UnionAll = %v", got)
-	}
-	if !UnionAll().IsEmpty() {
-		t.Error("UnionAll() should be empty")
 	}
 }
 

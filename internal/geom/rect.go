@@ -60,9 +60,6 @@ func (r Rect) Height() float64 {
 // Area returns the rectangle's area (0 for empty rectangles).
 func (r Rect) Area() float64 { return r.Width() * r.Height() }
 
-// Perimeter returns the rectangle's perimeter (0 for empty rectangles).
-func (r Rect) Perimeter() float64 { return 2 * (r.Width() + r.Height()) }
-
 // Center returns the rectangle's center point.
 func (r Rect) Center() Point {
 	return Point{(r.MinX + r.MaxX) / 2, (r.MinY + r.MaxY) / 2}
@@ -124,19 +121,6 @@ func (r Rect) Union(s Rect) Rect {
 	}
 }
 
-// UnionPoint returns the smallest rectangle containing r and p.
-func (r Rect) UnionPoint(p Point) Rect {
-	return r.Union(Rect{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y})
-}
-
-// Clamp returns the point of r closest to p.
-func (r Rect) Clamp(p Point) Point {
-	return Point{
-		X: math.Max(r.MinX, math.Min(r.MaxX, p.X)),
-		Y: math.Max(r.MinY, math.Min(r.MaxY, p.Y)),
-	}
-}
-
 // Expand returns r grown by d on every side. Negative d shrinks and may
 // produce an empty rectangle.
 func (r Rect) Expand(d float64) Rect {
@@ -153,13 +137,4 @@ func (r Rect) Expand(d float64) Rect {
 // String implements fmt.Stringer.
 func (r Rect) String() string {
 	return fmt.Sprintf("[%.2f,%.2f - %.2f,%.2f]", r.MinX, r.MinY, r.MaxX, r.MaxY)
-}
-
-// UnionAll returns the smallest rectangle containing all inputs.
-func UnionAll(rects ...Rect) Rect {
-	out := EmptyRect()
-	for _, r := range rects {
-		out = out.Union(r)
-	}
-	return out
 }

@@ -2,14 +2,14 @@ package indoor
 
 import (
 	"fmt"
-	"sort"
 
 	"tkplq/internal/geom"
 )
 
 // Builder assembles a Space. Add* methods record entities and return their
-// ids; Build validates the assembly, derives cells, G_ISL, M_IL data and all
-// mappings, and returns the immutable Space.
+// ids; Build validates the assembly, derives cells, Cells(p) (which carries
+// G_ISL and M_IL), the equivalence classes and all mappings, and returns the
+// immutable Space.
 type Builder struct {
 	partitions []Partition
 	doors      []Door
@@ -149,7 +149,6 @@ func (b *Builder) Build() (*Space, error) {
 	}
 	b.derivePLocCells(s)
 	b.deriveClasses(s)
-	b.deriveGraph(s)
 
 	return s, nil
 }
@@ -210,7 +209,6 @@ func (b *Builder) deriveSLocMappings(s *Space) error {
 	s.cellOfSLoc = make([]CellID, len(b.slocs))
 	s.slocsOfCell = make([][]SLocID, len(s.cells))
 	s.slocsByPartition = make([][]SLocID, len(b.partitions))
-	s.partitionsBySLoc = make(map[PartitionID]SLocID)
 	for i, sl := range b.slocs {
 		cell := s.partitionCell[sl.Partitions[0]]
 		for _, pid := range sl.Partitions[1:] {
@@ -223,9 +221,6 @@ func (b *Builder) deriveSLocMappings(s *Space) error {
 		s.slocsOfCell[cell] = append(s.slocsOfCell[cell], SLocID(i))
 		for _, pid := range sl.Partitions {
 			s.slocsByPartition[pid] = append(s.slocsByPartition[pid], SLocID(i))
-			if _, ok := s.partitionsBySLoc[pid]; !ok {
-				s.partitionsBySLoc[pid] = SLocID(i)
-			}
 		}
 	}
 	return nil
@@ -259,20 +254,16 @@ func (b *Builder) derivePLocCells(s *Space) {
 // deriveClasses groups P-locations with identical Cells(p) into equivalence
 // classes keyed by the smallest member id (§3.1.2).
 func (b *Builder) deriveClasses(s *Space) {
-	byKey := make(map[string][]PLocID)
+	reps := make(map[string]PLocID)
+	s.classRep = make([]PLocID, len(b.plocs))
 	for i := range b.plocs {
 		key := cellsKey(s.plocCells[i])
-		byKey[key] = append(byKey[key], PLocID(i))
-	}
-	s.classRep = make([]PLocID, len(b.plocs))
-	s.classMembers = make(map[PLocID][]PLocID, len(byKey))
-	for _, members := range byKey {
-		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-		rep := members[0]
-		s.classMembers[rep] = members
-		for _, m := range members {
-			s.classRep[m] = rep
+		rep, ok := reps[key]
+		if !ok {
+			rep = PLocID(i)
+			reps[key] = rep
 		}
+		s.classRep[i] = rep
 	}
 }
 
@@ -282,38 +273,4 @@ func cellsKey(cells []CellID) string {
 		buf = append(buf, byte(c>>24), byte(c>>16), byte(c>>8), byte(c))
 	}
 	return string(buf)
-}
-
-// deriveGraph builds G_ISL: one edge per distinct cell pair separated by
-// monitored doors, one loop edge per cell holding presence P-locations.
-func (b *Builder) deriveGraph(s *Space) {
-	type pairKey struct{ a, b CellID }
-	edgeMap := make(map[pairKey][]PLocID)
-	for i := range b.plocs {
-		cells := s.plocCells[i]
-		var key pairKey
-		if len(cells) == 2 {
-			key = pairKey{cells[0], cells[1]}
-		} else {
-			key = pairKey{cells[0], cells[0]}
-		}
-		edgeMap[key] = append(edgeMap[key], PLocID(i))
-	}
-	keys := make([]pairKey, 0, len(edgeMap))
-	for k := range edgeMap {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].a != keys[j].a {
-			return keys[i].a < keys[j].a
-		}
-		return keys[i].b < keys[j].b
-	})
-	edges := make([]GraphEdge, 0, len(keys))
-	for _, k := range keys {
-		plocs := edgeMap[k]
-		sort.Slice(plocs, func(i, j int) bool { return plocs[i] < plocs[j] })
-		edges = append(edges, GraphEdge{A: k.a, B: k.b, PLocs: plocs})
-	}
-	s.graph = newLocationGraph(len(s.cells), edges)
 }

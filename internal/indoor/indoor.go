@@ -2,11 +2,17 @@
 // partitions (rooms, hallways, staircases) connected by doors; positioning
 // P-locations that are either *partitioning* (mounted at doors, splitting the
 // space into cells) or *presence* (inside a cell); user-defined semantic
-// S-locations; the cells induced by the partitioning P-locations; the Indoor
-// Space Location Graph G_ISL; and the Indoor Location Matrix M_IL.
+// S-locations; and the cells induced by the partitioning P-locations.
+//
+// The paper's Indoor Space Location Graph G_ISL is held as Cells(p)
+// (PLocCells): the edge labelled p joins the cells of Cells(p), and is a loop
+// when Cells(p) holds one cell. The Indoor Location Matrix M_IL is Space.MIL,
+// computed on demand from two Cells(p) lookups; ClassRep gives its
+// equivalence classes.
 //
 // Spaces are immutable once built. Use Builder to assemble one; Build derives
-// cells, the graph, the matrix and all mappings, and validates consistency.
+// cells, Cells(p), the equivalence classes and all mappings, and validates
+// consistency.
 package indoor
 
 import (
@@ -137,14 +143,9 @@ type Space struct {
 	slocsByPartition [][]SLocID // partition -> S-locations using it
 	plocCells        [][]CellID // P-location -> incident cells, sorted (Cells(p))
 	classRep         []PLocID   // P-location -> smallest-id equivalent P-location
-	classMembers     map[PLocID][]PLocID
-
-	graph *LocationGraph
 
 	floorOffset float64 // X translation between consecutive floors
 	numFloors   int
-
-	partitionsBySLoc map[PartitionID]SLocID // partition -> first S-location using it
 }
 
 // NumPartitions returns the number of partitions.
@@ -180,12 +181,6 @@ func (s *Space) SLocation(id SLocID) SLocation { return s.slocs[id] }
 // Cell returns the cell with the given id.
 func (s *Space) Cell(id CellID) Cell { return s.cells[id] }
 
-// Graph returns the indoor space location graph G_ISL.
-func (s *Space) Graph() *LocationGraph { return s.graph }
-
-// CellOfPartition returns the cell containing the partition.
-func (s *Space) CellOfPartition(id PartitionID) CellID { return s.partitionCell[id] }
-
 // CellOfSLoc implements the paper's Cell mapping: the parent cell of an
 // S-location.
 func (s *Space) CellOfSLoc(id SLocID) CellID { return s.cellOfSLoc[id] }
@@ -203,10 +198,6 @@ func (s *Space) PLocCells(id PLocID) []CellID { return s.plocCells[id] }
 // class: P-locations with identical Cells(p) are interchangeable in M_IL
 // lookups (§3.1.2) and are merged by the intra-merge reduction.
 func (s *Space) ClassRep(id PLocID) PLocID { return s.classRep[id] }
-
-// ClassMembers returns all P-locations equivalent to rep, which must be a
-// class representative. The returned slice must not be modified.
-func (s *Space) ClassMembers(rep PLocID) []PLocID { return s.classMembers[rep] }
 
 // MIL implements the Indoor Location Matrix lookup M_IL[pi, pj] (§3.1.2):
 // the cells through which pj is directly reachable from pi. For pi == pj it
@@ -240,14 +231,6 @@ func (s *Space) MIL(pi, pj PLocID) []CellID {
 	return a[lo:max(lo, hi)]
 }
 
-// MILConnected reports whether M_IL[pi, pj] is non-empty, i.e. the pair may
-// appear consecutively on a valid path.
-func (s *Space) MILConnected(pi, pj PLocID) bool { return len(s.MIL(pi, pj)) > 0 }
-
-// FloorOffset returns the X translation applied per floor when mapping
-// floor-local coordinates into the global plane used by R-trees.
-func (s *Space) FloorOffset() float64 { return s.floorOffset }
-
 // GlobalPoint maps a floor-local point to global plane coordinates. Floors
 // are laid out side by side along X so that rectangles on different floors
 // never intersect; R-tree pruning then respects floor separation.
@@ -272,52 +255,6 @@ func (s *Space) SLocBounds(id SLocID) geom.Rect {
 	out := geom.EmptyRect()
 	for _, pid := range s.slocs[id].Partitions {
 		out = out.Union(s.PartitionGlobalBounds(pid))
-	}
-	return out
-}
-
-// CellBounds returns the cell's MBR in the global plane.
-func (s *Space) CellBounds(id CellID) geom.Rect {
-	out := geom.EmptyRect()
-	for _, pid := range s.cells[id].Partitions {
-		out = out.Union(s.PartitionGlobalBounds(pid))
-	}
-	return out
-}
-
-// PLocGlobalPos returns the P-location's position in the global plane.
-func (s *Space) PLocGlobalPos(id PLocID) geom.Point {
-	p := s.plocs[id]
-	return s.GlobalPoint(p.Floor, p.Pos)
-}
-
-// SLocOfPartition returns the first S-location that includes the partition,
-// or -1 if the partition belongs to no S-location.
-func (s *Space) SLocOfPartition(id PartitionID) SLocID {
-	if sl, ok := s.partitionsBySLoc[id]; ok {
-		return sl
-	}
-	return -1
-}
-
-// DoorsOfPartition returns the ids of all doors incident to the partition.
-func (s *Space) DoorsOfPartition(id PartitionID) []DoorID {
-	var out []DoorID
-	for _, d := range s.doors {
-		if d.Partitions[0] == id || d.Partitions[1] == id {
-			out = append(out, d.ID)
-		}
-	}
-	return out
-}
-
-// PLocsOfDoor returns the partitioning P-locations mounted at the door.
-func (s *Space) PLocsOfDoor(id DoorID) []PLocID {
-	var out []PLocID
-	for _, p := range s.plocs {
-		if p.Kind == Partitioning && p.Door == id {
-			out = append(out, p.ID)
-		}
 	}
 	return out
 }

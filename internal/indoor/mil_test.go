@@ -11,8 +11,8 @@ import (
 // TestMILByConstruction: MIL's four-compare intersection relies on every
 // P-location having one or two sorted, distinct cells. On Figure 1, the
 // default generated building and the real-data floor, check that invariant
-// and compare MIL and MILConnected, for every ordered P-location pair, with a
-// naive set intersection of PLocCells.
+// and compare MIL, for every ordered P-location pair, with a naive set
+// intersection of PLocCells; the pair connects iff len(MIL) > 0.
 func TestMILByConstruction(t *testing.T) {
 	spaces := map[string]*indoor.Space{"figure1": indoor.Figure1Space().Space}
 	for _, name := range []string{"syn", "rd"} {
@@ -43,8 +43,8 @@ func TestMILByConstruction(t *testing.T) {
 				if !slices.Equal(got, want) {
 					t.Fatalf("%s: MIL[p%d, p%d] = %v, want %v", name, i, j, got, want)
 				}
-				if s.MILConnected(indoor.PLocID(i), indoor.PLocID(j)) != (len(want) > 0) {
-					t.Fatalf("%s: MILConnected[p%d, p%d] != %v", name, i, j, len(want) > 0)
+				if (len(got) > 0) != (len(want) > 0) {
+					t.Fatalf("%s: M_IL[p%d, p%d] connected != %v", name, i, j, len(want) > 0)
 				}
 			}
 		}

@@ -75,15 +75,6 @@ func (x SampleSet) Validate() error {
 	return nil
 }
 
-// PLocSet returns πl(X): the P-locations of the sample set, in sample order.
-func (x SampleSet) PLocSet() []indoor.PLocID {
-	out := make([]indoor.PLocID, len(x))
-	for i, s := range x {
-		out[i] = s.Loc
-	}
-	return out
-}
-
 // Clone returns a deep copy.
 func (x SampleSet) Clone() SampleSet {
 	return append(SampleSet(nil), x...)
@@ -151,40 +142,6 @@ type Sequence []TimedSampleSet
 type Window struct {
 	OIDs []ObjectID
 	Seqs []Sequence
-}
-
-// PLocUniverse returns the distinct P-locations appearing anywhere in the
-// sequence.
-func (seq Sequence) PLocUniverse() []indoor.PLocID {
-	seen := make(map[indoor.PLocID]bool)
-	var out []indoor.PLocID
-	for _, ts := range seq {
-		for _, s := range ts.Samples {
-			if !seen[s.Loc] {
-				seen[s.Loc] = true
-				out = append(out, s.Loc)
-			}
-		}
-	}
-	slices.Sort(out)
-	return out
-}
-
-// MaxPaths returns the Cartesian-product upper bound on the number of
-// possible paths, Π |πl(Xi)|, saturating at math.MaxInt64.
-func (seq Sequence) MaxPaths() int64 {
-	n := int64(1)
-	for _, ts := range seq {
-		m := int64(len(ts.Samples))
-		if m == 0 {
-			continue
-		}
-		if n > math.MaxInt64/m {
-			return math.MaxInt64
-		}
-		n *= m
-	}
-	return n
 }
 
 // Table is the IUPT: an append-only collection of positioning records with

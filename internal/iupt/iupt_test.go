@@ -46,9 +46,6 @@ func TestSampleSetValidate(t *testing.T) {
 
 func TestSampleSetHelpers(t *testing.T) {
 	x := mkSet(5, 0.2, 3, 0.5, 9, 0.3)
-	if got := x.PLocSet(); !reflect.DeepEqual(got, []indoor.PLocID{5, 3, 9}) {
-		t.Errorf("PLocSet = %v", got)
-	}
 	if s := x.MaxProbSample(); s.Loc != 3 {
 		t.Errorf("MaxProbSample = %v", s)
 	}
@@ -74,30 +71,6 @@ func TestMaxProbSampleTie(t *testing.T) {
 	x := mkSet(7, 0.5, 2, 0.5)
 	if s := x.MaxProbSample(); s.Loc != 7 {
 		t.Errorf("tie should keep first sample, got %v", s)
-	}
-}
-
-func TestSequenceHelpers(t *testing.T) {
-	seq := Sequence{
-		{T: 1, Samples: mkSet(1, 0.5, 2, 0.5)},
-		{T: 2, Samples: mkSet(2, 0.7, 4, 0.3)},
-		{T: 3, Samples: mkSet(5, 1.0)},
-	}
-	if got := seq.PLocUniverse(); !reflect.DeepEqual(got, []indoor.PLocID{1, 2, 4, 5}) {
-		t.Errorf("PLocUniverse = %v", got)
-	}
-	if got := seq.MaxPaths(); got != 4 {
-		t.Errorf("MaxPaths = %d, want 4", got)
-	}
-}
-
-func TestMaxPathsSaturation(t *testing.T) {
-	var seq Sequence
-	for i := 0; i < 100; i++ {
-		seq = append(seq, TimedSampleSet{T: Time(i), Samples: mkSet(1, 0.25, 2, 0.25, 3, 0.25, 4, 0.25)})
-	}
-	if got := seq.MaxPaths(); got <= 0 {
-		t.Errorf("MaxPaths overflowed to %d", got)
 	}
 }
 

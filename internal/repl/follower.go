@@ -203,15 +203,6 @@ func (f *Follower) isPromoted() bool {
 	}
 }
 
-func (f *Follower) isOpened() bool {
-	select {
-	case <-f.openedCh:
-		return true
-	default:
-		return false
-	}
-}
-
 // Run replicates until the context ends (ctx.Err()), Promote is called
 // (nil), or a fatal condition is hit: ErrBootstrapRequired after the store
 // opened (restart the process to re-bootstrap) or a protocol/divergence
