@@ -150,8 +150,8 @@ func (a *statsAcc) avgSamples() float64 {
 // writeStream generates the IUPT lazily and writes records as they are
 // produced, so memory stays O(objects) no matter the dataset size. The
 // binary format's count header needs a seek-patch, so bin to a non-seekable
-// destination (stdout, a pipe) falls back to collecting the record slice —
-// still never a full table.
+// destination (stdout, a pipe) falls back to collecting every record in one
+// slice before writing: that path holds the whole dataset in memory.
 func writeStream(b *sim.Building, trajs []sim.Trajectory, posCfg sim.PositioningConfig, format string, w io.Writer, f *os.File, acc *statsAcc) error {
 	stream, err := sim.StreamIUPT(b, trajs, posCfg)
 	if err != nil {

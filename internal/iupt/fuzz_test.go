@@ -1,0 +1,165 @@
+package iupt
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// binarySeeds are the hand-picked FuzzReadBinary inputs, also committed
+// under testdata/fuzz/FuzzReadBinary.
+func binarySeeds(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	valid := binaryFile(tb, []Record{
+		{OID: 1, T: 10, Samples: mkSet(3, 0.5, 4, 0.5)},
+		{OID: 2, T: 11, Samples: mkSet(5, 1)},
+	})
+	badVersion := append([]byte(nil), valid...)
+	badVersion[4] = 2
+	huge := append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint64(huge[6:], 1<<62)
+	return map[string][]byte{
+		"valid":       valid,
+		"truncated":   valid[:len(valid)-5],
+		"trailing":    append(append([]byte(nil), valid...), 1, 2, 3, 4, 5, 6, 7),
+		"bad-magic":   append([]byte("IUPX"), valid[4:]...),
+		"bad-version": badVersion,
+		"huge-count":  huge,
+	}
+}
+
+func binaryFile(tb testing.TB, recs []Record) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := WriteRecordsBinary(&buf, recs); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// sameBits reports whether two tables hold the same records in the same
+// order, probabilities compared as bit patterns.
+func sameBits(a, b *Table) bool {
+	ra, rb := a.SortedRecords(), b.SortedRecords()
+	if len(ra) != len(rb) {
+		return false
+	}
+	for i := range ra {
+		if ra[i].OID != rb[i].OID || ra[i].T != rb[i].T || len(ra[i].Samples) != len(rb[i].Samples) {
+			return false
+		}
+		for j, s := range ra[i].Samples {
+			t := rb[i].Samples[j]
+			if s.Loc != t.Loc || math.Float64bits(s.Prob) != math.Float64bits(t.Prob) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// FuzzReadBinary feeds arbitrary bytes to the binary IUPT reader, the parser
+// behind `tkplqd -iupt FILE -format bin`. It must never panic, and every
+// input it accepts must re-encode (in canonical order) to a file of the same
+// length that reads back to an identical table.
+func FuzzReadBinary(f *testing.F) {
+	for _, seed := range binarySeeds(f) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		table, err := ReadBinary(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		again := binaryFile(t, table.SortedRecords())
+		if len(again) != len(data) {
+			t.Fatalf("accepted %d bytes, re-encoded to %d", len(data), len(again))
+		}
+		back, err := ReadBinary(bytes.NewReader(again))
+		if err != nil {
+			t.Fatalf("re-encoded table does not read back: %v", err)
+		}
+		if !sameBits(table, back) {
+			t.Fatal("re-encoded table reads back different records")
+		}
+	})
+}
+
+// TestReadBinaryRejectsTrailingBytes: the stream must end exactly after the
+// header's record count, and the error names the surplus.
+func TestReadBinaryRejectsTrailingBytes(t *testing.T) {
+	data := binaryFile(t, []Record{{OID: 1, T: 1, Samples: mkSet(1, 1.0)}})
+	data = append(data, 0, 0, 0, 0, 0, 0, 0)
+	_, err := ReadBinary(bytes.NewReader(data))
+	if err == nil || !strings.Contains(err.Error(), "7 trailing bytes") {
+		t.Fatalf("ReadBinary(one record + 7 bytes) = %v, want a 7-trailing-bytes error", err)
+	}
+}
+
+// TestBinaryRejectsTooManySamples: a sample count that does not fit the
+// record's uint16 field is refused by both writers.
+func TestBinaryRejectsTooManySamples(t *testing.T) {
+	rec := Record{OID: 1, T: 1, Samples: make(SampleSet, math.MaxUint16+1)}
+	if _, err := AppendRecord(nil, &rec); err == nil {
+		t.Error("AppendRecord accepted 65536 samples")
+	}
+	if err := WriteRecordsBinary(&bytes.Buffer{}, []Record{rec}); err == nil {
+		t.Error("WriteRecordsBinary accepted 65536 samples")
+	}
+	f, err := os.Create(filepath.Join(t.TempDir(), "x.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	w, err := NewBinaryWriter(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Write(rec); err == nil {
+		t.Error("BinaryWriter accepted 65536 samples")
+	}
+}
+
+// TestDecodeRecordBounds: every proper prefix of a record is short input,
+// never a panic or a partial record.
+func TestDecodeRecordBounds(t *testing.T) {
+	rec := Record{OID: -7, T: 1 << 40, Samples: mkSet(2, 0.25, 9, 0.75)}
+	b, err := AppendRecord(nil, &rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b) != EncodedLen(&rec) {
+		t.Fatalf("encoded %d bytes, EncodedLen says %d", len(b), EncodedLen(&rec))
+	}
+	for i := range b {
+		if _, _, err := DecodeRecord(b[:i]); err == nil {
+			t.Fatalf("DecodeRecord accepted a %d-byte prefix of a %d-byte record", i, len(b))
+		}
+	}
+	got, n, err := DecodeRecord(append(b, 0xff))
+	if err != nil || n != len(b) || got.OID != rec.OID || got.T != rec.T || !slices.Equal(got.Samples, rec.Samples) {
+		t.Fatalf("DecodeRecord = %+v, %d, %v", got, n, err)
+	}
+}
+
+func TestGenCorpus(t *testing.T) {
+	if os.Getenv("GEN_FUZZ_CORPUS") == "" {
+		t.Skip("set GEN_FUZZ_CORPUS=1 to regenerate the committed seed corpus")
+	}
+	dir := filepath.Join("testdata", "fuzz", "FuzzReadBinary")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range binarySeeds(t) {
+		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
+		if err := os.WriteFile(filepath.Join(dir, "seed-"+name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

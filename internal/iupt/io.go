@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -16,10 +17,6 @@ import (
 // CSV format, one record per line:
 //
 //	oid,t,loc1:prob1;loc2:prob2;...
-//
-// Binary format: little-endian; header magic "IUPT" + version, record count,
-// then per record: oid (int32), t (int64), sample count (uint16) and
-// (loc int32, prob float64) pairs.
 
 // WriteCSV writes the table in the CSV format.
 func (t *Table) WriteCSV(w io.Writer) error {
@@ -125,10 +122,75 @@ func ReadCSV(r io.Reader) (*Table, error) {
 	return t, nil
 }
 
+// The binary IUPT layout (docs/FORMATS.md). AppendRecord and DecodeRecord
+// are its one record encoder and decoder; internal/wal frames its batch
+// payloads with them too, so a WAL payload after its record count is byte
+// for byte the body of a .bin file holding the same records.
 const (
 	binaryMagic   = "IUPT"
 	binaryVersion = uint16(1)
+	binaryHdrLen  = 14 // magic, version, record count uint64
+	recordHdrLen  = 14 // oid int32, t int64, sample count uint16
+	sampleLen     = 12 // loc int32, prob float64
 )
+
+// appendBinaryHeader appends the .bin header for count records.
+func appendBinaryHeader(dst []byte, count uint64) []byte {
+	dst = append(dst, binaryMagic...)
+	dst = binary.LittleEndian.AppendUint16(dst, binaryVersion)
+	return binary.LittleEndian.AppendUint64(dst, count)
+}
+
+// EncodedLen returns the length of rec in the binary record layout.
+func EncodedLen(rec *Record) int { return recordHdrLen + sampleLen*len(rec.Samples) }
+
+// AppendRecord appends rec to dst in the binary record layout: oid int32,
+// t int64, sample count uint16, then (loc int32, prob float64) per sample,
+// probabilities as raw IEEE-754 bits. It fails only for a sample set longer
+// than the uint16 count can say; the error leaves naming the record to the
+// caller.
+func AppendRecord(dst []byte, rec *Record) ([]byte, error) {
+	if len(rec.Samples) > math.MaxUint16 {
+		return dst, fmt.Errorf("%d samples exceed the binary record format's %d", len(rec.Samples), math.MaxUint16)
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(rec.OID))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(rec.T))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(rec.Samples)))
+	for _, s := range rec.Samples {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(s.Loc))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(s.Prob))
+	}
+	return dst, nil
+}
+
+// recordLen returns the encoded length of the record whose header starts b;
+// b must hold at least recordHdrLen bytes.
+func recordLen(b []byte) int {
+	return recordHdrLen + sampleLen*int(binary.LittleEndian.Uint16(b[12:]))
+}
+
+// DecodeRecord decodes the binary record at the front of b and returns it
+// with its encoded length. The sample set is freshly allocated (nothing
+// aliases b) and not validated: callers that read untrusted bytes validate
+// it. b shorter than the record is io.ErrUnexpectedEOF.
+func DecodeRecord(b []byte) (Record, int, error) {
+	if len(b) < recordHdrLen || len(b) < recordLen(b) {
+		return Record{}, 0, io.ErrUnexpectedEOF
+	}
+	samples := make(SampleSet, binary.LittleEndian.Uint16(b[12:]))
+	for j := range samples {
+		s := b[recordHdrLen+sampleLen*j:]
+		samples[j] = Sample{
+			Loc:  indoor.PLocID(int32(binary.LittleEndian.Uint32(s))),
+			Prob: math.Float64frombits(binary.LittleEndian.Uint64(s[4:])),
+		}
+	}
+	return Record{
+		OID:     ObjectID(int32(binary.LittleEndian.Uint32(b))),
+		T:       Time(int64(binary.LittleEndian.Uint64(b[4:]))),
+		Samples: samples,
+	}, recordLen(b), nil
+}
 
 // WriteBinary writes the table in the compact binary format.
 func (t *Table) WriteBinary(w io.Writer) error {
@@ -137,108 +199,70 @@ func (t *Table) WriteBinary(w io.Writer) error {
 
 // WriteRecordsBinary writes a record slice in the compact binary format —
 // the same bytes Table.WriteBinary produces for a table holding recs. It is
-// the encoder behind cmd/gendata's -format bin output, whose files
-// `tkplqd -iupt FILE -format bin` reads, also to seed a data directory; it
-// wrote the snapshot files of legacy flat data directories too. The byte
-// layout is specified in docs/FORMATS.md. recs should be in the table's
-// canonical time-sorted order (Table.SortedRecords) so a reloaded table is
-// bit-identical under queries.
+// the encoder behind cmd/gendata's -format bin output to a pipe, whose
+// files `tkplqd -iupt FILE -format bin` reads, also to seed a data
+// directory. recs should be in the table's canonical time-sorted order
+// (Table.SortedRecords) so a reloaded table is bit-identical under queries.
 func WriteRecordsBinary(w io.Writer, recs []Record) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, binaryVersion); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint64(len(recs))); err != nil {
-		return err
-	}
+	buf := appendBinaryHeader(nil, uint64(len(recs)))
 	for i := range recs {
-		if err := writeBinaryRecord(bw, i, &recs[i]); err != nil {
+		if _, err := bw.Write(buf); err != nil {
 			return err
 		}
+		var err error
+		if buf, err = AppendRecord(buf[:0], &recs[i]); err != nil {
+			return fmt.Errorf("iupt: record %d: %w", i, err)
+		}
+	}
+	if _, err := bw.Write(buf); err != nil {
+		return err
 	}
 	return bw.Flush()
 }
 
-// writeBinaryRecord encodes one record's binary frame — the shared encoder
-// behind WriteRecordsBinary and the incremental BinaryWriter. idx only
-// labels the error.
-func writeBinaryRecord(bw *bufio.Writer, idx int, rec *Record) error {
-	if len(rec.Samples) > math.MaxUint16 {
-		return fmt.Errorf("iupt: record %d has %d samples, exceeding format limit", idx, len(rec.Samples))
-	}
-	if err := binary.Write(bw, binary.LittleEndian, int32(rec.OID)); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, int64(rec.T)); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint16(len(rec.Samples))); err != nil {
-		return err
-	}
-	for _, s := range rec.Samples {
-		if err := binary.Write(bw, binary.LittleEndian, int32(s.Loc)); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, s.Prob); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadBinary parses a table from the binary format.
+// ReadBinary parses a table from the binary format, one record at a time:
+// the header must match, every sample set must validate, and the stream
+// must end exactly after the header's record count.
 func ReadBinary(r io.Reader) (*Table, error) {
 	br := bufio.NewReader(r)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("iupt: reading magic: %w", err)
+	buf := make([]byte, binaryHdrLen, 256)
+	if _, err := io.ReadFull(br, buf); err != nil {
+		return nil, fmt.Errorf("iupt: reading header: %w", err)
 	}
-	if string(magic) != binaryMagic {
-		return nil, fmt.Errorf("iupt: bad magic %q", magic)
+	if string(buf[:4]) != binaryMagic {
+		return nil, fmt.Errorf("iupt: bad magic %q", buf[:4])
 	}
-	var version uint16
-	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
-		return nil, err
+	if v := binary.LittleEndian.Uint16(buf[4:]); v != binaryVersion {
+		return nil, fmt.Errorf("iupt: unsupported version %d", v)
 	}
-	if version != binaryVersion {
-		return nil, fmt.Errorf("iupt: unsupported version %d", version)
-	}
-	var count uint64
-	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
-		return nil, err
-	}
+	count := binary.LittleEndian.Uint64(buf[6:])
 	t := NewTable()
 	for i := uint64(0); i < count; i++ {
-		var oid int32
-		var ts int64
-		var n uint16
-		if err := binary.Read(br, binary.LittleEndian, &oid); err != nil {
+		buf = buf[:recordHdrLen]
+		if _, err := io.ReadFull(br, buf); err != nil {
 			return nil, fmt.Errorf("iupt: record %d: %w", i, err)
 		}
-		if err := binary.Read(br, binary.LittleEndian, &ts); err != nil {
-			return nil, err
-		}
-		if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
-			return nil, err
-		}
-		samples := make(SampleSet, n)
-		for j := range samples {
-			var loc int32
-			if err := binary.Read(br, binary.LittleEndian, &loc); err != nil {
-				return nil, err
-			}
-			if err := binary.Read(br, binary.LittleEndian, &samples[j].Prob); err != nil {
-				return nil, err
-			}
-			samples[j].Loc = indoor.PLocID(loc)
-		}
-		if err := samples.Validate(); err != nil {
+		n := recordLen(buf)
+		buf = slices.Grow(buf, n-recordHdrLen)[:n]
+		if _, err := io.ReadFull(br, buf[recordHdrLen:]); err != nil {
 			return nil, fmt.Errorf("iupt: record %d: %w", i, err)
 		}
-		t.Append(Record{OID: ObjectID(oid), T: Time(ts), Samples: samples})
+		rec, _, err := DecodeRecord(buf)
+		if err == nil {
+			err = rec.Samples.Validate()
+		}
+		if err != nil {
+			return nil, fmt.Errorf("iupt: record %d: %w", i, err)
+		}
+		t.Append(rec)
+	}
+	extra, err := io.Copy(io.Discard, br)
+	if err != nil {
+		return nil, err
+	}
+	if extra > 0 {
+		return nil, fmt.Errorf("iupt: %d trailing bytes after the %d records the header declares", extra, count)
 	}
 	return t, nil
 }

@@ -12,10 +12,11 @@
 //
 // io.go serializes tables in two formats, specified byte by byte in
 // docs/FORMATS.md: a human-editable CSV (WriteCSV/ReadCSV) and a compact
-// little-endian binary layout (WriteBinary/WriteRecordsBinary/ReadBinary)
-// that stores probabilities as raw IEEE-754 bits for exact round-trips.
-// The binary format doubles as the WAL store's snapshot format and
-// cmd/gendata's -format bin output, which are therefore interchangeable.
+// little-endian binary layout (WriteRecordsBinary, BinaryWriter and
+// ReadBinary; cmd/gendata's -format bin output) that stores probabilities
+// as raw IEEE-754 bits for exact round-trips. Its one record encoder and
+// decoder, AppendRecord and DecodeRecord, also frame the WAL's batch
+// payloads (internal/wal), so a record has the same bytes in both.
 package iupt
 
 import (
@@ -60,7 +61,7 @@ func (x SampleSet) Validate() error {
 	sum := 0.0
 	seen := make(map[indoor.PLocID]bool, len(x))
 	for _, s := range x {
-		if s.Prob <= 0 || s.Prob > 1+ProbSumTolerance {
+		if !(s.Prob > 0 && s.Prob <= 1+ProbSumTolerance) { // NaN fails too
 			return fmt.Errorf("iupt: sample probability %v out of (0,1]", s.Prob)
 		}
 		if seen[s.Loc] {

@@ -2,6 +2,7 @@ package iupt
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -33,6 +34,7 @@ func TestSampleSetValidate(t *testing.T) {
 		{"sum above one", mkSet(1, 0.8, 2, 0.8), false},
 		{"zero prob", mkSet(1, 0.0, 2, 1.0), false},
 		{"negative prob", mkSet(1, -0.5, 2, 1.5), false},
+		{"NaN prob", mkSet(1, math.NaN()), false},
 		{"duplicate loc", mkSet(1, 0.5, 1, 0.5), false},
 		{"tolerated rounding", mkSet(1, 0.3333333, 2, 0.3333333, 3, 0.3333334), true},
 	}
@@ -290,6 +292,12 @@ func TestBinaryRejectsCorrupt(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()-4]
 	if _, err := ReadBinary(bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated body should fail")
+	}
+	// The fuzz seeds: every one but the valid file is refused.
+	for name, data := range binarySeeds(t) {
+		if _, err := ReadBinary(bytes.NewReader(data)); (err == nil) != (name == "valid") {
+			t.Errorf("%s: ReadBinary error = %v", name, err)
+		}
 	}
 }
 

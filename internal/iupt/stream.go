@@ -2,7 +2,6 @@ package iupt
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 )
@@ -10,8 +9,9 @@ import (
 // Incremental table writers. Table.WriteCSV/WriteBinary need the whole
 // record slice in memory; CSVWriter and BinaryWriter accept one record at a
 // time and produce byte-identical output (they share the per-record
-// encoders), so cmd/gendata can stream an arbitrarily large dataset to disk
-// without ever materializing the table. Callers are responsible for feeding
+// encoders, writeCSVRecord and AppendRecord, and the binary header writer),
+// so cmd/gendata can stream an arbitrarily large dataset to a file without
+// ever materializing the table. Callers are responsible for feeding
 // records in the canonical time-sorted order if the file is meant to load
 // bit-identically under queries.
 
@@ -35,18 +35,15 @@ func (cw *CSVWriter) Flush() error {
 	return cw.bw.Flush()
 }
 
-// binaryCountOffset is where the record count lives in the binary header:
-// after the 4-byte magic and the uint16 version.
-const binaryCountOffset = int64(len(binaryMagic) + 2)
-
 // BinaryWriter writes records one at a time in the compact binary format.
 // The header's record count is not known upfront, so NewBinaryWriter writes
-// a zero placeholder and Close seeks back to patch the real count — the
-// destination must be seekable (a regular file). The patched file is byte
-// for byte what WriteRecordsBinary would have produced.
+// a header for zero records and Close seeks back to rewrite it with the real
+// count — the destination must be seekable (a regular file). The finished
+// file is byte for byte what WriteRecordsBinary would have produced.
 type BinaryWriter struct {
 	ws    io.WriteSeeker
 	bw    *bufio.Writer
+	buf   []byte // one record's encoding, reused
 	count uint64
 }
 
@@ -54,21 +51,19 @@ type BinaryWriter struct {
 // the writer. Call Close when done to commit the count.
 func NewBinaryWriter(ws io.WriteSeeker) (*BinaryWriter, error) {
 	w := &BinaryWriter{ws: ws, bw: bufio.NewWriter(ws)}
-	if _, err := w.bw.WriteString(binaryMagic); err != nil {
-		return nil, err
-	}
-	if err := binary.Write(w.bw, binary.LittleEndian, binaryVersion); err != nil {
-		return nil, err
-	}
-	if err := binary.Write(w.bw, binary.LittleEndian, uint64(0)); err != nil {
+	if _, err := w.bw.Write(appendBinaryHeader(nil, 0)); err != nil {
 		return nil, err
 	}
 	return w, nil
 }
 
-// Write appends one record frame.
+// Write appends one record.
 func (w *BinaryWriter) Write(rec Record) error {
-	if err := writeBinaryRecord(w.bw, int(w.count), &rec); err != nil {
+	var err error
+	if w.buf, err = AppendRecord(w.buf[:0], &rec); err != nil {
+		return fmt.Errorf("iupt: record %d: %w", w.count, err)
+	}
+	if _, err := w.bw.Write(w.buf); err != nil {
 		return err
 	}
 	w.count++
@@ -78,10 +73,10 @@ func (w *BinaryWriter) Write(rec Record) error {
 // Count reports the records written so far.
 func (w *BinaryWriter) Count() uint64 { return w.count }
 
-// Close flushes buffered frames and patches the header's record count in
-// place. The underlying file is left positioned at its end and still open —
-// closing it (and fsyncing, if the caller needs durability) stays with the
-// caller.
+// Close flushes buffered records and rewrites the header with the real
+// record count. The underlying file is left positioned at its end and still
+// open — closing it (and fsyncing, if the caller needs durability) stays
+// with the caller.
 func (w *BinaryWriter) Close() error {
 	if err := w.bw.Flush(); err != nil {
 		return err
@@ -90,13 +85,11 @@ func (w *BinaryWriter) Close() error {
 	if err != nil {
 		return fmt.Errorf("iupt: seeking end: %w", err)
 	}
-	if _, err := w.ws.Seek(binaryCountOffset, io.SeekStart); err != nil {
-		return fmt.Errorf("iupt: seeking count header: %w", err)
+	if _, err := w.ws.Seek(0, io.SeekStart); err != nil {
+		return fmt.Errorf("iupt: seeking header: %w", err)
 	}
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], w.count)
-	if _, err := w.ws.Write(buf[:]); err != nil {
-		return fmt.Errorf("iupt: patching count header: %w", err)
+	if _, err := w.ws.Write(appendBinaryHeader(nil, w.count)); err != nil {
+		return fmt.Errorf("iupt: rewriting header: %w", err)
 	}
 	if _, err := w.ws.Seek(end, io.SeekStart); err != nil {
 		return fmt.Errorf("iupt: restoring position: %w", err)

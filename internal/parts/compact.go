@@ -3,7 +3,6 @@ package parts
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"path/filepath"
 	"time"
@@ -83,19 +82,6 @@ func mergeEncode(inputs []*Partition) ([]byte, error) {
 	}
 	l := computeLayout(n, s)
 	buf := make([]byte, l.size)
-	copy(buf, partMagic)
-	binary.LittleEndian.PutUint16(buf[4:], partVersion)
-
-	oidMin, oidMax := inputs[0].oidMin, inputs[0].oidMax
-	for _, p := range inputs[1:] {
-		if p.oidMin < oidMin {
-			oidMin = p.oidMin
-		}
-		if p.oidMax > oidMax {
-			oidMax = p.oidMax
-		}
-	}
-
 	idx := make([]int64, len(inputs))
 	so := int64(0) // output sample cursor
 	for out := int64(0); out < n; out++ {
@@ -125,20 +111,7 @@ func mergeEncode(inputs []*Partition) ([]byte, error) {
 	if so != s {
 		return nil, fmt.Errorf("merged %d samples, inputs declare %d — corrupt input OFF column", so, s)
 	}
-	binary.LittleEndian.PutUint32(buf[l.off+4*n:], uint32(so))
-
-	f := buf[l.size-footerLen:]
-	binary.LittleEndian.PutUint64(f[0:], uint64(n))
-	binary.LittleEndian.PutUint64(f[8:], uint64(s))
-	binary.LittleEndian.PutUint64(f[16:], binary.LittleEndian.Uint64(buf[l.t:]))         // tMin = first merged T
-	binary.LittleEndian.PutUint64(f[24:], binary.LittleEndian.Uint64(buf[l.t+8*(n-1):])) // tMax = last merged T
-	binary.LittleEndian.PutUint32(f[32:], uint32(int32(oidMin)))
-	binary.LittleEndian.PutUint32(f[36:], uint32(int32(oidMax)))
-	binary.LittleEndian.PutUint32(f[40:], crc32.Checksum(buf[:l.size-footerLen], crcTable))
-	binary.LittleEndian.PutUint16(f[44:], partVersion)
-	binary.LittleEndian.PutUint16(f[46:], 0) // reserved
-	binary.LittleEndian.PutUint32(f[48:], crc32.Checksum(f[:48], crcTable))
-	copy(f[52:], footMagic)
+	finishImage(buf, l, n, s)
 	return buf, nil
 }
 

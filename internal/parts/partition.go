@@ -104,10 +104,6 @@ func Encode(recs []iupt.Record) ([]byte, error) {
 	}
 	l := computeLayout(n, s)
 	buf := make([]byte, l.size)
-	copy(buf, partMagic)
-	binary.LittleEndian.PutUint16(buf[4:], partVersion)
-
-	oidMin, oidMax := recs[0].OID, recs[0].OID
 	off := uint32(0)
 	si := int64(0)
 	for i := range recs {
@@ -115,12 +111,6 @@ func Encode(recs []iupt.Record) ([]byte, error) {
 		binary.LittleEndian.PutUint64(buf[l.t+8*int64(i):], uint64(rec.T))
 		binary.LittleEndian.PutUint32(buf[l.oid+4*int64(i):], uint32(int32(rec.OID)))
 		binary.LittleEndian.PutUint32(buf[l.off+4*int64(i):], off)
-		if rec.OID < oidMin {
-			oidMin = rec.OID
-		}
-		if rec.OID > oidMax {
-			oidMax = rec.OID
-		}
 		for _, smp := range rec.Samples {
 			binary.LittleEndian.PutUint32(buf[l.loc+4*si:], uint32(int32(smp.Loc)))
 			binary.LittleEndian.PutUint64(buf[l.prob+8*si:], math.Float64bits(smp.Prob))
@@ -128,21 +118,36 @@ func Encode(recs []iupt.Record) ([]byte, error) {
 		}
 		off += uint32(len(rec.Samples))
 	}
-	binary.LittleEndian.PutUint32(buf[l.off+4*n:], off)
+	finishImage(buf, l, n, s)
+	return buf, nil
+}
 
+// finishImage completes a partition image of n records and s samples whose
+// T, OID and OFF[:n] columns and samples are in place: it writes OFF[n], the
+// header and the footer, taking the time span from the first and last T and
+// the id span from the OID column. It is the one writer of the header and
+// footer, behind Encode and mergeEncode alike.
+func finishImage(buf []byte, l layout, n, s int64) {
+	copy(buf, partMagic)
+	binary.LittleEndian.PutUint16(buf[4:], partVersion)
+	binary.LittleEndian.PutUint32(buf[l.off+4*n:], uint32(s))
+	oidMin, oidMax := int32(math.MaxInt32), int32(math.MinInt32)
+	for i := int64(0); i < n; i++ {
+		oid := int32(binary.LittleEndian.Uint32(buf[l.oid+4*i:]))
+		oidMin, oidMax = min(oidMin, oid), max(oidMax, oid)
+	}
 	f := buf[l.size-footerLen:]
 	binary.LittleEndian.PutUint64(f[0:], uint64(n))
 	binary.LittleEndian.PutUint64(f[8:], uint64(s))
-	binary.LittleEndian.PutUint64(f[16:], uint64(recs[0].T))
-	binary.LittleEndian.PutUint64(f[24:], uint64(recs[n-1].T))
-	binary.LittleEndian.PutUint32(f[32:], uint32(int32(oidMin)))
-	binary.LittleEndian.PutUint32(f[36:], uint32(int32(oidMax)))
+	copy(f[16:24], buf[l.t:])         // t_min = T[0]
+	copy(f[24:32], buf[l.t+8*(n-1):]) // t_max = T[n-1]
+	binary.LittleEndian.PutUint32(f[32:], uint32(oidMin))
+	binary.LittleEndian.PutUint32(f[36:], uint32(oidMax))
 	binary.LittleEndian.PutUint32(f[40:], crc32.Checksum(buf[:l.size-footerLen], crcTable))
 	binary.LittleEndian.PutUint16(f[44:], partVersion)
 	binary.LittleEndian.PutUint16(f[46:], 0) // reserved
 	binary.LittleEndian.PutUint32(f[48:], crc32.Checksum(f[:48], crcTable))
 	copy(f[52:], footMagic)
-	return buf, nil
 }
 
 // VerifyMode selects how much of a partition file Open checks.

@@ -432,9 +432,11 @@ func (s *Source) tail(ctx context.Context, w io.Writer, flush func(), sess *sess
 				if _, err := f.ReadAt(hdr[:], curOff); err != nil {
 					return fmt.Errorf("repl: reading frame header at %d: %w", curOff, err)
 				}
-				plen := int64(binary32(hdr[:4]))
-				total := int64(len(hdr)) + plen
-				if plen > maxStreamPayload || curOff+total > target {
+				total, err := wal.FrameLen(hdr[:])
+				if err != nil {
+					return fmt.Errorf("repl: segment %d frame at offset %d: %w", cur, curOff, err)
+				}
+				if curOff+total > target {
 					return fmt.Errorf("repl: segment %d has an invalid frame at offset %d", cur, curOff)
 				}
 				if int64(cap(buf)) < total {
@@ -549,8 +551,4 @@ func (s *Source) waitWindow(ctx context.Context, sess *session) error {
 		case <-t.C:
 		}
 	}
-}
-
-func binary32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -18,13 +17,11 @@ func fuzzSegment(tb testing.TB, batches ...[]iupt.Record) []byte {
 	seg := []byte(segMagic)
 	seg = binary.LittleEndian.AppendUint16(seg, segVersion)
 	for _, recs := range batches {
-		payload, err := encodeBatch(recs)
+		frame, err := encodeFrame(recs)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		seg = binary.LittleEndian.AppendUint32(seg, uint32(len(payload)))
-		seg = binary.LittleEndian.AppendUint32(seg, crc32.Checksum(payload, crcTable))
-		seg = append(seg, payload...)
+		seg = append(seg, frame...)
 	}
 	return seg
 }

@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -41,7 +40,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tkplq/internal/indoor"
 	"tkplq/internal/iupt"
 )
 
@@ -392,17 +390,10 @@ func (s *Store) AppendBatch(recs []iupt.Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	payload, err := encodeBatch(recs)
+	frame, err := encodeFrame(recs)
 	if err != nil {
 		return err
 	}
-	if len(payload) > maxFrameLen {
-		return fmt.Errorf("wal: batch encodes to %d bytes, exceeding the %d-byte frame bound — split the batch", len(payload), maxFrameLen)
-	}
-	frame := make([]byte, 0, frameHdrLen+len(payload))
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, crcTable))
-	frame = append(frame, payload...)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -612,7 +603,7 @@ func (s *Store) Close() error {
 // internal/repl streams a primary's committed log to followers byte for
 // byte: the source tails the segment files (never past Position), followers
 // re-append the decoded batches through their own store, and because
-// encodeBatch is deterministic and every batch is exactly one frame, a
+// encodeFrame is deterministic and every batch is exactly one frame, a
 // caught-up follower's segment is bit-identical to the primary's.
 
 // SegmentHeaderLen is the length of the segment file header ("TKWL" +
@@ -677,27 +668,39 @@ func (s *Store) notifyLocked() {
 // needed before the first frame is complete.
 var ErrPartialFrame = errors.New("wal: partial frame")
 
+// ErrCorruptFrame reports a frame that is fully present but fails its CRC.
+var ErrCorruptFrame = errors.New("wal: frame CRC mismatch")
+
+// FrameLen reads the payload length from a frame header (at least its first
+// four bytes) and returns the frame's total length, header included. A
+// length past the 64 MiB payload bound is an error: no append writes one.
+func FrameLen(hdr []byte) (int64, error) {
+	plen := int64(binary.LittleEndian.Uint32(hdr))
+	if plen > maxFrameLen {
+		return 0, fmt.Errorf("wal: frame length %d exceeds the %d-byte bound", plen, maxFrameLen)
+	}
+	return frameHdrLen + plen, nil
+}
+
 // NextFrame validates the first frame in data (which must start at a frame
 // boundary) and returns its total length, header included. It returns
-// ErrPartialFrame when data ends mid-frame and a hard error for a garbage
-// length or CRC mismatch.
+// ErrPartialFrame when data ends mid-frame, ErrCorruptFrame for a CRC
+// mismatch and FrameLen's error for a garbage length.
 func NextFrame(data []byte) (int, error) {
 	if len(data) < frameHdrLen {
 		return 0, ErrPartialFrame
 	}
-	plen := int64(binary.LittleEndian.Uint32(data))
-	if plen > maxFrameLen {
-		return 0, fmt.Errorf("wal: frame length %d exceeds the %d-byte bound", plen, maxFrameLen)
+	total, err := FrameLen(data)
+	if err != nil {
+		return 0, err
 	}
-	total := frameHdrLen + int(plen)
-	if len(data) < total {
+	if int64(len(data)) < total {
 		return 0, ErrPartialFrame
 	}
-	crc := binary.LittleEndian.Uint32(data[4:])
-	if crc32.Checksum(data[frameHdrLen:total], crcTable) != crc {
-		return 0, errors.New("wal: frame CRC mismatch")
+	if crc32.Checksum(data[frameHdrLen:total], crcTable) != binary.LittleEndian.Uint32(data[4:]) {
+		return 0, ErrCorruptFrame
 	}
-	return total, nil
+	return int(total), nil
 }
 
 // DecodeFrame parses one complete frame (header + payload) back into its
@@ -720,23 +723,11 @@ func DecodeFrame(frame []byte) ([]iupt.Record, error) {
 // this to report a durable (offset, checksum) position the primary can
 // verify before resuming the stream mid-segment.
 func ScanSegment(path string) (validOff int64, crc uint32, frames int64, err error) {
-	data, err := os.ReadFile(path)
+	data, err := readSegment(path)
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, 0, 0, fmt.Errorf("wal: %s: %w", path, err)
 	}
-	if len(data) < segHdrLen || string(data[:4]) != segMagic ||
-		binary.LittleEndian.Uint16(data[4:6]) != segVersion {
-		return 0, 0, 0, fmt.Errorf("wal: %s: bad segment header", path)
-	}
-	off := int64(segHdrLen)
-	for off < int64(len(data)) {
-		n, err := NextFrame(data[off:])
-		if err != nil {
-			break
-		}
-		off += int64(n)
-		frames++
-	}
+	off, _, _ := walkFrames(data, func([]byte) error { frames++; return nil })
 	return off, crc32.Checksum(data[:off], crcTable), frames, nil
 }
 
@@ -755,60 +746,38 @@ func PrefixCRC(path string, n int64) (uint32, error) {
 	return crc32.Checksum(data[:n], crcTable), nil
 }
 
-// encodeBatch renders one batch as a frame payload: record count, then each
-// record as (oid int32, t int64, sample count uint16, samples as
-// (loc int32, prob float64)) — the per-record layout of the binary IUPT
-// format (docs/FORMATS.md).
-func encodeBatch(recs []iupt.Record) ([]byte, error) {
-	buf := make([]byte, 0, 4+len(recs)*24)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(recs)))
+// encodeFrame renders one batch as a complete frame, header included, in
+// one exact-size allocation. The payload is the record count, then each
+// record in the binary IUPT record layout (iupt.AppendRecord), so after its
+// count it is byte for byte the body of a .bin file of the same records.
+func encodeFrame(recs []iupt.Record) ([]byte, error) {
+	size := frameHdrLen + 4
 	for i := range recs {
-		rec := &recs[i]
-		if len(rec.Samples) > math.MaxUint16 {
-			return nil, fmt.Errorf("wal: record %d has %d samples, exceeding format limit", i, len(rec.Samples))
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(rec.OID)))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(rec.T))
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(rec.Samples)))
-		for _, smp := range rec.Samples {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(smp.Loc)))
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(smp.Prob))
+		size += iupt.EncodedLen(&recs[i])
+	}
+	if size-frameHdrLen > maxFrameLen {
+		return nil, fmt.Errorf("wal: batch encodes to %d bytes, exceeding the %d-byte frame bound — split the batch", size-frameHdrLen, maxFrameLen)
+	}
+	frame := make([]byte, frameHdrLen, size)
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(recs)))
+	for i := range recs {
+		var err error
+		if frame, err = iupt.AppendRecord(frame, &recs[i]); err != nil {
+			return nil, fmt.Errorf("wal: record %d: %w", i, err)
 		}
 	}
-	return buf, nil
+	payload := frame[frameHdrLen:]
+	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, crcTable))
+	return frame, nil
 }
 
 // decodeBatch parses a CRC-verified frame payload back into records.
 func decodeBatch(payload []byte) ([]iupt.Record, error) {
-	off := 0
-	u16 := func() (uint16, bool) {
-		if off+2 > len(payload) {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint16(payload[off:])
-		off += 2
-		return v, true
-	}
-	u32 := func() (uint32, bool) {
-		if off+4 > len(payload) {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint32(payload[off:])
-		off += 4
-		return v, true
-	}
-	u64 := func() (uint64, bool) {
-		if off+8 > len(payload) {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint64(payload[off:])
-		off += 8
-		return v, true
-	}
-	count, ok := u32()
-	if !ok {
+	if len(payload) < 4 {
 		return nil, errors.New("wal: short payload")
 	}
+	count := binary.LittleEndian.Uint32(payload)
 	// A record needs at least 14 payload bytes; clamp the pre-allocation so
 	// a corrupt count in a CRC-consistent frame cannot request gigabytes.
 	capHint := int64(count)
@@ -816,33 +785,56 @@ func decodeBatch(payload []byte) ([]iupt.Record, error) {
 		capHint = max
 	}
 	recs := make([]iupt.Record, 0, capHint)
+	off := 4
 	for i := uint32(0); i < count; i++ {
-		oid, ok1 := u32()
-		t, ok2 := u64()
-		n, ok3 := u16()
-		if !ok1 || !ok2 || !ok3 {
-			return nil, fmt.Errorf("wal: payload truncated in record %d", i)
+		rec, n, err := iupt.DecodeRecord(payload[off:])
+		if err != nil {
+			return nil, fmt.Errorf("wal: payload truncated in record %d: %w", i, err)
 		}
-		samples := make(iupt.SampleSet, n)
-		for j := range samples {
-			loc, ok1 := u32()
-			prob, ok2 := u64()
-			if !ok1 || !ok2 {
-				return nil, fmt.Errorf("wal: payload truncated in record %d sample %d", i, j)
-			}
-			samples[j].Loc = indoor.PLocID(int32(loc))
-			samples[j].Prob = math.Float64frombits(prob)
-		}
-		recs = append(recs, iupt.Record{
-			OID:     iupt.ObjectID(int32(oid)),
-			T:       iupt.Time(int64(t)),
-			Samples: samples,
-		})
+		recs = append(recs, rec)
+		off += n
 	}
 	if off != len(payload) {
 		return nil, fmt.Errorf("wal: %d trailing payload bytes", len(payload)-off)
 	}
 	return recs, nil
+}
+
+// readSegment reads a segment file and checks its header. A file shorter
+// than the header returns its bytes with errShortSegment.
+func readSegment(path string) ([]byte, error) {
+	data, err := os.ReadFile(path)
+	switch {
+	case err != nil:
+		return nil, err
+	case len(data) < segHdrLen:
+		return data, errShortSegment
+	case string(data[:4]) != segMagic:
+		return nil, errors.New("bad segment header")
+	case binary.LittleEndian.Uint16(data[4:6]) != segVersion:
+		return nil, fmt.Errorf("unsupported segment version %d", binary.LittleEndian.Uint16(data[4:6]))
+	}
+	return data, nil
+}
+
+// walkFrames calls fn with each frame of a segment image that NextFrame
+// accepts, in order. It returns the offset where the valid prefix ends and
+// NextFrame's error for the frame there (nil when the image ends on a frame
+// boundary); an error from fn stops the walk at its frame and comes back as
+// fnErr.
+func walkFrames(data []byte, fn func(frame []byte) error) (off int64, invalid, fnErr error) {
+	off = segHdrLen
+	for off < int64(len(data)) {
+		n, err := NextFrame(data[off:])
+		if err != nil {
+			return off, err, nil
+		}
+		if err := fn(data[off : off+int64(n)]); err != nil {
+			return off, nil, err
+		}
+		off += int64(n)
+	}
+	return off, nil, nil
 }
 
 // replaySegment applies every complete frame of one segment to the table,
@@ -861,62 +853,36 @@ func decodeBatch(payload []byte) ([]iupt.Record, error) {
 // any invalid frame is a hard error, as is a CRC-valid frame that fails
 // to decode.
 func replaySegment(path string, table *iupt.Table, tolerateTorn bool) (frames, records, validOff, tornBytes, corruptFrames int64, err error) {
-	data, err := os.ReadFile(path)
+	data, err := readSegment(path)
 	if err != nil {
-		return 0, 0, 0, 0, 0, err
+		// A short file is the header's single creation write torn by a
+		// crash: it holds no frames, tolerable in the final segment.
+		return 0, 0, 0, int64(len(data)), 0, err
 	}
-	if len(data) < segHdrLen {
-		// The 6-byte header is written (and fsynced) at creation with a
-		// single write; a shorter file is the creation itself torn by a
-		// crash — the file holds no frames. Tolerable in the final segment.
-		return 0, 0, 0, int64(len(data)), 0, errShortSegment
-	}
-	if string(data[:4]) != segMagic {
-		return 0, 0, 0, 0, 0, fmt.Errorf("bad segment header")
-	}
-	if v := binary.LittleEndian.Uint16(data[4:6]); v != segVersion {
-		return 0, 0, 0, 0, 0, fmt.Errorf("unsupported segment version %d", v)
-	}
-	off := int64(segHdrLen)
-	for {
-		rest := int64(len(data)) - off
-		if rest == 0 {
-			break
+	off, invalid, err := walkFrames(data, func(frame []byte) error {
+		recs, err := decodeBatch(frame[frameHdrLen:])
+		if err != nil {
+			return err
 		}
-		torn := false
-		if rest < frameHdrLen {
-			torn = true
-		} else {
-			plen := int64(binary.LittleEndian.Uint32(data[off:]))
-			crc := binary.LittleEndian.Uint32(data[off+4:])
-			switch {
-			case plen > maxFrameLen:
-				torn = true // garbage length: a partially-written header
-			case off+frameHdrLen+plen > int64(len(data)):
-				torn = true // payload runs past EOF: a partially-written frame
-			case crc32.Checksum(data[off+frameHdrLen:off+frameHdrLen+plen], crcTable) != crc:
-				torn = true // complete frame, mangled bytes: see doc comment
-				corruptFrames++
-			default:
-				payload := data[off+frameHdrLen : off+frameHdrLen+plen]
-				recs, derr := decodeBatch(payload)
-				if derr != nil {
-					return frames, records, off, 0, corruptFrames, fmt.Errorf("frame at offset %d: %w", off, derr)
-				}
-				for _, rec := range recs {
-					table.Append(rec)
-				}
-				frames++
-				records += int64(len(recs))
-				off += frameHdrLen + plen
-			}
+		for _, rec := range recs {
+			table.Append(rec)
 		}
-		if torn {
-			if !tolerateTorn {
-				return frames, records, off, rest, corruptFrames, fmt.Errorf("invalid frame at offset %d in non-final segment", off)
-			}
-			return frames, records, off, rest, corruptFrames, nil
-		}
+		frames++
+		records += int64(len(recs))
+		return nil
+	})
+	if err != nil {
+		return frames, records, off, 0, 0, fmt.Errorf("frame at offset %d: %w", off, err)
 	}
-	return frames, records, off, 0, 0, nil
+	if invalid == nil {
+		return frames, records, off, 0, 0, nil
+	}
+	if errors.Is(invalid, ErrCorruptFrame) {
+		corruptFrames = 1
+	}
+	rest := int64(len(data)) - off
+	if !tolerateTorn {
+		return frames, records, off, rest, corruptFrames, fmt.Errorf("invalid frame at offset %d in non-final segment: %w", off, invalid)
+	}
+	return frames, records, off, rest, corruptFrames, nil
 }

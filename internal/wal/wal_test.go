@@ -1,8 +1,6 @@
 package wal
 
 import (
-	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -293,11 +291,10 @@ func TestStaleFileCleanup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := encodeBatch(batch(99, 1000, 5))
+	frame, err := encodeFrame(batch(99, 1000, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame := frameBytes(payload)
 	if _, err := f.Write(frame); err != nil {
 		t.Fatal(err)
 	}
@@ -430,12 +427,4 @@ func TestOpenRequiresDir(t *testing.T) {
 	if _, _, err := Open(Options{}); err == nil {
 		t.Fatal("Open accepted empty Dir")
 	}
-}
-
-// frameBytes wraps a payload in the length+CRC frame header.
-func frameBytes(payload []byte) []byte {
-	frame := make([]byte, 0, frameHdrLen+len(payload))
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, crcTable))
-	return append(frame, payload...)
 }
