@@ -149,6 +149,21 @@ func TestDaemonClusterFlagValidation(t *testing.T) {
 			"-compact-min-inputs", "2"}, "-compact-min-inputs cannot be used with -replica-of"},
 		{"replica-of with compact-target-bytes", []string{"-replica-of", "127.0.0.1:9", "-data-dir", t.TempDir(),
 			"-compact-target-bytes", "1024"}, "-compact-target-bytes cannot be used with -replica-of"},
+		{"fsync without data-dir", []string{"-fsync", "interval"}, "-fsync requires -data-dir"},
+		{"replication flags without data-dir", []string{"-advertise", "127.0.0.1:9", "-repl-heartbeat", "1s", "-repl-window", "1024"},
+			"-advertise, -repl-heartbeat, -repl-window requires -data-dir"},
+		{"fsync-interval with fsync always", []string{"-data-dir", t.TempDir(), "-fsync-interval", "10ms"}, "-fsync-interval requires -fsync interval"},
+		{"store flags on router", []string{"-role", "router", "-topology", topoFile, "-snapshot-every", "10"},
+			"-snapshot-every cannot be used with -role router"},
+		{"shard-index on standalone", []string{"-shard-index", "0"}, "-shard-index requires -role shard"},
+		{"router flags on shard", []string{"-role", "shard", "-topology", topoFile, "-shard-index", "0",
+			"-health-interval", "1s", "-shard-timeout", "1s"}, "-health-interval, -shard-timeout requires -role router"},
+		{"dataset flags on router", []string{"-role", "router", "-topology", topoFile, "-iupt", iuptFile(t)},
+			"-iupt cannot be used with -role router"},
+		{"dataset flags on follower", []string{"-replica-of", "127.0.0.1:9", "-data-dir", t.TempDir(),
+			"-objects", "5", "-seed", "3"}, "-objects, -seed cannot be used with -replica-of"},
+		{"format without iupt", []string{"-format", "bin"}, "-format requires -iupt"},
+		{"generator flags with iupt", []string{"-iupt", iuptFile(t), "-duration", "60"}, "-duration cannot be used with -iupt"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -163,4 +178,78 @@ func TestDaemonClusterFlagValidation(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDaemonRefusesIgnoredFlags walks the (member, explicitly set flag) pairs
+// the one flag rule refuses beyond the older -data-dir and -replica-of checks
+// — 49 across the seven members plus four dataset-source pairs — and checks
+// that each fails the boot with an error naming the flag.
+func TestDaemonRefusesIgnoredFlags(t *testing.T) {
+	topoFile := filepath.Join(t.TempDir(), "topology.json")
+	if err := os.WriteFile(topoFile, []byte(`{"shards":["127.0.0.1:1","127.0.0.1:2"]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	values := map[string]string{
+		"fsync": "interval", "fsync-interval": "10ms", "snapshot-every": "5", "repl-heartbeat": "1s",
+		"repl-window": "1024", "advertise": "127.0.0.1:9", "shard-index": "0", "shard-timeout": "1s",
+		"health-interval": "1s", "iupt": iuptFile(t), "format": "bin", "objects": "5", "duration": "60", "seed": "3",
+	}
+	shard := []string{"-role", "shard", "-topology", topoFile, "-shard-index", "0"}
+	follower := []string{"-replica-of", "127.0.0.1:9", "-data-dir", t.TempDir()}
+	storeFlags := []string{"fsync", "fsync-interval", "snapshot-every", "repl-heartbeat", "repl-window", "advertise"}
+	datasetFlags := []string{"iupt", "format", "objects", "duration", "seed"}
+	members := []struct {
+		name    string
+		args    []string
+		ignored []string
+	}{
+		{"in-memory standalone", nil, append([]string{"shard-index", "shard-timeout", "health-interval"}, storeFlags...)},
+		{"in-memory shard", shard, append([]string{"shard-timeout", "health-interval"}, storeFlags...)},
+		{"durable standalone", []string{"-data-dir", t.TempDir()}, []string{"shard-index", "shard-timeout", "health-interval"}},
+		{"durable shard", append([]string{"-data-dir", t.TempDir()}, shard...), []string{"shard-timeout", "health-interval"}},
+		{"standalone follower", follower, append([]string{"shard-index", "shard-timeout", "health-interval"}, datasetFlags...)},
+		{"shard follower", append(follower, shard...), append([]string{"shard-timeout", "health-interval"}, datasetFlags...)},
+		{"router", []string{"-role", "router", "-topology", topoFile},
+			append(append([]string{"shard-index"}, storeFlags...), datasetFlags...)},
+		{"generating", nil, []string{"format"}},
+		{"loading -iupt", []string{"-iupt", iuptFile(t)}, []string{"objects", "duration", "seed"}},
+	}
+	pairs := 0
+	for _, m := range members {
+		for _, name := range m.ignored {
+			pairs++
+			t.Run(m.name+"/"+name, func(t *testing.T) {
+				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+				defer cancel()
+				args := append([]string{"-addr", "127.0.0.1:0", "-" + name, values[name]}, m.args...)
+				var out syncBuffer
+				err := run(ctx, args, &out)
+				if err == nil || !strings.Contains(err.Error(), "-"+name+" ") {
+					t.Fatalf("run(%q) = %v, want the boot refused naming -%s", args, err, name)
+				}
+			})
+		}
+	}
+	if pairs != 49+4 {
+		t.Errorf("walked %d pairs, want 53", pairs)
+	}
+}
+
+// iuptFile writes a small gendata CSV that tkplqd loads with -iupt.
+func iuptFile(t *testing.T) string {
+	t.Helper()
+	sys, err := buildSystem("syn", "", "csv", 2, 120, 1, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "iupt.csv")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := sys.Table().WriteCSV(f); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }

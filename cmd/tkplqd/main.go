@@ -28,16 +28,18 @@
 // With -data-dir the live table is durable: every accepted ingest batch is
 // written ahead to a CRC-framed log before it is applied, and the data
 // directory holds immutable, memory-mapped sealed partitions plus that short
-// log head. POST /v1/snapshot (and -snapshot-every) seals the head into a
-// new partition in O(head), restart maps the partitions and replays only the
-// log tail no matter how large the table is, and sealed records never occupy
-// heap — larger-than-RAM datasets, millisecond restarts. The recovered table
-// answers bit-identically to the never-restarted one — kill -9 mid-ingest
-// loses at most an unacknowledged batch. On the first start the initial
-// dataset (-iupt file or generated) is ingested and sealed as the bootstrap
-// partition; on later starts the recovered state wins and
-// -iupt/-objects/-duration only shape the indoor space, which must stay the
-// same (-dataset, and the same gendata space for ingested P-location ids).
+// log head. POST /v1/snapshot seals the head into a new partition in O(head),
+// and so do the server's automatic seals — -snapshot-every (count) and
+// -snapshot-interval (timer), one scheduler with one seal slot, never on a
+// follower. Restart maps the partitions and replays only the log tail no
+// matter how large the table is, and sealed records never occupy heap —
+// larger-than-RAM datasets, millisecond restarts. The recovered table answers
+// bit-identically to the never-restarted one — kill -9 mid-ingest loses at
+// most an unacknowledged batch. On the first start the initial dataset
+// (-iupt file or generated) is ingested and sealed as the bootstrap
+// partition; on later starts the recovered state wins, the dataset flags go
+// unused and only -dataset rebuilds the indoor space, which must stay the
+// same (and the same gendata space for ingested P-location ids).
 // So `-iupt FILE -format bin -data-dir DIR` is the one way to seed a
 // directory from a file. A directory holding an older build's flat snapshot
 // + log layout is refused with the two ways to convert it. See
@@ -81,6 +83,10 @@
 //	       [-replica-of HOST:PORT[,HOST:PORT...]] [-advertise HOST:PORT]
 //	       [-repl-heartbeat DUR] [-repl-window BYTES] [-keep-segments N]
 //
+// The daemon decides which member it boots (router, follower, durable or
+// in-memory) and refuses every explicitly set flag that member never reads
+// rather than silently ignoring it; see docs/OPERATIONS.md for the table.
+//
 // -pprof serves net/http/pprof (CPU, heap, goroutine, trace profiles) on a
 // *separate* listener, off by default so profiling endpoints are never
 // exposed on the query port by accident; bind it to localhost. See
@@ -88,6 +94,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -98,6 +105,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -131,7 +139,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		format          = fs.String("format", "csv", "IUPT file format: csv or bin")
 		objects         = fs.Int("objects", 50, "number of objects when generating")
 		duration        = fs.Int64("duration", 7200, "simulated span when generating")
-		seed            = fs.Int64("seed", 42, "random seed (must match gendata for -iupt files)")
+		seed            = fs.Int64("seed", 42, "random seed when generating (unused with -iupt, whose file holds the records)")
 		workers         = fs.Int("workers", 0, "engine worker pool (0 = GOMAXPROCS, 1 = single-threaded)")
 		requestTimeout  = fs.Duration("request-timeout", server.DefaultRequestTimeout, "per-request handling budget")
 		shutdownTimeout = fs.Duration("shutdown-timeout", 15*time.Second, "graceful shutdown drain budget")
@@ -158,64 +166,23 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *dataDir == "" {
-		// These flags configure the durable store; without one they would
-		// silently do nothing.
-		var stray []string
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "replica-of", "snapshot-interval", "compact-interval", "compact-min-inputs", "compact-target-bytes", "keep-segments":
-				stray = append(stray, "-"+f.Name)
-			}
-		})
-		if len(stray) > 0 {
-			return fmt.Errorf("%s requires -data-dir (it configures the durable store)", strings.Join(stray, ", "))
-		}
+	m, err := newMember(fs)
+	if err != nil {
+		return err
 	}
-	if *replicaOf != "" {
-		if *role == server.RoleRouter {
-			return fmt.Errorf("-replica-of is for shard/standalone members: the router holds no records to replicate")
-		}
-		// A follower's store opens without compaction, and keeps it off
-		// after a promotion, so these flags would silently do nothing.
-		var stray []string
-		fs.Visit(func(f *flag.Flag) {
-			if strings.HasPrefix(f.Name, "compact-") {
-				stray = append(stray, "-"+f.Name)
-			}
-		})
-		if len(stray) > 0 {
-			return fmt.Errorf("%s cannot be used with -replica-of: a follower's partition set stays a byte-for-byte copy of its primary's, so it never compacts in the background, not even after promotion", strings.Join(stray, ", "))
-		}
-	}
-	adv := *advertise
-	if adv == "" {
-		adv = *addr
-	}
+	adv := cmp.Or(*advertise, *addr)
 
 	var topo *cluster.Topology
-	switch *role {
-	case server.RoleStandalone:
-		if *topologyFile != "" {
-			return fmt.Errorf("-topology requires -role shard or -role router")
-		}
-	case server.RoleShard, server.RoleRouter:
+	if *role != server.RoleStandalone {
 		if *topologyFile == "" {
 			return fmt.Errorf("-role %s requires -topology", *role)
 		}
-		var err error
 		if topo, err = cluster.Load(*topologyFile); err != nil {
 			return err
 		}
-		if *role == server.RoleShard {
-			if *shardIndex < 0 || *shardIndex >= topo.NumShards() {
-				return fmt.Errorf("-shard-index %d out of range (topology has %d shards)", *shardIndex, topo.NumShards())
-			}
-		} else if *dataDir != "" {
-			return fmt.Errorf("-data-dir is per-shard: the router holds no records")
+		if *role == server.RoleShard && (*shardIndex < 0 || *shardIndex >= topo.NumShards()) {
+			return fmt.Errorf("-shard-index %d out of range (topology has %d shards)", *shardIndex, topo.NumShards())
 		}
-	default:
-		return fmt.Errorf("unknown -role %q (want standalone, shard or router)", *role)
 	}
 	// A shard keeps only its partition of the initial dataset; the topology
 	// decides ownership, the dataset flags stay identical across the fleet.
@@ -224,74 +191,65 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		idx := *shardIndex
 		own = func(oid iupt.ObjectID) bool { return topo.Owns(oid, idx) }
 	}
+	policy, err := parseFsyncPolicy(*fsyncPolicy)
+	if err != nil {
+		return err
+	}
+	b, err := sim.BuildingByName(*dataset)
+	if err != nil {
+		return err
+	}
+	logf := func(format string, args ...any) { fmt.Fprintf(out, format+"\n", args...) }
 
 	// WAL segment retention: replicated members keep a few rotated segments
 	// so a briefly-disconnected follower can catch up from the log instead
 	// of re-bootstrapping the whole partition set.
-	replicated := *replicaOf != "" ||
-		(topo != nil && *role == server.RoleShard && topo.NumMembers(*shardIndex) > 1)
-	keep := *keepSegments
-	if keep < 0 {
-		keep = 0
-		if replicated {
-			keep = 4
-		}
+	keep := max(*keepSegments, 0)
+	if *keepSegments < 0 && (m.kind == kindFollower || (*role == server.RoleShard && topo.NumMembers(*shardIndex) > 1)) {
+		keep = 4
 	}
+	storeOpts := tkplq.PartitionedOptions{
+		Dir: *dataDir, Policy: policy, SyncEvery: *fsyncInterval, KeepSegments: keep,
+		// Always zero on a follower, whose -compact-* flags are refused: its
+		// partition set must stay a byte-for-byte copy of what was shipped.
+		Compact: tkplq.CompactionPolicy{MinInputs: *compactMin, TargetBytes: *compactTarget, Interval: *compactIvl},
+	}
+	opts := tkplq.Options{Workers: *workers}
 
-	var store *tkplq.PartitionedStore
 	var sys *tkplq.System
+	var store *tkplq.PartitionedStore
 	var fol *repl.Follower
 	var folErrCh chan error
-	if *role == server.RoleRouter {
-		b, err := sim.BuildingByName(*dataset)
-		if err != nil {
+	switch m.kind {
+	case kindRouter, kindInMemory:
+		table := iupt.NewTable() // the router holds no records
+		if m.kind == kindInMemory {
+			if table, err = buildTable(b, *iuptFile, *format, *objects, *duration, *seed, own); err != nil {
+				return err
+			}
+		}
+		if sys, err = tkplq.NewSystem(b.Space, table, opts); err != nil {
 			return err
 		}
-		sys, err = tkplq.NewSystem(b.Space, iupt.NewTable(), tkplq.Options{Workers: *workers})
-		if err != nil {
-			return err
-		}
-	} else if *replicaOf != "" {
-		// Follower boot: the replication stream owns the data directory — it
-		// may wipe it and receive the primary's partitions byte-for-byte —
-		// so the store opens inside the follower's Open callback, once the
-		// primary's manifest has pinned the start position. The initial
-		// dataset is never generated here: partition 1 arrives from the
-		// primary, which is what makes the follower bit-identical.
-		policy, err := parseFsyncPolicy(*fsyncPolicy)
-		if err != nil {
-			return err
-		}
-		b, err := sim.BuildingByName(*dataset)
-		if err != nil {
-			return err
-		}
+	case kindFollower:
+		// The replication stream owns the data directory — it may wipe it
+		// and receive the primary's partitions byte-for-byte — so the store
+		// opens inside the follower's Open callback, once the primary's
+		// manifest has pinned the start position. The initial dataset is
+		// never generated here: partition 1 arrives from the primary, which
+		// is what makes the follower bit-identical.
 		fol, err = repl.NewFollower(repl.FollowerConfig{
 			Dir:       *dataDir,
 			Self:      adv,
 			Primaries: strings.Split(*replicaOf, ","),
-			Open: func(startSeq uint64, startOff int64) (repl.Applier, error) {
-				p, rec, err := tkplq.OpenPartitioned(tkplq.PartitionedOptions{
-					Dir: *dataDir, Policy: policy, SyncEvery: *fsyncInterval,
-					KeepSegments: keep,
-					// No background compaction: a follower's partition set
-					// must stay a byte-for-byte copy of what was shipped.
-				})
-				if err != nil {
+			Open: func(uint64, int64) (repl.Applier, error) {
+				var err error
+				if sys, store, err = openDurable(b.Space, storeOpts, opts); err != nil {
 					return nil, err
 				}
-				s2, err := tkplq.NewSystem(b.Space, rec, tkplq.Options{Workers: *workers})
-				if err != nil {
-					p.Close()
-					return nil, err
-				}
-				s2.SetPersister(p)
-				sys, store = s2, p
-				return repl.NewSystemApplier(s2, p), nil
+				return repl.NewSystemApplier(sys, store), nil
 			},
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(out, format+"\n", args...)
-			},
+			Logf: logf,
 		})
 		if err != nil {
 			return err
@@ -312,28 +270,13 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			return ctx.Err()
 		}
 		defer store.Close()
-		fmt.Fprintf(out, "tkplqd: following %s into %s (%d records replicated so far)\n",
-			*replicaOf, *dataDir, sys.Table().Len())
-	} else if *dataDir != "" {
-		policy, err := parseFsyncPolicy(*fsyncPolicy)
-		if err != nil {
-			return err
-		}
-		var recovered *tkplq.Table
-		store, recovered, err = tkplq.OpenPartitioned(tkplq.PartitionedOptions{
-			Dir: *dataDir, Policy: policy, SyncEvery: *fsyncInterval,
-			KeepSegments: keep,
-			Compact: tkplq.CompactionPolicy{
-				MinInputs:   *compactMin,
-				TargetBytes: *compactTarget,
-				Interval:    *compactIvl,
-			},
-		})
-		if err != nil {
+		logf("tkplqd: following %s into %s (%d records replicated so far)", *replicaOf, *dataDir, sys.Table().Len())
+	case kindDurable:
+		if sys, store, err = openDurable(b.Space, storeOpts, opts); err != nil {
 			return err
 		}
 		defer store.Close()
-		if recovered.Len() > 0 {
+		if sys.Table().Len() > 0 {
 			// The durable state is the source of truth; the flags only
 			// rebuild the (deterministic) indoor space around it. No
 			// full-table Validate — the head was validated frame by frame
@@ -345,52 +288,37 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 				// foreign object means the topology changed under it.
 				// Refuse loudly rather than silently dropping records.
 				// Objects() scans only OID columns — no record decode.
-				for _, oid := range recovered.Objects() {
+				for _, oid := range sys.Table().Objects() {
 					if !own(oid) {
 						return fmt.Errorf("%s: recovered object %d is not owned by shard %d under %s — re-partition the data before changing the topology",
 							*dataDir, oid, *shardIndex, *topologyFile)
 					}
 				}
 			}
-			b, err := sim.BuildingByName(*dataset)
-			if err != nil {
-				return err
+			ps := store.Stats()
+			logf("tkplqd: recovered %d records from %s (%d sealed partitions mapped, %d sealed records untouched, %d replayed from the WAL tail)",
+				sys.Table().Len(), *dataDir, ps.Partitions, ps.SealedRecords, ps.WAL.ReplayedRecords)
+			if ps.WAL.CorruptFrames > 0 {
+				logf("tkplqd: WARNING: %d complete WAL frames failed their CRC and were dropped — bit rot if the log was fsynced; check the disk",
+					ps.WAL.CorruptFrames)
 			}
-			sys, err = tkplq.NewSystem(b.Space, recovered, tkplq.Options{Workers: *workers})
-			if err != nil {
-				return err
-			}
-			sys.SetPersister(store)
-			logRecovery(out, store, recovered, *dataDir)
-		} else {
-			// Bootstrap the directory through the live write path:
-			// chunked Ingest into the (empty) recovered head, then one seal —
-			// the initial dataset becomes partition 1 and later restarts map
-			// it without replaying a single record.
-			b, table, err := buildTable(*dataset, *iuptFile, *format, *objects, *duration, *seed, own)
-			if err != nil {
-				return err
-			}
-			sys, err = tkplq.NewSystem(b.Space, recovered, tkplq.Options{Workers: *workers})
-			if err != nil {
-				return err
-			}
-			sys.SetPersister(store)
-			if err := ingestInitial(sys, table); err != nil {
-				return fmt.Errorf("bootstrap ingest: %w", err)
-			}
-			if err := sys.Snapshot(); err != nil {
-				return fmt.Errorf("bootstrap seal: %w", err)
-			}
-			fmt.Fprintf(out, "tkplqd: initialized %s with a bootstrap partition (%d records)\n",
-				*dataDir, sys.Table().Len())
+			break
 		}
-	} else {
-		var err error
-		sys, err = buildSystem(*dataset, *iuptFile, *format, *objects, *duration, *seed, *workers, own)
+		// Bootstrap the directory through the live write path: chunked
+		// Ingest into the (empty) recovered head, then one seal — the
+		// initial dataset becomes partition 1 and later restarts map it
+		// without replaying a single record.
+		table, err := buildTable(b, *iuptFile, *format, *objects, *duration, *seed, own)
 		if err != nil {
 			return err
 		}
+		if err := ingestInitial(sys, table); err != nil {
+			return fmt.Errorf("bootstrap ingest: %w", err)
+		}
+		if err := sys.Snapshot(); err != nil {
+			return fmt.Errorf("bootstrap seal: %w", err)
+		}
+		logf("tkplqd: initialized %s with a bootstrap partition (%d records)", *dataDir, sys.Table().Len())
 	}
 
 	if *pprofAddr != "" {
@@ -410,28 +338,25 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			Store:          store,
 			HeartbeatEvery: *replHeartbeat,
 			WindowBytes:    *replWindow,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(out, format+"\n", args...)
-			},
+			Logf:           logf,
 		})
 		replCfg = &server.ReplConfig{Source: src, Follower: fol, Self: adv}
 	}
 
 	srv, err := server.New(server.Config{
-		System:         sys,
-		Addr:           *addr,
-		RequestTimeout: *requestTimeout,
-		Store:          store,
-		SnapshotEvery:  *snapshotEvery,
-		Role:           *role,
-		Topology:       topo,
-		ShardIndex:     *shardIndex,
-		ShardTimeout:   *shardTimeout,
-		HealthInterval: *healthInterval,
-		Replication:    replCfg,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(out, format+"\n", args...)
-		},
+		System:           sys,
+		Addr:             *addr,
+		RequestTimeout:   *requestTimeout,
+		Store:            store,
+		SnapshotEvery:    *snapshotEvery,
+		SnapshotInterval: *snapshotIvl,
+		Role:             *role,
+		Topology:         topo,
+		ShardIndex:       *shardIndex,
+		ShardTimeout:     *shardTimeout,
+		HealthInterval:   *healthInterval,
+		Replication:      replCfg,
+		Logf:             logf,
 	})
 	if err != nil {
 		return err
@@ -441,54 +366,21 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	// Len/Objects, not ComputeStats: a partitioned table reports both from
 	// footers and OID columns without decoding a single sealed record.
-	fmt.Fprintf(out, "tkplqd: listening on %s (role %s, %d records, %d objects, %d S-locations)\n",
+	logf("tkplqd: listening on %s (role %s, %d records, %d objects, %d S-locations)",
 		srv.Addr(), *role, sys.Table().Len(), len(sys.Table().Objects()), sys.Space().NumSLocations())
-
-	// The periodic sealer is stopped and joined before the store closes, so
-	// no seal commits a partition or writes to out after run returns.
-	stopSealer := func() {}
-	if store != nil && *snapshotIvl > 0 {
-		sealCtx, cancelSeal := context.WithCancel(ctx)
-		sealerDone := make(chan struct{})
-		stopSealer = func() { cancelSeal(); <-sealerDone }
-		defer stopSealer()
-		go func() {
-			defer close(sealerDone)
-			t := time.NewTicker(*snapshotIvl)
-			defer t.Stop()
-			for {
-				select {
-				case <-sealCtx.Done():
-					return
-				case <-t.C:
-					if srv.Following() {
-						// Seal boundaries come from the primary's stream; a
-						// local seal would diverge the partition sets.
-						continue
-					}
-					if store.RecordsSinceSnapshot() == 0 {
-						continue // nothing new to compact
-					}
-					if err := sys.Snapshot(); err != nil {
-						fmt.Fprintf(out, "tkplqd: periodic snapshot: %v\n", err)
-					}
-				}
-			}
-		}()
-	}
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve() }()
 	shutdown := func() error {
 		sctx, cancel := context.WithTimeout(context.Background(), *shutdownTimeout)
 		defer cancel()
+		// Joins the server's seals: none writes after run returns.
 		if err := srv.Shutdown(sctx); err != nil {
 			return fmt.Errorf("shutdown: %w", err)
 		}
 		if err := <-errCh; err != nil {
 			return err
 		}
-		stopSealer()
 		if store != nil {
 			// Final fsync: everything acknowledged is on disk before exit.
 			if err := store.Close(); err != nil {
@@ -516,43 +408,139 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			// against a wiped primary, operator misconfig): serving a
 			// possibly-stale read-only table forever would be worse than
 			// exiting loudly — a restart re-bootstraps cleanly.
-			fmt.Fprintf(out, "tkplqd: replication follower failed: %v\n", err)
+			logf("tkplqd: replication follower failed: %v", err)
 			if serr := shutdown(); serr != nil {
-				fmt.Fprintf(out, "tkplqd: %v\n", serr)
+				logf("tkplqd: %v", serr)
 			}
 			return fmt.Errorf("replication follower: %w", err)
 		}
 	}
 }
 
-// logRecovery announces what recovery did: sealed partitions mapped and the
-// WAL tail replayed.
-func logRecovery(out io.Writer, store *tkplq.PartitionedStore, recovered *tkplq.Table, dataDir string) {
-	ps := store.Stats()
-	fmt.Fprintf(out, "tkplqd: recovered %d records from %s (%d sealed partitions mapped, %d sealed records untouched, %d replayed from the WAL tail)\n",
-		recovered.Len(), dataDir, ps.Partitions, ps.SealedRecords, ps.WAL.ReplayedRecords)
-	if ps.WAL.CorruptFrames > 0 {
-		fmt.Fprintf(out, "tkplqd: WARNING: %d complete WAL frames failed their CRC and were dropped — bit rot if the log was fsynced; check the disk\n",
-			ps.WAL.CorruptFrames)
+// The kinds of member one command line boots. The kind, the role and whether
+// the dataset comes from a file decide which flags the boot reads.
+const (
+	kindRouter   = iota // -role router: no records, fans queries out to the shards
+	kindFollower        // -replica-of with -data-dir: records arrive from a primary
+	kindDurable         // -data-dir: a standalone or shard member owning its store
+	kindInMemory        // neither: a standalone or shard member over a heap table
+)
+
+// member is what one command line boots.
+type member struct {
+	kind     int
+	role     string
+	fromFile bool   // -iupt is set
+	fsync    string // the -fsync policy
+}
+
+// newMember decides what the parsed command line boots — the member kind
+// from -role, -replica-of and -data-dir — and then refuses the explicitly set
+// flags that boot never reads rather than silently ignoring them, naming
+// every flag that shares the first reason found.
+func newMember(fs *flag.FlagSet) (member, error) {
+	get := func(name string) string { return fs.Lookup(name).Value.String() }
+	role, replicaOf, dataDir := get("role"), get("replica-of"), get("data-dir")
+	m := member{role: role, fromFile: get("iupt") != "", fsync: get("fsync")}
+	switch {
+	case role != server.RoleStandalone && role != server.RoleShard && role != server.RoleRouter:
+		return m, fmt.Errorf("unknown -role %q (want standalone, shard or router)", role)
+	case role == server.RoleRouter && replicaOf != "":
+		return m, errors.New("-replica-of is for shard/standalone members: the router holds no records to replicate")
+	case role == server.RoleRouter && dataDir != "":
+		return m, errors.New("-data-dir is per-shard: the router holds no records")
+	case role == server.RoleRouter:
+		m.kind = kindRouter
+	case dataDir == "":
+		m.kind = kindInMemory // -replica-of is refused below: it needs -data-dir
+	case replicaOf != "":
+		m.kind = kindFollower
+	default:
+		m.kind = kindDurable
 	}
+	var reason string
+	var names []string
+	fs.Visit(func(f *flag.Flag) {
+		if r := m.unread(f.Name); r != "" && (reason == "" || r == reason) {
+			reason = r
+			names = append(names, "-"+f.Name)
+		}
+	})
+	if reason != "" {
+		return m, fmt.Errorf("%s %s", strings.Join(names, ", "), reason)
+	}
+	return m, nil
+}
+
+// Flags that configure the durable store, and flags that shape the initial
+// dataset.
+var (
+	storeFlags = strings.Fields("replica-of fsync fsync-interval snapshot-every snapshot-interval keep-segments " +
+		"advertise repl-heartbeat repl-window compact-interval compact-min-inputs compact-target-bytes")
+	datasetFlags = strings.Fields("iupt format objects duration seed")
+)
+
+// unread returns why the member's boot never reads the flag name, or "" when
+// it does. Flags that only a data directory's first boot reads (the dataset
+// flags of a durable member) count as read: whether the directory is empty
+// is a property of the data, not of the command line.
+func (m member) unread(name string) string {
+	store, dataset := slices.Contains(storeFlags, name), slices.Contains(datasetFlags, name)
+	switch {
+	case m.kind == kindRouter && (store || dataset):
+		return "cannot be used with -role router: the router holds no records"
+	case m.kind == kindInMemory && store:
+		return "requires -data-dir (it configures the durable store)"
+	case m.kind == kindFollower && strings.HasPrefix(name, "compact-"):
+		return "cannot be used with -replica-of: a follower's partition set stays a byte-for-byte copy of its primary's, so it never compacts in the background, not even after promotion"
+	case m.kind == kindFollower && dataset:
+		return "cannot be used with -replica-of: a follower's records arrive from its primary"
+	case name == "fsync-interval" && m.fsync != "interval":
+		return "requires -fsync interval"
+	case name == "format" && !m.fromFile:
+		return "requires -iupt"
+	case m.fromFile && (name == "objects" || name == "duration" || name == "seed"):
+		return "cannot be used with -iupt: the file holds the records, these flags only shape a generated dataset"
+	case name == "topology" && m.role == server.RoleStandalone:
+		return "requires -role shard or -role router"
+	case name == "shard-index" && m.role != server.RoleShard:
+		return "requires -role shard"
+	case (name == "shard-timeout" || name == "health-interval") && m.role != server.RoleRouter:
+		return "requires -role router"
+	}
+	return ""
+}
+
+// openDurable opens a durable member's data directory and serves the
+// recovered table through a System that writes ahead to the store.
+func openDurable(space *tkplq.Space, po tkplq.PartitionedOptions, opts tkplq.Options) (*tkplq.System, *tkplq.PartitionedStore, error) {
+	store, recovered, err := tkplq.OpenPartitioned(po)
+	if err != nil {
+		return nil, nil, err
+	}
+	sys, err := tkplq.NewSystem(space, recovered, opts)
+	if err != nil {
+		store.Close()
+		return nil, nil, err
+	}
+	sys.SetPersister(store)
+	return sys, store, nil
 }
 
 // ingestInitial feeds the initial dataset through System.Ingest in chunks
 // bounded well under the WAL's 64 MiB frame limit, so bootstrapping a
 // partitioned data directory exercises exactly the live write path.
 func ingestInitial(sys *tkplq.System, table *tkplq.Table) error {
-	recs := table.SortedRecords()
 	const maxChunkBytes = 8 << 20
-	for start := 0; start < len(recs); {
-		bytes, end := 0, start
-		for end < len(recs) && bytes < maxChunkBytes {
-			bytes += 16 + 12*len(recs[end].Samples)
-			end++
+	for recs := table.SortedRecords(); len(recs) > 0; {
+		n, bytes := 0, 0
+		for ; n < len(recs) && bytes < maxChunkBytes; n++ {
+			bytes += iupt.EncodedLen(&recs[n])
 		}
-		if err := sys.Ingest(recs[start:end]); err != nil {
+		if err := sys.Ingest(recs[:n]); err != nil {
 			return err
 		}
-		start = end
+		recs = recs[n:]
 	}
 	return nil
 }
@@ -588,40 +576,23 @@ func parseFsyncPolicy(s string) (tkplq.SyncPolicy, error) {
 		return tkplq.SyncAlways, nil
 	case "interval":
 		return tkplq.SyncInterval, nil
-	default:
-		return 0, fmt.Errorf("unknown -fsync policy %q (want always or interval)", s)
 	}
+	return 0, fmt.Errorf("unknown -fsync policy %q (want always or interval)", s)
 }
 
-// buildSystem regenerates the indoor space and either loads the IUPT from a
-// gendata file or generates it on the fly. A non-nil own filter keeps only
-// the owned records (shard role): every cluster member runs the same
-// deterministic generation, and each shard carves out its partition, so the
-// shards' tables union to exactly the standalone table.
-func buildSystem(dataset, iuptFile, format string, objects int, duration, seed int64, workers int, own func(iupt.ObjectID) bool) (*tkplq.System, error) {
-	b, table, err := buildTable(dataset, iuptFile, format, objects, duration, seed, own)
+// buildTable loads the initial IUPT from a gendata file or generates it on
+// the fly over the building, filtered by the shard ownership predicate when
+// non-nil: every cluster member runs the same deterministic generation, and
+// each shard carves out its partition, so the shards' tables union to
+// exactly the standalone table.
+func buildTable(b *sim.Building, iuptFile, format string, objects int, duration, seed int64, own func(iupt.ObjectID) bool) (*tkplq.Table, error) {
+	table, err := sim.CLITable(b, iuptFile, format, objects, iupt.Time(duration), seed)
 	if err != nil {
 		return nil, err
 	}
-	return tkplq.NewSystem(b.Space, table, tkplq.Options{Workers: workers})
-}
-
-// buildTable regenerates the indoor space and the initial IUPT (loaded from
-// a gendata file or generated on the fly), filtered by the shard ownership
-// predicate when non-nil.
-func buildTable(dataset, iuptFile, format string, objects int, duration, seed int64, own func(iupt.ObjectID) bool) (*sim.Building, *tkplq.Table, error) {
-	b, err := sim.BuildingByName(dataset)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	table, err := sim.CLITable(b, iuptFile, format, objects, iupt.Time(duration), seed)
-	if err != nil {
-		return nil, nil, err
-	}
 	if iuptFile != "" {
 		if err := table.Validate(); err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", iuptFile, err)
+			return nil, fmt.Errorf("%s: %w", iuptFile, err)
 		}
 	}
 
@@ -634,5 +605,5 @@ func buildTable(dataset, iuptFile, format string, objects int, duration, seed in
 		}
 		table = owned
 	}
-	return b, table, nil
+	return table, nil
 }

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"tkplq"
+	"tkplq/internal/sim"
 )
 
 // syncBuffer is a goroutine-safe bytes.Buffer for capturing run's output.
@@ -240,6 +241,20 @@ func TestDaemonDurableRestart(t *testing.T) {
 	if !bytes.Equal(before, after) {
 		t.Fatalf("restart changed the answer:\nbefore: %s\nafter:  %s", before, after)
 	}
+}
+
+// buildSystem is the in-memory boot of run as a plain call: the named
+// building and buildTable's records, served by a new System.
+func buildSystem(dataset, iuptFile, format string, objects int, duration, seed int64, workers int, own func(tkplq.ObjectID) bool) (*tkplq.System, error) {
+	b, err := sim.BuildingByName(dataset)
+	if err != nil {
+		return nil, err
+	}
+	table, err := buildTable(b, iuptFile, format, objects, duration, seed, own)
+	if err != nil {
+		return nil, err
+	}
+	return tkplq.NewSystem(b.Space, table, tkplq.Options{Workers: workers})
 }
 
 // TestBuildSystemFromFile round-trips a table through the gendata CSV format
@@ -501,6 +516,60 @@ func TestPeriodicSealerStopsWithRun(t *testing.T) {
 		}
 		if got := dirState(t, dataDir); !reflect.DeepEqual(got, filesAtReturn) {
 			t.Errorf("round %d: data directory changed after run returned:\nat return: %v\nlater:     %v", round, filesAtReturn, got)
+		}
+	}
+}
+
+// sealState reads a durable member's seal counters from GET /v1/stats: the
+// seals its server's triggers and POST /v1/snapshot asked for, and the
+// newest sealed partition.
+func sealState(t *testing.T, base string) (requested int64, sealSeq uint64) {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats struct {
+		WAL struct {
+			SnapshotsRequested int64 `json:"snapshots_requested"`
+		} `json:"wal"`
+		Storage struct {
+			SealSeq uint64 `json:"seal_seq"`
+		} `json:"storage"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	return stats.WAL.SnapshotsRequested, stats.Storage.SealSeq
+}
+
+// TestPeriodicSealerCountsInStats: a -snapshot-interval seal is one of the
+// server's automatic seals, so it shows in wal.snapshots_requested like a
+// count-triggered one and seals the ingested head into a new partition.
+func TestPeriodicSealerCountsInStats(t *testing.T) {
+	base, _, stop := startDaemon(t, []string{
+		"-addr", "127.0.0.1:0",
+		"-objects", "4", "-duration", "300", "-seed", "3",
+		"-data-dir", t.TempDir(), "-snapshot-interval", "5ms",
+	})
+	defer stop()
+	resp, err := http.Post(base+"/v1/ingest", "application/json",
+		strings.NewReader(`{"records":[{"oid":9001,"t":400,"samples":[{"ploc":0,"prob":1.0}]}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest = %d", resp.StatusCode)
+	}
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		requested, sealSeq := sealState(t, base)
+		if requested >= 1 && sealSeq >= 2 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no periodic seal reported: snapshots_requested %d, seal_seq %d (bootstrap is 1)", requested, sealSeq)
 		}
 	}
 }

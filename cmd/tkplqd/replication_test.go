@@ -277,3 +277,73 @@ func TestDaemonReplicatedFailover(t *testing.T) {
 		t.Errorf("rejoined follower full-resynced %d times; its WAL was a clean prefix", n)
 	}
 }
+
+// TestFollowerNeverSealsPeriodically: a follower booted with
+// -snapshot-interval cuts no partition of its own while it follows — its
+// seal boundaries are the primary's, so its seal_seq stays equal to the
+// primary's across many ticks over a non-empty head. Once promoted it is a
+// primary, and the same timer seals its head.
+func TestFollowerNeverSealsPeriodically(t *testing.T) {
+	dir := t.TempDir()
+	primary, _, stopPrimary := startDaemon(t, []string{
+		"-addr", "127.0.0.1:0", "-objects", "4", "-duration", "300", "-seed", "3",
+		"-data-dir", filepath.Join(dir, "primary"), "-repl-heartbeat", "50ms",
+	})
+	defer stopPrimary()
+	fol, _, stopFollower := startDaemon(t, []string{
+		"-addr", "127.0.0.1:0", "-data-dir", filepath.Join(dir, "follower"),
+		"-replica-of", strings.TrimPrefix(primary, "http://"), "-snapshot-interval", "1ms",
+	})
+	defer stopFollower()
+
+	post := func(base, path, body string) {
+		t.Helper()
+		resp, err := http.Post(base+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s%s = %d", base, path, resp.StatusCode)
+		}
+	}
+	records := func(base string) int {
+		t.Helper()
+		resp, err := http.Get(base + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var h struct {
+			Records int `json:"records"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+			t.Fatal(err)
+		}
+		return h.Records
+	}
+	for i := 0; i < 5; i++ {
+		post(primary, "/v1/ingest", fmt.Sprintf(`{"records":[{"oid":9001,"t":%d,"samples":[{"ploc":0,"prob":1.0}]}]}`, 400+i))
+		for deadline := time.Now().Add(30 * time.Second); records(fol) != records(primary); time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("follower holds %d records, primary %d", records(fol), records(primary))
+			}
+		}
+		time.Sleep(20 * time.Millisecond) // twenty ticks over a head that holds records
+		if requested, seq := sealState(t, fol); requested != 0 {
+			t.Fatalf("follower requested %d seals of its own", requested)
+		} else if _, want := sealState(t, primary); seq != want {
+			t.Fatalf("follower seal_seq %d, primary's %d", seq, want)
+		}
+	}
+
+	post(fol, "/v2/promote", `{}`)
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if requested, _ := sealState(t, fol); requested >= 1 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("promoted follower never sealed on its -snapshot-interval")
+		}
+	}
+}

@@ -396,24 +396,23 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	s.ingestRequests.Add(1)
 	s.recordsIngested.Add(int64(len(recs)))
-	s.maybeAutoSnapshot()
+	// The count trigger. Lock-free probe: this runs on every ingest and must
+	// not serialize behind the store mutex AppendBatch holds across its fsync.
+	if st := s.cfg.Store; st != nil && s.cfg.SnapshotEvery > 0 && st.RecordsSinceSnapshot() >= int64(s.cfg.SnapshotEvery) {
+		s.autoSnapshot("count")
+	}
 	writeJSON(w, IngestResponse{Ingested: len(recs), Records: s.sys.Table().Len()})
 }
 
-// maybeAutoSnapshot seals the head in the background once SnapshotEvery
-// records have accumulated since the last seal. At most one automatic seal
-// runs at a time; a failure is logged and retried by the next ingest that
-// crosses the threshold.
-func (s *Server) maybeAutoSnapshot() {
-	if s.cfg.Store == nil || s.cfg.SnapshotEvery <= 0 || s.isFollower() {
+// autoSnapshot seals the head in the background for a trigger (count or
+// periodic). At most one automatic seal runs at a time, and a trigger that
+// finds one running does nothing; a failure is logged and retried by the
+// next trigger.
+func (s *Server) autoSnapshot(trigger string) {
+	if s.isFollower() {
 		// On a follower, seals happen only where the replication stream says
 		// they did on the primary — a local auto-seal would cut partitions
 		// at different boundaries and break byte-identity.
-		return
-	}
-	// Lock-free probe: this runs on every ingest and must not serialize
-	// behind the store mutex AppendBatch holds across its fsync.
-	if s.cfg.Store.RecordsSinceSnapshot() < int64(s.cfg.SnapshotEvery) {
 		return
 	}
 	select {
@@ -424,11 +423,11 @@ func (s *Server) maybeAutoSnapshot() {
 	go func() {
 		defer func() { <-s.autoSeal }()
 		if err := s.sys.Snapshot(); err != nil {
-			s.cfg.Logf("server: auto-snapshot: %v", err)
+			s.cfg.Logf("server: %s auto-snapshot: %v", trigger, err)
 			return
 		}
 		s.snapshots.Add(1)
-		s.cfg.Logf("server: auto-snapshot committed (seq %d)", s.cfg.Store.Log().Seq())
+		s.cfg.Logf("server: %s auto-snapshot committed (seq %d)", trigger, s.cfg.Store.Log().Seq())
 	}()
 }
 

@@ -99,11 +99,6 @@ type ReplUpstreamJSON struct {
 // (read-only; ingest, snapshot and compaction are refused).
 func (s *Server) isFollower() bool { return s.following.Load() }
 
-// Following reports the follower mode to callers outside the package — the
-// daemon's periodic snapshot ticker must not seal while following (seal
-// boundaries come from the primary's stream).
-func (s *Server) Following() bool { return s.following.Load() }
-
 // writeFollowerRefusal is the structured 503 for a write endpoint hit on a
 // follower: the member is healthy, just not the one that accepts writes.
 func (s *Server) writeFollowerRefusal(w http.ResponseWriter, what string) {

@@ -38,9 +38,12 @@
 // When the daemon runs with a data directory (Config.Store), ingest is
 // durable: System.Ingest writes every accepted batch ahead to the WAL, the
 // /v1/stats payload grows `wal` and `storage` sections, POST /v1/snapshot
-// seals the head into a partition on demand, and Config.SnapshotEvery
-// triggers an automatic seal once that many records have accumulated since
-// the last one. See docs/OPERATIONS.md.
+// seals the head into a partition on demand, and the server is the one
+// scheduler of automatic seals: Config.SnapshotEvery triggers one once that
+// many records have accumulated since the last seal, Config.SnapshotInterval
+// on a timer while the head holds records. Both triggers share one seal slot,
+// skip a member that is following, and count in wal.snapshots_requested.
+// See docs/OPERATIONS.md.
 package server
 
 import (
@@ -50,6 +53,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -90,12 +94,15 @@ type Config struct {
 	// serving). The server never appends to or seals it directly —
 	// System.Ingest and System.Snapshot do — but uses it to report the wal
 	// and storage sections of /v1/stats and its position on /readyz, to
-	// answer POST /v1/snapshot and /v1/compact, and to drive SnapshotEvery.
+	// answer POST /v1/snapshot and /v1/compact, and to drive automatic seals.
 	Store *tkplq.PartitionedStore
 	// SnapshotEvery triggers an automatic seal once this many records have
-	// been appended since the last one (0 = on-demand seals only). Requires
-	// Store.
+	// been appended since the last one (0 = off). Requires Store.
 	SnapshotEvery int
+	// SnapshotInterval triggers an automatic seal on this cadence whenever
+	// records have been appended since the last one (0 = off). The timer
+	// runs from Start to Shutdown. Requires Store.
+	SnapshotInterval time.Duration
 	// SSEHeartbeat paces the comment heartbeats of /v2/subscribe streams that
 	// keep idle connections alive through proxies; DefaultSSEHeartbeat when
 	// zero.
@@ -156,6 +163,7 @@ type Server struct {
 	recordsIngested atomic.Int64
 	snapshots       atomic.Int64
 	autoSeal        chan struct{} // capacity 1: held by the one auto-seal in flight
+	stopTicker      func()        // stops and joins the SnapshotInterval timer
 	subsActive      atomic.Int64
 	subsTotal       atomic.Int64
 	subUpdates      atomic.Int64
@@ -201,7 +209,11 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Replication != nil && cfg.Role == RoleRouter {
 		return nil, errors.New("server: the router role does not replicate (Replication is for shard/standalone members)")
 	}
-	s := &Server{sys: cfg.System, cfg: cfg, started: time.Now(), autoSeal: make(chan struct{}, 1), evaluate: cfg.System.DoBatch}
+	if cfg.SnapshotInterval > 0 && cfg.Store == nil {
+		return nil, errors.New("server: SnapshotInterval requires a Store")
+	}
+	s := &Server{sys: cfg.System, cfg: cfg, started: time.Now(), autoSeal: make(chan struct{}, 1),
+		stopTicker: func() {}, evaluate: cfg.System.DoBatch}
 	if cfg.Replication != nil && cfg.Replication.Follower != nil {
 		s.following.Store(true)
 	}
@@ -268,14 +280,32 @@ func (s *Server) requestContext(r *http.Request) (context.Context, context.Cance
 // Handler returns the server's root handler, for tests and embedding.
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// Start binds the configured address. After Start, Addr reports the bound
-// address and Serve accepts connections.
+// Start binds the configured address and starts the SnapshotInterval timer.
+// After Start, Addr reports the bound address and Serve accepts connections.
 func (s *Server) Start() error {
 	ln, err := net.Listen("tcp", s.cfg.Addr)
 	if err != nil {
 		return fmt.Errorf("server: listen %s: %w", s.cfg.Addr, err)
 	}
 	s.ln = ln
+	if every := s.cfg.SnapshotInterval; every > 0 {
+		t, quit, done := time.NewTicker(every), make(chan struct{}), make(chan struct{})
+		s.stopTicker = sync.OnceFunc(func() { close(quit); <-done })
+		go func() {
+			defer close(done)
+			defer t.Stop()
+			for {
+				select {
+				case <-quit:
+					return
+				case <-t.C:
+					if s.cfg.Store.RecordsSinceSnapshot() > 0 {
+						s.autoSnapshot("periodic")
+					}
+				}
+			}
+		}()
+	}
 	return nil
 }
 
@@ -303,13 +333,14 @@ func (s *Server) Serve() error {
 	return err
 }
 
-// Shutdown stops accepting connections and waits for in-flight requests —
-// and an auto-seal one of them started — to finish, up to the context's
-// deadline. After a nil return nothing of the server's touches the store, so
-// the caller may close it and reopen the directory.
+// Shutdown stops the seal timer, stops accepting connections and waits for
+// in-flight requests — and an auto-seal a trigger started — to finish, up to
+// the context's deadline. After a nil return nothing of the server's touches
+// the store, so the caller may close it and reopen the directory.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.cfg.Logf("server: shutting down (%d queries, %d records ingested)",
 		s.queries.Load(), s.recordsIngested.Load())
+	s.stopTicker()
 	if s.router != nil {
 		s.router.stop()
 	}
@@ -321,8 +352,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if err := s.httpSrv.Shutdown(ctx); err != nil {
 		return err
 	}
-	// The handlers have drained, so no new auto-seal can start; the one the
-	// last ingest launched may still be committing its partition, and its
+	// With the timer stopped and the handlers drained no auto-seal can start;
+	// one already running may still be committing its partition, and its
 	// rename must not land in a directory the caller has already reopened.
 	select {
 	case s.autoSeal <- struct{}{}:
