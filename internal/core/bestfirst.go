@@ -25,8 +25,8 @@ import (
 //     oracle's, by the same positions RC names.
 //
 // Trees are immutable after BulkLoad, so they are shared by concurrent
-// searches without a lock. The bypasses (Options.DisableCache,
-// Query.DisableCache, a window the cache does not hold) build all of it per
+// searches without a lock. A private window (Options.DisableCache,
+// Query.DisableCache, a window the cache does not admit) builds all of it per
 // call.
 
 // geomRect and geomPoint shorten helper signatures, here and in the tests.
@@ -60,7 +60,7 @@ type rankIndex struct {
 // step on a hit leaves Stats as a rebuild would.
 func (e *Engine) rankIndex(ctx context.Context, en *windowEntry, q []indoor.SLocID) (*rankIndex, *presenceOracle, error) {
 	if ri := en.rank.Load(); ri != nil && slices.Equal(ri.slocs, q) {
-		return ri, newOracle(e, en.win, en.memo, ri.member), nil
+		return ri, newOracle(e, en, 0, len(en.win.OIDs), ri.member), nil
 	}
 	ri := &rankIndex{slocs: slices.Clone(q), member: make(map[indoor.SLocID]bool, len(q))}
 	qItems := make([]rtree.BulkItem[indoor.SLocID], len(q))
@@ -70,7 +70,7 @@ func (e *Engine) rankIndex(ctx context.Context, en *windowEntry, q []indoor.SLoc
 	}
 	ri.rq = rtree.BulkLoad(rtree.DefaultMaxEntries, qItems)
 
-	oracle := newOracle(e, en.win, en.memo, ri.member)
+	oracle := newOracle(e, en, 0, len(en.win.OIDs), ri.member)
 	if err := oracle.ensureAll(ctx, false); err != nil {
 		return nil, nil, err
 	}
@@ -103,6 +103,7 @@ func (e *Engine) topkBestFirst(ctx context.Context, table *iupt.Table, q []indoo
 	if err != nil {
 		return nil, Stats{}, err
 	}
+	defer en.release() // after the last read: the results are values
 	ri, oracle, err := e.rankIndex(ctx, en, q)
 	if err != nil {
 		return nil, Stats{}, err

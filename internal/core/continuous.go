@@ -338,24 +338,26 @@ func spliceRecord(seq iupt.Sequence, tss iupt.TimedSampleSet) iupt.Sequence {
 }
 
 // recomputeLocked re-reduces and re-summarizes the dirty objects (ascending)
-// through the presence oracle, as a Window of their own, and returns the
-// evaluation's stats. Untouched objects keep their summaries. The oracle gets
-// no memo: the dirty sequences are the monitor's private spliced state, not a
-// window the table can vouch for, and the summaries a later tick could reuse
-// are the ones retained here already.
+// through the presence oracle, as a private window of their own, and returns
+// the evaluation's stats. Untouched objects keep their summaries. The oracle
+// gets no memo: the dirty sequences are the monitor's private spliced state,
+// not a window the table can vouch for, and the summaries a later tick could
+// reuse are the ones retained here already — so the reductions are carved
+// from pooled memory and handed back when the recompute ends.
 func (m *monitor) recomputeLocked(dirtyList []iupt.ObjectID) Stats {
 	st := Stats{ObjectsTotal: len(m.seqs), Workers: 1}
 	if len(dirtyList) > 0 {
-		dirty := iupt.Window{OIDs: dirtyList, Seqs: make([]iupt.Sequence, len(dirtyList))}
+		dirty := &windowEntry{win: iupt.Window{OIDs: dirtyList, Seqs: make([]iupt.Sequence, len(dirtyList))}, rec: new(recycler)}
 		for i, oid := range dirtyList {
-			dirty.Seqs[i] = m.seqs[oid]
+			dirty.win.Seqs[i] = m.seqs[oid]
 		}
-		oracle := newOracle(m.eng, dirty, nil, m.querySet)
+		oracle := newOracle(m.eng, dirty, 0, len(dirtyList), m.querySet)
 		// Background ctx: ensureAll only fails on ctx cancellation.
 		_ = oracle.ensureAll(context.Background(), true)
 		for i, oid := range dirtyList {
 			m.sums[oid] = oracle.summaries[i]
 		}
+		dirty.release() // only the summaries are kept
 		ost := oracle.finishStats()
 		ost.ObjectsTotal = len(m.seqs)
 		st = ost

@@ -35,6 +35,8 @@
 // over them and Best-First's R-trees over those reductions (bestfirst.go); the
 // table's identity for the window (iupt.WindowIdentity) is the whole proof of
 // a hit, so nothing invalidates and an ingest does not know the cache exists.
+// A window the cache does not keep is evaluated in pooled memory that its
+// query hands back when done.
 // The live feeds behind Subscribe retain their own per-object summaries and
 // use no cache.
 package core

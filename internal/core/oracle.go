@@ -33,8 +33,9 @@ import (
 type presenceOracle struct {
 	eng   *Engine
 	query map[indoor.SLocID]bool // nil disables PSL∩Q pruning
-	win   iupt.Window
-	memo  objectMemo // the cached window's, aligned with win; nil = no sharing
+	en    *windowEntry           // the window's entry: its memo, size estimate and pooled memory
+	win   iupt.Window            // en's window, or the slice of it evaluated
+	memo  objectMemo             // en's memo sliced like win; nil = no sharing
 
 	// By position, what this query has resolved: the reduction (prunedRed
 	// once the PSL∩Q check pruned the object) and the summary. pending lists
@@ -49,20 +50,27 @@ type presenceOracle struct {
 // has no summary and contributes an exact 0.0 everywhere.
 var prunedRed = new(Reduction)
 
-// newOracle evaluates over w, one window's objects or a sub-slice of them.
-// memo is that window's (Engine.window), sliced like w; nil — an uncached
-// window, Naive, a monitor's privately spliced sequences — computes everything
-// and shares nothing.
-func newOracle(e *Engine, w iupt.Window, memo objectMemo, query map[indoor.SLocID]bool) *presenceOracle {
-	return &presenceOracle{
+// newOracle evaluates over positions [lo, hi) of en's window: all of it, or
+// the one object a presence query asks about. A kept entry (Engine.window)
+// brings its memo, which the oracle reads and fills; a private one — an
+// unadmitted or bypassed window, Naive's per-location evaluations, a
+// monitor's privately spliced sequences — computes everything, shares
+// nothing and carves its reductions from en's pooled memory, so they are
+// valid until en's release.
+func newOracle(e *Engine, en *windowEntry, lo, hi int, query map[indoor.SLocID]bool) *presenceOracle {
+	o := &presenceOracle{
 		eng:        e,
 		query:      query,
-		win:        w,
-		memo:       memo,
-		reductions: make([]*Reduction, len(w.OIDs)),
-		summaries:  make([]*ObjectSummary, len(w.OIDs)),
-		stats:      Stats{ObjectsTotal: len(w.OIDs)},
+		en:         en,
+		win:        iupt.Window{OIDs: en.win.OIDs[lo:hi], Seqs: en.win.Seqs[lo:hi]},
+		reductions: make([]*Reduction, hi-lo),
+		summaries:  make([]*ObjectSummary, hi-lo),
+		stats:      Stats{ObjectsTotal: hi - lo},
 	}
+	if en.memo != nil {
+		o.memo = en.memo[lo:hi]
+	}
+	return o
 }
 
 // minParallelItems is the fan-out cutoff: below this many pending work items
@@ -91,10 +99,12 @@ type outcome struct {
 // position i, going through the window's memo when there is one and reusing
 // a reduction this query already holds. scr is the caller's scratch arena —
 // shard workers hold one across all their objects, so steady-state evaluation
-// recycles its working memory — and slot is where the memo keeps what is
-// computed here; a memo hit touches neither. computeOne only reads oracle
-// state and is safe to call concurrently (with per-caller scr and slot).
-func (o *presenceOracle) computeOne(i int, needSummary bool, scr *summarizeScratch, slot *memoized) outcome {
+// recycles its working memory — out the output arena a private evaluation
+// carves the reduction from (nil with a memo), and slot is where the memo
+// keeps what is computed here; a memo hit touches none of them. computeOne
+// only reads oracle state and is safe to call concurrently (with per-caller
+// scr, out and slot).
+func (o *presenceOracle) computeOne(i int, needSummary bool, scr *summarizeScratch, out *outArena, slot *memoized) outcome {
 	m := memoized{red: o.reductions[i]} // never prunedRed: a pruned object is resolved
 	if o.memo != nil {
 		if got := o.memo.get(i); got != nil {
@@ -103,13 +113,13 @@ func (o *presenceOracle) computeOne(i int, needSummary bool, scr *summarizeScrat
 	}
 	fresh := m.red == nil
 	if fresh {
-		m.red, _ = o.eng.reduceDataScratch(o.win.Seqs[i], nil, scr)
+		m.red, _ = o.eng.reduceDataScratch(o.win.Seqs[i], nil, scr, out)
 	}
 	pruned := o.prunedBy(m.red)
 	if pruned || !needSummary {
 		if fresh && o.memo != nil {
 			*slot = memoized{red: m.red}
-			o.memo.put(i, slot)
+			o.en.bytes.Add(o.memo.put(i, slot))
 		}
 		if pruned {
 			return outcome{pruned: true}
@@ -122,7 +132,7 @@ func (o *presenceOracle) computeOne(i int, needSummary bool, scr *summarizeScrat
 	m.sum, m.fellBack = o.eng.summarizeScratch(m.red.Seq, scr)
 	if o.memo != nil {
 		*slot = m
-		o.memo.put(i, slot)
+		o.en.bytes.Add(o.memo.put(i, slot))
 	}
 	return outcome{red: m.red, sum: m.sum, fellBack: m.fellBack}
 }
@@ -163,7 +173,7 @@ func (o *presenceOracle) apply(i int, oc outcome, needSummary bool) {
 	}
 	o.stats.SampleSetsOriginal += int64(len(o.win.Seqs[i]))
 	o.stats.SampleSetsReduced += int64(len(oc.red.Seq))
-	if o.memo != nil {
+	if o.en.counted {
 		if oc.sumHit {
 			o.stats.CacheHits++
 		} else {
@@ -197,7 +207,7 @@ func (o *presenceOracle) want(i int, needSummary bool) {
 		return
 	}
 	if o.memoHolds(i, needSummary) {
-		o.apply(i, o.computeOne(i, needSummary, nil, nil), needSummary)
+		o.apply(i, o.computeOne(i, needSummary, nil, nil, nil), needSummary)
 	} else {
 		o.pending = append(o.pending, i)
 	}
@@ -234,11 +244,12 @@ func (o *presenceOracle) compute(ctx context.Context, needSummary bool) error {
 	}
 	scr := o.eng.getScratch()
 	defer o.eng.putScratch(scr)
+	outs := o.en.rec.arenas(1)
 	for k, i := range pending {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		o.apply(i, o.computeOne(i, needSummary, scr, slotAt(slots, k)), needSummary)
+		o.apply(i, o.computeOne(i, needSummary, scr, arenaAt(outs, 0), slotAt(slots, k)), needSummary)
 	}
 	return ctx.Err()
 }
@@ -251,11 +262,20 @@ func slotAt(slots []memoized, k int) *memoized {
 	return &slots[k]
 }
 
+// arenaAt returns the w-th goroutine's output arena; nil for a kept window.
+func arenaAt(outs []*outArena, w int) *outArena {
+	if outs == nil {
+		return nil
+	}
+	return outs[w]
+}
+
 // fanOut is compute across workers goroutines, each a contiguous range of the
 // ascending pending list, checking ctx between objects so a canceled
 // evaluation stops burning the pool within one object's work.
 func (o *presenceOracle) fanOut(ctx context.Context, pending []int, slots []memoized, needSummary bool, workers int) error {
 	outcomes := make([]outcome, len(pending))
+	outs := o.en.rec.arenas(workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		lo, hi := w*len(pending)/workers, (w+1)*len(pending)/workers
@@ -266,11 +286,12 @@ func (o *presenceOracle) fanOut(ctx context.Context, pending []int, slots []memo
 			// the buffers, so the pool is touched once per range.
 			scr := o.eng.getScratch()
 			defer o.eng.putScratch(scr)
+			out := arenaAt(outs, w)
 			for k := lo; k < hi; k++ {
 				if ctx.Err() != nil {
 					return
 				}
-				outcomes[k] = o.computeOne(pending[k], needSummary, scr, slotAt(slots, k))
+				outcomes[k] = o.computeOne(pending[k], needSummary, scr, out, slotAt(slots, k))
 			}
 		}()
 	}
@@ -293,7 +314,7 @@ func (o *presenceOracle) finishStats() Stats {
 	if o.stats.Workers == 0 {
 		o.stats.Workers = 1
 	}
-	if o.memo != nil {
+	if o.en.counted {
 		o.eng.cache.objHits.Add(o.stats.CacheHits)
 		o.eng.cache.objMisses.Add(o.stats.CacheMisses)
 	}

@@ -43,27 +43,25 @@ type Partial struct {
 // summaries across the worker pool, into an oracle whose summaries[i] is the
 // window's i-th object's, nil when PSL∩Q pruned it (rows streams them). q
 // supplies the window, the columns and, for KindPresence only, the one object
-// to restrict to; e must already be the query's view.
+// to restrict to; e must already be the query's view. The caller releases the
+// oracle's entry once its rows are emitted.
 func (e *Engine) sharedPass(ctx context.Context, table *iupt.Table, q Query) (*presenceOracle, error) {
 	en, err := e.window(ctx, table, q.Ts, q.Te)
 	if err != nil {
 		return nil, err
 	}
-	w, memo := en.win, en.memo
+	lo, hi := 0, len(en.win.OIDs)
 	var query map[indoor.SLocID]bool
 	if q.Kind == KindPresence {
 		// Only the one object, and no PSL∩Q pruning: its summary is computed
 		// unconditionally (a non-intersecting PSL yields an exact 0.0 either
 		// way). The view is its sub-slice of the window and of the memo alike
 		// (empty when it has no records), so position 0 is its memo slot.
-		i, found := slices.BinarySearch(w.OIDs, q.OID)
-		j := i
+		var found bool
+		lo, found = slices.BinarySearch(en.win.OIDs, q.OID)
+		hi = lo
 		if found {
-			j++
-		}
-		w = iupt.Window{OIDs: w.OIDs[i:j], Seqs: w.Seqs[i:j]}
-		if memo != nil {
-			memo = memo[i:j]
+			hi++
 		}
 	} else {
 		query = make(map[indoor.SLocID]bool, len(q.SLocs))
@@ -71,8 +69,9 @@ func (e *Engine) sharedPass(ctx context.Context, table *iupt.Table, q Query) (*p
 			query[s] = true
 		}
 	}
-	oracle := newOracle(e, w, memo, query)
+	oracle := newOracle(e, en, lo, hi, query)
 	if err := oracle.ensureAll(ctx, true); err != nil {
+		en.release()
 		return nil, err
 	}
 	return oracle, nil
@@ -133,6 +132,8 @@ func (e *Engine) DoPartial(ctx context.Context, table *iupt.Table, q Query) (*Pa
 	if err != nil {
 		return nil, err
 	}
+	defer o.en.release() // the rows are copied out before it runs
+
 	n, cols := len(o.win.OIDs), len(q.SLocs) // n bounds the rows: pruned objects have none
 	p := &Partial{OIDs: make([]iupt.ObjectID, 0, n), Cols: cols, Rows: make([]float64, 0, n*cols)}
 	p.Stats = v.rows(o, q.SLocs, func(oid iupt.ObjectID, row []float64) {

@@ -344,6 +344,7 @@ func (s tableSource) Rows(ctx context.Context, pass Query, emit func(iupt.Object
 	if err != nil {
 		return Stats{}, err
 	}
+	defer o.en.release() // emit does not retain a row
 	return v.rows(o, pass.SLocs, emit), nil
 }
 

@@ -45,22 +45,32 @@ func (r *Reduction) HasAnyOf(query map[indoor.SLocID]bool) bool {
 func (e *Engine) ReduceData(seq iupt.Sequence, query map[indoor.SLocID]bool) (*Reduction, bool) {
 	scr := e.getScratch()
 	defer e.putScratch(scr)
-	return e.reduceDataScratch(seq, query, scr)
+	return e.reduceDataScratch(seq, query, scr, nil)
 }
 
 // reduceDataScratch is ReduceData with an explicit scratch arena: all
 // intermediate state (seen-sets, the pending inter-merge run and its
 // intra-merged sets, the reduced sequence as it grows) lives in scr, and the
-// retained output — Seq, Cells and PSLs — is copied out once, at exact size,
-// with the output sets carved from a per-call sampleArena.
-func (e *Engine) reduceDataScratch(seq iupt.Sequence, query map[indoor.SLocID]bool, scr *summarizeScratch) (*Reduction, bool) {
-	red := &Reduction{}
+// retained output — the Reduction, Seq, Cells and PSLs — is copied out once,
+// at exact size: carved from out for a private evaluation, else from the
+// heap, the output sets from a per-call sampleArena.
+func (e *Engine) reduceDataScratch(seq iupt.Sequence, query map[indoor.SLocID]bool, scr *summarizeScratch, out *outArena) (*Reduction, bool) {
+	var (
+		arena sampleArena
+		reds  *[]Reduction
+		sets  *[]iupt.SampleSet
+		cells *[]indoor.CellID
+		psls  *[]indoor.SLocID
+	)
+	if out != nil {
+		arena.out, reds, sets, cells, psls = &out.samples, &out.reds, &out.sets, &out.cells, &out.psls
+	}
+	red := &iupt.Carve(reds, 1)[0]
 	scr.cellSeen.Reset(e.space.NumCells())
 	scr.cells = scr.cells[:0]
 	scr.run = scr.run[:0]
 	scr.runBuf = scr.runBuf[:0]
 	scr.seq = scr.seq[:0]
-	var arena sampleArena
 	for _, ts := range seq {
 		arena.slabCap += len(ts.Samples)
 	}
@@ -126,12 +136,14 @@ func (e *Engine) reduceDataScratch(seq iupt.Sequence, query map[indoor.SLocID]bo
 	}
 	flushRun()
 	if len(scr.seq) > 0 {
-		red.Seq = append(make([]iupt.SampleSet, 0, len(scr.seq)), scr.seq...)
+		red.Seq = iupt.Carve(sets, len(scr.seq))
+		copy(red.Seq, scr.seq)
 	}
 	clear(scr.seq) // the sets are the reduction's: an idle pool must not pin them
 
 	slices.Sort(scr.cells)
-	red.Cells = append(make([]indoor.CellID, 0, len(scr.cells)), scr.cells...)
+	red.Cells = iupt.Carve(cells, len(scr.cells))
+	copy(red.Cells, scr.cells)
 	scr.slocSeen.Reset(e.space.NumSLocations())
 	scr.psls = scr.psls[:0]
 	for _, c := range red.Cells {
@@ -143,7 +155,8 @@ func (e *Engine) reduceDataScratch(seq iupt.Sequence, query map[indoor.SLocID]bo
 		}
 	}
 	slices.Sort(scr.psls)
-	red.PSLs = append(make([]indoor.SLocID, 0, len(scr.psls)), scr.psls...)
+	red.PSLs = iupt.Carve(psls, len(scr.psls))
+	copy(red.PSLs, scr.psls)
 
 	if query != nil && !e.opts.DisableReduction && !red.HasAnyOf(query) {
 		return nil, false

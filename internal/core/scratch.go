@@ -2,6 +2,7 @@ package core
 
 import (
 	"slices"
+	"sync"
 
 	"tkplq/internal/indoor"
 	"tkplq/internal/iupt"
@@ -13,8 +14,8 @@ import (
 // engine keeps a sync.Pool of them so steady-state evaluation of a warmed-up
 // engine performs near-zero allocations per object. Everything in here is
 // transient working memory — outputs that outlive a call (Reduction,
-// ObjectSummary) are always freshly allocated, exactly sized, and never
-// alias scratch storage.
+// ObjectSummary) are exactly sized, freshly allocated or carved from an
+// output arena (outArena), and never alias scratch storage.
 type summarizeScratch struct {
 	// Eq.-1 walk state (dp.go): the segment's rows×m value matrix in
 	// column-major blocks, stepped from cur into next, its rescale log, and
@@ -158,27 +159,33 @@ func (s *bfScratch) commit(list []*rtree.Entry[int32]) []*rtree.Entry[int32] {
 }
 
 // sampleArena allocates the sample sets retained in a Reduction's output
-// sequence from shared slabs, so building an n-set reduction costs O(n/256)
-// allocations instead of n. An arena is per-reduction (its slabs are
-// retained by the output, which may live in the engine cache) — only the
-// allocation count is amortized, never the memory's lifetime. slabCap
-// bounds the slab size; callers set it to the total sample count of the
-// input sequence (an upper bound on the output, since merges only shrink),
-// so small cached reductions never pin a mostly-empty 256-sample slab.
+// sequence. A private evaluation's reduction carves them from its output
+// arena (out). A kept one — which may live in the engine cache — takes them
+// from shared slabs, so building an n-set reduction costs O(n/256)
+// allocations instead of n; the arena is then per-reduction (its slabs are
+// retained by the output) — only the allocation count is amortized, never
+// the memory's lifetime. slabCap bounds the slab size; callers set it to the
+// total sample count of the input sequence (an upper bound on the output,
+// since merges only shrink), so small cached reductions never pin a
+// mostly-empty 256-sample slab.
 type sampleArena struct {
 	slab    []iupt.Sample
 	slabCap int
+	out     *[]iupt.Sample // the output arena's samples; nil for a kept reduction
 }
 
 // arenaSlabSize is the maximum slab length; sets larger than this get a
 // dedicated exact-size slab.
 const arenaSlabSize = 256
 
-// alloc returns a zeroed length-n sample slice carved from the current
-// slab. The capacity is clipped to n, so an append to a returned set copies
-// out instead of overwriting its slab neighbor — same aliasing contract as
+// alloc returns a length-n sample slice, zeroed unless it is carved from an
+// output arena. The capacity is clipped to n, so an append to a returned set
+// copies out instead of overwriting its neighbor — same aliasing contract as
 // an exact-size make.
 func (a *sampleArena) alloc(n int) iupt.SampleSet {
+	if a.out != nil {
+		return iupt.Carve(a.out, n)
+	}
 	if len(a.slab)+n > cap(a.slab) {
 		size := min(arenaSlabSize, a.slabCap)
 		if n > size {
@@ -189,4 +196,67 @@ func (a *sampleArena) alloc(n int) iupt.SampleSet {
 	out := a.slab[len(a.slab) : len(a.slab)+n : len(a.slab)+n]
 	a.slab = a.slab[:len(a.slab)+n]
 	return out
+}
+
+// outArena is recycled memory a private evaluation (see windowCache) carves
+// its reductions from: the Reduction values, their sample sets and samples,
+// their cells and PSLs. One goroutine carves from an arena at a time
+// (recycler.arenas); what it carves stays valid until the recycler's
+// release. Summaries are not carved: they stay on the heap.
+type outArena struct {
+	reds    []Reduction
+	sets    []iupt.SampleSet
+	samples []iupt.Sample
+	cells   []indoor.CellID
+	psls    []indoor.SLocID
+}
+
+var outArenaPool = sync.Pool{New: func() any { return new(outArena) }}
+
+// reset empties the arena for its next evaluation, keeping its arrays. The
+// carved Reductions and sample sets are zeroed: a Reduction is handed out
+// as-is, and neither may pin a dropped array from an idle pool.
+func (a *outArena) reset() {
+	clear(a.reds)
+	clear(a.sets)
+	a.reds, a.sets, a.samples, a.cells, a.psls = a.reds[:0], a.sets[:0], a.samples[:0], a.cells[:0], a.psls[:0]
+}
+
+// recycler is the pooled memory of one private evaluation: its window's
+// iupt.Arena (nil when the window is someone else's) and the output arenas
+// its goroutines carve reductions from. release hands all of it back in one
+// step, after the evaluation's last read. A nil recycler — a kept window's —
+// holds nothing: its arenas are nil, so reductions go to the heap.
+type recycler struct {
+	win  *iupt.Arena
+	outs []*outArena // outs[w] is carved by the w-th goroutine of a compute
+}
+
+// arenas returns the output arenas of a compute's n goroutines, topped up
+// from the pool. Computes run one after another (presenceOracle), so the
+// w-th goroutine of each carves on where the last one's stopped.
+func (r *recycler) arenas(n int) []*outArena {
+	if r == nil {
+		return nil
+	}
+	for len(r.outs) < n {
+		r.outs = append(r.outs, outArenaPool.Get().(*outArena))
+	}
+	return r.outs[:n]
+}
+
+// release returns the window arena and every output arena to their pools:
+// nothing carved from them may be read afterwards.
+func (r *recycler) release() {
+	if r == nil {
+		return
+	}
+	if r.win != nil {
+		r.win.Release()
+	}
+	for _, a := range r.outs {
+		a.reset()
+		outArenaPool.Put(a)
+	}
+	r.win, r.outs = nil, nil
 }

@@ -41,15 +41,18 @@ func (d *Driver) validateTopK(q []indoor.SLocID, k int) (int, error) {
 // is sequential and bypasses the cache, window and memo alike (sharing
 // summaries across locations is exactly what Naive exists to not do).
 func (e *Engine) topkNaive(ctx context.Context, table *iupt.Table, q []indoor.SLocID, k int, ts, te iupt.Time) ([]Result, Stats, error) {
-	w, _, err := table.Window(ctx, ts, te, nil)
+	en, err := privateWindow(ctx, table, ts, te)
 	if err != nil {
 		return nil, Stats{}, err
 	}
+	defer en.release()
+	w := en.win
 	stats := Stats{ObjectsTotal: len(w.OIDs), Workers: 1}
 
-	// Each location's oracle is discarded after evaluation; only its stat
-	// counters and computed positions survive, so peak memory stays
-	// O(objects) instead of O(|q| × objects) summaries.
+	// Each location's oracle is discarded after evaluation, its reductions
+	// handed back to the pool; only its stat counters and computed positions
+	// survive, so peak memory stays O(objects) instead of O(|q| × objects)
+	// reductions and summaries.
 	type locOutcome struct {
 		stats    Stats
 		computed []int
@@ -59,7 +62,8 @@ func (e *Engine) topkNaive(ctx context.Context, table *iupt.Table, q []indoor.SL
 	eval := func(i int) {
 		sloc := q[i]
 		// A fresh, memo-less oracle per location: no sharing, by design.
-		oracle := newOracle(e, *w, nil, map[indoor.SLocID]bool{sloc: true})
+		loc := &windowEntry{win: w, rec: new(recycler)}
+		oracle := newOracle(e, loc, 0, len(w.OIDs), map[indoor.SLocID]bool{sloc: true})
 		flows[i] = Result{SLoc: sloc, Flow: e.flowWithOracle(ctx, oracle, sloc)}
 		out := locOutcome{stats: oracle.stats}
 		for pos, s := range oracle.summaries {
@@ -67,6 +71,7 @@ func (e *Engine) topkNaive(ctx context.Context, table *iupt.Table, q []indoor.SL
 				out.computed = append(out.computed, pos)
 			}
 		}
+		loc.release()
 		outs[i] = out
 	}
 

@@ -39,16 +39,44 @@ import (
 // Eviction is a two-generation clock: inserts go to the current generation;
 // when it fills, it becomes the previous generation and a fresh one starts.
 // Hits in the previous generation promote the entry. Live entries are bounded
-// by 2× DefaultWindowCacheCapacity. All methods are safe for concurrent use.
+// by 2× DefaultWindowCacheCapacity.
+//
+// Admission keeps windows asked once from rotating a full cache. Until the
+// cache first fills — no generation has rotated yet — every window is
+// stored: storing it evicts nothing, so traffic that fits the cache is kept
+// on its first sighting. From then on a window the cache does not hold is
+// stored only when its key was sighted recently; otherwise the key is
+// recorded as sighted. The doorkeeper is a two-generation set of such keys,
+// each generation at most doorkeeperScale× the capacity, so what it admits
+// is a window asked again within about doorkeeperScale·cap other unadmitted
+// windows after the cache is full. A key whose stored entry merely has a
+// stale identity is re-stored without the check.
+//
+// A window the cache does not keep — not admitted, or the cache bypassed
+// (Options.DisableCache, Query.DisableCache, Naive) — is private to the one
+// evaluation that built it: its entry has no memo, and its sequences and the
+// reductions computed over them live in pooled memory (recycler) that the
+// evaluation hands back in one release after its last read, so a window
+// nobody keeps costs neither heap nor collector after its query. A private
+// window that went through the cache still counts as a window miss, and each
+// object it summarizes as a presence miss. All methods are safe for
+// concurrent use.
 type windowCache struct {
 	mu   sync.Mutex
 	cap  int
 	cur  map[windowKey]*windowEntry
 	prev map[windowKey]*windowEntry
+	// The doorkeeper: keys sighted but not admitted, two generations.
+	seen, seenPrev map[windowKey]struct{}
 
 	hits, misses       atomic.Int64 // windows served / materialized
 	objHits, objMisses atomic.Int64 // summaries served from a memo / computed
 }
+
+// doorkeeperScale sizes a doorkeeper generation in cache capacities. It is
+// not a measured sizing: no benchmark workload asks a window again within
+// that reach once the cache is full.
+const doorkeeperScale = 4
 
 // windowKey identifies one query window on one table. The table pointer is
 // part of the key: window identities are only comparable within one table.
@@ -59,16 +87,28 @@ type windowKey struct {
 }
 
 type windowEntry struct {
-	id    iupt.WindowIdentity // of the snapshot win was built from
-	win   iupt.Window
-	bytes int64      // estimated live size of win
-	memo  objectMemo // aligned with win
+	id  iupt.WindowIdentity // of the snapshot win was built from
+	win iupt.Window
+	// bytes estimates the entry's live size: the window (windowBytes) plus
+	// every value its memo stores (objectMemo.put, memoBytes).
+	bytes atomic.Int64
+	memo  objectMemo // aligned with win; nil for a private entry
 	// rank is Best-First's index over the window for the last query set that
 	// searched it. Immutable once stored and replaced whole, so concurrent
 	// searches with different query sets each keep the one they loaded or
 	// built: the slot decides what the next search finds, never an answer.
 	rank atomic.Pointer[rankIndex]
+	// rec is a private entry's pooled memory, handed back by release; nil
+	// for an entry the cache keeps.
+	rec *recycler
+	// counted is set when the window went through the cache: its lookups
+	// count in Stats and CacheStats, kept or not.
+	counted bool
 }
+
+// release hands a private entry's memory back once nothing reads its window
+// or the reductions computed over it; a kept entry's is the cache's.
+func (en *windowEntry) release() { en.rec.release() }
 
 // objectMemo holds the per-object results computed over one cached window:
 // slot i is the window's i-th object. Queries fill it side by side without a
@@ -89,15 +129,17 @@ type memoized struct {
 func (m objectMemo) get(i int) *memoized { return m[i].Load() }
 
 // put stores v in slot i unless the slot already holds as much: a summary
-// beats a bare reduction, and any value beats none.
-func (m objectMemo) put(i int, v *memoized) {
+// beats a bare reduction, and any value beats none. It returns what the store
+// adds to the window's size estimate: memoBytes of v less that of the value
+// it replaced, 0 when it stored nothing.
+func (m objectMemo) put(i int, v *memoized) int64 {
 	for {
 		old := m[i].Load()
 		if old != nil && (old.sum != nil || v.sum == nil) {
-			return
+			return 0
 		}
 		if m[i].CompareAndSwap(old, v) {
-			return
+			return memoBytes(v) - memoBytes(old)
 		}
 	}
 }
@@ -107,7 +149,7 @@ func (m objectMemo) put(i int, v *memoized) {
 const DefaultWindowCacheCapacity = 64
 
 func newWindowCache() *windowCache {
-	return &windowCache{cap: DefaultWindowCacheCapacity, cur: make(map[windowKey]*windowEntry)}
+	return &windowCache{cap: DefaultWindowCacheCapacity, cur: make(map[windowKey]*windowEntry), seen: make(map[windowKey]struct{})}
 }
 
 // get returns the entry stored for the window, current or not: the table
@@ -124,15 +166,39 @@ func (c *windowCache) get(key windowKey) *windowEntry {
 	return en
 }
 
+// admit decides whether a materialization of a window the cache does not
+// hold is to be stored: yes until the cache first fills or when the key was
+// sighted recently, else the sighting is recorded.
+func (c *windowCache) admit(key windowKey) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.prev == nil && len(c.cur) < c.cap {
+		return true
+	}
+	_, inCur := c.seen[key]
+	_, inPrev := c.seenPrev[key]
+	if inCur || inPrev {
+		delete(c.seen, key)
+		delete(c.seenPrev, key)
+		return true
+	}
+	if len(c.seen) >= doorkeeperScale*c.cap {
+		c.seenPrev, c.seen = c.seen, make(map[windowKey]struct{}, len(c.seen))
+	}
+	c.seen[key] = struct{}{}
+	return false
+}
+
 // store inserts a freshly materialized window under the identity of the
 // snapshot it was read from, replacing whatever the key held.
 func (c *windowCache) store(key windowKey, id iupt.WindowIdentity, w iupt.Window) *windowEntry {
 	en := &windowEntry{
-		id:    id,
-		win:   w,
-		bytes: windowBytes(w),
-		memo:  make(objectMemo, len(w.OIDs)),
+		id:      id,
+		win:     w,
+		memo:    make(objectMemo, len(w.OIDs)),
+		counted: true,
 	}
+	en.bytes.Store(windowBytes(w))
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.insertLocked(key, en)
@@ -156,27 +222,33 @@ func (c *windowCache) insertLocked(key windowKey, en *windowEntry) {
 // window fetches the per-object positioning sequences of [ts, te] as the
 // cache entry holding them, whose memo and rank index queries over the window
 // share, position for position. A canceled ctx aborts the fetch and returns
-// ctx.Err().
+// ctx.Err(). The caller hands the entry back with release after its last read
+// of the window and of what it computed over it.
 //
-// With the cache bypassed (Options.DisableCache, Query.DisableCache) the
-// window is materialized afresh into an entry no cache holds: its memo is nil,
-// so it shares nothing, and its rank slot dies with it. Otherwise one call
-// into the table both revalidates the stored entry's identity and, when it no
-// longer holds, rematerializes the window together with the identity of that
-// very snapshot (iupt.Table.Window), which is stored with it. The returned
-// entry is shared across queries — callers must treat its window and memo
-// values as read-only, which every consumer in this package does.
+// One call into the table both revalidates a stored entry's identity and,
+// when it no longer holds, rematerializes the window together with the
+// identity of that very snapshot (iupt.Table.Window), which is stored with it.
+// The returned entry is shared across queries — callers must treat its window
+// and memo values as read-only, which every consumer in this package does. A
+// window the cache does not admit, or every window with the cache bypassed
+// (Options.DisableCache, Query.DisableCache), is private instead
+// (privateWindow).
 func (e *Engine) window(ctx context.Context, table *iupt.Table, ts, te iupt.Time) (*windowEntry, error) {
 	wc := e.cache
 	if wc == nil {
-		w, _, err := table.Window(ctx, ts, te, nil)
-		if err != nil {
-			return nil, err
-		}
-		return &windowEntry{win: *w}, nil
+		return privateWindow(ctx, table, ts, te)
 	}
 	key := windowKey{table: table, ts: ts, te: te}
 	en := wc.get(key)
+	if en == nil && !wc.admit(key) {
+		en, err := privateWindow(ctx, table, ts, te)
+		if err != nil {
+			return nil, err
+		}
+		en.counted = true
+		wc.misses.Add(1)
+		return en, nil
+	}
 	var known *iupt.WindowIdentity
 	if en != nil {
 		known = &en.id
@@ -193,6 +265,20 @@ func (e *Engine) window(ctx context.Context, table *iupt.Table, ts, te iupt.Time
 	return wc.store(key, id, *w), nil
 }
 
+// privateWindow materializes [ts, te] into an entry no cache holds, for one
+// evaluation: the window lives in a pooled iupt.Arena, and with no memo the
+// oracle carves every reduction from pooled output arenas; release hands all
+// of it back. Its rank slot dies with it.
+func privateWindow(ctx context.Context, table *iupt.Table, ts, te iupt.Time) (*windowEntry, error) {
+	rec := &recycler{win: iupt.NewArena()}
+	w, _, err := table.Window(ctx, ts, te, nil, rec.win)
+	if err != nil {
+		rec.release()
+		return nil, err
+	}
+	return &windowEntry{win: *w, rec: rec}, nil
+}
+
 // windowBytes estimates the live memory pinned by one materialized window: per
 // object its id and sequence header in the window's columns and its memo slot
 // (4 + 24 + 8), per record its TimedSampleSet header, per sample its payload.
@@ -202,6 +288,28 @@ func windowBytes(w iupt.Window) int64 {
 		for _, ts := range seq {
 			b += 32 + 16*int64(len(ts.Samples))
 		}
+	}
+	return b
+}
+
+// memoBytes estimates the live memory one memo value pins, charged to its
+// window when it is stored (objectMemo.put), less the charge of the value it
+// replaces: the value itself (24); its reduction — the Reduction (72), per
+// reduced set its header (24) and per sample its payload (16), per cell and
+// per PSL 4; its summary — the ObjectSummary (64) and per PassMass entry 16.
+func memoBytes(m *memoized) int64 {
+	if m == nil {
+		return 0
+	}
+	b := int64(24)
+	if r := m.red; r != nil {
+		b += 72 + 24*int64(len(r.Seq)) + 4*int64(len(r.Cells)+len(r.PSLs))
+		for _, set := range r.Seq {
+			b += 16 * int64(len(set))
+		}
+	}
+	if sum := m.sum; sum != nil {
+		b += 64 + 16*int64(len(sum.PassMass))
 	}
 	return b
 }
@@ -227,10 +335,11 @@ type CacheStats struct {
 	Flights   int64
 	// WindowEntries, WindowHits, WindowMisses and WindowBytes describe the
 	// cached windows themselves: whole materialized query windows pinned by
-	// the table's identity for them (WindowBytes estimates their sequences
-	// and rank indexes). A window hit skips rematerializing
-	// records out of the table entirely (the storage layer's
-	// materialized_records counter stays flat).
+	// the table's identity for them (WindowBytes estimates their sequences,
+	// the reductions and summaries in their memos, and their rank indexes).
+	// A window hit skips rematerializing records out of the table entirely
+	// (the storage layer's materialized_records counter stays flat); a miss
+	// the cache does not admit is counted but not kept.
 	WindowEntries int
 	WindowHits    int64
 	WindowMisses  int64
@@ -248,7 +357,7 @@ func (e *Engine) CacheStats() CacheStats {
 		out.WindowEntries = len(c.cur) + len(c.prev)
 		for _, gen := range []map[windowKey]*windowEntry{c.cur, c.prev} {
 			for _, en := range gen {
-				out.WindowBytes += en.bytes
+				out.WindowBytes += en.bytes.Load()
 				if ri := en.rank.Load(); ri != nil {
 					out.WindowBytes += ri.bytes
 				}

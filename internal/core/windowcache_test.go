@@ -136,10 +136,10 @@ func TestWindowCacheStoreReplaces(t *testing.T) {
 			if _, dup := c.prev[key]; dup {
 				t.Errorf("%s: window [%d, %d] is stored in both generations", at, key.ts, key.te)
 			}
-			bytes += en.bytes
+			bytes += en.bytes.Load()
 		}
 		for _, en := range c.prev {
-			bytes += en.bytes
+			bytes += en.bytes.Load()
 		}
 		entries, prev := len(c.cur)+len(c.prev), len(c.prev)
 		en := c.cur[windowKey{table: tb, ts: w1[0], te: w1[1]}]
@@ -162,6 +162,7 @@ func TestWindowCacheStoreReplaces(t *testing.T) {
 
 	ask(w1)
 	ask(w2)
+	ask(w3) // first sighting into a full cur: not stored
 	ask(w3) // cur = {w3}, prev = {w1, w2}
 	into()
 	ask(w1) // a miss whose superseded entry sits in prev

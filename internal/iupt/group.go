@@ -21,6 +21,57 @@ import (
 //
 // The working state lives in a pooled grouper and is cleared before it goes
 // back, so an idle pool pins no record of a window its caller has dropped.
+//
+// A window read once — by one query, then dropped — need not cost fresh
+// memory at all: grouped into an Arena, the decoded sample sets, the
+// []TimedSampleSet arena and the window's columns all reuse the buffers of an
+// earlier such window, and go back to the pool together when the reader is
+// done.
+
+// Arena is the recycled memory of a window materialized for one reader
+// (Table.Window's into). It holds one window at a time: materializing another
+// into it reuses the buffers. Take one with NewArena and hand it back with
+// Release once nothing reads the window any more.
+type Arena struct {
+	samples SampleSet        // decoded sealed sample sets
+	sets    []TimedSampleSet // the sequences' backing array
+	oids    []ObjectID
+	seqs    []Sequence
+}
+
+var arenaPool = sync.Pool{New: func() any { return new(Arena) }}
+
+// NewArena returns an arena from the pool.
+func NewArena() *Arena { return arenaPool.Get().(*Arena) }
+
+// Release returns the arena to the pool: every window materialized into it is
+// invalid from here on. The references into record sample sets are cleared
+// first, so an idle pool pins no record.
+func (a *Arena) Release() {
+	clear(a.sets)
+	clear(a.seqs)
+	a.samples, a.sets, a.oids, a.seqs = a.samples[:0], a.sets[:0], a.oids[:0], a.seqs[:0]
+	arenaPool.Put(a)
+}
+
+// Carve returns n elements from the tail of *buf, extending it. A short
+// array is replaced by a larger one and nothing is copied — what was carved
+// keeps the old array alive until the owner's release — so a recycled buffer
+// soon holds an array that fits a whole window or evaluation. With buf nil —
+// memory someone keeps — it is a fresh exact-size slice. The capacity is
+// clipped to n, so an append to the result copies out instead of
+// overwriting its neighbor.
+func Carve[S ~[]E, E any](buf *S, n int) S {
+	if buf == nil {
+		return make(S, n)
+	}
+	at := len(*buf)
+	if cap(*buf)-at < n {
+		*buf, at = make(S, 0, max(2*cap(*buf), n, 64)), 0
+	}
+	*buf = (*buf)[:at+n]
+	return (*buf)[at : at+n : at+n]
+}
 
 // grouper is the reusable working memory of one grouping.
 type grouper struct {
@@ -77,16 +128,22 @@ func (g *grouper) addRun(run []Record) {
 // gather collects the records of [ts, te] as runs in arrival order: only
 // parts whose span overlaps the window contribute (non-overlapping parts are
 // never read — the property the partition-pruning tests assert), each its
-// overlap found by binary search and decoded into buf, then the head's.
-func (g *grouper) gather(head []Record, sealed []SealedPart, ts, te Time) {
+// overlap found by binary search and decoded into buf — its sample sets into
+// a's buffer, or fresh memory without an arena — then the head's.
+func (g *grouper) gather(head []Record, sealed []SealedPart, ts, te Time, a *Arena) {
 	if te < ts {
 		return
+	}
+	var samples *SampleSet
+	if a != nil {
+		a.samples = a.samples[:0]
+		samples = &a.samples
 	}
 	for _, p := range sealed {
 		if lo, hi := p.Span(); hi < ts || lo > te {
 			continue
 		}
-		g.buf = p.AppendRange(g.buf, ts, te)
+		g.buf = p.AppendRange(g.buf, samples, ts, te)
 		g.ends = append(g.ends, len(g.buf))
 	}
 	// Slice buf only once it has stopped growing.
@@ -121,9 +178,10 @@ func (g *grouper) pop() (rec *Record, at int) {
 	return &g.runs[best][i], g.base[best] + i
 }
 
-// group carves the gathered runs into a Window. A canceled ctx aborts the fill
+// group carves the gathered runs into a Window, in a's buffers or, without
+// an arena, in fresh exact-size memory. A canceled ctx aborts the fill
 // between record batches and returns ctx.Err().
-func (g *grouper) group(ctx context.Context) (Window, error) {
+func (g *grouper) group(ctx context.Context, a *Arena) (Window, error) {
 	// Count pass, in any order: a sequence's length is order-free.
 	for _, run := range g.runs {
 		for i := range run {
@@ -139,9 +197,17 @@ func (g *grouper) group(ctx context.Context) (Window, error) {
 		}
 	}
 	// Slots are numbered in first-seen order; positions ascend by id.
-	w := Window{OIDs: slices.Clone(g.oids), Seqs: make([]Sequence, len(g.oids))}
+	var oids *[]ObjectID
+	var seqs *[]Sequence
+	var sets *[]TimedSampleSet
+	if a != nil {
+		a.oids, a.seqs, a.sets = a.oids[:0], a.seqs[:0], a.sets[:0]
+		oids, seqs, sets = &a.oids, &a.seqs, &a.sets
+	}
+	w := Window{OIDs: Carve(oids, len(g.oids)), Seqs: Carve(seqs, len(g.oids))}
+	copy(w.OIDs, g.oids)
 	slices.Sort(w.OIDs)
-	arena := make([]TimedSampleSet, len(g.dense))
+	arena := Carve(sets, len(g.dense))
 	off := 0
 	for i, oid := range w.OIDs {
 		s := g.slot[oid]
@@ -173,6 +239,6 @@ func GroupSequences(recs []Record) Window {
 	g := getGrouper()
 	defer g.release()
 	g.addRun(recs)
-	w, _ := g.group(context.Background())
+	w, _ := g.group(context.Background(), nil)
 	return w
 }

@@ -104,8 +104,8 @@ func TestWindowCarve(t *testing.T) {
 				// The same grouping on the test's grouper, whose buffers are
 				// inspected after it is reset.
 				head, sealed := tab.retainView()
-				g.gather(head, sealed, ts, te)
-				again, err := g.group(ctx)
+				g.gather(head, sealed, ts, te, nil)
+				again, err := g.group(ctx, nil)
 				releaseParts(sealed)
 				runs := len(g.runs)
 				g.reset()
@@ -114,6 +114,19 @@ func TestWindowCarve(t *testing.T) {
 				}
 				checkWindow(t, at, *got, want)
 				checkWindow(t, at+" (reused grouper)", again, want)
+				// Into a recycled arena, which earlier windows have grown.
+				arena := NewArena()
+				private, _, err := tab.Window(ctx, ts, te, nil, arena)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkWindow(t, at+" (arena)", *private, want)
+				arena.Release()
+				for i, set := range arena.sets[:cap(arena.sets)] {
+					if set.Samples != nil {
+						t.Fatalf("%s: the released arena still holds set %d's samples", at, i)
+					}
+				}
 				if m := tab.SequencesInRange(ts, te); !reflect.DeepEqual(m, want) {
 					t.Fatalf("%s: the SequencesInRange map differs from the window", at)
 				}
@@ -187,5 +200,34 @@ func TestWindowAllocBudget(t *testing.T) {
 	}
 	if allocs[1000] != allocs[10000] || allocs[1000] > 8 {
 		t.Errorf("Window allocates %v/op at 1k records and %v/op at 10k, want the same constant ≤ 8", allocs[1000], allocs[10000])
+	}
+}
+
+// TestArenaWindowAllocBudget: a window materialized into a recycled arena
+// reuses the arena's buffers for the decoded samples, the sequences and the
+// columns, so it allocates only the returned Window and the identity's parts.
+func TestArenaWindowAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are not meaningful under the race detector")
+	}
+	ctx := context.Background()
+	r := rand.New(rand.NewSource(3))
+	recs := make([]Record, 4000)
+	for i := range recs {
+		recs[i] = Record{OID: ObjectID(r.Intn(40)), T: Time(i / 4), Samples: testSamples(r)}
+	}
+	_, tab := buildPair(t, recs, []int{2000})
+	_, te, _ := tab.TimeSpan()
+	arena := NewArena()
+	defer arena.Release()
+	allocs := testing.AllocsPerRun(50, func() {
+		w, _, err := tab.Window(ctx, 0, te, nil, arena)
+		if err != nil || len(w.OIDs) != 40 {
+			t.Fatalf("window of %v objects, err %v", w, err)
+		}
+	})
+	t.Logf("a window into a warm arena allocates %v/op", allocs)
+	if allocs > 3 {
+		t.Errorf("a window into a warm arena allocates %v/op, want ≤ 3", allocs)
 	}
 }

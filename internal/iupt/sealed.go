@@ -34,8 +34,12 @@ type SealedPart interface {
 	Span() (lo, hi Time)
 	// AppendRange appends the part's records with ts <= T <= te to dst, in
 	// canonical order, and returns the extended slice. Appended records must
-	// be immutable (never rewritten by later calls).
-	AppendRange(dst []Record, ts, te Time) []Record
+	// be immutable (never rewritten by later calls). A part that decodes
+	// sample sets carves them from the tail of *samples, extending it, so a
+	// caller that recycles the buffer (Arena) decodes without allocating —
+	// and owns the decoded sets' lifetime; a nil samples asks for fresh
+	// memory of exactly the range's size.
+	AppendRange(dst []Record, samples *SampleSet, ts, te Time) []Record
 	// Objects returns the part's distinct object ids, ascending. The result
 	// is shared and must not be modified.
 	Objects() []ObjectID
@@ -229,7 +233,12 @@ func (id WindowIdentity) Equal(other WindowIdentity) bool {
 // merged []Record copy of the range is ever made. A canceled ctx aborts the
 // scan between record batches and returns ctx.Err(), so a canceled query
 // never pays for a large window.
-func (t *Table) Window(ctx context.Context, ts, te Time, known *WindowIdentity) (w *Window, id WindowIdentity, err error) {
+//
+// The window's memory is fresh and exactly sized, for a caller that keeps it.
+// A caller that reads it once passes into, one Arena: the window is then
+// materialized into the arena's recycled buffers and is valid until the
+// arena's Release.
+func (t *Table) Window(ctx context.Context, ts, te Time, known *WindowIdentity, into ...*Arena) (w *Window, id WindowIdentity, err error) {
 	head, sealed := t.retainView()
 	defer releaseParts(sealed)
 	if te >= ts {
@@ -243,10 +252,14 @@ func (t *Table) Window(ctx context.Context, ts, te Time, known *WindowIdentity) 
 	if known != nil && known.Equal(id) {
 		return nil, id, nil
 	}
+	var a *Arena
+	if len(into) > 0 {
+		a = into[0]
+	}
 	g := getGrouper()
 	defer g.release()
-	g.gather(head, sealed, ts, te)
-	grouped, err := g.group(ctx)
+	g.gather(head, sealed, ts, te, a)
+	grouped, err := g.group(ctx, a)
 	if err == nil {
 		err = ctx.Err()
 	}
@@ -262,7 +275,7 @@ func (t *Table) Window(ctx context.Context, ts, te Time, known *WindowIdentity) 
 // caller's: a fresh slice, or an immutable subslice of the head snapshot.
 func mergeRange(head []Record, sealed []SealedPart, ts, te Time) []Record {
 	var g grouper
-	g.gather(head, sealed, ts, te)
+	g.gather(head, sealed, ts, te, nil)
 	switch len(g.runs) {
 	case 0:
 		return nil

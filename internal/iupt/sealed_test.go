@@ -50,7 +50,7 @@ func (p *memPart) Len() int { return len(p.recs) }
 
 func (p *memPart) Span() (lo, hi Time) { return p.recs[0].T, p.recs[len(p.recs)-1].T }
 
-func (p *memPart) AppendRange(dst []Record, ts, te Time) []Record {
+func (p *memPart) AppendRange(dst []Record, _ *SampleSet, ts, te Time) []Record {
 	p.touched++
 	return append(dst, rangeSubslice(p.recs, ts, te)...)
 }
@@ -316,8 +316,8 @@ func TestReplaceSealedRun(t *testing.T) {
 	// canonical-order records (adjacent seal runs, so concatenation in span
 	// order then a stable sort by T is the canonical merge).
 	var merged []Record
-	merged = sealed[1].AppendRange(merged, Time(math.MinInt64/2), Time(math.MaxInt64/2))
-	merged = sealed[2].AppendRange(merged, Time(math.MinInt64/2), Time(math.MaxInt64/2))
+	merged = sealed[1].AppendRange(merged, nil, Time(math.MinInt64/2), Time(math.MaxInt64/2))
+	merged = sealed[2].AppendRange(merged, nil, Time(math.MinInt64/2), Time(math.MaxInt64/2))
 	slices.SortStableFunc(merged, func(a, b Record) int {
 		switch {
 		case a.T < b.T:
@@ -511,11 +511,11 @@ type hookPart struct {
 	onRead func()
 }
 
-func (p *hookPart) AppendRange(dst []Record, ts, te Time) []Record {
+func (p *hookPart) AppendRange(dst []Record, samples *SampleSet, ts, te Time) []Record {
 	if p.onRead != nil {
 		p.onRead()
 	}
-	return p.memPart.AppendRange(dst, ts, te)
+	return p.memPart.AppendRange(dst, samples, ts, te)
 }
 
 // TestWindowIdentityOneSnapshot: an append that lands while a window is being

@@ -189,7 +189,7 @@ func BenchmarkPartitionAppendRange(b *testing.B) {
 	lo, hi := iupt.Time(1000), iupt.Time(1249)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := p.AppendRange(nil, lo, hi)
+		out := p.AppendRange(nil, nil, lo, hi)
 		if len(out) != 1000 {
 			b.Fatalf("window held %d records", len(out))
 		}

@@ -404,10 +404,12 @@ func (p *Partition) searchT(bound iupt.Time, inclusive bool) int64 {
 }
 
 // AppendRange implements iupt.SealedPart: it decodes the records with
-// ts <= T <= te into fresh heap values (sample sets included — nothing in
-// the returned records aliases the mapping, so a record outlives a Close)
-// and appends them to dst in canonical order.
-func (p *Partition) AppendRange(dst []iupt.Record, ts, te iupt.Time) []iupt.Record {
+// ts <= T <= te into heap values (sample sets included — nothing in the
+// returned records aliases the mapping, so a record outlives a Close) and
+// appends them to dst in canonical order. The sample sets are carved from the
+// tail of *samples (iupt.Carve), or, with samples nil, from one fresh
+// exact-size allocation.
+func (p *Partition) AppendRange(dst []iupt.Record, samples *iupt.SampleSet, ts, te iupt.Time) []iupt.Record {
 	lo := p.searchT(ts, false)
 	hi := p.searchT(te, true)
 	if hi <= lo {
@@ -417,8 +419,8 @@ func (p *Partition) AppendRange(dst []iupt.Record, ts, te iupt.Time) []iupt.Reco
 	offBase := p.l.off
 	sampLo := int64(binary.LittleEndian.Uint32(p.data[offBase+4*lo:]))
 	sampHi := int64(binary.LittleEndian.Uint32(p.data[offBase+4*hi:]))
-	// One flat allocation for all sample sets in the range, sliced per record.
-	flat := make(iupt.SampleSet, sampHi-sampLo)
+	// One flat run for all sample sets in the range, sliced per record.
+	flat := iupt.Carve(samples, int(sampHi-sampLo))
 	for i := range flat {
 		si := sampLo + int64(i)
 		flat[i].Loc = indoor.PLocID(int32(binary.LittleEndian.Uint32(p.data[p.l.loc+4*si:])))

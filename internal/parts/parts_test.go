@@ -89,7 +89,7 @@ func TestPartitionRoundTrip(t *testing.T) {
 		if lo != recs[0].T || hi != recs[len(recs)-1].T {
 			t.Fatalf("Span = (%d,%d), want (%d,%d)", lo, hi, recs[0].T, recs[len(recs)-1].T)
 		}
-		sameRecords(t, "full range", recs, p.AppendRange(nil, lo, hi))
+		sameRecords(t, "full range", recs, p.AppendRange(nil, nil, lo, hi))
 		// Windowed reads against the reference subslice.
 		for q := 0; q < 50; q++ {
 			ts := iupt.Time(r.Intn(110)) - 5
@@ -100,7 +100,7 @@ func TestPartitionRoundTrip(t *testing.T) {
 					want = append(want, rec)
 				}
 			}
-			sameRecords(t, fmt.Sprintf("window [%d,%d]", ts, te), want, p.AppendRange(nil, ts, te))
+			sameRecords(t, fmt.Sprintf("window [%d,%d]", ts, te), want, p.AppendRange(nil, nil, ts, te))
 		}
 		// Objects: distinct ascending, matching a table over the records.
 		wantObjs := func() []iupt.ObjectID {
