@@ -282,7 +282,9 @@ func (m *monitor) advanceLocked() {
 				delete(m.seqs, oid)
 				continue
 			}
-			m.seqs[oid] = append(iupt.Sequence(nil), seq[lo:]...)
+			// Reslice: the sequence is capped or the monitor's own, so a later
+			// append never writes into an array another sequence reads.
+			m.seqs[oid] = seq[lo:]
 		}
 	}
 
@@ -347,7 +349,7 @@ func spliceRecord(seq iupt.Sequence, tss iupt.TimedSampleSet) iupt.Sequence {
 func (m *monitor) recomputeLocked(dirtyList []iupt.ObjectID) Stats {
 	st := Stats{ObjectsTotal: len(m.seqs), Workers: 1}
 	if len(dirtyList) > 0 {
-		dirty := &windowEntry{win: iupt.Window{OIDs: dirtyList, Seqs: make([]iupt.Sequence, len(dirtyList))}, rec: new(recycler)}
+		dirty := &windowEntry{win: window{Window: iupt.Window{OIDs: dirtyList, Seqs: make([]iupt.Sequence, len(dirtyList))}}, rec: new(recycler)}
 		for i, oid := range dirtyList {
 			dirty.win.Seqs[i] = m.seqs[oid]
 		}

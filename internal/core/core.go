@@ -22,10 +22,11 @@
 // ranks. One driver (Driver.Answer, query.go) runs it for every query — Do is
 // a batch of one — over two row sources: a table streams the pass, a cluster
 // router merges the passes its shards ran; only Naive and Best-First, on a
-// lone local top-k, search the presence oracle their own way. A window is an
-// iupt.Window — objects ascending, sequences beside them — and everything
-// downstream of it, the memo, the oracle and Best-First's RC, indexes objects
-// by window position. The per-object work (reduction, presence
+// lone local top-k, search the presence oracle their own way. A window is
+// objects ascending with their sources beside them — raw records, and over
+// sealed partitions the runs of Algorithm 1 kept per slab (slab.go), so a
+// sealed record is reduced once — and everything downstream of it, the memo,
+// the oracle and Best-First's RC, indexes objects by window position. The per-object work (reduction, presence
 // summarization) fans out over a bounded worker pool (Options.Workers) in
 // contiguous position ranges, while every floating-point accumulation walks
 // positions ascending, which is ascending object id — so rankings and flows
@@ -211,6 +212,7 @@ type Engine struct {
 	Driver // the space and the flights; coal is nil when Options.DisableCoalescing is set
 	opts   Options
 	cache  *windowCache // nil when Options.DisableCache is set
+	slabs  *slabStore   // likewise; shared by the per-query views
 	mons   *monitorRegistry
 	// scratch pools per-worker summarizeScratch arenas so the reduce →
 	// summarize hot path reuses its working memory across objects. A shared
@@ -225,7 +227,7 @@ type Engine struct {
 func NewEngine(space *indoor.Space, opts Options) *Engine {
 	e := &Engine{Driver: Driver{space: space, workers: opts.Workers}, opts: opts, scratch: &sync.Pool{}, bfScratch: &sync.Pool{}, mons: newMonitorRegistry()}
 	if !opts.DisableCache {
-		e.cache = newWindowCache()
+		e.cache, e.slabs = newWindowCache(), newSlabStore()
 	}
 	if !opts.DisableCoalescing {
 		e.coal = newCoalescer()

@@ -34,7 +34,7 @@ type presenceOracle struct {
 	eng   *Engine
 	query map[indoor.SLocID]bool // nil disables PSL∩Q pruning
 	en    *windowEntry           // the window's entry: its memo, size estimate and pooled memory
-	win   iupt.Window            // en's window, or the slice of it evaluated
+	win   window                 // en's window, or the slice of it evaluated
 	memo  objectMemo             // en's memo sliced like win; nil = no sharing
 
 	// By position, what this query has resolved: the reduction (prunedRed
@@ -62,10 +62,13 @@ func newOracle(e *Engine, en *windowEntry, lo, hi int, query map[indoor.SLocID]b
 		eng:        e,
 		query:      query,
 		en:         en,
-		win:        iupt.Window{OIDs: en.win.OIDs[lo:hi], Seqs: en.win.Seqs[lo:hi]},
+		win:        window{Window: iupt.Window{OIDs: en.win.OIDs[lo:hi], Seqs: en.win.Seqs[lo:hi]}},
 		reductions: make([]*Reduction, hi-lo),
 		summaries:  make([]*ObjectSummary, hi-lo),
 		stats:      Stats{ObjectsTotal: hi - lo},
+	}
+	if en.win.pieces != nil {
+		o.win.pieces = en.win.pieces[lo:hi]
 	}
 	if en.memo != nil {
 		o.memo = en.memo[lo:hi]
@@ -78,7 +81,7 @@ func newOracle(e *Engine, en *windowEntry, lo, hi int, query map[indoor.SLocID]b
 // the calling goroutine (results are identical either way).
 const minParallelItems = 4
 
-// prunedBy replicates ReduceData's PSL∩Q check for a reduction computed
+// prunedBy is ReduceData's PSL∩Q check for a reduction computed
 // without a query (so the reduction itself stays query-independent and
 // cacheable).
 func (o *presenceOracle) prunedBy(red *Reduction) bool {
@@ -113,7 +116,7 @@ func (o *presenceOracle) computeOne(i int, needSummary bool, scr *summarizeScrat
 	}
 	fresh := m.red == nil
 	if fresh {
-		m.red, _ = o.eng.reduceDataScratch(o.win.Seqs[i], nil, scr, out)
+		m.red = o.eng.reduceAt(&o.win, i, scr, out)
 	}
 	pruned := o.prunedBy(m.red)
 	if pruned || !needSummary {
@@ -171,7 +174,7 @@ func (o *presenceOracle) apply(i int, oc outcome, needSummary bool) {
 	if oc.fellBack {
 		o.stats.BudgetFallbacks++
 	}
-	o.stats.SampleSetsOriginal += int64(len(o.win.Seqs[i]))
+	o.stats.SampleSetsOriginal += int64(o.win.records(i))
 	o.stats.SampleSetsReduced += int64(len(oc.red.Seq))
 	if o.en.counted {
 		if oc.sumHit {

@@ -19,6 +19,9 @@ type Reduction struct {
 	// Cells are the cells incident to any reported P-location, sorted.
 	// They determine the PSLs and the PSL MBRs used by Best-First.
 	Cells []indoor.CellID
+	// shared counts the samples of Seq that belong to slab runs the
+	// reduction shares (slab.go): memoBytes does not charge them.
+	shared int
 }
 
 // HasAnyOf reports whether the object's PSLs intersect the query set.
@@ -45,69 +48,171 @@ func (r *Reduction) HasAnyOf(query map[indoor.SLocID]bool) bool {
 func (e *Engine) ReduceData(seq iupt.Sequence, query map[indoor.SLocID]bool) (*Reduction, bool) {
 	scr := e.getScratch()
 	defer e.putScratch(scr)
-	return e.reduceDataScratch(seq, query, scr, nil)
+	w := window{Window: iupt.Window{Seqs: []iupt.Sequence{seq}}}
+	red := e.reduceAt(&w, 0, scr, nil)
+	if query != nil && !e.opts.DisableReduction && !red.HasAnyOf(query) {
+		return nil, false
+	}
+	return red, true
 }
 
-// reduceDataScratch is ReduceData with an explicit scratch arena: all
-// intermediate state (seen-sets, the pending inter-merge run and its
-// intra-merged sets, the reduced sequence as it grows) lives in scr, and the
-// retained output — the Reduction, Seq, Cells and PSLs — is copied out once,
-// at exact size: carved from out for a private evaluation, else from the
-// heap, the output sets from a per-call sampleArena.
-func (e *Engine) reduceDataScratch(seq iupt.Sequence, query map[indoor.SLocID]bool, scr *summarizeScratch, out *outArena) (*Reduction, bool) {
+// reduceAt reduces the object at position i of w. All intermediate state
+// (seen-sets, the pending inter-merge run and its intra-merged sets, the
+// reduced sequence as it grows) lives in scr, and the retained output — the
+// Reduction, Seq, Cells and PSLs — is copied out once, at exact size: carved
+// from out for a private evaluation, else from the heap, the merged sets from
+// a per-call sampleArena.
+//
+// On the raw path the object's sequence runs through the runBuilder record by
+// record. Over slabs (slab.go) its pieces alternate: whole stored runs, whose
+// sets the Reduction shares with the slab, and raw records — the runs the
+// window cuts or joins across a seam, and head records — which run through
+// the same builder. Either way the assembler (finishReduction) collects the
+// cells and PSLs over the reduced sets (DESIGN.md §6).
+func (e *Engine) reduceAt(w *window, i int, scr *summarizeScratch, out *outArena) *Reduction {
+	var arena sampleArena
+	if out != nil {
+		arena.out = &out.samples
+	}
+	seq := w.Seqs[i]
+	for _, ts := range seq {
+		arena.slabCap += len(ts.Samples)
+	}
+	b := e.newRunBuilder(scr, &arena)
+	if w.pieces == nil || w.pieces[i] == nil {
+		for _, ts := range seq {
+			b.add(ts.Samples)
+		}
+	} else {
+		for _, p := range w.pieces[i] {
+			if p.s == nil {
+				for _, ts := range seq[p.lo:p.hi] {
+					b.add(ts.Samples)
+				}
+				continue
+			}
+			for r := p.lo; r < p.hi; r++ {
+				b.whole(p.s.set(r), p.s.runLen(r))
+			}
+		}
+	}
+	return e.finishReduction(&b, out)
+}
+
+// runBuilder is Algorithm 1's merge step over one sequence of sample sets,
+// fed in order (lines 2-5 with 14-30): each set is intra-merged, and a run
+// of sets with one P-location set is inter-merged when the next set's
+// differs. It is the one implementation of the merges: a slab build runs it
+// over an object's records (slab.go), the raw path over a window's sequence,
+// and an assembly over the runs a window cuts or joins. The reduced sets
+// collect in scr.seq and the number of sets each spans in scr.runLens.
+type runBuilder struct {
+	e            *Engine
+	scr          *summarizeScratch
+	arena        *sampleArena
+	intra, inter bool
+	shared       int // samples of the emitted whole runs, owned by their slab
+}
+
+func (e *Engine) newRunBuilder(scr *summarizeScratch, arena *sampleArena) runBuilder {
+	scr.run = scr.run[:0]
+	scr.runBuf = scr.runBuf[:0]
+	scr.seq = scr.seq[:0]
+	scr.runLens = scr.runLens[:0]
+	return runBuilder{
+		e:     e,
+		scr:   scr,
+		arena: arena,
+		intra: !e.opts.DisableReduction && !e.opts.DisableIntraMerge,
+		inter: !e.opts.DisableReduction && !e.opts.DisableInterMerge,
+	}
+}
+
+// add feeds the next raw sample set. The pending run holds scratch-backed
+// (intra) or caller-backed (no intra) sets; flush copies the merged result
+// into the arena, so nothing emitted aliases scratch or the caller's records.
+func (b *runBuilder) add(x iupt.SampleSet) {
+	scr := b.scr
+	if b.intra {
+		x = b.e.intraMergeScratch(x, scr)
+	}
+	if !b.inter {
+		// The set is final output: copy it out at exact size and recycle
+		// the scratch buffer.
+		out := b.arena.alloc(len(x))
+		copy(out, x)
+		scr.runBuf = scr.runBuf[:0]
+		b.emit(out, 1)
+		return
+	}
+	if len(scr.run) > 0 && !samePLocSet(scr.run[len(scr.run)-1], x) {
+		b.flush()
+		if b.intra {
+			// The flushed run's scratch sets are dead; keep only x, the new
+			// run's first set, compacted to the buffer's front so the buffer
+			// never grows past one run plus one set.
+			n := len(x)
+			copy(scr.runBuf, x)
+			scr.runBuf = scr.runBuf[:n]
+			x = scr.runBuf[:n:n]
+		}
+	}
+	scr.run = append(scr.run, x)
+}
+
+// whole emits a stored run of n sets as it is: a slab run the window holds
+// whole, which no neighbour joins (the window build decodes every run a seam
+// may join), so it is a maximal run of the window's sequence.
+func (b *runBuilder) whole(set iupt.SampleSet, n int) {
+	b.flush()
+	b.scr.runBuf = b.scr.runBuf[:0]
+	b.shared += len(set)
+	b.emit(set, n)
+}
+
+// flush inter-merges the pending run, if any, into the arena.
+func (b *runBuilder) flush() {
+	scr := b.scr
+	if len(scr.run) == 0 {
+		return
+	}
+	b.emit(b.e.interMerge(scr.run, b.arena, scr), len(scr.run))
+	scr.run = scr.run[:0]
+}
+
+func (b *runBuilder) emit(set iupt.SampleSet, n int) {
+	b.scr.seq = append(b.scr.seq, set)
+	b.scr.runLens = append(b.scr.runLens, int32(n))
+}
+
+// finishReduction is the assembler: it flushes b and copies the reduced
+// sequence out, then collects the cells incident to every reported
+// P-location, mapped through C2S to the PSLs (Algorithm 1 lines 6-7). Every
+// set of a run covers the run's P-location set, so the cells over the
+// reduced sets are the cells over every input set.
+func (e *Engine) finishReduction(b *runBuilder, out *outArena) *Reduction {
 	var (
-		arena sampleArena
 		reds  *[]Reduction
 		sets  *[]iupt.SampleSet
 		cells *[]indoor.CellID
 		psls  *[]indoor.SLocID
 	)
 	if out != nil {
-		arena.out, reds, sets, cells, psls = &out.samples, &out.reds, &out.sets, &out.cells, &out.psls
+		reds, sets, cells, psls = &out.reds, &out.sets, &out.cells, &out.psls
 	}
+	b.flush()
+	scr := b.scr
 	red := &iupt.Carve(reds, 1)[0]
+	red.shared = b.shared
+	if len(scr.seq) > 0 {
+		red.Seq = iupt.Carve(sets, len(scr.seq))
+		copy(red.Seq, scr.seq)
+	}
+	clear(scr.seq) // the sets are the reduction's: an idle pool must not pin them
+
 	scr.cellSeen.Reset(e.space.NumCells())
 	scr.cells = scr.cells[:0]
-	scr.run = scr.run[:0]
-	scr.runBuf = scr.runBuf[:0]
-	scr.seq = scr.seq[:0]
-	for _, ts := range seq {
-		arena.slabCap += len(ts.Samples)
-	}
-
-	intra := !e.opts.DisableReduction && !e.opts.DisableIntraMerge
-	inter := !e.opts.DisableReduction && !e.opts.DisableInterMerge
-
-	// Xmerge, the pending inter-merge run, holds scratch-backed (intra) or
-	// table-backed (no intra) sets; flushRun copies the merged result into
-	// the output arena, so nothing retained aliases scratch or the table.
-	flushRun := func() {
-		if len(scr.run) == 0 {
-			return
-		}
-		scr.seq = append(scr.seq, e.interMerge(scr.run, &arena, scr))
-		scr.run = scr.run[:0]
-	}
-
-	for _, ts := range seq {
-		x := ts.Samples
-		if intra {
-			x = e.intraMergeScratch(x, scr)
-			if !inter {
-				// The merged set is final output: copy it out of scratch at
-				// exact size and recycle the scratch buffer.
-				out := arena.alloc(len(x))
-				copy(out, x)
-				x = out
-				scr.runBuf = scr.runBuf[:0]
-			}
-		} else if !inter {
-			out := arena.alloc(len(x))
-			copy(out, x)
-			x = out
-		}
-		// PSL accumulation (Algorithm 1 lines 6-7): every cell incident to
-		// a reported P-location, mapped through C2S.
+	for _, x := range red.Seq {
 		for _, s := range x {
 			for _, c := range e.space.PLocCells(s.Loc) {
 				if !scr.cellSeen.Has(int32(c)) {
@@ -116,31 +221,7 @@ func (e *Engine) reduceDataScratch(seq iupt.Sequence, query map[indoor.SLocID]bo
 				}
 			}
 		}
-		if !inter {
-			scr.seq = append(scr.seq, x)
-			continue
-		}
-		if len(scr.run) > 0 && !samePLocSet(scr.run[len(scr.run)-1], x) {
-			flushRun()
-			if intra {
-				// The flushed run's scratch sets are dead; keep only x, the
-				// new run's first set, compacted to the buffer's front so
-				// the buffer never grows past one run plus one set.
-				n := len(x)
-				copy(scr.runBuf, x)
-				scr.runBuf = scr.runBuf[:n]
-				x = scr.runBuf[:n:n]
-			}
-		}
-		scr.run = append(scr.run, x)
 	}
-	flushRun()
-	if len(scr.seq) > 0 {
-		red.Seq = iupt.Carve(sets, len(scr.seq))
-		copy(red.Seq, scr.seq)
-	}
-	clear(scr.seq) // the sets are the reduction's: an idle pool must not pin them
-
 	slices.Sort(scr.cells)
 	red.Cells = iupt.Carve(cells, len(scr.cells))
 	copy(red.Cells, scr.cells)
@@ -157,11 +238,7 @@ func (e *Engine) reduceDataScratch(seq iupt.Sequence, query map[indoor.SLocID]bo
 	slices.Sort(scr.psls)
 	red.PSLs = iupt.Carve(psls, len(scr.psls))
 	copy(red.PSLs, scr.psls)
-
-	if query != nil && !e.opts.DisableReduction && !red.HasAnyOf(query) {
-		return nil, false
-	}
-	return red, true
+	return red
 }
 
 // intraMerge folds samples whose P-locations are equivalent (identical

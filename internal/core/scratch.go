@@ -33,17 +33,24 @@ type summarizeScratch struct {
 
 	// Data reduction state (reduce.go): epoch-stamped seen-sets over the
 	// space's dense cell/S-location/P-location id ranges, the collected
-	// cell/PSL lists and reduced sequence before their exact-size copies, the
-	// pending inter-merge run and the backing store for its intra-merged
-	// sample sets.
+	// cell/PSL lists and reduced sequence (with each set's run length) before
+	// their exact-size copies, the pending inter-merge run and the backing
+	// store for its intra-merged sample sets.
 	cellSeen *indoor.IDMarks
 	slocSeen *indoor.IDMarks
 	plocPos  *indoor.IDMarks
 	cells    []indoor.CellID
 	psls     []indoor.SLocID
 	seq      []iupt.SampleSet
+	runLens  []int32
 	run      []iupt.SampleSet
 	runBuf   []iupt.Sample
+
+	// Slab build state (slab.go): the decoded records and their sample
+	// sets, and the merged sets of one object before they join the slab.
+	recs    []iupt.Record
+	decoded iupt.SampleSet
+	slabOut []iupt.Sample
 
 	// Summary state (dp.go, presence.go): a segment's cell-sorted pass masses
 	// before their exact-size copy, and the union's no-pass products, merged
@@ -229,6 +236,7 @@ func (a *outArena) reset() {
 // holds nothing: its arenas are nil, so reductions go to the heap.
 type recycler struct {
 	win  *iupt.Arena
+	mem  *winMem     // a window over slabs: its columns and decoded records
 	outs []*outArena // outs[w] is carved by the w-th goroutine of a compute
 }
 
@@ -254,9 +262,12 @@ func (r *recycler) release() {
 	if r.win != nil {
 		r.win.Release()
 	}
+	if r.mem != nil {
+		r.mem.release()
+	}
 	for _, a := range r.outs {
 		a.reset()
 		outArenaPool.Put(a)
 	}
-	r.win, r.outs = nil, nil
+	r.win, r.mem, r.outs = nil, nil, nil
 }

@@ -36,6 +36,13 @@ import (
 // shared by every query over the window, so consumers treat the sequences,
 // reductions and summaries as read-only.
 //
+// An entry holds sources, not decoded sealed sequences: per object its pieces
+// over the engine's slabs (slab.go) — the stored runs the window contains
+// whole — and its raw records: the runs the window cuts or a seam may join,
+// decoded, and its head records. Its reductions share the whole runs' sets
+// with the slabs, which are counted once, apart from the entries
+// (CacheStats.SlabBytes).
+//
 // Eviction is a two-generation clock: inserts go to the current generation;
 // when it fills, it becomes the previous generation and a fresh one starts.
 // Hits in the previous generation promote the entry. Live entries are bounded
@@ -54,10 +61,12 @@ import (
 //
 // A window the cache does not keep — not admitted, or the cache bypassed
 // (Options.DisableCache, Query.DisableCache, Naive) — is private to the one
-// evaluation that built it: its entry has no memo, and its sequences and the
-// reductions computed over them live in pooled memory (recycler) that the
-// evaluation hands back in one release after its last read, so a window
-// nobody keeps costs neither heap nor collector after its query. A private
+// evaluation that built it: its entry has no memo, and its columns, pieces,
+// decoded records and the reductions computed over them live in pooled
+// memory (recycler) that the evaluation hands back in one release after its
+// last read, so a window nobody keeps costs neither heap nor collector after
+// its query. A bypassed window reads no slab: it is decoded and reduced from
+// scratch, the reference every slab differential compares with. A private
 // window that went through the cache still counts as a window miss, and each
 // object it summarizes as a presence miss. All methods are safe for
 // concurrent use.
@@ -88,7 +97,7 @@ type windowKey struct {
 
 type windowEntry struct {
 	id  iupt.WindowIdentity // of the snapshot win was built from
-	win iupt.Window
+	win window
 	// bytes estimates the entry's live size: the window (windowBytes) plus
 	// every value its memo stores (objectMemo.put, memoBytes).
 	bytes atomic.Int64
@@ -191,7 +200,7 @@ func (c *windowCache) admit(key windowKey) bool {
 
 // store inserts a freshly materialized window under the identity of the
 // snapshot it was read from, replacing whatever the key held.
-func (c *windowCache) store(key windowKey, id iupt.WindowIdentity, w iupt.Window) *windowEntry {
+func (c *windowCache) store(key windowKey, id iupt.WindowIdentity, w window) *windowEntry {
 	en := &windowEntry{
 		id:      id,
 		win:     w,
@@ -226,8 +235,8 @@ func (c *windowCache) insertLocked(key windowKey, en *windowEntry) {
 // of the window and of what it computed over it.
 //
 // One call into the table both revalidates a stored entry's identity and,
-// when it no longer holds, rematerializes the window together with the
-// identity of that very snapshot (iupt.Table.Window), which is stored with it.
+// when it no longer holds, rematerializes the window over slabs together with
+// the identity of that very snapshot (readWindow), which is stored with it.
 // The returned entry is shared across queries — callers must treat its window
 // and memo values as read-only, which every consumer in this package does. A
 // window the cache does not admit, or every window with the cache bypassed
@@ -241,19 +250,20 @@ func (e *Engine) window(ctx context.Context, table *iupt.Table, ts, te iupt.Time
 	key := windowKey{table: table, ts: ts, te: te}
 	en := wc.get(key)
 	if en == nil && !wc.admit(key) {
-		en, err := privateWindow(ctx, table, ts, te)
+		rec := &recycler{win: iupt.NewArena(), mem: winMemPool.Get().(*winMem)}
+		w, _, err := e.readWindow(ctx, table, ts, te, nil, rec)
 		if err != nil {
+			rec.release()
 			return nil, err
 		}
-		en.counted = true
 		wc.misses.Add(1)
-		return en, nil
+		return &windowEntry{win: *w, rec: rec, counted: true}, nil
 	}
 	var known *iupt.WindowIdentity
 	if en != nil {
 		known = &en.id
 	}
-	w, id, err := table.Window(ctx, ts, te, known)
+	w, id, err := e.readWindow(ctx, table, ts, te, known, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -266,9 +276,10 @@ func (e *Engine) window(ctx context.Context, table *iupt.Table, ts, te iupt.Time
 }
 
 // privateWindow materializes [ts, te] into an entry no cache holds, for one
-// evaluation: the window lives in a pooled iupt.Arena, and with no memo the
-// oracle carves every reduction from pooled output arenas; release hands all
-// of it back. Its rank slot dies with it.
+// evaluation that bypasses the cache and the slabs: every record is decoded
+// into a pooled iupt.Arena, and with no memo the oracle carves every
+// reduction from pooled output arenas; release hands all of it back. Its
+// rank slot dies with it.
 func privateWindow(ctx context.Context, table *iupt.Table, ts, te iupt.Time) (*windowEntry, error) {
 	rec := &recycler{win: iupt.NewArena()}
 	w, _, err := table.Window(ctx, ts, te, nil, rec.win)
@@ -276,34 +287,40 @@ func privateWindow(ctx context.Context, table *iupt.Table, ts, te iupt.Time) (*w
 		rec.release()
 		return nil, err
 	}
-	return &windowEntry{win: *w, rec: rec}, nil
+	return &windowEntry{win: window{Window: *w}, rec: rec}, nil
 }
 
 // windowBytes estimates the live memory pinned by one materialized window: per
 // object its id and sequence header in the window's columns and its memo slot
-// (4 + 24 + 8), per record its TimedSampleSet header, per sample its payload.
-func windowBytes(w iupt.Window) int64 {
+// (4 + 24 + 8), per raw record its TimedSampleSet header, per sample its
+// payload, and over slabs per object its piece list header (24) and per piece
+// 16. The slabs the pieces name are counted once, in CacheStats.SlabBytes.
+func windowBytes(w window) int64 {
 	b := 36 * int64(len(w.OIDs))
 	for _, seq := range w.Seqs {
 		for _, ts := range seq {
 			b += 32 + 16*int64(len(ts.Samples))
 		}
 	}
+	for _, ps := range w.pieces {
+		b += 24 + 16*int64(len(ps))
+	}
 	return b
 }
 
 // memoBytes estimates the live memory one memo value pins, charged to its
 // window when it is stored (objectMemo.put), less the charge of the value it
-// replaces: the value itself (24); its reduction — the Reduction (72), per
-// reduced set its header (24) and per sample its payload (16), per cell and
-// per PSL 4; its summary — the ObjectSummary (64) and per PassMass entry 16.
+// replaces: the value itself (24); its reduction — the Reduction (80), per
+// reduced set its header (24) and per sample it owns its payload (16: the
+// sets it shares with a slab are the slab's), per cell and per PSL 4; its
+// summary — the ObjectSummary (64) and per PassMass entry 16.
 func memoBytes(m *memoized) int64 {
 	if m == nil {
 		return 0
 	}
 	b := int64(24)
 	if r := m.red; r != nil {
-		b += 72 + 24*int64(len(r.Seq)) + 4*int64(len(r.Cells)+len(r.PSLs))
+		b += 80 + 24*int64(len(r.Seq)) + 4*int64(len(r.Cells)+len(r.PSLs)) - 16*int64(r.shared)
 		for _, set := range r.Seq {
 			b += 16 * int64(len(set))
 		}
@@ -344,6 +361,11 @@ type CacheStats struct {
 	WindowHits    int64
 	WindowMisses  int64
 	WindowBytes   int64
+	// SlabBytes estimates the slabs built over sealed partitions that are
+	// still in their table: per sealed record its position and its share of
+	// Algorithm 1's stored runs (slab.go). Windows share them; WindowBytes
+	// does not count them.
+	SlabBytes int64
 }
 
 // CacheStats returns a snapshot of the engine's cache and request coalescer.
@@ -369,6 +391,9 @@ func (e *Engine) CacheStats() CacheStats {
 			}
 		}
 		c.mu.Unlock()
+	}
+	if e.slabs != nil {
+		out.SlabBytes = e.slabs.bytes()
 	}
 	out.Coalesced, out.Flights = e.Counts()
 	return out

@@ -86,7 +86,7 @@ func TestCacheDifferentialRacingIngest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if en.id.Equal(id) && !reflect.DeepEqual(en.win, *fresh) {
+		if en.id.Equal(id) && !reflect.DeepEqual(en.win.Window, *fresh) {
 			t.Errorf("window [%d, %d]: cached sequences differ from the table's under the identity %v both claim", key.ts, key.te, id)
 		}
 	}
@@ -190,7 +190,7 @@ func TestObjectMemoNeverDowngrades(t *testing.T) {
 	for i := range w.OIDs {
 		w.OIDs[i] = iupt.ObjectID(i)
 	}
-	memo := eng.cache.store(windowKey{te: 1}, iupt.WindowIdentity{}, w).memo
+	memo := eng.cache.store(windowKey{te: 1}, iupt.WindowIdentity{}, window{Window: w}).memo
 	red := &Reduction{}
 	filled := func(i int) bool { return i%4 != 3 } // every fourth slot stays empty
 

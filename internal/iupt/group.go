@@ -234,11 +234,16 @@ func (g *grouper) group(ctx context.Context, a *Arena) (Window, error) {
 // GroupSequences groups records given in canonical order into a Window,
 // exactly as Table.Window groups a window's records: objects ascending, one
 // exact-size arena, every sequence capped. The sample sets are shared with
-// recs, not copied.
-func GroupSequences(recs []Record) Window {
+// recs, not copied. Like Table.Window's, the window is in fresh memory, or in
+// into's recycled buffers.
+func GroupSequences(recs []Record, into ...*Arena) Window {
+	var a *Arena
+	if len(into) > 0 {
+		a = into[0]
+	}
 	g := getGrouper()
 	defer g.release()
 	g.addRun(recs)
-	w, _ := g.group(context.Background(), nil)
+	w, _ := g.group(context.Background(), a)
 	return w
 }

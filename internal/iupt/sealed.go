@@ -40,6 +40,14 @@ type SealedPart interface {
 	// and owns the decoded sets' lifetime; a nil samples asks for fresh
 	// memory of exactly the range's size.
 	AppendRange(dst []Record, samples *SampleSet, ts, te Time) []Record
+	// Locate returns the positions [lo, hi) of the part's records with
+	// ts <= T <= te; hi <= lo when there are none. Positions index the
+	// part's records in canonical order, 0 to Len()-1.
+	Locate(ts, te Time) (lo, hi int)
+	// AppendRecords appends the part's records at positions [lo, hi) to
+	// dst, in canonical order, under AppendRange's contract for the sample
+	// sets. It is the part's one decoder: AppendRange is Locate plus this.
+	AppendRecords(dst []Record, samples *SampleSet, lo, hi int) []Record
 	// Objects returns the part's distinct object ids, ascending. The result
 	// is shared and must not be modified.
 	Objects() []ObjectID
@@ -239,34 +247,51 @@ func (id WindowIdentity) Equal(other WindowIdentity) bool {
 // materialized into the arena's recycled buffers and is valid until the
 // arena's Release.
 func (t *Table) Window(ctx context.Context, ts, te Time, known *WindowIdentity, into ...*Arena) (w *Window, id WindowIdentity, err error) {
-	head, sealed := t.retainView()
-	defer releaseParts(sealed)
-	if te >= ts {
-		id.Head = len(rangeSubslice(head, ts, te))
-		for _, p := range sealed {
-			if lo, hi := p.Span(); hi >= ts && lo <= te {
-				id.Parts = append(id.Parts, p.Identity())
-			}
-		}
-	}
-	if known != nil && known.Equal(id) {
-		return nil, id, nil
-	}
 	var a *Arena
 	if len(into) > 0 {
 		a = into[0]
 	}
-	g := getGrouper()
-	defer g.release()
-	g.gather(head, sealed, ts, te, a)
-	grouped, err := g.group(ctx, a)
-	if err == nil {
-		err = ctx.Err()
+	id, err = ReadWindow(t, ts, te, known, func(head []Record, sealed []SealedPart) error {
+		g := getGrouper()
+		defer g.release()
+		g.gather(head, sealed, ts, te, a)
+		grouped, err := g.group(ctx, a)
+		if err == nil {
+			err = ctx.Err()
+		}
+		if err != nil {
+			return err
+		}
+		w = &grouped
+		return nil
+	})
+	return w, id, err
+}
+
+// ReadWindow is the snapshot under Table.Window, for a reader that does its
+// own materialization (internal/core's windows over slabs): it computes the
+// identity of t's window [ts, te] and, unless known still names it, calls read
+// with the head records inside the window and the table's sealed parts in
+// seal order (read skips those whose span misses the window). Both come from
+// one retainView, so they describe the snapshot the identity names, and the
+// parts stay retained until read returns. read's error is ReadWindow's.
+func ReadWindow(t *Table, ts, te Time, known *WindowIdentity, read func(head []Record, sealed []SealedPart) error) (id WindowIdentity, err error) {
+	all, sealed := t.retainView()
+	defer releaseParts(sealed)
+	var head []Record
+	if te >= ts {
+		head = rangeSubslice(all, ts, te)
 	}
-	if err != nil {
-		return nil, id, err
+	id.Head = len(head)
+	for _, p := range sealed {
+		if lo, hi := p.Span(); te >= ts && hi >= ts && lo <= te {
+			id.Parts = append(id.Parts, p.Identity())
+		}
 	}
-	return &grouped, id, nil
+	if known != nil && known.Equal(id) {
+		return id, nil
+	}
+	return id, read(head, sealed)
 }
 
 // mergeRange returns the records of [ts, te] over the sealed parts and the

@@ -52,7 +52,19 @@ func (p *memPart) Span() (lo, hi Time) { return p.recs[0].T, p.recs[len(p.recs)-
 
 func (p *memPart) AppendRange(dst []Record, _ *SampleSet, ts, te Time) []Record {
 	p.touched++
-	return append(dst, rangeSubslice(p.recs, ts, te)...)
+	lo, hi := p.Locate(ts, te)
+	return p.AppendRecords(dst, nil, lo, hi)
+}
+
+func (p *memPart) Locate(ts, te Time) (lo, hi int) {
+	return searchTime(p.recs, ts, false), searchTime(p.recs, te, true)
+}
+
+func (p *memPart) AppendRecords(dst []Record, _ *SampleSet, lo, hi int) []Record {
+	if hi <= lo {
+		return dst
+	}
+	return append(dst, p.recs[lo:hi]...)
 }
 
 func (p *memPart) Objects() []ObjectID { return p.oids }
@@ -516,6 +528,13 @@ func (p *hookPart) AppendRange(dst []Record, samples *SampleSet, ts, te Time) []
 		p.onRead()
 	}
 	return p.memPart.AppendRange(dst, samples, ts, te)
+}
+
+func (p *hookPart) AppendRecords(dst []Record, samples *SampleSet, lo, hi int) []Record {
+	if p.onRead != nil {
+		p.onRead()
+	}
+	return p.memPart.AppendRecords(dst, samples, lo, hi)
 }
 
 // TestWindowIdentityOneSnapshot: an append that lands while a window is being

@@ -403,22 +403,31 @@ func (p *Partition) searchT(bound iupt.Time, inclusive bool) int64 {
 	return lo
 }
 
-// AppendRange implements iupt.SealedPart: it decodes the records with
-// ts <= T <= te into heap values (sample sets included — nothing in the
+// AppendRange implements iupt.SealedPart: Locate plus AppendRecords.
+func (p *Partition) AppendRange(dst []iupt.Record, samples *iupt.SampleSet, ts, te iupt.Time) []iupt.Record {
+	lo, hi := p.Locate(ts, te)
+	return p.AppendRecords(dst, samples, lo, hi)
+}
+
+// Locate implements iupt.SealedPart by binary search over the T column.
+func (p *Partition) Locate(ts, te iupt.Time) (lo, hi int) {
+	return int(p.searchT(ts, false)), int(p.searchT(te, true))
+}
+
+// AppendRecords implements iupt.SealedPart: it decodes the records at
+// positions [lo, hi) into heap values (sample sets included — nothing in the
 // returned records aliases the mapping, so a record outlives a Close) and
 // appends them to dst in canonical order. The sample sets are carved from the
 // tail of *samples (iupt.Carve), or, with samples nil, from one fresh
-// exact-size allocation.
-func (p *Partition) AppendRange(dst []iupt.Record, samples *iupt.SampleSet, ts, te iupt.Time) []iupt.Record {
-	lo := p.searchT(ts, false)
-	hi := p.searchT(te, true)
+// exact-size allocation. It is the partition's one record decoder.
+func (p *Partition) AppendRecords(dst []iupt.Record, samples *iupt.SampleSet, lo, hi int) []iupt.Record {
 	if hi <= lo {
 		return dst
 	}
-	p.materialized.Add(hi - lo)
+	p.materialized.Add(int64(hi - lo))
 	offBase := p.l.off
-	sampLo := int64(binary.LittleEndian.Uint32(p.data[offBase+4*lo:]))
-	sampHi := int64(binary.LittleEndian.Uint32(p.data[offBase+4*hi:]))
+	sampLo := int64(binary.LittleEndian.Uint32(p.data[offBase+4*int64(lo):]))
+	sampHi := int64(binary.LittleEndian.Uint32(p.data[offBase+4*int64(hi):]))
 	// One flat run for all sample sets in the range, sliced per record.
 	flat := iupt.Carve(samples, int(sampHi-sampLo))
 	for i := range flat {
@@ -426,8 +435,8 @@ func (p *Partition) AppendRange(dst []iupt.Record, samples *iupt.SampleSet, ts, 
 		flat[i].Loc = indoor.PLocID(int32(binary.LittleEndian.Uint32(p.data[p.l.loc+4*si:])))
 		flat[i].Prob = math.Float64frombits(binary.LittleEndian.Uint64(p.data[p.l.prob+8*si:]))
 	}
-	dst = slices.Grow(dst, int(hi-lo))
-	for i := lo; i < hi; i++ {
+	dst = slices.Grow(dst, hi-lo)
+	for i := int64(lo); i < int64(hi); i++ {
 		so := int64(binary.LittleEndian.Uint32(p.data[offBase+4*i:]))
 		se := int64(binary.LittleEndian.Uint32(p.data[offBase+4*(i+1):]))
 		dst = append(dst, iupt.Record{

@@ -154,7 +154,8 @@ type WALStatsJSON struct {
 // the daemon runs with a data directory: the sealed partition set plus the
 // observables behind the store's guarantees — MaterializedRecords stays 0
 // across a restart (recovery maps partitions without decoding them) and
-// grows only by what window queries actually read.
+// grows only by what window queries actually read: a slab build decodes each
+// of its records once, and a query decodes only the runs it cuts or joins.
 type StorageStatsJSON struct {
 	SealSeq             uint64 `json:"seal_seq"`
 	Partitions          int    `json:"partitions"`
@@ -175,6 +176,10 @@ type StorageStatsJSON struct {
 	WindowHits    int64 `json:"window_hits"`
 	WindowMisses  int64 `json:"window_misses"`
 	WindowBytes   int64 `json:"window_bytes"`
+	// SlabBytes estimates the engine's slabs: Algorithm 1's stored runs over
+	// the sealed records queries have read, built once per record and shared
+	// by every window over it; window_bytes does not count them.
+	SlabBytes int64 `json:"slab_bytes"`
 }
 
 // StatsResponse is the body of GET /v1/stats.
@@ -586,6 +591,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			WindowHits:          cs.WindowHits,
 			WindowMisses:        cs.WindowMisses,
 			WindowBytes:         cs.WindowBytes,
+			SlabBytes:           cs.SlabBytes,
 		}
 		ws := ps.WAL
 		out.WAL = &WALStatsJSON{
