@@ -127,9 +127,9 @@ func microData(b *testing.B) *benchData {
 }
 
 // benchTopK is one KindTopK evaluation through Engine.Do.
-func benchTopK(b *testing.B, eng *core.Engine, tb *iupt.Table, q []indoor.SLocID, k int, ts, te iupt.Time, algo core.Algorithm) {
+func benchTopK(b *testing.B, eng *core.Engine, tb *iupt.Table, q []indoor.SLocID, k int, ts, te iupt.Time, algo core.Algorithm, disableCache bool) {
 	b.Helper()
-	if _, err := eng.Do(context.Background(), tb, core.Query{Kind: core.KindTopK, Algorithm: algo, K: k, Ts: ts, Te: te, SLocs: q}); err != nil {
+	if _, err := eng.Do(context.Background(), tb, core.Query{Kind: core.KindTopK, Algorithm: algo, K: k, Ts: ts, Te: te, SLocs: q, DisableCache: disableCache}); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -211,7 +211,7 @@ func BenchmarkTopKAlgorithms(b *testing.B) {
 			b.ReportAllocs()
 			eng := core.NewEngine(d.building.Space, core.Options{})
 			for i := 0; i < b.N; i++ {
-				benchTopK(b, eng, d.table, d.slocs, 3, 0, d.span, algo.a)
+				benchTopK(b, eng, d.table, d.slocs, 3, 0, d.span, algo.a, false)
 			}
 		})
 	}
@@ -274,12 +274,10 @@ func BenchmarkTopKWorkers(b *testing.B) {
 		for _, workers := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("%s/workers=%d", algo.name, workers), func(b *testing.B) {
 				b.ReportAllocs()
-				eng := core.NewEngine(d.building.Space, core.Options{
-					Workers: workers, DisableCache: true,
-				})
+				eng := core.NewEngine(d.building.Space, core.Options{Workers: workers})
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					benchTopK(b, eng, d.table, d.slocs, 5, 0, d.span, algo.a)
+					benchTopK(b, eng, d.table, d.slocs, 5, 0, d.span, algo.a, true)
 				}
 			})
 		}
@@ -295,14 +293,14 @@ func BenchmarkTopKPresenceCache(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
-			eng := core.NewEngine(d.building.Space, core.Options{DisableCache: !cached})
+			eng := core.NewEngine(d.building.Space, core.Options{})
 			if cached {
 				// Populate the cache outside the timed region.
-				benchTopK(b, eng, d.table, d.slocs, 5, 0, d.span, core.AlgoNestedLoop)
+				benchTopK(b, eng, d.table, d.slocs, 5, 0, d.span, core.AlgoNestedLoop, false)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				benchTopK(b, eng, d.table, d.slocs, 5, 0, d.span, core.AlgoNestedLoop)
+				benchTopK(b, eng, d.table, d.slocs, 5, 0, d.span, core.AlgoNestedLoop, !cached)
 			}
 		})
 	}
@@ -378,7 +376,7 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 	})
 	b.Run("full", func(b *testing.B) {
 		b.ReportAllocs()
-		eng := core.NewEngine(d.building.Space, core.Options{DisableCache: true})
+		eng := core.NewEngine(d.building.Space, core.Options{})
 		tb := iupt.NewTable()
 		for i := 0; i < d.table.Len(); i++ {
 			tb.Append(d.table.Record(i))
@@ -386,7 +384,7 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			tb.Append(feed(i))
-			benchTopK(b, eng, tb, d.slocs, 5, now-window, now, core.AlgoBestFirst)
+			benchTopK(b, eng, tb, d.slocs, 5, now-window, now, core.AlgoBestFirst, true)
 		}
 	})
 }
@@ -424,8 +422,8 @@ func BenchmarkEndToEndPipeline(b *testing.B) {
 // BenchmarkBatchQuery contrasts M same-window queries issued sequentially
 // through System.Do against one System.DoBatch call. The batch performs the
 // per-object data reduction and presence summarization once for the whole
-// group (the cache is disabled so the sequential path cannot hide behind
-// it), which is the serving-layer win for overlapping dashboard queries.
+// group (the queries bypass the cache so the sequential path cannot hide
+// behind it), which is the serving-layer win for overlapping dashboard queries.
 func BenchmarkBatchQuery(b *testing.B) {
 	d := parallelData(b)
 	const m = 8
@@ -435,11 +433,11 @@ func BenchmarkBatchQuery(b *testing.B) {
 		lo := i % (len(d.slocs) / 2)
 		queries[i] = tkplq.Query{
 			Kind: tkplq.KindTopK, Algorithm: tkplq.NestedLoop, K: 3 + i%3,
-			Ts: 0, Te: d.span, SLocs: d.slocs[lo:],
+			Ts: 0, Te: d.span, SLocs: d.slocs[lo:], DisableCache: true,
 		}
 	}
 	newSys := func() *tkplq.System {
-		sys, err := tkplq.NewSystem(d.building.Space, d.table, tkplq.Options{DisableCache: true})
+		sys, err := tkplq.NewSystem(d.building.Space, d.table, tkplq.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -483,10 +481,7 @@ func BenchmarkQueryStampede(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
-			eng := core.NewEngine(d.building.Space, core.Options{
-				DisableCache:      true, // isolate the coalescer's effect
-				DisableCoalescing: !coalesce,
-			})
+			eng := core.NewEngine(d.building.Space, core.Options{})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				var wg sync.WaitGroup
@@ -494,7 +489,8 @@ func BenchmarkQueryStampede(b *testing.B) {
 					wg.Add(1)
 					go func() {
 						defer wg.Done()
-						q := core.Query{Algorithm: core.AlgoNestedLoop, K: 5, Te: d.span, SLocs: d.slocs}
+						q := core.Query{Algorithm: core.AlgoNestedLoop, K: 5, Te: d.span, SLocs: d.slocs,
+							DisableCache: true, DisableCoalescing: !coalesce} // isolate the coalescer's effect
 						if _, err := eng.Do(context.Background(), d.table, q); err != nil {
 							b.Error(err)
 						}

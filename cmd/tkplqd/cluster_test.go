@@ -152,6 +152,8 @@ func TestDaemonClusterFlagValidation(t *testing.T) {
 		{"fsync without data-dir", []string{"-fsync", "interval"}, "-fsync requires -data-dir"},
 		{"replication flags without data-dir", []string{"-advertise", "127.0.0.1:9", "-repl-heartbeat", "1s", "-repl-window", "1024"},
 			"-advertise, -repl-heartbeat, -repl-window requires -data-dir"},
+		{"repl-window below the ack floor", []string{"-data-dir", t.TempDir(), "-repl-window", "524287"},
+			"-repl-window 524287 is below the 524288-byte floor"},
 		{"fsync-interval with fsync always", []string{"-data-dir", t.TempDir(), "-fsync-interval", "10ms"}, "-fsync-interval requires -fsync interval"},
 		{"store flags on router", []string{"-role", "router", "-topology", topoFile, "-snapshot-every", "10"},
 			"-snapshot-every cannot be used with -role router"},

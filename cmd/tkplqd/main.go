@@ -160,7 +160,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		replicaOf       = fs.String("replica-of", "", "boot as a live follower replicating from these candidate primaries (host:port, comma-separated); requires -data-dir")
 		advertise       = fs.String("advertise", "", "this member's advertised address — its replication identity (default: -addr)")
 		replHeartbeat   = fs.Duration("repl-heartbeat", time.Second, "primary: replication heartbeat cadence on idle streams")
-		replWindow      = fs.Int64("repl-window", 4<<20, "primary: max unacknowledged replication bytes per follower before the stream waits for acks")
+		replWindow      = fs.Int64("repl-window", 4<<20, fmt.Sprintf("primary: max unacknowledged replication bytes per follower before the stream waits for acks (at least %d: two follower ack cadences)", repl.MinWindowBytes))
 		keepSegments    = fs.Int("keep-segments", -1, "rotated WAL segments retained for follower catch-up (-1 = 4 on replicated members, 0 elsewhere)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -169,6 +169,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	m, err := newMember(fs)
 	if err != nil {
 		return err
+	}
+	if *replWindow < repl.MinWindowBytes {
+		return fmt.Errorf("-repl-window %d is below the %d-byte floor: a follower acks once per %d bytes applied", *replWindow, repl.MinWindowBytes, repl.AckEveryBytes)
 	}
 	adv := cmp.Or(*advertise, *addr)
 

@@ -326,18 +326,29 @@ func TestSummaryCacheSkipsRematerialization(t *testing.T) {
 	}
 }
 
+// uncached copies qs with the window cache bypassed in each: the from-scratch
+// reference the cache differentials compare against.
+func uncached(qs []tkplq.Query) []tkplq.Query {
+	out := make([]tkplq.Query, len(qs))
+	for i, q := range qs {
+		q.DisableCache = true
+		out[i] = q
+	}
+	return out
+}
+
 // TestCacheDifferentialPartitioned is the cached ≡ uncached differential on
 // the durable layout: a partitioned system with the cache against a flat
-// in-RAM twin without one, through seeded random ingest (behind the sealed
-// partitions, in order, and where no window looks), seals and compactions,
-// asking both every kind of question by Do, DoBatch and DoPartial at workers 1
-// and 4 after every step. Then it pins what a hit is when partitions vouch
+// in-RAM twin asked with Query.DisableCache, through seeded random ingest
+// (behind the sealed partitions, in order, and where no window looks), seals
+// and compactions, asking both every kind of question by Do, DoBatch and
+// DoPartial at workers 1 and 4 after every step. Then it pins what a hit is when partitions vouch
 // for the window.
 func TestCacheDifferentialPartitioned(t *testing.T) {
 	ctx := t.Context()
 	sys, store := sealedSystem(t, t.TempDir(), 4, tkplq.PartitionedOptions{})
 	b, table := durableTestBuilding(t)
-	plain, err := tkplq.NewSystem(b.Space, table, tkplq.Options{DisableCache: true})
+	plain, err := tkplq.NewSystem(b.Space, table, tkplq.Options{}) // asked with the cache bypassed
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,20 +419,21 @@ func TestCacheDifferentialPartitioned(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			at := fmt.Sprintf("step %d (%s) window %v workers=%d", step, what, win, workers)
 			qs := battery(win[0], win[1], workers)
+			ref := uncached(qs)
 			got := make([]*tkplq.Response, len(qs))
 			want := make([]*tkplq.Response, len(qs))
 			for i, q := range qs {
 				if got[i], err = sys.Do(ctx, q); err != nil {
 					t.Fatalf("%s query %d: %v", at, i, err)
 				}
-				if want[i], err = plain.Do(ctx, q); err != nil {
+				if want[i], err = plain.Do(ctx, ref[i]); err != nil {
 					t.Fatalf("%s query %d (uncached): %v", at, i, err)
 				}
 				gotP, err := sys.DoPartial(ctx, q)
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantP, err := plain.DoPartial(ctx, q)
+				wantP, err := plain.DoPartial(ctx, ref[i])
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -434,7 +446,7 @@ func TestCacheDifferentialPartitioned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantB, err := plain.DoBatch(ctx, qs)
+			wantB, err := plain.DoBatch(ctx, ref)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -444,6 +456,7 @@ func TestCacheDifferentialPartitioned(t *testing.T) {
 
 	// What a hit is. The window sits inside the first partition.
 	q := tkplq.Query{Kind: tkplq.KindTopK, Algorithm: tkplq.NestedLoop, K: len(slocs), Ts: 100, Te: 400, SLocs: slocs, Workers: 1}
+	ref := uncached([]tkplq.Query{q})[0]
 	ask := func(label string, wantHit bool) {
 		t.Helper()
 		before, decoded := sys.CacheStats(), store.Stats().MaterializedRecords
@@ -451,7 +464,7 @@ func TestCacheDifferentialPartitioned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := plain.Do(ctx, q)
+		want, err := plain.Do(ctx, ref)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -40,7 +40,11 @@ func TestDoBatchBitIdenticalToSequential(t *testing.T) {
 
 	for _, workers := range []int{1, 3, 8} {
 		for _, disableCache := range []bool{false, true} {
-			opts := Options{Workers: workers, DisableCache: disableCache}
+			opts := Options{Workers: workers}
+			qs := qs
+			if disableCache {
+				qs = uncachedAll(qs)
+			}
 			seq := NewEngine(fig.Space, opts)
 			want := make([]*Response, len(qs))
 			for i, q := range qs {
@@ -226,7 +230,7 @@ func TestDoPerQueryOverrides(t *testing.T) {
 		t.Errorf("flights advanced %d→%d despite DisableCoalescing", flightsAfterBase, flights)
 	}
 	// The engine's own configuration is untouched.
-	if eng.Options().Workers != 1 || eng.Options().DisableCache || eng.Options().DisableCoalescing {
+	if eng.Options().Workers != 1 {
 		t.Errorf("per-query override mutated the engine options: %+v", eng.Options())
 	}
 }

@@ -25,9 +25,8 @@ import (
 //     oracle's, by the same positions RC names.
 //
 // Trees are immutable after BulkLoad, so they are shared by concurrent
-// searches without a lock. A private window (Options.DisableCache,
-// Query.DisableCache, a window the cache does not admit) builds all of it per
-// call.
+// searches without a lock. A private window (Query.DisableCache, a window the
+// cache does not admit) builds all of it per call.
 
 // geomRect and geomPoint shorten helper signatures, here and in the tests.
 type (

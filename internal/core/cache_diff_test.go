@@ -40,7 +40,7 @@ func TestCacheDifferential(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(70 + workers)))
 		tb := randTable(rng, fig, 10, 60)
 		cached := NewEngine(fig.Space, Options{Workers: workers})
-		plain := NewEngine(fig.Space, Options{Workers: workers, DisableCache: true})
+		plain := NewEngine(fig.Space, Options{Workers: workers}) // asked with the cache bypassed
 		now := iupt.Time(61)
 		for step := 0; step < 60; step++ {
 			rec := iupt.Record{OID: iupt.ObjectID(1 + rng.Intn(12)), Samples: randSampleSet(rng, fig.PLocs[:], 3)}
@@ -65,7 +65,7 @@ func TestCacheDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s query %d: %v", at, i, err)
 				}
-				want, err := plain.Do(ctx, tb, q)
+				want, err := plain.Do(ctx, tb, uncached(q))
 				if err != nil {
 					t.Fatalf("%s query %d (uncached): %v", at, i, err)
 				}
@@ -79,7 +79,7 @@ func TestCacheDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantP, err := plain.DoPartial(ctx, tb, q)
+				wantP, err := plain.DoPartial(ctx, tb, uncached(q))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -94,7 +94,7 @@ func TestCacheDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantB, err := plain.DoBatch(ctx, tb, batch)
+			wantB, err := plain.DoBatch(ctx, tb, uncachedAll(batch))
 			if err != nil {
 				t.Fatal(err)
 			}

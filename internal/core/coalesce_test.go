@@ -313,13 +313,15 @@ func TestCoalesceIngestSplitsFlights(t *testing.T) {
 	}
 }
 
-// TestCoalesceDisabled: Options.DisableCoalescing turns the whole mechanism
-// off — every query evaluates, and all coalescer counters stay zero.
+// TestCoalesceDisabled: Query.DisableCoalescing takes a query out of the
+// whole mechanism — every such query evaluates, and all coalescer counters
+// stay zero.
 func TestCoalesceDisabled(t *testing.T) {
 	fig := indoor.Figure1Space()
 	rng := rand.New(rand.NewSource(19))
 	tb := randTable(rng, fig, 6, 30)
-	eng := NewEngine(fig.Space, Options{DisableCoalescing: true})
+	eng := NewEngine(fig.Space, Options{})
+	q := Query{Kind: KindTopK, Algorithm: AlgoNestedLoop, K: 3, Te: 30, SLocs: fig.SLocs[:], DisableCoalescing: true}
 
 	var wg sync.WaitGroup
 	stats := make([]Stats, 8)
@@ -327,7 +329,7 @@ func TestCoalesceDisabled(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, stats[i], _ = eng.TopK(tb, fig.SLocs[:], 3, 0, 30, AlgoNestedLoop)
+			_, stats[i], _ = ranked(eng.Do(context.Background(), tb, q))
 		}(i)
 	}
 	wg.Wait()

@@ -31,7 +31,7 @@
 // contiguous position ranges, while every floating-point accumulation walks
 // positions ascending, which is ascending object id — so rankings and flows
 // are bit-identical for every worker count, shard count and algorithm. One
-// cache (windowcache.go, Options.DisableCache) lets a repeated window reuse
+// cache (windowcache.go, Query.DisableCache) lets a repeated window reuse
 // its materialized sequences, every per-object reduction and summary computed
 // over them and Best-First's R-trees over those reductions (bestfirst.go); the
 // table's identity for the window (iupt.WindowIdentity) is the whole proof of
@@ -60,7 +60,7 @@ const (
 	EngineDP EngineKind = iota
 	// EngineEnum materializes the valid possible paths exactly as the
 	// paper's Algorithm 2 does. Worst-case exponential in sequence length;
-	// bounded by Options.PathBudget with automatic fallback to the DP.
+	// bounded by DefaultPathBudget with automatic fallback to the DP.
 	EngineEnum
 )
 
@@ -146,9 +146,6 @@ type Options struct {
 	DisableIntraMerge bool
 	// DisableInterMerge turns off only the inter-merge (ablation).
 	DisableInterMerge bool
-	// PathBudget caps the enumerated path set per object for EngineEnum;
-	// 0 selects DefaultPathBudget.
-	PathBudget int
 	// StrictPaths keeps the paper's exact path semantics: a sequence with
 	// a topologically impossible step (no valid sample pair between two
 	// consecutive sample sets) has an empty valid-path set and presence 0
@@ -166,30 +163,10 @@ type Options struct {
 	// 0 selects runtime.GOMAXPROCS(0); 1 (or any negative value) forces the
 	// single-threaded path, exactly as the paper's algorithms are written.
 	Workers int
-	// DisableCache turns off the engine's window cache. With the cache
-	// enabled (the default), a query over a window whose records have not
-	// changed since an earlier query reuses that query's materialized
-	// sequences and its per-object reductions and presence summaries instead
-	// of recomputing them; Stats.CacheHits and Stats.CacheMisses report the
-	// effect per query. The Naive algorithm always bypasses the cache — it
-	// exists to measure repeated work.
-	DisableCache bool
-	// DisableCoalescing turns off query-level request coalescing. With
-	// coalescing enabled (the default), concurrent identical queries — same
-	// query kind, algorithm, k, window, table snapshot and query set — share
-	// one in-flight evaluation: the first caller evaluates, the rest block
-	// and receive a copy of its results with Stats.Coalesced set. The
-	// coalescer is independent of the window cache (DisableCache does not
-	// affect it) and never changes results: flight identity pins the table's
-	// record count, so a query racing an ingest never joins a stale flight.
-	DisableCoalescing bool
-}
 
-func (o Options) pathBudget() int {
-	if o.PathBudget <= 0 {
-		return DefaultPathBudget
-	}
-	return o.PathBudget
+	// pathBudget caps the enumerated path set per object for EngineEnum;
+	// 0 selects DefaultPathBudget. Only a test sets it.
+	pathBudget int
 }
 
 // workerCount resolves the effective worker pool size; see Options.Workers.
@@ -209,10 +186,10 @@ func (o Options) workerCount() int {
 // per-query state lives in the query functions, and the window cache is
 // internally synchronized.
 type Engine struct {
-	Driver // the space and the flights; coal is nil when Options.DisableCoalescing is set
+	Driver // the space and the flights
 	opts   Options
-	cache  *windowCache // nil when Options.DisableCache is set
-	slabs  *slabStore   // likewise; shared by the per-query views
+	cache  *windowCache // nil in a per-query view with Query.DisableCache
+	slabs  *slabStore   // shared by the per-query views
 	mons   *monitorRegistry
 	// scratch pools per-worker summarizeScratch arenas so the reduce →
 	// summarize hot path reuses its working memory across objects. A shared
@@ -225,14 +202,8 @@ type Engine struct {
 
 // NewEngine returns an engine for the space with the given options.
 func NewEngine(space *indoor.Space, opts Options) *Engine {
-	e := &Engine{Driver: Driver{space: space, workers: opts.Workers}, opts: opts, scratch: &sync.Pool{}, bfScratch: &sync.Pool{}, mons: newMonitorRegistry()}
-	if !opts.DisableCache {
-		e.cache, e.slabs = newWindowCache(), newSlabStore()
-	}
-	if !opts.DisableCoalescing {
-		e.coal = newCoalescer()
-	}
-	return e
+	return &Engine{Driver: Driver{space: space, coal: newCoalescer(), workers: opts.Workers}, opts: opts,
+		cache: newWindowCache(), slabs: newSlabStore(), mons: newMonitorRegistry(), scratch: &sync.Pool{}, bfScratch: &sync.Pool{}}
 }
 
 // Space returns the engine's indoor space.
@@ -256,8 +227,8 @@ type Stats struct {
 	ObjectsComputed int
 	// PathsEnumerated counts materialized paths (enumeration engine only).
 	PathsEnumerated int64
-	// BudgetFallbacks counts objects whose enumeration exceeded PathBudget
-	// and fell back to the DP engine.
+	// BudgetFallbacks counts objects whose enumeration exceeded
+	// DefaultPathBudget and fell back to the DP engine.
 	BudgetFallbacks int
 	// SampleSetsOriginal and SampleSetsReduced measure the data reduction:
 	// total sample sets before and after Algorithm 1 across processed
@@ -276,15 +247,15 @@ type Stats struct {
 	Workers int
 	// CacheHits and CacheMisses count, one per object whose presence summary
 	// this query asked for, those served from the cached window's memo and
-	// those computed. Both stay 0 when the cache is disabled or bypassed
-	// (Naive, subscription feeds).
+	// those computed. Both stay 0 when the cache is bypassed
+	// (Query.DisableCache, Naive, subscription feeds).
 	CacheHits   int64
 	CacheMisses int64
 	// Coalesced is 1 when this query did not evaluate at all: it joined a
 	// concurrent identical caller's in-flight evaluation and received a copy
 	// of that leader's results (the other Stats fields then describe the
 	// leader's work). 0 for the caller that performed the evaluation, and
-	// always 0 when Options.DisableCoalescing is set.
+	// always 0 when Query.DisableCoalescing is set.
 	Coalesced int64
 	// SharedBatch is the number of queries that shared this evaluation's
 	// per-object data reduction and presence summarization inside one

@@ -284,7 +284,7 @@ func TestPathBudgetFallback(t *testing.T) {
 	plocs := fig.PLocs[:]
 	rng := rand.New(rand.NewSource(99))
 	seq := randSequence(rng, plocs, 10, 4)
-	budget := NewEngine(fig.Space, Options{Engine: EngineEnum, PathBudget: 2})
+	budget := NewEngine(fig.Space, Options{Engine: EngineEnum, pathBudget: 2})
 	unlimited := NewEngine(fig.Space, Options{Engine: EngineDP})
 
 	sum, fellBack := budget.Summarize(seq)

@@ -22,6 +22,22 @@ func (e *Engine) TopKDensity(table *iupt.Table, q []indoor.SLocID, k int, ts, te
 	return ranked(e.Do(context.Background(), table, Query{Kind: KindDensity, K: k, Ts: ts, Te: te, SLocs: q}))
 }
 
+// uncached returns q with the window cache bypassed: the from-scratch
+// reference every cache differential compares against.
+func uncached(q Query) Query {
+	q.DisableCache = true
+	return q
+}
+
+// uncachedAll is uncached over a batch, on a copy.
+func uncachedAll(qs []Query) []Query {
+	out := make([]Query, len(qs))
+	for i, q := range qs {
+		out[i] = uncached(q)
+	}
+	return out
+}
+
 func ranked(resp *Response, err error) ([]Result, Stats, error) {
 	if err != nil {
 		return nil, Stats{}, err

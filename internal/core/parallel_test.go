@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -15,13 +16,6 @@ import (
 // worker count, rankings AND flows are bit-identical to the single-threaded
 // path, and the cache changes wall-clock only — never results or the legacy
 // work statistics.
-
-// sequentialOpts forces the single-threaded, cache-free reference path.
-func sequentialOpts(base Options) Options {
-	base.Workers = 1
-	base.DisableCache = true
-	return base
-}
 
 func assertSameResults(t *testing.T, label string, want, got []Result) {
 	t.Helper()
@@ -48,18 +42,21 @@ func TestParallelTopKMatchesSequential(t *testing.T) {
 	tb := randTable(rng, fig, 24, 60)
 	q := fig.SLocs[:]
 	k := len(q)
+	ctx := context.Background()
 
 	for _, algo := range []Algorithm{AlgoNaive, AlgoNestedLoop, AlgoBestFirst} {
-		ref := NewEngine(fig.Space, sequentialOpts(Options{}))
-		want, wantStats, err := ref.TopK(tb, q, k, 0, 60, algo)
+		// The single-threaded, cache-free reference path.
+		ref := NewEngine(fig.Space, Options{Workers: 1})
+		want, wantStats, err := ranked(ref.Do(ctx, tb, uncached(Query{Kind: KindTopK, Algorithm: algo, K: k, Te: 60, SLocs: q})))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 3, 8, 0} {
 			for _, disableCache := range []bool{false, true} {
 				label := fmt.Sprintf("%v/workers=%d/cacheOff=%v", algo, workers, disableCache)
-				eng := NewEngine(fig.Space, Options{Workers: workers, DisableCache: disableCache})
-				got, gotStats, err := eng.TopK(tb, q, k, 0, 60, algo)
+				eng := NewEngine(fig.Space, Options{Workers: workers})
+				query := Query{Kind: KindTopK, Algorithm: algo, K: k, Te: 60, SLocs: q, DisableCache: disableCache}
+				got, gotStats, err := ranked(eng.Do(ctx, tb, query))
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -74,7 +71,7 @@ func TestParallelTopKMatchesSequential(t *testing.T) {
 				}
 				// Re-running on the same (cached) engine must reproduce the
 				// exact same answer.
-				again, _, err := eng.TopK(tb, q, k, 0, 60, algo)
+				again, _, err := ranked(eng.Do(ctx, tb, query))
 				if err != nil {
 					t.Fatalf("%s: rerun: %v", label, err)
 				}
@@ -92,11 +89,16 @@ func TestParallelFlowAndDensityMatchSequential(t *testing.T) {
 	tb := randTable(rng, fig, 20, 50)
 	q := fig.SLocs[:]
 
-	ref := NewEngine(fig.Space, sequentialOpts(Options{}))
+	ctx := context.Background()
+	ref := NewEngine(fig.Space, Options{Workers: 1}) // asked with the cache bypassed
 	par := NewEngine(fig.Space, Options{Workers: 6})
 
 	for _, s := range q {
-		want, _ := ref.Flow(tb, s, 0, 50)
+		resp, err := ref.Do(ctx, tb, uncached(Query{Kind: KindFlow, SLocs: []indoor.SLocID{s}, Te: 50}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := resp.Flow
 		got, stats := par.Flow(tb, s, 0, 50)
 		if want != got {
 			t.Fatalf("Flow(%d): parallel %v, sequential %v", s, got, want)
@@ -106,7 +108,7 @@ func TestParallelFlowAndDensityMatchSequential(t *testing.T) {
 		}
 	}
 
-	wantD, _, err := ref.TopKDensity(tb, q, len(q), 0, 50)
+	wantD, _, err := ranked(ref.Do(ctx, tb, uncached(Query{Kind: KindDensity, K: len(q), Te: 50, SLocs: q})))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,14 +197,14 @@ func TestNaiveBypassesCache(t *testing.T) {
 	}
 }
 
-// TestCacheDisabled: DisableCache engines never count cache traffic.
+// TestCacheDisabled: queries that bypass the cache never count cache traffic.
 func TestCacheDisabled(t *testing.T) {
 	fig := indoor.Figure1Space()
 	rng := rand.New(rand.NewSource(31))
 	tb := randTable(rng, fig, 8, 25)
-	eng := NewEngine(fig.Space, Options{DisableCache: true})
+	eng := NewEngine(fig.Space, Options{})
 	for i := 0; i < 2; i++ {
-		_, st, err := eng.TopK(tb, fig.SLocs[:], 3, 0, 25, AlgoNestedLoop)
+		_, st, err := ranked(eng.Do(context.Background(), tb, uncached(Query{Kind: KindTopK, Algorithm: AlgoNestedLoop, K: 3, Te: 25, SLocs: fig.SLocs[:]})))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,8 +259,8 @@ func TestMonitorObserveInvalidatesCache(t *testing.T) {
 	// recomputes and sees the new record, exactly as a fresh engine does.
 	live.ingest(iupt.Record{OID: 1, T: 11, Samples: set(fig.PLocs[3])})
 	u2 := current(mon)
-	ref := NewEngine(fig.Space, sequentialOpts(Options{}))
-	want, _, err := ref.TopK(live.tb, fig.SLocs[:], 3, u2.Ts, u2.Te, AlgoBestFirst)
+	ref := NewEngine(fig.Space, Options{Workers: 1})
+	want, _, err := ranked(ref.Do(context.Background(), live.tb, uncached(Query{Kind: KindTopK, Algorithm: AlgoBestFirst, K: 3, Ts: u2.Ts, Te: u2.Te, SLocs: fig.SLocs[:]})))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"slices"
 
@@ -22,14 +23,14 @@ type path struct {
 // Algorithm 2 (lines 9-15) constructs them: start with X1's samples, extend
 // level by level, dropping extensions whose consecutive pair has an empty
 // M_IL entry. It returns ErrPathBudget when the live path set would exceed
-// Options.PathBudget.
+// the budget (DefaultPathBudget unless a test set Options.pathBudget).
 func (e *Engine) summarizeEnum(seq []iupt.SampleSet) (*ObjectSummary, error) {
 	sum := &ObjectSummary{}
 	if len(seq) == 0 {
 		return sum, nil
 	}
 	passMass := make(map[indoor.CellID]float64)
-	budget := e.opts.pathBudget()
+	budget := cmp.Or(e.opts.pathBudget, DefaultPathBudget)
 
 	paths := make([]path, 0, len(seq[0]))
 	for _, s := range seq[0] {

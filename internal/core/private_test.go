@@ -70,7 +70,7 @@ func distinctWindows(rng *rand.Rand, n int) [][2]iupt.Time {
 // an in-memory and a partitioned table and at 1 and 4 workers, an engine whose
 // full one-window cache admits none of them (every evaluation private, in
 // recycled memory) answers exactly as one that keeps every window and as one
-// with the cache disabled — results, flows, partial rows and work counters —
+// asked with the cache bypassed — results, flows, partial rows and work counters —
 // for Best-First, Nested-Loop and Naive top-k, DoPartial and presence. Every
 // answer the private engine gave is still bit-identical at the end, after
 // later evaluations reused the memory its windows and reductions lived in.
@@ -100,8 +100,8 @@ func TestPrivateWindowDifferential(t *testing.T) {
 			kept := NewEngine(space, Options{Workers: workers})
 			kept.cache.cap = 1 << 20 // room for every window: all kept
 			private := NewEngine(space, Options{Workers: workers})
-			private.cache.cap = 1 // full after the first window: none admitted
-			plain := NewEngine(space, Options{Workers: workers, DisableCache: true})
+			private.cache.cap = 1                                // full after the first window: none admitted
+			plain := NewEngine(space, Options{Workers: workers}) // asked with the cache bypassed
 
 			type answer struct {
 				resp *Response
@@ -114,6 +114,7 @@ func TestPrivateWindowDifferential(t *testing.T) {
 			for i, w := range windows {
 				kind := kinds[i%len(kinds)]
 				q := query(kind, w, oids[i%len(oids)])
+				asks := []Query{q, q, uncached(q)} // to private, kept and plain
 				label := fmt.Sprintf("%s window %d %v %s", at, i, w, kind)
 				if kind != "naive" {
 					throughCache++
@@ -121,7 +122,7 @@ func TestPrivateWindowDifferential(t *testing.T) {
 				if kind == "partial" {
 					var got [3]*Partial
 					for j, eng := range []*Engine{private, kept, plain} {
-						p, err := eng.DoPartial(ctx, tb, q)
+						p, err := eng.DoPartial(ctx, tb, asks[j])
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}
@@ -137,7 +138,7 @@ func TestPrivateWindowDifferential(t *testing.T) {
 				}
 				var got [3]*Response
 				for j, eng := range []*Engine{private, kept, plain} {
-					resp, err := eng.Do(ctx, tb, q)
+					resp, err := eng.Do(ctx, tb, asks[j])
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}

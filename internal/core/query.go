@@ -168,7 +168,7 @@ type RowSource interface {
 // and a cluster's bit-identical.
 type Driver struct {
 	space *indoor.Space
-	coal  *coalescer // nil when coalescing is disabled
+	coal  *coalescer
 	// workers is what Query.Workers == 0 means when grouping: the embedding
 	// engine's Options.Workers, 0 (GOMAXPROCS) on a router.
 	workers int
@@ -181,11 +181,8 @@ func NewDriver(space *indoor.Space) *Driver {
 }
 
 // Counts reports how many queries were served by joining a flight and how
-// many evaluations were led; both 0 with coalescing disabled.
+// many evaluations were led.
 func (d *Driver) Counts() (coalesced, led int64) {
-	if d.coal == nil {
-		return 0, 0
-	}
 	d.coal.mu.Lock()
 	defer d.coal.mu.Unlock()
 	return d.coal.coalesced, d.coal.led
@@ -252,7 +249,7 @@ func (d *Driver) Answer(ctx context.Context, src RowSource, qs []Query) ([]*Resp
 		}
 		resp := &Response{}
 		var err error
-		if d.coal == nil || m.DisableCoalescing || m.Kind == KindPresence {
+		if m.DisableCoalescing || m.Kind == KindPresence {
 			resp.Results, resp.Stats, err = eval(ctx)
 		} else {
 			key.slocs = slocKey(m.SLocs)

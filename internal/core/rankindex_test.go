@@ -45,7 +45,7 @@ func allSLocs(space *indoor.Space) []indoor.SLocID {
 
 // TestBestFirstRankIndexDifferential: over an in-memory and a partitioned
 // table, an engine that shares the rank index answers every ask exactly as
-// one that builds it per call (DisableCache) and as Nested-Loop does —
+// one that builds it per call (Query.DisableCache) and as Nested-Loop does —
 // results bit for bit, work counters equal — while the asks walk the slot
 // through a hit, replacements, a pruning subset, a permuted order, both ends
 // of k, the per-query overrides and two moves of the window's identity.
@@ -95,7 +95,7 @@ func TestBestFirstRankIndexDifferential(t *testing.T) {
 			}
 
 			shared := NewEngine(space, Options{Workers: 1})
-			perCall := NewEngine(space, Options{Workers: 1, DisableCache: true})
+			perCall := NewEngine(space, Options{Workers: 1}) // asked with the cache bypassed
 			slot := func() *rankIndex {
 				en := shared.cache.get(windowKey{table: tb, ts: ts, te: te})
 				if en == nil {
@@ -110,13 +110,13 @@ func TestBestFirstRankIndexDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				want, err := perCall.Do(ctx, tb, q)
+				want, err := perCall.Do(ctx, tb, uncached(q))
 				if err != nil {
 					t.Fatalf("%s (per call): %v", label, err)
 				}
 				assertSameResponse(t, label+" vs per-call", want, got)
 				q.Algorithm = AlgoNestedLoop
-				nl, err := perCall.Do(ctx, tb, q)
+				nl, err := perCall.Do(ctx, tb, uncached(q))
 				if err != nil {
 					t.Fatalf("%s (nested-loop): %v", label, err)
 				}
@@ -220,11 +220,11 @@ func TestBestFirstRankIndexConcurrent(t *testing.T) {
 	all := allSLocs(space)
 	sets := [][]indoor.SLocID{all, all[:len(all)/2], all[len(all)/3:]}
 	ctx := context.Background()
-	perCall := NewEngine(space, Options{Workers: 1, DisableCache: true})
+	perCall := NewEngine(space, Options{Workers: 1})
 	want := make([]*Response, len(sets))
 	for i, q := range sets {
 		var err error
-		if want[i], err = perCall.Do(ctx, tb, Query{Algorithm: AlgoBestFirst, K: 5, Te: 600, SLocs: q}); err != nil {
+		if want[i], err = perCall.Do(ctx, tb, uncached(Query{Algorithm: AlgoBestFirst, K: 5, Te: 600, SLocs: q})); err != nil {
 			t.Fatal(err)
 		}
 	}

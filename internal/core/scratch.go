@@ -80,23 +80,15 @@ func (scr *summarizeScratch) fit(keep, need int) {
 
 // getScratch hands out a scratch arena from the engine's pool. Callers must
 // return it with putScratch; per-shard workers hold one across all their
-// objects, so pool traffic is per shard, not per object. A nil pool (an
-// Engine built without NewEngine, as some tests do) degrades to plain
-// allocation.
+// objects, so pool traffic is per shard, not per object.
 func (e *Engine) getScratch() *summarizeScratch {
-	if e.scratch != nil {
-		if s, ok := e.scratch.Get().(*summarizeScratch); ok {
-			return s
-		}
+	if s, ok := e.scratch.Get().(*summarizeScratch); ok {
+		return s
 	}
 	return newSummarizeScratch()
 }
 
-func (e *Engine) putScratch(s *summarizeScratch) {
-	if e.scratch != nil {
-		e.scratch.Put(s)
-	}
-}
+func (e *Engine) putScratch(s *summarizeScratch) { e.scratch.Put(s) }
 
 // bfScratch is the working memory of one Best-First search (bestfirst.go),
 // pooled so that a search over a cached window allocates for its answer and
@@ -116,13 +108,10 @@ type bfScratch struct {
 }
 
 // getBFScratch hands out a cleared scratch for a search over objects object
-// positions, from the engine's pool (nil pool: see getScratch). The holder
-// must return it with putBFScratch.
+// positions, from the engine's pool. The holder must return it with
+// putBFScratch.
 func (e *Engine) getBFScratch(objects int) *bfScratch {
-	var s *bfScratch
-	if e.bfScratch != nil {
-		s, _ = e.bfScratch.Get().(*bfScratch)
-	}
+	s, _ := e.bfScratch.Get().(*bfScratch)
 	if s == nil {
 		s = new(bfScratch)
 	}
@@ -138,9 +127,7 @@ func (e *Engine) putBFScratch(s *bfScratch) {
 	clear(s.heap)
 	clear(s.lists)
 	s.heap, s.lists, s.seq = s.heap[:0], s.lists[:0], 0
-	if e.bfScratch != nil {
-		e.bfScratch.Put(s)
-	}
+	e.bfScratch.Put(s)
 }
 
 func (s *bfScratch) push(en bfEntry) {

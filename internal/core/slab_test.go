@@ -202,7 +202,7 @@ func sameReduction(got, want *Reduction) string {
 // of Algorithm 1, without intra-merge, without inter-merge and without any
 // reduction. Windows start and end on, next to and between run boundaries and
 // seams. Over a share of them, top-k by Best-First, Nested-Loop and Naive,
-// DoPartial and presence answer exactly as the DisableCache engine does, at 1
+// DoPartial and presence answer exactly as with Query.DisableCache set, at 1
 // and 4 workers, from kept and private windows alike, and from goroutines
 // racing the first build of each slab.
 func TestSlabReductionDifferential(t *testing.T) {
@@ -214,7 +214,7 @@ func TestSlabReductionDifferential(t *testing.T) {
 		for _, opts := range optionSets {
 			at := fmt.Sprintf("%s %+v", stage, opts)
 			eng := NewEngine(f.space, opts)
-			plain := NewEngine(f.space, Options{DisableCache: true, DisableReduction: opts.DisableReduction, DisableIntraMerge: opts.DisableIntraMerge, DisableInterMerge: opts.DisableInterMerge})
+			plain := NewEngine(f.space, opts)
 			scr := eng.getScratch()
 			for _, win := range windows {
 				w, _, err := eng.readWindow(ctx, f.tb, win[0], win[1], nil, nil)
@@ -294,12 +294,11 @@ func TestSlabReductionDifferential(t *testing.T) {
 			kept := NewEngine(f.space, o)
 			private := NewEngine(f.space, o)
 			private.cache.cap = 1
-			o.DisableCache = true
-			plain := NewEngine(f.space, o)
+			plain := NewEngine(f.space, o) // asked with the cache bypassed
 			for i := 0; i < len(windows); i += 11 {
 				kind := kinds[(i/11)%len(kinds)]
 				q := query(kind, windows[i], iupt.ObjectID(1+i%5))
-				want := answer(plain, q, kind)
+				want := answer(plain, uncached(q), kind)
 				for name, eng := range map[string]*Engine{"kept": kept, "private": private} {
 					if got := answer(eng, q, kind); got != want {
 						t.Fatalf("%+v workers=%d window %v %s (%s): %s, want %s", opts, workers, windows[i], kind, name, got, want)
@@ -311,7 +310,7 @@ func TestSlabReductionDifferential(t *testing.T) {
 
 	// Goroutines racing the first build of every slab.
 	racing := NewEngine(f.space, Options{Workers: 2})
-	plain := NewEngine(f.space, Options{DisableCache: true})
+	plain := NewEngine(f.space, Options{})
 	var wg sync.WaitGroup
 	for g := range 4 {
 		wg.Add(1)
@@ -319,7 +318,7 @@ func TestSlabReductionDifferential(t *testing.T) {
 			defer wg.Done()
 			for i := g; i < len(windows); i += 9 {
 				q := query("nl", windows[i], 0)
-				if got, want := answer(racing, q, "nl"), answer(plain, q, "nl"); got != want {
+				if got, want := answer(racing, q, "nl"), answer(plain, uncached(q), "nl"); got != want {
 					t.Errorf("racing window %v: %s, want %s", windows[i], got, want)
 					return
 				}
@@ -343,7 +342,7 @@ func TestSlabReductionDifferential(t *testing.T) {
 
 // TestSlabsScopedAndFreed: two stores whose partitions carry the same
 // identities, read by one engine, never share a slab — each table's answers
-// are its own, as a DisableCache engine gives them — and after a compaction
+// are its own, as queries with Query.DisableCache get them — and after a compaction
 // and a query the engine's slabs, and SlabBytes, count the live parts only.
 func TestSlabsScopedAndFreed(t *testing.T) {
 	fig := indoor.Figure1Space()
@@ -376,7 +375,7 @@ func TestSlabsScopedAndFreed(t *testing.T) {
 		}
 	}
 	eng := NewEngine(fig.Space, Options{})
-	plain := NewEngine(fig.Space, Options{DisableCache: true})
+	plain := NewEngine(fig.Space, Options{})
 	ask := func(label string) {
 		for _, tb := range tables {
 			for _, win := range [][2]iupt.Time{{0, 700}, {500, 1500}, {1000, 2000}} {
@@ -385,7 +384,7 @@ func TestSlabsScopedAndFreed(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := plain.Do(ctx, tb, q)
+				want, err := plain.Do(ctx, tb, uncached(q))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -60,15 +60,15 @@ import (
 // stale identity is re-stored without the check.
 //
 // A window the cache does not keep — not admitted, or the cache bypassed
-// (Options.DisableCache, Query.DisableCache, Naive) — is private to the one
-// evaluation that built it: its entry has no memo, and its columns, pieces,
-// decoded records and the reductions computed over them live in pooled
-// memory (recycler) that the evaluation hands back in one release after its
-// last read, so a window nobody keeps costs neither heap nor collector after
-// its query. A bypassed window reads no slab: it is decoded and reduced from
-// scratch, the reference every slab differential compares with. A private
-// window that went through the cache still counts as a window miss, and each
-// object it summarizes as a presence miss. All methods are safe for
+// (Query.DisableCache, Naive) — is private to the one evaluation that built
+// it: its entry has no memo, and its columns, pieces, decoded records and
+// the reductions computed over them live in pooled memory (recycler) that
+// the evaluation hands back in one release after its last read, so a window
+// nobody keeps costs neither heap nor collector after its query. A bypassed
+// window reads no slab: it is decoded and reduced from scratch, the
+// reference every slab differential compares with. A private window that
+// went through the cache still counts as a window miss, and each object it
+// summarizes as a presence miss. All methods are safe for
 // concurrent use.
 type windowCache struct {
 	mu   sync.Mutex
@@ -240,8 +240,7 @@ func (c *windowCache) insertLocked(key windowKey, en *windowEntry) {
 // The returned entry is shared across queries — callers must treat its window
 // and memo values as read-only, which every consumer in this package does. A
 // window the cache does not admit, or every window with the cache bypassed
-// (Options.DisableCache, Query.DisableCache), is private instead
-// (privateWindow).
+// (Query.DisableCache), is private instead (privateWindow).
 func (e *Engine) window(ctx context.Context, table *iupt.Table, ts, te iupt.Time) (*windowEntry, error) {
 	wc := e.cache
 	if wc == nil {
@@ -344,10 +343,8 @@ type CacheStats struct {
 	// Coalesced counts queries over the engine's lifetime that were served
 	// by joining a concurrent identical caller's in-flight evaluation, and
 	// Flights counts the evaluations actually performed — so of
-	// Coalesced+Flights queries answered, only Flights did any work. Both
-	// stay 0 when Options.DisableCoalescing is set; the coalescer is
-	// independent of the cache, so they are reported even when
-	// Options.DisableCache zeroes every other field.
+	// Coalesced+Flights queries answered, only Flights did any work. A query
+	// with Query.DisableCoalescing counts in neither.
 	Coalesced int64
 	Flights   int64
 	// WindowEntries, WindowHits, WindowMisses and WindowBytes describe the
@@ -369,32 +366,28 @@ type CacheStats struct {
 }
 
 // CacheStats returns a snapshot of the engine's cache and request coalescer.
-// Fields of a disabled component are zero.
 func (e *Engine) CacheStats() CacheStats {
 	var out CacheStats
-	if c := e.cache; c != nil {
-		out.Hits, out.Misses = c.objHits.Load(), c.objMisses.Load()
-		out.WindowHits, out.WindowMisses = c.hits.Load(), c.misses.Load()
-		c.mu.Lock()
-		out.WindowEntries = len(c.cur) + len(c.prev)
-		for _, gen := range []map[windowKey]*windowEntry{c.cur, c.prev} {
-			for _, en := range gen {
-				out.WindowBytes += en.bytes.Load()
-				if ri := en.rank.Load(); ri != nil {
-					out.WindowBytes += ri.bytes
-				}
-				for i := range en.memo {
-					if en.memo.get(i) != nil {
-						out.Entries++
-					}
+	c := e.cache
+	out.Hits, out.Misses = c.objHits.Load(), c.objMisses.Load()
+	out.WindowHits, out.WindowMisses = c.hits.Load(), c.misses.Load()
+	c.mu.Lock()
+	out.WindowEntries = len(c.cur) + len(c.prev)
+	for _, gen := range []map[windowKey]*windowEntry{c.cur, c.prev} {
+		for _, en := range gen {
+			out.WindowBytes += en.bytes.Load()
+			if ri := en.rank.Load(); ri != nil {
+				out.WindowBytes += ri.bytes
+			}
+			for i := range en.memo {
+				if en.memo.get(i) != nil {
+					out.Entries++
 				}
 			}
 		}
-		c.mu.Unlock()
 	}
-	if e.slabs != nil {
-		out.SlabBytes = e.slabs.bytes()
-	}
+	c.mu.Unlock()
+	out.SlabBytes = e.slabs.bytes()
 	out.Coalesced, out.Flights = e.Counts()
 	return out
 }

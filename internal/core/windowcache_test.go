@@ -90,13 +90,13 @@ func TestCacheDifferentialRacingIngest(t *testing.T) {
 			t.Errorf("window [%d, %d]: cached sequences differ from the table's under the identity %v both claim", key.ts, key.te, id)
 		}
 	}
-	plain := NewEngine(fig.Space, Options{Workers: 2, DisableCache: true})
+	plain := NewEngine(fig.Space, Options{Workers: 2})
 	for _, win := range windows {
 		got, _, err := eng.TopK(tb, fig.SLocs[:], len(fig.SLocs), win[0], win[1], AlgoNestedLoop)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := plain.TopK(tb, fig.SLocs[:], len(fig.SLocs), win[0], win[1], AlgoNestedLoop)
+		want, _, err := ranked(plain.Do(context.Background(), tb, uncached(Query{Kind: KindTopK, Algorithm: AlgoNestedLoop, K: len(fig.SLocs), Ts: win[0], Te: win[1], SLocs: fig.SLocs[:]})))
 		if err != nil {
 			t.Fatal(err)
 		}

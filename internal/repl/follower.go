@@ -36,6 +36,10 @@ type Applier interface {
 	SegmentPath(seq uint64) string
 }
 
+// AckEveryBytes coalesces a follower's progress reports: one ack per this
+// many applied WAL bytes, plus one on every seal and heartbeat.
+const AckEveryBytes = 256 << 10
+
 // FollowerConfig parametrizes a Follower.
 type FollowerConfig struct {
 	// Dir is the data directory the follower bootstraps into. Required.
@@ -60,10 +64,6 @@ type FollowerConfig struct {
 	// primary heartbeats every second or so, so a stream with no frame for
 	// this long is broken even if TCP has not noticed (default 15s).
 	StallTimeout time.Duration
-	// AckEveryBytes coalesces progress reports: one ack per this many
-	// applied WAL bytes, plus one on every seal and heartbeat (default
-	// 256 KiB; must stay well under the source's WindowBytes).
-	AckEveryBytes int64
 	// Client performs the HTTP exchanges (default: a client with no
 	// timeout — the stream response lives until the link dies).
 	Client *http.Client
@@ -80,13 +80,6 @@ func (c FollowerConfig) stallTimeout() time.Duration {
 		return 15 * time.Second
 	}
 	return c.StallTimeout
-}
-
-func (c FollowerConfig) ackEvery() int64 {
-	if c.AckEveryBytes <= 0 {
-		return 256 << 10
-	}
-	return c.AckEveryBytes
 }
 
 func (c FollowerConfig) logf(format string, args ...any) {
@@ -617,7 +610,7 @@ func (f *Follower) tail(next func() (byte, []byte, error)) (applied bool, err er
 			f.state.Bytes += int64(len(payload))
 			f.mu.Unlock()
 			f.touch()
-			if unacked >= f.cfg.ackEvery() {
+			if unacked >= AckEveryBytes {
 				f.sendAck(sessFrames, sessBytes)
 				unacked = 0
 			}

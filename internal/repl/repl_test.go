@@ -470,6 +470,44 @@ func TestReplicationCleanBootstrap(t *testing.T) {
 	}
 }
 
+// TestReplicationSmallWindowConverges: a source configured with a window
+// below two follower ack cadences streams with MinWindowBytes instead, so a
+// WAL tail longer than the floor reaches the follower in one session. With
+// the window as configured, the source would pause before the follower's
+// first ack was due and wait for an ack that never comes.
+func TestReplicationSmallWindowConverges(t *testing.T) {
+	p := newTestPrimary(t, 0, 0)
+	nPLocs := p.b.Space.NumPLocations()
+	for i := range 2000 { // 2 000 frames of six records each
+		batch := make([]tkplq.Record, 6)
+		for j := range batch {
+			loc := i*6 + j
+			batch[j] = tkplq.Record{OID: tkplq.ObjectID(200 + j), T: tkplq.Time(700 + i), Samples: tkplq.SampleSet{
+				{Loc: tkplq.PLocID(loc % nPLocs), Prob: 0.5}, {Loc: tkplq.PLocID((loc + 1) % nPLocs), Prob: 0.3}, {Loc: tkplq.PLocID((loc + 2) % nPLocs), Prob: 0.2},
+			}}
+		}
+		if err := p.sys.Ingest(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, off := p.store.Log().Position(); off < MinWindowBytes {
+		t.Fatalf("WAL tail of %d bytes does not exceed the %d-byte window floor", off, MinWindowBytes)
+	}
+	p.src = NewSource(SourceConfig{Store: p.store, HeartbeatEvery: 50 * time.Millisecond, WindowBytes: 64 << 10, Logf: t.Logf})
+	srv := httptest.NewServer(replMux(p.src, nil))
+	t.Cleanup(srv.Close)
+	p.addr = strings.TrimPrefix(srv.URL, "http://")
+
+	want := battery(t, p.sys)
+	tf := startFollower(t, p.b.Space, t.TempDir(), []string{p.addr}, nil)
+	defer tf.stop()
+	waitConverged(t, p, tf)
+	assertBitIdentical(t, "64 KiB window", p, tf, want)
+	if got := tf.fol.State().Reconnects; got != 0 {
+		t.Errorf("follower reconnected %d times, want 0", got)
+	}
+}
+
 // TestReplicationBootstrapAboveSealOne: a directory an earlier build
 // migrated from a flat snapshot bases its sealed set above 1. A follower
 // bootstrapped from a primary whose only partition is part-00000002.tkp

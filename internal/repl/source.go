@@ -18,6 +18,14 @@ import (
 	"tkplq/internal/wal"
 )
 
+// MinWindowBytes is the smallest unacked window a source streams with: two
+// follower ack cadences, so a full window always holds an ack's worth.
+const MinWindowBytes = 2 * AckEveryBytes
+
+// ackTimeout drops a session that makes no ack progress while its window is
+// full.
+const ackTimeout = 30 * time.Second
+
 // SourceConfig parametrizes a Source.
 type SourceConfig struct {
 	// Store is the primary's partitioned store. Required.
@@ -26,11 +34,10 @@ type SourceConfig struct {
 	HeartbeatEvery time.Duration
 	// WindowBytes bounds the unacked stream: once sent-minus-acked WAL
 	// bytes exceed it, the source pauses until the follower acks (default
-	// 4 MiB).
+	// 4 MiB). A smaller value than MinWindowBytes is raised to it: a paused
+	// source sends no heartbeat, so below it the follower may have nothing
+	// to ack until ackTimeout drops the session.
 	WindowBytes int64
-	// AckTimeout drops a session that makes no ack progress while the
-	// window is full (default 30s).
-	AckTimeout time.Duration
 	// Logf receives session lifecycle logs (nil = silent).
 	Logf func(format string, args ...any)
 }
@@ -46,14 +53,7 @@ func (c SourceConfig) windowBytes() int64 {
 	if c.WindowBytes <= 0 {
 		return 4 << 20
 	}
-	return c.WindowBytes
-}
-
-func (c SourceConfig) ackTimeout() time.Duration {
-	if c.AckTimeout <= 0 {
-		return 30 * time.Second
-	}
-	return c.AckTimeout
+	return max(c.WindowBytes, MinWindowBytes)
 }
 
 func (c SourceConfig) logf(format string, args ...any) {
@@ -518,7 +518,7 @@ func (s *Source) tail(ctx context.Context, w io.Writer, flush func(), sess *sess
 func (s *Source) waitWindow(ctx context.Context, sess *session) error {
 	window := s.cfg.windowBytes()
 	var lastAcked int64 = -1
-	deadline := time.Now().Add(s.cfg.ackTimeout())
+	deadline := time.Now().Add(ackTimeout)
 	for {
 		sess.mu.Lock()
 		acked := sess.ackBytes
@@ -529,7 +529,7 @@ func (s *Source) waitWindow(ctx context.Context, sess *session) error {
 		}
 		if acked != lastAcked {
 			lastAcked = acked
-			deadline = time.Now().Add(s.cfg.ackTimeout())
+			deadline = time.Now().Add(ackTimeout)
 		}
 		wait := time.Until(deadline)
 		if wait <= 0 {

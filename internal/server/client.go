@@ -165,7 +165,7 @@ func (c *shardClient) staleAt(records, acked int) error {
 
 // call performs one HTTP round-trip under the per-attempt timeout and
 // returns the status code and body. Bodies are fully read so connections
-// are reused; one larger than DefaultMaxBodyBytes fails the call by name
+// are reused; one larger than MaxBodyBytes fails the call by name
 // rather than arriving truncated.
 func (c *shardClient) call(ctx context.Context, method, path string, body []byte) (int, []byte, error) {
 	actx, cancel := context.WithTimeout(ctx, c.timeout)
@@ -192,12 +192,12 @@ func (c *shardClient) call(ctx context.Context, method, path string, body []byte
 	// A declared Content-Length sizes the buffer (MinRead spare, so reading
 	// to EOF never regrows it); one byte past the limit marks a body too
 	// large, which must fail rather than arrive truncated.
-	buf := bytes.NewBuffer(make([]byte, 0, min(max(resp.ContentLength, 0), DefaultMaxBodyBytes)+bytes.MinRead))
-	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, DefaultMaxBodyBytes+1)); err != nil {
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(resp.ContentLength, 0), MaxBodyBytes)+bytes.MinRead))
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, MaxBodyBytes+1)); err != nil {
 		return 0, nil, err
 	}
-	if buf.Len() > DefaultMaxBodyBytes {
-		return 0, nil, fmt.Errorf("response body exceeds the %d-byte limit", DefaultMaxBodyBytes)
+	if buf.Len() > MaxBodyBytes {
+		return 0, nil, fmt.Errorf("response body exceeds the %d-byte limit", MaxBodyBytes)
 	}
 	return resp.StatusCode, buf.Bytes(), nil
 }

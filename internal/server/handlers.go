@@ -270,7 +270,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 // Unknown fields fail loudly (DisallowUnknownFields) so a typo'd option can
 // never silently select a default.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {

@@ -154,7 +154,7 @@ func (s *Server) endOfData(ctx context.Context) (tkplq.Time, error) {
 // → render path; a single object is a batch of one answered without the
 // array.
 func (s *Server) handleQueryV2(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		s.queryErrors.Add(1)

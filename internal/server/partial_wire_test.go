@@ -253,12 +253,12 @@ func FuzzPartialDecode(f *testing.F) {
 }
 
 // TestShardCallRefusesOversizedBody: a member answering one byte more than
-// DefaultMaxBodyBytes fails the call with an error naming the limit — whether
+// MaxBodyBytes fails the call with an error naming the limit — whether
 // it declares its length or streams it chunked — instead of handing the
 // router a body cut at the limit. A body of exactly the limit still arrives.
 func TestShardCallRefusesOversizedBody(t *testing.T) {
 	for _, declared := range []bool{true, false} {
-		for _, size := range []int{DefaultMaxBodyBytes, DefaultMaxBodyBytes + 1} {
+		for _, size := range []int{MaxBodyBytes, MaxBodyBytes + 1} {
 			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				if declared {
 					w.Header().Set("Content-Length", strconv.Itoa(size))
@@ -273,13 +273,13 @@ func TestShardCallRefusesOversizedBody(t *testing.T) {
 			ts.Close()
 			name := fmt.Sprintf("declared=%v size=%d", declared, size)
 			switch {
-			case size <= DefaultMaxBodyBytes && err != nil:
+			case size <= MaxBodyBytes && err != nil:
 				t.Errorf("%s: %v", name, err)
-			case size <= DefaultMaxBodyBytes && len(raw) != size:
+			case size <= MaxBodyBytes && len(raw) != size:
 				t.Errorf("%s: read %d bytes", name, len(raw))
-			case size > DefaultMaxBodyBytes && err == nil:
+			case size > MaxBodyBytes && err == nil:
 				t.Errorf("%s: accepted %d bytes", name, len(raw))
-			case size > DefaultMaxBodyBytes && !strings.Contains(err.Error(), fmt.Sprintf("%d-byte limit", DefaultMaxBodyBytes)):
+			case size > MaxBodyBytes && !strings.Contains(err.Error(), fmt.Sprintf("%d-byte limit", MaxBodyBytes)):
 				t.Errorf("%s: error does not name the limit: %v", name, err)
 			}
 		}

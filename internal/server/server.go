@@ -86,8 +86,6 @@ type Config struct {
 	// when zero. An expired budget cancels the engine evaluation and yields
 	// a 503 JSON error envelope.
 	RequestTimeout time.Duration
-	// MaxBodyBytes caps request body size; 8 MiB when zero.
-	MaxBodyBytes int64
 	// Logf receives server log lines; log.Printf when nil.
 	Logf func(format string, args ...any)
 	// Store is the durable store attached to System (nil = in-memory
@@ -136,8 +134,9 @@ type Config struct {
 // is zero.
 const DefaultRequestTimeout = 30 * time.Second
 
-// DefaultMaxBodyBytes caps request bodies when Config.MaxBodyBytes is zero.
-const DefaultMaxBodyBytes = 8 << 20
+// MaxBodyBytes caps every request body a server reads and every shard
+// response a router reads.
+const MaxBodyBytes = 8 << 20
 
 // Server serves one tkplq.System over HTTP.
 type Server struct {
@@ -180,9 +179,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = DefaultRequestTimeout
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = DefaultMaxBodyBytes
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf

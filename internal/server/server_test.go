@@ -323,6 +323,49 @@ func TestIngestAndQuery(t *testing.T) {
 	}
 }
 
+// TestRequestBodyLimit: a request body of exactly MaxBodyBytes is read, and
+// one byte more is refused with 400 naming the limit — on /v1/ingest and
+// /v2/partial, which decode through decodeBody, and on /v2/query, which reads
+// its body itself. The padding leads, so a handler must read every byte to
+// reach the JSON.
+func TestRequestBodyLimit(t *testing.T) {
+	sys, ids := newPaperSystem(t)
+	_, ts := newTestServer(t, sys, Config{})
+	ingest, err := json.Marshal(IngestRequest{Records: []RecordJSON{{OID: 1, T: 1, Samples: []SampleJSON{{PLoc: int(ids.PLocs[3]), Prob: 1}}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	query, err := json.Marshal(QueryRequest{K: 1, Te: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refusal := fmt.Sprintf("body exceeds %d bytes", MaxBodyBytes)
+	for _, c := range []struct {
+		path string
+		json []byte
+	}{{"/v1/ingest", ingest}, {"/v2/partial", query}, {"/v2/query", query}} {
+		for _, size := range []int{MaxBodyBytes, MaxBodyBytes + 1} {
+			body := append(bytes.Repeat([]byte(" "), size-len(c.json)), c.json...)
+			resp, err := ts.Client().Post(ts.URL+c.path, "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out bytes.Buffer
+			_, err = out.ReadFrom(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case size == MaxBodyBytes && resp.StatusCode != http.StatusOK:
+				t.Errorf("%s with a %d-byte body: status %d (%.200s), want 200", c.path, size, resp.StatusCode, out.Bytes())
+			case size > MaxBodyBytes && (resp.StatusCode != http.StatusBadRequest || !strings.Contains(out.String(), refusal)):
+				t.Errorf("%s with a %d-byte body: status %d (%.200s), want 400 %q", c.path, size, resp.StatusCode, out.Bytes(), refusal)
+			}
+		}
+	}
+}
+
 func TestStatsEndpoint(t *testing.T) {
 	sys, ids := newPaperSystem(t)
 	_, ts := newTestServer(t, sys, Config{})

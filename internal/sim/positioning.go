@@ -26,27 +26,16 @@ type PositioningConfig struct {
 	ErrorRadius float64
 	// Gamma bounds the multiplicative weight noise (paper: 0.2).
 	Gamma float64
-	// WallFactor attenuates the WkNN weight of candidate P-locations
-	// separated from the object's true partition by a wall (neither inside
-	// it nor on one of its doors), emulating signal attenuation: walls
-	// damp Wi-Fi/BLE signals, so through-wall reference points rarely win
-	// the fingerprint match. 1 disables attenuation (a literal "uniform
-	// within µ" reading of the paper); 0 excludes through-wall candidates
-	// entirely. 0 selects DefaultWallFactor.
-	WallFactor float64
 	// Seed drives all randomness.
 	Seed int64
 }
 
-// DefaultWallFactor is the default through-wall attenuation.
+// DefaultWallFactor attenuates the WkNN weight of candidate P-locations
+// separated from the object's true partition by a wall (neither inside it
+// nor on one of its doors), emulating signal attenuation: walls damp
+// Wi-Fi/BLE signals, so through-wall reference points rarely win the
+// fingerprint match.
 const DefaultWallFactor = 0.2
-
-func (c PositioningConfig) wallFactor() float64 {
-	if c.WallFactor == 0 {
-		return DefaultWallFactor
-	}
-	return c.WallFactor
-}
 
 // DefaultPositioningConfig matches the paper's synthetic defaults:
 // T = 3 s, mss = 4, µ = 5 m, γ ∈ [-0.2, 0.2].
@@ -140,9 +129,8 @@ func sampleWkNN(rng *rand.Rand, ix *plocIndex, floor int, truePart indoor.Partit
 	}
 	// Signal-strength weight per candidate: inverse squared distance,
 	// attenuated through walls.
-	wall := cfg.wallFactor()
 	for i := range cands {
-		cands[i].weight = invSq(cands[i].dist) * ix.visibility(cands[i].id, truePart, wall)
+		cands[i].weight = invSq(cands[i].dist) * ix.visibility(cands[i].id, truePart)
 	}
 	n := 1 + rng.Intn(cfg.MSS)
 	if n > len(cands) {
@@ -166,7 +154,7 @@ func sampleWkNN(rng *rand.Rand, ix *plocIndex, floor int, truePart indoor.Partit
 			d = 0.1 // avoid infinite weight at zero distance
 		}
 		gamma := (rng.Float64()*2 - 1) * cfg.Gamma
-		w := ix.visibility(c.id, truePart, wall) / (d * (1 + gamma))
+		w := ix.visibility(c.id, truePart) / (d * (1 + gamma))
 		out = append(out, iupt.Sample{Loc: c.id, Prob: w})
 		total += w
 	}
@@ -181,20 +169,20 @@ func sampleWkNN(rng *rand.Rand, ix *plocIndex, floor int, truePart indoor.Partit
 
 // visibility returns the attenuation factor between a candidate P-location
 // and the object's true partition: 1 when the candidate is inside the
-// partition or on one of its doors, wall otherwise.
-func (ix *plocIndex) visibility(id indoor.PLocID, truePart indoor.PartitionID, wall float64) float64 {
+// partition or on one of its doors, DefaultWallFactor otherwise.
+func (ix *plocIndex) visibility(id indoor.PLocID, truePart indoor.PartitionID) float64 {
 	p := ix.space.PLocation(id)
 	if p.Kind == indoor.Presence {
 		if p.Partition == truePart {
 			return 1
 		}
-		return wall
+		return DefaultWallFactor
 	}
 	d := ix.space.Door(p.Door)
 	if d.Partitions[0] == truePart || d.Partitions[1] == truePart {
 		return 1
 	}
-	return wall
+	return DefaultWallFactor
 }
 
 // weightedSubset moves a weight-proportional sample of size n (drawn

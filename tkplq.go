@@ -186,7 +186,6 @@ func (s *System) Ingest(recs []Record) error {
 // window cache (live windows and memoized per-object results plus lifetime
 // hit and miss counts) and the query-level request coalescer (queries served
 // by joining an in-flight identical evaluation vs. evaluations performed).
-// Fields of a component disabled via Options are zero.
 func (s *System) CacheStats() CacheStats { return s.engine.CacheStats() }
 
 // Subscribe opens a live feed of the query's top-k ranking over the system's

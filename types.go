@@ -113,12 +113,9 @@ type (
 	QueryKind = core.QueryKind
 	// Options configures the query engine. Options.Workers bounds the
 	// sharded evaluation pipeline's worker pool (0 = GOMAXPROCS, 1 =
-	// single-threaded); results are bit-identical at every pool size.
-	// Options.DisableCache turns off the window cache that lets a repeated
-	// window reuse its materialized sequences and per-object work.
-	// Options.DisableCoalescing turns off query-level
-	// request coalescing, which lets concurrent identical queries share one
-	// in-flight evaluation.
+	// single-threaded); results are bit-identical at every pool size. The
+	// window cache and request coalescing are always on; a query bypasses
+	// them with Query.DisableCache and Query.DisableCoalescing.
 	Options = core.Options
 	// EngineKind selects the presence computation engine.
 	EngineKind = core.EngineKind
