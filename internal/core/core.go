@@ -21,8 +21,9 @@
 // per-object pass feeding one finisher that sums presences into flows and
 // ranks. One driver (Driver.Answer, query.go) runs it for every query — Do is
 // a batch of one — over two row sources: a table streams the pass, a cluster
-// router merges the passes its shards ran; only Naive and Best-First, on a
-// lone local top-k, search the presence oracle their own way. A window is
+// router merges the passes its shards ran; only Naive (the flow pass once per
+// location, sharing nothing) and Best-First, on a lone local top-k, search
+// the presence oracle their own way. A window is
 // objects ascending with their sources beside them — raw records, and over
 // sealed partitions the runs of Algorithm 1 kept per slab (slab.go), so a
 // sealed record is reduced once — and everything downstream of it, the memo,

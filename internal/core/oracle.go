@@ -28,8 +28,8 @@ import (
 // without touching a sample — and without a goroutine: only objects with work
 // left are pending.
 //
-// summary, want and compute's merge phase must run on one goroutine;
-// computeOne is safe to call concurrently.
+// want and compute's merge phase must run on one goroutine; computeOne is
+// safe to call concurrently.
 type presenceOracle struct {
 	eng   *Engine
 	query map[indoor.SLocID]bool // nil disables PSL∩Q pruning
@@ -189,15 +189,6 @@ func (o *presenceOracle) apply(i int, oc outcome, needSummary bool) {
 // known to be nil because the object was pruned.
 func (o *presenceOracle) summarized(i int) bool {
 	return o.summaries[i] != nil || o.reductions[i] == prunedRed
-}
-
-// summary returns the presence summary at position i, computing it on the
-// calling goroutine on first use (nothing else may be pending). It returns nil
-// for pruned objects.
-func (o *presenceOracle) summary(i int) *ObjectSummary {
-	o.want(i, true)
-	_ = o.compute(context.Background(), true) // fails only on cancellation
-	return o.summaries[i]
 }
 
 // want queues position i for the next compute unless the query already holds

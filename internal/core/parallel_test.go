@@ -348,24 +348,32 @@ func TestConcurrentEngineUse(t *testing.T) {
 }
 
 // TestWorkersStatRecorded: the Workers stat reports the pool actually used.
+// Naive fans out over each location's objects, so even a two-location query
+// fills the pool, and its answer matches the sequential one bit for bit.
 func TestWorkersStatRecorded(t *testing.T) {
 	fig := indoor.Figure1Space()
 	rng := rand.New(rand.NewSource(8))
 	tb := randTable(rng, fig, 20, 30)
 	seq := NewEngine(fig.Space, Options{Workers: 1})
-	_, st, err := seq.TopK(tb, fig.SLocs[:], 2, 0, 30, AlgoNestedLoop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Workers != 1 {
-		t.Errorf("sequential Workers stat = %d, want 1", st.Workers)
-	}
 	par := NewEngine(fig.Space, Options{Workers: 4})
-	_, st, err = par.TopK(tb, fig.SLocs[:], 2, 0, 30, AlgoNestedLoop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Workers != 4 {
-		t.Errorf("parallel Workers stat = %d, want 4", st.Workers)
+	for _, tc := range []struct {
+		algo Algorithm
+		q    []indoor.SLocID
+	}{{AlgoNestedLoop, fig.SLocs[:]}, {AlgoNaive, fig.SLocs[:2]}} {
+		want, st, err := seq.TopK(tb, tc.q, 2, 0, 30, tc.algo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Workers != 1 {
+			t.Errorf("%v: sequential Workers stat = %d, want 1", tc.algo, st.Workers)
+		}
+		got, st, err := par.TopK(tb, tc.q, 2, 0, 30, tc.algo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Workers != 4 {
+			t.Errorf("%v: parallel Workers stat = %d, want 4", tc.algo, st.Workers)
+		}
+		assertSameResults(t, tc.algo.String(), want, got)
 	}
 }

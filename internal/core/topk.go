@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
 
 	"tkplq/internal/indoor"
 	"tkplq/internal/iupt"
@@ -34,98 +33,55 @@ func (d *Driver) validateTopK(q []indoor.SLocID, k int) (int, error) {
 	return k, nil
 }
 
-// topkNaive computes every query location's flow independently, rebuilding
-// each object's paths once per relevant location — the repeated work the
-// paper's §4 intro calls out. The locations themselves are independent, so
-// they are sharded across the worker pool; within a location the evaluation
-// is sequential and bypasses the cache, window and memo alike (sharing
-// summaries across locations is exactly what Naive exists to not do).
+// topkNaive computes every query location's flow independently: the flow
+// pass (KindFlow) run once per location over one private window, each with a
+// fresh memo-less oracle pruned by that location alone, so every object's
+// paths are rebuilt once per relevant location — the repeated work the
+// paper's §4 intro calls out. Sharing summaries across locations is exactly
+// what Naive exists to not do; within a location the objects fan out like any
+// pass's (presenceOracle.fanOut).
 func (e *Engine) topkNaive(ctx context.Context, table *iupt.Table, q []indoor.SLocID, k int, ts, te iupt.Time) ([]Result, Stats, error) {
 	en, err := privateWindow(ctx, table, ts, te)
 	if err != nil {
 		return nil, Stats{}, err
 	}
 	defer en.release()
-	w := en.win
-	stats := Stats{ObjectsTotal: len(w.OIDs), Workers: 1}
-
-	// Each location's oracle is discarded after evaluation, its reductions
-	// handed back to the pool; only its stat counters and computed positions
-	// survive, so peak memory stays O(objects) instead of O(|q| × objects)
-	// reductions and summaries.
-	type locOutcome struct {
-		stats    Stats
-		computed []int
-	}
-	outs := make([]locOutcome, len(q))
+	n := len(en.win.OIDs)
+	var stats Stats
+	computed := make([]bool, n)
 	flows := make([]Result, len(q))
-	eval := func(i int) {
-		sloc := q[i]
-		// A fresh, memo-less oracle per location: no sharing, by design.
-		loc := &windowEntry{win: w, rec: new(recycler)}
-		oracle := newOracle(e, loc, 0, len(w.OIDs), map[indoor.SLocID]bool{sloc: true})
-		flows[i] = Result{SLoc: sloc, Flow: e.flowWithOracle(ctx, oracle, sloc)}
-		out := locOutcome{stats: oracle.stats}
-		for pos, s := range oracle.summaries {
-			if s != nil {
-				out.computed = append(out.computed, pos)
-			}
+	out := make([]*Response, 1)
+	for i, sloc := range q {
+		pass := []Query{{Kind: KindFlow, SLocs: q[i : i+1]}}
+		fin, err := e.newFinisher(pass, []int{0}, pass[0].SLocs)
+		if err != nil {
+			return nil, Stats{}, err
+		}
+		// Each location's reductions are handed back to the pool before the
+		// next one starts, so peak memory stays O(objects) instead of
+		// O(|q| × objects) reductions and summaries.
+		loc := &windowEntry{win: en.win, rec: new(recycler)}
+		oracle := newOracle(e, loc, 0, n, map[indoor.SLocID]bool{sloc: true})
+		if err := oracle.ensureAll(ctx, true); err != nil {
+			loc.release()
+			return nil, Stats{}, err
+		}
+		s := e.rows(oracle, pass[0].SLocs, fin.add)
+		for pos, sum := range oracle.summaries {
+			computed[pos] = computed[pos] || sum != nil
 		}
 		loc.release()
-		outs[i] = out
+		stats.add(&s)
+		fin.finish(s, out)
+		flows[i] = Result{SLoc: sloc, Flow: out[0].Flow}
 	}
-
-	workers := e.opts.workerCount()
-	if workers > len(q) {
-		workers = len(q)
-	}
-	if workers <= 1 || len(q) < minParallelItems {
-		for i := range q {
-			if err := ctx.Err(); err != nil {
-				return nil, Stats{}, err
-			}
-			eval(i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					if ctx.Err() != nil {
-						continue // drain the channel without evaluating
-					}
-					eval(i)
-				}
-			}()
-		}
-		for i := range q {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-		stats.Workers = workers
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, Stats{}, err
-	}
-
-	// Merge per-location stats in query order; distinct computed objects are
-	// a set union, so the merge order cannot change them.
-	computed := make([]bool, len(w.OIDs))
-	for _, out := range outs {
-		stats.PathsEnumerated += out.stats.PathsEnumerated
-		stats.BudgetFallbacks += out.stats.BudgetFallbacks
-		stats.SampleSetsOriginal += out.stats.SampleSetsOriginal
-		stats.SampleSetsReduced += out.stats.SampleSetsReduced
-		stats.SequenceBreaks += out.stats.SequenceBreaks
-		for _, pos := range out.computed {
-			if !computed[pos] {
-				computed[pos] = true
-				stats.ObjectsComputed++
-			}
+	// The work counters are sums over locations and Workers their largest
+	// pool; every location sees the same objects, and an object computed for
+	// several of them counts once.
+	stats.ObjectsTotal, stats.ObjectsComputed = n, 0
+	for _, c := range computed {
+		if c {
+			stats.ObjectsComputed++
 		}
 	}
 	return rankTopK(flows, k), stats, nil

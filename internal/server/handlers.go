@@ -266,23 +266,6 @@ func writeJSON(w http.ResponseWriter, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// decodeBody strictly decodes the request body into v, bounding its size.
-// Unknown fields fail loudly (DisallowUnknownFields) so a typo'd option can
-// never silently select a default.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return fmt.Errorf("body exceeds %d bytes", tooLarge.Limit)
-		}
-		return err
-	}
-	return nil
-}
-
 var algorithms = map[string]tkplq.Algorithm{
 	"naive": tkplq.Naive,
 	"nl":    tkplq.NestedLoop,
@@ -357,7 +340,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req IngestRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		errorJSON(w, http.StatusBadRequest, "bad ingest request: %v", err)
 		return
 	}

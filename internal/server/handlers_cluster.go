@@ -173,7 +173,7 @@ func (s *Server) handleIngestRouted(w http.ResponseWriter, r *http.Request, recs
 // not a public API.
 func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 	var req QueryV2
-	if err := s.decodeBody(w, r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		s.queryErrors.Add(1)
 		errorJSON(w, http.StatusBadRequest, "bad partial request: %v", err)
 		return

@@ -182,7 +182,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var h repl.Handshake
-	if err := s.decodeBody(w, r, &h); err != nil {
+	if err := decodeBody(w, r, &h); err != nil {
 		errorJSON(w, http.StatusBadRequest, "bad handshake: %v", err)
 		return
 	}
@@ -221,7 +221,7 @@ func (s *Server) handleReplicateAck(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var a repl.Ack
-	if err := s.decodeBody(w, r, &a); err != nil {
+	if err := decodeBody(w, r, &a); err != nil {
 		errorJSON(w, http.StatusBadRequest, "bad ack: %v", err)
 		return
 	}

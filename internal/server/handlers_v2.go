@@ -154,15 +154,9 @@ func (s *Server) endOfData(ctx context.Context) (tkplq.Time, error) {
 // → render path; a single object is a batch of one answered without the
 // array.
 func (s *Server) handleQueryV2(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
-	body, err := io.ReadAll(r.Body)
+	body, err := readBody(w, r)
 	if err != nil {
 		s.queryErrors.Add(1)
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			errorJSON(w, http.StatusBadRequest, "body exceeds %d bytes", tooLarge.Limit)
-			return
-		}
 		errorJSON(w, http.StatusBadRequest, "bad query request: %v", err)
 		return
 	}
@@ -221,6 +215,28 @@ func (s *Server) handleQueryV2(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, out)
 }
 
+// readBody reads the whole request body, refusing one over MaxBodyBytes.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return nil, fmt.Errorf("body exceeds %d bytes", tooLarge.Limit)
+	}
+	return body, err
+}
+
+// decodeBody strictly decodes the request body into v (strictUnmarshal),
+// bounding its size. Unknown fields fail loudly so a typo'd option can never
+// silently select a default, and trailing data fails so a second value is
+// never silently dropped.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	body, err := readBody(w, r)
+	if err != nil {
+		return err
+	}
+	return strictUnmarshal(body, v)
+}
+
 // strictUnmarshal decodes JSON rejecting unknown fields and trailing data.
 func strictUnmarshal(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -228,7 +244,7 @@ func strictUnmarshal(data []byte, v any) error {
 	if err := dec.Decode(v); err != nil {
 		return err
 	}
-	if dec.More() {
+	if _, err := dec.Token(); err != io.EOF {
 		return errors.New("trailing data after JSON value")
 	}
 	return nil

@@ -350,11 +350,8 @@ func wireQuery(q tkplq.Query) QueryV2 {
 }
 
 // fanPartials collects the partial for q of every shard that can contribute
-// — all of them, or for a presence pass the object's owner alone —
-// concurrently, each leg retrying across its shard's replica set. The first
-// shard whose whole replica set fails cancels the remaining legs and is
-// returned as a *shardError naming the shard; when several legs fail, a real
-// failure wins over one induced by the cancellation.
+// — all of them, or for a presence pass the object's owner alone — through
+// readShards.
 func (rt *Router) fanPartials(ctx context.Context, q tkplq.Query) ([]*core.Partial, error) {
 	rt.fanOuts.Add(1)
 	groups := rt.groups
@@ -362,30 +359,45 @@ func (rt *Router) fanPartials(ctx context.Context, q tkplq.Query) ([]*core.Parti
 		owner := rt.topo.ShardOf(q.OID)
 		groups = groups[owner : owner+1]
 	}
+	req := wireQuery(q)
+	return readShards(ctx, rt, groups, func(ctx context.Context, c *shardClient, acked int) (*core.Partial, error) {
+		return c.partial(ctx, req, acked)
+	})
+}
+
+// readShards runs read on every group concurrently, each leg retrying across
+// its shard's replica set (readMember). The first shard whose whole replica
+// set fails cancels the remaining legs and is returned as a *shardError
+// naming the shard; when several legs fail, a real failure wins over one
+// induced by the cancellation.
+func readShards[T any](ctx context.Context, rt *Router, groups []*shardGroup, read func(ctx context.Context, c *shardClient, acked int) (T, error)) ([]T, error) {
 	fctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	parts := make([]*core.Partial, len(groups))
+	out := make([]T, len(groups))
 	errs := make([]error, len(groups))
-	req := wireQuery(q)
-	var wg sync.WaitGroup
-	for i, g := range groups {
-		wg.Add(1)
-		go func(i int, g *shardGroup) {
-			defer wg.Done()
-			parts[i], errs[i] = readMember(fctx, rt, g, func(ctx context.Context, c *shardClient, acked int) (*core.Partial, error) {
-				return c.partial(ctx, req, acked)
-			})
-			if errs[i] != nil {
-				cancel()
-			}
-		}(i, g)
-	}
-	wg.Wait()
+	eachShard(groups, func(i int, g *shardGroup) {
+		if out[i], errs[i] = readMember(fctx, rt, g, read); errs[i] != nil {
+			cancel()
+		}
+	})
 	if err := firstShardError(ctx, errs); err != nil {
 		rt.shardErrors.Add(1)
 		return nil, err
 	}
-	return parts, nil
+	return out, nil
+}
+
+// eachShard runs f for every group on its own goroutine and waits for all.
+func eachShard(groups []*shardGroup, f func(i int, g *shardGroup)) {
+	var wg sync.WaitGroup
+	for i, g := range groups {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f(i, g)
+		}()
+	}
+	wg.Wait()
 }
 
 // firstShardError picks the failure to surface: the first error not caused
@@ -432,21 +444,10 @@ func (rt *Router) Version() int { return int(rt.epoch.Load()) }
 // across shards. Every shard must answer — a missing shard could hold the
 // newest records, and guessing would silently change the query's meaning.
 func (rt *Router) endOfData(ctx context.Context) (tkplq.Time, error) {
-	spans := make([]*SpanResponse, len(rt.groups))
-	errs := make([]error, len(rt.groups))
-	var wg sync.WaitGroup
-	for i, g := range rt.groups {
-		wg.Add(1)
-		go func(i int, g *shardGroup) {
-			defer wg.Done()
-			spans[i], errs[i] = readMember(ctx, rt, g, func(ctx context.Context, c *shardClient, acked int) (*SpanResponse, error) {
-				return c.span(ctx, acked)
-			})
-		}(i, g)
-	}
-	wg.Wait()
-	if err := firstShardError(ctx, errs); err != nil {
-		rt.shardErrors.Add(1)
+	spans, err := readShards(ctx, rt, rt.groups, func(ctx context.Context, c *shardClient, acked int) (*SpanResponse, error) {
+		return c.span(ctx, acked)
+	})
+	if err != nil {
 		return 0, err
 	}
 	var hi tkplq.Time
@@ -495,28 +496,22 @@ func (rt *Router) ingest(ctx context.Context, recs []RecordJSON) (int, any) {
 	}
 
 	outcomes := make([]shardIngestOutcome, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	eachShard(rt.groups, func(i int, g *shardGroup) {
 		if len(byShard[i]) == 0 {
-			continue
+			return
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			o := &outcomes[i]
-			o.sent = len(byShard[i])
-			c := rt.groups[i].primaryClient()
-			o.addr = c.addr
-			o.ok, o.rej, o.err = c.ingest(ctx, byShard[i])
-			if o.err != nil {
-				rt.pokeHealth()
-			}
-			if o.ok != nil {
-				rt.groups[i].ack(o.ok.Records)
-			}
-		}(i)
-	}
-	wg.Wait()
+		o := &outcomes[i]
+		o.sent = len(byShard[i])
+		c := g.primaryClient()
+		o.addr = c.addr
+		o.ok, o.rej, o.err = c.ingest(ctx, byShard[i])
+		if o.err != nil {
+			rt.pokeHealth()
+		}
+		if o.ok != nil {
+			g.ack(o.ok.Records)
+		}
+	})
 
 	resp := RouterIngestResponse{Shards: make([]ShardIngestJSON, 0, n)}
 	applied, failures := 0, 0
@@ -599,45 +594,39 @@ func (rt *Router) clusterStats(ctx context.Context) ClusterStatsJSON {
 		Shards:      make([]ShardStatJSON, len(rt.groups)),
 	}
 	out.Coalesced, out.CoalesceLed = rt.drv.Counts()
-	var wg sync.WaitGroup
-	for i, g := range rt.groups {
-		wg.Add(1)
-		go func(i int, g *shardGroup) {
-			defer wg.Done()
-			c := g.primaryClient()
-			raw, err := c.stats(ctx)
-			row := &out.Shards[i]
-			row.Shard = i
-			row.Addr = c.addr
-			row.Primary = int(g.primary.Load())
-			if err != nil {
-				row.Error = err.Error()
-			} else {
-				row.Healthy = true
-				row.Stats = raw
-			}
-			row.Requests = c.requests.Load()
-			row.Errors = c.errs.Load()
-			row.Retries = c.retried.Load()
-			row.LastLatencyMS = float64(c.lastLatency.Load()) / 1000
-			for m, mc := range g.members {
-				row.Members = append(row.Members, MemberHealthJSON{
-					Member:    m,
-					Addr:      mc.addr,
-					Primary:   m == int(g.primary.Load()),
-					Reachable: mc.reachable.Load(),
-					Ready:     mc.ready.Load(),
-					Mode:      mc.modeName(),
-					SealSeq:   mc.sealSeq.Load(),
-					WALOff:    mc.walOff.Load(),
-					Requests:  mc.requests.Load(),
-					Errors:    mc.errs.Load(),
-					Retries:   mc.retried.Load(),
-					Cause:     mc.probeCause(),
-				})
-			}
-		}(i, g)
-	}
-	wg.Wait()
+	eachShard(rt.groups, func(i int, g *shardGroup) {
+		c := g.primaryClient()
+		raw, err := c.stats(ctx)
+		row := &out.Shards[i]
+		row.Shard = i
+		row.Addr = c.addr
+		row.Primary = int(g.primary.Load())
+		if err != nil {
+			row.Error = err.Error()
+		} else {
+			row.Healthy = true
+			row.Stats = raw
+		}
+		row.Requests = c.requests.Load()
+		row.Errors = c.errs.Load()
+		row.Retries = c.retried.Load()
+		row.LastLatencyMS = float64(c.lastLatency.Load()) / 1000
+		for m, mc := range g.members {
+			row.Members = append(row.Members, MemberHealthJSON{
+				Member:    m,
+				Addr:      mc.addr,
+				Primary:   m == int(g.primary.Load()),
+				Reachable: mc.reachable.Load(),
+				Ready:     mc.ready.Load(),
+				Mode:      mc.modeName(),
+				SealSeq:   mc.sealSeq.Load(),
+				WALOff:    mc.walOff.Load(),
+				Requests:  mc.requests.Load(),
+				Errors:    mc.errs.Load(),
+				Retries:   mc.retried.Load(),
+				Cause:     mc.probeCause(),
+			})
+		}
+	})
 	return out
 }

@@ -324,10 +324,11 @@ func TestIngestAndQuery(t *testing.T) {
 }
 
 // TestRequestBodyLimit: a request body of exactly MaxBodyBytes is read, and
-// one byte more is refused with 400 naming the limit — on /v1/ingest and
-// /v2/partial, which decode through decodeBody, and on /v2/query, which reads
-// its body itself. The padding leads, so a handler must read every byte to
-// reach the JSON.
+// one byte more is refused with 400 naming the limit — on /v1/ingest,
+// /v2/partial and /v2/query, which all read through readBody. The padding
+// leads, so a handler must read every byte to reach the JSON. Anything but
+// white space after the JSON value is refused with 400 too, never silently
+// dropped.
 func TestRequestBodyLimit(t *testing.T) {
 	sys, ids := newPaperSystem(t)
 	_, ts := newTestServer(t, sys, Config{})
@@ -361,6 +362,17 @@ func TestRequestBodyLimit(t *testing.T) {
 				t.Errorf("%s with a %d-byte body: status %d (%.200s), want 200", c.path, size, resp.StatusCode, out.Bytes())
 			case size > MaxBodyBytes && (resp.StatusCode != http.StatusBadRequest || !strings.Contains(out.String(), refusal)):
 				t.Errorf("%s with a %d-byte body: status %d (%.200s), want 400 %q", c.path, size, resp.StatusCode, out.Bytes(), refusal)
+			}
+		}
+		for _, trailer := range []string{` {"garbage":true}`, `]`} {
+			body := append(bytes.Clone(c.json), trailer...)
+			resp, err := ts.Client().Post(ts.URL+c.path, "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s with %q after the JSON value: status %d, want 400", c.path, trailer, resp.StatusCode)
 			}
 		}
 	}
