@@ -8,6 +8,7 @@ package tkplq_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -306,24 +307,6 @@ func BenchmarkTopKPresenceCache(b *testing.B) {
 	}
 }
 
-// handoffLocker is the ingest lock of BenchmarkIncrementalUpdate's table. The
-// writer locks the embedded mutex directly; the feed's monitor unlocks through
-// Unlock, which leaves a token, so the benchmark can sleep until the monitor
-// has read the table instead of spinning on MonitorStats (whose allocations
-// would land in allocs/op).
-type handoffLocker struct {
-	sync.Mutex
-	read chan struct{} // cap 1: a token means "read since you last looked"
-}
-
-func (l *handoffLocker) Unlock() {
-	l.Mutex.Unlock()
-	select {
-	case l.read <- struct{}{}:
-	default:
-	}
-}
-
 // BenchmarkIncrementalUpdate measures the live-feed hot path: one ingested
 // record arrives inside the current window [now-1800, now] and the ranking
 // is brought up to date. The incremental path splices the record into the
@@ -347,8 +330,8 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 		for i := 0; i < d.table.Len(); i++ {
 			tb.Append(d.table.Record(i))
 		}
-		bar := &handoffLocker{read: make(chan struct{}, 1)}
-		sub, err := eng.Subscribe(context.Background(), core.SubscribeConfig{Table: tb, Barrier: bar},
+		var mu sync.Mutex // the table's ingest lock
+		sub, err := eng.Subscribe(context.Background(), core.SubscribeConfig{Table: tb, Barrier: &mu},
 			core.Query{Kind: core.KindTopK, Algorithm: core.AlgoBestFirst, K: 5, Window: window, SLocs: d.slocs})
 		if err != nil {
 			b.Fatal(err)
@@ -356,16 +339,16 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 		defer sub.Close()
 		evals := eng.MonitorStats()[0].Evals // 1: Subscribe built the window state
 		ingest := func(rec iupt.Record) {
-			bar.Mutex.Lock()
+			mu.Lock()
 			tb.Append(rec)
-			eng.NotifyAppend(tb, []iupt.Record{rec}, tb.Len())
-			bar.Mutex.Unlock()
+			eng.NotifyAppend(tb, []iupt.Record{rec})
+			mu.Unlock()
 			// Wait for the evaluation, not for a push: a record that leaves
-			// the ranking unchanged evaluates but pushes nothing. Once the
-			// monitor has read the table, MonitorStats blocks on the monitor's
-			// lock until the evaluation is done.
+			// the ranking unchanged evaluates but pushes nothing. A poll that
+			// finds the eval loop at work blocks on the monitor's lock until
+			// the evaluation is done, so few polls land in allocs/op.
 			for evals++; eng.MonitorStats()[0].Evals < evals; {
-				<-bar.read
+				runtime.Gosched()
 			}
 		}
 		ingest(feed(0)) // slide the window to end at now outside the timer

@@ -245,12 +245,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			Dir:       *dataDir,
 			Self:      adv,
 			Primaries: strings.Split(*replicaOf, ","),
-			Open: func(uint64, int64) (repl.Applier, error) {
+			Open: func(uint64, int64) (*tkplq.System, *tkplq.PartitionedStore, error) {
 				var err error
-				if sys, store, err = openDurable(b.Space, storeOpts, opts); err != nil {
-					return nil, err
-				}
-				return repl.NewSystemApplier(sys, store), nil
+				sys, store, err = openDurable(b.Space, storeOpts, opts)
+				return sys, store, err
 			},
 			Logf: logf,
 		})

@@ -20,8 +20,7 @@ import (
 // sequences and presence summaries of its current window; an ingested record
 // perturbs exactly one object's sequence (spliced in at its canonical
 // position — no table scan), and a window slide touches only the objects
-// whose records enter or leave the window (found by binary search on the
-// table's sorted snapshot, iupt.Table.RecordsInRange). Only the dirty
+// whose records enter or leave the window. Only the dirty
 // objects' reductions and summaries are recomputed, through the same
 // presence oracle the one-shot queries use (without the engine cache: the
 // retained summaries are the feed's own). The cheap
@@ -33,11 +32,14 @@ import (
 // therefore bit-identical to a from-scratch evaluation of the same window, at
 // every worker count, for all three algorithms.
 //
-// The window's horizon is the data's: nobody supplies a "now". Appends to the
-// watched table are announced with Engine.NotifyAppend under the owner's
-// ingest lock, which doubles as the monitor's read barrier, and one hold of
-// that barrier drains the mailbox, derives the window end from what it
-// drained, reads the table and fixes the covered record count — so every
+// The window's horizon is the data's: nobody supplies a "now". The table is
+// read once, by the build, under the owner's ingest lock (the monitor's
+// barrier); every append is announced with Engine.NotifyAppend under that
+// same lock, so the build's read and the mailbox split the table's records
+// exactly: those the read saw are drained and discarded with it, every later
+// one reaches the mailbox in table order. After the build the mailbox is the
+// monitor's only input — a tick drains it, derives the window end from what
+// it drained and adds its length to the covered record count — so every
 // record is reflected in the monitor's state exactly once, and an update's
 // Records and [Ts, Te] describe the same prefix of the table.
 type monitor struct {
@@ -47,7 +49,7 @@ type monitor struct {
 	querySet map[indoor.SLocID]bool // for PSL∩Q pruning in the oracle
 	k        int
 	window   iupt.Time
-	barrier  sync.Locker // serializes table reads with the owner's appends
+	barrier  sync.Locker // serializes the build's table read with the owner's appends
 	id       uint64      // registry order, for deterministic MonitorStats
 	refs     int         // live subscriptions; guarded by eng.mons.mu
 	key      monitorKey  // coalescing key, zero for a private monitor; guarded by eng.mons.mu
@@ -55,8 +57,7 @@ type monitor struct {
 	// pendMu guards the notification mailbox. It is a leaf lock: enqueue runs
 	// under the owner's ingest lock and must never wait on an evaluation.
 	pendMu   sync.Mutex
-	pending  []pendingBatch
-	pendLen  int // table length already covered by window state + mailbox
+	pending  []iupt.Record // announced records the state does not reflect, in table order
 	observed int
 	wake     chan struct{} // cap 1; kicks the subscription eval loop
 
@@ -81,15 +82,6 @@ type monitor struct {
 	pushed     int64 // ranking changes delivered to subscribers
 }
 
-// pendingBatch is one announced append: the records and the table length
-// after them. lenAfter is assigned under the owner's ingest lock, so batches
-// cover disjoint, contiguous, monotonically increasing table ranges — which
-// is what lets the mailbox dedupe against table snapshots exactly.
-type pendingBatch struct {
-	recs     []iupt.Record
-	lenAfter int
-}
-
 // newMonitor assembles a monitor; query must be canonical and validated.
 func (e *Engine) newMonitor(cfg SubscribeConfig, query []indoor.SLocID, k int, window iupt.Time) *monitor {
 	m := &monitor{
@@ -112,18 +104,12 @@ func (e *Engine) newMonitor(cfg SubscribeConfig, query []indoor.SLocID, k int, w
 	return m
 }
 
-// enqueue files one announced append into the mailbox. Must run under the
-// monitor's barrier (the owner's ingest lock), which makes the lenAfter
-// dedupe exact: a batch whose range is already covered by the last table
-// snapshot the monitor read — or by an earlier mailbox entry — is dropped.
-func (m *monitor) enqueue(recs []iupt.Record, lenAfter int) {
+// enqueue files one announced append into the mailbox. It runs under the
+// monitor's barrier (the owner's ingest lock) right after the append, so the
+// mailbox keeps the table's order.
+func (m *monitor) enqueue(recs []iupt.Record) {
 	m.pendMu.Lock()
-	if lenAfter <= m.pendLen {
-		m.pendMu.Unlock()
-		return
-	}
-	m.pending = append(m.pending, pendingBatch{recs: recs, lenAfter: lenAfter})
-	m.pendLen = lenAfter
+	m.pending = append(m.pending, recs...)
 	m.observed += len(recs)
 	m.pendMu.Unlock()
 	select {
@@ -153,31 +139,20 @@ func (m *monitor) shutdown() {
 	}
 }
 
-// hasPending reports whether the mailbox holds unprocessed batches.
+// hasPending reports whether the mailbox holds unprocessed records.
 func (m *monitor) hasPending() bool {
 	m.pendMu.Lock()
 	defer m.pendMu.Unlock()
 	return len(m.pending) > 0
 }
 
-// drainPending empties the mailbox. Must run under the barrier so no new
-// batch can slip between the drain and the table read that follows it.
-func (m *monitor) drainPending() []pendingBatch {
+// drainPending empties the mailbox.
+func (m *monitor) drainPending() []iupt.Record {
 	m.pendMu.Lock()
 	defer m.pendMu.Unlock()
 	out := m.pending
 	m.pending = nil
 	return out
-}
-
-// coverLocked records that the window state reflects the whole table as it
-// stands. Caller holds m.mu and the barrier, which is what makes the count,
-// the drained mailbox and the table read around it one cut.
-func (m *monitor) coverLocked() {
-	m.covered = m.table.Len()
-	m.pendMu.Lock()
-	m.pendLen = m.covered
-	m.pendMu.Unlock()
 }
 
 // refreshLocked brings the window state up to the data: [te-window, te] with
@@ -198,15 +173,18 @@ func (m *monitor) refreshLocked() {
 }
 
 // rebuildLocked builds the window state from scratch — the once-per-monitor
-// full pass every later evaluation deltas against. The horizon is the
-// table's upper time bound (0 for an empty table).
+// full pass every later evaluation deltas against, and the monitor's one
+// table read. The horizon is the table's upper time bound (0 for an empty
+// table). One hold of the barrier makes the drain, the read and the covered
+// count one cut: everything announced so far is in the read, and everything
+// announced later lands in the mailbox.
 func (m *monitor) rebuildLocked() {
 	m.barrier.Lock()
-	m.drainPending() // everything announced so far is in the snapshot below
+	m.drainPending()
 	_, te, _ := m.table.TimeSpan()
 	ts := max(te-m.window, 0)
 	recs := m.table.RecordsInRange(ts, te)
-	m.coverLocked()
+	m.covered = m.table.Len()
 	m.barrier.Unlock()
 
 	// Grouped exactly as Table.Window groups a window: every sequence capped,
@@ -221,48 +199,31 @@ func (m *monitor) rebuildLocked() {
 
 // advanceLocked slides the window forward to the latest timestamp in the
 // mailbox and splices the mailbox in, dirtying only the objects whose visible
-// records changed. The horizon never decreases (it is the maximum of the old
-// one and the drained timestamps), so neither does the window start, and the
-// three sources of change are each one-sided:
+// records changed. The mailbox holds exactly the records appended since the
+// state last covered the table, in table order. The horizon never decreases
+// (it is the maximum of the old one and the drained timestamps), so neither
+// does the window start, and the two sources of change are each one-sided:
 //
 //   - records leaving the window are a prefix of their object's retained
 //     sequence (sequences are time-ordered) and are trimmed off;
-//   - records entering the window all lie in the one interval
-//     [max(oldTe+1, ts), te] — the whole new window on a disjoint jump — and
-//     are fetched with binary search on the table's sorted snapshot, then
-//     appended in canonical order;
-//   - mailbox records in the stable region, ts ≤ T ≤ oldTe, are spliced in at
-//     their canonical position (after retained same-timestamp records —
-//     arrival order, exactly where a fresh stable sort would put them);
-//     mailbox records beyond oldTe are dropped here because the entering
-//     fetch already covers them, and records behind the window are dropped
-//     because no later window reaches back to them.
+//   - drained records inside the new window are spliced in at their
+//     canonical position (after retained same-timestamp records — arrival
+//     order, exactly where a fresh stable sort would put them); records
+//     behind the window are dropped because no later window reaches back to
+//     them.
 //
-// Objects untouched by all three sources keep their sequences — provably
-// equal to a fresh fetch — and their summaries. Only dirty objects are
-// re-reduced and re-summarized.
+// Objects untouched by both keep their sequences — provably equal to a fresh
+// fetch — and their summaries. Only dirty objects are re-reduced and
+// re-summarized.
 func (m *monitor) advanceLocked() {
-	oldTe := m.te
-	dirty := make(map[iupt.ObjectID]bool)
-
-	m.barrier.Lock()
-	batches := m.drainPending()
-	te := oldTe
-	for _, b := range batches {
-		for _, rec := range b.recs {
-			te = max(te, rec.T)
-		}
+	recs := m.drainPending()
+	m.covered += len(recs)
+	te := m.te
+	for _, rec := range recs {
+		te = max(te, rec.T)
 	}
 	ts := max(te-m.window, 0)
-	// Time is integral, so oldTe+1 is exactly the first instant the old
-	// window did not cover. When te did not move nothing enters, and the
-	// table (whose sorted view every append invalidates) is left alone.
-	var entering []iupt.Record
-	if te > oldTe {
-		entering = m.table.RecordsInRange(max(oldTe+1, ts), te)
-	}
-	m.coverLocked()
-	m.barrier.Unlock()
+	dirty := make(map[iupt.ObjectID]bool)
 
 	// Trim leaving records. An object has leaving records only if its
 	// retained sequence starts before the new window, so the scan touches
@@ -288,23 +249,13 @@ func (m *monitor) advanceLocked() {
 		}
 	}
 
-	// Append entering records: they come in canonical order and all lie
-	// beyond oldTe, hence after everything retained.
-	for i := range entering {
-		oid := entering[i].OID
-		dirty[oid] = true
-		m.seqs[oid] = append(m.seqs[oid], iupt.TimedSampleSet{T: entering[i].T, Samples: entering[i].Samples})
-	}
-
-	// Splice mailbox records that fall in the stable region.
-	for _, b := range batches {
-		for _, rec := range b.recs {
-			if rec.T < ts || rec.T > oldTe {
-				continue
-			}
-			dirty[rec.OID] = true
-			m.seqs[rec.OID] = spliceRecord(m.seqs[rec.OID], iupt.TimedSampleSet{T: rec.T, Samples: rec.Samples})
+	// Splice the drained records that fall in the window, in table order.
+	for _, rec := range recs {
+		if rec.T < ts {
+			continue
 		}
+		dirty[rec.OID] = true
+		m.seqs[rec.OID] = spliceRecord(m.seqs[rec.OID], iupt.TimedSampleSet{T: rec.T, Samples: rec.Samples})
 	}
 
 	// Refresh the ascending object list and drop state of vanished objects.
@@ -325,9 +276,8 @@ func (m *monitor) advanceLocked() {
 
 // spliceRecord inserts tss into the time-ordered seq at its canonical
 // position: after every retained entry with the same or earlier timestamp.
-// Announcements arrive in append order, so repeated splices of equal
-// timestamps land in arrival order — exactly the stable-sort order of a
-// fresh fetch.
+// The mailbox is in table order, so repeated splices of equal timestamps
+// land in arrival order — exactly the stable-sort order of a fresh fetch.
 func spliceRecord(seq iupt.Sequence, tss iupt.TimedSampleSet) iupt.Sequence {
 	pos := len(seq)
 	for pos > 0 && seq[pos-1].T > tss.T {

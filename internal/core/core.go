@@ -40,7 +40,8 @@
 // A window the cache does not keep is evaluated in pooled memory that its
 // query hands back when done.
 // The live feeds behind Subscribe retain their own per-object summaries and
-// use no cache.
+// use no cache; each reads its table once, when it is built, and takes every
+// later record from the NotifyAppend announcements in its mailbox.
 package core
 
 import (

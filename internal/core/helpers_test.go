@@ -80,7 +80,7 @@ func (l *liveTable) ingest(recs ...iupt.Record) {
 	for _, rec := range recs {
 		l.tb.Append(rec)
 	}
-	l.eng.NotifyAppend(l.tb, recs, l.tb.Len())
+	l.eng.NotifyAppend(l.tb, recs)
 }
 
 // monitor registers a monitor on the table the way Subscribe's acquire does,

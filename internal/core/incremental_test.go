@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -100,34 +99,28 @@ func TestIncrementalEquivalenceRandom(t *testing.T) {
 }
 
 // TestSubscribeHorizonUnderBarrier: the feed never claims records its window
-// has not reached. A batch that lands after the monitor decided to evaluate
-// but before it took the barrier is counted in Update.Records, so its
-// timestamps must move the window too — the horizon is read under the same
-// hold of the barrier that drains the mailbox. (When the horizon was sampled
-// before the barrier, this feed settled on records 2, window [0, 3] with a
+// has not reached. Two batches that land while the monitor is busy are
+// drained by one evaluation and counted in Update.Records, so the later
+// one's timestamps must move the window too — the horizon is derived from
+// the same drain that counts the records. (When the horizon was sampled
+// before the drain, this feed settled on records 2, window [0, 3] with a
 // T = 20 record in the table, until some later ingest.)
 func TestSubscribeHorizonUnderBarrier(t *testing.T) {
 	fig := indoor.Figure1Space()
-	eng := NewEngine(fig.Space, Options{Workers: 1})
-	tb := iupt.NewTable()
-	barrier := &hookedLocker{}
-	sub, err := eng.Subscribe(context.Background(), SubscribeConfig{Table: tb, Barrier: barrier},
+	live := &liveTable{eng: NewEngine(fig.Space, Options{Workers: 1}), tb: iupt.NewTable()}
+	sub, err := live.eng.Subscribe(context.Background(), live.cfg(),
 		Query{Kind: KindTopK, Algorithm: AlgoBestFirst, K: 3, Window: 5, SLocs: fig.SLocs[:]})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	ingest := func(rec iupt.Record) {
-		barrier.mu.Lock() // not barrier.Lock: the writer must not fire the hook
-		tb.Append(rec)
-		eng.NotifyAppend(tb, []iupt.Record{rec}, tb.Len())
-		barrier.mu.Unlock()
-	}
 	set := func(p indoor.PLocID) iupt.SampleSet { return iupt.SampleSet{{Loc: p, Prob: 1}} }
-	// The next taker of the barrier is the eval loop, woken by the T = 3
-	// ingest below; the late batch slips in just before it gets the lock.
-	barrier.arm(func() { ingest(iupt.Record{OID: 2, T: 20, Samples: set(fig.PLocs[5])}) })
-	ingest(iupt.Record{OID: 1, T: 3, Samples: set(fig.PLocs[3])})
+	// The eval loop, woken by the T = 3 ingest, waits on the monitor's lock
+	// until the late batch is in the mailbox too.
+	sub.mon.mu.Lock()
+	live.ingest(iupt.Record{OID: 1, T: 3, Samples: set(fig.PLocs[3])})
+	live.ingest(iupt.Record{OID: 2, T: 20, Samples: set(fig.PLocs[5])})
+	sub.mon.mu.Unlock()
 
 	// Nothing is ingested after these two records, so the first update that
 	// covers both is what the feed settles on.
@@ -137,24 +130,50 @@ func TestSubscribeHorizonUnderBarrier(t *testing.T) {
 	}
 }
 
-// hookedLocker is a barrier whose Lock runs a one-shot hook before acquiring,
-// so a test can land an ingest in the gap between a monitor's decision to
-// evaluate and its hold of the barrier.
-type hookedLocker struct {
-	mu   sync.Mutex
-	hook atomic.Pointer[func()]
-}
-
-func (h *hookedLocker) arm(f func()) { h.hook.Store(&f) }
-
-func (h *hookedLocker) Lock() {
-	if f := h.hook.Swap(nil); f != nil {
-		(*f)()
+// TestSubscribeJoinerKeepsPeersCurrent: a subscription that joins a shared
+// monitor while a batch waits in its mailbox must not evaluate that batch
+// for itself only. Whoever evaluates first — the eval loop or the joiner —
+// the subscriber already there is sent the change, and the joiner's first
+// update is that same update: same Seq, same ranking.
+func TestSubscribeJoinerKeepsPeersCurrent(t *testing.T) {
+	fig := indoor.Figure1Space()
+	live := &liveTable{eng: NewEngine(fig.Space, Options{Workers: 1}), tb: iupt.NewTable()}
+	set := func(p indoor.PLocID) iupt.SampleSet { return iupt.SampleSet{{Loc: p, Prob: 1}} }
+	live.ingest(iupt.Record{OID: 1, T: 1, Samples: set(fig.PLocs[0])})
+	q := Query{Kind: KindTopK, Algorithm: AlgoBestFirst, K: len(fig.SLocs), Window: 10, SLocs: fig.SLocs[:]}
+	a, err := live.eng.Subscribe(context.Background(), live.cfg(), q)
+	if err != nil {
+		t.Fatal(err)
 	}
-	h.mu.Lock()
-}
+	defer a.Close()
+	awaitUpdate(t, a, func(u Update) bool { return u.Records == 1 })
 
-func (h *hookedLocker) Unlock() { h.mu.Unlock() }
+	type joined struct {
+		sub *Subscription
+		err error
+	}
+	bc := make(chan joined, 1)
+	a.mon.mu.Lock()
+	live.ingest(iupt.Record{OID: 2, T: 2, Samples: set(fig.PLocs[5])})
+	go func() {
+		b, err := live.eng.Subscribe(context.Background(), live.cfg(), q)
+		bc <- joined{b, err}
+	}()
+	a.mon.mu.Unlock()
+
+	got := awaitUpdate(t, a, func(u Update) bool { return u.Records == 2 })
+	j := <-bc
+	if j.err != nil {
+		t.Fatal(j.err)
+	}
+	defer j.sub.Close()
+	first := awaitUpdate(t, j.sub, func(Update) bool { return true })
+	if first.Records != 2 || first.Seq != got.Seq {
+		t.Fatalf("joiner's first update is seq %d over %d records; its peer was sent seq %d over 2",
+			first.Seq, first.Records, got.Seq)
+	}
+	bitEqual(t, "joiner against its peer", first.Results, got.Results)
+}
 
 // TestSubscribeStreamEquivalence subscribes while a writer goroutine ingests
 // concurrently, then replays every received update against a from-scratch
@@ -191,7 +210,7 @@ func TestSubscribeStreamEquivalence(t *testing.T) {
 			for _, rec := range batch {
 				tb.Append(rec)
 			}
-			eng.NotifyAppend(tb, batch, tb.Len())
+			eng.NotifyAppend(tb, batch)
 			mu.Unlock()
 		}
 	}()
@@ -299,7 +318,7 @@ func TestSubscribeCoalescing(t *testing.T) {
 	rec := iupt.Record{OID: 1, T: 5, Samples: iupt.SampleSet{{Loc: fig.PLocs[0], Prob: 1}}}
 	mu.Lock()
 	tb.Append(rec)
-	eng.NotifyAppend(tb, []iupt.Record{rec}, tb.Len())
+	eng.NotifyAppend(tb, []iupt.Record{rec})
 	mu.Unlock()
 	for _, sub := range []*Subscription{a, b} {
 		awaitUpdate(t, sub, func(u Update) bool { return u.Records == 1 })
@@ -385,7 +404,7 @@ func TestSubscriptionSlowConsumer(t *testing.T) {
 		}
 		mu.Lock()
 		tb.Append(rec)
-		eng.NotifyAppend(tb, []iupt.Record{rec}, tb.Len())
+		eng.NotifyAppend(tb, []iupt.Record{rec})
 		mu.Unlock()
 		select {
 		case <-deadline:

@@ -110,16 +110,18 @@ func (s *Subscription) push(u Update) {
 }
 
 // SubscribeConfig tells Engine.Subscribe which table to watch and how its
-// reads are serialized.
+// one read of it is serialized.
 type SubscribeConfig struct {
 	// Table is the table the feed watches. Required.
 	Table *iupt.Table
-	// Barrier serializes the feed's table reads with the owner's append path;
-	// appends and their NotifyAppend announcement must happen under it. nil
-	// selects a private mutex (correct only while nothing appends to Table).
-	// The lock order is monitor lock, then Barrier — the eval loop holds its
-	// monitor's lock while it waits for the Barrier to read the table. A
-	// Barrier holder must therefore not call MonitorStats, Subscribe or
+	// Barrier serializes the feed's build — its one table read — with the
+	// owner's append path; appends and their NotifyAppend announcement must
+	// happen under it. nil selects a private mutex (correct only while
+	// nothing appends to Table). After the build the feed never takes it
+	// again: every later record comes from the announcements. The lock order
+	// is monitor lock, then Barrier — the Subscribe that builds a monitor
+	// holds the monitor's lock while it waits for the Barrier. A Barrier
+	// holder must therefore not call MonitorStats, Subscribe or
 	// Subscription.Close, which take a monitor lock (NotifyAppend does not).
 	Barrier sync.Locker
 }
@@ -129,7 +131,9 @@ type SubscribeConfig struct {
 // ingested batch announced via NotifyAppend triggers an incremental
 // re-evaluation over [maxT-Window, maxT], and an Update is pushed whenever
 // the ranking or any flow differs — bitwise — from the previous one. A new
-// subscription receives the current ranking immediately as its first update.
+// subscription first brings its monitor up to date exactly as a tick does
+// (so its peers are sent any change), then receives the monitor's current
+// update as its first.
 //
 // Identical subscriptions (same table, query set, K, Window and
 // evaluation-changing overrides) coalesce onto one shared monitor: one
@@ -180,7 +184,6 @@ func (e *Engine) Subscribe(ctx context.Context, cfg SubscribeConfig, q Query) (*
 			e.mons.release(m)
 		}
 	}
-	sub.mon.sendSnapshot(sub)
 	go func() {
 		select {
 		case <-ctx.Done():
@@ -191,14 +194,18 @@ func (e *Engine) Subscribe(ctx context.Context, cfg SubscribeConfig, q Query) (*
 	return sub, nil
 }
 
-// attach registers a new subscription on the monitor and starts its eval
-// loop if this is the first one. Returns nil if the monitor is closed.
+// attach brings the monitor up to the data through the eval loop's own step
+// — so a change waiting in the mailbox reaches the subscribers already there
+// — then registers a new subscription, sends it the update its peers were
+// last sent, and starts the eval loop if this is the first one. Returns nil
+// if the monitor is closed.
 func (m *monitor) attach() *Subscription {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
 		return nil
 	}
+	m.evalAndPushLocked()
 	sub := &Subscription{
 		mon:  m,
 		id:   m.nextSub,
@@ -207,6 +214,7 @@ func (m *monitor) attach() *Subscription {
 	}
 	m.nextSub++
 	m.subs[sub.id] = sub
+	sub.push(m.updateLocked())
 	if m.loopStop == nil {
 		m.loopStop = make(chan struct{})
 		go m.evalLoop(m.loopStop)
@@ -221,21 +229,6 @@ func (m *monitor) detachSub(s *Subscription) {
 	defer m.mu.Unlock()
 	delete(m.subs, s.id)
 	close(s.ch)
-}
-
-// sendSnapshot evaluates the current window and delivers it to one (new)
-// subscriber, without bumping the change sequence.
-func (m *monitor) sendSnapshot(s *Subscription) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return
-	}
-	if _, ok := m.subs[s.id]; !ok {
-		return
-	}
-	m.refreshLocked()
-	s.push(m.updateLocked())
 }
 
 // updateLocked assembles an Update from the monitor's current state.
@@ -271,12 +264,12 @@ func (m *monitor) evalLoop(stop chan struct{}) {
 }
 
 // evalAndPushLocked re-evaluates at the data's horizon and pushes an update
-// to every subscriber iff the results changed bitwise.
+// to every subscriber iff the results changed bitwise. The build, the first
+// evaluation, is no change: it runs before the first subscriber registers.
 func (m *monitor) evalAndPushLocked() {
-	prev := m.results
-	prevBuilt := m.built
+	prev, prevBuilt := m.results, m.built
 	m.refreshLocked()
-	if prevBuilt && resultsEqual(prev, m.results) {
+	if !prevBuilt || resultsEqual(prev, m.results) {
 		return
 	}
 	m.seq++
@@ -303,14 +296,14 @@ func resultsEqual(a, b []Result) bool {
 }
 
 // NotifyAppend announces records appended to a shared table to every monitor
-// watching it. Call it after the append, under the same lock that serializes
-// the monitors' table reads (SubscribeConfig.Barrier) — that ordering is what
-// makes delivery exactly-once: a monitor either reads the records from the
-// table inside a rebuild snapshot (and the announcement dedupes against
-// lenAfter), or receives them here, never both, never neither. lenAfter is
-// the table's record count after the append.
-func (e *Engine) NotifyAppend(table *iupt.Table, recs []iupt.Record, lenAfter int) {
-	e.mons.notify(table, recs, lenAfter)
+// watching it. Call it right after the append, under the same lock that
+// serializes the monitors' builds (SubscribeConfig.Barrier) — that ordering
+// is what makes delivery exactly-once and in table order: a monitor either
+// reads the records in its build (and discards the announcement with the
+// mailbox it drains there), or receives them here, never both, never
+// neither.
+func (e *Engine) NotifyAppend(table *iupt.Table, recs []iupt.Record) {
+	e.mons.notify(table, recs)
 }
 
 // MonitorStat describes one live monitor for introspection (e.g. a server
@@ -432,7 +425,7 @@ func (r *monitorRegistry) removeLocked(m *monitor) {
 // set is snapshotted under the registry lock and the mailbox enqueues happen
 // outside it; the caller holds the table's ingest lock throughout, which is
 // what keeps announcements ordered and exactly-once per monitor.
-func (r *monitorRegistry) notify(table *iupt.Table, recs []iupt.Record, lenAfter int) {
+func (r *monitorRegistry) notify(table *iupt.Table, recs []iupt.Record) {
 	r.mu.Lock()
 	mons := make([]*monitor, 0, len(r.byTab[table]))
 	for m := range r.byTab[table] {
@@ -440,7 +433,7 @@ func (r *monitorRegistry) notify(table *iupt.Table, recs []iupt.Record, lenAfter
 	}
 	r.mu.Unlock()
 	for _, m := range mons {
-		m.enqueue(recs, lenAfter)
+		m.enqueue(recs)
 	}
 }
 

@@ -319,11 +319,7 @@ func (t *Table) SortedRecords() []Record {
 // found by binary search, so the call is O(log n) plus the cost of the lazy
 // sort when records arrived out of order since the last read. The returned
 // slice is immutable — later appends and re-sorts never mutate its backing
-// array — which makes it the window-delta primitive of the incremental
-// Monitor: the records entering or leaving a sliding window are exactly the
-// RecordsInRange of the window-edge delta intervals, in the same canonical
-// order a from-scratch evaluation would visit them. An empty interval
-// (te < ts) yields an empty slice.
+// array. An empty interval (te < ts) yields an empty slice.
 //
 // On a table with sealed parts the plan covers only the parts whose time
 // span overlaps [ts, te] — non-overlapping partitions are never touched —

@@ -41,9 +41,7 @@ func (t *Table) SequencesInRange(ts, te Time) map[ObjectID]Sequence {
 
 // SequencesInRangeSharded is the context-aware SequencesInRange: a canceled
 // ctx returns ctx.Err() and no sequences. Every sequence is in canonical order
-// — same-timestamp records in arrival order — the property that lets the
-// incremental Monitor splice window-delta records into retained sequences and
-// land on sequences bit-identical to a fresh fetch. workers is ignored: the
+// — same-timestamp records in arrival order. workers is ignored: the
 // grouping is one ordered pass, and the parameter stays only because
 // bench/e2e/trace.go passes it.
 func (t *Table) SequencesInRangeSharded(ctx context.Context, ts, te Time, workers int) (map[ObjectID]Sequence, error) {

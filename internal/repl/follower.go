@@ -16,25 +16,11 @@ import (
 	"sync"
 	"time"
 
-	"tkplq/internal/iupt"
+	"tkplq"
 	"tkplq/internal/parts"
 	"tkplq/internal/retry"
 	"tkplq/internal/wal"
 )
-
-// Applier is the surface a follower applies the replicated stream through.
-// Apply must route the batch through the same ingest serialization the
-// primary used (tkplq.System's ingest lock), so the follower's own WAL
-// re-encodes it into the byte-identical frame; Seal must seal the mutable
-// head, producing partition seq. Position reports the durable WAL position
-// (the active segment's sequence — which equals the newest seal sequence —
-// and its committed byte length).
-type Applier interface {
-	Apply(recs []iupt.Record) error
-	Seal(seq uint64) error
-	Position() (seq uint64, off int64)
-	SegmentPath(seq uint64) string
-}
 
 // AckEveryBytes coalesces a follower's progress reports: one ack per this
 // many applied WAL bytes, plus one on every seal and heartbeat.
@@ -53,9 +39,14 @@ type FollowerConfig struct {
 	Primaries []string
 	// Open is called exactly once, after the bootstrap files are applied:
 	// it must open the partitioned store over Dir (which recovers to
-	// exactly (startSeq, startOff)) and return the Applier the tail streams
-	// through. Required.
-	Open func(startSeq uint64, startOff int64) (Applier, error)
+	// exactly (startSeq, startOff)) and return it with the System persisting
+	// to it. The tail applies replicated batches through System.Ingest — the
+	// same validation, ingest lock, write-ahead append and live-monitor
+	// notification a local ingest gets, which is what makes the follower's
+	// WAL byte-identical and its subscriptions live — and seal markers
+	// through System.Snapshot, which holds the ingest lock across the seal
+	// exactly as on the primary. Required.
+	Open func(startSeq uint64, startOff int64) (*tkplq.System, *parts.Store, error)
 	// Retry paces reconnects (zero value = retry defaults). The attempt
 	// counter resets whenever a session makes progress, so a follower that
 	// keeps losing a flaky link backs off to Cap but recovers fast.
@@ -127,8 +118,8 @@ type Follower struct {
 	runDone   chan struct{} // closed when Run returns
 
 	mu         sync.Mutex
-	applier    Applier
-	opened     bool
+	sys        *tkplq.System // set with store when the local store opens
+	store      *parts.Store
 	promoted   bool
 	primaryIdx int
 	sessID     int64  // current stream's session id (acks echo it)
@@ -152,7 +143,7 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 }
 
 // Opened is closed once the bootstrap completed and the local store (and
-// Applier) exist: the daemon waits on it before serving reads.
+// System) exist: the daemon waits on it before serving reads.
 func (f *Follower) Opened() <-chan struct{} { return f.openedCh }
 
 // State returns a snapshot of the follower's replication health.
@@ -160,8 +151,8 @@ func (f *Follower) State() FollowerState {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	st := f.state
-	if f.applier != nil {
-		st.WALSeq, st.WALOff = f.applier.Position()
+	if f.store != nil {
+		st.WALSeq, st.WALOff = f.store.Log().Position()
 		st.SealSeq = st.WALSeq
 	}
 	return st
@@ -181,8 +172,8 @@ func (f *Follower) Promote() (seq uint64, off int64) {
 	<-f.runDone
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.applier != nil {
-		return f.applier.Position()
+	if f.store != nil {
+		return f.store.Log().Position()
 	}
 	return 0, 0
 }
@@ -264,12 +255,10 @@ func (f *Follower) currentPrimary() string {
 }
 
 // handshake builds the session request: a directory scan before the store
-// opens, the applier's live position after.
+// opens, the store's live position after.
 func (f *Follower) handshake() (Handshake, error) {
-	f.mu.Lock()
-	ap, opened := f.applier, f.opened
-	f.mu.Unlock()
-	if !opened {
+	_, store := f.local()
+	if store == nil {
 		h, err := scanDir(f.cfg.Dir)
 		if err != nil {
 			return Handshake{}, err
@@ -277,8 +266,8 @@ func (f *Follower) handshake() (Handshake, error) {
 		h.Follower = f.cfg.Self
 		return h, nil
 	}
-	seq, off := ap.Position()
-	crc, err := wal.PrefixCRC(ap.SegmentPath(seq), off)
+	seq, off := store.Log().Position()
+	crc, err := wal.PrefixCRC(store.Log().SegmentPath(seq), off)
 	if err != nil {
 		return Handshake{}, fatalf("repl: cannot checksum own segment %d: %v", seq, err)
 	}
@@ -394,7 +383,8 @@ func (f *Follower) session(ctx context.Context) (progressed bool, err error) {
 		if m.FullResync || m.ResetWAL || len(m.Files) > 0 {
 			return false, fatalf("repl: primary %s answered a live reconnect with a bootstrap manifest", primary)
 		}
-		seq, off := f.currentApplier().Position()
+		_, store := f.local()
+		seq, off := store.Log().Position()
 		if m.StartSeq != seq || m.StartOff != off {
 			return false, fatalf("repl: primary resumes at (%d, %d) but the store is at (%d, %d)", m.StartSeq, m.StartOff, seq, off)
 		}
@@ -405,10 +395,11 @@ func (f *Follower) session(ctx context.Context) (progressed bool, err error) {
 	return progressed || applied, err
 }
 
-func (f *Follower) currentApplier() Applier {
+// local returns the System and store Open built, nil before the store opens.
+func (f *Follower) local() (*tkplq.System, *parts.Store) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.applier
+	return f.sys, f.store
 }
 
 func (f *Follower) touch() {
@@ -561,17 +552,16 @@ func (f *Follower) receiveFile(next func() (byte, []byte, error), dir string, fi
 // openStore opens the local store over the bootstrapped directory and
 // verifies it recovered to exactly the manifest's start position.
 func (f *Follower) openStore(m Manifest) error {
-	ap, err := f.cfg.Open(m.StartSeq, m.StartOff)
+	sys, store, err := f.cfg.Open(m.StartSeq, m.StartOff)
 	if err != nil {
 		return fatalf("repl: opening bootstrapped store: %v", err)
 	}
-	seq, off := ap.Position()
+	seq, off := store.Log().Position()
 	if seq != m.StartSeq || off != m.StartOff {
 		return fatalf("repl: bootstrapped store recovered to (%d, %d), manifest starts at (%d, %d)", seq, off, m.StartSeq, m.StartOff)
 	}
 	f.mu.Lock()
-	f.applier = ap
-	f.opened = true
+	f.sys, f.store = sys, store
 	f.mu.Unlock()
 	close(f.openedCh)
 	f.cfg.logf("repl: follower %s: store open at (seal %d, off %d)", f.cfg.Self, seq, off)
@@ -581,7 +571,8 @@ func (f *Follower) openStore(m Manifest) error {
 // tail applies the live stream: WAL frames through the ingest lock, seal
 // markers as local seals, heartbeats as position updates. Every path acks.
 func (f *Follower) tail(next func() (byte, []byte, error)) (applied bool, err error) {
-	ap := f.currentApplier()
+	sys, store := f.local()
+	log := store.Log()
 	var sessFrames, sessBytes, unacked int64
 	for {
 		typ, payload, err := next()
@@ -594,11 +585,11 @@ func (f *Follower) tail(next func() (byte, []byte, error)) (applied bool, err er
 			if err != nil {
 				return applied, fmt.Errorf("repl: stream WAL frame: %w", err)
 			}
-			_, before := ap.Position()
-			if err := ap.Apply(recs); err != nil {
+			_, before := log.Position()
+			if err := sys.Ingest(recs); err != nil {
 				return applied, fatalf("repl: applying replicated batch: %v", err)
 			}
-			if _, after := ap.Position(); after-before != int64(len(payload)) {
+			if _, after := log.Position(); after-before != int64(len(payload)) {
 				return applied, fatalf("repl: applied frame re-encoded to %d bytes, primary wrote %d — WAL encoding diverged", after-before, len(payload))
 			}
 			applied = true
@@ -619,10 +610,10 @@ func (f *Follower) tail(next func() (byte, []byte, error)) (applied bool, err er
 			if err := json.Unmarshal(payload, &msg); err != nil {
 				return applied, fmt.Errorf("repl: seal marker: %w", err)
 			}
-			if err := ap.Seal(msg.Seq); err != nil {
+			if err := sys.Snapshot(); err != nil {
 				return applied, fatalf("repl: sealing at %d: %v", msg.Seq, err)
 			}
-			if seq, _ := ap.Position(); seq != msg.Seq {
+			if seq, _ := log.Position(); seq != msg.Seq {
 				return applied, fatalf("repl: seal produced sequence %d, primary sealed %d", seq, msg.Seq)
 			}
 			applied = true
@@ -652,11 +643,11 @@ func (f *Follower) tail(next func() (byte, []byte, error)) (applied bool, err er
 // updateSynced recomputes the caught-up bit: our position has reached the
 // primary's last-reported one.
 func (f *Follower) updateSynced() {
-	ap := f.currentApplier()
-	if ap == nil {
+	_, store := f.local()
+	if store == nil {
 		return
 	}
-	seq, off := ap.Position()
+	seq, off := store.Log().Position()
 	f.mu.Lock()
 	f.state.Synced = seq > f.primarySeq || (seq == f.primarySeq && off >= f.primaryOff)
 	f.mu.Unlock()
@@ -665,11 +656,11 @@ func (f *Follower) updateSynced() {
 // sendAck posts the follower's progress out of band; failures are logged
 // and absorbed (a stalled window tears the session down on the primary).
 func (f *Follower) sendAck(frames, bytesApplied int64) {
-	ap := f.currentApplier()
-	if ap == nil {
+	_, store := f.local()
+	if store == nil {
 		return
 	}
-	seq, off := ap.Position()
+	seq, off := store.Log().Position()
 	f.mu.Lock()
 	a := Ack{
 		Follower: f.cfg.Self,

@@ -327,21 +327,21 @@ func startFollower(t *testing.T, space *tkplq.Space, dir string, primaries []str
 		StallTimeout: 2 * time.Second,
 		Logf:         t.Logf,
 		hookFrame:    hook,
-		Open: func(startSeq uint64, startOff int64) (Applier, error) {
+		Open: func(startSeq uint64, startOff int64) (*tkplq.System, *parts.Store, error) {
 			store, table, err := tkplq.OpenPartitioned(tkplq.PartitionedOptions{Dir: dir, KeepSegments: 8})
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			sys, err := tkplq.NewSystem(space, table, tkplq.Options{})
 			if err != nil {
 				store.Close()
-				return nil, err
+				return nil, nil, err
 			}
 			sys.SetPersister(store)
 			tf.mu.Lock()
 			tf.sys, tf.store = sys, store
 			tf.mu.Unlock()
-			return NewSystemApplier(sys, store), nil
+			return sys, store, nil
 		},
 	}
 	fol, err := NewFollower(cfg)

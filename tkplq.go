@@ -175,10 +175,10 @@ func (s *System) Ingest(recs []Record) error {
 		s.table.Append(rec)
 	}
 	// Announce the batch to live monitors and subscriptions while still
-	// holding the ingest lock — their table-read barrier — so each monitor
-	// sees the batch exactly once: in this announcement or in a table
-	// snapshot it reads later, never both.
-	s.engine.NotifyAppend(s.table, recs, s.table.Len())
+	// holding the ingest lock — the barrier of a monitor's one table read —
+	// so each monitor sees the batch exactly once and in table order: in this
+	// announcement or in the read that builds it, never both.
+	s.engine.NotifyAppend(s.table, recs)
 	return nil
 }
 
