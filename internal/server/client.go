@@ -202,6 +202,33 @@ func (c *shardClient) call(ctx context.Context, method, path string, body []byte
 	return resp.StatusCode, buf.Bytes(), nil
 }
 
+// fetch is call for the requests whose only success is a 200: a transport
+// failure or any other status becomes the member's shardError, and the 200
+// body is returned as read.
+func (c *shardClient) fetch(ctx context.Context, method, path string, body []byte) ([]byte, error) {
+	status, out, err := c.call(ctx, method, path, body)
+	if err != nil {
+		return nil, c.err(err)
+	}
+	if status != http.StatusOK {
+		return nil, c.errAt(status, errorEnvelope(status, out))
+	}
+	return out, nil
+}
+
+// fetchJSON is a bodiless fetch whose 200 body decodes into v; what names
+// the answer in a decoding error.
+func (c *shardClient) fetchJSON(ctx context.Context, method, path, what string, v any) error {
+	out, err := c.fetch(ctx, method, path, nil)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(out, v); err != nil {
+		return c.err(fmt.Errorf("decoding %s: %w", what, err))
+	}
+	return nil
+}
+
 // probe refreshes the member's health state from its /readyz; one holding
 // fewer than acked records is not ready for reads whatever it says (see
 // staleAt). Probes use their own short timeout and do not touch the request
@@ -254,16 +281,9 @@ func (c *shardClient) probe(ctx context.Context, acked int) {
 // on the server side). On success the local health view flips immediately
 // so the router can route writes without waiting for the next probe.
 func (c *shardClient) promote(ctx context.Context) error {
-	status, out, err := c.call(ctx, http.MethodPost, repl.PathPromote, nil)
-	if err != nil {
-		return c.err(err)
-	}
-	if status != http.StatusOK {
-		return c.errAt(status, errorEnvelope(status, out))
-	}
 	var pr PromoteResponse
-	if err := json.Unmarshal(out, &pr); err != nil {
-		return c.err(fmt.Errorf("decoding promote response: %w", err))
+	if err := c.fetchJSON(ctx, http.MethodPost, repl.PathPromote, "promote response", &pr); err != nil {
+		return err
 	}
 	c.modeVal.Store(memberModePrimary)
 	c.reachable.Store(true)
@@ -294,12 +314,9 @@ func (c *shardClient) partial(ctx context.Context, req QueryV2, acked int) (*cor
 	if err != nil {
 		return nil, c.err(err)
 	}
-	status, out, err := c.call(ctx, http.MethodPost, "/v2/partial", body)
+	out, err := c.fetch(ctx, http.MethodPost, "/v2/partial", body)
 	if err != nil {
-		return nil, c.err(err)
-	}
-	if status != http.StatusOK {
-		return nil, c.errAt(status, errorEnvelope(status, out))
+		return nil, err
 	}
 	p, records, err := decodePartial(out, len(req.SLocs))
 	if err != nil {
@@ -313,16 +330,9 @@ func (c *shardClient) partial(ctx context.Context, req QueryV2, acked int) (*cor
 
 // span fetches the member table's time span.
 func (c *shardClient) span(ctx context.Context, acked int) (*SpanResponse, error) {
-	status, out, err := c.call(ctx, http.MethodGet, "/v2/span", nil)
-	if err != nil {
-		return nil, c.err(err)
-	}
-	if status != http.StatusOK {
-		return nil, c.errAt(status, errorEnvelope(status, out))
-	}
 	var sp SpanResponse
-	if err := json.Unmarshal(out, &sp); err != nil {
-		return nil, c.err(fmt.Errorf("decoding span: %w", err))
+	if err := c.fetchJSON(ctx, http.MethodGet, "/v2/span", "span", &sp); err != nil {
+		return nil, err
 	}
 	if err := c.staleAt(sp.Records, acked); err != nil {
 		return nil, err
@@ -362,14 +372,7 @@ func (c *shardClient) ingest(ctx context.Context, recs []RecordJSON) (*IngestRes
 
 // stats fetches the member's /v1/stats payload verbatim.
 func (c *shardClient) stats(ctx context.Context) (json.RawMessage, error) {
-	status, out, err := c.call(ctx, http.MethodGet, "/v1/stats", nil)
-	if err != nil {
-		return nil, c.err(err)
-	}
-	if status != http.StatusOK {
-		return nil, c.errAt(status, errorEnvelope(status, out))
-	}
-	return json.RawMessage(out), nil
+	return c.fetch(ctx, http.MethodGet, "/v1/stats", nil)
 }
 
 // isShardError reports whether err (anywhere in its chain) is a failed

@@ -282,7 +282,10 @@ func TestClusterStatsAndHealth(t *testing.T) {
 	// Router refuses the per-shard surfaces loudly.
 	for _, ep := range []struct{ method, path string }{
 		{http.MethodPost, "/v1/snapshot"},
+		{http.MethodPost, "/v1/compact"},
 		{http.MethodGet, "/v2/subscribe?window=900&k=3"},
+		{http.MethodPost, "/v2/partial"},
+		{http.MethodGet, "/v2/span"},
 	} {
 		req, _ := http.NewRequest(ep.method, c.routerTS.URL+ep.path, strings.NewReader("{}"))
 		resp, err := client.Do(req)

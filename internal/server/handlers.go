@@ -253,17 +253,21 @@ type MonitorStatJSON struct {
 	Observed int   `json:"observed"`
 }
 
-// errorJSON writes a JSON error body with the status code.
-func errorJSON(w http.ResponseWriter, code int, format string, args ...any) {
+// writeJSONStatus writes a JSON body with an explicit status code.
+func writeJSONStatus(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// errorJSON writes a JSON error body with the status code.
+func errorJSON(w http.ResponseWriter, code int, format string, args ...any) {
+	writeJSONStatus(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
 // writeJSON writes a 200 JSON body.
 func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
+	writeJSONStatus(w, http.StatusOK, v)
 }
 
 var algorithms = map[string]tkplq.Algorithm{
@@ -304,21 +308,33 @@ func (s *Server) writeQueryError(w http.ResponseWriter, err error) {
 	}
 }
 
-// convertRecords validates the wire records against the space and converts
-// them. A bad P-location yields the structured *tkplq.IngestError naming the
-// record — the same shape System.Ingest raises — so router-side validation
-// rejects a batch before any shard applies a sub-batch of it.
-func (s *Server) convertRecords(in []RecordJSON) ([]tkplq.Record, *tkplq.IngestError) {
-	recs := make([]tkplq.Record, 0, len(in))
+// readIngest is the step every POST /v1/ingest starts with: decode the
+// batch, refuse an empty one, and validate it against the space while
+// converting it. A bad P-location is refused with the structured rejection
+// naming the record — the shape System.Ingest raises — so a router refuses a
+// batch before any shard applies a sub-batch of it. On a bad batch it has
+// written the 400 and reports false.
+func (s *Server) readIngest(w http.ResponseWriter, r *http.Request) ([]RecordJSON, []tkplq.Record, bool) {
+	var req IngestRequest
+	if err := decodeBody(w, r, &req); err != nil {
+		errorJSON(w, http.StatusBadRequest, "bad ingest request: %v", err)
+		return nil, nil, false
+	}
+	if len(req.Records) == 0 {
+		errorJSON(w, http.StatusBadRequest, "empty batch")
+		return nil, nil, false
+	}
+	recs := make([]tkplq.Record, 0, len(req.Records))
 	numPLocs := s.sys.Space().NumPLocations()
-	for i, rj := range in {
+	for i, rj := range req.Records {
 		samples := make(tkplq.SampleSet, 0, len(rj.Samples))
 		for _, sj := range rj.Samples {
 			if sj.PLoc < 0 || sj.PLoc >= numPLocs {
-				return nil, &tkplq.IngestError{
+				writeJSON400Ingest(w, &tkplq.IngestError{
 					Index: i, OID: tkplq.ObjectID(rj.OID), T: tkplq.Time(rj.T),
 					Err: fmt.Errorf("unknown P-location %d", sj.PLoc),
-				}
+				})
+				return nil, nil, false
 			}
 			samples = append(samples, tkplq.Sample{Loc: tkplq.PLocID(sj.PLoc), Prob: sj.Prob})
 		}
@@ -328,9 +344,10 @@ func (s *Server) convertRecords(in []RecordJSON) ([]tkplq.Record, *tkplq.IngestE
 			Samples: samples,
 		})
 	}
-	return recs, nil
+	return req.Records, recs, true
 }
 
+// handleIngest serves POST /v1/ingest on a member that holds records.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if s.isFollower() {
 		// A follower's table is the primary's replicated WAL and nothing
@@ -339,22 +356,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		s.writeFollowerRefusal(w, "ingest")
 		return
 	}
-	var req IngestRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		errorJSON(w, http.StatusBadRequest, "bad ingest request: %v", err)
-		return
-	}
-	if len(req.Records) == 0 {
-		errorJSON(w, http.StatusBadRequest, "empty batch")
-		return
-	}
-	recs, ie := s.convertRecords(req.Records)
-	if ie != nil {
-		writeJSON400Ingest(w, ie)
-		return
-	}
-	if s.router != nil {
-		s.handleIngestRouted(w, r, req.Records)
+	_, recs, ok := s.readIngest(w, r)
+	if !ok {
 		return
 	}
 	if s.cfg.Role == RoleShard {
@@ -420,16 +423,8 @@ func (s *Server) autoSnapshot(trigger string) {
 }
 
 // handleSnapshot serves POST /v1/snapshot: an on-demand seal of the head.
-// Without a durable store the endpoint answers 501.
+// Only a member with a durable store serves it (see New).
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if s.router != nil {
-		errorJSON(w, http.StatusNotImplemented, "snapshots are per-shard (POST /v1/snapshot on each shard)")
-		return
-	}
-	if s.cfg.Store == nil {
-		errorJSON(w, http.StatusNotImplemented, "persistence not configured (start tkplqd with -data-dir)")
-		return
-	}
 	if s.isFollower() {
 		s.writeFollowerRefusal(w, "snapshot")
 		return
@@ -464,16 +459,9 @@ type CompactResponse struct {
 }
 
 // handleCompact serves POST /v1/compact: one on-demand, policy-driven
-// partition compaction. Without a durable store the endpoint answers 501.
+// partition compaction. Only a member with a durable store serves it (see
+// New).
 func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
-	if s.router != nil {
-		errorJSON(w, http.StatusNotImplemented, "compaction is per-shard (POST /v1/compact on each shard)")
-		return
-	}
-	if s.cfg.Store == nil {
-		errorJSON(w, http.StatusNotImplemented, "persistence not configured (start tkplqd with -data-dir)")
-		return
-	}
 	if s.isFollower() {
 		// Compaction rewrites the partition file set; a follower's must
 		// stay a byte-for-byte copy of what the primary shipped.
@@ -499,9 +487,7 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 // writeJSON400Ingest writes the structured rejection envelope for one
 // *tkplq.IngestError.
 func writeJSON400Ingest(w http.ResponseWriter, ie *tkplq.IngestError) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusBadRequest)
-	_ = json.NewEncoder(w).Encode(IngestErrorResponse{
+	writeJSONStatus(w, http.StatusBadRequest, IngestErrorResponse{
 		Error: ie.Error(),
 		Index: ie.Index,
 		OID:   int64(ie.OID),

@@ -121,9 +121,7 @@ type DegradedJSON struct {
 // operators and the cluster smoke test can identify the missing member
 // without parsing the message.
 func writeShardError(w http.ResponseWriter, se *shardError) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusServiceUnavailable)
-	_ = json.NewEncoder(w).Encode(struct {
+	writeJSONStatus(w, http.StatusServiceUnavailable, struct {
 		Error    string       `json:"error"`
 		Degraded DegradedJSON `json:"degraded"`
 	}{
@@ -132,17 +130,15 @@ func writeShardError(w http.ResponseWriter, se *shardError) {
 	})
 }
 
-// writeJSONStatus writes a JSON body with an explicit status code.
-func writeJSONStatus(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// handleIngestRouted is the router half of POST /v1/ingest: the batch is
-// already space-validated; split it by owning shard, fan it out, and render
-// whichever envelope the composed outcome calls for (see Router.ingest).
-func (s *Server) handleIngestRouted(w http.ResponseWriter, r *http.Request, recs []RecordJSON) {
+// handleIngestRouted serves POST /v1/ingest on a router: validate the batch
+// against the space (readIngest) so no shard applies a sub-batch of a bad
+// one, split it by owning shard, fan it out, and render whichever envelope
+// the composed outcome calls for (see Router.ingest).
+func (s *Server) handleIngestRouted(w http.ResponseWriter, r *http.Request) {
+	recs, _, ok := s.readIngest(w, r)
+	if !ok {
+		return
+	}
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
 	status, body := s.router.ingest(ctx, recs)
@@ -168,9 +164,9 @@ func (s *Server) handleIngestRouted(w http.ResponseWriter, r *http.Request, recs
 // distributed fan-in. It evaluates the local objects' per-object presence
 // rows for one pinned-window query and answers them in the binary partial
 // body (encodePartial); refusals stay JSON error envelopes. The router merges
-// the shards' partials in canonical ascending-object order. The endpoint is
-// served in every role (a standalone node is a valid 1-shard cluster) but is
-// not a public API.
+// the shards' partials in canonical ascending-object order. Every member
+// that holds records serves it (a standalone node is a valid 1-shard
+// cluster); it is not a public API.
 func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 	var req QueryV2
 	if err := decodeBody(w, r, &req); err != nil {

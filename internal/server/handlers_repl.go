@@ -12,9 +12,8 @@ import (
 // (Source, streaming the store to followers) and, on a member booted as a
 // follower, the Follower whose promotion flips the serving mode.
 type ReplConfig struct {
-	// Source serves POST /v2/replicate; required on any replicated shard
-	// (a promoted follower becomes a primary and must be able to feed its
-	// rejoining siblings).
+	// Source serves POST /v2/replicate. Required: a promoted follower
+	// becomes a primary and must be able to feed its rejoining siblings.
 	Source *repl.Source
 	// Follower is non-nil when this member booted with -replica-of: the
 	// server starts in follower mode (read-only, not ready until synced)
@@ -102,10 +101,6 @@ func (s *Server) isFollower() bool { return s.following.Load() }
 // writeFollowerRefusal is the structured 503 for a write endpoint hit on a
 // follower: the member is healthy, just not the one that accepts writes.
 func (s *Server) writeFollowerRefusal(w http.ResponseWriter, what string) {
-	upstream := ""
-	if rc := s.cfg.Replication; rc != nil && rc.Follower != nil {
-		upstream = rc.Follower.State().Primary
-	}
 	writeJSONStatus(w, http.StatusServiceUnavailable, struct {
 		Error     string `json:"error"`
 		Mode      string `json:"mode"`
@@ -113,7 +108,7 @@ func (s *Server) writeFollowerRefusal(w http.ResponseWriter, what string) {
 	}{
 		Error:     what + " is refused on a follower (read-only replica); talk to the primary or the router",
 		Mode:      "follower",
-		Following: upstream,
+		Following: s.cfg.Replication.Follower.State().Primary,
 	})
 }
 
@@ -142,9 +137,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		} else {
 			out.Mode = "primary"
 			out.Synced = true
-			if s.cfg.Store != nil {
-				out.SealSeq, out.WALOff = s.cfg.Store.Log().Position()
-			}
+			out.SealSeq, out.WALOff = s.cfg.Store.Log().Position()
 		}
 	}
 	code := http.StatusOK
@@ -172,11 +165,6 @@ func (lw *lazyWriter) Write(p []byte) (int, error) {
 // when the link drops, the session is superseded, or the follower stops
 // acking.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
-	rc := s.cfg.Replication
-	if rc == nil || rc.Source == nil {
-		errorJSON(w, http.StatusNotImplemented, "replication not configured on this member")
-		return
-	}
 	if s.isFollower() {
 		errorJSON(w, http.StatusServiceUnavailable, "this member is a follower; replicate from the primary")
 		return
@@ -198,7 +186,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-store")
 
 	lw := &lazyWriter{w: w}
-	err := rc.Source.Serve(r.Context(), lw, func() { fl.Flush() }, h)
+	err := s.cfg.Replication.Source.Serve(r.Context(), lw, func() { fl.Flush() }, h)
 	if err != nil && !lw.wrote {
 		if errors.Is(err, repl.ErrBootstrapRequired) {
 			errorJSON(w, http.StatusConflict, "%v", err)
@@ -215,17 +203,12 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 // handleReplicateAck serves POST /v2/replicate/ack: a follower's
 // out-of-band progress report.
 func (s *Server) handleReplicateAck(w http.ResponseWriter, r *http.Request) {
-	rc := s.cfg.Replication
-	if rc == nil || rc.Source == nil {
-		errorJSON(w, http.StatusNotImplemented, "replication not configured on this member")
-		return
-	}
 	var a repl.Ack
 	if err := decodeBody(w, r, &a); err != nil {
 		errorJSON(w, http.StatusBadRequest, "bad ack: %v", err)
 		return
 	}
-	rc.Source.Ack(a)
+	s.cfg.Replication.Source.Ack(a)
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -233,20 +216,13 @@ func (s *Server) handleReplicateAck(w http.ResponseWriter, r *http.Request) {
 // Idempotent — promoting a primary reports its position and changes
 // nothing. The router calls this during failover; operators can too.
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
-	rc := s.cfg.Replication
-	if rc == nil {
-		errorJSON(w, http.StatusNotImplemented, "replication not configured on this member")
-		return
-	}
 	if !s.isFollower() {
 		out := PromoteResponse{Mode: "primary"}
-		if s.cfg.Store != nil {
-			out.SealSeq, out.WALOff = s.cfg.Store.Log().Position()
-		}
+		out.SealSeq, out.WALOff = s.cfg.Store.Log().Position()
 		writeJSON(w, out)
 		return
 	}
-	seq, off := rc.Follower.Promote()
+	seq, off := s.cfg.Replication.Follower.Promote()
 	s.following.Store(false)
 	s.cfg.Logf("server: promoted to primary at (seal %d, wal off %d)", seq, off)
 	writeJSON(w, PromoteResponse{Mode: "primary", Promoted: true, SealSeq: seq, WALOff: off})
@@ -281,22 +257,20 @@ func (s *Server) replicationStats() *ReplicationStatsJSON {
 		return out
 	}
 	out.Mode = "primary"
-	if rc.Source != nil {
-		for _, f := range rc.Source.Status() {
-			out.Followers = append(out.Followers, ReplFollowerJSON{
-				ID:                f.ID,
-				AgeSeconds:        f.Age.Seconds(),
-				SentFrames:        f.SentFrames,
-				SentBytes:         f.SentBytes,
-				AckFrames:         f.AckFrames,
-				AckBytes:          f.AckBytes,
-				LagFrames:         f.LagFrames,
-				LagBytes:          f.LagBytes,
-				SealSeq:           f.SealSeq,
-				WALOff:            f.WALOff,
-				LastAckAgeSeconds: f.LastAckAge.Seconds(),
-			})
-		}
+	for _, f := range rc.Source.Status() {
+		out.Followers = append(out.Followers, ReplFollowerJSON{
+			ID:                f.ID,
+			AgeSeconds:        f.Age.Seconds(),
+			SentFrames:        f.SentFrames,
+			SentBytes:         f.SentBytes,
+			AckFrames:         f.AckFrames,
+			AckBytes:          f.AckBytes,
+			LagFrames:         f.LagFrames,
+			LagBytes:          f.LagBytes,
+			SealSeq:           f.SealSeq,
+			WALOff:            f.WALOff,
+			LastAckAgeSeconds: f.LastAckAge.Seconds(),
+		})
 	}
 	return out
 }

@@ -138,17 +138,6 @@ func (s *Server) renderResponse(req QueryV2, resp *tkplq.Response, elapsed time.
 	return out
 }
 
-// endOfData resolves a te == 0 window: the table's newest timestamp, on a
-// router the newest across the cluster (its own table is empty, so it fans
-// /v2/span under the request context).
-func (s *Server) endOfData(ctx context.Context) (tkplq.Time, error) {
-	if s.router != nil {
-		return s.router.endOfData(ctx)
-	}
-	_, hi, _ := s.sys.Table().TimeSpan()
-	return hi, nil
-}
-
 // handleQueryV2 serves POST /v2/query: a single query object, or an array of
 // queries evaluated as one shared-work batch. Both are one convert → evaluate
 // → render path; a single object is a batch of one answered without the

@@ -26,6 +26,14 @@
 //	                   replication stream, follower progress reports, failover
 //	                   promotion (see internal/repl)
 //
+// New decides once, from the role, Config.Store and Config.Replication,
+// which handler serves each route: a route the member does not serve (a
+// router's per-shard surfaces, persistence without a store, replication
+// without a config) gets refuse, a 501 naming why. Handlers keep only the
+// checks New cannot make: follower mode (promotion flips it), a shard's
+// ownership of each ingested object, and which stats and readiness sections
+// to report.
+//
 // Every request is evaluated under its own context: the per-request budget
 // (Config.RequestTimeout) and the client connection are the cancellation
 // sources, so a timed-out or disconnected request stops the engine's shard
@@ -126,7 +134,7 @@ type Config struct {
 	HealthInterval time.Duration
 	// Replication wires per-shard replication (shard/standalone roles): the
 	// primary-side stream source and, on a member booted as a replica, the
-	// follower whose promotion flips the serving mode.
+	// follower whose promotion flips the serving mode. Requires Store.
 	Replication *ReplConfig
 }
 
@@ -150,6 +158,9 @@ type Server struct {
 	// evaluate answers a converted /v2/query: the system's DoBatch, in the
 	// router role the same driver over the cluster's rows.
 	evaluate func(ctx context.Context, qs []tkplq.Query) ([]*tkplq.Response, error)
+	// endOfData resolves a te == 0 window: the table's newest timestamp, in
+	// the router role the newest across the cluster (Router.endOfData).
+	endOfData func(ctx context.Context) (tkplq.Time, error)
 
 	ownershipRejects atomic.Int64 // shard role: ingest records refused as not-owned
 	following        atomic.Bool  // replica booted as a follower and not yet promoted
@@ -202,22 +213,56 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: unknown role %q (want %s, %s or %s)",
 			cfg.Role, RoleStandalone, RoleShard, RoleRouter)
 	}
-	if cfg.Replication != nil && cfg.Role == RoleRouter {
-		return nil, errors.New("server: the router role does not replicate (Replication is for shard/standalone members)")
+	if cfg.Replication != nil {
+		switch {
+		case cfg.Role == RoleRouter:
+			return nil, errors.New("server: the router role does not replicate (Replication is for shard/standalone members)")
+		case cfg.Replication.Source == nil:
+			return nil, errors.New("server: Replication requires a Source")
+		case cfg.Store == nil:
+			return nil, errors.New("server: Replication requires a Store")
+		}
 	}
 	if cfg.SnapshotInterval > 0 && cfg.Store == nil {
 		return nil, errors.New("server: SnapshotInterval requires a Store")
 	}
 	s := &Server{sys: cfg.System, cfg: cfg, started: time.Now(), autoSeal: make(chan struct{}, 1),
 		stopTicker: func() {}, evaluate: cfg.System.DoBatch}
+	s.endOfData = func(context.Context) (tkplq.Time, error) {
+		_, hi, _ := cfg.System.Table().TimeSpan()
+		return hi, nil
+	}
 	if cfg.Replication != nil && cfg.Replication.Follower != nil {
 		s.following.Store(true)
+	}
+
+	// The member's routes, decided once: a route it does not serve answers
+	// 501 with the reason (refuse), so no handler asks what member it is.
+	ingest, subscribe, partial, span := s.handleIngest, s.handleSubscribe, s.handlePartial, s.handleSpan
+	snapshot, compact := s.handleSnapshot, s.handleCompact
+	replicate, replicateAck, promote := s.handleReplicate, s.handleReplicateAck, s.handlePromote
+	if cfg.Store == nil {
+		const why = "persistence not configured (start tkplqd with -data-dir)"
+		snapshot, compact = refuse(why), refuse(why)
+	}
+	if cfg.Replication == nil {
+		const why = "replication not configured on this member"
+		replicate, replicateAck, promote = refuse(why), refuse(why), refuse(why)
 	}
 	if cfg.Role == RoleRouter {
 		s.router = newRouter(cfg.Topology, cfg.System, cfg.ShardTimeout, cfg.Retry, cfg.HealthInterval, cfg.Logf)
 		s.evaluate = func(ctx context.Context, qs []tkplq.Query) ([]*tkplq.Response, error) {
 			return s.router.drv.Answer(ctx, s.router, qs)
 		}
+		// The router's table is empty: the end of data is the cluster's.
+		s.endOfData = s.router.endOfData
+		ingest = s.handleIngestRouted
+		// Records, seals and incremental monitors live next to the data.
+		snapshot = refuse("snapshots are per-shard (POST /v1/snapshot on each shard)")
+		compact = refuse("compaction is per-shard (POST /v1/compact on each shard)")
+		subscribe = refuse("subscriptions are per-shard in a cluster (GET /v2/subscribe on a shard)")
+		partial = refuse("partials are per-shard (POST /v2/partial on each shard); a router holds no records")
+		span = refuse("spans are per-shard (GET /v2/span on each shard); a router holds no records")
 	}
 
 	// Explicit method checks (rather than Go 1.22 method patterns) so a
@@ -225,18 +270,18 @@ func New(cfg Config) (*Server, error) {
 	// text 405.
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v2/query", s.method(http.MethodPost, s.handleQueryV2))
-	mux.HandleFunc("/v2/subscribe", s.method(http.MethodGet, s.handleSubscribe))
-	mux.HandleFunc("/v1/ingest", s.method(http.MethodPost, s.handleIngest))
-	mux.HandleFunc("/v1/snapshot", s.method(http.MethodPost, s.handleSnapshot))
-	mux.HandleFunc("/v1/compact", s.method(http.MethodPost, s.handleCompact))
-	mux.HandleFunc("/v2/partial", s.method(http.MethodPost, s.handlePartial))
-	mux.HandleFunc("/v2/span", s.method(http.MethodGet, s.handleSpan))
+	mux.HandleFunc("/v2/subscribe", s.method(http.MethodGet, subscribe))
+	mux.HandleFunc("/v1/ingest", s.method(http.MethodPost, ingest))
+	mux.HandleFunc("/v1/snapshot", s.method(http.MethodPost, snapshot))
+	mux.HandleFunc("/v1/compact", s.method(http.MethodPost, compact))
+	mux.HandleFunc("/v2/partial", s.method(http.MethodPost, partial))
+	mux.HandleFunc("/v2/span", s.method(http.MethodGet, span))
 	mux.HandleFunc("/v1/stats", s.method(http.MethodGet, s.handleStats))
 	mux.HandleFunc("/healthz", s.method(http.MethodGet, s.handleHealthz))
 	mux.HandleFunc("/readyz", s.method(http.MethodGet, s.handleReadyz))
-	mux.HandleFunc(repl.PathReplicate, s.method(http.MethodPost, s.handleReplicate))
-	mux.HandleFunc(repl.PathReplicateAck, s.method(http.MethodPost, s.handleReplicateAck))
-	mux.HandleFunc(repl.PathPromote, s.method(http.MethodPost, s.handlePromote))
+	mux.HandleFunc(repl.PathReplicate, s.method(http.MethodPost, replicate))
+	mux.HandleFunc(repl.PathReplicateAck, s.method(http.MethodPost, replicateAck))
+	mux.HandleFunc(repl.PathPromote, s.method(http.MethodPost, promote))
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		errorJSON(w, http.StatusNotFound, "no such endpoint %s", r.URL.Path)
 	})
@@ -250,6 +295,13 @@ func New(cfg Config) (*Server, error) {
 		IdleTimeout:  2 * time.Minute,
 	}
 	return s, nil
+}
+
+// refuse is the handler of a route this member does not serve: 501 with why.
+func refuse(why string) func(http.ResponseWriter, *http.Request) {
+	return func(w http.ResponseWriter, r *http.Request) {
+		errorJSON(w, http.StatusNotImplemented, "%s", why)
+	}
 }
 
 // method wraps a handler with a method check that answers in the JSON error
@@ -340,7 +392,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if s.router != nil {
 		s.router.stop()
 	}
-	if rc := s.cfg.Replication; rc != nil && rc.Source != nil {
+	if rc := s.cfg.Replication; rc != nil {
 		// The replication streams are active handlers that never end on
 		// their own; cancel them or httpSrv.Shutdown waits out its budget.
 		rc.Source.Shutdown()

@@ -83,11 +83,6 @@ func (s *Server) subscribeQuery(r *http.Request) (tkplq.Query, error) {
 // budget does not apply — with comment heartbeats (Config.SSEHeartbeat)
 // keeping intermediaries from timing the connection out.
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
-	if s.router != nil {
-		// Incremental monitors live next to the data; a router holds none.
-		errorJSON(w, http.StatusNotImplemented, "subscriptions are per-shard in a cluster (GET /v2/subscribe on a shard)")
-		return
-	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		errorJSON(w, http.StatusInternalServerError, "streaming unsupported by this connection")

@@ -144,6 +144,16 @@ echo "${RSTATS}" | jq .cluster
 echo "${RSTATS}" | jq -e '.role == "router" and .cluster.fan_outs >= 1' >/dev/null
 echo "${RSTATS}" | jq -e '.cluster.shards | length == 2 and all(.healthy)' >/dev/null
 
+echo "== router refuses the per-shard surfaces with a 501 envelope"
+for ep in "POST /v1/snapshot" "POST /v1/compact" "GET /v2/subscribe?window=900&k=3" \
+    "POST /v2/partial" "GET /v2/span"; do
+    read -r method path <<< "${ep}"
+    CODE=$(curl -sS -o "${WORKDIR}/refusal.json" -w '%{http_code}' -X "${method}" "http://${ROUTER_ADDR}${path}")
+    if [ "${CODE}" != "501" ] || ! jq -e '.error | length > 0' "${WORKDIR}/refusal.json" >/dev/null; then
+        echo "router ${ep} = ${CODE}, want 501 with an error envelope:"; cat "${WORKDIR}/refusal.json"; exit 1
+    fi
+done
+
 echo "== kill -9 shard 0: fan-outs degrade with the structured 503"
 kill -9 "${SHARD0_PID}"
 wait "${SHARD0_PID}" 2>/dev/null || true
