@@ -49,8 +49,9 @@ benchdiff:
 	$(GO) run ./cmd/benchjson -diff -threshold $(BENCH_THRESHOLD) $(BENCH_OLD) $(BENCH_NEW)
 
 # Fuzz smoke: the on-disk-format fuzzers (partition files, WAL segments,
-# binary IUPT files) and the wire-format fuzzer (the shard's /v2/partial
-# body), a short budget each on top of their seeds (f.Add, plus
+# binary IUPT files), the wire-format fuzzer (the shard's /v2/partial body)
+# and the table-read fuzzer (a backed table's range reads against a flat
+# table's), a short budget each on top of their seeds (f.Add, plus
 # testdata/fuzz/ where committed). CI runs this on every push; leave a
 # crasher running overnight with FUZZTIME=8h. New crash inputs land in the
 # package's testdata/fuzz/ directory — commit them, they become regression
@@ -60,6 +61,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPartitionOpen$$' -fuzztime $(FUZZTIME) ./internal/parts
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME) ./internal/iupt
+	$(GO) test -run '^$$' -fuzz '^FuzzTableRead$$' -fuzztime $(FUZZTIME) ./internal/iupt
 	$(GO) test -run '^$$' -fuzz '^FuzzPartialDecode$$' -fuzztime $(FUZZTIME) ./internal/server
 
 # Coverage artifact: atomic-mode profile across every package, plus the

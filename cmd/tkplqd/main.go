@@ -225,14 +225,19 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	var folErrCh chan error
 	switch m.kind {
 	case kindRouter, kindInMemory:
-		table := iupt.NewTable() // the router holds no records
+		if sys, err = tkplq.NewSystem(b.Space, iupt.NewTable(), opts); err != nil {
+			return err
+		}
+		// The router holds no records; an in-memory member ingests its
+		// initial dataset.
 		if m.kind == kindInMemory {
-			if table, err = buildTable(b, *iuptFile, *format, *objects, *duration, *seed, own); err != nil {
+			table, err := buildTable(b, *iuptFile, *format, *objects, *duration, *seed, own)
+			if err != nil {
 				return err
 			}
-		}
-		if sys, err = tkplq.NewSystem(b.Space, table, opts); err != nil {
-			return err
+			if err := ingestInitial(sys, table); err != nil {
+				return fmt.Errorf("initial ingest: %w", err)
+			}
 		}
 	case kindFollower:
 		// The replication stream owns the data directory — it may wipe it
@@ -529,8 +534,9 @@ func openDurable(space *tkplq.Space, po tkplq.PartitionedOptions, opts tkplq.Opt
 }
 
 // ingestInitial feeds the initial dataset through System.Ingest in chunks
-// bounded well under the WAL's 64 MiB frame limit, so bootstrapping a
-// partitioned data directory exercises exactly the live write path.
+// bounded well under the WAL's 64 MiB frame limit, so every boot that holds
+// records — in memory, or bootstrapping a partitioned data directory — takes
+// exactly the live write path and its checks.
 func ingestInitial(sys *tkplq.System, table *tkplq.Table) error {
 	const maxChunkBytes = 8 << 20
 	for recs := table.SortedRecords(); len(recs) > 0; {
@@ -591,12 +597,6 @@ func buildTable(b *sim.Building, iuptFile, format string, objects int, duration,
 	if err != nil {
 		return nil, err
 	}
-	if iuptFile != "" {
-		if err := table.Validate(); err != nil {
-			return nil, fmt.Errorf("%s: %w", iuptFile, err)
-		}
-	}
-
 	if own != nil {
 		owned := iupt.NewTable()
 		for _, rec := range table.SortedRecords() {

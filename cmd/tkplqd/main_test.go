@@ -244,7 +244,7 @@ func TestDaemonDurableRestart(t *testing.T) {
 }
 
 // buildSystem is the in-memory boot of run as a plain call: the named
-// building and buildTable's records, served by a new System.
+// building and buildTable's records, ingested into a new System.
 func buildSystem(dataset, iuptFile, format string, objects int, duration, seed int64, workers int, own func(tkplq.ObjectID) bool) (*tkplq.System, error) {
 	b, err := sim.BuildingByName(dataset)
 	if err != nil {
@@ -254,7 +254,11 @@ func buildSystem(dataset, iuptFile, format string, objects int, duration, seed i
 	if err != nil {
 		return nil, err
 	}
-	return tkplq.NewSystem(b.Space, table, tkplq.Options{Workers: workers})
+	sys, err := tkplq.NewSystem(b.Space, tkplq.NewTable(), tkplq.Options{Workers: workers})
+	if err != nil {
+		return nil, err
+	}
+	return sys, ingestInitial(sys, table)
 }
 
 // TestBuildSystemFromFile round-trips a table through the gendata CSV format
@@ -313,6 +317,25 @@ func TestBuildSystemFromFile(t *testing.T) {
 	}
 	if _, err := buildSystem("syn", filepath.Join(t.TempDir(), "missing.csv"), "csv", 0, 0, 5, 1, nil); err == nil {
 		t.Error("missing file accepted")
+	}
+}
+
+// TestDaemonRefusesUnknownPLocation: an -iupt file that names a P-location
+// the building does not have fails the in-memory boot, which ingests the
+// file through System.Ingest's checks, instead of serving a table every
+// query over that record would crash on.
+func TestDaemonRefusesUnknownPLocation(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "iupt.csv")
+	if err := os.WriteFile(path, []byte("1,10,3:0.5;1000000:0.5\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A boot that wrongly succeeds serves until the deadline.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	var out syncBuffer
+	err := run(ctx, []string{"-addr", "127.0.0.1:0", "-iupt", path}, &out)
+	if err == nil || !strings.Contains(err.Error(), "unknown P-location 1000000") {
+		t.Fatalf("boot over a record at P-location 1000000 returned %v, want an unknown P-location error (output: %s)", err, out.String())
 	}
 }
 

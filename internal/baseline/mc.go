@@ -32,7 +32,7 @@ func MC(space *indoor.Space, table *iupt.Table, query []indoor.SLocID, ts, te iu
 	eng := core.NewEngine(space, core.Options{DisableReduction: true})
 
 	// Objects in ascending id; a background ctx cannot cancel the read.
-	w, _, _ := table.Window(context.Background(), ts, te, nil)
+	w, _ := table.Window(context.Background(), ts, te)
 
 	acc := make(map[indoor.SLocID]float64, len(query))
 	for _, q := range query {

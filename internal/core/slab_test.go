@@ -221,7 +221,7 @@ func TestSlabReductionDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref, _, err := f.tb.Window(ctx, win[0], win[1], nil)
+				ref, err := f.tb.Window(ctx, win[0], win[1])
 				if err != nil {
 					t.Fatal(err)
 				}

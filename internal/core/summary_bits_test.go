@@ -68,7 +68,7 @@ func goldenFleet(tb testing.TB) (*indoor.Space, [][]iupt.SampleSet) {
 		}
 		eng := NewEngine(b.Space, Options{})
 		for ts := iupt.Time(0); ts < span; ts += goldenWindow {
-			win, _, err := table.Window(context.Background(), ts, ts+goldenWindow-1, nil)
+			win, err := table.Window(context.Background(), ts, ts+goldenWindow-1)
 			if err != nil {
 				goldenErr = err
 				return

@@ -281,7 +281,7 @@ func (e *Engine) window(ctx context.Context, table *iupt.Table, ts, te iupt.Time
 // rank slot dies with it.
 func privateWindow(ctx context.Context, table *iupt.Table, ts, te iupt.Time) (*windowEntry, error) {
 	rec := &recycler{win: iupt.NewArena()}
-	w, _, err := table.Window(ctx, ts, te, nil, rec.win)
+	w, err := table.Window(ctx, ts, te, rec.win)
 	if err != nil {
 		rec.release()
 		return nil, err

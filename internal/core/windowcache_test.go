@@ -21,7 +21,6 @@ import (
 // uncached one does.
 func TestCacheDifferentialRacingIngest(t *testing.T) {
 	fig := indoor.Figure1Space()
-	ctx := context.Background()
 	rng := rand.New(rand.NewSource(5))
 	tb := randTable(rng, fig, 8, 40)
 	eng := NewEngine(fig.Space, Options{Workers: 2})
@@ -82,11 +81,16 @@ func TestCacheDifferentialRacingIngest(t *testing.T) {
 		if len(en.id.Parts) != 0 || en.id.Head != n {
 			t.Errorf("window [%d, %d]: %d cached records stored under identity %v", key.ts, key.te, n, en.id)
 		}
-		fresh, id, err := tb.Window(ctx, key.ts, key.te, nil)
+		// The table's window and its identity, from one snapshot.
+		var fresh iupt.Window
+		id, err := iupt.ReadWindow(tb, key.ts, key.te, nil, func(head []iupt.Record, _ []iupt.SealedPart) error {
+			fresh = iupt.GroupSequences(head)
+			return nil
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if en.id.Equal(id) && !reflect.DeepEqual(en.win.Window, *fresh) {
+		if en.id.Equal(id) && !reflect.DeepEqual(en.win.Window, fresh) {
 			t.Errorf("window [%d, %d]: cached sequences differ from the table's under the identity %v both claim", key.ts, key.te, id)
 		}
 	}

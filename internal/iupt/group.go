@@ -75,16 +75,12 @@ func Carve[S ~[]E, E any](buf *S, n int) S {
 
 // grouper is the reusable working memory of one grouping.
 type grouper struct {
-	buf  []Record   // sealed runs, decoded back to back
-	ends []int      // end offset in buf of each decoded run
-	runs [][]Record // the runs in arrival order: sealed parts, then the head
-	base []int      // per run: index of its first record among all runs
-	pos  []int      // per run: merge cursor
+	buf []Record // the window's records when they are not the head's own
 
 	slot  map[ObjectID]int32 // object → slot, in first-seen order
 	oids  []ObjectID         // slot → object
 	next  []int              // slot → record count, then next free arena index
-	dense []int32            // record (runs concatenated) → its object's slot
+	dense []int32            // record → its object's slot
 }
 
 var grouperPool = sync.Pool{New: func() any { return &grouper{slot: make(map[ObjectID]int32)} }}
@@ -95,106 +91,27 @@ func getGrouper() *grouper { return grouperPool.Get().(*grouper) }
 // the grouper to the pool. Slots past a slice's length are zero already:
 // every earlier use was cleared at its own length.
 func (g *grouper) release() {
-	g.reset()
+	clear(g.buf)
+	clear(g.slot)
+	g.buf, g.oids, g.next, g.dense = g.buf[:0], g.oids[:0], g.next[:0], g.dense[:0]
 	grouperPool.Put(g)
 }
 
-func (g *grouper) reset() {
-	clear(g.buf)
-	clear(g.runs)
-	clear(g.slot)
-	g.buf, g.ends, g.runs, g.base, g.pos = g.buf[:0], g.ends[:0], g.runs[:0], g.base[:0], g.pos[:0]
-	g.oids, g.next, g.dense = g.oids[:0], g.next[:0], g.dense[:0]
-}
-
-// total returns the number of records in the runs.
-func (g *grouper) total() int {
-	n := len(g.runs)
-	if n == 0 {
-		return 0
-	}
-	return g.base[n-1] + len(g.runs[n-1])
-}
-
-func (g *grouper) addRun(run []Record) {
-	if len(run) == 0 {
-		return
-	}
-	g.base = append(g.base, g.total())
-	g.runs = append(g.runs, run)
-	g.pos = append(g.pos, 0)
-}
-
-// gather collects the records of [ts, te] as runs in arrival order: only
-// parts whose span overlaps the window contribute (non-overlapping parts are
-// never read — the property the partition-pruning tests assert), each its
-// overlap found by binary search and decoded into buf — its sample sets into
-// a's buffer, or fresh memory without an arena — then the head's.
-func (g *grouper) gather(head []Record, sealed []SealedPart, ts, te Time, a *Arena) {
-	if te < ts {
-		return
-	}
-	var samples *SampleSet
-	if a != nil {
-		a.samples = a.samples[:0]
-		samples = &a.samples
-	}
-	for _, p := range sealed {
-		if lo, hi := p.Span(); hi < ts || lo > te {
-			continue
+// group carves recs, given in canonical order, into a Window, in a's buffers
+// or, without an arena, in fresh exact-size memory. A canceled ctx aborts the
+// fill between record batches and returns ctx.Err().
+func (g *grouper) group(ctx context.Context, recs []Record, a *Arena) (Window, error) {
+	// Count pass: a sequence's length is order-free.
+	for i := range recs {
+		s, ok := g.slot[recs[i].OID]
+		if !ok {
+			s = int32(len(g.oids))
+			g.slot[recs[i].OID] = s
+			g.oids = append(g.oids, recs[i].OID)
+			g.next = append(g.next, 0)
 		}
-		g.buf = p.AppendRange(g.buf, samples, ts, te)
-		g.ends = append(g.ends, len(g.buf))
-	}
-	// Slice buf only once it has stopped growing.
-	start := 0
-	for _, end := range g.ends {
-		g.addRun(g.buf[start:end])
-		start = end
-	}
-	g.addRun(rangeSubslice(head, ts, te))
-}
-
-// pop returns the next record of the runs' k-way merge in canonical
-// (T, arrival) order and its index among the runs concatenated; rec is nil
-// once every run is spent. Timestamp ties go to the earlier run, which is
-// the earlier arrival: runs are in seal order, head last. K is the number of
-// overlapping parts (+ head), which is small; a linear scan per record beats
-// heap bookkeeping here.
-func (g *grouper) pop() (rec *Record, at int) {
-	best := -1
-	var bestT Time
-	for r, run := range g.runs {
-		// Strict < keeps the earliest source on ties.
-		if i := g.pos[r]; i < len(run) && (best == -1 || run[i].T < bestT) {
-			best, bestT = r, run[i].T
-		}
-	}
-	if best < 0 {
-		return nil, 0
-	}
-	i := g.pos[best]
-	g.pos[best]++
-	return &g.runs[best][i], g.base[best] + i
-}
-
-// group carves the gathered runs into a Window, in a's buffers or, without
-// an arena, in fresh exact-size memory. A canceled ctx aborts the fill
-// between record batches and returns ctx.Err().
-func (g *grouper) group(ctx context.Context, a *Arena) (Window, error) {
-	// Count pass, in any order: a sequence's length is order-free.
-	for _, run := range g.runs {
-		for i := range run {
-			s, ok := g.slot[run[i].OID]
-			if !ok {
-				s = int32(len(g.oids))
-				g.slot[run[i].OID] = s
-				g.oids = append(g.oids, run[i].OID)
-				g.next = append(g.next, 0)
-			}
-			g.next[s]++
-			g.dense = append(g.dense, s)
-		}
+		g.next[s]++
+		g.dense = append(g.dense, s)
 	}
 	// Slots are numbered in first-seen order; positions ascend by id.
 	var oids *[]ObjectID
@@ -207,7 +124,7 @@ func (g *grouper) group(ctx context.Context, a *Arena) (Window, error) {
 	w := Window{OIDs: Carve(oids, len(g.oids)), Seqs: Carve(seqs, len(g.oids))}
 	copy(w.OIDs, g.oids)
 	slices.Sort(w.OIDs)
-	arena := Carve(sets, len(g.dense))
+	arena := Carve(sets, len(recs))
 	off := 0
 	for i, oid := range w.OIDs {
 		s := g.slot[oid]
@@ -217,18 +134,15 @@ func (g *grouper) group(ctx context.Context, a *Arena) (Window, error) {
 		off += n
 	}
 	// Fill pass, in canonical order.
-	for n := 0; ; n++ {
-		if n&1023 == 0 && ctx.Err() != nil {
+	for i := range recs {
+		if i&1023 == 0 && ctx.Err() != nil {
 			return Window{}, ctx.Err()
 		}
-		rec, at := g.pop()
-		if rec == nil {
-			return w, nil
-		}
-		s := g.dense[at]
-		arena[g.next[s]] = TimedSampleSet{T: rec.T, Samples: rec.Samples}
+		s := g.dense[i]
+		arena[g.next[s]] = TimedSampleSet{T: recs[i].T, Samples: recs[i].Samples}
 		g.next[s]++
 	}
+	return w, nil
 }
 
 // GroupSequences groups records given in canonical order into a Window,
@@ -243,7 +157,6 @@ func GroupSequences(recs []Record, into ...*Arena) Window {
 	}
 	g := getGrouper()
 	defer g.release()
-	g.addRun(recs)
-	w, _ := g.group(context.Background(), a)
+	w, _ := g.group(context.Background(), recs, a)
 	return w
 }

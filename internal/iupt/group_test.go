@@ -53,17 +53,26 @@ func checkWindow(t *testing.T, at string, w Window, want map[ObjectID]Sequence) 
 	}
 }
 
+// concatRange is readRange without the merge: the sources' records of
+// [ts, te] in arrival order, parts in seal order and the head last.
+func concatRange(head []Record, sealed []SealedPart, ts, te Time) []Record {
+	var out []Record
+	for _, p := range sealed {
+		if lo, hi := p.Locate(ts, te); lo < hi {
+			out = p.AppendRecords(out, nil, lo, hi)
+		}
+	}
+	return append(out, rangeSubslice(head, ts, te)...)
+}
+
 // TestWindowCarve checks the carved window against the naive append-built
 // grouping on random tables in every layout a window can meet — one part, a
 // window straddling two parts, head only, sealed parts plus a head holding
 // late records, same-timestamp ties, an empty window and te < ts: the
 // sequences are equal, in Window's shape (checkWindow), equal to the
-// SequencesInRange map, and the reused grouper holds no record after a
-// grouping.
+// SequencesInRange map, and a released grouper holds no record.
 func TestWindowCarve(t *testing.T) {
 	ctx := context.Background()
-	g := getGrouper() // one grouper across every case: big windows, then small
-	defer grouperPool.Put(g)
 	kinds := make(map[string]bool)
 	for seed := int64(1); seed <= 30; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -97,26 +106,40 @@ func TestWindowCarve(t *testing.T) {
 				at := fmt.Sprintf("seed %d, %s, window [%d, %d]", seed, lay.name, ts, te)
 				want := naiveSequences(all, ts, te)
 
-				got, id, err := tab.Window(ctx, ts, te, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// The same grouping on the test's grouper, whose buffers are
-				// inspected after it is reset.
-				head, sealed := tab.retainView()
-				g.gather(head, sealed, ts, te, nil)
-				again, err := g.group(ctx, nil)
-				releaseParts(sealed)
-				runs := len(g.runs)
-				g.reset()
+				got, err := tab.Window(ctx, ts, te)
 				if err != nil {
 					t.Fatal(err)
 				}
 				checkWindow(t, at, *got, want)
-				checkWindow(t, at+" (reused grouper)", again, want)
+				// The same grouping by hand on a pooled grouper, whose
+				// buffers are inspected once it is released.
+				var merged bool
+				id, err := ReadWindow(tab, ts, te, nil, func(head []Record, sealed []SealedPart) error {
+					g := getGrouper()
+					recs := readRange(head, sealed, ts, te, nil, &g.buf)
+					merged = recordsEqual(recs, concatRange(head, sealed, ts, te)) != nil
+					again, err := g.group(ctx, recs, nil)
+					g.release()
+					if err != nil {
+						return err
+					}
+					checkWindow(t, at+" (pooled grouper)", again, want)
+					for i, rec := range g.buf[:cap(g.buf)] {
+						if rec.Samples != nil {
+							t.Fatalf("%s: the released grouper's buffer still holds record %d's samples", at, i)
+						}
+					}
+					if len(g.slot) != 0 || len(g.oids) != 0 || len(g.next) != 0 || len(g.dense) != 0 {
+						t.Fatalf("%s: the released grouper still maps %d objects", at, len(g.slot))
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
 				// Into a recycled arena, which earlier windows have grown.
 				arena := NewArena()
-				private, _, err := tab.Window(ctx, ts, te, nil, arena)
+				private, err := tab.Window(ctx, ts, te, arena)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -129,19 +152,6 @@ func TestWindowCarve(t *testing.T) {
 				}
 				if m := tab.SequencesInRange(ts, te); !reflect.DeepEqual(m, want) {
 					t.Fatalf("%s: the SequencesInRange map differs from the window", at)
-				}
-				for i, rec := range g.buf[:cap(g.buf)] {
-					if rec.Samples != nil {
-						t.Fatalf("%s: the reused buffer still holds record %d's samples", at, i)
-					}
-				}
-				for i, run := range g.runs[:cap(g.runs)] {
-					if run != nil {
-						t.Fatalf("%s: the reused grouper still holds run %d", at, i)
-					}
-				}
-				if len(g.slot) != 0 {
-					t.Fatalf("%s: the reused grouper still maps %d objects", at, len(g.slot))
 				}
 				switch {
 				case te < ts:
@@ -157,7 +167,7 @@ func TestWindowCarve(t *testing.T) {
 				default:
 					kinds["head only"] = true
 				}
-				if runs > 1 {
+				if merged {
 					kinds["merged"] = true
 				}
 			}
@@ -171,7 +181,7 @@ func TestWindowCarve(t *testing.T) {
 }
 
 // TestWindowAllocBudget: a cold Window allocates what it keeps — the arena,
-// the two columns, the Window and the identity — and nothing per record: the count is
+// the two columns and the Window — and nothing per record: the count is
 // the same small constant for a window of 1 000 records and of 10 000 over
 // the same objects, on a table with a sealed part and a head.
 func TestWindowAllocBudget(t *testing.T) {
@@ -188,11 +198,11 @@ func TestWindowAllocBudget(t *testing.T) {
 		}
 		_, tab := buildPair(t, recs, []int{n / 2})
 		_, te, _ := tab.TimeSpan()
-		if _, _, err := tab.Window(ctx, 0, te, nil); err != nil { // warm the pool
+		if _, err := tab.Window(ctx, 0, te); err != nil { // warm the pool
 			t.Fatal(err)
 		}
 		allocs[n] = testing.AllocsPerRun(50, func() {
-			if _, _, err := tab.Window(ctx, 0, te, nil); err != nil {
+			if _, err := tab.Window(ctx, 0, te); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -205,7 +215,7 @@ func TestWindowAllocBudget(t *testing.T) {
 
 // TestArenaWindowAllocBudget: a window materialized into a recycled arena
 // reuses the arena's buffers for the decoded samples, the sequences and the
-// columns, so it allocates only the returned Window and the identity's parts.
+// columns, so it allocates little more than the returned Window.
 func TestArenaWindowAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are not meaningful under the race detector")
@@ -221,7 +231,7 @@ func TestArenaWindowAllocBudget(t *testing.T) {
 	arena := NewArena()
 	defer arena.Release()
 	allocs := testing.AllocsPerRun(50, func() {
-		w, _, err := tab.Window(ctx, 0, te, nil, arena)
+		w, err := tab.Window(ctx, 0, te, arena)
 		if err != nil || len(w.OIDs) != 40 {
 			t.Fatalf("window of %v objects, err %v", w, err)
 		}
@@ -229,5 +239,48 @@ func TestArenaWindowAllocBudget(t *testing.T) {
 	t.Logf("a window into a warm arena allocates %v/op", allocs)
 	if allocs > 3 {
 		t.Errorf("a window into a warm arena allocates %v/op, want ≤ 3", allocs)
+	}
+}
+
+// BenchmarkTableWindow measures the raw window — the path Naive, the live
+// monitor and no_cache queries take: 24 000 records of 40 objects sealed into
+// 1, 6 or 12 parts in time order, plus a head of 200 late records, grouped
+// into fresh memory. The head's records come either in order (after every
+// sealed record) or at random T inside the sealed span, which makes the
+// read merge the head into the whole range.
+func BenchmarkTableWindow(b *testing.B) {
+	const sealedN, headN = 24000, 200
+	for _, nparts := range []int{1, 6, 12} {
+		for _, head := range []string{"ordered", "random"} {
+			b.Run(fmt.Sprintf("parts=%d/head=%s", nparts, head), func(b *testing.B) {
+				r := rand.New(rand.NewSource(1))
+				recs := make([]Record, sealedN)
+				for i := range recs {
+					recs[i] = Record{OID: ObjectID(r.Intn(40)), T: Time(i / 4), Samples: testSamples(r)}
+				}
+				parts := make([]SealedPart, nparts)
+				for k := range parts {
+					parts[k] = newMemPart(recs[k*sealedN/nparts : (k+1)*sealedN/nparts])
+				}
+				tab := NewBackedTable(parts)
+				for i := 0; i < headN; i++ {
+					t := Time(sealedN/4 + i)
+					if head == "random" {
+						t = Time(r.Intn(sealedN / 4))
+					}
+					tab.Append(Record{OID: ObjectID(r.Intn(40)), T: t, Samples: testSamples(r)})
+				}
+				_, te, _ := tab.TimeSpan()
+				ctx := context.Background()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					w, err := tab.Window(ctx, 0, te)
+					if err != nil || len(w.OIDs) != 40 {
+						b.Fatalf("window of %v objects, err %v", w, err)
+					}
+				}
+			})
+		}
 	}
 }

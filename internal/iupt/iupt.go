@@ -196,7 +196,12 @@ func (t *Table) Record(i int) Record {
 // TimeSpan returns the earliest and latest record timestamps. ok is false
 // for an empty table.
 func (t *Table) TimeSpan() (lo, hi Time, ok bool) {
-	head, sealed := t.view()
+	return span(t.view())
+}
+
+// span returns the earliest and latest timestamps of a sorted head and the
+// sealed parts; ok is false when both are empty.
+func span(head []Record, sealed []SealedPart) (lo, hi Time, ok bool) {
 	if len(head) > 0 {
 		lo, hi, ok = head[0].T, head[len(head)-1].T, true
 	}
@@ -215,18 +220,8 @@ func (t *Table) TimeSpan() (lo, hi Time, ok bool) {
 
 // Objects returns the distinct object ids, ascending.
 func (t *Table) Objects() []ObjectID {
-	t.mu.RLock()
-	recs := t.records
-	sealed := t.sealed
-	for _, p := range sealed {
-		p.Retain()
-	}
-	t.mu.RUnlock()
-	defer func() {
-		for _, p := range sealed {
-			p.Release()
-		}
-	}()
+	recs, sealed := t.retainView()
+	defer releaseParts(sealed)
 	seen := make(map[ObjectID]bool)
 	var out []ObjectID
 	for i := range recs {
@@ -277,28 +272,8 @@ func (t *Table) sortedRecords() []Record {
 func (t *Table) allRecords() []Record {
 	head, sealed := t.retainView()
 	defer releaseParts(sealed)
-	if len(sealed) == 0 {
-		return head
-	}
-	var lo, hi Time
-	ok := false
-	if len(head) > 0 {
-		lo, hi, ok = head[0].T, head[len(head)-1].T, true
-	}
-	for _, p := range sealed {
-		plo, phi := p.Span()
-		if !ok || plo < lo {
-			lo = plo
-		}
-		if !ok || phi > hi {
-			hi = phi
-		}
-		ok = true
-	}
-	if !ok {
-		return nil
-	}
-	return mergeRange(head, sealed, lo, hi)
+	lo, hi, _ := span(head, sealed)
+	return readRange(head, sealed, lo, hi, nil, nil)
 }
 
 // SortedRecords returns a time-ordered snapshot of the records: the
@@ -324,14 +299,11 @@ func (t *Table) SortedRecords() []Record {
 // On a table with sealed parts the plan covers only the parts whose time
 // span overlaps [ts, te] — non-overlapping partitions are never touched —
 // with each part's contribution found by binary search and the sources
-// k-way merged in canonical order (sealed.go).
+// merged in canonical order (readRange).
 func (t *Table) RecordsInRange(ts, te Time) []Record {
 	head, sealed := t.retainView()
 	defer releaseParts(sealed)
-	if len(sealed) == 0 {
-		return rangeSubslice(head, ts, te)
-	}
-	return mergeRange(head, sealed, ts, te)
+	return readRange(head, sealed, ts, te, nil, nil)
 }
 
 // RangeQuery invokes fn for every record with ts <= T <= te, in canonical

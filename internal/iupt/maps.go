@@ -45,7 +45,7 @@ func (t *Table) SequencesInRange(ts, te Time) map[ObjectID]Sequence {
 // grouping is one ordered pass, and the parameter stays only because
 // bench/e2e/trace.go passes it.
 func (t *Table) SequencesInRangeSharded(ctx context.Context, ts, te Time, workers int) (map[ObjectID]Sequence, error) {
-	w, _, err := t.Window(ctx, ts, te, nil)
+	w, err := t.Window(ctx, ts, te)
 	if err != nil {
 		return nil, err
 	}

@@ -17,11 +17,12 @@ import (
 // flat table is a stable sort by T: same-timestamp records keep their arrival
 // order. Parts are sealed in arrival order — every record of part i was
 // appended before every record of part i+1, and before every head record —
-// so a k-way merge of the parts (in list order) and the head that breaks
-// timestamp ties by source index performs exactly the stable sort's
-// interleaving. RecordsInRange therefore yields records in the same canonical
-// (T, arrival) order a flat table over the union would, which keeps rankings
-// and float64 flows bit-identical between the two layouts.
+// so merging the sources in that order, each into the records before it with
+// timestamp ties going to the earlier source (readRange), performs exactly
+// the stable sort's interleaving. RecordsInRange therefore yields records in
+// the same canonical (T, arrival) order a flat table over the union would,
+// which keeps rankings and float64 flows bit-identical between the two
+// layouts.
 
 // SealedPart is one immutable, time-bounded batch of records backing a
 // Table. Implementations must be safe for concurrent use and must yield
@@ -32,21 +33,17 @@ type SealedPart interface {
 	Len() int
 	// Span returns the part's inclusive time bounds. A part is never empty.
 	Span() (lo, hi Time)
-	// AppendRange appends the part's records with ts <= T <= te to dst, in
-	// canonical order, and returns the extended slice. Appended records must
-	// be immutable (never rewritten by later calls). A part that decodes
-	// sample sets carves them from the tail of *samples, extending it, so a
-	// caller that recycles the buffer (Arena) decodes without allocating —
-	// and owns the decoded sets' lifetime; a nil samples asks for fresh
-	// memory of exactly the range's size.
-	AppendRange(dst []Record, samples *SampleSet, ts, te Time) []Record
 	// Locate returns the positions [lo, hi) of the part's records with
 	// ts <= T <= te; hi <= lo when there are none. Positions index the
 	// part's records in canonical order, 0 to Len()-1.
 	Locate(ts, te Time) (lo, hi int)
 	// AppendRecords appends the part's records at positions [lo, hi) to
-	// dst, in canonical order, under AppendRange's contract for the sample
-	// sets. It is the part's one decoder: AppendRange is Locate plus this.
+	// dst, in canonical order, and returns the extended slice. Appended
+	// records must be immutable (never rewritten by later calls). A part
+	// that decodes sample sets carves them from the tail of *samples,
+	// extending it, so a caller that recycles the buffer (Arena) decodes
+	// without allocating — and owns the decoded sets' lifetime; a nil
+	// samples asks for fresh memory of exactly the range's size.
 	AppendRecords(dst []Record, samples *SampleSet, lo, hi int) []Record
 	// Objects returns the part's distinct object ids, ascending. The result
 	// is shared and must not be modified.
@@ -228,53 +225,51 @@ func (id WindowIdentity) Equal(other WindowIdentity) bool {
 }
 
 // Window materializes the per-object positioning sequences of [ts, te], in
-// canonical order and objects ascending (see the Window type), together with
-// the identity of the snapshot they were read from. Both come from one
-// retainView — one hold of the table's lock — so no append, seal or compaction
-// can fall between them: a cache that stores the pair never holds sequences
-// under an identity that describes other records. When known still identifies
-// the window nothing is materialized and w is nil — an empty window is a
-// non-nil *Window with no objects: revalidating a cached window costs a binary
-// search over the head and a scan of the part spans. A materialized window
-// costs its records once (group.go): the sealed runs decode into a pooled
-// buffer, the sources merge straight into one exact-size arena, and no
-// merged []Record copy of the range is ever made. A canceled ctx aborts the
-// scan between record batches and returns ctx.Err(), so a canceled query
+// canonical order and objects ascending (see the Window type): the window's
+// records read once (readRange), then grouped (group.go). Sealed records
+// decode into a pooled buffer, the records group straight into one
+// exact-size arena, and a window only the head holds is grouped from the head
+// itself. A canceled ctx aborts the
+// grouping between record batches and returns ctx.Err(), so a canceled query
 // never pays for a large window.
 //
 // The window's memory is fresh and exactly sized, for a caller that keeps it.
 // A caller that reads it once passes into, one Arena: the window is then
 // materialized into the arena's recycled buffers and is valid until the
 // arena's Release.
-func (t *Table) Window(ctx context.Context, ts, te Time, known *WindowIdentity, into ...*Arena) (w *Window, id WindowIdentity, err error) {
+func (t *Table) Window(ctx context.Context, ts, te Time, into ...*Arena) (*Window, error) {
 	var a *Arena
+	var samples *SampleSet
 	if len(into) > 0 {
 		a = into[0]
+		a.samples = a.samples[:0]
+		samples = &a.samples
 	}
-	id, err = ReadWindow(t, ts, te, known, func(head []Record, sealed []SealedPart) error {
-		g := getGrouper()
-		defer g.release()
-		g.gather(head, sealed, ts, te, a)
-		grouped, err := g.group(ctx, a)
-		if err == nil {
-			err = ctx.Err()
-		}
-		if err != nil {
-			return err
-		}
-		w = &grouped
-		return nil
-	})
-	return w, id, err
+	head, sealed := t.retainView()
+	defer releaseParts(sealed)
+	g := getGrouper()
+	defer g.release()
+	w, err := g.group(ctx, readRange(head, sealed, ts, te, samples, &g.buf), a)
+	if err == nil {
+		err = ctx.Err()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &w, nil
 }
 
-// ReadWindow is the snapshot under Table.Window, for a reader that does its
-// own materialization (internal/core's windows over slabs): it computes the
-// identity of t's window [ts, te] and, unless known still names it, calls read
-// with the head records inside the window and the table's sealed parts in
-// seal order (read skips those whose span misses the window). Both come from
-// one retainView, so they describe the snapshot the identity names, and the
-// parts stay retained until read returns. read's error is ReadWindow's.
+// ReadWindow is the snapshot a cached window is read from, for a reader that
+// does its own materialization (internal/core's windows over slabs): it
+// computes the identity of t's window [ts, te] and, unless known still names
+// it, calls read with the head records inside the window and the table's
+// sealed parts in seal order (read skips those whose span misses the window).
+// Both come from one retainView — one hold of the table's lock — so no
+// append, seal or compaction can fall between them: a cache that stores what
+// read built under the identity never holds sequences under an identity that
+// describes other records. Revalidating a cached window costs a binary
+// search over the head and a scan of the part spans. The parts stay retained
+// until read returns; read's error is ReadWindow's.
 func ReadWindow(t *Table, ts, te Time, known *WindowIdentity, read func(head []Record, sealed []SealedPart) error) (id WindowIdentity, err error) {
 	all, sealed := t.retainView()
 	defer releaseParts(sealed)
@@ -294,24 +289,70 @@ func ReadWindow(t *Table, ts, te Time, known *WindowIdentity, read func(head []R
 	return id, read(head, sealed)
 }
 
-// mergeRange returns the records of [ts, te] over the sealed parts and the
-// head, k-way merged in canonical (T, arrival) order (grouper.gather and
-// grouper.pop plan and merge exactly as Window does). The result is the
-// caller's: a fresh slice, or an immutable subslice of the head snapshot.
-func mergeRange(head []Record, sealed []SealedPart, ts, te Time) []Record {
-	var g grouper
-	g.gather(head, sealed, ts, te, nil)
-	switch len(g.runs) {
-	case 0:
-		return nil
-	case 1:
-		return g.runs[0]
+// readRange returns the records of [ts, te] over the sealed parts and the
+// sorted head in canonical (T, arrival) order. Only the parts whose span
+// overlaps the window are read — each located by binary search and decoded
+// onto the end of *buf, its sample sets carved from *samples as
+// AppendRecords specifies — then the head's records inside the window are
+// appended. The sources come in arrival order, parts in seal order and the
+// head last, so each one that starts before the records already read end is
+// merged in by mergeTail, timestamp ties going to the earlier source; parts
+// sealed in time order move nothing. A range only the head holds is the
+// head's own immutable subslice, and nothing is copied.
+//
+// *buf grows to hold the records and stays the caller's to recycle; a nil
+// buf asks for fresh memory, which the result then owns.
+func readRange(head []Record, sealed []SealedPart, ts, te Time, samples *SampleSet, buf *[]Record) []Record {
+	var fresh []Record
+	if buf == nil {
+		buf = &fresh
 	}
-	out := make([]Record, 0, g.total())
-	for rec, _ := g.pop(); rec != nil; rec, _ = g.pop() {
-		out = append(out, *rec)
+	out := (*buf)[:0]
+	for _, p := range sealed {
+		if lo, hi := p.Span(); hi < ts || lo > te {
+			continue
+		}
+		if lo, hi := p.Locate(ts, te); lo < hi {
+			n := len(out)
+			out = mergeTail(p.AppendRecords(out, samples, lo, hi), n)
+		}
 	}
+	h := rangeSubslice(head, ts, te)
+	if len(out) == 0 {
+		return h
+	}
+	out = mergeTail(append(out, h...), len(out))
+	*buf = out
 	return out
+}
+
+// mergeTail merges the time-sorted run out[n:] into the time-sorted run
+// out[:n] in place and returns the merged slice; on equal T the record of
+// out[:n] goes first. Only the overlap moves — the records of out[:n] later
+// than out[n] and those of out[n:] earlier than out[n-1] — in one backward
+// pass, whose scratch copy of the out[n:] overlap goes past the end of out
+// and is cleared after, so a recycled buffer merges without allocating.
+func mergeTail(out []Record, n int) []Record {
+	if n == 0 || n == len(out) || out[n-1].T <= out[n].T {
+		return out
+	}
+	m := len(out)
+	p := searchTime(out[:n], out[n].T, true)
+	q := n + searchTime(out[n:], out[n-1].T, false)
+	out = append(out, out[n:q]...)
+	src := out[m:]
+	i, k := n-1, q-1
+	for j := len(src) - 1; j >= 0; k-- {
+		if i >= p && out[i].T > src[j].T {
+			out[k] = out[i]
+			i--
+		} else {
+			out[k] = src[j]
+			j--
+		}
+	}
+	clear(src)
+	return out[:m]
 }
 
 // rangeSubslice returns the records with ts <= T <= te as a subslice of a

@@ -20,7 +20,7 @@ type memPart struct {
 	recs []Record // canonical (T, arrival) order
 	oids []ObjectID
 	id   uint64
-	// touched counts AppendRange calls, for pruning assertions.
+	// touched counts AppendRecords calls, for pruning assertions.
 	touched int
 	// refs tracks Retain/Release balance (owner ref included), for the
 	// retained-view assertions.
@@ -50,17 +50,12 @@ func (p *memPart) Len() int { return len(p.recs) }
 
 func (p *memPart) Span() (lo, hi Time) { return p.recs[0].T, p.recs[len(p.recs)-1].T }
 
-func (p *memPart) AppendRange(dst []Record, _ *SampleSet, ts, te Time) []Record {
-	p.touched++
-	lo, hi := p.Locate(ts, te)
-	return p.AppendRecords(dst, nil, lo, hi)
-}
-
 func (p *memPart) Locate(ts, te Time) (lo, hi int) {
 	return searchTime(p.recs, ts, false), searchTime(p.recs, te, true)
 }
 
 func (p *memPart) AppendRecords(dst []Record, _ *SampleSet, lo, hi int) []Record {
+	p.touched++
 	if hi <= lo {
 		return dst
 	}
@@ -328,8 +323,8 @@ func TestReplaceSealedRun(t *testing.T) {
 	// canonical-order records (adjacent seal runs, so concatenation in span
 	// order then a stable sort by T is the canonical merge).
 	var merged []Record
-	merged = sealed[1].AppendRange(merged, nil, Time(math.MinInt64/2), Time(math.MaxInt64/2))
-	merged = sealed[2].AppendRange(merged, nil, Time(math.MinInt64/2), Time(math.MaxInt64/2))
+	merged = sealed[1].AppendRecords(merged, nil, 0, sealed[1].Len())
+	merged = sealed[2].AppendRecords(merged, nil, 0, sealed[2].Len())
 	slices.SortStableFunc(merged, func(a, b Record) int {
 		switch {
 		case a.T < b.T:
@@ -416,6 +411,21 @@ func windowBytes(recs []Record) string {
 	return string(b)
 }
 
+// identifiedWindow groups t's window [ts, te] the way Table.Window does,
+// under ReadWindow, and returns the pair a cache stores: the window and the
+// identity of the snapshot it was read from. The window is nil when known
+// still names the window.
+func identifiedWindow(ctx context.Context, t *Table, ts, te Time, known *WindowIdentity) (w *Window, id WindowIdentity, err error) {
+	id, err = ReadWindow(t, ts, te, known, func(head []Record, sealed []SealedPart) error {
+		g := getGrouper()
+		defer g.release()
+		grouped, err := g.group(ctx, readRange(head, sealed, ts, te, nil, &g.buf), nil)
+		w = &grouped
+		return err
+	})
+	return w, id, err
+}
+
 // TestWindowIdentityProperty walks a table through seeded random in-order
 // appends, out-of-order appends into old windows, appends no watched window
 // sees, seals and compactions, and after every step checks the contract
@@ -464,14 +474,14 @@ func TestWindowIdentityProperty(t *testing.T) {
 				if parts := tab.Sealed(); len(parts) >= 2 {
 					i := r.Intn(len(parts) - 1)
 					run := parts[i : i+2+r.Intn(min(2, len(parts)-i-1))]
-					merged := newMemPart(mergeRange(nil, run, math.MinInt64, math.MaxInt64))
+					merged := newMemPart(readRange(nil, run, math.MinInt64, math.MaxInt64, nil, nil))
 					if err := tab.ReplaceSealedRun(run, merged); err != nil {
 						t.Fatal(err)
 					}
 				}
 			}
 			for w, win := range windows {
-				seqs, id, err := tab.Window(ctx, win[0], win[1], nil)
+				seqs, id, err := identifiedWindow(ctx, tab, win[0], win[1], nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -499,7 +509,7 @@ func TestWindowIdentityProperty(t *testing.T) {
 				if bytes != lastBytes[w] && !moved {
 					t.Fatalf("%s: bytes changed under an unchanged identity", at)
 				}
-				if again, _, _ := tab.Window(ctx, win[0], win[1], &last[w]); (again != nil) != moved {
+				if again, _, _ := identifiedWindow(ctx, tab, win[0], win[1], &last[w]); (again != nil) != moved {
 					t.Fatalf("%s: conditional read materialized=%v with identity moved=%v (was %v)", at, again != nil, moved, last[w])
 				}
 				// A plain append elsewhere costs no window its identity.
@@ -523,13 +533,6 @@ type hookPart struct {
 	onRead func()
 }
 
-func (p *hookPart) AppendRange(dst []Record, samples *SampleSet, ts, te Time) []Record {
-	if p.onRead != nil {
-		p.onRead()
-	}
-	return p.memPart.AppendRange(dst, samples, ts, te)
-}
-
 func (p *hookPart) AppendRecords(dst []Record, samples *SampleSet, lo, hi int) []Record {
 	if p.onRead != nil {
 		p.onRead()
@@ -538,8 +541,8 @@ func (p *hookPart) AppendRecords(dst []Record, samples *SampleSet, lo, hi int) [
 }
 
 // TestWindowIdentityOneSnapshot: an append that lands while a window is being
-// materialized is in neither the sequences nor the identity Window returns —
-// they describe one snapshot — so a cache storing the pair can never hold
+// materialized under ReadWindow is in neither the sequences nor the identity
+// — they describe one snapshot — so a cache storing the pair can never hold
 // sequences under an identity that vouches for other records, and its next
 // revalidation misses.
 func TestWindowIdentityOneSnapshot(t *testing.T) {
@@ -553,7 +556,7 @@ func TestWindowIdentityOneSnapshot(t *testing.T) {
 		tab.Append(Record{OID: 3, T: 7, Samples: one})
 	}
 
-	seqs, id, err := tab.Window(ctx, 0, 10, nil)
+	seqs, id, err := identifiedWindow(ctx, tab, 0, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -563,11 +566,97 @@ func TestWindowIdentityOneSnapshot(t *testing.T) {
 	if !slices.Equal(seqs.OIDs, []ObjectID{1, 2}) || len(seqs.Seqs[1]) != 1 || id.Head != 1 {
 		t.Fatalf("sequences %v under identity %v: want the pre-append snapshot on both sides", seqs, id)
 	}
-	fresh, id2, err := tab.Window(ctx, 0, 10, &id)
+	fresh, id2, err := identifiedWindow(ctx, tab, 0, 10, &id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fresh == nil || !slices.Equal(fresh.OIDs, []ObjectID{1, 2, 3}) || len(fresh.Seqs[2]) != 1 || id2.Head != 2 {
 		t.Fatalf("revalidating %v after the append returned %v under %v, want a rematerialized window with the new record", id, fresh, id2)
 	}
+}
+
+// FuzzTableRead holds the backed table's range read to the flat table's: the
+// fuzzer picks records over a 16-second domain (so timestamps tie often), the
+// seal cuts and late head records whose T falls inside the sealed spans, and
+// for several windows — te < ts among them — RecordsInRange, Window and
+// Window into an arena must equal the flat table's over the same appends.
+// Each record's one sample names its arrival index, so equal records mean the
+// same canonical (T, arrival) order. A byte b encodes a record with object
+// b>>4 & 7 at T = b & 15; a cut byte seals at its value modulo the record
+// count plus one.
+func FuzzTableRead(f *testing.F) {
+	rec := func(oid, t int) byte { return byte(oid<<4 | t) }
+	run := func(oid int, ts ...int) []byte {
+		var b []byte
+		for i, t := range ts {
+			b = append(b, rec(oid+i%3, t))
+		}
+		return b
+	}
+	// Sources in order.
+	f.Add(run(0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15), []byte{4, 8, 12}, []byte(nil))
+	// A tie at a seal boundary, and a late head record on the tie.
+	f.Add(run(0, 0, 1, 2, 5, 5, 5, 5, 6, 7), []byte{5}, run(2, 5))
+	// A source wholly earlier than the one before it.
+	f.Add(run(0, 10, 11, 12, 13, 14, 15, 0, 1, 2, 3, 4, 5), []byte{6}, []byte(nil))
+	// Interleaved sources, and late records interleaved with both.
+	f.Add(run(0, 0, 2, 4, 6, 8, 10, 12, 14, 1, 3, 5, 7, 9, 11, 13, 15), []byte{8}, run(1, 15, 0, 7, 7))
+	// A range only the head holds: [10, 15] misses every part.
+	f.Add(run(0, 0, 1, 2, 3, 4, 5, 6, 7), []byte{8}, run(0, 12, 13, 14, 15))
+	// Many ties, unsorted parts, an empty cut and a late burst.
+	f.Add(run(0, 3, 3, 1, 3, 9, 1, 3, 3, 9, 9, 0), []byte{0, 4, 4, 200}, run(3, 3, 3, 9, 0))
+	windows := [][2]Time{{0, 15}, {3, 9}, {5, 5}, {9, 3}, {10, 15}, {16, 30}, {-5, 2}, {math.MinInt64, math.MaxInt64}}
+	f.Fuzz(func(t *testing.T, recBytes, cutBytes, lateBytes []byte) {
+		if len(recBytes) > 512 || len(cutBytes) > 16 || len(lateBytes) > 64 {
+			return
+		}
+		decode := func(bs []byte, first int) []Record {
+			recs := make([]Record, len(bs))
+			for i, b := range bs {
+				recs[i] = Record{OID: ObjectID(b >> 4 & 7), T: Time(b & 15), Samples: SampleSet{{Loc: indoor.PLocID(first + i), Prob: 1}}}
+			}
+			return recs
+		}
+		recs, late := decode(recBytes, 0), decode(lateBytes, len(recBytes))
+		var cuts []int
+		for _, b := range cutBytes {
+			cuts = append(cuts, int(b)%(len(recs)+1))
+		}
+		slices.Sort(cuts)
+		flat, backed := buildPair(t, recs, cuts)
+		for _, r := range late {
+			flat.Append(r)
+			backed.Append(r)
+		}
+		if err := recordsEqual(flat.SortedRecords(), backed.SortedRecords()); err != nil {
+			t.Fatalf("SortedRecords: %v", err)
+		}
+		ctx := context.Background()
+		for _, win := range windows {
+			ts, te := win[0], win[1]
+			if err := recordsEqual(flat.RecordsInRange(ts, te), backed.RecordsInRange(ts, te)); err != nil {
+				t.Fatalf("RecordsInRange [%d, %d]: %v", ts, te, err)
+			}
+			fw, err := flat.Window(ctx, ts, te)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bw, err := backed.Window(ctx, ts, te)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(*fw, *bw) {
+				t.Fatalf("Window [%d, %d]: backed %v, flat %v", ts, te, *bw, *fw)
+			}
+			arena := NewArena()
+			aw, err := backed.Window(ctx, ts, te, arena)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(fw.Map(), aw.Map()) {
+				t.Fatalf("Window [%d, %d] into an arena differs from the flat window", ts, te)
+			}
+			arena.Release()
+		}
+	})
 }

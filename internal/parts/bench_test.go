@@ -186,10 +186,11 @@ func BenchmarkPartitionAppendRange(b *testing.B) {
 	}
 	defer p.Close()
 	// 1000 records at 4 records/timestamp → a 250-timestamp window.
-	lo, hi := iupt.Time(1000), iupt.Time(1249)
+	ts, te := iupt.Time(1000), iupt.Time(1249)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := p.AppendRange(nil, nil, lo, hi)
+		lo, hi := p.Locate(ts, te)
+		out := p.AppendRecords(nil, nil, lo, hi)
 		if len(out) != 1000 {
 			b.Fatalf("window held %d records", len(out))
 		}

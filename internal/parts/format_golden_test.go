@@ -188,7 +188,7 @@ func TestFormatGoldenPartition(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer p.Close()
-		recs := p.AppendRange(nil, nil, math.MinInt64, math.MaxInt64)
+		recs := rangeOf(p, math.MinInt64, math.MaxInt64)
 		sameRecords(t, c.name, c.want, recs)
 		got, err := Encode(recs)
 		if err != nil {

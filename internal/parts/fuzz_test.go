@@ -57,7 +57,7 @@ func FuzzPartitionOpen(f *testing.F) {
 		}
 		// Opened clean: every read path must hold up.
 		lo, hi := p.Span()
-		recs := p.AppendRange(nil, nil, lo, hi)
+		recs := rangeOf(p, lo, hi)
 		if p.Len() > 0 && len(recs) != p.Len() {
 			t.Fatalf("full-span read returned %d records, Len says %d", len(recs), p.Len())
 		}

@@ -403,12 +403,6 @@ func (p *Partition) searchT(bound iupt.Time, inclusive bool) int64 {
 	return lo
 }
 
-// AppendRange implements iupt.SealedPart: Locate plus AppendRecords.
-func (p *Partition) AppendRange(dst []iupt.Record, samples *iupt.SampleSet, ts, te iupt.Time) []iupt.Record {
-	lo, hi := p.Locate(ts, te)
-	return p.AppendRecords(dst, samples, lo, hi)
-}
-
 // Locate implements iupt.SealedPart by binary search over the T column.
 func (p *Partition) Locate(ts, te iupt.Time) (lo, hi int) {
 	return int(p.searchT(ts, false)), int(p.searchT(te, true))

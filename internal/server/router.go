@@ -326,9 +326,7 @@ func readMember[T any](ctx context.Context, rt *Router, g *shardGroup, f func(ct
 
 // wireQuery re-encodes a pass for the shard /v2/partial endpoint. The window
 // is already pinned (te resolved router-side), so every shard evaluates the
-// same [ts, te] regardless of its local data span. Coalescing happens once,
-// router-side; shards must not coalesce the fan-out's legs against each
-// other.
+// same [ts, te] regardless of its local data span.
 func wireQuery(q tkplq.Query) QueryV2 {
 	slocs := make([]int, len(q.SLocs))
 	for i, s := range q.SLocs {
@@ -342,10 +340,9 @@ func wireQuery(q tkplq.Query) QueryV2 {
 			Te:    int64(q.Te),
 			SLocs: slocs,
 		},
-		OID:        int64(q.OID),
-		Workers:    q.Workers,
-		NoCache:    q.DisableCache,
-		NoCoalesce: true,
+		OID:     int64(q.OID),
+		Workers: q.Workers,
+		NoCache: q.DisableCache,
 	}
 }
 

@@ -132,7 +132,8 @@ func (e *IngestError) Unwrap() error { return e.Err }
 // is a *IngestError identifying the first offending record. Structural
 // checks (negative timestamps, duplicate (object, timestamp) pairs within
 // the batch — which would make the object's positioning sequence ambiguous)
-// run over the whole batch before any sample-set validation. Ingest is safe
+// run over the whole batch before any sample-set validation, which also
+// refuses a sample at a P-location the space does not have. Ingest is safe
 // to call concurrently with queries: the table is internally synchronized,
 // and query-level coalescing keys on the table's record count, so queries
 // racing an ingest never share a stale evaluation.
@@ -159,9 +160,15 @@ func (s *System) Ingest(recs []Record) error {
 		}
 		seen[slot{rec.OID, rec.T}] = i
 	}
+	numPLocs := s.space.NumPLocations()
 	for i, rec := range recs {
 		if err := rec.Samples.Validate(); err != nil {
 			return &IngestError{Index: i, OID: rec.OID, T: rec.T, Err: err}
+		}
+		for _, smp := range rec.Samples {
+			if smp.Loc < 0 || int(smp.Loc) >= numPLocs {
+				return &IngestError{Index: i, OID: rec.OID, T: rec.T, Err: fmt.Errorf("unknown P-location %d", smp.Loc)}
+			}
 		}
 	}
 	s.ingestMu.Lock()

@@ -2,6 +2,7 @@ package tkplq_test
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -229,5 +230,47 @@ func TestIngest(t *testing.T) {
 		{OID: 5, T: -1, Samples: tkplq.SampleSet{{Loc: p[0], Prob: 1.0}}},
 	}); err == nil {
 		t.Error("negative timestamp accepted")
+	}
+}
+
+// TestIngestRefusesUnknownPLocation: a sample at a P-location the space does
+// not have is refused with an *IngestError naming its record before anything
+// is logged or appended, so no query over its window can index past the
+// space's P-locations and no recovery replays it.
+func TestIngestRefusesUnknownPLocation(t *testing.T) {
+	b, table := durableTestBuilding(t)
+	store, recovered, err := tkplq.OpenPartitioned(tkplq.PartitionedOptions{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	sys, err := tkplq.NewSystem(b.Space, recovered, tkplq.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.SetPersister(store)
+	recs := table.SortedRecords()
+	if err := sys.Ingest(recs); err != nil {
+		t.Fatal(err)
+	}
+	frames, n := store.Stats().WAL.Frames, sys.Table().Len()
+
+	te := recs[len(recs)-1].T + 1
+	good := tkplq.Record{OID: recs[0].OID, T: te, Samples: recs[0].Samples}
+	bad := tkplq.Record{OID: good.OID + 1, T: te, Samples: tkplq.SampleSet{{Loc: tkplq.PLocID(b.Space.NumPLocations() + 5), Prob: 1}}}
+	err = sys.Ingest([]tkplq.Record{good, bad})
+	var ie *tkplq.IngestError
+	if !errors.As(err, &ie) || ie.Index != 1 || ie.OID != bad.OID || ie.T != bad.T {
+		t.Fatalf("Ingest of a sample at P-location %d = %v, want an *IngestError naming record 1", bad.Samples[0].Loc, err)
+	}
+	if got := sys.Table().Len(); got != n {
+		t.Errorf("the refused batch left %d records in the table, want %d", got, n)
+	}
+	if got := store.Stats().WAL.Frames; got != frames {
+		t.Errorf("the refused batch left %d WAL frames, want %d", got, frames)
+	}
+	res, err := sys.Do(context.Background(), tkplq.Query{Algorithm: tkplq.BestFirst, K: 3, Te: te, SLocs: sys.AllSLocations()})
+	if err != nil || len(res.Results) == 0 {
+		t.Fatalf("a query after the refused batch answered %v, %v", res, err)
 	}
 }
