@@ -49,10 +49,11 @@ benchdiff:
 	$(GO) run ./cmd/benchjson -diff -threshold $(BENCH_THRESHOLD) $(BENCH_OLD) $(BENCH_NEW)
 
 # Fuzz smoke: the on-disk-format fuzzers (partition files, WAL segments,
-# binary IUPT files), the wire-format fuzzer (the shard's /v2/partial body)
-# and the table-read fuzzer (a backed table's range reads against a flat
-# table's), a short budget each on top of their seeds (f.Add, plus
-# testdata/fuzz/ where committed). CI runs this on every push; leave a
+# binary IUPT files), the wire-format fuzzer (the shard's /v2/partial body),
+# the table-read fuzzer (a backed table's range reads against a flat
+# table's) and the ingest-batch fuzzer (Ingest's batch checks against the
+# map-based reference they replaced), a short budget each on top of their
+# seeds (f.Add, plus testdata/fuzz/ where committed). CI runs this on every push; leave a
 # crasher running overnight with FUZZTIME=8h. New crash inputs land in the
 # package's testdata/fuzz/ directory — commit them, they become regression
 # tests.
@@ -63,6 +64,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME) ./internal/iupt
 	$(GO) test -run '^$$' -fuzz '^FuzzTableRead$$' -fuzztime $(FUZZTIME) ./internal/iupt
 	$(GO) test -run '^$$' -fuzz '^FuzzPartialDecode$$' -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzIngestBatch$$' -fuzztime $(FUZZTIME) .
 
 # Coverage artifact: atomic-mode profile across every package, plus the
 # per-function summary CI posts into the job summary. Open the HTML view

@@ -35,8 +35,10 @@ func TestGendataCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := table.Validate(); err != nil {
-		t.Fatalf("generated table invalid: %v", err)
+	for i, rec := range table.SortedRecords() {
+		if err := rec.Samples.Validate(); err != nil {
+			t.Fatalf("generated record %d invalid: %v", i, err)
+		}
 	}
 	if table.Len() == 0 {
 		t.Fatal("generated table is empty")

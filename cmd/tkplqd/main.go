@@ -598,13 +598,14 @@ func buildTable(b *sim.Building, iuptFile, format string, objects int, duration,
 		return nil, err
 	}
 	if own != nil {
-		owned := iupt.NewTable()
+		var owned []iupt.Record
 		for _, rec := range table.SortedRecords() {
 			if own(rec.OID) {
-				owned.Append(rec)
+				owned = append(owned, rec)
 			}
 		}
-		table = owned
+		table = iupt.NewTable()
+		table.Append(owned...)
 	}
 	return table, nil
 }

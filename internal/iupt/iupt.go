@@ -53,27 +53,68 @@ type SampleSet []Sample
 // mass from 1.
 const ProbSumTolerance = 1e-6
 
-// Validate checks the SampleSet invariants.
+// smallSampleSet is the largest sample set whose P-locations Validate checks
+// for repeats by scanning the earlier samples; a larger set sorts a copy, so
+// a hostile set costs O(n log n), never O(n²).
+const smallSampleSet = 16
+
+// Validate checks the SampleSet invariants. It reports the first offending
+// sample in set order; a valid set of up to smallSampleSet samples validates
+// without allocating.
 func (x SampleSet) Validate() error {
 	if len(x) == 0 {
 		return fmt.Errorf("iupt: empty sample set")
 	}
+	dup := -1 // the first sample whose P-location an earlier sample holds
+	if len(x) > smallSampleSet {
+		dup = firstRepeatedLoc(x)
+	}
 	sum := 0.0
-	seen := make(map[indoor.PLocID]bool, len(x))
-	for _, s := range x {
+	for i, s := range x {
 		if !(s.Prob > 0 && s.Prob <= 1+ProbSumTolerance) { // NaN fails too
 			return fmt.Errorf("iupt: sample probability %v out of (0,1]", s.Prob)
 		}
-		if seen[s.Loc] {
+		if i == dup || len(x) <= smallSampleSet && holdsLoc(x[:i], s.Loc) {
 			return fmt.Errorf("iupt: duplicate P-location %d in sample set", s.Loc)
 		}
-		seen[s.Loc] = true
 		sum += s.Prob
 	}
 	if math.Abs(sum-1) > ProbSumTolerance {
 		return fmt.Errorf("iupt: sample probabilities sum to %v, want 1", sum)
 	}
 	return nil
+}
+
+// holdsLoc reports whether a sample of x is at loc.
+func holdsLoc(x SampleSet, loc indoor.PLocID) bool {
+	for i := range x {
+		if x[i].Loc == loc {
+			return true
+		}
+	}
+	return false
+}
+
+// firstRepeatedLoc returns the index of the first sample of x whose
+// P-location an earlier sample holds, or -1. It sorts (P-location, index)
+// keys (a set holds < 2³² samples), so each P-location's samples are
+// neighbours in index order and the second of a run is that P-location's
+// first repeat.
+func firstRepeatedLoc(x SampleSet) int {
+	keys := make([]uint64, len(x))
+	for i, s := range x {
+		keys[i] = uint64(uint32(s.Loc))<<32 | uint64(i)
+	}
+	slices.Sort(keys)
+	first := -1
+	for i := 1; i < len(keys); i++ {
+		if keys[i]>>32 == keys[i-1]>>32 {
+			if j := int(uint32(keys[i])); first < 0 || j < first {
+				first = j
+			}
+		}
+	}
+	return first
 }
 
 // Clone returns a deep copy.
@@ -166,14 +207,19 @@ type Table struct {
 // NewTable returns an empty table.
 func NewTable() *Table { return &Table{sorted: true} }
 
-// Append adds a record. Records may arrive in any time order; the head is
-// re-sorted lazily on first query.
-func (t *Table) Append(rec Record) {
+// Append adds records. Records may arrive in any time order; the head is
+// re-sorted lazily on first query. A call takes the lock once and grows the
+// head once, so a concurrent read sees all of its records or none of them.
+func (t *Table) Append(recs ...Record) {
+	if len(recs) == 0 {
+		return
+	}
+	inOrder := slices.IsSortedFunc(recs, func(a, b Record) int { return cmp.Compare(a.T, b.T) })
 	t.mu.Lock()
-	if n := len(t.records); n > 0 && rec.T < t.records[n-1].T {
+	if n := len(t.records); !inOrder || n > 0 && recs[0].T < t.records[n-1].T {
 		t.sorted = false
 	}
-	t.records = append(t.records, rec)
+	t.records = append(t.records, recs...)
 	t.mu.Unlock()
 }
 
@@ -315,20 +361,6 @@ func (t *Table) RangeQuery(ts, te Time, fn func(rec Record) bool) {
 			return
 		}
 	}
-}
-
-// Validate checks every record's sample set. On a table with sealed parts
-// this materializes the full merge (sealed records already passed validation
-// when written and a CRC check when opened; callers on the recovery path
-// validate only the head via HeadRecords).
-func (t *Table) Validate() error {
-	recs := t.allRecords()
-	for i := range recs {
-		if err := recs[i].Samples.Validate(); err != nil {
-			return fmt.Errorf("record %d (oid %d, t %d): %w", i, recs[i].OID, recs[i].T, err)
-		}
-	}
-	return nil
 }
 
 // Stats summarizes a table for reporting.

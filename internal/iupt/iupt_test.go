@@ -95,8 +95,10 @@ func TestTableBasics(t *testing.T) {
 	if !reflect.DeepEqual(objs, []ObjectID{1, 2}) {
 		t.Errorf("Objects = %v", objs)
 	}
-	if err := tb.Validate(); err != nil {
-		t.Errorf("Validate: %v", err)
+	for _, rec := range tb.SortedRecords() {
+		if err := rec.Samples.Validate(); err != nil {
+			t.Errorf("Validate: %v", err)
+		}
 	}
 }
 
@@ -140,7 +142,7 @@ func TestSequencesInRange(t *testing.T) {
 func TestValidateRejectsBadTable(t *testing.T) {
 	tb := NewTable()
 	tb.Append(Record{OID: 1, T: 1, Samples: mkSet(1, 0.5)})
-	if err := tb.Validate(); err == nil {
+	if err := tb.Record(0).Samples.Validate(); err == nil {
 		t.Error("expected validation error for sub-1 mass")
 	}
 }

@@ -311,8 +311,10 @@ func TestGenerateIUPT(t *testing.T) {
 	if table.Len() == 0 {
 		t.Fatal("empty IUPT")
 	}
-	if err := table.Validate(); err != nil {
-		t.Fatalf("IUPT invalid: %v", err)
+	for i, rec := range table.SortedRecords() {
+		if err := rec.Samples.Validate(); err != nil {
+			t.Fatalf("IUPT record %d invalid: %v", i, err)
+		}
 	}
 	st := table.ComputeStats()
 	if st.Objects != 5 {
@@ -408,8 +410,10 @@ func TestTruncateSamples(t *testing.T) {
 	if math.Abs(rec.Samples[0].Prob-0.4/0.7) > 1e-9 {
 		t.Errorf("renormalization wrong: %v", rec.Samples)
 	}
-	if err := out.Validate(); err != nil {
-		t.Error(err)
+	for _, rec := range out.SortedRecords() {
+		if err := rec.Samples.Validate(); err != nil {
+			t.Error(err)
+		}
 	}
 	// mss=1 keeps the max sample at probability 1.
 	one := TruncateSamples(tb, 1)

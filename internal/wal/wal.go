@@ -864,9 +864,7 @@ func replaySegment(path string, table *iupt.Table, tolerateTorn bool) (frames, r
 		if err != nil {
 			return err
 		}
-		for _, rec := range recs {
-			table.Append(rec)
-		}
+		table.Append(recs...)
 		frames++
 		records += int64(len(recs))
 		return nil

@@ -1,9 +1,11 @@
 package tkplq
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"tkplq/internal/core"
@@ -128,15 +130,21 @@ func (e *IngestError) Unwrap() error { return e.Err }
 
 // Ingest validates and appends a batch of positioning records to the
 // system's live table. The whole batch is validated before anything is
-// appended, so a bad record leaves the table untouched; the returned error
-// is a *IngestError identifying the first offending record. Structural
-// checks (negative timestamps, duplicate (object, timestamp) pairs within
-// the batch — which would make the object's positioning sequence ambiguous)
-// run over the whole batch before any sample-set validation, which also
-// refuses a sample at a P-location the space does not have. Ingest is safe
-// to call concurrently with queries: the table is internally synchronized,
-// and query-level coalescing keys on the table's record count, so queries
-// racing an ingest never share a stale evaluation.
+// logged or appended, so a bad record leaves the table untouched; the
+// returned error is a *IngestError identifying the first offending record.
+// The checks run in this order, each over the whole batch before the next:
+//
+//  1. structure: the first record, in batch order, with a negative timestamp
+//     or with the (object, timestamp) pair of an earlier record — which would
+//     make the object's positioning sequence ambiguous — names the error;
+//  2. per record, in batch order: the sample set's invariants
+//     (SampleSet.Validate), then every sample's P-location, which the space
+//     must have.
+//
+// Ingest is safe to call concurrently with queries: the table is internally
+// synchronized and takes the batch in one append, and query-level
+// coalescing keys on the table's record count, so queries racing an ingest
+// never share a stale evaluation.
 //
 // With a durable store attached (SetPersister), the validated batch is
 // written ahead to the store's log before it is applied, under the ingest
@@ -145,20 +153,8 @@ func (e *IngestError) Unwrap() error { return e.Err }
 // on recovery even if the caller never saw the acknowledgment — durable
 // ingest is accepted-or-unacknowledged, never lost-after-ack.
 func (s *System) Ingest(recs []Record) error {
-	type slot struct {
-		oid ObjectID
-		t   Time
-	}
-	seen := make(map[slot]int, len(recs))
-	for i, rec := range recs {
-		if rec.T < 0 {
-			return &IngestError{Index: i, OID: rec.OID, T: rec.T, Err: errors.New("negative timestamp")}
-		}
-		if j, dup := seen[slot{rec.OID, rec.T}]; dup {
-			return &IngestError{Index: i, OID: rec.OID, T: rec.T,
-				Err: fmt.Errorf("duplicate timestamp for object (record %d of this batch reports the same instant)", j)}
-		}
-		seen[slot{rec.OID, rec.T}] = i
+	if err := firstStructuralError(recs); err != nil {
+		return err
 	}
 	numPLocs := s.space.NumPLocations()
 	for i, rec := range recs {
@@ -178,14 +174,56 @@ func (s *System) Ingest(recs []Record) error {
 			return fmt.Errorf("tkplq: persisting ingest batch: %w", err)
 		}
 	}
-	for _, rec := range recs {
-		s.table.Append(rec)
-	}
+	s.table.Append(recs...)
 	// Announce the batch to live monitors and subscriptions while still
 	// holding the ingest lock — the barrier of a monitor's one table read —
 	// so each monitor sees the batch exactly once and in table order: in this
 	// announcement or in the read that builds it, never both.
 	s.engine.NotifyAppend(s.table, recs)
+	return nil
+}
+
+// firstStructuralError returns the error for the first record of recs with
+// a negative timestamp or with the (object, timestamp) pair of an earlier
+// record, or nil. Only the records before the first negative timestamp can
+// repeat a pair first, so only their keys are sorted; sorted by (timestamp,
+// object, index), the records of one pair are neighbours in batch order.
+func firstStructuralError(recs []Record) *IngestError {
+	neg := slices.IndexFunc(recs, func(rec Record) bool { return rec.T < 0 })
+	if neg < 0 {
+		neg = len(recs)
+	}
+	type key struct {
+		t   Time
+		pos uint64 // the object id above the record's index (a batch holds < 2³² records)
+	}
+	keys := make([]key, neg)
+	for i := range keys {
+		keys[i] = key{recs[i].T, uint64(uint32(recs[i].OID))<<32 | uint64(i)}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		if c := cmp.Compare(a.t, b.t); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.pos, b.pos)
+	})
+	dup, prev := neg, 0
+	for i := 1; i < len(keys); i++ {
+		if keys[i].t == keys[i-1].t && keys[i].pos>>32 == keys[i-1].pos>>32 {
+			if at := int(uint32(keys[i].pos)); at < dup {
+				dup, prev = at, int(uint32(keys[i-1].pos))
+			}
+		}
+	}
+	if dup < neg {
+		rec := recs[dup]
+		return &IngestError{Index: dup, OID: rec.OID, T: rec.T,
+			Err: fmt.Errorf("duplicate timestamp for object (record %d of this batch reports the same instant)", prev)}
+	}
+	if neg < len(recs) {
+		rec := recs[neg]
+		return &IngestError{Index: neg, OID: rec.OID, T: rec.T, Err: errors.New("negative timestamp")}
+	}
 	return nil
 }
 
