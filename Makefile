@@ -49,7 +49,7 @@ benchdiff:
 	$(GO) run ./cmd/benchjson -diff -threshold $(BENCH_THRESHOLD) $(BENCH_OLD) $(BENCH_NEW)
 
 # Fuzz smoke: the on-disk-format fuzzers (partition files, WAL segments,
-# binary IUPT files), the wire-format fuzzer (the shard's /v2/partial body),
+# binary and CSV IUPT files), the wire-format fuzzer (the shard's /v2/partial body),
 # the table-read fuzzer (a backed table's range reads against a flat
 # table's) and the ingest-batch fuzzer (Ingest's batch checks against the
 # map-based reference they replaced), a short budget each on top of their
@@ -62,6 +62,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPartitionOpen$$' -fuzztime $(FUZZTIME) ./internal/parts
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME) ./internal/iupt
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME) ./internal/iupt
 	$(GO) test -run '^$$' -fuzz '^FuzzTableRead$$' -fuzztime $(FUZZTIME) ./internal/iupt
 	$(GO) test -run '^$$' -fuzz '^FuzzPartialDecode$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzIngestBatch$$' -fuzztime $(FUZZTIME) .

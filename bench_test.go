@@ -318,8 +318,9 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 	d := parallelData(b)
 	const window = iupt.Time(1800)
 	now := d.span
+	recs := d.table.SortedRecords()
 	feed := func(i int) iupt.Record {
-		rec := d.table.Record(i % d.table.Len())
+		rec := recs[i%len(recs)]
 		rec.T = now
 		return rec
 	}
@@ -327,9 +328,7 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 		b.ReportAllocs()
 		eng := core.NewEngine(d.building.Space, core.Options{})
 		tb := iupt.NewTable()
-		for i := 0; i < d.table.Len(); i++ {
-			tb.Append(d.table.Record(i))
-		}
+		tb.Append(recs...)
 		var mu sync.Mutex // the table's ingest lock
 		sub, err := eng.Subscribe(context.Background(), core.SubscribeConfig{Table: tb, Barrier: &mu},
 			core.Query{Kind: core.KindTopK, Algorithm: core.AlgoBestFirst, K: 5, Window: window, SLocs: d.slocs})
@@ -361,9 +360,7 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 		b.ReportAllocs()
 		eng := core.NewEngine(d.building.Space, core.Options{})
 		tb := iupt.NewTable()
-		for i := 0; i < d.table.Len(); i++ {
-			tb.Append(d.table.Record(i))
-		}
+		tb.Append(recs...)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			tb.Append(feed(i))

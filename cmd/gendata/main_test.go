@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -26,15 +25,12 @@ func TestGendataCSV(t *testing.T) {
 		t.Errorf("-stats output missing iupt line: %q", stderr.String())
 	}
 
-	f, err := os.Open(path)
+	recs, err := iupt.ReadFile(path, "csv")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	table, err := iupt.ReadCSV(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	table := iupt.NewTable()
+	table.Append(recs...)
 	for i, rec := range table.SortedRecords() {
 		if err := rec.Samples.Validate(); err != nil {
 			t.Fatalf("generated record %d invalid: %v", i, err)
@@ -67,29 +63,19 @@ func TestGendataBinaryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cf, err := os.Open(csvPath)
+	fromCSV, err := iupt.ReadFile(csvPath, "csv")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cf.Close()
-	fromCSV, err := iupt.ReadCSV(cf)
+	fromBin, err := iupt.ReadFile(binPath, "bin")
 	if err != nil {
 		t.Fatal(err)
 	}
-	bf, err := os.Open(binPath)
-	if err != nil {
-		t.Fatal(err)
+	if len(fromCSV) != len(fromBin) {
+		t.Fatalf("csv has %d records, bin has %d", len(fromCSV), len(fromBin))
 	}
-	defer bf.Close()
-	fromBin, err := iupt.ReadBinary(bf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fromCSV.Len() != fromBin.Len() {
-		t.Fatalf("csv has %d records, bin has %d", fromCSV.Len(), fromBin.Len())
-	}
-	for i := 0; i < fromCSV.Len(); i++ {
-		a, b := fromCSV.Record(i), fromBin.Record(i)
+	for i := range fromCSV {
+		a, b := fromCSV[i], fromBin[i]
 		if a.OID != b.OID || a.T != b.T || len(a.Samples) != len(b.Samples) {
 			t.Fatalf("record %d differs: %+v vs %+v", i, a, b)
 		}

@@ -83,10 +83,12 @@ func run(ctx context.Context, args []string) error {
 		return err
 	}
 
-	table, err := sim.CLITable(b, *iuptFile, *format, *objects, tkplq.Time(*duration), *seed)
+	recs, err := sim.CLIRecords(b, *iuptFile, *format, *objects, tkplq.Time(*duration), *seed)
 	if err != nil {
 		return err
 	}
+	table := tkplq.NewTable()
+	table.Append(recs...)
 
 	opts := tkplq.Options{Workers: *workers}
 	switch *engine {

@@ -2,20 +2,25 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"tkplq"
+	"tkplq/internal/cluster"
+	"tkplq/internal/iupt"
 	"tkplq/internal/sim"
 )
 
@@ -244,13 +249,13 @@ func TestDaemonDurableRestart(t *testing.T) {
 }
 
 // buildSystem is the in-memory boot of run as a plain call: the named
-// building and buildTable's records, ingested into a new System.
+// building and seedRecords' records, ingested into a new System.
 func buildSystem(dataset, iuptFile, format string, objects int, duration, seed int64, workers int, own func(tkplq.ObjectID) bool) (*tkplq.System, error) {
 	b, err := sim.BuildingByName(dataset)
 	if err != nil {
 		return nil, err
 	}
-	table, err := buildTable(b, iuptFile, format, objects, duration, seed, own)
+	recs, err := seedRecords(b, iuptFile, format, objects, duration, seed, own)
 	if err != nil {
 		return nil, err
 	}
@@ -258,7 +263,7 @@ func buildSystem(dataset, iuptFile, format string, objects int, duration, seed i
 	if err != nil {
 		return nil, err
 	}
-	return sys, ingestInitial(sys, table)
+	return sys, ingestInitial(sys, recs)
 }
 
 // TestBuildSystemFromFile round-trips a table through the gendata CSV format
@@ -317,6 +322,101 @@ func TestBuildSystemFromFile(t *testing.T) {
 	}
 	if _, err := buildSystem("syn", filepath.Join(t.TempDir(), "missing.csv"), "csv", 0, 0, 5, 1, nil); err == nil {
 		t.Error("missing file accepted")
+	}
+}
+
+// TestShardSeedsPartitionTheStandaloneSeed: over a 3-shard topology the
+// shards' seeds — generated, or read from a -iupt CSV whose lines are
+// shuffled — are disjoint, each in canonical (T, arrival) order, and merged
+// by (T, standalone position) they are the standalone seed record for
+// record.
+func TestShardSeedsPartitionTheStandaloneSeed(t *testing.T) {
+	b, err := sim.BuildingByName("syn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := cluster.New([]string{"127.0.0.1:7001", "127.0.0.1:7002", "127.0.0.1:7003"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const objects, duration, seed = 12, 600, 4
+	generated, err := seedRecords(b, "", "csv", objects, duration, seed, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shuffled := slices.Clone(generated)
+	rand.New(rand.NewSource(1)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	var csv bytes.Buffer
+	w := iupt.NewCSVWriter(&csv)
+	for _, rec := range shuffled {
+		if err := w.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "shuffled.csv")
+	if err := os.WriteFile(path, csv.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct{ name, file string }{{"generated", ""}, {"shuffled csv", path}} {
+		t.Run(tc.name, func(t *testing.T) {
+			standalone, err := seedRecords(b, tc.file, "csv", objects, duration, seed, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.IsSortedFunc(standalone, func(a, b iupt.Record) int { return cmp.Compare(a.T, b.T) }) {
+				t.Fatal("standalone seed is not in time order")
+			}
+			type key struct {
+				oid iupt.ObjectID
+				t   iupt.Time
+			}
+			pos := make(map[key]int, len(standalone))
+			for i, rec := range standalone {
+				pos[key{rec.OID, rec.T}] = i
+			}
+			type placed struct {
+				rec iupt.Record
+				pos int
+			}
+			var merged []placed
+			seen := make(map[int]int) // standalone position -> shard
+			for shard := range topo.NumShards() {
+				recs, err := seedRecords(b, tc.file, "csv", objects, duration, seed, func(oid iupt.ObjectID) bool { return topo.Owns(oid, shard) })
+				if err != nil {
+					t.Fatal(err)
+				}
+				last := -1
+				for _, rec := range recs {
+					p, ok := pos[key{rec.OID, rec.T}]
+					if !ok || !topo.Owns(rec.OID, shard) {
+						t.Fatalf("shard %d holds record (%d, %d), which is not its own standalone record", shard, rec.OID, rec.T)
+					}
+					if other, dup := seen[p]; dup {
+						t.Fatalf("record (%d, %d) is in the seeds of shards %d and %d", rec.OID, rec.T, other, shard)
+					}
+					if p <= last {
+						t.Fatalf("shard %d: record (%d, %d) is out of canonical order", shard, rec.OID, rec.T)
+					}
+					seen[p], last = shard, p
+					merged = append(merged, placed{rec, p})
+				}
+			}
+			slices.SortFunc(merged, func(a, b placed) int {
+				return cmp.Or(cmp.Compare(a.rec.T, b.rec.T), cmp.Compare(a.pos, b.pos))
+			})
+			if len(merged) != len(standalone) {
+				t.Fatalf("the shards' seeds hold %d records, the standalone seed %d", len(merged), len(standalone))
+			}
+			for i := range merged {
+				if !reflect.DeepEqual(merged[i].rec, standalone[i]) {
+					t.Fatalf("merged record %d is %+v, standalone %+v", i, merged[i].rec, standalone[i])
+				}
+			}
+		})
 	}
 }
 

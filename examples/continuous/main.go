@@ -71,16 +71,16 @@ func main() {
 	// Replay the morning in 10-minute batches. Each ingest perturbs only the
 	// touched objects; the feed pushes whenever the top-3 actually changes,
 	// conflating to the freshest ranking if we read slowly.
-	fmt.Printf("streaming %d records; top-3 over a 15-minute window:\n\n", feed.Len())
+	recs := feed.SortedRecords()
+	fmt.Printf("streaming %d records; top-3 over a 15-minute window:\n\n", len(recs))
 	next := 0
 	var last tkplq.Update
 	for poll := tkplq.Time(600); poll <= 3600; poll += 600 {
-		var batch []tkplq.Record
-		for next < feed.Len() && feed.Record(next).T <= poll {
-			batch = append(batch, feed.Record(next))
+		first := next
+		for next < len(recs) && recs[next].T <= poll {
 			next++
 		}
-		if err := sys.Ingest(batch); err != nil {
+		if err := sys.Ingest(recs[first:next]); err != nil {
 			log.Fatal(err)
 		}
 		// Drain pushes until the feed has caught up with everything ingested.

@@ -49,7 +49,7 @@ func simpleCount(space *indoor.Space, table *iupt.Table, query []indoor.SLocID, 
 		sl  indoor.SLocID
 	}
 	counted := make(map[key]bool)
-	table.RangeQuery(ts, te, func(rec iupt.Record) bool {
+	for _, rec := range table.RecordsInRange(ts, te) {
 		for _, loc := range pick(rec.Samples) {
 			for _, sl := range space.SLocsContaining(loc) {
 				if !inQuery[sl] {
@@ -62,7 +62,6 @@ func simpleCount(space *indoor.Space, table *iupt.Table, query []indoor.SLocID, 
 				}
 			}
 		}
-		return true
-	})
+	}
 	return flows
 }

@@ -136,13 +136,14 @@ func TestMonitorMatchesBatchQuery(t *testing.T) {
 	e := NewEngine(fig.Space, Options{})
 	live := &liveTable{eng: e, tb: iupt.NewTable()}
 	m := live.monitor(fig.SLocs[:], 3, 10)
+	recs := src.SortedRecords()
 	next := 0
 	for _, now := range []iupt.Time{5, 10, 17, 30} {
-		for ; next < src.Len() && src.Record(next).T <= now; next++ {
-			live.ingest(src.Record(next))
+		for ; next < len(recs) && recs[next].T <= now; next++ {
+			live.ingest(recs[next])
 		}
 		got := current(m)
-		maxT := src.Record(next - 1).T // Record is time-ordered
+		maxT := recs[next-1].T // SortedRecords is time-ordered
 		if got.Te != maxT || got.Ts != max(0, maxT-10) {
 			t.Fatalf("now=%d: window = [%d, %d], want [%d, %d]", now, got.Ts, got.Te, max(0, maxT-10), maxT)
 		}
@@ -165,10 +166,7 @@ func TestMonitorConcurrentUse(t *testing.T) {
 	e := NewEngine(fig.Space, Options{})
 	live := &liveTable{eng: e, tb: iupt.NewTable()}
 	m := live.monitor(fig.SLocs[:], 2, 10)
-	recs := make([]iupt.Record, src.Len())
-	for i := range recs {
-		recs[i] = src.Record(i)
-	}
+	recs := src.SortedRecords()
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)

@@ -28,11 +28,11 @@ func rankIndexData(t testing.TB) (*indoor.Space, []iupt.Record) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := sim.CLITable(b, "", "", 30, 600, 3)
+	recs, err := sim.CLIRecords(b, "", "", 30, 600, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b.Space, tb.SortedRecords()
+	return b.Space, recs
 }
 
 func allSLocs(space *indoor.Space) []indoor.SLocID {

@@ -143,15 +143,8 @@ func (c *Config) RealDataset() (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	warmIndex(table)
 	cache.rd = &Dataset{Building: b, Trajs: trajs, Table: table, Span: p.duration}
 	return cache.rd, nil
-}
-
-// warmIndex forces the table's lazy time sort so measured query times do not
-// include the one-off sort.
-func warmIndex(t *iupt.Table) {
-	t.HeadRecords()
 }
 
 // SyntheticDataset builds (and caches) the SYN dataset at the default
@@ -205,7 +198,6 @@ func (c *Config) synIUPT(ds *Dataset, t iupt.Time, mu float64) (*iupt.Table, err
 	if err != nil {
 		return nil, err
 	}
-	warmIndex(tb)
 	cache.synIUPTs[key] = tb
 	return tb, nil
 }
@@ -214,14 +206,14 @@ func (c *Config) synIUPT(ds *Dataset, t iupt.Time, mu float64) (*iupt.Table, err
 // are simulated independently, so the prefix of a larger fleet is exactly
 // the fleet a smaller simulation would have produced.
 func restrictObjects(t *iupt.Table, n int) *iupt.Table {
-	out := iupt.NewTable()
-	for i := 0; i < t.Len(); i++ {
-		rec := t.Record(i)
+	var kept []iupt.Record
+	for _, rec := range t.SortedRecords() {
 		if int(rec.OID) <= n {
-			out.Append(rec)
+			kept = append(kept, rec)
 		}
 	}
-	warmIndex(out)
+	out := iupt.NewTable()
+	out.Append(kept...)
 	return out
 }
 

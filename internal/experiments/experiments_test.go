@@ -352,9 +352,9 @@ func TestRestrictObjects(t *testing.T) {
 		t.Fatal(err)
 	}
 	small := restrictObjects(full, 5)
-	for i := 0; i < small.Len(); i++ {
-		if small.Record(i).OID > 5 {
-			t.Fatalf("object %d leaked through restriction", small.Record(i).OID)
+	for _, rec := range small.SortedRecords() {
+		if rec.OID > 5 {
+			t.Fatalf("object %d leaked through restriction", rec.OID)
 		}
 	}
 	if small.Len() >= full.Len() {

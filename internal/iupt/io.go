@@ -2,12 +2,12 @@ package iupt
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"os"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -50,30 +50,27 @@ func writeCSVRecord(bw *bufio.Writer, rec *Record) error {
 	return bw.WriteByte('\n')
 }
 
-// ReadFile loads a table from a file in the named format, "csv" or "bin"
-// (the -format of gendata and the query tools; docs/FORMATS.md).
-func ReadFile(path, format string) (*Table, error) {
-	var read func(io.Reader) (*Table, error)
-	switch format {
-	case "csv":
-		read = ReadCSV
-	case "bin":
-		read = ReadBinary
-	default:
+// ReadFile reads the records of a file in the named format, "csv" or "bin"
+// (the -format of gendata and the query tools; docs/FORMATS.md), in file
+// order. The file is read whole, so the parser works on its bytes.
+func ReadFile(path, format string) ([]Record, error) {
+	if format != "csv" && format != "bin" {
 		return nil, fmt.Errorf("unknown format %q (want csv or bin)", format)
 	}
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close() // only read
-	return read(f)
+	if format == "csv" {
+		return ReadCSV(bytes.NewReader(data))
+	}
+	return ReadBinary(data)
 }
 
-// ReadCSV parses a table from the CSV format. Blank lines and lines starting
-// with '#' are skipped.
-func ReadCSV(r io.Reader) (*Table, error) {
-	t := NewTable()
+// ReadCSV parses records from the CSV format, in input order. Blank lines
+// and lines starting with '#' are skipped.
+func ReadCSV(r io.Reader) ([]Record, error) {
+	var recs []Record
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	lineNo := 0
@@ -114,18 +111,19 @@ func ReadCSV(r io.Reader) (*Table, error) {
 		if err := samples.Validate(); err != nil {
 			return nil, fmt.Errorf("iupt: line %d: %w", lineNo, err)
 		}
-		t.Append(Record{OID: ObjectID(oid), T: Time(ts), Samples: samples})
+		recs = append(recs, Record{OID: ObjectID(oid), T: Time(ts), Samples: samples})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	return t, nil
+	return recs, nil
 }
 
 // The binary IUPT layout (docs/FORMATS.md). AppendRecord and DecodeRecord
-// are its one record encoder and decoder; internal/wal frames its batch
-// payloads with them too, so a WAL payload after its record count is byte
-// for byte the body of a .bin file holding the same records.
+// are its one record encoder and decoder, and DecodeRecords its one decoder
+// of a run of records; internal/wal frames its batch payloads with them
+// too, so a WAL payload after its record count is byte for byte the body of
+// a .bin file holding the same records.
 const (
 	binaryMagic   = "IUPT"
 	binaryVersion = uint16(1)
@@ -163,21 +161,20 @@ func AppendRecord(dst []byte, rec *Record) ([]byte, error) {
 	return dst, nil
 }
 
-// recordLen returns the encoded length of the record whose header starts b;
-// b must hold at least recordHdrLen bytes.
-func recordLen(b []byte) int {
-	return recordHdrLen + sampleLen*int(binary.LittleEndian.Uint16(b[12:]))
-}
-
 // DecodeRecord decodes the binary record at the front of b and returns it
 // with its encoded length. The sample set is freshly allocated (nothing
 // aliases b) and not validated: callers that read untrusted bytes validate
 // it. b shorter than the record is io.ErrUnexpectedEOF.
 func DecodeRecord(b []byte) (Record, int, error) {
-	if len(b) < recordHdrLen || len(b) < recordLen(b) {
+	if len(b) < recordHdrLen {
 		return Record{}, 0, io.ErrUnexpectedEOF
 	}
-	samples := make(SampleSet, binary.LittleEndian.Uint16(b[12:]))
+	k := int(binary.LittleEndian.Uint16(b[12:]))
+	n := recordHdrLen + sampleLen*k
+	if len(b) < n {
+		return Record{}, 0, io.ErrUnexpectedEOF
+	}
+	samples := make(SampleSet, k)
 	for j := range samples {
 		s := b[recordHdrLen+sampleLen*j:]
 		samples[j] = Sample{
@@ -189,7 +186,42 @@ func DecodeRecord(b []byte) (Record, int, error) {
 		OID:     ObjectID(int32(binary.LittleEndian.Uint32(b))),
 		T:       Time(int64(binary.LittleEndian.Uint64(b[4:]))),
 		Samples: samples,
-	}, recordLen(b), nil
+	}, n, nil
+}
+
+// DecodeRecords decodes a run of count records in the binary record
+// layout that fills b exactly: the body of a .bin file after its header,
+// and a WAL batch payload after its record count. count is untrusted, so
+// the result is presized by it clamped to the records b can hold (at least
+// recordHdrLen bytes each). With validate every sample set must also pass
+// Validate. It returns the records, or where the run is bad; each caller
+// words that in its own error.
+func DecodeRecords(b []byte, count uint64, validate bool) ([]Record, *BadRun) {
+	recs := make([]Record, 0, min(count, uint64(len(b)/recordHdrLen)))
+	for i := uint64(0); i < count; i++ {
+		rec, n, err := DecodeRecord(b)
+		if err == nil && validate {
+			err = rec.Samples.Validate()
+		}
+		if err != nil {
+			return nil, &BadRun{Record: i, Err: err}
+		}
+		recs = append(recs, rec)
+		b = b[n:]
+	}
+	if len(b) > 0 {
+		return nil, &BadRun{Trailing: len(b)}
+	}
+	return recs, nil
+}
+
+// BadRun is where DecodeRecords refused a run: Err for its first record
+// (index Record) that is short or fails validation, or else Trailing bytes
+// left over after the last record.
+type BadRun struct {
+	Record   uint64
+	Err      error
+	Trailing int
 }
 
 // WriteBinary writes the table in the compact binary format.
@@ -221,48 +253,27 @@ func WriteRecordsBinary(w io.Writer, recs []Record) error {
 	return bw.Flush()
 }
 
-// ReadBinary parses a table from the binary format, one record at a time:
-// the header must match, every sample set must validate, and the stream
-// must end exactly after the header's record count.
-func ReadBinary(r io.Reader) (*Table, error) {
-	br := bufio.NewReader(r)
-	buf := make([]byte, binaryHdrLen, 256)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return nil, fmt.Errorf("iupt: reading header: %w", err)
+// ReadBinary parses the records of a file in the binary format, in file
+// order: the header must match, and the body must be exactly the header's
+// count of records, every sample set valid.
+func ReadBinary(data []byte) ([]Record, error) {
+	if len(data) < binaryHdrLen {
+		return nil, fmt.Errorf("iupt: reading header: %w", io.ErrUnexpectedEOF)
 	}
-	if string(buf[:4]) != binaryMagic {
-		return nil, fmt.Errorf("iupt: bad magic %q", buf[:4])
+	if string(data[:4]) != binaryMagic {
+		return nil, fmt.Errorf("iupt: bad magic %q", data[:4])
 	}
-	if v := binary.LittleEndian.Uint16(buf[4:]); v != binaryVersion {
+	if v := binary.LittleEndian.Uint16(data[4:]); v != binaryVersion {
 		return nil, fmt.Errorf("iupt: unsupported version %d", v)
 	}
-	count := binary.LittleEndian.Uint64(buf[6:])
-	t := NewTable()
-	for i := uint64(0); i < count; i++ {
-		buf = buf[:recordHdrLen]
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("iupt: record %d: %w", i, err)
-		}
-		n := recordLen(buf)
-		buf = slices.Grow(buf, n-recordHdrLen)[:n]
-		if _, err := io.ReadFull(br, buf[recordHdrLen:]); err != nil {
-			return nil, fmt.Errorf("iupt: record %d: %w", i, err)
-		}
-		rec, _, err := DecodeRecord(buf)
-		if err == nil {
-			err = rec.Samples.Validate()
-		}
-		if err != nil {
-			return nil, fmt.Errorf("iupt: record %d: %w", i, err)
-		}
-		t.Append(rec)
+	count := binary.LittleEndian.Uint64(data[6:])
+	recs, bad := DecodeRecords(data[binaryHdrLen:], count, true)
+	switch {
+	case bad == nil:
+		return recs, nil
+	case bad.Err != nil:
+		return nil, fmt.Errorf("iupt: record %d: %w", bad.Record, bad.Err)
+	default:
+		return nil, fmt.Errorf("iupt: %d trailing bytes after the %d records the header declares", bad.Trailing, count)
 	}
-	extra, err := io.Copy(io.Discard, br)
-	if err != nil {
-		return nil, err
-	}
-	if extra > 0 {
-		return nil, fmt.Errorf("iupt: %d trailing bytes after the %d records the header declares", extra, count)
-	}
-	return t, nil
 }

@@ -15,8 +15,9 @@
 // little-endian binary layout (WriteRecordsBinary, BinaryWriter and
 // ReadBinary; cmd/gendata's -format bin output) that stores probabilities
 // as raw IEEE-754 bits for exact round-trips. Its one record encoder and
-// decoder, AppendRecord and DecodeRecord, also frame the WAL's batch
-// payloads (internal/wal), so a record has the same bytes in both.
+// its decoder of a run of records, AppendRecord and DecodeRecords, also
+// frame the WAL's batch payloads (internal/wal), so a record has the same
+// bytes in both. The readers return records, not tables.
 package iupt
 
 import (
@@ -234,11 +235,6 @@ func (t *Table) Len() int {
 	return n
 }
 
-// Record returns the i-th record in time order.
-func (t *Table) Record(i int) Record {
-	return t.allRecords()[i]
-}
-
 // TimeSpan returns the earliest and latest record timestamps. ok is false
 // for an empty table.
 func (t *Table) TimeSpan() (lo, hi Time, ok bool) {
@@ -350,17 +346,6 @@ func (t *Table) RecordsInRange(ts, te Time) []Record {
 	head, sealed := t.retainView()
 	defer releaseParts(sealed)
 	return readRange(head, sealed, ts, te, nil, nil)
-}
-
-// RangeQuery invokes fn for every record with ts <= T <= te, in canonical
-// order, until fn returns false. The iteration sees the table as of the call;
-// concurrent appends affect only later queries.
-func (t *Table) RangeQuery(ts, te Time, fn func(rec Record) bool) {
-	for _, rec := range t.RecordsInRange(ts, te) {
-		if !fn(rec) {
-			return
-		}
-	}
 }
 
 // Stats summarizes a table for reporting.

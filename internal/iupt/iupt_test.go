@@ -88,8 +88,8 @@ func TestTableBasics(t *testing.T) {
 	if !ok || lo != 10 || hi != 30 {
 		t.Errorf("TimeSpan = %d..%d ok=%v", lo, hi, ok)
 	}
-	if tb.Record(0).T != 10 {
-		t.Errorf("records should be time-sorted, first T = %d", tb.Record(0).T)
+	if first := tb.SortedRecords()[0].T; first != 10 {
+		t.Errorf("records should be time-sorted, first T = %d", first)
 	}
 	objs := tb.Objects()
 	if !reflect.DeepEqual(objs, []ObjectID{1, 2}) {
@@ -107,16 +107,8 @@ func TestTableRangeQuery(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		tb.Append(Record{OID: ObjectID(i % 5), T: Time(i), Samples: mkSet(1, 1.0)})
 	}
-	count := 0
-	tb.RangeQuery(10, 19, func(Record) bool { count++; return true })
-	if count != 10 {
-		t.Errorf("RangeQuery count = %d, want 10", count)
-	}
-	// Early stop.
-	count = 0
-	tb.RangeQuery(0, 99, func(Record) bool { count++; return count < 7 })
-	if count != 7 {
-		t.Errorf("early stop count = %d", count)
+	if count := len(tb.RecordsInRange(10, 19)); count != 10 {
+		t.Errorf("RecordsInRange count = %d, want 10", count)
 	}
 }
 
@@ -142,7 +134,7 @@ func TestSequencesInRange(t *testing.T) {
 func TestValidateRejectsBadTable(t *testing.T) {
 	tb := NewTable()
 	tb.Append(Record{OID: 1, T: 1, Samples: mkSet(1, 0.5)})
-	if err := tb.Record(0).Samples.Validate(); err == nil {
+	if err := tb.SortedRecords()[0].Samples.Validate(); err == nil {
 		t.Error("expected validation error for sub-1 mass")
 	}
 }
@@ -198,12 +190,14 @@ func randomTable(rng *rand.Rand, nRecords int) *Table {
 	return tb
 }
 
-func tablesEqual(a, b *Table) bool {
-	if a.Len() != b.Len() {
+// tablesEqual reports whether a's records in canonical order are b.
+func tablesEqual(a *Table, b []Record) bool {
+	recs := a.SortedRecords()
+	if len(recs) != len(b) {
 		return false
 	}
-	for i := 0; i < a.Len(); i++ {
-		ra, rb := a.Record(i), b.Record(i)
+	for i := range recs {
+		ra, rb := recs[i], b[i]
 		if ra.OID != rb.OID || ra.T != rb.T || len(ra.Samples) != len(rb.Samples) {
 			return false
 		}
@@ -234,12 +228,12 @@ func TestCSVRoundTrip(t *testing.T) {
 
 func TestCSVSkipsCommentsAndBlank(t *testing.T) {
 	in := "# comment\n\n1,5,2:1.0\n"
-	tb, err := ReadCSV(strings.NewReader(in))
+	recs, err := ReadCSV(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.Len() != 1 {
-		t.Errorf("Len = %d", tb.Len())
+	if len(recs) != 1 {
+		t.Errorf("Len = %d", len(recs))
 	}
 }
 
@@ -268,7 +262,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if err := tb.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadBinary(&buf)
+	back, err := ReadBinary(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,10 +272,10 @@ func TestBinaryRoundTrip(t *testing.T) {
 }
 
 func TestBinaryRejectsCorrupt(t *testing.T) {
-	if _, err := ReadBinary(strings.NewReader("NOPE")); err == nil {
+	if _, err := ReadBinary([]byte("NOPE")); err == nil {
 		t.Error("bad magic should fail")
 	}
-	if _, err := ReadBinary(strings.NewReader("IU")); err == nil {
+	if _, err := ReadBinary([]byte("IU")); err == nil {
 		t.Error("short input should fail")
 	}
 	// Valid header then truncated body.
@@ -292,12 +286,12 @@ func TestBinaryRejectsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	trunc := buf.Bytes()[:buf.Len()-4]
-	if _, err := ReadBinary(bytes.NewReader(trunc)); err == nil {
+	if _, err := ReadBinary(trunc); err == nil {
 		t.Error("truncated body should fail")
 	}
 	// The fuzz seeds: every one but the valid file is refused.
 	for name, data := range binarySeeds(t) {
-		if _, err := ReadBinary(bytes.NewReader(data)); (err == nil) != (name == "valid") {
+		if _, err := ReadBinary(data); (err == nil) != (name == "valid") {
 			t.Errorf("%s: ReadBinary error = %v", name, err)
 		}
 	}
@@ -319,7 +313,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		b, err := ReadBinary(&bbuf)
+		b, err := ReadBinary(bbuf.Bytes())
 		if err != nil {
 			return false
 		}

@@ -271,7 +271,7 @@ func TestCommitSealStale(t *testing.T) {
 }
 
 // TestBackedTableAppendAfterSeal asserts post-seal appends land in the head
-// and merge back into reads, including RangeQuery and Record(i).
+// and merge back into reads, including indexed and range reads.
 func TestBackedTableAppendAfterSeal(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	recs := randomRecords(r, 100, Time(20))
@@ -284,22 +284,22 @@ func TestBackedTableAppendAfterSeal(t *testing.T) {
 	if err := recordsEqual(flat.SortedRecords(), backed.SortedRecords()); err != nil {
 		t.Fatalf("after late appends: %v", err)
 	}
-	for i := 0; i < flat.Len(); i += 17 {
-		fr, br := flat.Record(i), backed.Record(i)
+	flatRecs, backedRecs := flat.SortedRecords(), backed.SortedRecords()
+	for i := 0; i < len(flatRecs); i += 17 {
+		fr, br := flatRecs[i], backedRecs[i]
 		if fr.OID != br.OID || fr.T != br.T {
-			t.Fatalf("Record(%d): (%d,%d) vs (%d,%d)", i, fr.OID, fr.T, br.OID, br.T)
+			t.Fatalf("record %d: (%d,%d) vs (%d,%d)", i, fr.OID, fr.T, br.OID, br.T)
 		}
 	}
 	count := 0
-	backed.RangeQuery(5, 15, func(rec Record) bool {
+	for _, rec := range backed.RecordsInRange(5, 15) {
 		if rec.T < 5 || rec.T > 15 {
-			t.Fatalf("RangeQuery yielded T=%d outside [5,15]", rec.T)
+			t.Fatalf("RecordsInRange yielded T=%d outside [5,15]", rec.T)
 		}
 		count++
-		return true
-	})
+	}
 	if want := len(flat.RecordsInRange(5, 15)); count != want {
-		t.Fatalf("RangeQuery visited %d records, want %d", count, want)
+		t.Fatalf("RecordsInRange visited %d records, want %d", count, want)
 	}
 	fst, bst := flat.ComputeStats(), backed.ComputeStats()
 	if fst != bst {
@@ -382,7 +382,6 @@ func TestRetainedViewBalance(t *testing.T) {
 	backed.SortedRecords()
 	backed.RecordsInRange(0, 20)
 	backed.Objects()
-	backed.RangeQuery(0, 20, func(Record) bool { return true })
 	if _, err := backed.SequencesInRangeSharded(context.Background(), 0, 20, 3); err != nil {
 		t.Fatal(err)
 	}

@@ -101,11 +101,10 @@ func walImage(t *testing.T, batches [][]iupt.Record) []byte {
 
 func TestFormatGoldenBinaryIUPT(t *testing.T) {
 	data := readGolden(t, goldenBin)
-	table, err := iupt.ReadBinary(bytes.NewReader(data))
+	recs, err := iupt.ReadFile(filepath.Join(goldenDir, goldenBin), "bin")
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := table.SortedRecords()
 	sameRecords(t, goldenBin, goldenRecords(), recs)
 	if got := binaryIUPT(t, recs); !bytes.Equal(got, data) {
 		t.Fatalf("WriteRecordsBinary re-encodes %s to different bytes:\n got %x\nwant %x", goldenBin, got, data)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 
 	"tkplq/internal/geom"
@@ -104,18 +105,27 @@ type plocDist struct {
 // StreamIUPT: records arrive already in canonical order, so the table this
 // returns and a file written straight off the stream hold identical bytes.
 func GenerateIUPT(b *Building, trajs []Trajectory, cfg PositioningConfig) (*iupt.Table, error) {
-	stream, err := StreamIUPT(b, trajs, cfg)
+	recs, err := generateRecords(b, trajs, cfg)
 	if err != nil {
 		return nil, err
 	}
 	table := iupt.NewTable()
-	for {
-		rec, ok := stream.Next()
-		if !ok {
-			return table, nil
-		}
-		table.Append(rec)
+	table.Append(recs...)
+	return table, nil
+}
+
+// generateRecords drains StreamIUPT once: the records of GenerateIUPT's
+// table, in canonical order.
+func generateRecords(b *Building, trajs []Trajectory, cfg PositioningConfig) ([]iupt.Record, error) {
+	stream, err := StreamIUPT(b, trajs, cfg)
+	if err != nil {
+		return nil, err
 	}
+	var recs []iupt.Record
+	for rec, ok := stream.Next(); ok; rec, ok = stream.Next() {
+		recs = append(recs, rec)
+	}
+	return recs, nil
 }
 
 // sampleWkNN draws one positioning record's sample set: |X| P-locations
@@ -222,16 +232,17 @@ func invSq(d float64) float64 {
 // procedure for studying the effect of sample capacity. It returns a new
 // table; the input is unchanged.
 func TruncateSamples(t *iupt.Table, mss int) *iupt.Table {
-	out := iupt.NewTable()
-	for i := 0; i < t.Len(); i++ {
-		rec := t.Record(i)
-		x := rec.Samples.Clone()
+	recs := slices.Clone(t.SortedRecords())
+	for i := range recs {
+		x := recs[i].Samples.Clone()
 		if len(x) > mss {
 			sort.SliceStable(x, func(a, b int) bool { return x[a].Prob > x[b].Prob })
 			x = x[:mss]
 		}
 		x.Normalize()
-		out.Append(iupt.Record{OID: rec.OID, T: rec.T, Samples: x})
+		recs[i].Samples = x
 	}
+	out := iupt.NewTable()
+	out.Append(recs...)
 	return out
 }

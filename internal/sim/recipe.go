@@ -42,9 +42,10 @@ func CLIPositioningConfig(seed int64) PositioningConfig {
 	return cfg
 }
 
-// CLITable is the IUPT tkplq and tkplqd start from: read from a gendata file
-// when path is set, otherwise generated here exactly as gendata would have.
-func CLITable(b *Building, path, format string, objects int, duration iupt.Time, seed int64) (*iupt.Table, error) {
+// CLIRecords are the IUPT records tkplq and tkplqd start from: read from a
+// gendata file when path is set, in file order, otherwise generated here
+// exactly as gendata would have, in canonical (T, arrival) order.
+func CLIRecords(b *Building, path, format string, objects int, duration iupt.Time, seed int64) ([]iupt.Record, error) {
 	if path != "" {
 		return iupt.ReadFile(path, format)
 	}
@@ -52,5 +53,5 @@ func CLITable(b *Building, path, format string, objects int, duration iupt.Time,
 	if err != nil {
 		return nil, err
 	}
-	return GenerateIUPT(b, trajs, CLIPositioningConfig(seed))
+	return generateRecords(b, trajs, CLIPositioningConfig(seed))
 }

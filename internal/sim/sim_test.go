@@ -326,12 +326,11 @@ func TestGenerateIUPT(t *testing.T) {
 	// Period bound: per object, consecutive records at most MaxPeriod apart.
 	for _, tr := range trajs {
 		var times []iupt.Time
-		table.RangeQuery(tr.Start(), tr.End(), func(rec iupt.Record) bool {
+		for _, rec := range table.RecordsInRange(tr.Start(), tr.End()) {
 			if rec.OID == tr.OID {
 				times = append(times, rec.T)
 			}
-			return true
-		})
+		}
 		for i := 1; i < len(times); i++ {
 			// RangeQuery order is unspecified; sort first.
 			if times[i] < times[i-1] {
@@ -374,8 +373,7 @@ func TestPositioningErrorWithinRadius(t *testing.T) {
 		}
 	}
 	checked := 0
-	for i := 0; i < table.Len(); i++ {
-		rec := table.Record(i)
+	for _, rec := range table.SortedRecords() {
 		pt := truth[rec.OID][rec.T]
 		floor := s.Partition(pt.Partition).Floor
 		for _, smp := range rec.Samples {
@@ -400,7 +398,7 @@ func TestTruncateSamples(t *testing.T) {
 		{Loc: 1, Prob: 0.4}, {Loc: 2, Prob: 0.3}, {Loc: 3, Prob: 0.2}, {Loc: 4, Prob: 0.1},
 	}})
 	out := TruncateSamples(tb, 2)
-	rec := out.Record(0)
+	rec := out.SortedRecords()[0]
 	if len(rec.Samples) != 2 {
 		t.Fatalf("samples = %d, want 2", len(rec.Samples))
 	}
@@ -417,8 +415,8 @@ func TestTruncateSamples(t *testing.T) {
 	}
 	// mss=1 keeps the max sample at probability 1.
 	one := TruncateSamples(tb, 1)
-	if len(one.Record(0).Samples) != 1 || one.Record(0).Samples[0].Prob != 1 {
-		t.Errorf("mss=1 truncation = %v", one.Record(0).Samples)
+	if x := one.SortedRecords()[0].Samples; len(x) != 1 || x[0].Prob != 1 {
+		t.Errorf("mss=1 truncation = %v", x)
 	}
 }
 

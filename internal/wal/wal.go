@@ -777,27 +777,15 @@ func decodeBatch(payload []byte) ([]iupt.Record, error) {
 	if len(payload) < 4 {
 		return nil, errors.New("wal: short payload")
 	}
-	count := binary.LittleEndian.Uint32(payload)
-	// A record needs at least 14 payload bytes; clamp the pre-allocation so
-	// a corrupt count in a CRC-consistent frame cannot request gigabytes.
-	capHint := int64(count)
-	if max := int64(len(payload)) / 14; capHint > max {
-		capHint = max
+	recs, bad := iupt.DecodeRecords(payload[4:], uint64(binary.LittleEndian.Uint32(payload)), false)
+	switch {
+	case bad == nil:
+		return recs, nil
+	case bad.Err != nil:
+		return nil, fmt.Errorf("wal: payload truncated in record %d: %w", bad.Record, bad.Err)
+	default:
+		return nil, fmt.Errorf("wal: %d trailing payload bytes", bad.Trailing)
 	}
-	recs := make([]iupt.Record, 0, capHint)
-	off := 4
-	for i := uint32(0); i < count; i++ {
-		rec, n, err := iupt.DecodeRecord(payload[off:])
-		if err != nil {
-			return nil, fmt.Errorf("wal: payload truncated in record %d: %w", i, err)
-		}
-		recs = append(recs, rec)
-		off += n
-	}
-	if off != len(payload) {
-		return nil, fmt.Errorf("wal: %d trailing payload bytes", len(payload)-off)
-	}
-	return recs, nil
 }
 
 // readSegment reads a segment file and checks its header. A file shorter

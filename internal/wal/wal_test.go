@@ -1,8 +1,13 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -426,5 +431,51 @@ func TestShortFinalSegmentRecreated(t *testing.T) {
 func TestOpenRequiresDir(t *testing.T) {
 	if _, _, err := Open(Options{}); err == nil {
 		t.Fatal("Open accepted empty Dir")
+	}
+}
+
+// TestUntrustedRecordCountIsClamped: both callers of iupt.DecodeRecords
+// read a record count from untrusted bytes — a .bin file's header and a
+// CRC-valid WAL frame's payload — and presize by it only as far as the
+// bytes can hold records. A count far past the body is refused with the
+// first missing record, allocating next to nothing.
+func TestUntrustedRecordCountIsClamped(t *testing.T) {
+	recs := batch(1, 10, 3)
+	var file bytes.Buffer
+	if err := iupt.WriteRecordsBinary(&file, recs); err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(file.Bytes()[6:], math.MaxUint64)
+	path := filepath.Join(t.TempDir(), "huge-count.bin")
+	if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	frame, err := encodeFrame(recs[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(frame[frameHdrLen:], math.MaxUint32)
+	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(frame[frameHdrLen:], crcTable))
+
+	for _, tc := range []struct {
+		name   string
+		decode func() error
+		want   string
+	}{
+		{".bin header", func() error { _, err := iupt.ReadFile(path, "bin"); return err }, "iupt: record 3: unexpected EOF"},
+		{"WAL frame", func() error { _, err := DecodeFrame(frame); return err }, "wal: payload truncated in record 1: unexpected EOF"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := tc.decode()
+			runtime.ReadMemStats(&after)
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("error = %v, want %q", err, tc.want)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+				t.Fatalf("refusing the count allocated %d bytes, want under 1 MiB", alloc)
+			}
+		})
 	}
 }

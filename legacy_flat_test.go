@@ -86,16 +86,11 @@ func TestLegacyFlatDirectoryRefused(t *testing.T) {
 	// once and drops the snapshot.
 	t.Run("crash leftover", func(t *testing.T) {
 		dir := copyDataDir(t, filepath.Join(flatFixtureDir, "clean"))
-		f, err := os.Open(filepath.Join(dir, "snapshot-00000002.bin"))
+		snapshot, err := iupt.ReadFile(filepath.Join(dir, "snapshot-00000002.bin"), "bin")
 		if err != nil {
 			t.Fatal(err)
 		}
-		snapshot, err := iupt.ReadBinary(f)
-		f.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf, err := parts.Encode(snapshot.SortedRecords())
+		buf, err := parts.Encode(snapshot)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,10 +103,10 @@ func TestLegacyFlatDirectoryRefused(t *testing.T) {
 		}
 		defer store.Close()
 		ps := store.Stats()
-		if ps.Partitions != 1 || ps.SealedRecords != int64(snapshot.Len()) || ps.WAL.ReplayedRecords != 24 ||
+		if ps.Partitions != 1 || ps.SealedRecords != int64(len(snapshot)) || ps.WAL.ReplayedRecords != 24 ||
 			int64(table.Len()) != ps.SealedRecords+ps.WAL.ReplayedRecords {
 			t.Fatalf("crash-leftover open stats = %+v with %d records, want the %d-record partition plus the 24-record log tail",
-				ps, table.Len(), snapshot.Len())
+				ps, table.Len(), len(snapshot))
 		}
 		if _, err := os.Stat(filepath.Join(dir, "snapshot-00000002.bin")); !os.IsNotExist(err) {
 			t.Fatalf("leftover snapshot survived recovery: %v", err)
