@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/bits"
 	"slices"
+	"sync/atomic"
 
 	"tkplq/internal/geom"
 	"tkplq/internal/indoor"
@@ -23,10 +24,15 @@ import (
 //   - The search's working memory — the heap, the join lists, the candidate
 //     bitset — is pooled (bfScratch); the summaries it has looked up are the
 //     oracle's, by the same positions RC names.
+//   - The answer: what a search finds is a pure function of RQ, RC and k, so
+//     the slot also keeps the last finished search's results for its k
+//     (bfAnswer). The slot answers only the question it was built for — the
+//     query set in the caller's order and k — under the window's identity;
+//     any other question searches.
 //
 // Trees are immutable after BulkLoad, so they are shared by concurrent
 // searches without a lock. A private window (Query.DisableCache, a window the
-// cache does not admit) builds all of it per call.
+// cache does not admit) builds all of it per call and never replays.
 
 // geomRect and geomPoint shorten helper signatures, here and in the tests.
 type (
@@ -48,18 +54,55 @@ type rankIndex struct {
 	member map[indoor.SLocID]bool // the oracle's PSL∩Q check
 	rq     *rtree.Tree[indoor.SLocID]
 	rc     *rtree.Tree[int32]
-	bytes  int64 // estimated live size
+	// answer is the last finished search's over this index, replaced whole;
+	// nil until one finished.
+	answer atomic.Pointer[bfAnswer]
+	bytes  atomic.Int64 // estimated live size, the answer's included
 }
 
-// rankIndex returns the index for q over a window and an oracle that prunes
-// by q: the index in the window entry's slot when it was built for q, else a
-// new one, stored there. Building needs every object's reduction (its PSLs),
-// sharded across the worker pool; summaries stay lazy. By the time an index is
-// in a slot the window's memo holds all of those reductions, so skipping the
-// step on a hit leaves Stats as a rebuild would.
-func (e *Engine) rankIndex(ctx context.Context, en *windowEntry, q []indoor.SLocID) (*rankIndex, *presenceOracle, error) {
+// bfAnswer is one finished search's answer for k: the ranked results and the
+// Stats a search over the fully memoized window reports, which is what the
+// search left behind (replayStats). Immutable once stored.
+type bfAnswer struct {
+	k       int
+	results []Result
+	stats   Stats
+}
+
+// keep makes a the index's answer (nil forgets it) and moves the size
+// estimate by the difference to the one it replaces.
+func (ri *rankIndex) keep(a *bfAnswer) {
+	ri.bytes.Add(a.size() - ri.answer.Swap(a).size())
+}
+
+// size estimates an answer's live memory: the struct (136) and 16 per result.
+func (a *bfAnswer) size() int64 {
+	if a == nil {
+		return 0
+	}
+	return 136 + 16*int64(len(a.results))
+}
+
+// replayStats turns a finished search's Stats into those of the same search
+// over the window it left fully memoized: every summary it looked up is then a
+// memo hit, and no object is computed on a goroutine of its own.
+func replayStats(st Stats) Stats {
+	st.CacheHits += st.CacheMisses
+	st.CacheMisses = 0
+	st.Workers = 1
+	return st
+}
+
+// rankIndex returns the index for q over a window and resets oracle to one
+// that prunes by q: the index in the window entry's slot when it was built for
+// q, else a new one, stored there. Building needs every object's reduction
+// (its PSLs), sharded across the worker pool; summaries stay lazy. By the time
+// an index is in a slot the window's memo holds all of those reductions, so
+// skipping the step on a hit leaves Stats as a rebuild would.
+func (e *Engine) rankIndex(ctx context.Context, en *windowEntry, q []indoor.SLocID, oracle *presenceOracle) (*rankIndex, error) {
 	if ri := en.rank.Load(); ri != nil && slices.Equal(ri.slocs, q) {
-		return ri, newOracle(e, en, 0, len(en.win.OIDs), ri.member), nil
+		oracle.reset(e, en, 0, len(en.win.OIDs), ri.member)
+		return ri, nil
 	}
 	ri := &rankIndex{slocs: slices.Clone(q), member: make(map[indoor.SLocID]bool, len(q))}
 	qItems := make([]rtree.BulkItem[indoor.SLocID], len(q))
@@ -69,9 +112,9 @@ func (e *Engine) rankIndex(ctx context.Context, en *windowEntry, q []indoor.SLoc
 	}
 	ri.rq = rtree.BulkLoad(rtree.DefaultMaxEntries, qItems)
 
-	oracle := newOracle(e, en, 0, len(en.win.OIDs), ri.member)
+	oracle.reset(e, en, 0, len(en.win.OIDs), ri.member)
 	if err := oracle.ensureAll(ctx, false); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var items []rtree.BulkItem[int32]
 	for pos, red := range oracle.reductions {
@@ -85,9 +128,9 @@ func (e *Engine) rankIndex(ctx context.Context, en *windowEntry, q []indoor.SLoc
 	ri.rc = rtree.BulkLoad(rtree.DefaultMaxEntries, items)
 	// Per location its id and map slot; per item of either tree a leaf entry
 	// and its share of the levels above.
-	ri.bytes = 24*int64(len(q)) + 64*int64(len(q)+len(items))
+	ri.bytes.Store(24*int64(len(q)) + 64*int64(len(q)+len(items)))
 	en.rank.Store(ri)
-	return ri, oracle, nil
+	return ri, nil
 }
 
 // topkBestFirst is Algorithm 4. Phase 1 is the rank index: RQ, and RC over
@@ -97,18 +140,31 @@ func (e *Engine) rankIndex(ctx context.Context, en *windowEntry, q []indoor.SLoc
 // pops heap entries best-first, descending whichever tree side is deeper,
 // computing concrete flows only for leaf entries that survive to the top,
 // and terminates as soon as k results are confirmed.
+//
+// A question the window's slot has answered — the same query set in the same
+// order, the same k — is replayed from it instead: no oracle, no scratch, no
+// tree walk. A finished search over a kept window stores its answer there; a
+// canceled one stores nothing.
 func (e *Engine) topkBestFirst(ctx context.Context, table *iupt.Table, q []indoor.SLocID, k int, ts, te iupt.Time) ([]Result, Stats, error) {
 	en, err := e.window(ctx, table, ts, te)
 	if err != nil {
 		return nil, Stats{}, err
 	}
 	defer en.release() // after the last read: the results are values
-	ri, oracle, err := e.rankIndex(ctx, en, q)
-	if err != nil {
-		return nil, Stats{}, err
+	if a := en.answer(q, k); a != nil {
+		if err := ctx.Err(); err != nil {
+			return nil, Stats{}, err
+		}
+		e.cache.objHits.Add(a.stats.CacheHits) // as finishStats would
+		return slices.Clone(a.results), a.stats, nil
 	}
 	s := e.getBFScratch(len(en.win.OIDs))
 	defer e.putBFScratch(s)
+	oracle := &s.oracle
+	ri, err := e.rankIndex(ctx, en, q, oracle)
+	if err != nil {
+		return nil, Stats{}, err
+	}
 
 	// Phase 2: join the roots.
 	rcRoot := ri.rc.Root()
@@ -182,7 +238,24 @@ func (e *Engine) topkBestFirst(ctx context.Context, table *iupt.Table, q []indoo
 	}
 	// Re-rank the k confirmed results so tie ordering (flow desc, id asc)
 	// matches Naive and Nested-Loop exactly.
-	return rankTopK(results, k), oracle.finishStats(), nil
+	results, st := rankTopK(results, k), oracle.finishStats()
+	if en.memo != nil { // a private entry's slot dies with this call
+		ri.keep(&bfAnswer{k: k, results: slices.Clone(results), stats: replayStats(st)})
+	}
+	return results, st, nil
+}
+
+// answer returns the answer the entry's slot holds for the query set q, in
+// that order, and k; nil when it holds none.
+func (en *windowEntry) answer(q []indoor.SLocID, k int) *bfAnswer {
+	ri := en.rank.Load()
+	if ri == nil || !slices.Equal(ri.slocs, q) {
+		return nil
+	}
+	if a := ri.answer.Load(); a != nil && a.k == k {
+		return a
+	}
+	return nil
 }
 
 // pushJoined joins eq against list — one RC level down when expand is set —

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sync"
 
 	"tkplq/internal/indoor"
@@ -58,13 +59,22 @@ var prunedRed = new(Reduction)
 // nothing and carves its reductions from en's pooled memory, so they are
 // valid until en's release.
 func newOracle(e *Engine, en *windowEntry, lo, hi int, query map[indoor.SLocID]bool) *presenceOracle {
-	o := &presenceOracle{
+	o := new(presenceOracle)
+	o.reset(e, en, lo, hi, query)
+	return o
+}
+
+// reset makes o the oracle newOracle returns, over columns grown from o's
+// own: a pooled oracle (bfScratch) hands them back empty and cleared.
+func (o *presenceOracle) reset(e *Engine, en *windowEntry, lo, hi int, query map[indoor.SLocID]bool) {
+	*o = presenceOracle{
 		eng:        e,
 		query:      query,
 		en:         en,
 		win:        window{Window: iupt.Window{OIDs: en.win.OIDs[lo:hi], Seqs: en.win.Seqs[lo:hi]}},
-		reductions: make([]*Reduction, hi-lo),
-		summaries:  make([]*ObjectSummary, hi-lo),
+		reductions: slices.Grow(o.reductions, hi-lo)[:hi-lo],
+		summaries:  slices.Grow(o.summaries, hi-lo)[:hi-lo],
+		pending:    o.pending,
 		stats:      Stats{ObjectsTotal: hi - lo},
 	}
 	if en.win.pieces != nil {
@@ -73,7 +83,6 @@ func newOracle(e *Engine, en *windowEntry, lo, hi int, query map[indoor.SLocID]b
 	if en.memo != nil {
 		o.memo = en.memo[lo:hi]
 	}
-	return o
 }
 
 // minParallelItems is the fan-out cutoff: below this many pending work items

@@ -302,7 +302,7 @@ func TestWindowBytesChargesMemo(t *testing.T) {
 			b += memoBytes(en.memo.get(i))
 		}
 		if ri := en.rank.Load(); ri != nil {
-			b += ri.bytes
+			b += ri.bytes.Load()
 		}
 		return b
 	}

@@ -364,6 +364,20 @@ func TestBestFirstScratchReleased(t *testing.T) {
 				t.Fatalf("%s: the pooled arena holds an R-tree entry", label)
 			}
 		}
+		o := &s.oracle
+		if o.eng != nil || o.en != nil || o.query != nil || o.win.OIDs != nil || o.memo != nil || len(o.reductions) != 0 || len(o.summaries) != 0 || len(o.pending) != 0 {
+			t.Fatalf("%s: the pooled oracle was not reset", label)
+		}
+		for i := range cap(o.reductions) {
+			if o.reductions[:cap(o.reductions)][i] != nil {
+				t.Fatalf("%s: the pooled oracle holds a reduction", label)
+			}
+		}
+		for i := range cap(o.summaries) {
+			if o.summaries[:cap(o.summaries)][i] != nil {
+				t.Fatalf("%s: the pooled oracle holds a summary", label)
+			}
+		}
 	}
 	if _, _, err := eng.topkBestFirst(context.Background(), tb, all, 10, 0, 600); err != nil {
 		t.Fatal(err)
@@ -373,6 +387,7 @@ func TestBestFirstScratchReleased(t *testing.T) {
 	for n := int64(0); ; n++ {
 		left := atomic.Int64{}
 		left.Store(n)
+		forgetAnswers(eng) // the canceled asks search: the slot has no answer to replay
 		_, _, err := eng.topkBestFirst(countdownCtx{context.Background(), &left}, tb, all, 10, 0, 600)
 		if err == nil {
 			break
@@ -399,7 +414,8 @@ func TestBestFirstScratchReleased(t *testing.T) {
 // built two trees, a map and a sorted slice per location and boxed every
 // push, BenchmarkTopKAlgorithms/BestFirst read 375 per call; with the
 // oracle's two per-query object maps and a sorted copy of the window's ids,
-// this test read 27.)
+// this test read 27.) The slot's answer is cleared before every ask, so each
+// one searches (TestBestFirstReplayAllocBudget pins the replay).
 func TestBestFirstHotAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are not meaningful under the race detector")
@@ -413,6 +429,7 @@ func TestBestFirstHotAllocBudget(t *testing.T) {
 	q := Query{Algorithm: AlgoBestFirst, K: 10, Te: 600, SLocs: allSLocs(space)}
 	ctx := context.Background()
 	ask := func() {
+		forgetAnswers(eng)
 		if _, err := eng.Do(ctx, tb, q); err != nil {
 			t.Fatal(err)
 		}
@@ -421,5 +438,62 @@ func TestBestFirstHotAllocBudget(t *testing.T) {
 	ask() // grow the pooled scratch to the search's size
 	if allocs := testing.AllocsPerRun(100, ask); allocs > 15 {
 		t.Errorf("hot Best-First query allocates %v/op, budget 15", allocs)
+	}
+}
+
+// TestBestFirstReplayAllocBudget pins what a repeated Best-First question
+// over a cached window allocates when its slot answers it: the driver's
+// per-query bookkeeping and the caller's copy of the answer — no oracle and
+// no scratch.
+func TestBestFirstReplayAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are not meaningful under the race detector")
+	}
+	space, recs := rankIndexData(t)
+	tb := iupt.NewTable()
+	tb.Append(recs...)
+	eng := NewEngine(space, Options{})
+	q := Query{Algorithm: AlgoBestFirst, K: 10, Te: 600, SLocs: allSLocs(space)}
+	ctx := context.Background()
+	ask := func() {
+		if _, err := eng.Do(ctx, tb, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ask() // materialize the window, fill the memo, build both trees, store the answer
+	held := slotAnswer(eng, tb, 0, 600)
+	if held == nil {
+		t.Fatal("the search stored no answer in the window's slot")
+	}
+	allocs := testing.AllocsPerRun(100, ask)
+	if slotAnswer(eng, tb, 0, 600) != held {
+		t.Fatal("a repeated question searched instead of replaying")
+	}
+	if allocs > 12 {
+		t.Errorf("replayed Best-First query allocates %v/op, budget 12", allocs)
+	}
+}
+
+// BenchmarkBestFirstHotSearch times Algorithm 4 over a fully memoized window
+// with both trees in the slot and a warm scratch pool: the slot's answer is
+// cleared before every ask, so each one searches. (A repeated question is
+// otherwise replayed, which BenchmarkTopKAlgorithms/BestFirst times.)
+func BenchmarkBestFirstHotSearch(b *testing.B) {
+	space, recs := rankIndexData(b)
+	tb := iupt.NewTable()
+	tb.Append(recs...)
+	eng := NewEngine(space, Options{})
+	q := Query{Algorithm: AlgoBestFirst, K: 10, Te: 600, SLocs: allSLocs(space)}
+	ctx := context.Background()
+	if _, err := eng.Do(ctx, tb, q); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		forgetAnswers(eng)
+		if _, err := eng.Do(ctx, tb, q); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

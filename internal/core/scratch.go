@@ -105,6 +105,9 @@ type bfScratch struct {
 
 	// The current location's candidates: a bitset over window positions.
 	cand []uint64
+
+	// oracle is the search's presence oracle, its columns reused.
+	oracle presenceOracle
 }
 
 // getBFScratch hands out a cleared scratch for a search over objects object
@@ -127,6 +130,10 @@ func (e *Engine) putBFScratch(s *bfScratch) {
 	clear(s.heap)
 	clear(s.lists)
 	s.heap, s.lists, s.seq = s.heap[:0], s.lists[:0], 0
+	o := &s.oracle
+	clear(o.reductions)
+	clear(o.summaries)
+	*o = presenceOracle{reductions: o.reductions[:0], summaries: o.summaries[:0], pending: o.pending[:0]}
 	e.bfScratch.Put(s)
 }
 

@@ -27,10 +27,12 @@ import (
 //
 // An entry also carries what Best-First builds from those reductions: the
 // query R-tree RQ and the COUNT-aggregate R-tree RC of the last query set
-// asked over the window (rankIndex, one slot). It is a pure function of the
-// reductions and the query set, so the same identity proves it and it is
-// never invalidated either: a moved identity stores a new entry, whose slot
-// is empty.
+// asked over the window, and the answer of the last search over them
+// (rankIndex, one slot). They are pure functions of the reductions, the query
+// set in the caller's order and, for the answer, k, so the same identity
+// proves them and they are never invalidated either: the slot answers only
+// the question (query set in caller order, k) it was built for, and a moved
+// identity stores a new entry, whose slot is empty.
 //
 // A hit returns the stored window and memo themselves, not copies: they are
 // shared by every query over the window, so consumers treat the sequences,
@@ -103,9 +105,12 @@ type windowEntry struct {
 	bytes atomic.Int64
 	memo  objectMemo // aligned with win; nil for a private entry
 	// rank is Best-First's index over the window for the last query set that
-	// searched it. Immutable once stored and replaced whole, so concurrent
+	// searched it, with the last answer a search over it found. Its trees
+	// are immutable once stored and it is replaced whole, so concurrent
 	// searches with different query sets each keep the one they loaded or
-	// built: the slot decides what the next search finds, never an answer.
+	// built; its answer is replaced whole too. The slot answers only the
+	// question (query set in caller order, k) it was built for, under the
+	// window's identity.
 	rank atomic.Pointer[rankIndex]
 	// rec is a private entry's pooled memory, handed back by release; nil
 	// for an entry the cache keeps.
@@ -377,7 +382,7 @@ func (e *Engine) CacheStats() CacheStats {
 		for _, en := range gen {
 			out.WindowBytes += en.bytes.Load()
 			if ri := en.rank.Load(); ri != nil {
-				out.WindowBytes += ri.bytes
+				out.WindowBytes += ri.bytes.Load()
 			}
 			for i := range en.memo {
 				if en.memo.get(i) != nil {

@@ -177,13 +177,13 @@ func TestDecodeRecordBounds(t *testing.T) {
 		t.Fatalf("encoded %d bytes, EncodedLen says %d", len(b), EncodedLen(&rec))
 	}
 	for i := range b {
-		if _, _, err := DecodeRecord(b[:i]); err == nil {
-			t.Fatalf("DecodeRecord accepted a %d-byte prefix of a %d-byte record", i, len(b))
+		if _, _, err := decodeRecord(b[:i], make(SampleSet, 2)); err == nil {
+			t.Fatalf("decodeRecord accepted a %d-byte prefix of a %d-byte record", i, len(b))
 		}
 	}
-	got, n, err := DecodeRecord(append(b, 0xff))
+	got, n, err := decodeRecord(append(b, 0xff), make(SampleSet, 2))
 	if err != nil || n != len(b) || got.OID != rec.OID || got.T != rec.T || !slices.Equal(got.Samples, rec.Samples) {
-		t.Fatalf("DecodeRecord = %+v, %d, %v", got, n, err)
+		t.Fatalf("decodeRecord = %+v, %d, %v", got, n, err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -73,45 +74,19 @@ func ReadCSV(r io.Reader) ([]Record, error) {
 	var recs []Record
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	var arena sampleArena
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		b := bytes.TrimSpace(sc.Bytes())
+		if len(b) == 0 || b[0] == '#' {
 			continue
 		}
-		parts := strings.SplitN(line, ",", 3)
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("iupt: line %d: want 3 comma-separated fields", lineNo)
-		}
-		oid, err := strconv.ParseInt(parts[0], 10, 32)
+		rec, err := parseCSVRecord(string(b), &arena)
 		if err != nil {
-			return nil, fmt.Errorf("iupt: line %d: bad oid: %w", lineNo, err)
-		}
-		ts, err := strconv.ParseInt(parts[1], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("iupt: line %d: bad timestamp: %w", lineNo, err)
-		}
-		var samples SampleSet
-		for _, pair := range strings.Split(parts[2], ";") {
-			lp := strings.SplitN(pair, ":", 2)
-			if len(lp) != 2 {
-				return nil, fmt.Errorf("iupt: line %d: bad sample %q", lineNo, pair)
-			}
-			loc, err := strconv.ParseInt(lp[0], 10, 32)
-			if err != nil {
-				return nil, fmt.Errorf("iupt: line %d: bad loc: %w", lineNo, err)
-			}
-			prob, err := strconv.ParseFloat(lp[1], 64)
-			if err != nil {
-				return nil, fmt.Errorf("iupt: line %d: bad prob: %w", lineNo, err)
-			}
-			samples = append(samples, Sample{Loc: indoor.PLocID(loc), Prob: prob})
-		}
-		if err := samples.Validate(); err != nil {
 			return nil, fmt.Errorf("iupt: line %d: %w", lineNo, err)
 		}
-		recs = append(recs, Record{OID: ObjectID(oid), T: Time(ts), Samples: samples})
+		recs = append(recs, rec)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -119,11 +94,66 @@ func ReadCSV(r io.Reader) ([]Record, error) {
 	return recs, nil
 }
 
-// The binary IUPT layout (docs/FORMATS.md). AppendRecord and DecodeRecord
-// are its one record encoder and decoder, and DecodeRecords its one decoder
-// of a run of records; internal/wal frames its batch payloads with them
-// too, so a WAL payload after its record count is byte for byte the body of
-// a .bin file holding the same records.
+// sampleArena carves the sample sets of parsed records from shared blocks.
+type sampleArena SampleSet
+
+// take returns an empty sample set with room for n samples, capped there so
+// that an append beyond n cannot reach the next set carved after it.
+func (a *sampleArena) take(n int) SampleSet {
+	if len(*a) < n {
+		*a = make(sampleArena, max(n, 4096))
+	}
+	set := SampleSet((*a)[:0:n])
+	*a = (*a)[n:]
+	return set
+}
+
+// parseCSVRecord parses one trimmed, non-blank CSV line. Every field is a
+// substring of line, so the line's string is the one copy of its bytes; the
+// sample set, sized by the line's ';' count, comes from arena.
+func parseCSVRecord(line string, arena *sampleArena) (Record, error) {
+	oidField, rest, ok := strings.Cut(line, ",")
+	tsField, samplesField, ok2 := strings.Cut(rest, ",")
+	if !ok || !ok2 {
+		return Record{}, errors.New("want 3 comma-separated fields")
+	}
+	oid, err := strconv.ParseInt(oidField, 10, 32)
+	if err != nil {
+		return Record{}, fmt.Errorf("bad oid: %w", err)
+	}
+	ts, err := strconv.ParseInt(tsField, 10, 64)
+	if err != nil {
+		return Record{}, fmt.Errorf("bad timestamp: %w", err)
+	}
+	samples := arena.take(strings.Count(samplesField, ";") + 1)
+	for more := true; more; {
+		var pair string
+		pair, samplesField, more = strings.Cut(samplesField, ";")
+		locField, probField, ok := strings.Cut(pair, ":")
+		if !ok {
+			return Record{}, fmt.Errorf("bad sample %q", pair)
+		}
+		loc, err := strconv.ParseInt(locField, 10, 32)
+		if err != nil {
+			return Record{}, fmt.Errorf("bad loc: %w", err)
+		}
+		prob, err := strconv.ParseFloat(probField, 64)
+		if err != nil {
+			return Record{}, fmt.Errorf("bad prob: %w", err)
+		}
+		samples = append(samples, Sample{Loc: indoor.PLocID(loc), Prob: prob})
+	}
+	if err := samples.Validate(); err != nil {
+		return Record{}, err
+	}
+	return Record{OID: ObjectID(oid), T: Time(ts), Samples: samples}, nil
+}
+
+// The binary IUPT layout (docs/FORMATS.md). AppendRecord is its one record
+// encoder and DecodeRecords its one decoder of a run of records;
+// internal/wal frames its batch payloads with them too, so a WAL payload
+// after its record count is byte for byte the body of a .bin file holding the
+// same records.
 const (
 	binaryMagic   = "IUPT"
 	binaryVersion = uint16(1)
@@ -161,11 +191,13 @@ func AppendRecord(dst []byte, rec *Record) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeRecord decodes the binary record at the front of b and returns it
-// with its encoded length. The sample set is freshly allocated (nothing
-// aliases b) and not validated: callers that read untrusted bytes validate
-// it. b shorter than the record is io.ErrUnexpectedEOF.
-func DecodeRecord(b []byte) (Record, int, error) {
+// decodeRecord decodes the binary record at the front of b and returns it
+// with its encoded length. Its sample set is the front of samples, which
+// must hold the record's samples, capped at their count so that an append to
+// it cannot reach past it; nothing aliases b. It is not validated: callers
+// that read untrusted bytes validate it. b shorter than the record is
+// io.ErrUnexpectedEOF.
+func decodeRecord(b []byte, samples SampleSet) (Record, int, error) {
 	if len(b) < recordHdrLen {
 		return Record{}, 0, io.ErrUnexpectedEOF
 	}
@@ -174,7 +206,7 @@ func DecodeRecord(b []byte) (Record, int, error) {
 	if len(b) < n {
 		return Record{}, 0, io.ErrUnexpectedEOF
 	}
-	samples := make(SampleSet, k)
+	samples = samples[:k:k]
 	for j := range samples {
 		s := b[recordHdrLen+sampleLen*j:]
 		samples[j] = Sample{
@@ -189,17 +221,37 @@ func DecodeRecord(b []byte) (Record, int, error) {
 	}, n, nil
 }
 
+// samplesIn returns how many samples the first count records of b hold, up
+// to the first record b does not hold whole. However large count is, that is
+// at most len(b)/sampleLen.
+func samplesIn(b []byte, count uint64) int {
+	total := 0
+	for ; count > 0 && len(b) >= recordHdrLen; count-- {
+		k := int(binary.LittleEndian.Uint16(b[12:]))
+		n := recordHdrLen + sampleLen*k
+		if len(b) < n {
+			break
+		}
+		total += k
+		b = b[n:]
+	}
+	return total
+}
+
 // DecodeRecords decodes a run of count records in the binary record
 // layout that fills b exactly: the body of a .bin file after its header,
 // and a WAL batch payload after its record count. count is untrusted, so
 // the result is presized by it clamped to the records b can hold (at least
-// recordHdrLen bytes each). With validate every sample set must also pass
-// Validate. It returns the records, or where the run is bad; each caller
-// words that in its own error.
+// recordHdrLen bytes each). The records' sample sets are consecutive pieces
+// of one array, sized by the record headers b holds whole (samplesIn), each
+// capped so that an append to one set cannot overwrite the next. With
+// validate every sample set must also pass Validate. It returns the records,
+// or where the run is bad; each caller words that in its own error.
 func DecodeRecords(b []byte, count uint64, validate bool) ([]Record, *BadRun) {
 	recs := make([]Record, 0, min(count, uint64(len(b)/recordHdrLen)))
+	samples := make(SampleSet, samplesIn(b, count))
 	for i := uint64(0); i < count; i++ {
-		rec, n, err := DecodeRecord(b)
+		rec, n, err := decodeRecord(b, samples)
 		if err == nil && validate {
 			err = rec.Samples.Validate()
 		}
@@ -207,6 +259,7 @@ func DecodeRecords(b []byte, count uint64, validate bool) ([]Record, *BadRun) {
 			return nil, &BadRun{Record: i, Err: err}
 		}
 		recs = append(recs, rec)
+		samples = samples[len(rec.Samples):]
 		b = b[n:]
 	}
 	if len(b) > 0 {
