@@ -1,7 +1,6 @@
 package baseline
 
 import (
-	"context"
 	"math/rand"
 
 	"tkplq/internal/core"
@@ -31,8 +30,8 @@ func MC(space *indoor.Space, table *iupt.Table, query []indoor.SLocID, ts, te iu
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	eng := core.NewEngine(space, core.Options{DisableReduction: true})
 
-	// Objects in ascending id; a background ctx cannot cancel the read.
-	w, _ := table.Window(context.Background(), ts, te)
+	// Objects in ascending id.
+	w := iupt.GroupSequences(table.RecordsInRange(ts, te))
 
 	acc := make(map[indoor.SLocID]float64, len(query))
 	for _, q := range query {

@@ -83,6 +83,9 @@ type flight struct {
 	// not the followers', so followers with live contexts take over and
 	// evaluate for themselves instead of inheriting the cancellation.
 	abandoned bool
+	// joined counts the followers that found the flight, under the
+	// coalescer's lock; it is final once the flight has left the map.
+	joined int
 }
 
 // canonicalSLocs returns a sorted copy of q (ascending id). Rankings are
@@ -111,8 +114,9 @@ func slocKey(canon []indoor.SLocID) string {
 }
 
 // do runs eval under the key, sharing the evaluation with every concurrent
-// identical caller. The returned result slice is a private copy for each
-// caller.
+// identical caller. The returned result slice is each caller's own: a
+// follower gets a copy, and so does a leader that had followers; a leader
+// alone keeps what eval returned.
 //
 // Context semantics: a follower whose ctx is canceled while it waits
 // *detaches* — it returns ctx.Err() immediately and the leader keeps
@@ -120,10 +124,11 @@ func slocKey(canon []indoor.SLocID) string {
 // mid-evaluation marks the flight abandoned; followers with live contexts
 // then evaluate for themselves instead of inheriting a cancellation that
 // was never theirs.
-func (c *coalescer) do(ctx context.Context, key flightKey, eval func(context.Context) ([]Result, Stats, error)) ([]Result, Stats, error) {
+func (c *coalescer) do(ctx context.Context, key flightKey, eval func(context.Context) ([]Result, Stats, error)) (res []Result, stats Stats, err error) {
 	c.mu.Lock()
 	if f, ok := c.flights[key]; ok {
 		c.waiting++
+		f.joined++
 		c.mu.Unlock()
 		select {
 		case <-f.done:
@@ -170,12 +175,18 @@ func (c *coalescer) do(ctx context.Context, key flightKey, eval func(context.Con
 	}
 	// The deferred cleanup runs even when eval panics: the flight must leave
 	// the map and done must close, or every waiting and future identical
-	// caller would hang forever on a dead flight.
+	// caller would hang forever on a dead flight. Its followers copy f.res,
+	// so a leader that had any returns a copy too: a caller mutating its
+	// slice cannot race their copies.
 	defer func() {
 		c.mu.Lock()
 		delete(c.flights, key)
+		joined := f.joined
 		c.mu.Unlock()
 		close(f.done)
+		if joined > 0 {
+			res = slices.Clone(res)
+		}
 	}()
 	f.res, f.stats, f.err = eval(ctx)
 	f.panicked = false
@@ -184,9 +195,7 @@ func (c *coalescer) do(ctx context.Context, key flightKey, eval func(context.Con
 		// back to the followers rather than failing them with this ctx.Err().
 		f.abandoned = true
 	}
-	// The leader hands its followers the f.res backing array; return a copy so
-	// a caller mutating its slice cannot race the followers' copies.
-	return append([]Result(nil), f.res...), f.stats, f.err
+	return f.res, f.stats, f.err
 }
 
 // waiterCount returns the number of callers currently blocked on flights

@@ -187,8 +187,9 @@ func (m *monitor) rebuildLocked() {
 	m.covered = m.table.Len()
 	m.barrier.Unlock()
 
-	// Grouped exactly as Table.Window groups a window: every sequence capped,
-	// so advanceLocked's appends copy out of the shared arena.
+	// Raw sequences, not pieces over slabs: advanceLocked splices records
+	// into them. Every sequence is capped, so its appends copy out of the
+	// shared arena.
 	w := iupt.GroupSequences(recs)
 	m.seqs = w.Map()
 	m.oids = w.OIDs

@@ -22,8 +22,9 @@ func (e *Engine) TopKDensity(table *iupt.Table, q []indoor.SLocID, k int, ts, te
 	return ranked(e.Do(context.Background(), table, Query{Kind: KindDensity, K: k, Ts: ts, Te: te, SLocs: q}))
 }
 
-// uncached returns q with the window cache bypassed: the from-scratch
-// reference every cache differential compares against.
+// uncached returns q with the window cache bypassed: no window entry, no
+// memo, no rank slot. Over sealed partitions it still reads slabs; the
+// from-scratch reference is the same question over flatCopy.
 func uncached(q Query) Query {
 	q.DisableCache = true
 	return q
@@ -36,6 +37,18 @@ func uncachedAll(qs []Query) []Query {
 		out[i] = uncached(q)
 	}
 	return out
+}
+
+// flatCopy returns tb's records, in canonical order, on an in-memory table
+// with no sealed part, so every object of every window over it takes
+// reduceAt's plain loop: the from-scratch reference the differentials over
+// sealed partitions compare with.
+func flatCopy(tb *iupt.Table) *iupt.Table {
+	flat := iupt.NewTable()
+	if lo, hi, ok := tb.TimeSpan(); ok {
+		flat.Append(tb.RecordsInRange(lo, hi)...)
+	}
+	return flat
 }
 
 func ranked(resp *Response, err error) ([]Result, Stats, error) {

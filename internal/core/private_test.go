@@ -69,11 +69,12 @@ func distinctWindows(rng *rand.Rand, n int) [][2]iupt.Time {
 // TestPrivateWindowDifferential: over 200 back-to-back distinct windows, on
 // an in-memory and a partitioned table and at 1 and 4 workers, an engine whose
 // full one-window cache admits none of them (every evaluation private, in
-// recycled memory) answers exactly as one that keeps every window and as one
-// asked with the cache bypassed — results, flows, partial rows and work counters —
-// for Best-First, Nested-Loop and Naive top-k, DoPartial and presence. Every
-// answer the private engine gave is still bit-identical at the end, after
-// later evaluations reused the memory its windows and reductions lived in.
+// recycled memory) answers exactly as one that keeps every window, as one
+// asked with the cache bypassed and as one asked over a flat copy of the
+// table — results, flows, partial rows and work counters — for Best-First,
+// Nested-Loop and Naive top-k, DoPartial and presence. Every answer the
+// private engine gave is still bit-identical at the end, after later
+// evaluations reused the memory its windows and reductions lived in.
 func TestPrivateWindowDifferential(t *testing.T) {
 	fig := indoor.Figure1Space()
 	space, all := fig.Space, fig.SLocs[:]
@@ -94,14 +95,18 @@ func TestPrivateWindowDifferential(t *testing.T) {
 	}
 	for _, layout := range []string{"memory", "partitioned"} {
 		tb := layoutTable(t, layout, recs)
+		flat := flatCopy(tb)
 		oids := tb.Objects()
 		for _, workers := range []int{1, 4} {
 			at := fmt.Sprintf("%s workers=%d", layout, workers)
 			kept := NewEngine(space, Options{Workers: workers})
 			kept.cache.cap = 1 << 20 // room for every window: all kept
 			private := NewEngine(space, Options{Workers: workers})
-			private.cache.cap = 1                                // full after the first window: none admitted
-			plain := NewEngine(space, Options{Workers: workers}) // asked with the cache bypassed
+			private.cache.cap = 1                                   // full after the first window: none admitted
+			bypassed := NewEngine(space, Options{Workers: workers}) // asked with the cache bypassed
+			plain := NewEngine(space, Options{Workers: workers})    // asked over the flat copy
+			engines := []*Engine{private, kept, bypassed, plain}
+			tables := []*iupt.Table{tb, tb, tb, flat}
 
 			type answer struct {
 				resp *Response
@@ -114,21 +119,21 @@ func TestPrivateWindowDifferential(t *testing.T) {
 			for i, w := range windows {
 				kind := kinds[i%len(kinds)]
 				q := query(kind, w, oids[i%len(oids)])
-				asks := []Query{q, q, uncached(q)} // to private, kept and plain
+				asks := []Query{q, q, uncached(q), q}
 				label := fmt.Sprintf("%s window %d %v %s", at, i, w, kind)
 				if kind != "naive" {
 					throughCache++
 				}
 				if kind == "partial" {
-					var got [3]*Partial
-					for j, eng := range []*Engine{private, kept, plain} {
-						p, err := eng.DoPartial(ctx, tb, asks[j])
+					var got [4]*Partial
+					for j, eng := range engines {
+						p, err := eng.DoPartial(ctx, tables[j], asks[j])
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}
 						got[j] = p
 					}
-					for j := 1; j < 3; j++ {
+					for j := 1; j < len(got); j++ {
 						if !reflect.DeepEqual(got[0].OIDs, got[j].OIDs) || !reflect.DeepEqual(got[0].Rows, got[j].Rows) || got[0].Stats.ObjectsComputed != got[j].Stats.ObjectsComputed {
 							t.Fatalf("%s: the private partial differs from engine %d's", label, j)
 						}
@@ -136,15 +141,15 @@ func TestPrivateWindowDifferential(t *testing.T) {
 					answers = append(answers, answer{part: got[0], snap: fmt.Sprintf("%+v", *got[0])})
 					continue
 				}
-				var got [3]*Response
-				for j, eng := range []*Engine{private, kept, plain} {
-					resp, err := eng.Do(ctx, tb, asks[j])
+				var got [4]*Response
+				for j, eng := range engines {
+					resp, err := eng.Do(ctx, tables[j], asks[j])
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
 					got[j] = resp
 				}
-				for j, name := range []string{"kept", "uncached"} {
+				for j, name := range []string{"kept", "uncached", "flat"} {
 					want := got[j+1]
 					assertSameResponse(t, label+" vs "+name, want, got[0])
 					if g, w := got[0].Stats, want.Stats; g.ObjectsTotal != w.ObjectsTotal || g.ObjectsComputed != w.ObjectsComputed || g.HeapPops != w.HeapPops || g.SampleSetsReduced != w.SampleSetsReduced {
@@ -175,6 +180,15 @@ func TestPrivateWindowDifferential(t *testing.T) {
 			}
 			if st.WindowMisses != throughCache {
 				t.Errorf("%s: %d window misses, want one per window through the cache (%d)", at, st.WindowMisses, throughCache)
+			}
+			// A bypassed query reads slabs, and builds them, but counts no
+			// cache traffic.
+			bst := bypassed.CacheStats()
+			if bst.WindowEntries != 0 || bst.WindowHits != 0 || bst.WindowMisses != 0 || bst.Hits != 0 || bst.Misses != 0 {
+				t.Errorf("%s: the bypassed engine counted cache traffic: %+v", at, bst)
+			}
+			if (bst.SlabBytes > 0) != (layout == "partitioned") {
+				t.Errorf("%s: the bypassed engine holds %d slab bytes", at, bst.SlabBytes)
 			}
 		}
 	}
@@ -333,7 +347,8 @@ func TestWindowBytesChargesMemo(t *testing.T) {
 // not the window's sequences or reductions. Measured on this fleet (30
 // objects, a 400-unit window over three sealed partitions) on a 2-vCPU
 // x86-64 box: about 650 KB per query when every such window was stored, 32 KB
-// in recycled memory.
+// in recycled memory. The same question with the cache bypassed takes the
+// same private read over slabs and is held to the same budget.
 func TestColdWindowAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are not meaningful under the race detector")
@@ -355,37 +370,41 @@ func TestColdWindowAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	eng := NewEngine(space, Options{Workers: 1})
-	eng.cache.cap = 1
-	ctx := context.Background()
-	next := iupt.Time(0)
-	ask := func() {
-		// A window never asked before: [next, next+400] over all three parts.
-		next++
-		if _, err := eng.Do(ctx, tb, Query{Algorithm: AlgoBestFirst, K: 10, Ts: next, Te: next + 400, SLocs: allSLocs(space)}); err != nil {
-			t.Fatal(err)
+	for _, bypass := range []bool{false, true} {
+		eng := NewEngine(space, Options{Workers: 1})
+		eng.cache.cap = 1
+		ctx := context.Background()
+		next := iupt.Time(0)
+		ask := func() {
+			// A window never asked before: [next, next+400] over all three parts.
+			next++
+			q := Query{Algorithm: AlgoBestFirst, K: 10, Ts: next, Te: next + 400, SLocs: allSLocs(space), DisableCache: bypass}
+			if _, err := eng.Do(ctx, tb, q); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	for range 5 { // fill the cache, warm the pools
-		ask()
-	}
-	// A collection would empty the pools mid-measurement; a pooled value put
-	// back on one P and missed on another costs a round its arrays, so the
-	// best of three rounds is taken.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	const runs = 50
-	perQuery := uint64(1 << 62)
-	for range 3 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for range runs {
+		for range 5 { // fill the cache, warm the pools
 			ask()
 		}
-		runtime.ReadMemStats(&after)
-		perQuery = min(perQuery, (after.TotalAlloc-before.TotalAlloc)/runs)
-	}
-	t.Logf("a cold Best-First query allocates %d bytes", perQuery)
-	if perQuery > 96<<10 {
-		t.Errorf("a cold Best-First query allocates %d bytes, budget 96 KiB", perQuery)
+		// A collection would empty the pools mid-measurement; a pooled value
+		// put back on one P and missed on another costs a round its arrays,
+		// so the best of three rounds is taken.
+		gc := debug.SetGCPercent(-1)
+		const runs = 50
+		perQuery := uint64(1 << 62)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range runs {
+				ask()
+			}
+			runtime.ReadMemStats(&after)
+			perQuery = min(perQuery, (after.TotalAlloc-before.TotalAlloc)/runs)
+		}
+		debug.SetGCPercent(gc)
+		t.Logf("a cold Best-First query (cache bypassed: %v) allocates %d bytes", bypass, perQuery)
+		if perQuery > 96<<10 {
+			t.Errorf("a cold Best-First query (cache bypassed: %v) allocates %d bytes, budget 96 KiB", bypass, perQuery)
+		}
 	}
 }

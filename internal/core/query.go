@@ -74,10 +74,12 @@ type Query struct {
 	// Results are bit-identical at every pool size, so the override is a
 	// scheduling knob, never a correctness one.
 	Workers int
-	// DisableCache bypasses the engine's window cache for this query: its
-	// window is materialized afresh, nothing is read from or stored in a
-	// memo, and the per-query cache counters stay 0. The underlying cache
-	// keeps serving other queries. Subscribe ignores it: feeds use no cache.
+	// DisableCache bypasses the engine's window cache for this query: no
+	// window entry, no memo, no rank slot. Its window is materialized afresh
+	// into pooled memory and the per-query cache counters stay 0. It still
+	// reads the engine's slabs (slab.go), and may build them: slabs are
+	// storage, not cache. The underlying cache keeps serving other queries.
+	// Subscribe ignores it: feeds use no cache.
 	DisableCache bool
 	// DisableCoalescing opts this query out of query-level request
 	// coalescing: it always evaluates for itself and never joins (or leads)

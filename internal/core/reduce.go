@@ -63,12 +63,14 @@ func (e *Engine) ReduceData(seq iupt.Sequence, query map[indoor.SLocID]bool) (*R
 // from out for a private evaluation, else from the heap, the merged sets from
 // a per-call sampleArena.
 //
-// On the raw path the object's sequence runs through the runBuilder record by
-// record. Over slabs (slab.go) its pieces alternate: whole stored runs, whose
-// sets the Reduction shares with the slab, and raw records — the runs the
-// window cuts or joins across a seam, and head records — which run through
-// the same builder. Either way the assembler (finishReduction) collects the
-// cells and PSLs over the reduced sets (DESIGN.md §6).
+// An object without pieces — head-only, whose sources interleave in T, or in
+// a window with no sealed object — runs its sequence through the runBuilder
+// record by record (the plain loop). Over slabs (slab.go) its pieces
+// alternate: whole stored runs, whose sets the Reduction shares with the
+// slab, and raw records — the runs the window cuts or joins across a seam,
+// and head records — which run through the same builder. Either way the
+// assembler (finishReduction) collects the cells and PSLs over the reduced
+// sets (DESIGN.md §6).
 func (e *Engine) reduceAt(w *window, i int, scr *summarizeScratch, out *outArena) *Reduction {
 	var arena sampleArena
 	if out != nil {
@@ -103,9 +105,10 @@ func (e *Engine) reduceAt(w *window, i int, scr *summarizeScratch, out *outArena
 // fed in order (lines 2-5 with 14-30): each set is intra-merged, and a run
 // of sets with one P-location set is inter-merged when the next set's
 // differs. It is the one implementation of the merges: a slab build runs it
-// over an object's records (slab.go), the raw path over a window's sequence,
-// and an assembly over the runs a window cuts or joins. The reduced sets
-// collect in scr.seq and the number of sets each spans in scr.runLens.
+// over an object's records (slab.go), the plain loop over an object's raw
+// sequence, and an assembly over the runs a window cuts or joins. The
+// reduced sets collect in scr.seq and the number of sets each spans in
+// scr.runLens.
 type runBuilder struct {
 	e            *Engine
 	scr          *summarizeScratch

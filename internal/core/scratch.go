@@ -224,13 +224,12 @@ func (a *outArena) reset() {
 }
 
 // recycler is the pooled memory of one private evaluation: its window's
-// iupt.Arena (nil when the window is someone else's) and the output arenas
-// its goroutines carve reductions from. release hands all of it back in one
+// memory (nil when the window is someone else's) and the output arenas its
+// goroutines carve reductions from. release hands all of it back in one
 // step, after the evaluation's last read. A nil recycler — a kept window's —
 // holds nothing: its arenas are nil, so reductions go to the heap.
 type recycler struct {
-	win  *iupt.Arena
-	mem  *winMem     // a window over slabs: its columns and decoded records
+	mem  *winMem     // the window's columns, sequences and decoded records
 	outs []*outArena // outs[w] is carved by the w-th goroutine of a compute
 }
 
@@ -247,14 +246,11 @@ func (r *recycler) arenas(n int) []*outArena {
 	return r.outs[:n]
 }
 
-// release returns the window arena and every output arena to their pools:
+// release returns the window's memory and every output arena to their pools:
 // nothing carved from them may be read afterwards.
 func (r *recycler) release() {
 	if r == nil {
 		return
-	}
-	if r.win != nil {
-		r.win.Release()
 	}
 	if r.mem != nil {
 		r.mem.release()
@@ -263,5 +259,5 @@ func (r *recycler) release() {
 		a.reset()
 		outArenaPool.Put(a)
 	}
-	r.win, r.mem, r.outs = nil, nil, nil
+	r.mem, r.outs = nil, nil
 }

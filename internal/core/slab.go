@@ -21,8 +21,9 @@ import (
 // sealed data holds, per object, pieces: the stored runs it contains whole,
 // whose sets its reduction shares with the slab, and raw records — the runs
 // it cuts at ts or te, the runs a seam between sources may join, and head
-// records — which reduceAt runs through the same runBuilder as the raw path.
-// DESIGN.md §6 argues that the result is the raw path's, bit for bit.
+// records — which reduceAt runs through the same runBuilder as its plain
+// loop over a raw sequence. DESIGN.md §6 argues that the result is the plain
+// loop's over the window's raw sequence, bit for bit.
 //
 // A slab is built on its first read, once, under the engine's options, and
 // kept until its part leaves the table. Slabs are keyed by the part object:
@@ -217,10 +218,10 @@ type piece struct {
 }
 
 // window is what a window entry holds, by position: the object's id and its
-// raw records (the embedded iupt.Window) and, over slabs, its pieces. On the
-// raw path pieces is nil, and pieces[i] is nil for an object that has no
-// sealed records in the window or whose records interleave in T across
-// sources: Seqs[i] is then its whole sequence.
+// raw records (the embedded iupt.Window) and, over slabs, its pieces. In a
+// window with no sealed object pieces is nil, and pieces[i] is nil for an
+// object that has no sealed records in the window or whose records
+// interleave in T across sources: Seqs[i] is then its whole sequence.
 type window struct {
 	iupt.Window
 	pieces [][]piece
@@ -239,14 +240,13 @@ func (w *window) records(i int) int {
 	return n
 }
 
-// winMem is the recycled memory of a private window over slabs: its columns,
-// its pieces and the records it decoded.
+// winMem is the recycled memory of a private window over slabs: its columns
+// and its records' sequences (the embedded arena, which its head records are
+// grouped into too), its pieces and the records it decoded.
 type winMem struct {
-	oids    []iupt.ObjectID
-	seqs    []iupt.Sequence
+	iupt.Arena
 	lists   [][]piece
 	pieces  []piece
-	sets    []iupt.TimedSampleSet
 	samples iupt.SampleSet
 }
 
@@ -255,11 +255,11 @@ var winMemPool = sync.Pool{New: func() any { return new(winMem) }}
 // release clears every reference the window left and returns the memory to
 // the pool.
 func (m *winMem) release() {
-	clear(m.seqs)
+	clear(m.Seqs)
 	clear(m.lists)
 	clear(m.pieces)
-	clear(m.sets)
-	m.oids, m.seqs, m.lists, m.pieces, m.sets, m.samples = m.oids[:0], m.seqs[:0], m.lists[:0], m.pieces[:0], m.sets[:0], m.samples[:0]
+	clear(m.Sets)
+	m.OIDs, m.Seqs, m.lists, m.pieces, m.Sets, m.samples = m.OIDs[:0], m.Seqs[:0], m.lists[:0], m.pieces[:0], m.Sets[:0], m.samples[:0]
 	winMemPool.Put(m)
 }
 
@@ -395,7 +395,7 @@ func (e *Engine) slabWindow(ctx context.Context, table *iupt.Table, head []iupt.
 	var hw iupt.Window
 	var samples *iupt.SampleSet
 	if rec != nil {
-		hw, samples = iupt.GroupSequences(head, rec.win), &rec.mem.samples
+		hw, samples = iupt.GroupSequences(head, &rec.mem.Arena), &rec.mem.samples
 	} else {
 		hw, samples = iupt.GroupSequences(head), new(iupt.SampleSet)
 	}
@@ -585,7 +585,7 @@ func (wb *winBuilder) finish(rec *recycler, sealedObjs bool) *window {
 	)
 	if rec != nil {
 		m = rec.mem
-		oids, seqs, lists, pieces, sets = &m.oids, &m.seqs, &m.lists, &m.pieces, &m.sets
+		oids, seqs, lists, pieces, sets = &m.OIDs, &m.Seqs, &m.lists, &m.pieces, &m.Sets
 	}
 	w := &window{Window: iupt.Window{OIDs: iupt.Carve(oids, len(wb.objs)), Seqs: iupt.Carve(seqs, len(wb.objs))}}
 	if sealedObjs {

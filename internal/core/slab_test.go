@@ -198,13 +198,15 @@ func sameReduction(got, want *Reduction) string {
 // TestSlabReductionDifferential: on a partitioned table with slab seams,
 // partition seams, a head seam, late records interleaving across a seal and,
 // later, a compaction, every reduction a window over slabs assembles is
-// bit-identical to the raw path's over the same window, for engines with all
-// of Algorithm 1, without intra-merge, without inter-merge and without any
-// reduction. Windows start and end on, next to and between run boundaries and
-// seams. Over a share of them, top-k by Best-First, Nested-Loop and Naive,
-// DoPartial and presence answer exactly as with Query.DisableCache set, at 1
-// and 4 workers, from kept and private windows alike, and from goroutines
-// racing the first build of each slab.
+// bit-identical to the plain loop's over the window's raw sequence
+// (GroupSequences of RecordsInRange), for engines with all of Algorithm 1,
+// without intra-merge, without inter-merge and without any reduction.
+// Windows start and end on, next to and between run boundaries and seams.
+// Over a share of them, top-k by Best-First, Nested-Loop and Naive, DoPartial
+// and presence answer exactly as the same question over a flat copy of the
+// table (no sealed part, so no slab), at 1 and 4 workers, from kept windows,
+// private ones and ones asked with Query.DisableCache alike, and from
+// goroutines racing the first build of each slab.
 func TestSlabReductionDifferential(t *testing.T) {
 	f := newSlabFixture(t)
 	ctx := context.Background()
@@ -221,10 +223,7 @@ func TestSlabReductionDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref, err := f.tb.Window(ctx, win[0], win[1])
-				if err != nil {
-					t.Fatal(err)
-				}
+				ref := iupt.GroupSequences(f.tb.RecordsInRange(win[0], win[1]))
 				if !slices.Equal(w.OIDs, ref.OIDs) {
 					t.Fatalf("%s window %v: objects %v, want %v", at, win, w.OIDs, ref.OIDs)
 				}
@@ -241,7 +240,7 @@ func TestSlabReductionDifferential(t *testing.T) {
 					case w.pieces == nil || w.pieces[i] == nil:
 						raw++
 						if len(ref.Seqs[i]) > headCount(f.tb, ref.OIDs[i], win) {
-							interleaved++ // it has sealed records, yet takes the raw path
+							interleaved++ // it has sealed records, yet takes the plain loop
 						}
 					default:
 						for _, p := range w.pieces[i] {
@@ -272,21 +271,23 @@ func TestSlabReductionDifferential(t *testing.T) {
 		}
 		return q
 	}
-	answer := func(eng *Engine, q Query, kind string) string {
+	answerOn := func(eng *Engine, tb *iupt.Table, q Query, kind string) string {
 		if kind == "partial" {
-			p, err := eng.DoPartial(ctx, f.tb, q)
+			p, err := eng.DoPartial(ctx, tb, q)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return fmt.Sprintf("%v %v %d", p.OIDs, p.Rows, p.Stats.ObjectsComputed)
 		}
-		resp, err := eng.Do(ctx, f.tb, q)
+		resp, err := eng.Do(ctx, tb, q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		st := resp.Stats
 		return fmt.Sprintf("%v %v %d %d %d %d", resp.Results, math.Float64bits(resp.Flow), st.ObjectsTotal, st.ObjectsComputed, st.SampleSetsOriginal, st.SampleSetsReduced)
 	}
+	answer := func(eng *Engine, q Query, kind string) string { return answerOn(eng, f.tb, q, kind) }
+	flat := flatCopy(f.tb)
 	for _, opts := range optionSets {
 		for _, workers := range []int{1, 4} {
 			o := opts
@@ -294,13 +295,18 @@ func TestSlabReductionDifferential(t *testing.T) {
 			kept := NewEngine(f.space, o)
 			private := NewEngine(f.space, o)
 			private.cache.cap = 1
-			plain := NewEngine(f.space, o) // asked with the cache bypassed
+			bypassed := NewEngine(f.space, o) // asked with the cache bypassed
+			plain := NewEngine(f.space, o)    // asked over the flat copy
 			for i := 0; i < len(windows); i += 11 {
 				kind := kinds[(i/11)%len(kinds)]
 				q := query(kind, windows[i], iupt.ObjectID(1+i%5))
-				want := answer(plain, uncached(q), kind)
-				for name, eng := range map[string]*Engine{"kept": kept, "private": private} {
-					if got := answer(eng, q, kind); got != want {
+				want := answerOn(plain, flat, q, kind)
+				for name, eng := range map[string]*Engine{"kept": kept, "private": private, "bypassed": bypassed} {
+					ask := q
+					if eng == bypassed {
+						ask = uncached(q)
+					}
+					if got := answer(eng, ask, kind); got != want {
 						t.Fatalf("%+v workers=%d window %v %s (%s): %s, want %s", opts, workers, windows[i], kind, name, got, want)
 					}
 				}
@@ -318,7 +324,7 @@ func TestSlabReductionDifferential(t *testing.T) {
 			defer wg.Done()
 			for i := g; i < len(windows); i += 9 {
 				q := query("nl", windows[i], 0)
-				if got, want := answer(racing, q, "nl"), answer(plain, uncached(q), "nl"); got != want {
+				if got, want := answer(racing, q, "nl"), answerOn(plain, flat, q, "nl"); got != want {
 					t.Errorf("racing window %v: %s, want %s", windows[i], got, want)
 					return
 				}
@@ -334,7 +340,7 @@ func TestSlabReductionDifferential(t *testing.T) {
 		t.Fatalf("the compaction left %d parts, want 1", n)
 	}
 	check("compacted", slabWindows(f.boundaries(t, probe))[:60])
-	t.Logf("%d whole runs shared, %d objects on the raw path (%d interleaved)", whole, raw, interleaved)
+	t.Logf("%d whole runs shared, %d objects on the plain loop (%d interleaved)", whole, raw, interleaved)
 	if whole == 0 || interleaved == 0 {
 		t.Errorf("%d whole runs shared and %d interleaved objects: the windows did not reach both paths", whole, interleaved)
 	}
@@ -342,8 +348,9 @@ func TestSlabReductionDifferential(t *testing.T) {
 
 // TestSlabsScopedAndFreed: two stores whose partitions carry the same
 // identities, read by one engine, never share a slab — each table's answers
-// are its own, as queries with Query.DisableCache get them — and after a compaction
-// and a query the engine's slabs, and SlabBytes, count the live parts only.
+// are its own, as the same questions over a flat copy get them — and after a
+// compaction and a query the engine's slabs, and SlabBytes, count the live
+// parts only.
 func TestSlabsScopedAndFreed(t *testing.T) {
 	fig := indoor.Figure1Space()
 	ctx := context.Background()
@@ -384,7 +391,7 @@ func TestSlabsScopedAndFreed(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := plain.Do(ctx, tb, uncached(q))
+				want, err := plain.Do(ctx, flatCopy(tb), q)
 				if err != nil {
 					t.Fatal(err)
 				}

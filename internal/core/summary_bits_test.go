@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -68,12 +67,7 @@ func goldenFleet(tb testing.TB) (*indoor.Space, [][]iupt.SampleSet) {
 		}
 		eng := NewEngine(b.Space, Options{})
 		for ts := iupt.Time(0); ts < span; ts += goldenWindow {
-			win, err := table.Window(context.Background(), ts, ts+goldenWindow-1)
-			if err != nil {
-				goldenErr = err
-				return
-			}
-			for _, seq := range win.Seqs {
+			for _, seq := range iupt.GroupSequences(table.RecordsInRange(ts, ts+goldenWindow-1)).Seqs {
 				if red, ok := eng.ReduceData(seq, nil); ok {
 					goldenRed = append(goldenRed, red.Seq)
 				}

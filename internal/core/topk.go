@@ -17,15 +17,23 @@ func (d *Driver) validateTopK(q []indoor.SLocID, k int) (int, error) {
 	if len(q) == 0 {
 		return 0, fmt.Errorf("core: empty query set")
 	}
-	seen := make(map[indoor.SLocID]bool, len(q))
+	// Duplicates are found in the caller's order on a bitset over the
+	// space's S-locations, on the stack for up to 1 024 of them.
+	n := d.space.NumSLocations()
+	var stack [16]uint64
+	seen := stack[:]
+	if words := (n + 63) / 64; words > len(stack) {
+		seen = make([]uint64, words)
+	}
 	for _, s := range q {
-		if int(s) < 0 || int(s) >= d.space.NumSLocations() {
+		if int(s) < 0 || int(s) >= n {
 			return 0, fmt.Errorf("core: unknown S-location %d", s)
 		}
-		if seen[s] {
+		w, bit := s/64, uint64(1)<<(s%64)
+		if seen[w]&bit != 0 {
 			return 0, fmt.Errorf("core: duplicate S-location %d in query set", s)
 		}
-		seen[s] = true
+		seen[w] |= bit
 	}
 	if k > len(q) {
 		k = len(q)
@@ -41,7 +49,7 @@ func (d *Driver) validateTopK(q []indoor.SLocID, k int) (int, error) {
 // what Naive exists to not do; within a location the objects fan out like any
 // pass's (presenceOracle.fanOut).
 func (e *Engine) topkNaive(ctx context.Context, table *iupt.Table, q []indoor.SLocID, k int, ts, te iupt.Time) ([]Result, Stats, error) {
-	en, err := privateWindow(ctx, table, ts, te)
+	en, err := e.privateEntry(ctx, table, ts, te)
 	if err != nil {
 		return nil, Stats{}, err
 	}

@@ -2,11 +2,13 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"tkplq/internal/geom"
 	"tkplq/internal/indoor"
 	"tkplq/internal/iupt"
 )
@@ -304,6 +306,63 @@ func TestTopKValidation(t *testing.T) {
 	}
 	if _, _, err := e.TopK(tb, []indoor.SLocID{0}, 1, 0, 10, Algorithm(9)); err == nil {
 		t.Error("unknown algorithm should fail")
+	}
+}
+
+// TestValidateTopKNamesLikeTheMapLoop: the bitset duplicate check returns
+// the same error, byte for byte and naming the same S-location, as the map
+// loop it replaced, over sets that mix unknown ids and duplicates in the
+// caller's order — on a space whose bitset fits the stack and on one of
+// 1 100 S-locations, whose bitset does not.
+func TestValidateTopKNamesLikeTheMapLoop(t *testing.T) {
+	mapLoop := func(d *Driver, q []indoor.SLocID) string {
+		seen := make(map[indoor.SLocID]bool, len(q))
+		for _, s := range q {
+			if int(s) < 0 || int(s) >= d.space.NumSLocations() {
+				return fmt.Sprintf("core: unknown S-location %d", s)
+			}
+			if seen[s] {
+				return fmt.Sprintf("core: duplicate S-location %d in query set", s)
+			}
+			seen[s] = true
+		}
+		return ""
+	}
+	b := indoor.NewBuilder()
+	room := b.AddPartition("hall", indoor.Room, 0, geom.Rect{MaxX: 10, MaxY: 10})
+	b.AddPresencePLoc(room, geom.Point{X: 5, Y: 5})
+	for i := range 1100 {
+		b.AddSLocation(fmt.Sprint(i), room)
+	}
+	wide, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, space := range []*indoor.Space{indoor.Figure1Space().Space, wide} {
+		d := &NewEngine(space, Options{}).Driver
+		n := indoor.SLocID(space.NumSLocations())
+		sets := [][]indoor.SLocID{
+			{5, 3, 5, 3}, {3, 5, 3, 5}, {n, 1, 1}, {1, 1, n}, {-1, 2, 2}, {2, 2, -1},
+			{0, 1, 2}, {n - 1, 0, n - 1}, {n - 1, n + 64, n - 1}, {63, 64, 0, 64, 63},
+		}
+		rng := rand.New(rand.NewSource(int64(n)))
+		for range 200 {
+			q := make([]indoor.SLocID, 1+rng.Intn(8))
+			for i := range q {
+				q[i] = indoor.SLocID(rng.Intn(int(n)+3) - 1)
+			}
+			sets = append(sets, q)
+		}
+		for _, q := range sets {
+			want := mapLoop(d, q)
+			var got string
+			if _, err := d.validateTopK(q, 1); err != nil {
+				got = err.Error()
+			}
+			if got != want {
+				t.Fatalf("%d S-locations, query set %v: error %q, want %q", n, q, got, want)
+			}
+		}
 	}
 }
 

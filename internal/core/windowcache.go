@@ -66,12 +66,12 @@ import (
 // it: its entry has no memo, and its columns, pieces, decoded records and
 // the reductions computed over them live in pooled memory (recycler) that
 // the evaluation hands back in one release after its last read, so a window
-// nobody keeps costs neither heap nor collector after its query. A bypassed
-// window reads no slab: it is decoded and reduced from scratch, the
-// reference every slab differential compares with. A private window that
-// went through the cache still counts as a window miss, and each object it
-// summarizes as a presence miss. All methods are safe for
-// concurrent use.
+// nobody keeps costs neither heap nor collector after its query. A private
+// window is read over slabs like any other: slabs are storage, not cache, so
+// a bypassed query reads them and may build them. A private window that went
+// through the cache still counts as a window miss, and each object it
+// summarizes as a presence miss; a bypassed one counts in neither. All
+// methods are safe for concurrent use.
 type windowCache struct {
 	mu   sync.Mutex
 	cap  int
@@ -245,23 +245,23 @@ func (c *windowCache) insertLocked(key windowKey, en *windowEntry) {
 // The returned entry is shared across queries — callers must treat its window
 // and memo values as read-only, which every consumer in this package does. A
 // window the cache does not admit, or every window with the cache bypassed
-// (Query.DisableCache), is private instead (privateWindow).
+// (Query.DisableCache), is private instead (privateEntry); only the one that
+// went through the cache counts as a window miss.
 func (e *Engine) window(ctx context.Context, table *iupt.Table, ts, te iupt.Time) (*windowEntry, error) {
 	wc := e.cache
 	if wc == nil {
-		return privateWindow(ctx, table, ts, te)
+		return e.privateEntry(ctx, table, ts, te)
 	}
 	key := windowKey{table: table, ts: ts, te: te}
 	en := wc.get(key)
 	if en == nil && !wc.admit(key) {
-		rec := &recycler{win: iupt.NewArena(), mem: winMemPool.Get().(*winMem)}
-		w, _, err := e.readWindow(ctx, table, ts, te, nil, rec)
+		en, err := e.privateEntry(ctx, table, ts, te)
 		if err != nil {
-			rec.release()
 			return nil, err
 		}
 		wc.misses.Add(1)
-		return &windowEntry{win: *w, rec: rec, counted: true}, nil
+		en.counted = true
+		return en, nil
 	}
 	var known *iupt.WindowIdentity
 	if en != nil {
@@ -279,19 +279,19 @@ func (e *Engine) window(ctx context.Context, table *iupt.Table, ts, te iupt.Time
 	return wc.store(key, id, *w), nil
 }
 
-// privateWindow materializes [ts, te] into an entry no cache holds, for one
-// evaluation that bypasses the cache and the slabs: every record is decoded
-// into a pooled iupt.Arena, and with no memo the oracle carves every
-// reduction from pooled output arenas; release hands all of it back. Its
-// rank slot dies with it.
-func privateWindow(ctx context.Context, table *iupt.Table, ts, te iupt.Time) (*windowEntry, error) {
-	rec := &recycler{win: iupt.NewArena()}
-	w, err := table.Window(ctx, ts, te, rec.win)
+// privateEntry materializes [ts, te] over slabs into an entry no cache holds,
+// for one evaluation: its columns, pieces and decoded records live in a
+// pooled recycler, and with no memo the oracle carves every reduction from
+// pooled output arenas; release hands all of it back. Its rank slot dies
+// with it.
+func (e *Engine) privateEntry(ctx context.Context, table *iupt.Table, ts, te iupt.Time) (*windowEntry, error) {
+	rec := &recycler{mem: winMemPool.Get().(*winMem)}
+	w, _, err := e.readWindow(ctx, table, ts, te, nil, rec)
 	if err != nil {
 		rec.release()
 		return nil, err
 	}
-	return &windowEntry{win: window{Window: *w}, rec: rec}, nil
+	return &windowEntry{win: *w, rec: rec}, nil
 }
 
 // windowBytes estimates the live memory pinned by one materialized window: per

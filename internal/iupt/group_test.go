@@ -2,7 +2,6 @@ package iupt
 
 import (
 	"cmp"
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -65,15 +64,17 @@ func concatRange(head []Record, sealed []SealedPart, ts, te Time) []Record {
 	return append(out, rangeSubslice(head, ts, te)...)
 }
 
-// TestWindowCarve checks the carved window against the naive append-built
+// TestWindowCarve checks the grouped window against the naive append-built
 // grouping on random tables in every layout a window can meet — one part, a
 // window straddling two parts, head only, sealed parts plus a head holding
 // late records, same-timestamp ties, an empty window and te < ts: the
-// sequences are equal, in Window's shape (checkWindow), equal to the
-// SequencesInRange map, and a released grouper holds no record.
+// sequences of GroupSequences(RecordsInRange), in fresh memory and in an
+// arena earlier windows have grown, are equal, in Window's shape
+// (checkWindow), equal to the SequencesInRange map, and the pooled grouper
+// keeps no object.
 func TestWindowCarve(t *testing.T) {
-	ctx := context.Background()
 	kinds := make(map[string]bool)
+	var arena Arena
 	for seed := int64(1); seed <= 30; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		n := 40 + r.Intn(300)
@@ -106,50 +107,27 @@ func TestWindowCarve(t *testing.T) {
 				at := fmt.Sprintf("seed %d, %s, window [%d, %d]", seed, lay.name, ts, te)
 				want := naiveSequences(all, ts, te)
 
-				got, err := tab.Window(ctx, ts, te)
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkWindow(t, at, *got, want)
-				// The same grouping by hand on a pooled grouper, whose
-				// buffers are inspected once it is released.
+				checkWindow(t, at, GroupSequences(tab.RecordsInRange(ts, te)), want)
+				// The same read under ReadWindow, which names the case,
+				// grouped into the arena.
 				var merged bool
 				id, err := ReadWindow(tab, ts, te, nil, func(head []Record, sealed []SealedPart) error {
-					g := getGrouper()
-					recs := readRange(head, sealed, ts, te, nil, &g.buf)
+					recs := readRange(head, sealed, ts, te)
 					merged = recordsEqual(recs, concatRange(head, sealed, ts, te)) != nil
-					again, err := g.group(ctx, recs, nil)
-					g.release()
-					if err != nil {
-						return err
-					}
-					checkWindow(t, at+" (pooled grouper)", again, want)
-					for i, rec := range g.buf[:cap(g.buf)] {
-						if rec.Samples != nil {
-							t.Fatalf("%s: the released grouper's buffer still holds record %d's samples", at, i)
-						}
-					}
-					if len(g.slot) != 0 || len(g.oids) != 0 || len(g.next) != 0 || len(g.dense) != 0 {
-						t.Fatalf("%s: the released grouper still maps %d objects", at, len(g.slot))
-					}
+					checkWindow(t, at+" (arena)", GroupSequences(recs, &arena), want)
 					return nil
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				// Into a recycled arena, which earlier windows have grown.
-				arena := NewArena()
-				private, err := tab.Window(ctx, ts, te, arena)
-				if err != nil {
-					t.Fatal(err)
+				clear(arena.Seqs)
+				clear(arena.Sets)
+				arena = Arena{OIDs: arena.OIDs[:0], Seqs: arena.Seqs[:0], Sets: arena.Sets[:0]}
+				g := grouperPool.Get().(*grouper)
+				if len(g.slot) != 0 || len(g.oids) != 0 || len(g.next) != 0 || len(g.dense) != 0 {
+					t.Fatalf("%s: the pooled grouper still maps %d objects", at, len(g.slot))
 				}
-				checkWindow(t, at+" (arena)", *private, want)
-				arena.Release()
-				for i, set := range arena.sets[:cap(arena.sets)] {
-					if set.Samples != nil {
-						t.Fatalf("%s: the released arena still holds set %d's samples", at, i)
-					}
-				}
+				grouperPool.Put(g)
 				if m := tab.SequencesInRange(ts, te); !reflect.DeepEqual(m, want) {
 					t.Fatalf("%s: the SequencesInRange map differs from the window", at)
 				}
@@ -180,15 +158,15 @@ func TestWindowCarve(t *testing.T) {
 	}
 }
 
-// TestWindowAllocBudget: a cold Window allocates what it keeps — the arena,
-// the two columns and the Window — and nothing per record: the count is
-// the same small constant for a window of 1 000 records and of 10 000 over
-// the same objects, on a table with a sealed part and a head.
+// TestWindowAllocBudget: a raw window — RecordsInRange grouped by
+// GroupSequences — allocates what it keeps, the records and the grouped
+// columns and arena, and nothing per record: the count is the same small
+// constant for a window of 1 000 records and of 10 000 over the same
+// objects, on a table with a sealed part and a head.
 func TestWindowAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are not meaningful under the race detector")
 	}
-	ctx := context.Background()
 	allocs := make(map[int]float64)
 	for _, n := range []int{1000, 10000} {
 		r := rand.New(rand.NewSource(int64(n)))
@@ -198,29 +176,24 @@ func TestWindowAllocBudget(t *testing.T) {
 		}
 		_, tab := buildPair(t, recs, []int{n / 2})
 		_, te, _ := tab.TimeSpan()
-		if _, err := tab.Window(ctx, 0, te); err != nil { // warm the pool
-			t.Fatal(err)
-		}
+		GroupSequences(tab.RecordsInRange(0, te)) // warm the pool
 		allocs[n] = testing.AllocsPerRun(50, func() {
-			if _, err := tab.Window(ctx, 0, te); err != nil {
-				t.Fatal(err)
-			}
+			GroupSequences(tab.RecordsInRange(0, te))
 		})
-		t.Logf("Window over %d records allocates %v/op", n, allocs[n])
+		t.Logf("a raw window over %d records allocates %v/op", n, allocs[n])
 	}
 	if allocs[1000] != allocs[10000] || allocs[1000] > 8 {
-		t.Errorf("Window allocates %v/op at 1k records and %v/op at 10k, want the same constant ≤ 8", allocs[1000], allocs[10000])
+		t.Errorf("a raw window allocates %v/op at 1k records and %v/op at 10k, want the same constant ≤ 8", allocs[1000], allocs[10000])
 	}
 }
 
-// TestArenaWindowAllocBudget: a window materialized into a recycled arena
-// reuses the arena's buffers for the decoded samples, the sequences and the
-// columns, so it allocates little more than the returned Window.
+// TestArenaWindowAllocBudget: records grouped into a recycled arena reuse
+// the arena's buffers for the sequences and the columns, so the grouping
+// allocates little more than nothing.
 func TestArenaWindowAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are not meaningful under the race detector")
 	}
-	ctx := context.Background()
 	r := rand.New(rand.NewSource(3))
 	recs := make([]Record, 4000)
 	for i := range recs {
@@ -228,24 +201,24 @@ func TestArenaWindowAllocBudget(t *testing.T) {
 	}
 	_, tab := buildPair(t, recs, []int{2000})
 	_, te, _ := tab.TimeSpan()
-	arena := NewArena()
-	defer arena.Release()
+	window := tab.RecordsInRange(0, te)
+	var arena Arena
 	allocs := testing.AllocsPerRun(50, func() {
-		w, err := tab.Window(ctx, 0, te, arena)
-		if err != nil || len(w.OIDs) != 40 {
-			t.Fatalf("window of %v objects, err %v", w, err)
+		arena = Arena{OIDs: arena.OIDs[:0], Seqs: arena.Seqs[:0], Sets: arena.Sets[:0]}
+		if w := GroupSequences(window, &arena); len(w.OIDs) != 40 {
+			t.Fatalf("window of %d objects, want 40", len(w.OIDs))
 		}
 	})
-	t.Logf("a window into a warm arena allocates %v/op", allocs)
+	t.Logf("a window grouped into a warm arena allocates %v/op", allocs)
 	if allocs > 3 {
-		t.Errorf("a window into a warm arena allocates %v/op, want ≤ 3", allocs)
+		t.Errorf("a window grouped into a warm arena allocates %v/op, want ≤ 3", allocs)
 	}
 }
 
-// BenchmarkTableWindow measures the raw window — the path Naive, the live
-// monitor and no_cache queries take: 24 000 records of 40 objects sealed into
-// 1, 6 or 12 parts in time order, plus a head of 200 late records, grouped
-// into fresh memory. The head's records come either in order (after every
+// BenchmarkTableWindow measures the raw window — RecordsInRange grouped by
+// GroupSequences, the read the live monitor takes: 24 000 records of 40
+// objects sealed into 1, 6 or 12 parts in time order, plus a head of 200
+// late records, grouped into fresh memory. The head's records come either in order (after every
 // sealed record) or at random T inside the sealed span, which makes the
 // read merge the head into the whole range.
 func BenchmarkTableWindow(b *testing.B) {
@@ -271,13 +244,11 @@ func BenchmarkTableWindow(b *testing.B) {
 					tab.Append(Record{OID: ObjectID(r.Intn(40)), T: t, Samples: testSamples(r)})
 				}
 				_, te, _ := tab.TimeSpan()
-				ctx := context.Background()
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					w, err := tab.Window(ctx, 0, te)
-					if err != nil || len(w.OIDs) != 40 {
-						b.Fatalf("window of %v objects, err %v", w, err)
+					if w := GroupSequences(tab.RecordsInRange(0, te)); len(w.OIDs) != 40 {
+						b.Fatalf("window of %d objects, want 40", len(w.OIDs))
 					}
 				}
 			})

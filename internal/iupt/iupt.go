@@ -182,6 +182,8 @@ type Sequence []TimedSampleSet
 // Position i is the i-th smallest object id, so walking positions ascending
 // is the canonical object order every float accumulation follows, and a
 // per-object table over a window is a slice indexed by position.
+// GroupSequences builds one from a window's records; internal/core assembles
+// the engine's windows over its slabs in the same layout.
 type Window struct {
 	OIDs []ObjectID
 	Seqs []Sequence
@@ -315,7 +317,7 @@ func (t *Table) allRecords() []Record {
 	head, sealed := t.retainView()
 	defer releaseParts(sealed)
 	lo, hi, _ := span(head, sealed)
-	return readRange(head, sealed, lo, hi, nil, nil)
+	return readRange(head, sealed, lo, hi)
 }
 
 // SortedRecords returns a time-ordered snapshot of the records: the
@@ -345,7 +347,7 @@ func (t *Table) SortedRecords() []Record {
 func (t *Table) RecordsInRange(ts, te Time) []Record {
 	head, sealed := t.retainView()
 	defer releaseParts(sealed)
-	return readRange(head, sealed, ts, te, nil, nil)
+	return readRange(head, sealed, ts, te)
 }
 
 // Stats summarizes a table for reporting.

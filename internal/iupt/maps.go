@@ -5,9 +5,10 @@ import (
 	"slices"
 )
 
-// The map-shaped reads. Table.Window is the one grouping, and the engine works
-// on its columns by position; these re-key them by object id for the callers
-// that want a map. The serving benchmark's stage probes (bench/e2e/trace.go)
+// The map-shaped reads: a window's records (RecordsInRange) grouped
+// (GroupSequences) and re-keyed by object id, for the callers that want raw
+// sequences in a map. The engine reads its windows over slabs instead
+// (internal/core). The serving benchmark's stage probes (bench/e2e/trace.go)
 // call SequencesInRangeSharded and SortedObjects, so both keep their
 // signatures until that harness reads Window itself.
 
@@ -33,21 +34,20 @@ func SortedObjects(seqs map[ObjectID]Sequence) []ObjectID {
 }
 
 // SequencesInRange returns the per-object positioning sequences of [ts, te]
-// keyed by object id: Window's columns as a map.
+// keyed by object id.
 func (t *Table) SequencesInRange(ts, te Time) map[ObjectID]Sequence {
 	out, _ := t.SequencesInRangeSharded(context.Background(), ts, te, 1)
 	return out
 }
 
-// SequencesInRangeSharded is the context-aware SequencesInRange: a canceled
-// ctx returns ctx.Err() and no sequences. Every sequence is in canonical order
-// — same-timestamp records in arrival order. workers is ignored: the
-// grouping is one ordered pass, and the parameter stays only because
-// bench/e2e/trace.go passes it.
+// SequencesInRangeSharded is the context-aware SequencesInRange: a ctx
+// canceled before the read returns ctx.Err() and no sequences. Every
+// sequence is in canonical order — same-timestamp records in arrival order.
+// workers is ignored: the grouping is one ordered pass, and the parameter
+// stays only because bench/e2e/trace.go passes it.
 func (t *Table) SequencesInRangeSharded(ctx context.Context, ts, te Time, workers int) (map[ObjectID]Sequence, error) {
-	w, err := t.Window(ctx, ts, te)
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return w.Map(), nil
+	return GroupSequences(t.RecordsInRange(ts, te)).Map(), nil
 }

@@ -1,7 +1,6 @@
 package iupt
 
 import (
-	"context"
 	"fmt"
 	"slices"
 )
@@ -41,9 +40,10 @@ type SealedPart interface {
 	// dst, in canonical order, and returns the extended slice. Appended
 	// records must be immutable (never rewritten by later calls). A part
 	// that decodes sample sets carves them from the tail of *samples,
-	// extending it, so a caller that recycles the buffer (Arena) decodes
-	// without allocating — and owns the decoded sets' lifetime; a nil
-	// samples asks for fresh memory of exactly the range's size.
+	// extending it, so a caller that recycles the buffer (internal/core's
+	// windows over slabs) decodes without allocating — and owns the decoded
+	// sets' lifetime; a nil samples asks for fresh memory of exactly the
+	// range's size.
 	AppendRecords(dst []Record, samples *SampleSet, lo, hi int) []Record
 	// Objects returns the part's distinct object ids, ascending. The result
 	// is shared and must not be modified.
@@ -224,41 +224,6 @@ func (id WindowIdentity) Equal(other WindowIdentity) bool {
 	return id.Head == other.Head && slices.Equal(id.Parts, other.Parts)
 }
 
-// Window materializes the per-object positioning sequences of [ts, te], in
-// canonical order and objects ascending (see the Window type): the window's
-// records read once (readRange), then grouped (group.go). Sealed records
-// decode into a pooled buffer, the records group straight into one
-// exact-size arena, and a window only the head holds is grouped from the head
-// itself. A canceled ctx aborts the
-// grouping between record batches and returns ctx.Err(), so a canceled query
-// never pays for a large window.
-//
-// The window's memory is fresh and exactly sized, for a caller that keeps it.
-// A caller that reads it once passes into, one Arena: the window is then
-// materialized into the arena's recycled buffers and is valid until the
-// arena's Release.
-func (t *Table) Window(ctx context.Context, ts, te Time, into ...*Arena) (*Window, error) {
-	var a *Arena
-	var samples *SampleSet
-	if len(into) > 0 {
-		a = into[0]
-		a.samples = a.samples[:0]
-		samples = &a.samples
-	}
-	head, sealed := t.retainView()
-	defer releaseParts(sealed)
-	g := getGrouper()
-	defer g.release()
-	w, err := g.group(ctx, readRange(head, sealed, ts, te, samples, &g.buf), a)
-	if err == nil {
-		err = ctx.Err()
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &w, nil
-}
-
 // ReadWindow is the snapshot a cached window is read from, for a reader that
 // does its own materialization (internal/core's windows over slabs): it
 // computes the identity of t's window [ts, te] and, unless known still names
@@ -290,40 +255,31 @@ func ReadWindow(t *Table, ts, te Time, known *WindowIdentity, read func(head []R
 }
 
 // readRange returns the records of [ts, te] over the sealed parts and the
-// sorted head in canonical (T, arrival) order. Only the parts whose span
-// overlaps the window are read — each located by binary search and decoded
-// onto the end of *buf, its sample sets carved from *samples as
-// AppendRecords specifies — then the head's records inside the window are
-// appended. The sources come in arrival order, parts in seal order and the
-// head last, so each one that starts before the records already read end is
-// merged in by mergeTail, timestamp ties going to the earlier source; parts
-// sealed in time order move nothing. A range only the head holds is the
-// head's own immutable subslice, and nothing is copied.
-//
-// *buf grows to hold the records and stays the caller's to recycle; a nil
-// buf asks for fresh memory, which the result then owns.
-func readRange(head []Record, sealed []SealedPart, ts, te Time, samples *SampleSet, buf *[]Record) []Record {
-	var fresh []Record
-	if buf == nil {
-		buf = &fresh
-	}
-	out := (*buf)[:0]
+// sorted head in canonical (T, arrival) order, in fresh memory. Only the
+// parts whose span overlaps the window are read — each located by binary
+// search and decoded onto the end of the result — then the head's records
+// inside the window are appended. The sources come in arrival order, parts
+// in seal order and the head last, so each one that starts before the
+// records already read end is merged in by mergeTail, timestamp ties going
+// to the earlier source; parts sealed in time order move nothing. A range
+// only the head holds is the head's own immutable subslice, and nothing is
+// copied.
+func readRange(head []Record, sealed []SealedPart, ts, te Time) []Record {
+	var out []Record
 	for _, p := range sealed {
 		if lo, hi := p.Span(); hi < ts || lo > te {
 			continue
 		}
 		if lo, hi := p.Locate(ts, te); lo < hi {
 			n := len(out)
-			out = mergeTail(p.AppendRecords(out, samples, lo, hi), n)
+			out = mergeTail(p.AppendRecords(out, nil, lo, hi), n)
 		}
 	}
 	h := rangeSubslice(head, ts, te)
 	if len(out) == 0 {
 		return h
 	}
-	out = mergeTail(append(out, h...), len(out))
-	*buf = out
-	return out
+	return mergeTail(append(out, h...), len(out))
 }
 
 // mergeTail merges the time-sorted run out[n:] into the time-sorted run
@@ -331,7 +287,7 @@ func readRange(head []Record, sealed []SealedPart, ts, te Time, samples *SampleS
 // out[:n] goes first. Only the overlap moves — the records of out[:n] later
 // than out[n] and those of out[n:] earlier than out[n-1] — in one backward
 // pass, whose scratch copy of the out[n:] overlap goes past the end of out
-// and is cleared after, so a recycled buffer merges without allocating.
+// and is cleared after.
 func mergeTail(out []Record, n int) []Record {
 	if n == 0 || n == len(out) || out[n-1].T <= out[n].T {
 		return out

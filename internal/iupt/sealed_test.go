@@ -410,17 +410,14 @@ func windowBytes(recs []Record) string {
 	return string(b)
 }
 
-// identifiedWindow groups t's window [ts, te] the way Table.Window does,
-// under ReadWindow, and returns the pair a cache stores: the window and the
-// identity of the snapshot it was read from. The window is nil when known
-// still names the window.
-func identifiedWindow(ctx context.Context, t *Table, ts, te Time, known *WindowIdentity) (w *Window, id WindowIdentity, err error) {
+// identifiedWindow groups t's window [ts, te] under ReadWindow and returns
+// the pair a cache stores: the window and the identity of the snapshot it was
+// read from. The window is nil when known still names the window.
+func identifiedWindow(t *Table, ts, te Time, known *WindowIdentity) (w *Window, id WindowIdentity, err error) {
 	id, err = ReadWindow(t, ts, te, known, func(head []Record, sealed []SealedPart) error {
-		g := getGrouper()
-		defer g.release()
-		grouped, err := g.group(ctx, readRange(head, sealed, ts, te, nil, &g.buf), nil)
+		grouped := GroupSequences(readRange(head, sealed, ts, te))
 		w = &grouped
-		return err
+		return nil
 	})
 	return w, id, err
 }
@@ -431,7 +428,6 @@ func identifiedWindow(ctx context.Context, t *Table, ts, te Time, known *WindowI
 // caches build on (WindowIdentity): on one table an identity seen before
 // means the bytes seen under it, and changed bytes mean a changed identity.
 func TestWindowIdentityProperty(t *testing.T) {
-	ctx := context.Background()
 	// Data time runs 0..~130; "elsewhere" appends land in [300, 400].
 	windows := [][2]Time{{0, 9}, {20, 39}, {35, 60}, {50, 50}, {0, 119}, {100, 119}, {7, 3}, {1000, 2000}}
 	kinds := make(map[string]bool) // window states the walk reached
@@ -473,14 +469,14 @@ func TestWindowIdentityProperty(t *testing.T) {
 				if parts := tab.Sealed(); len(parts) >= 2 {
 					i := r.Intn(len(parts) - 1)
 					run := parts[i : i+2+r.Intn(min(2, len(parts)-i-1))]
-					merged := newMemPart(readRange(nil, run, math.MinInt64, math.MaxInt64, nil, nil))
+					merged := newMemPart(readRange(nil, run, math.MinInt64, math.MaxInt64))
 					if err := tab.ReplaceSealedRun(run, merged); err != nil {
 						t.Fatal(err)
 					}
 				}
 			}
 			for w, win := range windows {
-				seqs, id, err := identifiedWindow(ctx, tab, win[0], win[1], nil)
+				seqs, id, err := identifiedWindow(tab, win[0], win[1], nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -508,7 +504,7 @@ func TestWindowIdentityProperty(t *testing.T) {
 				if bytes != lastBytes[w] && !moved {
 					t.Fatalf("%s: bytes changed under an unchanged identity", at)
 				}
-				if again, _, _ := identifiedWindow(ctx, tab, win[0], win[1], &last[w]); (again != nil) != moved {
+				if again, _, _ := identifiedWindow(tab, win[0], win[1], &last[w]); (again != nil) != moved {
 					t.Fatalf("%s: conditional read materialized=%v with identity moved=%v (was %v)", at, again != nil, moved, last[w])
 				}
 				// A plain append elsewhere costs no window its identity.
@@ -545,7 +541,6 @@ func (p *hookPart) AppendRecords(dst []Record, samples *SampleSet, lo, hi int) [
 // sequences under an identity that vouches for other records, and its next
 // revalidation misses.
 func TestWindowIdentityOneSnapshot(t *testing.T) {
-	ctx := context.Background()
 	one := SampleSet{{Loc: 1, Prob: 1}}
 	part := &hookPart{memPart: newMemPart([]Record{{OID: 1, T: 5, Samples: one}, {OID: 1, T: 8, Samples: one}})}
 	tab := NewBackedTable([]SealedPart{part})
@@ -555,7 +550,7 @@ func TestWindowIdentityOneSnapshot(t *testing.T) {
 		tab.Append(Record{OID: 3, T: 7, Samples: one})
 	}
 
-	seqs, id, err := identifiedWindow(ctx, tab, 0, 10, nil)
+	seqs, id, err := identifiedWindow(tab, 0, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -565,7 +560,7 @@ func TestWindowIdentityOneSnapshot(t *testing.T) {
 	if !slices.Equal(seqs.OIDs, []ObjectID{1, 2}) || len(seqs.Seqs[1]) != 1 || id.Head != 1 {
 		t.Fatalf("sequences %v under identity %v: want the pre-append snapshot on both sides", seqs, id)
 	}
-	fresh, id2, err := identifiedWindow(ctx, tab, 0, 10, &id)
+	fresh, id2, err := identifiedWindow(tab, 0, 10, &id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -577,8 +572,9 @@ func TestWindowIdentityOneSnapshot(t *testing.T) {
 // FuzzTableRead holds the backed table's range read to the flat table's: the
 // fuzzer picks records over a 16-second domain (so timestamps tie often), the
 // seal cuts and late head records whose T falls inside the sealed spans, and
-// for several windows — te < ts among them — RecordsInRange, Window and
-// Window into an arena must equal the flat table's over the same appends.
+// for several windows — te < ts among them — RecordsInRange and its records
+// grouped (GroupSequences), into fresh memory and into an arena, must equal
+// the flat table's over the same appends.
 // Each record's one sample names its arrival index, so equal records mean the
 // same canonical (T, arrival) order. A byte b encodes a record with object
 // b>>4 & 7 at T = b & 15; a cut byte seals at its value modulo the record
@@ -630,32 +626,21 @@ func FuzzTableRead(f *testing.F) {
 		if err := recordsEqual(flat.SortedRecords(), backed.SortedRecords()); err != nil {
 			t.Fatalf("SortedRecords: %v", err)
 		}
-		ctx := context.Background()
+		var arena Arena
 		for _, win := range windows {
 			ts, te := win[0], win[1]
 			if err := recordsEqual(flat.RecordsInRange(ts, te), backed.RecordsInRange(ts, te)); err != nil {
 				t.Fatalf("RecordsInRange [%d, %d]: %v", ts, te, err)
 			}
-			fw, err := flat.Window(ctx, ts, te)
-			if err != nil {
-				t.Fatal(err)
+			fw := GroupSequences(flat.RecordsInRange(ts, te))
+			bw := GroupSequences(backed.RecordsInRange(ts, te))
+			if !reflect.DeepEqual(fw, bw) {
+				t.Fatalf("grouped window [%d, %d]: backed %v, flat %v", ts, te, bw, fw)
 			}
-			bw, err := backed.Window(ctx, ts, te)
-			if err != nil {
-				t.Fatal(err)
+			// Into an arena an earlier window has grown.
+			if aw := GroupSequences(backed.RecordsInRange(ts, te), &arena); !reflect.DeepEqual(fw.Map(), aw.Map()) {
+				t.Fatalf("grouped window [%d, %d] into an arena differs from the flat window", ts, te)
 			}
-			if !reflect.DeepEqual(*fw, *bw) {
-				t.Fatalf("Window [%d, %d]: backed %v, flat %v", ts, te, *bw, *fw)
-			}
-			arena := NewArena()
-			aw, err := backed.Window(ctx, ts, te, arena)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(fw.Map(), aw.Map()) {
-				t.Fatalf("Window [%d, %d] into an arena differs from the flat window", ts, te)
-			}
-			arena.Release()
 		}
 	})
 }

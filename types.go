@@ -115,7 +115,10 @@ type (
 	// sharded evaluation pipeline's worker pool (0 = GOMAXPROCS, 1 =
 	// single-threaded); results are bit-identical at every pool size. The
 	// window cache and request coalescing are always on; a query bypasses
-	// them with Query.DisableCache and Query.DisableCoalescing.
+	// them with Query.DisableCache and Query.DisableCoalescing. A bypassed
+	// query keeps no window entry, no memo and no rank slot, but reads its
+	// window over the engine's slabs, which are storage, not cache, and may
+	// build them.
 	Options = core.Options
 	// EngineKind selects the presence computation engine.
 	EngineKind = core.EngineKind
