@@ -1,8 +1,7 @@
 package core
 
 import (
-	"context"
-	"maps"
+	"cmp"
 	"slices"
 	"sync"
 
@@ -16,21 +15,20 @@ import (
 // of the recent past are pushed to the subscriptions sharing the monitor
 // (Engine.Subscribe is the only way to create one).
 //
-// Evaluation is incremental. The monitor retains the per-object positioning
-// sequences and presence summaries of its current window; an ingested record
-// perturbs exactly one object's sequence (spliced in at its canonical
-// position — no table scan), and a window slide touches only the objects
-// whose records enter or leave the window. Only the dirty
-// objects' reductions and summaries are recomputed, through the same
-// presence oracle the one-shot queries use (without the engine cache: the
-// retained summaries are the feed's own). The cheap
-// parts of an evaluation are repeated in full precisely because they must
-// be: every retained summary is fed, as a presence row in canonical ascending
-// object order, to the same finisher that sums and ranks every one-shot query
-// (float addition is non-associative, so delta-updating a sum would break the
-// determinism contract). The result of every incremental evaluation is
-// therefore bit-identical to a from-scratch evaluation of the same window, at
-// every worker count, for all three algorithms.
+// Evaluation is incremental. The monitor retains, per object of its current
+// window, the positioning sequence, its reduction, the walk over it and the
+// presence summary (liveObject); an ingested record perturbs exactly one
+// object's sequence (spliced in at its canonical position — no table scan),
+// and a window slide touches only the objects whose records enter or leave
+// the window. Only the dirty objects are stepped, and a step redoes only the
+// runs and the stretches of the walk the tick changed (DESIGN.md §8). The
+// cheap parts of an evaluation are repeated in full precisely because they
+// must be: every retained summary is fed, as a presence row in canonical
+// ascending object order, to the same finisher that sums and ranks every
+// one-shot query (float addition is non-associative, so delta-updating a sum
+// would break the determinism contract). The result of every incremental
+// evaluation is therefore bit-identical to a from-scratch evaluation of the
+// same window, at every worker count, for all three algorithms.
 //
 // The window's horizon is the data's: nobody supplies a "now". The table is
 // read once, by the build, under the owner's ingest lock (the monitor's
@@ -43,16 +41,16 @@ import (
 // record is reflected in the monitor's state exactly once, and an update's
 // Records and [Ts, Te] describe the same prefix of the table.
 type monitor struct {
-	eng      *Engine
-	table    *iupt.Table
-	query    []indoor.SLocID        // canonical (ascending) query set
-	querySet map[indoor.SLocID]bool // for PSL∩Q pruning in the oracle
-	k        int
-	window   iupt.Time
-	barrier  sync.Locker // serializes the build's table read with the owner's appends
-	id       uint64      // registry order, for deterministic MonitorStats
-	refs     int         // live subscriptions; guarded by eng.mons.mu
-	key      monitorKey  // coalescing key, zero for a private monitor; guarded by eng.mons.mu
+	eng     *Engine
+	table   *iupt.Table
+	query   []indoor.SLocID // canonical (ascending) query set
+	hits    []bool          // by P-location: a cell of it holds a queried S-location (PSL∩Q)
+	k       int
+	window  iupt.Time
+	barrier sync.Locker // serializes the build's table read with the owner's appends
+	id      uint64      // registry order, for deterministic MonitorStats
+	refs    int         // live subscriptions; guarded by eng.mons.mu
+	key     monitorKey  // coalescing key, zero for a private monitor; guarded by eng.mons.mu
 
 	// pendMu guards the notification mailbox. It is a leaf lock: enqueue runs
 	// under the owner's ingest lock and must never wait on an evaluation.
@@ -65,10 +63,10 @@ type monitor struct {
 	mu       sync.Mutex
 	built    bool
 	ts, te   iupt.Time
-	covered  int // table record count the window state reflects
-	seqs     map[iupt.ObjectID]iupt.Sequence
-	sums     map[iupt.ObjectID]*ObjectSummary // nil = pruned by PSL∩Q
-	oids     []iupt.ObjectID                  // ascending; the keys of seqs
+	covered  int           // table record count the window state reflects
+	objs     []*liveObject // ascending object id: every object with records in the window
+	dirty    []*liveObject // the tick's dirty objects, ascending
+	row      []float64     // rerankLocked's presence row
 	results  []Result
 	stats    Stats
 	seq      uint64 // update sequence number, bumped per pushed change
@@ -85,21 +83,30 @@ type monitor struct {
 // newMonitor assembles a monitor; query must be canonical and validated.
 func (e *Engine) newMonitor(cfg SubscribeConfig, query []indoor.SLocID, k int, window iupt.Time) *monitor {
 	m := &monitor{
-		eng:      e,
-		table:    cfg.Table,
-		query:    query,
-		querySet: make(map[indoor.SLocID]bool, len(query)),
-		k:        k,
-		window:   window,
-		barrier:  cfg.Barrier,
-		wake:     make(chan struct{}, 1),
-		subs:     make(map[int]*Subscription),
+		eng:     e,
+		table:   cfg.Table,
+		query:   query,
+		hits:    make([]bool, e.space.NumPLocations()),
+		k:       k,
+		window:  window,
+		barrier: cfg.Barrier,
+		wake:    make(chan struct{}, 1),
+		subs:    make(map[int]*Subscription),
+		row:     make([]float64, len(query)),
 	}
 	if m.barrier == nil {
 		m.barrier = &sync.Mutex{}
 	}
+	queried := make(map[indoor.SLocID]bool, len(query))
 	for _, s := range query {
-		m.querySet[s] = true
+		queried[s] = true
+	}
+	for p := range m.hits {
+		for _, c := range e.space.PLocCells(indoor.PLocID(p)) {
+			for _, s := range e.space.SLocsOfCell(c) {
+				m.hits[p] = m.hits[p] || queried[s]
+			}
+		}
 	}
 	return m
 }
@@ -189,13 +196,15 @@ func (m *monitor) rebuildLocked() {
 
 	// Raw sequences, not pieces over slabs: advanceLocked splices records
 	// into them. Every sequence is capped, so its appends copy out of the
-	// shared arena.
+	// shared arena. Each object's records are all new to it.
 	w := iupt.GroupSequences(recs)
-	m.seqs = w.Map()
-	m.oids = w.OIDs
-	m.sums = make(map[iupt.ObjectID]*ObjectSummary, len(m.seqs))
+	m.objs = make([]*liveObject, len(w.OIDs))
+	for i, oid := range w.OIDs {
+		m.objs[i] = newLiveObject(oid, w.Seqs[i])
+	}
+	m.dirty = append(m.dirty[:0], m.objs...)
 	m.ts, m.te, m.built = ts, te, true
-	m.stats = m.recomputeLocked(m.oids)
+	m.stats = m.recomputeLocked()
 }
 
 // advanceLocked slides the window forward to the latest timestamp in the
@@ -214,8 +223,9 @@ func (m *monitor) rebuildLocked() {
 //     them.
 //
 // Objects untouched by both keep their sequences — provably equal to a fresh
-// fetch — and their summaries. Only dirty objects are re-reduced and
-// re-summarized.
+// fetch — and their summaries. Only dirty objects are stepped. The object
+// list stays ascending: a new object is inserted at its place, a vanished
+// one is dropped, and the dirty list is collected in the same pass.
 func (m *monitor) advanceLocked() {
 	recs := m.drainPending()
 	m.covered += len(recs)
@@ -224,62 +234,63 @@ func (m *monitor) advanceLocked() {
 		te = max(te, rec.T)
 	}
 	ts := max(te-m.window, 0)
-	dirty := make(map[iupt.ObjectID]bool)
 
 	// Trim leaving records. An object has leaving records only if its
 	// retained sequence starts before the new window, so the scan touches
 	// exactly the objects the slide invalidates.
 	if ts > m.ts {
-		for _, oid := range m.oids {
-			seq := m.seqs[oid]
+		for _, o := range m.objs {
 			lo := 0
-			for lo < len(seq) && seq[lo].T < ts {
+			for lo < len(o.seq) && o.seq[lo].T < ts {
 				lo++
 			}
-			if lo == 0 {
-				continue
+			if lo > 0 {
+				o.trim(lo)
 			}
-			dirty[oid] = true
-			if lo == len(seq) {
-				delete(m.seqs, oid)
-				continue
-			}
-			// Reslice: the sequence is capped or the monitor's own, so a later
-			// append never writes into an array another sequence reads.
-			m.seqs[oid] = seq[lo:]
 		}
 	}
 
 	// Splice the drained records that fall in the window, in table order.
 	for _, rec := range recs {
-		if rec.T < ts {
-			continue
+		if rec.T >= ts {
+			m.object(rec.OID).splice(rec)
 		}
-		dirty[rec.OID] = true
-		m.seqs[rec.OID] = spliceRecord(m.seqs[rec.OID], iupt.TimedSampleSet{T: rec.T, Samples: rec.Samples})
 	}
 
-	// Refresh the ascending object list and drop state of vanished objects.
-	m.oids = slices.Sorted(maps.Keys(m.seqs))
-	dirtyList := make([]iupt.ObjectID, 0, len(dirty))
-	for oid := range dirty {
-		if _, ok := m.seqs[oid]; ok {
-			dirtyList = append(dirtyList, oid)
-		} else {
-			delete(m.sums, oid)
+	m.dirty = m.dirty[:0]
+	kept := m.objs[:0]
+	for _, o := range m.objs {
+		if len(o.seq) == 0 {
+			continue // every record left: the object leaves the window
+		}
+		kept = append(kept, o)
+		if o.dirty {
+			m.dirty = append(m.dirty, o)
 		}
 	}
-	slices.Sort(dirtyList)
+	clear(m.objs[len(kept):])
+	m.objs = kept
 
 	m.ts, m.te = ts, te
-	m.stats = m.recomputeLocked(dirtyList)
+	m.stats = m.recomputeLocked()
+}
+
+// object returns the window's object oid, inserting an empty one at its
+// place in the ascending list when the window does not hold it yet.
+func (m *monitor) object(oid iupt.ObjectID) *liveObject {
+	i, ok := slices.BinarySearchFunc(m.objs, oid, func(o *liveObject, oid iupt.ObjectID) int { return cmp.Compare(o.oid, oid) })
+	if !ok {
+		m.objs = slices.Insert(m.objs, i, newLiveObject(oid, nil))
+	}
+	return m.objs[i]
 }
 
 // spliceRecord inserts tss into the time-ordered seq at its canonical
-// position: after every retained entry with the same or earlier timestamp.
-// The mailbox is in table order, so repeated splices of equal timestamps
-// land in arrival order — exactly the stable-sort order of a fresh fetch.
-func spliceRecord(seq iupt.Sequence, tss iupt.TimedSampleSet) iupt.Sequence {
+// position — after every retained entry with the same or earlier timestamp
+// — and returns the sequence and that position. The mailbox is in table
+// order, so repeated splices of equal timestamps land in arrival order —
+// exactly the stable-sort order of a fresh fetch.
+func spliceRecord(seq iupt.Sequence, tss iupt.TimedSampleSet) (iupt.Sequence, int) {
 	pos := len(seq)
 	for pos > 0 && seq[pos-1].T > tss.T {
 		pos--
@@ -287,35 +298,61 @@ func spliceRecord(seq iupt.Sequence, tss iupt.TimedSampleSet) iupt.Sequence {
 	seq = append(seq, iupt.TimedSampleSet{})
 	copy(seq[pos+1:], seq[pos:])
 	seq[pos] = tss
-	return seq
+	return seq, pos
 }
 
-// recomputeLocked re-reduces and re-summarizes the dirty objects (ascending)
-// through the presence oracle, as a private window of their own, and returns
-// the evaluation's stats. Untouched objects keep their summaries. The oracle
-// gets no memo: the dirty sequences are the monitor's private spliced state,
-// not a window the table can vouch for, and the summaries a later tick could
-// reuse are the ones retained here already — so the reductions are carved
-// from pooled memory and handed back when the recompute ends.
-func (m *monitor) recomputeLocked(dirtyList []iupt.ObjectID) Stats {
-	st := Stats{ObjectsTotal: len(m.seqs), Workers: 1}
-	if len(dirtyList) > 0 {
-		dirty := &windowEntry{win: window{Window: iupt.Window{OIDs: dirtyList, Seqs: make([]iupt.Sequence, len(dirtyList))}}, rec: new(recycler)}
-		for i, oid := range dirtyList {
-			dirty.win.Seqs[i] = m.seqs[oid]
-		}
-		oracle := newOracle(m.eng, dirty, 0, len(dirtyList), m.querySet)
-		// Background ctx: ensureAll only fails on ctx cancellation.
-		_ = oracle.ensureAll(context.Background(), true)
-		for i, oid := range dirtyList {
-			m.sums[oid] = oracle.summaries[i]
-		}
-		dirty.release() // only the summaries are kept
-		ost := oracle.finishStats()
-		ost.ObjectsTotal = len(m.seqs)
-		st = ost
-		m.dirtyTotal += int64(len(dirtyList))
+// recomputeLocked steps the dirty objects (ascending) and returns the
+// evaluation's stats, the dirty objects' work merged in ascending order as
+// the presence oracle merges it: the same fan-out rule over the engine's
+// workers, one scratch arena per goroutine. Untouched objects keep their
+// summaries.
+func (m *monitor) recomputeLocked() Stats {
+	st := Stats{ObjectsTotal: len(m.objs), Workers: 1}
+	dirty := m.dirty
+	if len(dirty) == 0 {
+		return st
 	}
+	e := m.eng
+	if workers := min(e.opts.workerCount(), len(dirty)); workers > 1 && len(dirty) >= minParallelItems {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(part []*liveObject) {
+				defer wg.Done()
+				scr := e.getScratch()
+				defer e.putScratch(scr)
+				for _, o := range part {
+					o.step(e, m.hits, scr)
+				}
+			}(dirty[w*len(dirty)/workers : (w+1)*len(dirty)/workers])
+		}
+		wg.Wait()
+		st.Workers = workers
+	} else {
+		scr := e.getScratch()
+		for _, o := range dirty {
+			o.step(e, m.hits, scr)
+		}
+		e.putScratch(scr)
+	}
+	for _, o := range dirty {
+		o.dirty = false
+		if o.sum == nil {
+			continue // pruned by PSL∩Q
+		}
+		st.ObjectsComputed++
+		st.PathsEnumerated += o.sum.Paths
+		if o.sum.Segments > 1 {
+			st.SequenceBreaks += int64(o.sum.Segments - 1)
+		}
+		if o.fellBack {
+			st.BudgetFallbacks++
+		}
+		st.SampleSetsOriginal += int64(len(o.seq))
+		st.SampleSetsReduced += int64(len(o.red))
+	}
+	clear(m.dirty) // the list is rebuilt next tick: do not pin dropped objects
+	m.dirtyTotal += int64(len(dirty))
 	return st
 }
 
@@ -327,14 +364,12 @@ func (m *monitor) rerankLocked() {
 	q := Query{Kind: KindTopK, K: m.k, SLocs: m.query}
 	// The query set was validated by Subscribe and is its own column list.
 	fin, _ := m.eng.newFinisher([]Query{q}, []int{0}, m.query)
-	row := make([]float64, len(m.query))
-	for _, oid := range m.oids {
-		sum := m.sums[oid]
-		if sum == nil {
+	for _, o := range m.objs {
+		if o.sum == nil {
 			continue // pruned by PSL∩Q: contributes nothing, as everywhere else
 		}
-		m.eng.presenceRow(row, sum, m.query)
-		fin.add(oid, row)
+		m.eng.presenceRow(m.row, o.sum, m.query)
+		fin.add(o.oid, m.row)
 	}
 	var out [1]*Response
 	fin.finish(m.stats, out[:])

@@ -49,7 +49,7 @@ func (e *Engine) summarizeWalk(seq []iupt.SampleSet, scr *summarizeScratch, cut,
 	// Without cuts, enumeration needs no step, and a dead DP segment is the
 	// whole answer: no valid path.
 	for i := 1; i < len(seq) && (cut || !enum && !scr.dead); i++ {
-		if !e.lookup(seq[i-1], seq[i], scr, cut) {
+		if !e.lookup(seq[i-1], seq[i], nil, scr, cut) {
 			if !enum && !scr.dead {
 				e.sweep(len(seq[i-1]), seq[i], scr)
 			}
@@ -67,7 +67,7 @@ func (e *Engine) summarizeWalk(seq []iupt.SampleSet, scr *summarizeScratch, cut,
 		return &ObjectSummary{ValidMass: seg.ValidMass, PassMass: exactMasses(seg.PassMass), LogScale: seg.LogScale, Paths: paths, Segments: 1}, fellBack
 	}
 	scr.unionAdd(&seg, e.opts.Presence)
-	return scr.unionSummary(segs, paths), fellBack
+	return &ObjectSummary{ValidMass: 1, PassMass: exactMasses(scr.unionMasses()), Paths: paths, Segments: segs}, fellBack
 }
 
 // summarizeDP is the DP walk over the whole sequence with cuts off — the
@@ -97,22 +97,29 @@ type stepPair struct {
 // valid pairs hanging off unreachable samples (enumeration over the whole
 // stretch would produce an empty path set), and every sample after a cut is
 // reachable. Within a segment the engines are thus guaranteed a non-empty
-// valid path set.
-func (e *Engine) lookup(prev, cur iupt.SampleSet, scr *summarizeScratch, cut bool) bool {
-	// Every pair is written and only a valid one kept, without a branch on
-	// validity (which is data, and mispredicts).
-	pairs := slices.Grow(scr.pairs[:0], len(prev)*len(cur))[:len(prev)*len(cur)]
-	k := 0
-	for ai, as := range prev {
-		for bi, bs := range cur {
-			cells := e.space.MIL(as.Loc, bs.Loc)
-			pairs[k] = stepPair{a: int32(ai), b: int32(bi), p: bs.Prob, pr: 1.0 / float64(len(cells)), cells: cells}
-			if len(cells) > 0 {
-				k++
+// valid path set. A step without a valid pair (a hard cut) cuts whatever was
+// reachable. A caller that kept the step's pairs from an earlier walk (a
+// live monitor, livestep.go) passes them as kept, and scr.pairs is kept
+// itself: no M_IL lookup is taken.
+func (e *Engine) lookup(prev, cur iupt.SampleSet, kept []stepPair, scr *summarizeScratch, cut bool) bool {
+	if kept != nil {
+		scr.pairs = kept
+	} else {
+		// Every pair is written and only a valid one kept, without a branch
+		// on validity (which is data, and mispredicts).
+		pairs := slices.Grow(scr.pairs[:0], len(prev)*len(cur))[:len(prev)*len(cur)]
+		k := 0
+		for ai, as := range prev {
+			for bi, bs := range cur {
+				cells := e.space.MIL(as.Loc, bs.Loc)
+				pairs[k] = stepPair{a: int32(ai), b: int32(bi), p: bs.Prob, pr: 1.0 / float64(len(cells)), cells: cells}
+				if len(cells) > 0 {
+					k++
+				}
 			}
 		}
+		scr.pairs = pairs[:k]
 	}
-	scr.pairs = pairs[:k]
 	if !cut {
 		return false
 	}

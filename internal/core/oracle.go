@@ -54,10 +54,9 @@ var prunedRed = new(Reduction)
 // newOracle evaluates over positions [lo, hi) of en's window: all of it, or
 // the one object a presence query asks about. A kept entry (Engine.window)
 // brings its memo, which the oracle reads and fills; a private one — an
-// unadmitted or bypassed window, Naive's per-location evaluations, a
-// monitor's privately spliced sequences — computes everything, shares
-// nothing and carves its reductions from en's pooled memory, so they are
-// valid until en's release.
+// unadmitted or bypassed window, Naive's per-location evaluations —
+// computes everything, shares nothing and carves its reductions from en's
+// pooled memory, so they are valid until en's release.
 func newOracle(e *Engine, en *windowEntry, lo, hi int, query map[indoor.SLocID]bool) *presenceOracle {
 	o := new(presenceOracle)
 	o.reset(e, en, lo, hi, query)

@@ -144,17 +144,17 @@ func (scr *summarizeScratch) unionAdd(seg *ObjectSummary, mode PresenceMode) {
 	scr.union, scr.unionNext = append(merged, noPass[i:]...), noPass
 }
 
-// unionSummary is the combined summary of the segs segments merged into the
-// union, which materialized paths paths: presence = 1 - Π_seg (1 -
-// presence_seg) as the pass mass of a valid mass of 1.
-func (scr *summarizeScratch) unionSummary(segs int, paths int64) *ObjectSummary {
+// unionMasses returns, in scr.masses, the pass masses of the segments merged
+// into the union: presence = 1 - Π_seg (1 - presence_seg) as the pass mass
+// of a valid mass of 1.
+func (scr *summarizeScratch) unionMasses() []CellMass {
 	scr.masses = scr.masses[:0]
 	for _, cm := range scr.union {
 		if mass := 1 - cm.Mass; mass > 0 {
 			scr.masses = append(scr.masses, CellMass{Cell: cm.Cell, Mass: mass})
 		}
 	}
-	return &ObjectSummary{ValidMass: 1, PassMass: exactMasses(scr.masses), Paths: paths, Segments: segs}
+	return scr.masses
 }
 
 // exactMasses copies cell-sorted pass masses out at exact size: the PassMass

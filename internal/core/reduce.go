@@ -106,9 +106,10 @@ func (e *Engine) reduceAt(w *window, i int, scr *summarizeScratch, out *outArena
 // of sets with one P-location set is inter-merged when the next set's
 // differs. It is the one implementation of the merges: a slab build runs it
 // over an object's records (slab.go), the plain loop over an object's raw
-// sequence, and an assembly over the runs a window cuts or joins. The
-// reduced sets collect in scr.seq and the number of sets each spans in
-// scr.runLens.
+// sequence, an assembly over the runs a window cuts or joins, and a live
+// monitor over the runs a tick cuts or extends (livestep.go), feeding sets
+// it intra-merged before with intra off. The reduced sets collect in scr.seq
+// and the number of sets each spans in scr.runLens.
 type runBuilder struct {
 	e            *Engine
 	scr          *summarizeScratch

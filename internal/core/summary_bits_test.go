@@ -35,6 +35,7 @@ const (
 var (
 	goldenOnce  sync.Once
 	goldenSpace *indoor.Space
+	goldenRecs  []iupt.Record      // the fleet's records in canonical order
 	goldenRed   [][]iupt.SampleSet // every object's reduced sequence, window by window
 	goldenErr   error
 )
@@ -42,6 +43,20 @@ var (
 // goldenFleet returns the fleet's space and the reduced sequence of every
 // object of every window, in window order and ascending object id.
 func goldenFleet(tb testing.TB) (*indoor.Space, [][]iupt.SampleSet) {
+	tb.Helper()
+	generateGoldenFleet(tb)
+	return goldenSpace, goldenRed
+}
+
+// goldenRecords returns the fleet's space and its records in canonical
+// (time, arrival) order.
+func goldenRecords(tb testing.TB) (*indoor.Space, []iupt.Record) {
+	tb.Helper()
+	generateGoldenFleet(tb)
+	return goldenSpace, goldenRecs
+}
+
+func generateGoldenFleet(tb testing.TB) {
 	tb.Helper()
 	goldenOnce.Do(func() {
 		b, err := sim.Generate(sim.DefaultBuildingConfig())
@@ -65,6 +80,7 @@ func goldenFleet(tb testing.TB) (*indoor.Space, [][]iupt.SampleSet) {
 			goldenErr = err
 			return
 		}
+		goldenRecs = table.RecordsInRange(0, span)
 		eng := NewEngine(b.Space, Options{})
 		for ts := iupt.Time(0); ts < span; ts += goldenWindow {
 			for _, seq := range iupt.GroupSequences(table.RecordsInRange(ts, ts+goldenWindow-1)).Seqs {
@@ -78,7 +94,6 @@ func goldenFleet(tb testing.TB) (*indoor.Space, [][]iupt.SampleSet) {
 	if goldenErr != nil {
 		tb.Fatal(goldenErr)
 	}
-	return goldenSpace, goldenRed
 }
 
 // writeSummaryBits feeds the summary's ValidMass, LogScale, Segments and every

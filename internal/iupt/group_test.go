@@ -182,8 +182,8 @@ func TestWindowAllocBudget(t *testing.T) {
 		})
 		t.Logf("a raw window over %d records allocates %v/op", n, allocs[n])
 	}
-	if allocs[1000] != allocs[10000] || allocs[1000] > 8 {
-		t.Errorf("a raw window allocates %v/op at 1k records and %v/op at 10k, want the same constant ≤ 8", allocs[1000], allocs[10000])
+	if allocs[1000] != allocs[10000] || allocs[1000] > 4 {
+		t.Errorf("a raw window allocates %v/op at 1k records and %v/op at 10k, want the same constant ≤ 4", allocs[1000], allocs[10000])
 	}
 }
 

@@ -263,9 +263,19 @@ func ReadWindow(t *Table, ts, te Time, known *WindowIdentity, read func(head []R
 // records already read end is merged in by mergeTail, timestamp ties going
 // to the earlier source; parts sealed in time order move nothing. A range
 // only the head holds is the head's own immutable subslice, and nothing is
-// copied.
+// copied. Otherwise the result is sized once, from the parts' located counts
+// and the head's, before the first record is read; only a merge that moves
+// records grows it.
 func readRange(head []Record, sealed []SealedPart, ts, te Time) []Record {
-	var out []Record
+	h := rangeSubslice(head, ts, te)
+	n := 0
+	for _, p := range sealed {
+		n += locatedCount(p, ts, te)
+	}
+	if n == 0 {
+		return h
+	}
+	out := make([]Record, 0, n+len(h))
 	for _, p := range sealed {
 		if lo, hi := p.Span(); hi < ts || lo > te {
 			continue
@@ -275,11 +285,17 @@ func readRange(head []Record, sealed []SealedPart, ts, te Time) []Record {
 			out = mergeTail(p.AppendRecords(out, nil, lo, hi), n)
 		}
 	}
-	h := rangeSubslice(head, ts, te)
-	if len(out) == 0 {
-		return h
-	}
 	return mergeTail(append(out, h...), len(out))
+}
+
+// locatedCount is the number of p's records in [ts, te]: 0 for a part whose
+// span misses the window, else what Locate finds.
+func locatedCount(p SealedPart, ts, te Time) int {
+	if lo, hi := p.Span(); hi < ts || lo > te {
+		return 0
+	}
+	lo, hi := p.Locate(ts, te)
+	return max(hi-lo, 0)
 }
 
 // mergeTail merges the time-sorted run out[n:] into the time-sorted run
