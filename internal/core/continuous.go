@@ -303,38 +303,20 @@ func spliceRecord(seq iupt.Sequence, tss iupt.TimedSampleSet) (iupt.Sequence, in
 
 // recomputeLocked steps the dirty objects (ascending) and returns the
 // evaluation's stats, the dirty objects' work merged in ascending order as
-// the presence oracle merges it: the same fan-out rule over the engine's
-// workers, one scratch arena per goroutine. Untouched objects keep their
-// summaries.
+// the presence oracle merges it, over the oracle's fan-out (inRanges).
+// Untouched objects keep their summaries.
 func (m *monitor) recomputeLocked() Stats {
-	st := Stats{ObjectsTotal: len(m.objs), Workers: 1}
 	dirty := m.dirty
+	workers := m.eng.workersFor(len(dirty))
+	st := Stats{ObjectsTotal: len(m.objs), Workers: workers}
 	if len(dirty) == 0 {
 		return st
 	}
-	e := m.eng
-	if workers := min(e.opts.workerCount(), len(dirty)); workers > 1 && len(dirty) >= minParallelItems {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(part []*liveObject) {
-				defer wg.Done()
-				scr := e.getScratch()
-				defer e.putScratch(scr)
-				for _, o := range part {
-					o.step(e, m.hits, scr)
-				}
-			}(dirty[w*len(dirty)/workers : (w+1)*len(dirty)/workers])
+	m.eng.inRanges(len(dirty), workers, func(_, lo, hi int, scr *summarizeScratch) {
+		for _, o := range dirty[lo:hi] {
+			o.step(m.eng, m.hits, scr)
 		}
-		wg.Wait()
-		st.Workers = workers
-	} else {
-		scr := e.getScratch()
-		for _, o := range dirty {
-			o.step(e, m.hits, scr)
-		}
-		e.putScratch(scr)
-	}
+	})
 	for _, o := range dirty {
 		o.dirty = false
 		if o.sum == nil {

@@ -3,7 +3,6 @@ package core
 import (
 	"slices"
 
-	"tkplq/internal/indoor"
 	"tkplq/internal/iupt"
 )
 
@@ -23,62 +22,24 @@ type liveObject struct {
 	// first of them at position spliced of the new seq.
 	dirty                   bool
 	trimmed, added, spliced int
-	fellBack                bool // the step's Summarize fell back (EngineEnum)
+	fellBack                bool // a segment's enumeration fell back (EngineEnum)
 
 	// The reduction: each maximal run's merged set, and the records it spans.
 	red     []iupt.SampleSet
 	runLens []int32
 	arena   sampleArena
 
-	// The walk over red, kept under the default walk (cuts on, DP) while the
-	// object is not pruned (walked): every segment in order, the last one
-	// open, with their pass masses back to back; the spare pair is the
-	// buffers the next walk fills. ck is the walk's state after the last set
-	// but one. steps[i] holds the valid pairs of the step into red[i],
-	// carved from pairArena: a function of the two sets, so a walk that
-	// passes the step again takes no M_IL lookup.
+	// The walk over red, kept while the object is not pruned (walked): every
+	// segment in order with their pass masses back to back, the spare pair
+	// being the buffers the next walk fills; the walk's state after the last
+	// set but one; and each step's valid pairs.
 	walked      bool
-	segs        []liveSeg
+	segs        []walkSeg
 	masses      []CellMass
-	spareSegs   []liveSeg
+	spareSegs   []walkSeg
 	spareMasses []CellMass
 	ck          walkCheckpoint
-	steps       []liveStep
-	pairArena   []stepPair
-}
-
-// liveStep is the kept valid pairs of one step. A stale step's pairs are
-// taken again, into its array when they fit: a rebuilt set keeps its
-// P-location set, and so the step its number of valid pairs.
-type liveStep struct {
-	pairs []stepPair
-	ok    bool
-}
-
-// pairArenaSize is the length of a live object's pair arena chunk.
-const pairArenaSize = 256
-
-// liveSeg is one segment of a kept walk: the index of its first reduced set
-// and what finish made of it, its pass masses being masses[lo:hi] of the
-// walk's buffer.
-type liveSeg struct {
-	start     int
-	validMass float64
-	logScale  float64
-	lo, hi    int
-}
-
-// walkCheckpoint is a walk's state after set at, inside the segment that
-// starts at open: the matrix, its rows and tracked cells, the reachability
-// marks, the rescale log and whether the mass died. at < 0 holds none.
-type walkCheckpoint struct {
-	at, open int
-	rows     int
-	logScale float64
-	dead     bool
-	cur      []float64
-	tracked  []indoor.CellID
-	reach    []bool
+	pairs       pairStore
 }
 
 // newLiveObject returns an object whose records seq are all new to it.
@@ -118,13 +79,9 @@ func (o *liveObject) splice(rec iupt.Record) {
 // through e (the monitor's engine) and the query's PSL∩Q marks hits.
 func (o *liveObject) step(e *Engine, hits []bool, scr *summarizeScratch) {
 	d, c, front := o.reduce(e, scr)
-	o.trimmed, o.added, o.spliced, o.fellBack = 0, 0, 0, false
+	o.trimmed, o.added, o.spliced = 0, 0, 0
 	if !e.opts.DisableReduction && !reachesQuery(o.red, hits) {
 		o.sum, o.walked = nil, false
-		return
-	}
-	if e.opts.StrictPaths || e.opts.Engine == EngineEnum {
-		o.sum, o.fellBack = e.summarizeScratch(o.red, scr)
 		return
 	}
 	if !o.walked {
@@ -249,16 +206,19 @@ func (o *liveObject) walk(e *Engine, scr *summarizeScratch, d, c int, front bool
 	}
 	// The kept steps: the dropped sets' go, the step out of a rebuilt front
 	// and every step into a rebuilt set go stale.
-	d = min(d, len(o.steps))
-	clear(o.steps[:d])
-	o.steps = o.steps[d:]
-	if front && len(o.steps) > 1 {
-		o.steps[1].ok = false
+	steps := o.pairs.steps
+	d = min(d, len(steps))
+	clear(steps[:d])
+	steps = steps[d:]
+	if front && len(steps) > 1 {
+		steps[1] = steps[1][:0]
 	}
-	for i := c; i < len(o.steps); i++ {
-		o.steps[i].ok = false
+	for i := c; i < len(steps); i++ {
+		steps[i] = steps[i][:0]
 	}
-	w := liveWalk{e: e, scr: scr, o: o, own: scr.pairs, ck: ck, segs: o.spareSegs[:0], masses: o.spareMasses[:0]}
+	o.pairs.steps = steps
+	w := walk{e: e, scr: scr, seq: o.red, cut: !e.opts.StrictPaths, enum: e.opts.Engine == EngineEnum,
+		segs: o.spareSegs[:0], masses: o.spareMasses[:0], kept: &o.pairs, ck: ck}
 	n := len(o.red)
 
 	// The old segments from oi on start at or after the new front.
@@ -271,20 +231,12 @@ func (o *liveObject) walk(e *Engine, scr *summarizeScratch, d, c int, front bool
 		from = 0
 	} else {
 		w.begin(0)
-		w.checkpoint(0, n)
-		for i := 1; i < n; i++ {
-			if w.advance(i) {
-				for oi < len(old) && old[oi].start < i {
-					oi++
-				}
-				if i < c && oi < len(old) && old[oi].start == i {
-					from = i
-					break
-				}
-				w.begin(i)
+		from = w.run(1, func(i int) bool {
+			for oi < len(old) && old[oi].start < i {
+				oi++
 			}
-			w.checkpoint(i, n)
-		}
+			return i < c && oi < len(old) && old[oi].start == i
+		})
 	}
 	if from >= 0 {
 		// Keep the old segments up to the last old cut before c and walk on
@@ -295,20 +247,14 @@ func (o *liveObject) walk(e *Engine, scr *summarizeScratch, d, c int, front bool
 		}
 		at := old[li].start
 		if !w.fresh && ck.at >= 0 && ck.open >= from && ck.at < c {
-			w.keep(old[oi:], ck.open, o.masses)
+			w.keepSegs(old[oi:], ck.open, o.masses)
 			w.restore()
 			at = ck.at
 		} else {
-			w.keep(old[oi:], at, o.masses)
+			w.keepSegs(old[oi:], at, o.masses)
 			w.begin(at)
-			w.checkpoint(at, n)
 		}
-		for i := at + 1; i < n; i++ {
-			if w.advance(i) {
-				w.begin(i)
-			}
-			w.checkpoint(i, n)
-		}
+		w.run(at+1, nil)
 	}
 	if !w.fresh && (ck.at != n-2 || ck.open < max(from, 0) || ck.at >= c) {
 		ck.at = -1 // the old state one set back is not this walk's
@@ -317,151 +263,7 @@ func (o *liveObject) walk(e *Engine, scr *summarizeScratch, d, c int, front bool
 	if o.sum == nil {
 		o.sum = new(ObjectSummary)
 	}
-	w.summarize(o.sum, e.opts.Presence)
+	o.fellBack = w.summarize(o.sum, o.sum.PassMass[:0])
 	o.spareSegs, o.spareMasses = o.segs[:0], o.masses[:0]
 	o.segs, o.masses, o.walked = w.segs, w.masses, true
-	scr.pairs = w.own // the pool's next user writes it
-}
-
-// liveWalk is one tick's walk over a live object's reduced sequence: the
-// segments it finished, in order, and the open one's start; the walk's
-// state is in scr.
-type liveWalk struct {
-	e      *Engine
-	scr    *summarizeScratch
-	o      *liveObject
-	own    []stepPair // the scratch's pair array
-	ck     *walkCheckpoint
-	fresh  bool // ck was taken by this walk
-	open   int
-	segs   []liveSeg
-	masses []CellMass
-}
-
-// begin opens a segment at set i.
-func (w *liveWalk) begin(i int) {
-	w.e.begin(w.o.red[i], w.scr)
-	w.open = i
-}
-
-// advance steps into set i over the step's kept pairs, taking and keeping
-// them first when the object holds none; on a cut it finishes the open
-// segment there. Kept pairs become scr.pairs themselves (sweep only rewrites
-// their rows), so new ones are taken in the scratch's own array, own, which
-// the walk hands back when it ends.
-func (w *liveWalk) advance(i int) bool {
-	o, scr := w.o, w.scr
-	prev, cur := o.red[i-1], o.red[i]
-	var kept []stepPair // nil also for a kept step without pairs: taken again
-	if i < len(o.steps) && o.steps[i].ok {
-		kept = o.steps[i].pairs
-	}
-	if kept == nil {
-		scr.pairs = w.own
-	}
-	cut := w.e.lookup(prev, cur, kept, scr, true)
-	if kept == nil {
-		w.own = scr.pairs
-		o.keepStep(i, scr.pairs)
-	}
-	if !cut {
-		if !scr.dead {
-			w.e.sweep(len(prev), cur, scr)
-		}
-		return false
-	}
-	w.finishSeg(i)
-	return true
-}
-
-// keepStep keeps a copy of step i's valid pairs.
-func (o *liveObject) keepStep(i int, pairs []stepPair) {
-	for len(o.steps) <= i {
-		o.steps = append(o.steps, liveStep{})
-	}
-	st := &o.steps[i]
-	st.ok = true
-	if len(pairs) <= cap(st.pairs) {
-		st.pairs = st.pairs[:len(pairs)]
-		copy(st.pairs, pairs)
-		return
-	}
-	if len(o.pairArena)+len(pairs) > cap(o.pairArena) {
-		o.pairArena = make([]stepPair, 0, max(pairArenaSize, len(pairs)))
-	}
-	n := len(o.pairArena)
-	o.pairArena = append(o.pairArena, pairs...)
-	st.pairs = o.pairArena[n:len(o.pairArena):len(o.pairArena)]
-}
-
-// finishSeg finishes the open segment, which ends before set end.
-func (w *liveWalk) finishSeg(end int) {
-	sum, _ := w.e.finish(w.o.red[w.open:end], w.scr, false)
-	lo := len(w.masses)
-	w.masses = append(w.masses, sum.PassMass...)
-	w.segs = append(w.segs, liveSeg{start: w.open, validMass: sum.ValidMass, logScale: sum.LogScale, lo: lo, hi: len(w.masses)})
-}
-
-// keep appends the old segments of segs that start before end, their pass
-// masses copied out of masses.
-func (w *liveWalk) keep(segs []liveSeg, end int, masses []CellMass) {
-	for _, s := range segs {
-		if s.start >= end {
-			break
-		}
-		lo := len(w.masses)
-		w.masses = append(w.masses, masses[s.lo:s.hi]...)
-		s.lo, s.hi = lo, len(w.masses)
-		w.segs = append(w.segs, s)
-	}
-}
-
-// checkpoint takes the walk's state after set i when i is the last set but
-// one of an n-set sequence.
-func (w *liveWalk) checkpoint(i, n int) {
-	if i != n-2 {
-		return
-	}
-	scr, ck := w.scr, w.ck
-	ck.at, ck.open, ck.rows, ck.logScale, ck.dead = i, w.open, scr.rows, scr.logScale, scr.dead
-	ck.cur = ck.cur[:0]
-	if !scr.dead { // a dead segment's matrix is never read again
-		ck.cur = append(ck.cur, scr.cur[:len(w.o.red[i])*scr.rows]...)
-	}
-	ck.tracked = append(ck.tracked[:0], scr.tracked...)
-	ck.reach = append(ck.reach[:0], scr.reach...)
-	w.fresh = true
-}
-
-// restore makes the checkpoint the walk's state, its segment open.
-func (w *liveWalk) restore() {
-	scr, ck := w.scr, w.ck
-	scr.rows, scr.logScale, scr.dead = ck.rows, ck.logScale, ck.dead
-	scr.tracked = append(scr.tracked[:0], ck.tracked...)
-	scr.cellRow.Reset(w.e.space.NumCells())
-	for t, c := range ck.tracked {
-		scr.cellRow.Set(int32(c), int32(t+1)) // rows are 1-based
-	}
-	scr.fit(0, len(ck.cur))
-	copy(scr.cur, ck.cur)
-	scr.reach = append(scr.reach[:0], ck.reach...)
-	w.open = ck.open
-}
-
-// summarize writes summarizeWalk's result over the walk's segments into sum
-// — the one segment's masses, or their union in segment order — reusing
-// sum's PassMass array: the monitor is the summary's only reader.
-func (w *liveWalk) summarize(sum *ObjectSummary, mode PresenceMode) {
-	masses := sum.PassMass[:0]
-	if len(w.segs) == 1 {
-		s := w.segs[0]
-		*sum = ObjectSummary{ValidMass: s.validMass, PassMass: append(masses, w.masses[s.lo:s.hi]...), LogScale: s.logScale, Segments: 1}
-		return
-	}
-	scr := w.scr
-	scr.union = scr.union[:0]
-	for _, s := range w.segs {
-		scr.unionAdd(&ObjectSummary{ValidMass: s.validMass, PassMass: w.masses[s.lo:s.hi], LogScale: s.logScale}, mode)
-	}
-	*sum = ObjectSummary{ValidMass: 1, PassMass: append(masses, scr.unionMasses()...), Segments: len(w.segs)}
 }

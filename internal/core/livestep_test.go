@@ -17,11 +17,11 @@ import (
 // window, and the ranking to a from-scratch TopK. On top of the stream it
 // forces the events a stepped walk must survive: late records before an
 // object's first hard cut, between hard cuts and after the last one; a
-// record that folds into an object's last run and one whose P-location set
-// splits a run; a jump longer than the window; an object whose records all
-// leave while the others stay; and objects that appear and vanish. One
-// monitor asks for every S-location, the other for two, so objects are
-// pruned and unpruned as their windows move.
+// record that folds into an object's last run, one that joins its last run
+// but one, and one whose P-location set splits a run; a jump longer than the
+// window; an object whose records all leave while the others stay; and
+// objects that appear and vanish. One monitor asks for every S-location, the
+// other for two, so objects are pruned and unpruned as their windows move.
 func TestMonitorStepDifferential(t *testing.T) {
 	space, recs := goldenRecords(t)
 	for _, tc := range []struct {
@@ -45,6 +45,7 @@ const (
 	evLateAfter
 	evFold  // a record that folds into the object's last run
 	evSplit // a record whose P-location set splits a run
+	evJoin  // a record that joins the object's last run but one
 	evJump  // a tick that jumps more than a window ahead
 	evDrop  // an object's records all leave the window while others stay
 	evGuest // an object that appears, then vanishes
@@ -231,10 +232,11 @@ func sameSummaryBits(a, b *ObjectSummary) bool {
 // forcedRecords returns the tick's forced records, chosen from what monitor m
 // holds before the tick: on every third tick one object, taken in turn, gets
 // a late record inside one of the three stretches its hard cuts bound, a
-// record that folds into its last run, or one that splits a run. batch is
-// the tick's stream records and now the end of the tick.
+// record that folds into its last run, or one that splits a run, and on the
+// tick after, one that joins its last run but one. batch is the tick's
+// stream records and now the end of the tick.
 func forcedRecords(rng *rand.Rand, space *indoor.Space, m *monitor, batch []iupt.Record, now iupt.Time, tick int, seen *[evCount]int) []iupt.Record {
-	if tick%3 != 0 || len(m.objs) == 0 {
+	if tick%3 == 2 || len(m.objs) == 0 {
 		return nil
 	}
 	o := m.objs[(tick/3)%len(m.objs)]
@@ -257,7 +259,11 @@ func forcedRecords(rng *rand.Rand, space *indoor.Space, m *monitor, batch []iupt
 		}
 		return iupt.SampleSet{{Loc: x[0].Loc + 1, Prob: 1}}
 	}
-	switch ev := (tick / 3) % 5; ev {
+	ev := (tick / 3) % 5
+	if tick%3 == 1 {
+		ev = evJoin
+	}
+	switch ev {
 	case evLateBefore, evLateBetween, evLateAfter:
 		cuts := hardCuts(space, o.red)
 		lo, hi := 0, len(o.red)
@@ -287,6 +293,16 @@ func forcedRecords(rng *rand.Rand, space *indoor.Space, m *monitor, batch []iupt
 		}
 		seen[ev]++
 		return []iupt.Record{{OID: o.oid, T: now - 1, Samples: fold}}
+	case evJoin:
+		// Spliced after the run's first record, so the set rebuilt first
+		// is the one the walk's checkpoint was taken after.
+		x := o.seq[at(len(o.red)-2)]
+		join := make(iupt.SampleSet, len(x.Samples))
+		for i, s := range x.Samples {
+			join[i] = iupt.Sample{Loc: s.Loc, Prob: x.Samples[len(x.Samples)-1-i].Prob}
+		}
+		seen[ev]++
+		return []iupt.Record{{OID: o.oid, T: x.T, Samples: join}}
 	default:
 		for r, n := range o.runLens {
 			if idx := at(r); n >= 2 && o.seq[idx+1].T > o.seq[idx].T {
@@ -314,6 +330,43 @@ func hardCuts(space *indoor.Space, red []iupt.SampleSet) []int {
 		}
 	}
 	return cuts
+}
+
+// TestLiveEnumCheckpoint steps one live object under EngineEnum on a fresh
+// scratch, twice: its last set but one is larger than the first set of its
+// segment, so the walk's checkpoint there may copy no matrix (an enumerating
+// walk sweeps none, and the scratch's holds only the first set), and the
+// second step resumes from that checkpoint. Both summaries must be fresh
+// Summarize's.
+func TestLiveEnumCheckpoint(t *testing.T) {
+	fig := indoor.Figure1Space()
+	// The paper's p6 is c6 alone, p2, p4 and p5 each pair c6 with another
+	// cell, p1 is c4 and c5, and p3 c3 and c4: no two samples of a set share
+	// their cells, so intra-merging keeps every one.
+	p := fig.PLocs // p[0] is the paper's p1
+	e := NewEngine(fig.Space, Options{Engine: EngineEnum})
+	o := newLiveObject(1, iupt.Sequence{
+		{T: 1, Samples: iupt.SampleSet{{Loc: p[5], Prob: 1}}},
+		{T: 2, Samples: iupt.SampleSet{{Loc: p[1], Prob: 0.3}, {Loc: p[3], Prob: 0.2}, {Loc: p[4], Prob: 0.1}, {Loc: p[5], Prob: 0.4}}},
+		{T: 3, Samples: iupt.SampleSet{{Loc: p[0], Prob: 1}}},
+	})
+	hits := make([]bool, fig.Space.NumPLocations())
+	for i := range hits {
+		hits[i] = true
+	}
+	for step := range 2 {
+		if step == 1 {
+			o.splice(iupt.Record{OID: 1, T: 4, Samples: iupt.SampleSet{{Loc: p[2], Prob: 1}}})
+		}
+		o.step(e, hits, newSummarizeScratch())
+		if n := len(o.red); o.ck.at != n-2 || o.ck.open != 0 || step == 0 && len(o.red[n-2]) <= len(o.red[0]) {
+			t.Fatalf("step %d: %d sets, checkpoint after set %d of the segment at %d; want the last set but one, larger than the first", step, n, o.ck.at, o.ck.open)
+		}
+		want, _ := e.Summarize(o.red)
+		if !sameSummaryBits(o.sum, want) {
+			t.Fatalf("step %d: the kept walk's summary differs from a fresh Summarize", step)
+		}
+	}
 }
 
 // monitorTickFleet is BenchmarkMonitorTick's and TestMonitorTickAllocBudget's

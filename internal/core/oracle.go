@@ -84,9 +84,9 @@ func (o *presenceOracle) reset(e *Engine, en *windowEntry, lo, hi int, query map
 	}
 }
 
-// minParallelItems is the fan-out cutoff: below this many pending work items
-// the goroutine overhead outweighs the parallelism and the oracle stays on
-// the calling goroutine (results are identical either way).
+// minParallelItems is the fan-out cutoff (workersFor): below this many work
+// items the goroutine overhead outweighs the parallelism and the work stays
+// on the calling goroutine (results are identical either way).
 const minParallelItems = 4
 
 // prunedBy is ReduceData's PSL∩Q check for a reduction computed
@@ -226,7 +226,8 @@ func (o *presenceOracle) ensureAll(ctx context.Context, needSummary bool) error 
 
 // compute resolves the pending positions, then merges the outcomes in
 // ascending position so columns, stats and every later flow accumulation are
-// identical at every pool size. The memo values it stores are carved from one
+// identical at every pool size: on one goroutine each as it comes, across
+// several after the join. The memo values it stores are carved from one
 // slice of the pending count. A canceled ctx stops the work between objects
 // and returns ctx.Err(); the completed per-object work stays in the window's
 // memo (it is a function of the window's records alone, so partial progress
@@ -241,19 +242,63 @@ func (o *presenceOracle) compute(ctx context.Context, needSummary bool) error {
 	if o.memo != nil {
 		slots = make([]memoized, len(pending))
 	}
-	if workers := min(o.eng.opts.workerCount(), len(pending)); workers > 1 && len(pending) >= minParallelItems {
-		return o.fanOut(ctx, pending, slots, needSummary, workers)
+	workers := o.eng.workersFor(len(pending))
+	outs := o.en.rec.arenas(workers)
+	var outcomes []outcome
+	if workers > 1 {
+		outcomes = make([]outcome, len(pending))
 	}
-	scr := o.eng.getScratch()
-	defer o.eng.putScratch(scr)
-	outs := o.en.rec.arenas(1)
-	for k, i := range pending {
-		if err := ctx.Err(); err != nil {
-			return err
+	o.eng.inRanges(len(pending), workers, func(w, lo, hi int, scr *summarizeScratch) {
+		for k := lo; k < hi && ctx.Err() == nil; k++ {
+			oc := o.computeOne(pending[k], needSummary, scr, arenaAt(outs, w), slotAt(slots, k))
+			if outcomes == nil {
+				o.apply(pending[k], oc, needSummary)
+			} else {
+				outcomes[k] = oc
+			}
 		}
-		o.apply(i, o.computeOne(i, needSummary, scr, arenaAt(outs, 0), slotAt(slots, k)), needSummary)
+	})
+	if err := ctx.Err(); err != nil || outcomes == nil {
+		return err // a canceled query's outcomes are discarded with it
 	}
-	return ctx.Err()
+	for k, i := range pending {
+		o.apply(i, outcomes[k], needSummary)
+	}
+	o.stats.Workers = max(o.stats.Workers, workers)
+	return nil
+}
+
+// workersFor returns the number of goroutines n work items fan out over:
+// the engine's workers, at most n, and 1 below minParallelItems.
+func (e *Engine) workersFor(n int) int {
+	if workers := min(e.opts.workerCount(), n); workers > 1 && n >= minParallelItems {
+		return workers
+	}
+	return 1
+}
+
+// inRanges splits items [0, n) into workers contiguous ranges and calls body
+// on each, the w-th range [lo, hi) with a pooled scratch arena of its own, so
+// every item of a range reuses the buffers: one range on the calling
+// goroutine, several on a goroutine each, returning when all are done.
+func (e *Engine) inRanges(n, workers int, body func(w, lo, hi int, scr *summarizeScratch)) {
+	if workers == 1 {
+		scr := e.getScratch()
+		defer e.putScratch(scr)
+		body(0, 0, n, scr)
+		return
+	}
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			scr := e.getScratch()
+			defer e.putScratch(scr)
+			body(w, w*n/workers, (w+1)*n/workers, scr)
+		}()
+	}
+	wg.Wait()
 }
 
 // slotAt returns the k-th memo value a compute carved; nil without a memo.
@@ -270,42 +315,6 @@ func arenaAt(outs []*outArena, w int) *outArena {
 		return nil
 	}
 	return outs[w]
-}
-
-// fanOut is compute across workers goroutines, each a contiguous range of the
-// ascending pending list, checking ctx between objects so a canceled
-// evaluation stops burning the pool within one object's work.
-func (o *presenceOracle) fanOut(ctx context.Context, pending []int, slots []memoized, needSummary bool, workers int) error {
-	outcomes := make([]outcome, len(pending))
-	outs := o.en.rec.arenas(workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*len(pending)/workers, (w+1)*len(pending)/workers
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// One scratch arena per worker: every object of its range reuses
-			// the buffers, so the pool is touched once per range.
-			scr := o.eng.getScratch()
-			defer o.eng.putScratch(scr)
-			out := arenaAt(outs, w)
-			for k := lo; k < hi; k++ {
-				if ctx.Err() != nil {
-					return
-				}
-				outcomes[k] = o.computeOne(pending[k], needSummary, scr, out, slotAt(slots, k))
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return err // the outcomes are discarded with the query
-	}
-	for k, i := range pending {
-		o.apply(i, outcomes[k], needSummary)
-	}
-	o.stats.Workers = max(o.stats.Workers, workers)
-	return nil
 }
 
 // finishStats normalizes the oracle's stats before they are returned:

@@ -144,26 +144,4 @@ func (scr *summarizeScratch) unionAdd(seg *ObjectSummary, mode PresenceMode) {
 	scr.union, scr.unionNext = append(merged, noPass[i:]...), noPass
 }
 
-// unionMasses returns, in scr.masses, the pass masses of the segments merged
-// into the union: presence = 1 - Π_seg (1 - presence_seg) as the pass mass
-// of a valid mass of 1.
-func (scr *summarizeScratch) unionMasses() []CellMass {
-	scr.masses = scr.masses[:0]
-	for _, cm := range scr.union {
-		if mass := 1 - cm.Mass; mass > 0 {
-			scr.masses = append(scr.masses, CellMass{Cell: cm.Cell, Mass: mass})
-		}
-	}
-	return scr.masses
-}
-
-// exactMasses copies cell-sorted pass masses out at exact size: the PassMass
-// of a new summary.
-func exactMasses(ms []CellMass) []CellMass {
-	if len(ms) == 0 {
-		return nil
-	}
-	return append(make([]CellMass, 0, len(ms)), ms...)
-}
-
 func byCell(a, b CellMass) int { return cmp.Compare(a.Cell, b.Cell) }

@@ -52,9 +52,10 @@ type summarizeScratch struct {
 	decoded iupt.SampleSet
 	slabOut []iupt.Sample
 
-	// Summary state (dp.go, presence.go): a segment's cell-sorted pass masses
-	// before their exact-size copy, and the union's no-pass products, merged
-	// segment by segment from one buffer into the other.
+	// Summary state (dp.go, presence.go): a one-shot walk's finished
+	// segments and their cell-sorted pass masses, and the union's no-pass
+	// products, merged segment by segment from one buffer into the other.
+	segs             []walkSeg
 	masses           []CellMass
 	union, unionNext []CellMass
 }
