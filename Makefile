@@ -50,6 +50,7 @@ benchdiff:
 
 # Fuzz smoke: the on-disk-format fuzzers (partition files, WAL segments,
 # binary and CSV IUPT files), the wire-format fuzzer (the shard's /v2/partial body),
+# the query-body fuzzer (/v2/query's refusals and the queries it accepts),
 # the table-read fuzzer (a backed table's range reads against a flat
 # table's) and the ingest-batch fuzzer (Ingest's batch checks against the
 # map-based reference they replaced), a short budget each on top of their
@@ -65,6 +66,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME) ./internal/iupt
 	$(GO) test -run '^$$' -fuzz '^FuzzTableRead$$' -fuzztime $(FUZZTIME) ./internal/iupt
 	$(GO) test -run '^$$' -fuzz '^FuzzPartialDecode$$' -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzQueryRequest$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzIngestBatch$$' -fuzztime $(FUZZTIME) .
 
 # Coverage artifact: atomic-mode profile across every package, plus the

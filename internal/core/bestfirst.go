@@ -50,10 +50,10 @@ type rankIndex struct {
 	// slocs is the set it was built for: a private copy in the caller's
 	// order. The bulk load sees them in that order, so a permuted set is
 	// another RQ — with the same answer, but its own pop count.
-	slocs  []indoor.SLocID
-	member map[indoor.SLocID]bool // the oracle's PSL∩Q check
-	rq     *rtree.Tree[indoor.SLocID]
-	rc     *rtree.Tree[int32]
+	slocs []indoor.SLocID
+	mask  []bool // the set's reachMask, the oracle's PSL∩Q check
+	rq    *rtree.Tree[indoor.SLocID]
+	rc    *rtree.Tree[int32]
 	// answer is the last finished search's over this index, replaced whole;
 	// nil until one finished.
 	answer atomic.Pointer[bfAnswer]
@@ -101,18 +101,17 @@ func replayStats(st Stats) Stats {
 // skipping the step on a hit leaves Stats as a rebuild would.
 func (e *Engine) rankIndex(ctx context.Context, en *windowEntry, q []indoor.SLocID, oracle *presenceOracle) (*rankIndex, error) {
 	if ri := en.rank.Load(); ri != nil && slices.Equal(ri.slocs, q) {
-		oracle.reset(e, en, 0, len(en.win.OIDs), ri.member)
+		oracle.reset(e, en, 0, len(en.win.OIDs), ri.mask)
 		return ri, nil
 	}
-	ri := &rankIndex{slocs: slices.Clone(q), member: make(map[indoor.SLocID]bool, len(q))}
+	ri := &rankIndex{slocs: slices.Clone(q), mask: e.reachMask(q)}
 	qItems := make([]rtree.BulkItem[indoor.SLocID], len(q))
 	for i, s := range q {
-		ri.member[s] = true
 		qItems[i] = rtree.BulkItem[indoor.SLocID]{Rect: e.space.SLocBounds(s), Item: s}
 	}
 	ri.rq = rtree.BulkLoad(rtree.DefaultMaxEntries, qItems)
 
-	oracle.reset(e, en, 0, len(en.win.OIDs), ri.member)
+	oracle.reset(e, en, 0, len(en.win.OIDs), ri.mask)
 	if err := oracle.ensureAll(ctx, false); err != nil {
 		return nil, err
 	}
@@ -126,9 +125,9 @@ func (e *Engine) rankIndex(ctx context.Context, en *windowEntry, q []indoor.SLoc
 		}
 	}
 	ri.rc = rtree.BulkLoad(rtree.DefaultMaxEntries, items)
-	// Per location its id and map slot; per item of either tree a leaf entry
-	// and its share of the levels above.
-	ri.bytes.Store(24*int64(len(q)) + 64*int64(len(q)+len(items)))
+	// Per location its id; per P-location its mask byte; per item of either
+	// tree a leaf entry and its share of the levels above.
+	ri.bytes.Store(8*int64(len(q)) + int64(len(ri.mask)) + 64*int64(len(q)+len(items)))
 	en.rank.Store(ri)
 	return ri, nil
 }

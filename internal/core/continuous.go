@@ -44,7 +44,7 @@ type monitor struct {
 	eng     *Engine
 	table   *iupt.Table
 	query   []indoor.SLocID // canonical (ascending) query set
-	hits    []bool          // by P-location: a cell of it holds a queried S-location (PSL∩Q)
+	mask    []bool          // the query's reachMask (PSL∩Q)
 	k       int
 	window  iupt.Time
 	barrier sync.Locker // serializes the build's table read with the owner's appends
@@ -86,7 +86,7 @@ func (e *Engine) newMonitor(cfg SubscribeConfig, query []indoor.SLocID, k int, w
 		eng:     e,
 		table:   cfg.Table,
 		query:   query,
-		hits:    make([]bool, e.space.NumPLocations()),
+		mask:    e.reachMask(query),
 		k:       k,
 		window:  window,
 		barrier: cfg.Barrier,
@@ -96,17 +96,6 @@ func (e *Engine) newMonitor(cfg SubscribeConfig, query []indoor.SLocID, k int, w
 	}
 	if m.barrier == nil {
 		m.barrier = &sync.Mutex{}
-	}
-	queried := make(map[indoor.SLocID]bool, len(query))
-	for _, s := range query {
-		queried[s] = true
-	}
-	for p := range m.hits {
-		for _, c := range e.space.PLocCells(indoor.PLocID(p)) {
-			for _, s := range e.space.SLocsOfCell(c) {
-				m.hits[p] = m.hits[p] || queried[s]
-			}
-		}
 	}
 	return m
 }
@@ -314,24 +303,14 @@ func (m *monitor) recomputeLocked() Stats {
 	}
 	m.eng.inRanges(len(dirty), workers, func(_, lo, hi int, scr *summarizeScratch) {
 		for _, o := range dirty[lo:hi] {
-			o.step(m.eng, m.hits, scr)
+			o.step(m.eng, m.mask, scr)
 		}
 	})
 	for _, o := range dirty {
 		o.dirty = false
-		if o.sum == nil {
-			continue // pruned by PSL∩Q
+		if o.sum != nil { // else pruned by PSL∩Q
+			st.addObject(o.sum, o.fellBack, len(o.seq), len(o.red))
 		}
-		st.ObjectsComputed++
-		st.PathsEnumerated += o.sum.Paths
-		if o.sum.Segments > 1 {
-			st.SequenceBreaks += int64(o.sum.Segments - 1)
-		}
-		if o.fellBack {
-			st.BudgetFallbacks++
-		}
-		st.SampleSetsOriginal += int64(len(o.seq))
-		st.SampleSetsReduced += int64(len(o.red))
 	}
 	clear(m.dirty) // the list is rebuilt next tick: do not pin dropped objects
 	m.dirtyTotal += int64(len(dirty))

@@ -274,6 +274,23 @@ func (s *Stats) PruningRatio() float64 {
 	return float64(s.ObjectsTotal-s.ObjectsComputed) / float64(s.ObjectsTotal)
 }
 
+// addObject counts one summarized object: its summary's paths and segment
+// breaks, whether its enumeration fell back, and its sample sets before
+// (original) and after (reduced) Algorithm 1. The shared pass (apply) and
+// the live feed (recomputeLocked) count through it alike.
+func (s *Stats) addObject(sum *ObjectSummary, fellBack bool, original, reduced int) {
+	s.ObjectsComputed++
+	s.PathsEnumerated += sum.Paths
+	if sum.Segments > 1 {
+		s.SequenceBreaks += int64(sum.Segments - 1)
+	}
+	if fellBack {
+		s.BudgetFallbacks++
+	}
+	s.SampleSetsOriginal += int64(original)
+	s.SampleSetsReduced += int64(reduced)
+}
+
 // add accumulates other into s.
 func (s *Stats) add(other *Stats) {
 	s.ObjectsTotal += other.ObjectsTotal

@@ -229,7 +229,7 @@ func TestSummarizeAllocBudget(t *testing.T) {
 
 // TestReduceDataAllocBudget locks the reduce path: scratch seen-sets, the
 // scratch-grown reduced sequence and the slab arena keep the per-call count at
-// a small constant — the output Reduction, Seq, Cells and PSLs, each copied
+// a small constant — the output Reduction, Seq and PSLs, each copied
 // out once at exact size, plus one sample slab — independent of merge
 // activity and of the number of reduced sets.
 func TestReduceDataAllocBudget(t *testing.T) {

@@ -76,11 +76,11 @@ func (o *liveObject) splice(rec iupt.Record) {
 }
 
 // step brings a dirty object's reduction and summary up to its records,
-// through e (the monitor's engine) and the query's PSL∩Q marks hits.
-func (o *liveObject) step(e *Engine, hits []bool, scr *summarizeScratch) {
+// through e (the monitor's engine) and the query's reachMask.
+func (o *liveObject) step(e *Engine, mask []bool, scr *summarizeScratch) {
 	d, c, front := o.reduce(e, scr)
 	o.trimmed, o.added, o.spliced = 0, 0, 0
-	if !e.opts.DisableReduction && !reachesQuery(o.red, hits) {
+	if !e.opts.DisableReduction && !reaches(o.red, mask) {
 		o.sum, o.walked = nil, false
 		return
 	}
@@ -88,20 +88,6 @@ func (o *liveObject) step(e *Engine, hits []bool, scr *summarizeScratch) {
 		c, front = 0, true
 	}
 	o.walk(e, scr, d, c, front)
-}
-
-// reachesQuery is the oracle's PSL∩Q check (prunedBy) over a reduced
-// sequence: hits marks the P-locations one of whose cells holds a queried
-// S-location, so a sample with a marked location is a PSL in the query.
-func reachesQuery(red []iupt.SampleSet, hits []bool) bool {
-	for _, x := range red {
-		for _, s := range x {
-			if hits[s.Loc] {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // reduce brings the reduction up to seq after the tick trimmed and spliced

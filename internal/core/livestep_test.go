@@ -181,14 +181,10 @@ func freshWindow(ref *Engine, tb *iupt.Table, ts, te iupt.Time) []freshObject {
 }
 
 // checkRetained holds every object the monitor retains to the fresh window:
-// the same objects, pruned where the query's PSL∩Q check prunes them, and
+// the same objects, pruned where the fresh reduction's PSLs miss q, and
 // otherwise the same summary bits.
 func checkRetained(t *testing.T, ref *Engine, m *monitor, q []indoor.SLocID, fresh []freshObject, tick int) {
 	t.Helper()
-	query := make(map[indoor.SLocID]bool, len(q))
-	for _, s := range q {
-		query[s] = true
-	}
 	if len(fresh) != len(m.objs) {
 		t.Fatalf("tick %d: monitor holds %d objects, the window %d", tick, len(m.objs), len(fresh))
 	}
@@ -197,7 +193,7 @@ func checkRetained(t *testing.T, ref *Engine, m *monitor, q []indoor.SLocID, fre
 		if o.oid != f.oid {
 			t.Fatalf("tick %d: object %d at position %d, want %d", tick, o.oid, i, f.oid)
 		}
-		if !ref.opts.DisableReduction && !f.red.HasAnyOf(query) {
+		if !ref.opts.DisableReduction && !meets(f.red.PSLs, q) {
 			if o.sum != nil {
 				t.Fatalf("tick %d: object %d is pruned but the monitor holds a summary", tick, f.oid)
 			}
@@ -230,16 +226,17 @@ func sameSummaryBits(a, b *ObjectSummary) bool {
 }
 
 // forcedRecords returns the tick's forced records, chosen from what monitor m
-// holds before the tick: on every third tick one object, taken in turn, gets
-// a late record inside one of the three stretches its hard cuts bound, a
-// record that folds into its last run, or one that splits a run, and on the
-// tick after, one that joins its last run but one. batch is the tick's
-// stream records and now the end of the tick.
+// holds before the tick: on every third tick an object gets a late record
+// inside one of the three stretches its hard cuts bound, a record that folds
+// into its last run, or one that splits a run, the five kinds in turn, and on
+// the tick after, one that joins its last run but one. The objects are taken
+// in turn too, each for fifteen ticks, so every object taken meets every
+// kind. batch is the tick's stream records and now the end of the tick.
 func forcedRecords(rng *rand.Rand, space *indoor.Space, m *monitor, batch []iupt.Record, now iupt.Time, tick int, seen *[evCount]int) []iupt.Record {
 	if tick%3 == 2 || len(m.objs) == 0 {
 		return nil
 	}
-	o := m.objs[(tick/3)%len(m.objs)]
+	o := m.objs[(tick/15)%len(m.objs)]
 	if len(o.red) < 2 {
 		return nil
 	}

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sync"
 
-	"tkplq/internal/indoor"
 	"tkplq/internal/iupt"
 )
 
@@ -32,11 +31,11 @@ import (
 // want and compute's merge phase must run on one goroutine; computeOne is
 // safe to call concurrently.
 type presenceOracle struct {
-	eng   *Engine
-	query map[indoor.SLocID]bool // nil disables PSL∩Q pruning
-	en    *windowEntry           // the window's entry: its memo, size estimate and pooled memory
-	win   window                 // en's window, or the slice of it evaluated
-	memo  objectMemo             // en's memo sliced like win; nil = no sharing
+	eng  *Engine
+	mask []bool       // the query's reachMask; nil disables PSL∩Q pruning
+	en   *windowEntry // the window's entry: its memo, size estimate and pooled memory
+	win  window       // en's window, or the slice of it evaluated
+	memo objectMemo   // en's memo sliced like win; nil = no sharing
 
 	// By position, what this query has resolved: the reduction (prunedRed
 	// once the PSL∩Q check pruned the object) and the summary. pending lists
@@ -57,18 +56,18 @@ var prunedRed = new(Reduction)
 // unadmitted or bypassed window, Naive's per-location evaluations —
 // computes everything, shares nothing and carves its reductions from en's
 // pooled memory, so they are valid until en's release.
-func newOracle(e *Engine, en *windowEntry, lo, hi int, query map[indoor.SLocID]bool) *presenceOracle {
+func newOracle(e *Engine, en *windowEntry, lo, hi int, mask []bool) *presenceOracle {
 	o := new(presenceOracle)
-	o.reset(e, en, lo, hi, query)
+	o.reset(e, en, lo, hi, mask)
 	return o
 }
 
 // reset makes o the oracle newOracle returns, over columns grown from o's
 // own: a pooled oracle (bfScratch) hands them back empty and cleared.
-func (o *presenceOracle) reset(e *Engine, en *windowEntry, lo, hi int, query map[indoor.SLocID]bool) {
+func (o *presenceOracle) reset(e *Engine, en *windowEntry, lo, hi int, mask []bool) {
 	*o = presenceOracle{
 		eng:        e,
-		query:      query,
+		mask:       mask,
 		en:         en,
 		win:        window{Window: iupt.Window{OIDs: en.win.OIDs[lo:hi], Seqs: en.win.Seqs[lo:hi]}},
 		reductions: slices.Grow(o.reductions, hi-lo)[:hi-lo],
@@ -89,11 +88,10 @@ func (o *presenceOracle) reset(e *Engine, en *windowEntry, lo, hi int, query map
 // on the calling goroutine (results are identical either way).
 const minParallelItems = 4
 
-// prunedBy is ReduceData's PSL∩Q check for a reduction computed
-// without a query (so the reduction itself stays query-independent and
-// cacheable).
+// prunedBy is the PSL∩Q check (reaches) for a reduction computed without a
+// query (so the reduction itself stays query-independent and cacheable).
 func (o *presenceOracle) prunedBy(red *Reduction) bool {
-	return o.query != nil && !o.eng.opts.DisableReduction && !red.HasAnyOf(o.query)
+	return o.mask != nil && !o.eng.opts.DisableReduction && !reaches(red.Seq, o.mask)
 }
 
 // outcome is the result of computing one object, before it is merged into
@@ -174,16 +172,7 @@ func (o *presenceOracle) apply(i int, oc outcome, needSummary bool) {
 		return
 	}
 	o.summaries[i] = oc.sum
-	o.stats.ObjectsComputed++
-	o.stats.PathsEnumerated += oc.sum.Paths
-	if oc.sum.Segments > 1 {
-		o.stats.SequenceBreaks += int64(oc.sum.Segments - 1)
-	}
-	if oc.fellBack {
-		o.stats.BudgetFallbacks++
-	}
-	o.stats.SampleSetsOriginal += int64(o.win.records(i))
-	o.stats.SampleSetsReduced += int64(len(oc.red.Seq))
+	o.stats.addObject(oc.sum, oc.fellBack, o.win.records(i), len(oc.red.Seq))
 	if o.en.counted {
 		if oc.sumHit {
 			o.stats.CacheHits++

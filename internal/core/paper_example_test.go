@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"tkplq/internal/indoor"
@@ -233,4 +235,62 @@ func TestPruningStatsOnPaperData(t *testing.T) {
 		t.Errorf("stats = %+v, want 3 total / 1 computed", stats)
 	}
 	approx(t, "pruning ratio", stats.PruningRatio(), 2.0/3.0, 1e-12)
+}
+
+// meets reports whether a reduction's PSLs intersect q: the PSL∩Q test of
+// Algorithm 1 line 13 as the paper states it, over the stored PSLs.
+func meets(psls, q []indoor.SLocID) bool {
+	for _, s := range q {
+		if slices.Contains(psls, s) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestReachesMatchesPSLs holds the one PSL∩Q test (reaches over a
+// reachMask) to its definition, an intersection with the PSLs, for every
+// object of several golden-fleet windows and query sets of 1, 8 and every
+// S-location, with each merge on and off; and ReduceData, which takes the
+// query as a map, to the same answer, a key mapped to false not counting.
+func TestReachesMatchesPSLs(t *testing.T) {
+	space, recs := goldenRecords(t)
+	tb := iupt.NewTable()
+	tb.Append(recs...)
+	rng := rand.New(rand.NewSource(52))
+	for _, opts := range []Options{{}, {DisableIntraMerge: true}, {DisableInterMerge: true}} {
+		e := NewEngine(space, opts)
+		for _, ts := range []iupt.Time{0, 2700, 6000, 11700} {
+			w := iupt.GroupSequences(tb.RecordsInRange(ts, ts+goldenWindow-1))
+			for _, n := range []int{1, 8, space.NumSLocations()} {
+				perm := rng.Perm(space.NumSLocations())
+				q := make([]indoor.SLocID, n)
+				query := make(map[indoor.SLocID]bool, space.NumSLocations())
+				for i, p := range perm {
+					if i < n {
+						q[i] = indoor.SLocID(p)
+					}
+					query[indoor.SLocID(p)] = i < n
+				}
+				mask := e.reachMask(q)
+				pruned := 0
+				for i, seq := range w.Seqs {
+					red, _ := e.ReduceData(seq, nil)
+					want := meets(red.PSLs, q)
+					if got := reaches(red.Seq, mask); got != want {
+						t.Fatalf("%+v, window at %d, |Q| = %d, object %d: reaches = %v, PSLs %v meet Q = %v", opts, ts, n, w.OIDs[i], got, red.PSLs, want)
+					}
+					if _, ok := e.ReduceData(seq, query); ok != want {
+						t.Fatalf("%+v, window at %d, |Q| = %d, object %d: ReduceData keeps it = %v, PSLs meet Q = %v", opts, ts, n, w.OIDs[i], ok, want)
+					}
+					if !want {
+						pruned++
+					}
+				}
+				if n == 1 && pruned == 0 {
+					t.Errorf("%+v, window at %d: a one-location query pruned no object", opts, ts)
+				}
+			}
+		}
+	}
 }

@@ -51,7 +51,7 @@ func (e *Engine) sharedPass(ctx context.Context, table *iupt.Table, q Query) (*p
 		return nil, err
 	}
 	lo, hi := 0, len(en.win.OIDs)
-	var query map[indoor.SLocID]bool
+	var mask []bool
 	if q.Kind == KindPresence {
 		// Only the one object, and no PSL∩Q pruning: its summary is computed
 		// unconditionally (a non-intersecting PSL yields an exact 0.0 either
@@ -64,12 +64,9 @@ func (e *Engine) sharedPass(ctx context.Context, table *iupt.Table, q Query) (*p
 			hi++
 		}
 	} else {
-		query = make(map[indoor.SLocID]bool, len(q.SLocs))
-		for _, s := range q.SLocs {
-			query[s] = true
-		}
+		mask = e.reachMask(q.SLocs)
 	}
-	oracle := newOracle(e, en, lo, hi, query)
+	oracle := newOracle(e, en, lo, hi, mask)
 	if err := oracle.ensureAll(ctx, true); err != nil {
 		en.release()
 		return nil, err

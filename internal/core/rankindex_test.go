@@ -367,7 +367,7 @@ func TestBestFirstScratchReleased(t *testing.T) {
 			}
 		}
 		o := &s.oracle
-		if o.eng != nil || o.en != nil || o.query != nil || o.win.OIDs != nil || o.memo != nil || len(o.reductions) != 0 || len(o.summaries) != 0 || len(o.pending) != 0 {
+		if o.eng != nil || o.en != nil || o.mask != nil || o.win.OIDs != nil || o.memo != nil || len(o.reductions) != 0 || len(o.summaries) != 0 || len(o.pending) != 0 {
 			t.Fatalf("%s: the pooled oracle was not reset", label)
 		}
 		for i := range cap(o.reductions) {
@@ -470,7 +470,7 @@ func privateMemCleared(t *testing.T, label string) {
 	a := outArenaPool.Get().(*outArena)
 	defer outArenaPool.Put(a)
 	for _, red := range a.reds[:cap(a.reds)] {
-		if red.Seq != nil || red.PSLs != nil || red.Cells != nil {
+		if red.Seq != nil || red.PSLs != nil {
 			t.Fatalf("%s: the pooled output arena holds a reduction", label)
 		}
 	}

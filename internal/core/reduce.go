@@ -14,24 +14,13 @@ type Reduction struct {
 	// Seq is the reduced sequence of sample sets X'. Timestamps are
 	// dropped: the flow definition is independent of dwell time (§3.2).
 	Seq []iupt.SampleSet
-	// PSLs are the S-locations the object may have passed, sorted by id.
+	// PSLs are the S-locations the object may have passed, sorted by id:
+	// those of the cells incident to any reported P-location. Best-First's
+	// PSL MBRs are built from them (PSLRects).
 	PSLs []indoor.SLocID
-	// Cells are the cells incident to any reported P-location, sorted.
-	// They determine the PSLs and the PSL MBRs used by Best-First.
-	Cells []indoor.CellID
 	// shared counts the samples of Seq that belong to slab runs the
 	// reduction shares (slab.go): memoBytes does not charge them.
 	shared int
-}
-
-// HasAnyOf reports whether the object's PSLs intersect the query set.
-func (r *Reduction) HasAnyOf(query map[indoor.SLocID]bool) bool {
-	for _, s := range r.PSLs {
-		if query[s] {
-			return true
-		}
-	}
-	return false
 }
 
 // ReduceData implements Algorithm 1. It intra-merges samples of equivalent
@@ -39,9 +28,10 @@ func (r *Reduction) HasAnyOf(query map[indoor.SLocID]bool) bool {
 // consecutive sample sets with identical P-location sets (averaging
 // per-location probabilities), and collects the object's PSLs.
 //
-// If query is non-nil and the PSLs do not intersect it, ReduceData returns
-// (nil, false): the object cannot contribute flow to any query location and
-// is pruned (the ⟨null, null⟩ return of Algorithm 1 line 13).
+// If query is non-nil and the PSLs do not intersect the S-locations it maps
+// to true (ids of the engine's space), ReduceData returns (nil, false): the
+// object cannot contribute flow to any query location and is pruned (the
+// ⟨null, null⟩ return of Algorithm 1 line 13).
 //
 // Option flags can disable the merges or the whole reduction; PSLs are
 // always computed because the search algorithms need them.
@@ -50,16 +40,54 @@ func (e *Engine) ReduceData(seq iupt.Sequence, query map[indoor.SLocID]bool) (*R
 	defer e.putScratch(scr)
 	w := window{Window: iupt.Window{Seqs: []iupt.Sequence{seq}}}
 	red := e.reduceAt(&w, 0, scr, nil)
-	if query != nil && !e.opts.DisableReduction && !red.HasAnyOf(query) {
-		return nil, false
+	if query != nil && !e.opts.DisableReduction {
+		var q []indoor.SLocID
+		for s, in := range query {
+			if in {
+				q = append(q, s)
+			}
+		}
+		if !reaches(red.Seq, e.reachMask(q)) {
+			return nil, false
+		}
 	}
 	return red, true
+}
+
+// reachMask marks, by P-location, whether one of its cells holds an
+// S-location of q. It is the one form a query set takes for the PSL∩Q check
+// (reaches); q's ids must be in range.
+func (e *Engine) reachMask(q []indoor.SLocID) []bool {
+	queried := make([]bool, e.space.NumCells())
+	for _, s := range q {
+		queried[e.space.CellOfSLoc(s)] = true
+	}
+	mask := make([]bool, e.space.NumPLocations())
+	for p := range mask {
+		mask[p] = slices.ContainsFunc(e.space.PLocCells(indoor.PLocID(p)), func(c indoor.CellID) bool { return queried[c] })
+	}
+	return mask
+}
+
+// reaches is Algorithm 1's PSL∩Q check (line 13) over a reduced sequence and
+// a query's reachMask: the PSLs are the S-locations of the cells incident to
+// the reduced sets' P-locations, so they meet the query set exactly when one
+// of those P-locations is marked. An object it fails is pruned.
+func reaches(seq []iupt.SampleSet, mask []bool) bool {
+	for _, x := range seq {
+		for _, s := range x {
+			if mask[s.Loc] {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // reduceAt reduces the object at position i of w. All intermediate state
 // (seen-sets, the pending inter-merge run and its intra-merged sets, the
 // reduced sequence as it grows) lives in scr, and the retained output — the
-// Reduction, Seq, Cells and PSLs — is copied out once, at exact size: carved
+// Reduction, Seq and PSLs — is copied out once, at exact size: carved
 // from out for a private evaluation, else from the heap, the merged sets from
 // a per-call sampleArena.
 //
@@ -69,7 +97,7 @@ func (e *Engine) ReduceData(seq iupt.Sequence, query map[indoor.SLocID]bool) (*R
 // alternate: whole stored runs, whose sets the Reduction shares with the
 // slab, and raw records — the runs the window cuts or joins across a seam,
 // and head records — which run through the same builder. Either way the
-// assembler (finishReduction) collects the cells and PSLs over the reduced
+// assembler (finishReduction) collects the PSLs over the reduced
 // sets (DESIGN.md §6).
 func (e *Engine) reduceAt(w *window, i int, scr *summarizeScratch, out *outArena) *Reduction {
 	var arena sampleArena
@@ -190,19 +218,18 @@ func (b *runBuilder) emit(set iupt.SampleSet, n int) {
 }
 
 // finishReduction is the assembler: it flushes b and copies the reduced
-// sequence out, then collects the cells incident to every reported
-// P-location, mapped through C2S to the PSLs (Algorithm 1 lines 6-7). Every
-// set of a run covers the run's P-location set, so the cells over the
-// reduced sets are the cells over every input set.
+// sequence out, then marks the cells incident to every reported P-location
+// and maps them through C2S to the PSLs (Algorithm 1 lines 6-7). Every set
+// of a run covers the run's P-location set, so the cells over the reduced
+// sets are the cells over every input set.
 func (e *Engine) finishReduction(b *runBuilder, out *outArena) *Reduction {
 	var (
-		reds  *[]Reduction
-		sets  *[]iupt.SampleSet
-		cells *[]indoor.CellID
-		psls  *[]indoor.SLocID
+		reds *[]Reduction
+		sets *[]iupt.SampleSet
+		psls *[]indoor.SLocID
 	)
 	if out != nil {
-		reds, sets, cells, psls = &out.reds, &out.sets, &out.cells, &out.psls
+		reds, sets, psls = &out.reds, &out.sets, &out.psls
 	}
 	b.flush()
 	scr := b.scr
@@ -214,28 +241,17 @@ func (e *Engine) finishReduction(b *runBuilder, out *outArena) *Reduction {
 	}
 	clear(scr.seq) // the sets are the reduction's: an idle pool must not pin them
 
+	// Each cell is mapped once, however many samples name it; an S-location
+	// lies in exactly one cell, so no PSL is collected twice.
 	scr.cellSeen.Reset(e.space.NumCells())
-	scr.cells = scr.cells[:0]
+	scr.psls = scr.psls[:0]
 	for _, x := range red.Seq {
 		for _, s := range x {
 			for _, c := range e.space.PLocCells(s.Loc) {
 				if !scr.cellSeen.Has(int32(c)) {
 					scr.cellSeen.Set(int32(c), 0)
-					scr.cells = append(scr.cells, c)
+					scr.psls = append(scr.psls, e.space.SLocsOfCell(c)...)
 				}
-			}
-		}
-	}
-	slices.Sort(scr.cells)
-	red.Cells = iupt.Carve(cells, len(scr.cells))
-	copy(red.Cells, scr.cells)
-	scr.slocSeen.Reset(e.space.NumSLocations())
-	scr.psls = scr.psls[:0]
-	for _, c := range red.Cells {
-		for _, s := range e.space.SLocsOfCell(c) {
-			if !scr.slocSeen.Has(int32(s)) {
-				scr.slocSeen.Set(int32(s), 0)
-				scr.psls = append(scr.psls, s)
 			}
 		}
 	}

@@ -31,15 +31,13 @@ type summarizeScratch struct {
 	cellRow          *indoor.IDMarks
 	tracked          []indoor.CellID
 
-	// Data reduction state (reduce.go): epoch-stamped seen-sets over the
-	// space's dense cell/S-location/P-location id ranges, the collected
-	// cell/PSL lists and reduced sequence (with each set's run length) before
-	// their exact-size copies, the pending inter-merge run and the backing
-	// store for its intra-merged sample sets.
+	// Data reduction state (reduce.go): epoch-stamped marks over the space's
+	// dense cell and P-location id ranges, the collected PSLs and reduced
+	// sequence (with each set's run length) before their exact-size copies,
+	// the pending inter-merge run and the backing store for its intra-merged
+	// sample sets.
 	cellSeen *indoor.IDMarks
-	slocSeen *indoor.IDMarks
 	plocPos  *indoor.IDMarks
-	cells    []indoor.CellID
 	psls     []indoor.SLocID
 	seq      []iupt.SampleSet
 	runLens  []int32
@@ -64,7 +62,6 @@ func newSummarizeScratch() *summarizeScratch {
 	return &summarizeScratch{
 		cellRow:  &indoor.IDMarks{},
 		cellSeen: &indoor.IDMarks{},
-		slocSeen: &indoor.IDMarks{},
 		plocPos:  &indoor.IDMarks{},
 	}
 }
@@ -202,14 +199,13 @@ func (a *sampleArena) alloc(n int) iupt.SampleSet {
 
 // outArena is recycled memory a private evaluation (see windowCache) carves
 // its reductions from: the Reduction values, their sample sets and samples,
-// their cells and PSLs. One goroutine carves from an arena at a time
+// and their PSLs. One goroutine carves from an arena at a time
 // (recycler.arenas); what it carves stays valid until the recycler's
 // release. Summaries are not carved: they stay on the heap.
 type outArena struct {
 	reds    []Reduction
 	sets    []iupt.SampleSet
 	samples []iupt.Sample
-	cells   []indoor.CellID
 	psls    []indoor.SLocID
 }
 
@@ -221,7 +217,7 @@ var outArenaPool = sync.Pool{New: func() any { return new(outArena) }}
 func (a *outArena) reset() {
 	clear(a.reds)
 	clear(a.sets)
-	a.reds, a.sets, a.samples, a.cells, a.psls = a.reds[:0], a.sets[:0], a.samples[:0], a.cells[:0], a.psls[:0]
+	a.reds, a.sets, a.samples, a.psls = a.reds[:0], a.sets[:0], a.samples[:0], a.psls[:0]
 }
 
 // recycler is the pooled memory of one private evaluation: its window's

@@ -69,7 +69,7 @@ func (e *Engine) topkNaive(ctx context.Context, table *iupt.Table, q []indoor.SL
 		// next one starts, so peak memory stays O(objects) instead of
 		// O(|q| × objects) reductions and summaries.
 		loc := &windowEntry{win: en.win, rec: new(recycler)}
-		oracle := newOracle(e, loc, 0, n, map[indoor.SLocID]bool{sloc: true})
+		oracle := newOracle(e, loc, 0, n, e.reachMask(pass[0].SLocs))
 		if err := oracle.ensureAll(ctx, true); err != nil {
 			loc.release()
 			return nil, Stats{}, err

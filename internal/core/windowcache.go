@@ -314,17 +314,17 @@ func windowBytes(w window) int64 {
 
 // memoBytes estimates the live memory one memo value pins, charged to its
 // window when it is stored (objectMemo.put), less the charge of the value it
-// replaces: the value itself (24); its reduction — the Reduction (80), per
+// replaces: the value itself (24); its reduction — the Reduction (56), per
 // reduced set its header (24) and per sample it owns its payload (16: the
-// sets it shares with a slab are the slab's), per cell and per PSL 4; its
-// summary — the ObjectSummary (64) and per PassMass entry 16.
+// sets it shares with a slab are the slab's), per PSL 4; its summary — the
+// ObjectSummary (64) and per PassMass entry 16.
 func memoBytes(m *memoized) int64 {
 	if m == nil {
 		return 0
 	}
 	b := int64(24)
 	if r := m.red; r != nil {
-		b += 80 + 24*int64(len(r.Seq)) + 4*int64(len(r.Cells)+len(r.PSLs)) - 16*int64(r.shared)
+		b += 56 + 24*int64(len(r.Seq)) + 4*int64(len(r.PSLs)) - 16*int64(r.shared)
 		for _, set := range r.Seq {
 			b += 16 * int64(len(set))
 		}

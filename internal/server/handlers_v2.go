@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"time"
 
 	"tkplq"
@@ -23,8 +24,8 @@ type QueryV2 struct {
 	QueryRequest
 	// OID is the object of a "presence" query.
 	OID int64 `json:"oid"`
-	// Workers overrides the engine worker pool for this query (0 = engine
-	// default). Results are bit-identical at every pool size.
+	// Workers overrides the engine worker pool for this query: 0 (the
+	// engine's) to GOMAXPROCS. Results are bit-identical at every pool size.
 	Workers int `json:"workers"`
 	// NoCache bypasses the engine's window cache for this query.
 	NoCache bool `json:"no_cache"`
@@ -68,6 +69,11 @@ func (s *Server) toQuery(ctx context.Context, req QueryV2, end *tkplq.Time) (tkp
 		if algo, ok = algorithms[req.Algorithm]; !ok {
 			return tkplq.Query{}, req, fmt.Errorf("unknown algorithm %q (want naive, nl or bf)", req.Algorithm)
 		}
+	}
+
+	// More goroutines than procs cannot speed up a CPU-bound pass.
+	if procs := runtime.GOMAXPROCS(0); req.Workers < 0 || req.Workers > procs {
+		return tkplq.Query{}, req, fmt.Errorf("workers %d out of range: want 0 (the engine's pool) to %d (GOMAXPROCS)", req.Workers, procs)
 	}
 
 	// Validate ids here for every kind so the error names the wire field.
