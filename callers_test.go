@@ -18,7 +18,6 @@ import (
 var keptForTests = map[string]string{
 	"NewReplicated":    "cluster: programmatic twin of a replica-set topology file; tests build fixtures with it",
 	"waiterCount":      "core: lets the coalescer tests wait until every caller has joined a flight",
-	"intraMerge":       "core: the map-based reference the dense reduction is checked against",
 	"Intersection":     "geom: the oracle of the Rect.Intersects property test",
 	"WriteCSV":         "iupt: the reference the streaming CSV writer is checked against",
 	"WriteBinary":      "iupt: the reference the streaming binary writer is checked against",

@@ -17,7 +17,7 @@ import (
 // for that join and its presence lookups and for nothing else, because
 // neither tree changes between two asks:
 //
-//   - RQ, the PSL∩Q membership map and RC are a function of the query's
+//   - RQ, the query's PSL∩Q reachMask and RC are a function of the query's
 //     S-locations and the window's reductions: built once per cached window
 //     and kept beside the window's memo (rankIndex, windowEntry.rank), under
 //     the same proof — the window's identity.

@@ -47,10 +47,10 @@ type monitor struct {
 	mask    []bool          // the query's reachMask (PSL∩Q)
 	k       int
 	window  iupt.Time
-	barrier sync.Locker // serializes the build's table read with the owner's appends
-	id      uint64      // registry order, for deterministic MonitorStats
-	refs    int         // live subscriptions; guarded by eng.mons.mu
-	key     monitorKey  // coalescing key, zero for a private monitor; guarded by eng.mons.mu
+	barrier sync.Locker   // serializes the build's table read with the owner's appends
+	refs    int           // live subscriptions; guarded by eng.mons.mu
+	key     monitorKey    // the registry key
+	stop    chan struct{} // closed by shutdown: ends the eval loop
 
 	// pendMu guards the notification mailbox. It is a leaf lock: enqueue runs
 	// under the owner's ingest lock and must never wait on an evaluation.
@@ -60,20 +60,18 @@ type monitor struct {
 	wake     chan struct{} // cap 1; kicks the subscription eval loop
 
 	// mu guards the window state, results and subscriber set.
-	mu       sync.Mutex
-	built    bool
-	ts, te   iupt.Time
-	covered  int           // table record count the window state reflects
-	objs     []*liveObject // ascending object id: every object with records in the window
-	dirty    []*liveObject // the tick's dirty objects, ascending
-	row      []float64     // rerankLocked's presence row
-	results  []Result
-	stats    Stats
-	seq      uint64 // update sequence number, bumped per pushed change
-	subs     map[int]*Subscription
-	nextSub  int
-	loopStop chan struct{} // non-nil while the eval loop runs
-	closed   bool
+	mu      sync.Mutex
+	built   bool
+	ts, te  iupt.Time
+	covered int           // table record count the window state reflects
+	objs    []*liveObject // ascending object id: every object with records in the window
+	dirty   []*liveObject // the tick's dirty objects, ascending
+	row     []float64     // rerankLocked's presence row
+	results []Result
+	stats   Stats
+	seq     uint64 // update sequence number, bumped per pushed change
+	subs    map[*Subscription]bool
+	closed  bool
 
 	evals      int64 // incremental evaluations performed
 	dirtyTotal int64 // object summaries recomputed across them
@@ -82,7 +80,7 @@ type monitor struct {
 
 // newMonitor assembles a monitor; query must be canonical and validated.
 func (e *Engine) newMonitor(cfg SubscribeConfig, query []indoor.SLocID, k int, window iupt.Time) *monitor {
-	m := &monitor{
+	return &monitor{
 		eng:     e,
 		table:   cfg.Table,
 		query:   query,
@@ -90,14 +88,11 @@ func (e *Engine) newMonitor(cfg SubscribeConfig, query []indoor.SLocID, k int, w
 		k:       k,
 		window:  window,
 		barrier: cfg.Barrier,
+		stop:    make(chan struct{}),
 		wake:    make(chan struct{}, 1),
-		subs:    make(map[int]*Subscription),
+		subs:    make(map[*Subscription]bool),
 		row:     make([]float64, len(query)),
 	}
-	if m.barrier == nil {
-		m.barrier = &sync.Mutex{}
-	}
-	return m
 }
 
 // enqueue files one announced append into the mailbox. It runs under the
@@ -129,17 +124,7 @@ func (m *monitor) shutdown() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.closed = true
-	if m.loopStop != nil {
-		close(m.loopStop)
-		m.loopStop = nil
-	}
-}
-
-// hasPending reports whether the mailbox holds unprocessed records.
-func (m *monitor) hasPending() bool {
-	m.pendMu.Lock()
-	defer m.pendMu.Unlock()
-	return len(m.pending) > 0
+	close(m.stop)
 }
 
 // drainPending empties the mailbox.
@@ -156,12 +141,11 @@ func (m *monitor) drainPending() []iupt.Record {
 // append can move it, so a built monitor with an empty mailbox is current.
 // Caller holds m.mu.
 func (m *monitor) refreshLocked() {
-	switch {
-	case !m.built:
+	if !m.built {
 		m.rebuildLocked()
-	case m.hasPending():
-		m.advanceLocked()
-	default:
+	} else if recs := m.drainPending(); len(recs) > 0 {
+		m.advanceLocked(recs)
+	} else {
 		return // retained result is current
 	}
 	m.rerankLocked()
@@ -196,9 +180,9 @@ func (m *monitor) rebuildLocked() {
 	m.stats = m.recomputeLocked()
 }
 
-// advanceLocked slides the window forward to the latest timestamp in the
-// mailbox and splices the mailbox in, dirtying only the objects whose visible
-// records changed. The mailbox holds exactly the records appended since the
+// advanceLocked slides the window forward to the latest timestamp of recs,
+// the drained mailbox, and splices them in, dirtying only the objects whose
+// visible records changed. recs are exactly the records appended since the
 // state last covered the table, in table order. The horizon never decreases
 // (it is the maximum of the old one and the drained timestamps), so neither
 // does the window start, and the two sources of change are each one-sided:
@@ -215,8 +199,7 @@ func (m *monitor) rebuildLocked() {
 // fetch — and their summaries. Only dirty objects are stepped. The object
 // list stays ascending: a new object is inserted at its place, a vanished
 // one is dropped, and the dirty list is collected in the same pass.
-func (m *monitor) advanceLocked() {
-	recs := m.drainPending()
+func (m *monitor) advanceLocked(recs []iupt.Record) {
 	m.covered += len(recs)
 	te := m.te
 	for _, rec := range recs {

@@ -29,6 +29,8 @@ func TestMonitorValidation(t *testing.T) {
 		q    Query
 	}{
 		{"nil table", SubscribeConfig{Barrier: &live.mu}, ok},
+		{"nil barrier", SubscribeConfig{Table: live.tb}, ok},
+		{"DisableCoalescing", live.cfg(), with(func(q *Query) { q.DisableCoalescing = true })},
 		{"non-top-k kind", live.cfg(), with(func(q *Query) { q.Kind = KindFlow; q.SLocs = fig.SLocs[:1] })},
 		{"zero window", live.cfg(), with(func(q *Query) { q.Window = 0 })},
 		{"negative window", live.cfg(), with(func(q *Query) { q.Window = -5 })},

@@ -75,6 +75,17 @@ func (e *Engine) Presence(table *iupt.Table, q indoor.SLocID, oid iupt.ObjectID,
 	return resp.Flow
 }
 
+// intraMerge folds samples whose P-locations are equivalent (identical
+// Cells(p), §3.1.2) into one sample at the class representative — the
+// smallest member id — with the summed probability (Algorithm 1 lines
+// 14-21), into a fresh slice. It runs the reduction's own intraMergeInto;
+// the output preserves first-appearance order of representatives.
+func (e *Engine) intraMerge(x iupt.SampleSet) iupt.SampleSet {
+	scr := e.getScratch()
+	defer e.putScratch(scr)
+	return e.intraMergeInto(x, make(iupt.SampleSet, 0, len(x)), scr)
+}
+
 // liveTable is a table with its owner's ingest lock — the barrier every feed
 // on it reads under — standing in for tkplq.System in the in-package tests.
 type liveTable struct {
@@ -97,14 +108,21 @@ func (l *liveTable) ingest(recs ...iupt.Record) {
 }
 
 // monitor registers a monitor on the table the way Subscribe's acquire does,
-// minus the subscription and its eval loop: the test decides when the monitor
-// evaluates, by calling current.
+// minus its key, its subscription and its eval loop: the test decides when
+// the monitor evaluates, by calling current.
 func (l *liveTable) monitor(q []indoor.SLocID, k int, window iupt.Time) *monitor {
 	m := l.eng.newMonitor(l.cfg(), canonicalSLocs(q), k, window)
 	l.eng.mons.mu.Lock()
-	l.eng.mons.registerLocked(m)
+	l.eng.mons.all = append(l.eng.mons.all, m)
 	l.eng.mons.mu.Unlock()
 	return m
+}
+
+// dropped reads the number of updates sub has lost to conflation so far.
+func dropped(sub *Subscription) int64 {
+	sub.mon.mu.Lock()
+	defer sub.mon.mu.Unlock()
+	return sub.dropped
 }
 
 // current brings the monitor up to the data and returns what a subscriber

@@ -4,6 +4,8 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -292,8 +294,9 @@ func TestSubscribeStreamEquivalence(t *testing.T) {
 // TestSubscribeCoalescing: identical subscriptions share one monitor — and a
 // subscription has no algorithm, so ones that differ only in Query.Algorithm
 // are identical and an ingest is evaluated once for all of them; differing
-// parameters or DisableCoalescing do not share; the monitor dies with its
-// last subscription.
+// parameters do not share; DisableCoalescing is refused, since a private
+// monitor would compute the same updates; the monitor dies with its last
+// subscription.
 func TestSubscribeCoalescing(t *testing.T) {
 	fig := indoor.Figure1Space()
 	eng := NewEngine(fig.Space, Options{})
@@ -335,15 +338,17 @@ func TestSubscribeCoalescing(t *testing.T) {
 	}
 	private := q
 	private.DisableCoalescing = true
-	d, err := eng.Subscribe(context.Background(), cfg, private)
-	if err != nil {
-		t.Fatal(err)
+	if d, err := eng.Subscribe(context.Background(), cfg, private); err == nil || !strings.Contains(err.Error(), "DisableCoalescing") {
+		if d != nil {
+			d.Close()
+		}
+		t.Fatalf("DisableCoalescing: got error %v, want a refusal naming the field", err)
 	}
-	if st := eng.MonitorStats(); len(st) != 3 {
-		t.Fatalf("got %d monitors, want 3 (shared, wide, private)", len(st))
+	if st := eng.MonitorStats(); len(st) != 2 {
+		t.Fatalf("got %d monitors, want 2 (shared, wide)", len(st))
 	}
 
-	for _, sub := range []*Subscription{a, b, c, d} {
+	for _, sub := range []*Subscription{a, b, c} {
 		sub.Close()
 	}
 	if st := eng.MonitorStats(); len(st) != 0 {
@@ -352,28 +357,127 @@ func TestSubscribeCoalescing(t *testing.T) {
 }
 
 // TestSubscriptionCtxCancel: canceling the subscribing context closes the
-// feed like Close.
+// feed like Close, also when the context is canceled before Subscribe; a
+// Close before the cancellation leaves nothing for it to close.
 func TestSubscriptionCtxCancel(t *testing.T) {
 	fig := indoor.Figure1Space()
-	eng := NewEngine(fig.Space, Options{})
-	tb := iupt.NewTable()
-	var mu sync.Mutex
-	ctx, cancel := context.WithCancel(context.Background())
-	sub, err := eng.Subscribe(ctx, SubscribeConfig{Table: tb, Barrier: &mu},
-		Query{Kind: KindTopK, Algorithm: AlgoBestFirst, K: 3, Window: 10, SLocs: fig.SLocs[:]})
-	if err != nil {
-		t.Fatal(err)
+	q := Query{Kind: KindTopK, Algorithm: AlgoBestFirst, K: 3, Window: 10, SLocs: fig.SLocs[:]}
+	subscribe := func(t *testing.T, live *liveTable, ctx context.Context) *Subscription {
+		t.Helper()
+		sub, err := live.eng.Subscribe(ctx, live.cfg(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sub
 	}
-	cancel()
-	select {
-	case <-sub.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("Done not closed after context cancellation")
+	ended := func(t *testing.T, live *liveTable, sub *Subscription) {
+		t.Helper()
+		select {
+		case <-sub.Done():
+		case <-time.After(5 * time.Second):
+			t.Fatal("Done not closed after context cancellation")
+		}
+		for range sub.Updates() {
+		} // must terminate: channel closed
+		if st := live.eng.MonitorStats(); len(st) != 0 {
+			t.Fatalf("monitor survived context cancellation: %+v", st)
+		}
 	}
-	for range sub.Updates() {
-	} // must terminate: channel closed
-	if st := eng.MonitorStats(); len(st) != 0 {
-		t.Fatalf("monitor survived context cancellation: %+v", st)
+	newLive := func() *liveTable {
+		return &liveTable{eng: NewEngine(fig.Space, Options{}), tb: iupt.NewTable()}
+	}
+
+	t.Run("cancel", func(t *testing.T) {
+		live := newLive()
+		ctx, cancel := context.WithCancel(context.Background())
+		sub := subscribe(t, live, ctx)
+		cancel()
+		ended(t, live, sub)
+	})
+	t.Run("canceled before subscribe", func(t *testing.T) {
+		live := newLive()
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		ended(t, live, subscribe(t, live, ctx))
+	})
+	t.Run("close then cancel", func(t *testing.T) {
+		live := newLive()
+		ctx, cancel := context.WithCancel(context.Background())
+		sub := subscribe(t, live, ctx)
+		peer := subscribe(t, live, context.Background())
+		defer peer.Close()
+		sub.Close()
+		cancel()
+		// A second release of the shared monitor would shut it down under
+		// its remaining subscriber.
+		live.ingest(iupt.Record{OID: 1, T: 5, Samples: iupt.SampleSet{{Loc: fig.PLocs[0], Prob: 1}}})
+		awaitUpdate(t, peer, func(u Update) bool { return u.Records == 1 })
+		if st := live.eng.MonitorStats(); len(st) != 1 || st[0].Subscribers != 1 {
+			t.Fatalf("after Close then cancel: got %+v, want one monitor with one subscriber", st)
+		}
+		peer.Close()
+		ended(t, live, sub)
+	})
+}
+
+// TestSubscriptionGoroutines: a monitor runs one goroutine, its eval loop,
+// whatever its number of subscribers; a subscription watches its context
+// without one. Eight subscriptions on one monitor add one goroutine, eight
+// split over two monitors add two, and closing them all takes them away.
+func TestSubscriptionGoroutines(t *testing.T) {
+	fig := indoor.Figure1Space()
+	live := &liveTable{eng: NewEngine(fig.Space, Options{Workers: 1}), tb: iupt.NewTable()}
+	live.ingest(iupt.Record{OID: 1, T: 5, Samples: iupt.SampleSet{{Loc: fig.PLocs[0], Prob: 1}}})
+	// Earlier tests' eval loops may still be on their way out: the base is
+	// taken once the count has held still for 50 ms.
+	base, still := runtime.NumGoroutine(), 0
+	for deadline := time.Now().Add(5 * time.Second); still < 5 && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+		if n := runtime.NumGoroutine(); n == base {
+			still++
+		} else {
+			base, still = n, 0
+		}
+	}
+	await := func(want int) int { // the goroutine count once it reads want, or after 5 s
+		n := runtime.NumGoroutine()
+		for deadline := time.Now().Add(5 * time.Second); n != want && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+			time.Sleep(10 * time.Millisecond)
+		}
+		return n
+	}
+	for _, tc := range []struct {
+		name string
+		ks   []int // each subscription's K: one monitor per distinct K
+		mons int
+	}{
+		{"one monitor", []int{3, 3, 3, 3, 3, 3, 3, 3}, 1},
+		{"two monitors", []int{3, 2, 3, 2, 3, 2, 3, 2}, 2},
+	} {
+		var subs []*Subscription
+		var cancels []context.CancelFunc
+		for _, k := range tc.ks {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancels = append(cancels, cancel)
+			sub, err := live.eng.Subscribe(ctx, live.cfg(), Query{Kind: KindTopK, K: k, Window: 10, SLocs: fig.SLocs[:]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			subs = append(subs, sub)
+		}
+		if st := live.eng.MonitorStats(); len(st) != tc.mons {
+			t.Fatalf("%s: %d monitors, want %d", tc.name, len(st), tc.mons)
+		}
+		if got := await(base+tc.mons) - base; got != tc.mons {
+			t.Errorf("%s: %d subscriptions added %d goroutines, want %d", tc.name, len(subs), got, tc.mons)
+		}
+		for i, sub := range subs {
+			sub.Close()
+			cancels[i]()
+		}
+		if got := await(base) - base; got != 0 {
+			t.Errorf("%s: %d goroutines left after every Close", tc.name, got)
+		}
 	}
 }
 
@@ -396,7 +500,7 @@ func TestSubscriptionSlowConsumer(t *testing.T) {
 	// fresh location pattern, so flows keep changing.
 	rng := rand.New(rand.NewSource(5))
 	deadline := time.After(10 * time.Second)
-	for i := 0; sub.Dropped() == 0; i++ {
+	for i := 0; dropped(sub) == 0; i++ {
 		rec := iupt.Record{
 			OID:     iupt.ObjectID(i%3 + 1),
 			T:       iupt.Time(i),

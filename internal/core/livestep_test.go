@@ -147,6 +147,9 @@ func stepDifferential(t *testing.T, space *indoor.Space, recs []iupt.Record, opt
 			t.Errorf("forced event %d never happened", ev)
 		}
 	}
+	if n := seen[evLateBetween]; n < 3 {
+		t.Errorf("a late record between hard cuts was forced %d times, want at least 3", n)
+	}
 }
 
 // holds reports whether a monitor's object list holds oid.
@@ -231,12 +234,25 @@ func sameSummaryBits(a, b *ObjectSummary) bool {
 // into its last run, or one that splits a run, the five kinds in turn, and on
 // the tick after, one that joins its last run but one. The objects are taken
 // in turn too, each for fifteen ticks, so every object taken meets every
-// kind. batch is the tick's stream records and now the end of the tick.
+// kind; a late record between hard cuts goes to the first object from the
+// one in turn on that has two. batch is the tick's stream records and now
+// the end of the tick.
 func forcedRecords(rng *rand.Rand, space *indoor.Space, m *monitor, batch []iupt.Record, now iupt.Time, tick int, seen *[evCount]int) []iupt.Record {
 	if tick%3 == 2 || len(m.objs) == 0 {
 		return nil
 	}
-	o := m.objs[(tick/15)%len(m.objs)]
+	ev := (tick / 3) % 5
+	if tick%3 == 1 {
+		ev = evJoin
+	}
+	pick := (tick / 15) % len(m.objs)
+	o := m.objs[pick]
+	for i := 0; ev == evLateBetween && i < len(m.objs); i++ {
+		if c := m.objs[(pick+i)%len(m.objs)]; len(hardCuts(space, c.red)) > 1 {
+			o = c
+			break
+		}
+	}
 	if len(o.red) < 2 {
 		return nil
 	}
@@ -255,10 +271,6 @@ func forcedRecords(rng *rand.Rand, space *indoor.Space, m *monitor, batch []iupt
 			}
 		}
 		return iupt.SampleSet{{Loc: x[0].Loc + 1, Prob: 1}}
-	}
-	ev := (tick / 3) % 5
-	if tick%3 == 1 {
-		ev = evJoin
 	}
 	switch ev {
 	case evLateBefore, evLateBetween, evLateAfter:

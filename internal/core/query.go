@@ -83,7 +83,8 @@ type Query struct {
 	DisableCache bool
 	// DisableCoalescing opts this query out of query-level request
 	// coalescing: it always evaluates for itself and never joins (or leads)
-	// a shared flight.
+	// a shared flight. Subscribe refuses it: identical feeds always share a
+	// monitor.
 	DisableCoalescing bool
 }
 

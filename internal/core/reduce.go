@@ -261,18 +261,6 @@ func (e *Engine) finishReduction(b *runBuilder, out *outArena) *Reduction {
 	return red
 }
 
-// intraMerge folds samples whose P-locations are equivalent (identical
-// Cells(p), §3.1.2) into one sample at the class representative — the
-// smallest member id — with the summed probability (Algorithm 1 lines
-// 14-21). The output preserves first-appearance order of representatives.
-// It is retained for the tests; the reduction pipeline uses the scratch- and
-// arena-backed variants below.
-func (e *Engine) intraMerge(x iupt.SampleSet) iupt.SampleSet {
-	scr := e.getScratch()
-	defer e.putScratch(scr)
-	return e.intraMergeInto(x, make(iupt.SampleSet, 0, len(x)), scr)
-}
-
 // intraMergeScratch intra-merges into scr.runBuf, returning a scratch-backed
 // set that is only valid until the pending run is flushed.
 func (e *Engine) intraMergeScratch(x iupt.SampleSet, scr *summarizeScratch) iupt.SampleSet {

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"tkplq/internal/indoor"
@@ -48,15 +48,15 @@ type Update struct {
 // Subscription is a live feed of ranking changes, created by
 // Engine.Subscribe. Receive from Updates until it is closed; Close (or
 // cancellation of the subscribing context) releases the feed. When the last
-// subscription of a coalesced monitor closes, the monitor itself shuts down.
+// subscription of a monitor closes, the monitor itself shuts down.
 type Subscription struct {
 	mon  *monitor
-	id   int
 	ch   chan Update
 	done chan struct{}
 	once sync.Once
 
-	dropped int64 // guarded by mon.mu
+	stopCtx func() bool // deregisters Close from the context; guarded by mon.mu
+	dropped int64       // guarded by mon.mu
 }
 
 // Updates returns the feed channel. It is closed when the subscription ends
@@ -65,13 +65,6 @@ func (s *Subscription) Updates() <-chan Update { return s.ch }
 
 // Done is closed when the subscription has fully ended.
 func (s *Subscription) Done() <-chan struct{} { return s.done }
-
-// Dropped returns the number of updates lost to conflation so far.
-func (s *Subscription) Dropped() int64 {
-	s.mon.mu.Lock()
-	defer s.mon.mu.Unlock()
-	return s.dropped
-}
 
 // Close ends the subscription: the Updates channel is closed and the
 // monitor's reference count drops, shutting the monitor down if this was its
@@ -116,8 +109,7 @@ type SubscribeConfig struct {
 	Table *iupt.Table
 	// Barrier serializes the feed's build — its one table read — with the
 	// owner's append path; appends and their NotifyAppend announcement must
-	// happen under it. nil selects a private mutex (correct only while
-	// nothing appends to Table). After the build the feed never takes it
+	// happen under it. Required. After the build the feed never takes it
 	// again: every later record comes from the announcements. The lock order
 	// is monitor lock, then Barrier — the Subscribe that builds a monitor
 	// holds the monitor's lock while it waits for the Barrier. A Barrier
@@ -136,19 +128,26 @@ type SubscribeConfig struct {
 // update as its first.
 //
 // Identical subscriptions (same table, query set, K, Window and
-// evaluation-changing overrides) coalesce onto one shared monitor: one
-// incremental evaluation feeds any number of subscribers.
-// Query.DisableCoalescing opts a subscription out into a private monitor.
-// Query.Ts and Query.Te are ignored, and so is Query.Algorithm, exactly as
-// DoPartial ignores it: the feed has one incremental evaluation, whose
-// updates are bit-identical to Do under all three algorithms.
+// evaluation-changing overrides) always share one monitor: one incremental
+// evaluation feeds any number of subscribers. A private monitor would compute
+// the same updates, so Query.DisableCoalescing is refused. Query.Ts and
+// Query.Te are ignored, and so is Query.Algorithm, exactly as DoPartial
+// ignores it: the feed has one incremental evaluation, whose updates are
+// bit-identical to Do under all three algorithms.
 //
-// Canceling ctx closes the subscription exactly like Close. The returned
-// subscription never blocks evaluation: a slow consumer loses old updates to
-// conflation (Update.Dropped), never delays the monitor or its peers.
+// Canceling ctx closes the subscription exactly like Close; no goroutine
+// waits on it. The returned subscription never blocks evaluation: a slow
+// consumer loses old updates to conflation (Update.Dropped), never delays the
+// monitor or its peers.
 func (e *Engine) Subscribe(ctx context.Context, cfg SubscribeConfig, q Query) (*Subscription, error) {
 	if cfg.Table == nil {
 		return nil, fmt.Errorf("core: nil table")
+	}
+	if cfg.Barrier == nil {
+		return nil, fmt.Errorf("core: nil barrier")
+	}
+	if q.DisableCoalescing {
+		return nil, fmt.Errorf("core: subscribe does not take DisableCoalescing: identical subscriptions always share a monitor")
 	}
 	if q.Kind != KindTopK {
 		return nil, fmt.Errorf("core: subscribe supports top-k queries only, got %s", q.Kind)
@@ -172,53 +171,28 @@ func (e *Engine) Subscribe(ctx context.Context, cfg SubscribeConfig, q Query) (*
 		workers: ev.opts.workerCount(),
 		slocs:   slocKey(canon),
 	}
-
-	var sub *Subscription
-	for sub == nil {
-		m := e.mons.acquire(ev, cfg, q, key, canon, k)
-		// attach only fails when the monitor shut down between acquire and
-		// here, which the acquired reference prevents; the loop is belt and
-		// braces.
-		sub = m.attach()
-		if sub == nil {
-			e.mons.release(m)
-		}
-	}
-	go func() {
-		select {
-		case <-ctx.Done():
-			sub.Close()
-		case <-sub.done:
-		}
-	}()
-	return sub, nil
+	return e.mons.acquire(ev, cfg, key, canon).attach(ctx), nil
 }
 
 // attach brings the monitor up to the data through the eval loop's own step
 // — so a change waiting in the mailbox reaches the subscribers already there
 // — then registers a new subscription, sends it the update its peers were
-// last sent, and starts the eval loop if this is the first one. Returns nil
-// if the monitor is closed.
-func (m *monitor) attach() *Subscription {
+// last sent, and has ctx's cancellation close it. The caller's reference
+// keeps the monitor open. Close is registered under m.mu, which detachSub
+// takes too, so a context canceled already cannot close the subscription
+// before it is fully attached.
+func (m *monitor) attach(ctx context.Context) *Subscription {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.closed {
-		return nil
-	}
 	m.evalAndPushLocked()
 	sub := &Subscription{
 		mon:  m,
-		id:   m.nextSub,
 		ch:   make(chan Update, subscriptionBuffer),
 		done: make(chan struct{}),
 	}
-	m.nextSub++
-	m.subs[sub.id] = sub
+	m.subs[sub] = true
 	sub.push(m.updateLocked())
-	if m.loopStop == nil {
-		m.loopStop = make(chan struct{})
-		go m.evalLoop(m.loopStop)
-	}
+	sub.stopCtx = context.AfterFunc(ctx, sub.Close)
 	return sub
 }
 
@@ -227,7 +201,8 @@ func (m *monitor) attach() *Subscription {
 func (m *monitor) detachSub(s *Subscription) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	delete(m.subs, s.id)
+	s.stopCtx()
+	delete(m.subs, s)
 	close(s.ch)
 }
 
@@ -245,11 +220,11 @@ func (m *monitor) updateLocked() Update {
 
 // evalLoop is the monitor's single evaluation goroutine: it wakes on every
 // announced ingest, re-evaluates incrementally, and pushes an update iff the
-// ranking changed. It runs while the monitor has subscribers.
-func (m *monitor) evalLoop(stop chan struct{}) {
+// ranking changed. It runs from the monitor's creation to its shutdown.
+func (m *monitor) evalLoop() {
 	for {
 		select {
-		case <-stop:
+		case <-m.stop:
 			return
 		case <-m.wake:
 		}
@@ -274,7 +249,7 @@ func (m *monitor) evalAndPushLocked() {
 	}
 	m.seq++
 	u := m.updateLocked()
-	for _, sub := range m.subs {
+	for sub := range m.subs {
 		sub.push(u)
 	}
 	m.pushed++
@@ -342,54 +317,47 @@ type monitorKey struct {
 	slocs   string // slocKey of the query set
 }
 
-// monitorRegistry tracks the engine's live monitors: coalescable ones by
-// key, and all of them by table for NotifyAppend dispatch. It is shared by
-// every per-query engine view (a pointer field on Engine, like the cache and
-// the coalescer).
+// monitorRegistry tracks the engine's live monitors, by key for sharing and
+// in creation order for NotifyAppend dispatch and MonitorStats. It is shared
+// by every per-query engine view (a pointer field on Engine, like the cache
+// and the coalescer).
 type monitorRegistry struct {
-	mu     sync.Mutex
-	byKey  map[monitorKey]*monitor
-	byTab  map[*iupt.Table]map[*monitor]bool
-	nextID uint64
+	mu    sync.Mutex
+	byKey map[monitorKey]*monitor
+	all   []*monitor // creation order; replaced, never edited in place, on release
 }
 
 func newMonitorRegistry() *monitorRegistry {
-	return &monitorRegistry{
-		byKey: make(map[monitorKey]*monitor),
-		byTab: make(map[*iupt.Table]map[*monitor]bool),
-	}
+	return &monitorRegistry{byKey: make(map[monitorKey]*monitor)}
 }
 
-// acquire returns the coalesced monitor for key with its reference count
-// bumped, creating and registering it on first use. A subscription that must
-// not coalesce (DisableCoalescing) gets a private monitor, registered for
-// notification dispatch but not by key.
-func (r *monitorRegistry) acquire(ev *Engine, cfg SubscribeConfig, q Query, key monitorKey, canon []indoor.SLocID, k int) *monitor {
+// acquire returns the monitor for key with its reference count bumped,
+// creating it, registering it and starting its eval loop on first use.
+func (r *monitorRegistry) acquire(ev *Engine, cfg SubscribeConfig, key monitorKey, canon []indoor.SLocID) *monitor {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m, ok := r.byKey[key]; ok && !q.DisableCoalescing {
-		m.refs++
-		return m
+	m := r.byKey[key]
+	if m == nil {
+		m = ev.newMonitor(cfg, canon, key.k, key.window)
+		m.key = key
+		r.byKey[key] = m
+		r.all = append(r.all, m)
+		go m.evalLoop()
 	}
-	m := ev.newMonitor(cfg, canon, k, q.Window)
-	m.refs = 1
-	r.registerLocked(m)
-	if !q.DisableCoalescing {
-		r.byKey[key], m.key = m, key
-	}
+	m.refs++
 	return m
 }
 
 // release drops one reference; the last one deregisters the monitor and
-// shuts it down.
+// shuts it down. all gets a new backing array, so a snapshot notify or
+// statsAll took keeps reading the old one.
 func (r *monitorRegistry) release(m *monitor) {
 	r.mu.Lock()
-	if m.refs > 0 {
-		m.refs--
-	}
+	m.refs--
 	dead := m.refs == 0
 	if dead {
-		r.removeLocked(m)
+		delete(r.byKey, m.key)
+		r.all = slices.DeleteFunc(slices.Clone(r.all), func(x *monitor) bool { return x == m })
 	}
 	r.mu.Unlock()
 	if dead {
@@ -397,57 +365,29 @@ func (r *monitorRegistry) release(m *monitor) {
 	}
 }
 
-// registerLocked adds a monitor for notification dispatch.
-func (r *monitorRegistry) registerLocked(m *monitor) {
-	r.nextID++
-	m.id = r.nextID
-	tabs := r.byTab[m.table]
-	if tabs == nil {
-		tabs = make(map[*monitor]bool)
-		r.byTab[m.table] = tabs
-	}
-	tabs[m] = true
-}
-
-func (r *monitorRegistry) removeLocked(m *monitor) {
-	if r.byKey[m.key] == m {
-		delete(r.byKey, m.key)
-	}
-	if tabs := r.byTab[m.table]; tabs != nil {
-		delete(tabs, m)
-		if len(tabs) == 0 {
-			delete(r.byTab, m.table)
-		}
-	}
-}
-
-// notify fans an announced append out to the table's monitors. The monitor
-// set is snapshotted under the registry lock and the mailbox enqueues happen
-// outside it; the caller holds the table's ingest lock throughout, which is
-// what keeps announcements ordered and exactly-once per monitor.
-func (r *monitorRegistry) notify(table *iupt.Table, recs []iupt.Record) {
+// snapshot returns the live monitors in creation order. The slice is never
+// written again: acquire appends past its end and release replaces it.
+func (r *monitorRegistry) snapshot() []*monitor {
 	r.mu.Lock()
-	mons := make([]*monitor, 0, len(r.byTab[table]))
-	for m := range r.byTab[table] {
-		mons = append(mons, m)
-	}
-	r.mu.Unlock()
-	for _, m := range mons {
-		m.enqueue(recs)
+	defer r.mu.Unlock()
+	return r.all
+}
+
+// notify fans an announced append out to the table's monitors. The mailbox
+// enqueues happen outside the registry lock; the caller holds the table's
+// ingest lock throughout, which is what keeps announcements ordered and
+// exactly-once per monitor.
+func (r *monitorRegistry) notify(table *iupt.Table, recs []iupt.Record) {
+	for _, m := range r.snapshot() {
+		if m.table == table {
+			m.enqueue(recs)
+		}
 	}
 }
 
 // statsAll snapshots every live monitor's counters in creation order.
 func (r *monitorRegistry) statsAll() []MonitorStat {
-	r.mu.Lock()
-	mons := make([]*monitor, 0)
-	for _, tabs := range r.byTab {
-		for m := range tabs {
-			mons = append(mons, m)
-		}
-	}
-	r.mu.Unlock()
-	sort.Slice(mons, func(i, j int) bool { return mons[i].id < mons[j].id })
+	mons := r.snapshot()
 	out := make([]MonitorStat, 0, len(mons))
 	for _, m := range mons {
 		m.mu.Lock()

@@ -47,7 +47,7 @@ func (d *Driver) validateTopK(q []indoor.SLocID, k int) (int, error) {
 // paths are rebuilt once per relevant location — the repeated work the
 // paper's §4 intro calls out. Sharing summaries across locations is exactly
 // what Naive exists to not do; within a location the objects fan out like any
-// pass's (presenceOracle.fanOut).
+// pass's (Engine.inRanges, the oracle's fan-out).
 func (e *Engine) topkNaive(ctx context.Context, table *iupt.Table, q []indoor.SLocID, k int, ts, te iupt.Time) ([]Result, Stats, error) {
 	en, err := e.privateEntry(ctx, table, ts, te)
 	if err != nil {

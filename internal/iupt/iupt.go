@@ -8,7 +8,8 @@
 // A Table is safe for concurrent use: appends and queries interleave
 // freely, the lazy time sort is copy-on-write, and
 // SortedRecords hands out immutable snapshots — the properties the engine's
-// live Monitor and the WAL store's Snapshot (internal/wal) build on.
+// queries and a live monitor's build read, both concurrent with ingest,
+// build on.
 //
 // io.go serializes tables in two formats, specified byte by byte in
 // docs/FORMATS.md: a human-editable CSV (WriteCSV/ReadCSV) and a compact
@@ -324,8 +325,8 @@ func (t *Table) allRecords() []Record {
 // canonical order queries evaluate against (stable, so same-timestamp
 // records keep their arrival order). The returned slice is shared with the
 // table and must not be modified; later appends and re-sorts never mutate
-// its backing array, so it remains a consistent snapshot — the property the
-// WAL store's Snapshot relies on. On a table with sealed parts this
+// its backing array, so it remains a consistent snapshot while ingest goes
+// on. On a table with sealed parts this
 // materializes the full merge; prefer windowed reads (RecordsInRange) or
 // HeadRecords there.
 func (t *Table) SortedRecords() []Record {

@@ -37,7 +37,8 @@ type UpdateJSON struct {
 
 // subscribeQuery parses the /v2/subscribe query parameters into a
 // subscription query: window (required, seconds), k (default 10), slocs
-// (comma-separated ids, empty = all), no_coalesce.
+// (comma-separated ids, empty = all). no_coalesce=true is passed on for
+// System.Subscribe to refuse: identical subscriptions always share a monitor.
 func (s *Server) subscribeQuery(r *http.Request) (tkplq.Query, error) {
 	params := r.URL.Query()
 	window, err := strconv.ParseInt(params.Get("window"), 10, 64)

@@ -181,8 +181,8 @@ func TestSubscribeDisconnect(t *testing.T) {
 	ingestOne(t, sys, 2, 20, ids.PLocs[0])
 }
 
-// TestSubscribeValidation: malformed subscriptions are rejected with the
-// JSON error envelope before the stream starts.
+// TestSubscribeValidation: malformed subscriptions, and no_coalesce, are
+// rejected with the JSON error envelope before the stream starts.
 func TestSubscribeValidation(t *testing.T) {
 	sys, _ := newPaperSystem(t)
 	_, ts := newTestServer(t, sys, Config{})
@@ -194,6 +194,7 @@ func TestSubscribeValidation(t *testing.T) {
 		{"bad window", "/v2/subscribe?window=-5"},
 		{"bad k", "/v2/subscribe?window=60&k=zero"},
 		{"bad sloc", "/v2/subscribe?window=60&slocs=999"},
+		{"no_coalesce", "/v2/subscribe?window=10&no_coalesce=true"}, // identical feeds always share a monitor
 	} {
 		resp, err := http.Get(ts.URL + tc.url)
 		if err != nil {

@@ -154,6 +154,21 @@ for i in $(seq 1 100); do
     [ "$i" -eq 100 ] && { echo "subscription never torn down after disconnect"; exit 1; }
     sleep 0.1
 done
+# The request's context closes the subscription, and its monitor goes with
+# its last subscriber.
+for i in $(seq 1 100); do
+    if curl -fsS "http://${ADDR}/v1/stats" | jq -e '.subscriptions.monitors | length == 0' >/dev/null; then
+        break
+    fi
+    [ "$i" -eq 100 ] && { echo "monitor never torn down after disconnect"; exit 1; }
+    sleep 0.1
+done
+# Identical feeds always share a monitor: no_coalesce is refused with the
+# envelope before any stream starts.
+NOCOALESCE=$(curl -sS -o "${WORKDIR}/no_coalesce.json" -w '%{http_code}' \
+    "http://${ADDR}/v2/subscribe?window=600&no_coalesce=true")
+[ "${NOCOALESCE}" = "400" ]
+jq -e '.error | length > 0' "${WORKDIR}/no_coalesce.json" >/dev/null
 
 echo "== /v1/stats"
 STATS=$(curl -fsS "http://${ADDR}/v1/stats")

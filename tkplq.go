@@ -239,9 +239,9 @@ func (s *System) CacheStats() CacheStats { return s.engine.CacheStats() }
 // at the newest record timestamp, and an Update is delivered whenever the
 // ranking or any flow changes — the first update is the current snapshot.
 // Updates are bit-identical to a from-scratch System.Do top-k over the same
-// window. Identical subscriptions share one monitor (one incremental
-// evaluation feeds all of them; Query.DisableCoalescing opts out); a slow
-// consumer loses oldest updates to conflation (Update.Dropped) and never
+// window. Identical subscriptions always share one monitor (one incremental
+// evaluation feeds all of them), so Query.DisableCoalescing is refused; a
+// slow consumer loses oldest updates to conflation (Update.Dropped) and never
 // delays evaluation. Canceling ctx closes the subscription like
 // Subscription.Close; Query.Ts, Query.Te and Query.Algorithm are ignored.
 func (s *System) Subscribe(ctx context.Context, q Query) (*Subscription, error) {
