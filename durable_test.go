@@ -5,7 +5,6 @@ package tkplq_test
 // ingest batches, the query battery and the bit-for-bit comparison.
 
 import (
-	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -86,28 +85,6 @@ func ingestBatches(numPLocs int) [][]tkplq.Record {
 		batches[i] = recs
 	}
 	return batches
-}
-
-// answerSet evaluates the comparison query battery: all three TkPLQ
-// algorithms, density, and one flow — everything the server surfaces.
-func answerSet(t *testing.T, sys *tkplq.System) []*tkplq.Response {
-	t.Helper()
-	queries := []tkplq.Query{
-		{Kind: tkplq.KindTopK, Algorithm: tkplq.BestFirst, K: 5, Ts: 0, Te: 700, SLocs: sys.AllSLocations()},
-		{Kind: tkplq.KindTopK, Algorithm: tkplq.NestedLoop, K: 5, Ts: 0, Te: 700, SLocs: sys.AllSLocations()},
-		{Kind: tkplq.KindTopK, Algorithm: tkplq.Naive, K: 5, Ts: 0, Te: 700, SLocs: sys.AllSLocations()},
-		{Kind: tkplq.KindDensity, K: 5, Ts: 0, Te: 700, SLocs: sys.AllSLocations()},
-		{Kind: tkplq.KindFlow, Ts: 0, Te: 700, SLocs: sys.AllSLocations()[:1]},
-	}
-	out := make([]*tkplq.Response, len(queries))
-	for i, q := range queries {
-		resp, err := sys.Do(context.Background(), q)
-		if err != nil {
-			t.Fatalf("query %d: %v", i, err)
-		}
-		out[i] = resp
-	}
-	return out
 }
 
 // assertIdentical compares two answer sets bit-for-bit: same rankings, same

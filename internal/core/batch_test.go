@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -11,81 +10,9 @@ import (
 )
 
 // Tests of the shared-work batch evaluation: DoBatch must group queries by
-// window, perform the per-object reduction + summarization once per group,
-// and still return rankings and flows bit-identical to sequential Do calls
-// at every worker count.
-
-// batchQueries builds a mixed-kind batch: four queries sharing the window
-// [0, 50] and one over a different window.
-func batchQueries(fig *indoor.Figure1) []Query {
-	return []Query{
-		{Kind: KindTopK, Algorithm: AlgoBestFirst, K: 3, Ts: 0, Te: 50, SLocs: fig.SLocs[:]},
-		{Kind: KindTopK, Algorithm: AlgoNestedLoop, K: 2, Ts: 0, Te: 50, SLocs: fig.SLocs[2:]},
-		{Kind: KindDensity, K: 3, Ts: 0, Te: 50, SLocs: fig.SLocs[:]},
-		{Kind: KindFlow, Ts: 0, Te: 50, SLocs: fig.SLocs[5:6]},
-		{Kind: KindTopK, Algorithm: AlgoNaive, K: 3, Ts: 10, Te: 30, SLocs: fig.SLocs[:]},
-	}
-}
-
-// TestDoBatchBitIdenticalToSequential: every response of a batch matches the
-// corresponding sequential Do call bit for bit — rankings, flows, and the
-// scalar value — for several worker counts, with the cache on and off.
-func TestDoBatchBitIdenticalToSequential(t *testing.T) {
-	fig := indoor.Figure1Space()
-	rng := rand.New(rand.NewSource(53))
-	tb := randTable(rng, fig, 24, 50)
-	qs := batchQueries(fig)
-	// A presence query rides the shared pass too.
-	qs = append(qs, Query{Kind: KindPresence, Ts: 0, Te: 50, SLocs: fig.SLocs[:1], OID: 3})
-
-	for _, workers := range []int{1, 3, 8} {
-		for _, disableCache := range []bool{false, true} {
-			opts := Options{Workers: workers}
-			qs := qs
-			if disableCache {
-				qs = uncachedAll(qs)
-			}
-			seq := NewEngine(fig.Space, opts)
-			want := make([]*Response, len(qs))
-			for i, q := range qs {
-				resp, err := seq.Do(context.Background(), tb, q)
-				if err != nil {
-					t.Fatalf("workers=%d query %d: %v", workers, i, err)
-				}
-				want[i] = resp
-			}
-
-			bat := NewEngine(fig.Space, opts)
-			got, err := bat.DoBatch(context.Background(), tb, qs)
-			if err != nil {
-				t.Fatalf("workers=%d: DoBatch: %v", workers, err)
-			}
-			for i := range qs {
-				if !resultsIdentical(got[i].Results, want[i].Results) {
-					t.Errorf("workers=%d cacheOff=%v query %d (%v): batch %v != sequential %v",
-						workers, disableCache, i, qs[i].Kind, got[i].Results, want[i].Results)
-				}
-				if math.Float64bits(got[i].Flow) != math.Float64bits(want[i].Flow) {
-					t.Errorf("workers=%d query %d: batch flow %v != sequential %v",
-						workers, i, got[i].Flow, want[i].Flow)
-				}
-			}
-			// The first five queries share window [0,50] → one group of 5;
-			// the last shares nothing → evaluated alone through Do.
-			for i := 0; i < 4; i++ {
-				if got[i].Stats.SharedBatch != 5 {
-					t.Errorf("workers=%d query %d: SharedBatch = %d, want 5", workers, i, got[i].Stats.SharedBatch)
-				}
-			}
-			if got[5].Stats.SharedBatch != 5 { // the appended presence query
-				t.Errorf("workers=%d presence query: SharedBatch = %d, want 5", workers, got[5].Stats.SharedBatch)
-			}
-			if got[4].Stats.SharedBatch != 0 {
-				t.Errorf("workers=%d lone-window query: SharedBatch = %d, want 0", workers, got[4].Stats.SharedBatch)
-			}
-		}
-	}
-}
+// window and perform the per-object reduction + summarization once per
+// group. That its answers are bit-identical to sequential Do calls at every
+// worker count is FuzzDoors's.
 
 // TestDoBatchSharesReduction: a batch of M same-window queries performs the
 // per-object pipeline exactly once — observable as one shared pass in the

@@ -41,16 +41,17 @@ import (
 // record is reflected in the monitor's state exactly once, and an update's
 // Records and [Ts, Te] describe the same prefix of the table.
 type monitor struct {
-	eng     *Engine
-	table   *iupt.Table
-	query   []indoor.SLocID // canonical (ascending) query set
-	mask    []bool          // the query's reachMask (PSL∩Q)
-	k       int
-	window  iupt.Time
-	barrier sync.Locker   // serializes the build's table read with the owner's appends
-	refs    int           // live subscriptions; guarded by eng.mons.mu
-	key     monitorKey    // the registry key
-	stop    chan struct{} // closed by shutdown: ends the eval loop
+	eng      *Engine
+	table    *iupt.Table
+	query    []indoor.SLocID // canonical (ascending) query set
+	mask     []bool          // the query's reachMask (PSL∩Q)
+	k        int
+	window   iupt.Time
+	barrier  sync.Locker   // serializes the build's table read with the owner's appends
+	refs     int           // live subscriptions; guarded by eng.mons.mu
+	key      monitorKey    // the registry key
+	stop     chan struct{} // closed by shutdown: ends the eval loop
+	loopDone chan struct{} // closed by the eval loop as it returns
 
 	// pendMu guards the notification mailbox. It is a leaf lock: enqueue runs
 	// under the owner's ingest lock and must never wait on an evaluation.
@@ -81,17 +82,18 @@ type monitor struct {
 // newMonitor assembles a monitor; query must be canonical and validated.
 func (e *Engine) newMonitor(cfg SubscribeConfig, query []indoor.SLocID, k int, window iupt.Time) *monitor {
 	return &monitor{
-		eng:     e,
-		table:   cfg.Table,
-		query:   query,
-		mask:    e.reachMask(query),
-		k:       k,
-		window:  window,
-		barrier: cfg.Barrier,
-		stop:    make(chan struct{}),
-		wake:    make(chan struct{}, 1),
-		subs:    make(map[*Subscription]bool),
-		row:     make([]float64, len(query)),
+		eng:      e,
+		table:    cfg.Table,
+		query:    query,
+		mask:     e.reachMask(query),
+		k:        k,
+		window:   window,
+		barrier:  cfg.Barrier,
+		stop:     make(chan struct{}),
+		loopDone: make(chan struct{}),
+		wake:     make(chan struct{}, 1),
+		subs:     make(map[*Subscription]bool),
+		row:      make([]float64, len(query)),
 	}
 }
 
@@ -117,14 +119,16 @@ func (m *monitor) Observed() int {
 	return m.observed
 }
 
-// shutdown stops the eval loop. Its one caller is the registry's release of
-// the last reference, and a subscription detaches before it releases, so
-// there is never a subscriber left to close here.
+// shutdown stops the eval loop and returns once it has exited. Its one
+// caller is the registry's release of the last reference, and a subscription
+// detaches before it releases, so there is never a subscriber left to close
+// here. The wait is outside m.mu, which the loop takes to see closed.
 func (m *monitor) shutdown() {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.closed = true
 	close(m.stop)
+	m.mu.Unlock()
+	<-m.loopDone
 }
 
 // drainPending empties the mailbox.

@@ -30,15 +30,6 @@ func uncached(q Query) Query {
 	return q
 }
 
-// uncachedAll is uncached over a batch, on a copy.
-func uncachedAll(qs []Query) []Query {
-	out := make([]Query, len(qs))
-	for i, q := range qs {
-		out[i] = uncached(q)
-	}
-	return out
-}
-
 // flatCopy returns tb's records, in canonical order, on an in-memory table
 // with no sealed part, so every object of every window over it takes
 // reduceAt's plain loop: the from-scratch reference the differentials over

@@ -33,73 +33,6 @@ func bitEqual(t *testing.T, ctxMsg string, got, want []Result) {
 	}
 }
 
-// TestIncrementalEquivalenceRandom drives two monitors on one live table
-// through random out-of-order batches — records landing mid-window, behind
-// the window, just ahead of it, and far enough ahead to make the slide
-// disjoint — and checks after every step that the window is the data's
-// ([maxT-window, maxT] clamped at 0) and that the retained ranking is
-// bit-identical to a from-scratch evaluation of that window: for all three
-// algorithms, at crossed worker counts, for a full ranking and a truncated
-// top-k.
-func TestIncrementalEquivalenceRandom(t *testing.T) {
-	fig := indoor.Figure1Space()
-	for _, workers := range []int{1, 4} {
-		for seed := int64(1); seed <= 4; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			eng := NewEngine(fig.Space, Options{Workers: workers})
-			ref := NewEngine(fig.Space, Options{Workers: 5 - workers}) // cross worker counts
-			live := &liveTable{eng: eng, tb: iupt.NewTable()}
-
-			q := append([]indoor.SLocID(nil), fig.SLocs[:]...)
-			const window = iupt.Time(10)
-			full := live.monitor(q, len(q), window)
-			top2 := live.monitor(q, 2, window)
-
-			maxT := iupt.Time(0)
-			plocs := fig.PLocs[:]
-			for step := 0; step < 40; step++ {
-				// Most steps ingest a small batch scattered around the
-				// horizon (−12 … +12: behind the window, inside it, a short
-				// slide ahead); one in six jumps more than a window ahead.
-				// A step without a batch must leave the monitors untouched.
-				if rng.Intn(4) > 0 {
-					jump := iupt.Time(0)
-					if rng.Intn(6) == 0 {
-						jump = window + 1 + iupt.Time(rng.Intn(20))
-					}
-					batch := make([]iupt.Record, rng.Intn(4)+1)
-					for i := range batch {
-						batch[i] = iupt.Record{
-							OID:     iupt.ObjectID(rng.Intn(5) + 1),
-							T:       max(0, maxT+jump+iupt.Time(rng.Intn(25)-12)),
-							Samples: randSampleSet(rng, plocs, 4),
-						}
-						maxT = max(maxT, batch[i].T)
-					}
-					live.ingest(batch...)
-				}
-
-				gotFull, got2 := current(full), current(top2)
-				ts := max(0, maxT-window)
-				for _, u := range []Update{gotFull, got2} {
-					if u.Ts != ts || u.Te != maxT || u.Records != live.tb.Len() {
-						t.Fatalf("workers %d seed %d step %d: update covers [%d, %d] over %d records, want [%d, %d] over %d",
-							workers, seed, step, u.Ts, u.Te, u.Records, ts, maxT, live.tb.Len())
-					}
-				}
-				for _, algo := range []Algorithm{AlgoNaive, AlgoNestedLoop, AlgoBestFirst} {
-					want, _, err := ref.TopK(live.tb, q, len(q), ts, maxT, algo)
-					if err != nil {
-						t.Fatal(err)
-					}
-					bitEqual(t, algo.String()+" full", gotFull.Results, want)
-					bitEqual(t, algo.String()+" top2", got2.Results, want[:2])
-				}
-			}
-		}
-	}
-}
-
 // TestSubscribeHorizonUnderBarrier: the feed never claims records its window
 // has not reached. Two batches that land while the monitor is busy are
 // drained by one evaluation and counted in Update.Records, so the later
@@ -423,7 +356,8 @@ func TestSubscriptionCtxCancel(t *testing.T) {
 // TestSubscriptionGoroutines: a monitor runs one goroutine, its eval loop,
 // whatever its number of subscribers; a subscription watches its context
 // without one. Eight subscriptions on one monitor add one goroutine, eight
-// split over two monitors add two, and closing them all takes them away.
+// split over two monitors add two, and closing them all takes them away:
+// each monitor's loop has exited by the time its last Close returns.
 func TestSubscriptionGoroutines(t *testing.T) {
 	fig := indoor.Figure1Space()
 	live := &liveTable{eng: NewEngine(fig.Space, Options{Workers: 1}), tb: iupt.NewTable()}
@@ -471,9 +405,20 @@ func TestSubscriptionGoroutines(t *testing.T) {
 		if got := await(base+tc.mons) - base; got != tc.mons {
 			t.Errorf("%s: %d subscriptions added %d goroutines, want %d", tc.name, len(subs), got, tc.mons)
 		}
+		left := make(map[*monitor]int)
+		for _, sub := range subs {
+			left[sub.mon]++
+		}
 		for i, sub := range subs {
 			sub.Close()
 			cancels[i]()
+			if left[sub.mon]--; left[sub.mon] == 0 {
+				select {
+				case <-sub.mon.loopDone:
+				default:
+					t.Errorf("%s: the last Close returned before its monitor's eval loop exited", tc.name)
+				}
+			}
 		}
 		if got := await(base) - base; got != 0 {
 			t.Errorf("%s: %d goroutines left after every Close", tc.name, got)

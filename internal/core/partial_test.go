@@ -180,6 +180,7 @@ func TestMergePartialsOrdersAcrossShards(t *testing.T) {
 // would), merges the partials and replays them. It counts the passes.
 type shardSource struct {
 	space   *indoor.Space
+	opts    Options
 	shards  []*iupt.Table
 	version int
 
@@ -196,7 +197,7 @@ func (s *shardSource) Rows(ctx context.Context, pass Query, emit func(iupt.Objec
 	parts := make([]*Partial, len(s.shards))
 	for i, stb := range s.shards {
 		var err error
-		if parts[i], err = NewEngine(s.space, Options{}).DoPartial(ctx, stb, pass); err != nil {
+		if parts[i], err = NewEngine(s.space, s.opts).DoPartial(ctx, stb, pass); err != nil {
 			return Stats{}, err
 		}
 	}
@@ -205,112 +206,6 @@ func (s *shardSource) Rows(ctx context.Context, pass Query, emit func(iupt.Objec
 		return Stats{}, err
 	}
 	return Replay(merged).Rows(ctx, pass, emit)
-}
-
-// randBatch draws a batch of all four kinds over a small pool of windows and
-// override sets, so members both share and split groups; some members are
-// exact duplicates of earlier ones.
-func randBatch(rng *rand.Rand, fig *indoor.Figure1, objects int) []Query {
-	windows := [][2]iupt.Time{{0, 60}, {0, 60}, {5, 50}, {20, 60}}
-	qs := make([]Query, 1+rng.Intn(8))
-	for i := range qs {
-		if i > 0 && rng.Intn(5) == 0 {
-			qs[i] = qs[rng.Intn(i)]
-			continue
-		}
-		w := windows[rng.Intn(len(windows))]
-		q := Query{Kind: QueryKind(rng.Intn(4)), Ts: w[0], Te: w[1], Workers: []int{0, 0, 0, 2}[rng.Intn(4)], DisableCache: rng.Intn(4) == 0}
-		slocs := append([]indoor.SLocID(nil), fig.SLocs[:]...)
-		rng.Shuffle(len(slocs), func(a, b int) { slocs[a], slocs[b] = slocs[b], slocs[a] })
-		switch q.Kind {
-		case KindTopK, KindDensity:
-			q.SLocs = slocs[:1+rng.Intn(len(slocs))]
-			q.K = 1 + rng.Intn(len(q.SLocs)+2)
-			q.Algorithm = Algorithm(rng.Intn(3))
-		default:
-			q.SLocs = slocs[:1]
-			q.OID = iupt.ObjectID(1 + rng.Intn(objects+2))
-		}
-		qs[i] = q
-	}
-	return qs
-}
-
-// TestDriverDifferential: there is one driver, so every way of reaching it
-// answers alike. Random batches answered by Do one query at a time, by
-// DoBatch, by the driver over a 1-, 2- and 3-shard source and by FinishPartial
-// agree bit for bit in results and Flow; every member reports its group's
-// size in Stats.SharedBatch; and a source is asked for exactly one pass per
-// window group.
-func TestDriverDifferential(t *testing.T) {
-	fig := indoor.Figure1Space()
-	rng := rand.New(rand.NewSource(43))
-	const objects = 20
-	tb := randTable(rng, fig, objects, 60)
-	ctx := context.Background()
-
-	for round := 0; round < 40; round++ {
-		qs := randBatch(rng, fig, objects)
-		type group struct {
-			ts, te       iupt.Time
-			workers      int
-			disableCache bool
-		}
-		// Members share a pass when window, cache bypass and resolved pool size
-		// agree (an explicit Workers may equal this machine's default).
-		groupOf := func(q Query) group {
-			return group{q.Ts, q.Te, Options{Workers: q.Workers}.workerCount(), q.DisableCache}
-		}
-		groups := make(map[group]int)
-		for _, q := range qs {
-			groups[groupOf(q)]++
-		}
-		check := func(label string, want, got []*Response) {
-			t.Helper()
-			for i, q := range qs {
-				assertSameResponse(t, fmt.Sprintf("round %d %s member %d (%s)", round, label, i, q.Kind), want[i], got[i])
-				size := groups[groupOf(q)]
-				if size == 1 {
-					size = 0 // a lone query shared nothing
-				}
-				if got[i].Stats.SharedBatch != size {
-					t.Fatalf("round %d %s member %d: SharedBatch = %d, want %d", round, label, i, got[i].Stats.SharedBatch, size)
-				}
-			}
-		}
-
-		want := make([]*Response, len(qs))
-		one := NewEngine(fig.Space, Options{})
-		for i, q := range qs {
-			var err error
-			if want[i], err = one.Do(ctx, tb, q); err != nil {
-				t.Fatalf("round %d Do member %d: %v", round, i, err)
-			}
-		}
-
-		got, err := NewEngine(fig.Space, Options{}).DoBatch(ctx, tb, qs)
-		if err != nil {
-			t.Fatalf("round %d DoBatch: %v", round, err)
-		}
-		check("DoBatch", want, got)
-
-		for _, shards := range []int{1, 2, 3} {
-			split := splitTable(tb, shardTopology(t, shards))
-			src := &shardSource{space: fig.Space, shards: split}
-			got, err := NewDriver(fig.Space).Answer(ctx, src, qs)
-			if err != nil {
-				t.Fatalf("round %d shards=%d: %v", round, shards, err)
-			}
-			check(fmt.Sprintf("shards=%d", shards), want, got)
-			if src.passes != len(groups) {
-				t.Fatalf("round %d shards=%d: %d passes for %d window groups", round, shards, src.passes, len(groups))
-			}
-			for i, q := range qs {
-				assertSameResponse(t, fmt.Sprintf("round %d shards=%d FinishPartial member %d (%s)", round, shards, i, q.Kind),
-					want[i], distributedDo(t, fig.Space, split, q))
-			}
-		}
-	}
 }
 
 // TestDriverSharesFlights: identical concurrent queries at one source version

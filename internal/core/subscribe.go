@@ -68,7 +68,9 @@ func (s *Subscription) Done() <-chan struct{} { return s.done }
 
 // Close ends the subscription: the Updates channel is closed and the
 // monitor's reference count drops, shutting the monitor down if this was its
-// last subscriber. Idempotent and safe to call concurrently with delivery.
+// last subscriber; then Close returns only after the monitor's goroutine has
+// exited, so it must not be called while holding SubscribeConfig.Barrier.
+// Idempotent and safe to call concurrently with delivery.
 // Done fires last, once the monitor reference is released, so whoever
 // observes it no longer finds this subscription in MonitorStats.
 func (s *Subscription) Close() {
@@ -114,7 +116,9 @@ type SubscribeConfig struct {
 	// is monitor lock, then Barrier — the Subscribe that builds a monitor
 	// holds the monitor's lock while it waits for the Barrier. A Barrier
 	// holder must therefore not call MonitorStats, Subscribe or
-	// Subscription.Close, which take a monitor lock (NotifyAppend does not).
+	// Subscription.Close, which take a monitor lock (NotifyAppend does not);
+	// the last Close also waits for the monitor's eval loop, which may be
+	// waiting for the Barrier.
 	Barrier sync.Locker
 }
 
@@ -220,8 +224,10 @@ func (m *monitor) updateLocked() Update {
 
 // evalLoop is the monitor's single evaluation goroutine: it wakes on every
 // announced ingest, re-evaluates incrementally, and pushes an update iff the
-// ranking changed. It runs from the monitor's creation to its shutdown.
+// ranking changed. It runs from the monitor's creation to its shutdown,
+// which waits for loopDone.
 func (m *monitor) evalLoop() {
+	defer close(m.loopDone)
 	for {
 		select {
 		case <-m.stop:

@@ -19,8 +19,10 @@ import (
 	"tkplq"
 )
 
-// answerSetWorkers is answerSet with a per-query worker-pool override, so
-// the battery can pin bit-identical answers at several pool sizes.
+// answerSetWorkers evaluates the comparison query battery — all three TkPLQ
+// algorithms, density and one flow, everything the server surfaces — with a
+// per-query worker-pool override, so it can pin bit-identical answers at
+// several pool sizes.
 func answerSetWorkers(t *testing.T, sys *tkplq.System, workers int) []*tkplq.Response {
 	t.Helper()
 	queries := []tkplq.Query{
